@@ -186,19 +186,26 @@ def cmd_verify(args) -> int:
         raise _CliInputError(f"cannot read {args.cert}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliInputError(f"{args.cert}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliInputError(f"{args.cert}: JSON nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise _CliInputError(f"{args.cert}: a certificate is a JSON object")
     try:
         cert = certs.certificate_from_json(doc)
     except (certs.CertificateFormatError, GroupError, DeclarationError,
             GeneratorError, KeyError, TypeError, ValueError) as exc:
         raise _CliInputError(f"{args.cert}: {exc}") from exc
-    if isinstance(cert, RewriteChain):
-        ok = verify_chain(cert)
-    elif isinstance(cert, JCombination):
-        ok = verify_combination(cert)
-    elif isinstance(cert, ReductionCertificate):
-        ok = verify_certificate(cert)
-    else:  # pragma: no cover - certificate_from_json is exhaustive
-        raise _CliInputError(f"{args.cert}: unknown certificate object")
+    try:
+        if isinstance(cert, RewriteChain):
+            ok = verify_chain(cert)
+        elif isinstance(cert, JCombination):
+            ok = verify_combination(cert)
+        elif isinstance(cert, ReductionCertificate):
+            ok = verify_certificate(cert)
+        else:  # pragma: no cover - certificate_from_json is exhaustive
+            raise _CliInputError(f"{args.cert}: unknown certificate object")
+    except DeclarationError as exc:  # a move or word names an undeclared variable
+        raise _CliInputError(f"{args.cert}: {exc}") from exc
     _emit({"valid": ok, "kind": doc.get("kind")})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -235,14 +242,19 @@ def _run_entry(entry: dict) -> dict:
             if p is None:
                 report.update(status="error", detail="no 'poly:' line")
                 return report
-            w = identity_witness(p)
+            if p.is_multihomogeneous() and not p.is_zero():
+                try:  # express_in_J decides membership on the way
+                    comb, w = express_in_J(p), None
+                except NoExpressionError as exc:
+                    comb, w = None, exc.witness
+            else:
+                comb, w = None, identity_witness(p)
             if w is not None:
                 report.update(status="fail", detail="not an identity",
                               witness=_witness_json(w))
                 return report
             report["status"] = "pass"
-            if p.is_multihomogeneous() and not p.is_zero():
-                comb = express_in_J(p)
+            if comb is not None:
                 cert = certs.jcomb_to_json(comb)
                 with open(_cert_path(path), "w", encoding="utf-8") as fh:
                     fh.write(certs.dumps(cert))

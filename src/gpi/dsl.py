@@ -92,15 +92,16 @@ class _ExprParser:
         return p
 
     def expr(self) -> FreePoly:
+        terms: dict[Word, int] = {}
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
-        acc = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            acc = acc + (t if op == "+" else -t)
-        return acc
+        while True:
+            for w, c in self.term().terms.items():
+                terms[w] = terms.get(w, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return FreePoly(self.ctx, terms)
+            sign = -1 if self.take() == "-" else 1
 
     def term(self) -> FreePoly:
         acc = self.factor()

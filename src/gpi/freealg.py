@@ -255,7 +255,7 @@ class WeakSubstitution:
     def __call__(self, p: FreePoly) -> FreePoly:
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
-        out = FreePoly.zero(self.ctx)
+        terms: dict[Word, int] = {}
         cache: dict[int, FreePoly] = {}
         for w, c in p.terms.items():
             acc = FreePoly.one(self.ctx).scale(c)
@@ -263,8 +263,9 @@ class WeakSubstitution:
                 if v not in cache:
                     cache[v] = self.image_poly(v)
                 acc = acc * cache[v]
-            out = out + acc
-        return out
+            for u, d in acc.terms.items():
+                terms[u] = terms.get(u, 0) + d
+        return FreePoly(self.ctx, terms)
 
 
 def apply_substitution(p: FreePoly, s: WeakSubstitution) -> FreePoly:

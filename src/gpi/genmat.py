@@ -110,27 +110,12 @@ class GenericMatrix:
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
-    def zero(cls, n: int) -> "GenericMatrix":
-        z = ScalarPoly.zero()
-        return cls(n, [[z] * n for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int) -> "GenericMatrix":
         rows = []
         for i in range(n):
             rows.append([ScalarPoly.const(1) if i == j else ScalarPoly.zero()
                          for j in range(n)])
         return cls(n, rows)
-
-    def __add__(self, other: "GenericMatrix") -> "GenericMatrix":
-        return GenericMatrix(self.n, [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-            for i in range(self.n)])
-
-    def __sub__(self, other: "GenericMatrix") -> "GenericMatrix":
-        return GenericMatrix(self.n, [
-            [self.entries[i][j] - other.entries[i][j] for j in range(self.n)]
-            for i in range(self.n)])
 
     def scale(self, c: int) -> "GenericMatrix":
         return GenericMatrix(self.n, [
@@ -190,40 +175,100 @@ def eval_word_direct(ctx: Context, w: Word) -> GenericMatrix:
     return out
 
 
+def path_degrees(ctx: Context, w: Word) -> list[int]:
+    """The prefix products h_1 * ... * h_t of the factor degrees.
+
+    They do not depend on the starting row: after t factors the path from
+    row i is at phi(h_1 * ... * h_t, i), since phi_b(phi_a(i)) = phi_{ab}(i).
+    """
+    table = ctx.grading.group.table
+    g = ctx.grading.group.identity_index
+    out = []
+    for v in w:
+        g = table[g][ctx.degree(v)]
+        out.append(g)
+    return out
+
+
+def word_path(ctx: Context, w: Word, row: int,
+              degrees: list[int] | None = None) -> list[ScalarVar]:
+    """The scalar variables (var id, from, to) met along the word's path from row.
+
+    Pass the word's path_degrees as `degrees` when walking it from many rows.
+    """
+    if degrees is None:
+        degrees = path_degrees(ctx, w)
+    grading = ctx.grading
+    # phi(g, row) = _pos[tuple_[row] * g], with the table row looked up once
+    pos, row_times = grading._pos, grading.group.table[grading.tuple_[row]]
+    out = []
+    i = row
+    for v, g in zip(w, degrees):
+        j = pos[row_times[g]]
+        out.append((v, i, j))
+        i = j
+    return out
+
+
+def _monomial(path: list[ScalarVar], row: int) -> tuple[Mono, int]:
+    exps: dict[ScalarVar, int] = {}
+    for sv in path:
+        exps[sv] = exps.get(sv, 0) + 1
+    return tuple(sorted(exps.items())), (path[-1][2] if path else row)
+
+
 def word_entry_monomial(ctx: Context, w: Word, row: int) -> tuple[Mono, int]:
     """Closed-form entry of the word's evaluation along the path from row.
 
     Returns (monomial, final column).  The entry at (row, column) is the
     monomial with coefficient 1; all other entries in that row vanish.
     """
-    grading = ctx.grading
-    exps: dict[ScalarVar, int] = {}
-    i = row
-    g_acc = grading.group.identity_index
-    for v in w:
-        g_acc = grading.group.mul(ctx.degree(v), g_acc)  # right-to-left product
-        j = grading.phi(g_acc, row)
-        sv = (v, i, j)
-        exps[sv] = exps.get(sv, 0) + 1
-        i = j
-    return tuple(sorted(exps.items())), i
+    return _monomial(word_path(ctx, w, row), row)
+
+
+def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
+    """The word's evaluation as one key (row, col, mono) per row, in row order."""
+    degrees = path_degrees(ctx, w)
+    keys = []
+    for row in range(ctx.grading.n):
+        mono, col = _monomial(word_path(ctx, w, row, degrees), row)
+        keys.append((row, col, mono))
+    return keys
 
 
 def eval_word_closed(ctx: Context, w: Word) -> GenericMatrix:
     """Evaluate a word without matrix products, via the path walk per row."""
     n = ctx.grading.n
     rows = [[ScalarPoly.zero()] * n for _ in range(n)]
-    for row in range(n):
-        mono, col = word_entry_monomial(ctx, w, row)
+    for row, col, mono in word_entries(ctx, w):
         rows[row] = list(rows[row])
         rows[row][col] = ScalarPoly.monomial(mono)
     return GenericMatrix(n, rows)
 
 
+def eval_entries(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
+    """The nonzero terms of the polynomial's evaluation, keyed (row, col, mono).
+
+    Each word contributes one monomial per row (word_entries), so the
+    evaluation is a single keyed sum; a key is dropped as soon as its
+    coefficient cancels.
+    """
+    acc: dict[tuple[int, int, Mono], int] = {}
+    for w, c in p.terms.items():
+        for key in word_entries(p.ctx, w):
+            total = acc.get(key, 0) + c
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+    return acc
+
+
 def eval_poly(p: FreePoly) -> GenericMatrix:
     """Evaluate a polynomial at the generic matrices, exactly over Z."""
     n = p.ctx.grading.n
-    out = GenericMatrix.zero(n)
-    for w, c in p.terms.items():
-        out = out + eval_word_closed(p.ctx, w).scale(c)
-    return out
+    cells: dict[tuple[int, int], dict[Mono, int]] = {}
+    for (row, col, mono), c in eval_entries(p).items():
+        cells.setdefault((row, col), {})[mono] = c
+    return GenericMatrix(n, [[ScalarPoly(cells.get((i, j))) for j in range(n)]
+                             for i in range(n)])

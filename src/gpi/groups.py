@@ -57,11 +57,8 @@ class FiniteGroup:
             b = tbl[a].index(ident)
             if tbl[b][a] != ident:
                 raise GroupError(f"element {a} has no two-sided inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                        raise GroupError("table is not associative")
+        if not _associative(tbl, ident):
+            raise GroupError("table is not associative")
         if not self.names:
             object.__setattr__(self, "names", tuple(f"g{i}" for i in range(n)))
         elif len(self.names) != n:
@@ -87,6 +84,51 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         n = self.order
         return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
+
+
+def _associative(tbl, ident: int) -> bool:
+    """Light's associativity test over a greedily built generating set.
+
+    (xa)y = x(ay) for all x, y and every generator a implies associativity,
+    because the elements a satisfying it are closed under the product
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, section 1.2).
+    Generators are added while the closure of those so far misses an element.
+    In a group each closure is a subgroup, so each new generator at least
+    doubles it; a closure that grows less proves the table is not a group,
+    and with identity and inverses present, that it is not associative.  At
+    most log2(n) generators are tested, O(n^2 log n) in all.
+    """
+    n = len(tbl)
+    inside = [False] * n
+    inside[ident] = True
+    closure = [ident]
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        before = len(closure)
+        gens.append(g)
+        pending = [g]
+        while pending:
+            x = pending.pop()
+            if inside[x]:
+                continue
+            inside[x] = True
+            closure.append(x)
+            for y in closure:
+                for z in (tbl[x][y], tbl[y][x]):
+                    if not inside[z]:
+                        pending.append(z)
+        if len(closure) < 2 * before:
+            return False
+    for a in gens:
+        col_a = [row[a] for row in tbl]
+        for x in range(n):
+            x_row = tbl[x]
+            xa_row = tbl[col_a[x]]
+            if any(xa_row[y] != x_row[ay] for y, ay in enumerate(tbl[a])):
+                return False
+    return True
 
 
 def cyclic_group(n: int) -> FiniteGroup:

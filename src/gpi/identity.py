@@ -17,7 +17,7 @@ from enum import Enum
 
 from .freealg import (Context, FreePoly, Word, is_multilinear_word,
                       multihomogeneous_components, word_degree)
-from .genmat import ScalarPoly, eval_poly
+from .genmat import ScalarPoly, eval_entries, eval_poly
 
 
 class GeneratorError(ValueError):
@@ -98,13 +98,13 @@ def is_graded_identity(p: FreePoly) -> bool:
 
 
 def identity_witness(p: FreePoly) -> Witness | None:
-    """None when p is an identity, otherwise a nonzero evaluation entry."""
-    mat = eval_poly(p)
-    for i in range(mat.n):
-        for j in range(mat.n):
-            if not mat.entries[i][j].is_zero():
-                return Witness(i, j, mat.entries[i][j])
-    return None
+    """None when p is an identity, otherwise the first nonzero entry (row-major)."""
+    entries = eval_entries(p)
+    if not entries:
+        return None
+    row, col, _ = min(entries)
+    return Witness(row, col, ScalarPoly({m: c for (i, j, m), c in entries.items()
+                                         if i == row and j == col}))
 
 
 def components_are_identities(p: FreePoly) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Context, FreePoly, Word, multidegree, word_degree, word_key
-from .genmat import eval_poly, eval_word_closed, word_entry_monomial
+from .genmat import eval_word_closed, word_entries, word_entry_monomial, word_path
 from .identity import ContractError, Witness, identity_witness
 
 
@@ -127,20 +127,6 @@ def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     return None
 
 
-def _unit_path(ctx: Context, w: Word, row: int):
-    """Scalar-variable occurrences (var id, from, to) along the word's path."""
-    grading = ctx.grading
-    path = []
-    i = row
-    g_acc = grading.group.identity_index
-    for v in w:
-        g_acc = grading.group.mul(ctx.degree(v), g_acc)
-        j = grading.phi(g_acc, row)
-        path.append((v, i, j))
-        i = j
-    return path
-
-
 def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
     """Match equal scalar variables between the two unit paths from pos.
 
@@ -152,8 +138,8 @@ def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> Sigma
     mono_n, col_n = word_entry_monomial(ctx, n, row)
     if col_m != col_n or mono_m != mono_n or col != col_m:
         raise ContractError("monomials share no entry at the given position")
-    path_m = _unit_path(ctx, m, row)
-    path_n = _unit_path(ctx, n, row)
+    path_m = word_path(ctx, m, row)
+    path_n = word_path(ctx, n, row)
     used = [False] * len(path_m)
     sigma = []
     for triple in path_n:
@@ -242,10 +228,11 @@ class JCombination:
     terms: tuple[JTerm, ...]
 
     def expansion(self) -> FreePoly:
-        out = FreePoly.zero(self.ctx)
+        terms: dict[Word, int] = {}
         for t in self.terms:
-            out = out + FreePoly(self.ctx, {t.source: t.coeff, t.target: -t.coeff})
-        return out
+            terms[t.source] = terms.get(t.source, 0) + t.coeff
+            terms[t.target] = terms.get(t.target, 0) - t.coeff
+        return FreePoly(self.ctx, terms)
 
 
 def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
@@ -263,8 +250,11 @@ def express_in_J(f: FreePoly) -> JCombination:
     """Express a multihomogeneous identity through certified congruent pairs.
 
     Follows the cancellation loop: repeatedly eliminate the least word of
-    the support against a partner sharing an evaluation entry.  The support
-    strictly shrinks each round, so the loop terminates.
+    the support against the least other word sharing an evaluation entry.
+    The support strictly shrinks each round, so the loop terminates.  Words
+    only leave the support, so one sort ranks every round; each entry key
+    (row, col, mono) keeps a bucket of the ranks of the words carrying it,
+    and dead ranks are skipped lazily from the front.
     """
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
@@ -273,19 +263,34 @@ def express_in_J(f: FreePoly) -> JCombination:
         raise NoExpressionError("input is not a graded identity", witness=w)
     ctx = f.ctx
     work = dict(f.terms)
+    support = sorted(work, key=word_key)
+    word_keys = []
+    buckets: dict[tuple, list[int]] = {}
+    for rank, word in enumerate(support):
+        keys = word_entries(ctx, word)
+        for key in keys:
+            buckets.setdefault(key, []).append(rank)
+        word_keys.append(keys)
+    heads = dict.fromkeys(buckets, 0)
     terms: list[JTerm] = []
+    rank = 0
     while work:
-        support = sorted(work, key=word_key)
-        if len(support) == 1:
+        while support[rank] not in work:
+            rank += 1
+        m1 = support[rank]
+        if len(work) == 1:
             raise AssertionError("single-monomial identity encountered; evaluation bug")
-        m1 = support[0]
-        partner = None
-        for cand in support[1:]:
-            if shared_entry(ctx, m1, cand) is not None:
-                partner = cand
-                break
-        if partner is None:
+        best = None
+        for key in word_keys[rank]:
+            bucket, i = buckets[key], heads[key]
+            while i < len(bucket) and (bucket[i] <= rank or support[bucket[i]] not in work):
+                i += 1
+            heads[key] = i
+            if i < len(bucket) and (best is None or bucket[i] < best):
+                best = bucket[i]
+        if best is None:
             raise AssertionError("no partner with a shared entry; evaluation bug")
+        partner = support[best]
         lam = work[m1]
         chain = congruence_chain(ctx, partner, m1)  # start=m1, end=partner
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))

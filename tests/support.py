@@ -6,7 +6,7 @@ import os
 import random
 
 from gpi.freealg import Context, WeakSubstitution, word_degree
-from gpi.groups import cyclic_group, default_grading
+from gpi.groups import FiniteGroup, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
 
@@ -19,6 +19,20 @@ def seed() -> int:
 
 def rng(salt: int = 0) -> random.Random:
     return random.Random(seed() + salt)
+
+
+# S3 as permutations of {0,1,2}: elements e, (01), (02), (12), (012), (021)
+_S3_PERMS = [
+    (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1),
+]
+
+
+def s3() -> FiniteGroup:
+    def compose(p, q):  # apply q first, then p
+        return tuple(p[q[i]] for i in range(3))
+    idx = {p: i for i, p in enumerate(_S3_PERMS)}
+    table = tuple(tuple(idx[compose(p, q)] for q in _S3_PERMS) for p in _S3_PERMS)
+    return FiniteGroup(table)
 
 
 def configs():

@@ -127,6 +127,43 @@ class TestCongruentVerify:
         assert code == 1 and json.loads(out)["valid"] is False
 
 
+class TestHostileCertificates:
+    """Malformed certificates exit 2 with one `gpi:` line, never a traceback."""
+
+    def assert_rejected(self, capsys, path):
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+
+    def test_move_names_undeclared_variable(self, tmp_path, capsys):
+        f = write(tmp_path, "f.gpi", CONG_FILE)
+        _, out, _ = run(capsys, "congruent", f)
+        doc = json.loads(out)
+        doc["payload"] = {"start": [1, 9], "end": [9, 1], "moves": [
+            {"kind": "swap0", "left": [], "blocks": [[1], [9]], "right": []}]}
+        cert = tmp_path / "undeclared.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    def test_nested_3000_deep(self, tmp_path, capsys):
+        f = write(tmp_path, "g.gpi", GEN_FILE)
+        _, out, _ = run(capsys, "z3reduce", f)
+        doc = json.loads(out)
+        root = json.dumps(doc["payload"]["root"])
+        doc["payload"]["root"] = "ROOT"
+        depth = 3000
+        nested = ('{"op": "context", "left": [], "right": [], "child": ' * depth
+                  + root + "}" * depth)
+        cert = tmp_path / "deep.json"
+        cert.write_text(json.dumps(doc).replace('"ROOT"', nested))
+        self.assert_rejected(capsys, cert)
+
+    def test_not_an_object(self, tmp_path, capsys):
+        cert = tmp_path / "list.json"
+        cert.write_text("[]")
+        self.assert_rejected(capsys, cert)
+
+
 class TestExpress:
     def test_identity(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", ID_FILE)
@@ -201,6 +238,10 @@ class TestCorpus:
         code, out, _ = run(capsys, "corpus", str(manifest))
         doc = json.loads(out)
         assert code == 1 and doc["entries"][0]["status"] == "fail"
+        # the witness is the one `gpi check` reports
+        _, check_out, _ = run(capsys, "check", str(tmp_path / "mono.gpi"))
+        assert doc["entries"][0]["detail"] == "not an identity"
+        assert doc["entries"][0]["witness"] == json.loads(check_out)["witness"]
 
     def test_missing_file_reported_run_continues(self, tmp_path, capsys):
         write(tmp_path, "id.gpi", ID_FILE)

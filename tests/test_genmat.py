@@ -66,7 +66,7 @@ class TestEvalWord:
 
     def test_closed_equals_direct_random(self):
         rand = support.rng(101)
-        for grading in support.configs():
+        for grading in support.configs() + [default_grading(support.s3())]:
             for _ in range(120):
                 c = support.random_context(rand, grading, 5)
                 w = support.random_word(rand, c, rand.randint(1, 8))

@@ -1,20 +1,11 @@
+import itertools
+
 import pytest
+import support
+from support import s3
 
 from gpi.groups import (FiniteGroup, GradingTuple, GroupError, cyclic_group,
                         default_grading)
-
-# S3 as permutations of {0,1,2}: elements e, (01), (02), (12), (012), (021)
-_S3_PERMS = [
-    (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1),
-]
-
-
-def s3():
-    def compose(p, q):  # apply q first, then p
-        return tuple(p[q[i]] for i in range(3))
-    idx = {p: i for i, p in enumerate(_S3_PERMS)}
-    table = tuple(tuple(idx[compose(p, q)] for q in _S3_PERMS) for p in _S3_PERMS)
-    return FiniteGroup(table)
 
 
 class TestCyclicGroup:
@@ -140,3 +131,89 @@ def test_nondefault_grading_permutes_phi():
     for gg in range(3):
         for i in range(3):
             assert g.tuple_[g.phi(gg, i)] == g.group.mul(g.tuple_[i], gg)
+
+
+# --- Light's associativity test against the cubic check -----------------------
+
+def _permutation_table(gens):
+    """Multiplication table of the permutation group the generators span."""
+    n = len(gens[0])
+    elems = [tuple(range(n))]
+    seen = {elems[0]}
+    for p in elems:
+        for g in gens:
+            q = tuple(g[p[i]] for i in range(n))
+            if q not in seen:
+                seen.add(q)
+                elems.append(q)
+    idx = {p: i for i, p in enumerate(elems)}
+    return [[idx[tuple(p[q[i]] for i in range(n))] for q in elems] for p in elems]
+
+
+def _product_table(a, b):
+    nb = len(b)
+    return [[a[x // nb][y // nb] * nb + b[x % nb][y % nb]
+             for y in range(len(a) * nb)] for x in range(len(a) * nb)]
+
+
+def _group_tables():
+    z = [[list(r) for r in cyclic_group(k).table] for k in range(1, 9)]
+    return z + [
+        [list(r) for r in s3().table],
+        _permutation_table([(1, 2, 3, 0), (2, 1, 0, 3)]),   # D4, two generators
+        _permutation_table([(1, 0, 2, 3), (1, 2, 3, 0)]),   # S4, order 24
+        _product_table(z[1], z[1]),                         # Z2 x Z2
+        _product_table(_product_table(z[1], z[1]), z[1]),   # Z2^3, three generators
+        _product_table(z[1], z[3]),                         # Z2 x Z4
+    ]
+
+
+# The smallest loop that is not a group: every element is its own inverse.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _cubic_associative(t):
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a, b, c in itertools.product(range(n), repeat=3))
+
+
+def _near_group(rand, table):
+    """A relabelled group table with a few products changed.
+
+    Entries equal to the identity are neither changed nor written, so the
+    identity and inverse checks pass and associativity alone decides.
+    """
+    n = len(table)
+    relabel = list(range(n))
+    rand.shuffle(relabel)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    one = relabel[0]
+    for _ in range(rand.choice((0, 0, 1, 1, 2, 3))):
+        a, b = rand.randrange(n), rand.randrange(n)
+        if one not in (a, b, out[a][b]) and n > 2:
+            out[a][b] = rand.choice([x for x in range(n) if x != one])
+    return out
+
+
+def test_light_test_agrees_with_cubic_check():
+    rand = support.rng(401)
+    # In LOOP5 x Z2 the first generator found, element 1 = (e, 1), associates
+    # with everything; only a later generator exposes the loop.
+    bases = _group_tables() + [LOOP5, _product_table(LOOP5, _group_tables()[1])]
+    tables = bases + [_near_group(rand, rand.choice(bases)) for _ in range(300)]
+    outcomes = set()
+    for table in tables:
+        try:
+            FiniteGroup(tuple(map(tuple, table)))
+            accepted = True
+        except GroupError as exc:
+            assert str(exc) == "table is not associative"
+            accepted = False
+        assert accepted == _cubic_associative(table)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}

@@ -1,14 +1,18 @@
 import pytest
 import support
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpi.freealg import Context, FreePoly, multihomogeneous_components
-from gpi.genmat import eval_poly
+from gpi.genmat import ScalarPoly, eval_poly, eval_word_direct
 from gpi.identity import (ContractError, GeneratorError, GeneratorKind, expand,
                           components_are_identities, identity_witness,
                           is_graded_identity, make_generator)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
+WITNESS_GRADINGS = [default_grading(cyclic_group(k)) for k in range(2, 7)] + \
+    [default_grading(support.s3())]
 
 
 class TestIsGradedIdentity:
@@ -103,3 +107,57 @@ class TestComponents:
         c = Context(Z3, {1: 1})
         with pytest.raises(ContractError):
             components_are_identities(FreePoly.var(c, 1))
+
+
+# --- the keyed witness against dense evaluation -------------------------------
+
+@st.composite
+def cancelling_polys(draw):
+    """Random words plus congruent pairs with opposite coefficients.
+
+    Rearrangements of one multiset of variables often share evaluation
+    entries, and a word minus a move of it evaluates to zero, so entries
+    cancel in part or in full.
+    """
+    grading = draw(st.sampled_from(WITNESS_GRADINGS))
+    rand = draw(st.randoms(use_true_random=False))
+    # trivial degrees make swap0 moves, and so cancelling pairs, common
+    ctx = Context(grading, {k: rand.choice((0, rand.randrange(grading.n)))
+                            for k in range(1, draw(st.integers(1, 4)) + 1)})
+    base = support.random_word(rand, ctx, draw(st.integers(2, 6)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        w = tuple(rand.sample(base, len(base)))
+        terms[w] = terms.get(w, 0) + rand.choice((-2, -1, 1, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        m, n = support.random_congruent_pair(rand, ctx, rand.sample(base, len(base)))
+        lam = rand.choice((-2, -1, 1, 2))
+        terms[m] = terms.get(m, 0) + lam
+        terms[n] = terms.get(n, 0) - lam
+    return FreePoly(ctx, terms)
+
+
+def _dense_first_nonzero(p):
+    """Sum the words' matrix products entry by entry; first nonzero, row-major."""
+    n = p.ctx.grading.n
+    cells = [[ScalarPoly() for _ in range(n)] for _ in range(n)]
+    for w, c in p.terms.items():
+        mat = eval_word_direct(p.ctx, w)
+        for i in range(n):
+            for j in range(n):
+                cells[i][j] = cells[i][j] + mat.entries[i][j].scale(c)
+    nonzero = [(i, j, cells[i][j]) for i in range(n) for j in range(n)
+               if not cells[i][j].is_zero()]
+    return cells, (nonzero[0] if nonzero else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_polys())
+def test_witness_is_first_nonzero_dense_entry(p):
+    cells, first = _dense_first_nonzero(p)
+    w = identity_witness(p)
+    if first is None:
+        assert w is None and is_graded_identity(p)
+    else:
+        assert (w.row, w.col, w.value) == first
+    assert [list(row) for row in eval_poly(p).entries] == cells

@@ -1,7 +1,7 @@
 import pytest
 import support
 
-from gpi.freealg import Context, FreePoly
+from gpi.freealg import Context, FreePoly, word_key
 from gpi.genmat import eval_word_closed
 from gpi.identity import ContractError, GeneratorKind, expand, make_generator
 from gpi.rewrite import (JCombination, Move, MoveError, NoExpressionError,
@@ -140,7 +140,7 @@ class TestCongruenceChain:
 
     def test_random_pairs_verify(self):
         rand = support.rng(303)
-        for grading in support.configs():
+        for grading in support.configs() + [default_grading(support.s3())]:
             for _ in range(60):
                 c = support.random_context(rand, grading, 6)
                 w = support.random_word(rand, c, rand.randint(1, 7))
@@ -215,3 +215,40 @@ class TestExpressInJ:
         bad = JCombination(c, tuple(
             type(t)(t.coeff + 1, t.source, t.target, t.chain) for t in comb.terms))
         assert not verify_combination(bad, claimed=f)
+
+    def test_partner_is_least_word_sharing_an_entry(self):
+        """Each round pairs the least word with the least other word sharing
+        an entry, as a full sort and scan per round would; this fixes the
+        certificate bytes."""
+        rand = support.rng(306)
+        rounds = skipped = 0
+        for grading in support.configs() + [default_grading(support.s3())]:
+            for _ in range(30):
+                c = support.random_context(rand, grading, 8)
+                base = support.random_multilinear_word(rand, c, rand.randint(3, 7))
+                terms = {}
+                for _ in range(rand.randint(1, 3)):  # independent walks of moves
+                    words = [tuple(rand.sample(base, len(base)))]
+                    for _ in range(rand.randint(1, 6)):
+                        words.append(support.random_congruent_pair(rand, c, words[-1])[1])
+                    coeffs = [rand.choice((-2, -1, 1, 2)) for _ in words[1:]]
+                    for w, lam in zip(words, [-sum(coeffs)] + coeffs):
+                        terms[w] = terms.get(w, 0) + lam
+                f = FreePoly(c, terms)
+                if f.is_zero():
+                    continue
+                work = dict(f.terms)
+                for t in express_in_J(f).terms:
+                    ranked = sorted(work, key=word_key)
+                    sharing = [u for u in ranked[1:]
+                               if shared_entry(c, t.source, u) is not None]
+                    assert (t.source, t.coeff, t.target) == \
+                        (ranked[0], work[t.source], sharing[0])
+                    skipped += ranked.index(t.target) - 1
+                    rounds += 1
+                    del work[t.source]
+                    work[t.target] += t.coeff
+                    if work[t.target] == 0:
+                        del work[t.target]
+                assert not work
+        assert rounds > 100 and skipped > 0
