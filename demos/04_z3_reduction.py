@@ -2,15 +2,16 @@
 
 A type-2 generator with an oversized part is rewritten as a combination
 of generators whose parts have length at most three.  The result is a
-certificate tree (sums, contexts, substitutions over reduced leaves)
-that replays symbolically to the original expansion.
+certificate DAG (sums, contexts, substitutions over reduced leaves)
+that replays symbolically to the original expansion, each distinct node
+once.
 """
 
 from gpi import (Context, GeneratorKind, cyclic_group, default_grading,
                  enumerate_reduced, expand, make_generator, reduce_type2,
                  verify_certificate)
 from gpi.z3reduce import (CertContext, CertLeaf, CertSubst, CertSum,
-                          cert_leaves)
+                          cert_leaves, cert_nodes)
 
 grading = default_grading(cyclic_group(3))
 
@@ -22,29 +23,24 @@ print()
 
 cert = reduce_type2(gen)
 
-
-def describe(node, depth=0):
-    pad = "  " * depth
+# The certificate is a DAG: a subproof reached twice is one node.  List each
+# distinct node once, children first, naming children by their row number.
+nodes = cert_nodes(cert.root)
+row = {id(node): i for i, node in enumerate(nodes)}
+for i, node in enumerate(nodes):
     if isinstance(node, CertLeaf):
-        print(pad + f"leaf {node.generator.parts}")
+        print(f"#{i} leaf {node.generator.parts}")
     elif isinstance(node, CertSum):
-        print(pad + f"sum of {len(node.children)}")
-        for coeff, child in node.children:
-            print(pad + f"  coeff {coeff:+d}:")
-            describe(child, depth + 2)
+        terms = " ".join(f"{c:+d}*#{row[id(ch)]}" for c, ch in node.children)
+        print(f"#{i} sum {terms}")
     elif isinstance(node, CertContext):
-        print(pad + f"context left={node.left} right={node.right}")
-        describe(node.child, depth + 1)
+        print(f"#{i} context left={node.left} right={node.right} of #{row[id(node.child)]}")
     elif isinstance(node, CertSubst):
-        print(pad + f"substitution {dict(node.images)}")
-        describe(node.child, depth + 1)
-
-
-describe(cert.root)
+        print(f"#{i} substitution {dict(node.images)} of #{row[id(node.child)]}")
 print()
 leaves = list(cert_leaves(cert.root))
-print("leaves:", len(leaves), "- all parts of length <= 3:",
-      all(leaf.is_reduced() for leaf in leaves))
+print("distinct nodes:", len(nodes), "- distinct leaves:", len(leaves),
+      "- all parts of length <= 3:", all(leaf.is_reduced() for leaf in leaves))
 print("certificate verifies by symbolic replay:", verify_certificate(cert))
 
 print()

@@ -10,7 +10,7 @@ instances with short parts, again with verifiable certificates.
 from .groups import FiniteGroup, GradingTuple, GroupError, cyclic_group, default_grading
 from .freealg import (Context, DeclarationError, FreePoly, LieWord,
                       SubstitutionError, WeakSubstitution, Word,
-                      apply_substitution, bracket, lie_degree, lie_expand,
+                      bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
 from .genmat import (GenericMatrix, ScalarPoly, eval_poly, eval_word_closed,
                      eval_word_direct, generic, word_entry_monomial)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteGroup", "GradingTuple", "GroupError", "cyclic_group", "default_grading",
     "Context", "DeclarationError", "FreePoly", "LieWord", "SubstitutionError",
-    "WeakSubstitution", "Word", "apply_substitution", "bracket", "lie_degree",
+    "WeakSubstitution", "Word", "bracket", "lie_degree",
     "lie_expand", "multidegree", "multihomogeneous_components", "word_degree",
     "GenericMatrix", "ScalarPoly", "eval_poly", "eval_word_closed",
     "eval_word_direct", "generic", "word_entry_monomial",

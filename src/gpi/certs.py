@@ -16,9 +16,10 @@ from .groups import FiniteGroup, GradingTuple
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 from .rewrite import JCombination, JTerm, Move, RewriteChain
 from .z3reduce import (CertContext, CertLeaf, CertNode, CertSubst, CertSum,
-                       ReductionCertificate)
+                       ReductionCertificate, cert_nodes)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)  # version 1 wrote a reduction as a nested tree
 
 
 class CertificateFormatError(ValueError):
@@ -52,10 +53,6 @@ def context_from_json(doc: dict) -> Context:
 
 
 # --- words, polynomials, matrices ---------------------------------------------
-
-def word_to_json(w: Word) -> list[int]:
-    return list(w)
-
 
 def poly_to_json(p: FreePoly) -> list[dict]:
     return [{"coeff": p.terms[w], "word": list(w)} for w in p.support()]
@@ -143,60 +140,142 @@ def _lieword_to_json(lw):
     return [_lieword_to_json(l), _lieword_to_json(r)]
 
 
-def _lieword_from_json(doc):
-    if isinstance(doc, int):
-        return doc
-    l, r = doc
-    return (_lieword_from_json(l), _lieword_from_json(r))
+def _integer(doc) -> int:
+    if type(doc) is not int:  # int() would truncate 1.5 and accept "1"
+        raise CertificateFormatError(f"expected an integer, got {doc!r}")
+    return doc
 
 
-def node_to_json(node: CertNode) -> dict:
+def _declared(ctx: Context, var) -> int:
+    ctx.degree(_integer(var))  # raises DeclarationError on undeclared ids
+    return var
+
+
+def _lieword_from_json(ctx: Context, doc):
+    if isinstance(doc, list):
+        l, r = doc
+        return (_lieword_from_json(ctx, l), _lieword_from_json(ctx, r))
+    return _declared(ctx, doc)
+
+
+def _declared_word(ctx: Context, doc) -> Word:
+    return tuple(_declared(ctx, v) for v in doc)
+
+
+def _node_entry(node: CertNode, index: dict[int, int]) -> dict:
+    """One row of the node table; children are indices of earlier rows."""
     if isinstance(node, CertLeaf):
         return {"op": "leaf", "generator": generator_to_json(node.generator)}
     if isinstance(node, CertSum):
         return {"op": "sum",
-                "children": [[c, node_to_json(ch)] for c, ch in node.children]}
+                "children": [[c, index[id(ch)]] for c, ch in node.children]}
     if isinstance(node, CertContext):
         return {"op": "context", "left": list(node.left), "right": list(node.right),
-                "child": node_to_json(node.child)}
+                "child": index[id(node.child)]}
     if isinstance(node, CertSubst):
         return {"op": "subst",
                 "images": [[v, _lieword_to_json(lw)] for v, lw in node.images],
-                "child": node_to_json(node.child)}
+                "child": index[id(node.child)]}
     raise CertificateFormatError(f"unknown node {type(node).__name__}")
 
 
-def node_from_json(ctx: Context, doc: dict) -> CertNode:
-    op = doc.get("op")
+def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
+    if not isinstance(entry, dict):
+        raise CertificateFormatError("a certificate node is a JSON object")
+    op = entry.get("op")
     if op == "leaf":
-        return CertLeaf(generator_from_json(ctx, doc["generator"]))
+        return CertLeaf(generator_from_json(ctx, entry["generator"]))
     if op == "sum":
-        return CertSum(tuple((int(c), node_from_json(ctx, ch))
-                             for c, ch in doc["children"]))
+        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in entry["children"]))
     if op == "context":
-        return CertContext(tuple(doc["left"]), tuple(doc["right"]),
-                           node_from_json(ctx, doc["child"]))
+        return CertContext(_declared_word(ctx, entry["left"]),
+                           _declared_word(ctx, entry["right"]), ref(entry["child"]))
     if op == "subst":
-        return CertSubst(tuple((int(v), _lieword_from_json(lw))
-                               for v, lw in doc["images"]),
-                         node_from_json(ctx, doc["child"]))
+        return CertSubst(tuple((_declared(ctx, v), _lieword_from_json(ctx, lw))
+                               for v, lw in entry["images"]),
+                         ref(entry["child"]))
     raise CertificateFormatError(f"unknown certificate op {op!r}")
 
 
+def _tree_to_table(root) -> list:
+    """A version-1 nested tree as a node table with no sharing, iteratively."""
+    table: list = []
+    done: list[int] = []  # table rows of finished subtrees, in order
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not isinstance(node, dict):
+            raise CertificateFormatError("a certificate node is a JSON object")
+        op = node.get("op")
+        if op == "sum":
+            children = [ch for _, ch in node["children"]]
+        elif op in ("context", "subst"):
+            children = [node["child"]]
+        else:
+            children = []
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((ch, False) for ch in reversed(children))
+            continue
+        refs = done[len(done) - len(children):]
+        del done[len(done) - len(children):]
+        entry = dict(node)
+        if op == "sum":
+            entry["children"] = [[c, r] for (c, _), r in zip(node["children"], refs)]
+        elif children:
+            entry["child"] = refs[0]
+        done.append(len(table))
+        table.append(entry)
+    return table
+
+
 def reduction_to_json(cert: ReductionCertificate) -> dict:
+    """The certificate as a node table: each distinct node once, children first."""
+    nodes = cert_nodes(cert.root)
+    index = {id(node): i for i, node in enumerate(nodes)}
     out = {"version": FORMAT_VERSION, "kind": "reduction"}
     out.update(context_to_json(cert.ctx))
     out["payload"] = {"target": generator_to_json(cert.target),
-                      "root": node_to_json(cert.root)}
+                      "nodes": [_node_entry(node, index) for node in nodes],
+                      "root": index[id(cert.root)]}
     return out
+
+
+def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCertificate:
+    """Build the DAG from its node table; a version-1 tree is flattened first.
+
+    Every child reference and the root must be an int naming an earlier row,
+    so the rows load in one pass and no cycle can be written.
+    """
+    if version == 1:
+        table = _tree_to_table(doc["root"])
+        root = len(table) - 1
+    else:
+        table, root = doc["nodes"], doc["root"]
+    if not isinstance(table, list):
+        raise CertificateFormatError("reduction nodes must be a JSON list")
+    nodes: list[CertNode] = []
+
+    def ref(i) -> CertNode:
+        if type(i) is not int or not 0 <= i < len(nodes):
+            raise CertificateFormatError(
+                f"node {len(nodes)}: reference {i!r} does not name an earlier node")
+        return nodes[i]
+
+    for entry in table:
+        nodes.append(_node_from_entry(ctx, entry, ref))
+    if type(root) is not int or not 0 <= root < len(nodes):
+        raise CertificateFormatError(f"root {root!r} does not name a node")
+    return ReductionCertificate(ctx, generator_from_json(ctx, doc["target"]), nodes[root])
 
 
 # --- top-level load -------------------------------------------------------------
 
 def certificate_from_json(doc: dict):
     """Load any certificate document; returns a chain, combination or reduction."""
-    if doc.get("version") != FORMAT_VERSION:
-        raise CertificateFormatError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in READ_VERSIONS:
+        raise CertificateFormatError(f"unsupported version {version!r}")
     ctx = context_from_json(doc)
     kind = doc.get("kind")
     payload = doc.get("payload", {})
@@ -205,8 +284,7 @@ def certificate_from_json(doc: dict):
     if kind == "jcomb":
         return jcomb_from_payload(ctx, payload)
     if kind == "reduction":
-        return ReductionCertificate(ctx, generator_from_json(ctx, payload["target"]),
-                                    node_from_json(ctx, payload["root"]))
+        return reduction_from_payload(ctx, payload, version)
     raise CertificateFormatError(f"unknown certificate kind {kind!r}")
 
 

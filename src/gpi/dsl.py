@@ -97,20 +97,32 @@ class _ExprParser:
         if self.peek() in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
         while True:
-            for w, c in self.term().terms.items():
+            for w, c in self.term().items():
                 terms[w] = terms.get(w, 0) + sign * c
             if self.peek() not in ("+", "-"):
                 return FreePoly(self.ctx, terms)
             sign = -1 if self.take() == "-" else 1
 
-    def term(self) -> FreePoly:
+    def term(self) -> dict[Word, int]:
+        """A product of factors, multiplied out dict by dict.
+
+        No FreePoly is built until the whole expression is read, so each
+        letter's declaration is checked a fixed number of times.
+        """
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            prod: dict[Word, int] = {}
+            for w1, c1 in acc.items():
+                for w2, c2 in rhs.items():
+                    w = w1 + w2
+                    prod[w] = prod.get(w, 0) + c1 * c2
+            acc = {w: c for w, c in prod.items() if c}
         return acc
 
-    def factor(self) -> FreePoly:
+    def factor(self) -> dict[Word, int]:
+        """The terms of one factor, without zero coefficients, as FreePoly holds them."""
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of expression", self.line, self.col())
@@ -118,24 +130,25 @@ class _ExprParser:
             self.take()
             p = self.expr()
             self.expect(")")
-            return p
+            return p.terms
         if tok == "[":
             self.take()
             a = self.expr()
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return bracket(a, b)
+            return bracket(a, b).terms
         if tok.startswith("x"):
             col = self.col()
             self.take()
             vid = int(tok[1:])
             if vid < 1 or vid not in self.ctx.degrees:
                 raise ParseError(f"variable {tok} is not declared", self.line, col)
-            return FreePoly.var(self.ctx, vid)
+            return {(vid,): 1}
         if tok.isdigit():
             self.take()
-            return FreePoly.one(self.ctx).scale(int(tok))
+            n = int(tok)
+            return {(): n} if n else {}
         raise ParseError(f"unexpected token {tok!r}", self.line, self.col())
 
 

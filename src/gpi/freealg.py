@@ -221,13 +221,6 @@ def lie_expand(ctx: Context, lw) -> FreePoly:
     return bracket(lie_expand(ctx, l), lie_expand(ctx, r))
 
 
-def lie_variables(lw) -> set[int]:
-    if isinstance(lw, int):
-        return {lw}
-    l, r = lw
-    return lie_variables(l) | lie_variables(r)
-
-
 @dataclass(frozen=True)
 class WeakSubstitution:
     """A graded endomorphism sending selected variables into the Lie algebra.
@@ -266,7 +259,3 @@ class WeakSubstitution:
             for u, d in acc.terms.items():
                 terms[u] = terms.get(u, 0) + d
         return FreePoly(self.ctx, terms)
-
-
-def apply_substitution(p: FreePoly, s: WeakSubstitution) -> FreePoly:
-    return s(p)

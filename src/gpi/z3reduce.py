@@ -3,9 +3,10 @@
 Over the cyclic group of order three, every type-1 and type-2 generator is
 a consequence of generators whose monomial parts have length at most
 three.  The reduction is fully constructive: it produces a certificate
-tree whose steps are sums, context multiplications and weak substitutions,
-and whose leaves are reduced generator instances.  Certificates are
-verified by symbolic replay in the free algebra.
+DAG whose steps are sums, context multiplications and weak substitutions,
+and whose leaves are reduced generator instances; a subproblem the
+recursion reaches twice is one shared node.  Certificates are verified by
+symbolic replay in the free algebra, each distinct node once.
 
 Three families of helper identities drive the recursion:
 
@@ -20,11 +21,13 @@ Three families of helper identities drive the recursion:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .freealg import (Context, FreePoly, SubstitutionError, WeakSubstitution,
-                      Word, bracket, is_multilinear_word, word_degree)
+from .freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
+                      WeakSubstitution, Word, bracket, is_multilinear_word,
+                      word_degree)
 from .identity import GeneratorInstance, GeneratorKind, expand, make_generator
 
 
@@ -45,7 +48,7 @@ def _require_z3(ctx: Context):
         raise ReductionError("the reduction scheme is specific to the cyclic group of order 3")
 
 
-# --- certificate trees --------------------------------------------------------
+# --- certificate DAGs ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class CertLeaf:
@@ -73,32 +76,72 @@ class CertSubst:
 CertNode = CertLeaf | CertSum | CertContext | CertSubst
 
 
-def cert_value(ctx: Context, node: CertNode) -> FreePoly:
-    """Symbolic replay: the polynomial a certificate node proves membership for."""
+def _children(node: CertNode) -> list[CertNode]:
+    if isinstance(node, CertSum):
+        return [child for _, child in node.children]
+    if isinstance(node, (CertContext, CertSubst)):
+        return [node.child]
+    return []
+
+
+def cert_nodes(root: CertNode) -> list[CertNode]:
+    """The distinct nodes of a certificate DAG, each once, children first.
+
+    Nodes are told apart by identity, so a subproof shared by several
+    parents appears once.  The order is the post-order of a depth-first
+    walk that takes children left to right; it is deterministic, and it
+    is iterative, so depth costs no stack.
+    """
+    order: list[CertNode] = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
+def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly]) -> FreePoly:
     if isinstance(node, CertLeaf):
         return expand(node.generator)
     if isinstance(node, CertSum):
-        out = FreePoly.zero(ctx)
+        terms: dict[Word, int] = {}
         for coeff, child in node.children:
-            out = out + cert_value(ctx, child).scale(coeff)
-        return out
+            for w, c in values[id(child)].terms.items():
+                terms[w] = terms.get(w, 0) + coeff * c
+        return FreePoly(ctx, terms)
     if isinstance(node, CertContext):
-        val = cert_value(ctx, node.child)
-        return FreePoly.word(ctx, node.left) * val * FreePoly.word(ctx, node.right)
+        left, right = tuple(node.left), tuple(node.right)
+        return FreePoly(ctx, {left + w + right: c
+                              for w, c in values[id(node.child)].terms.items()})
     if isinstance(node, CertSubst):
-        sub = WeakSubstitution(ctx, dict(node.images))
-        return sub(cert_value(ctx, node.child))
+        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)])
     raise CertificateError(f"unknown certificate node {type(node).__name__}")
 
 
+def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
+    """Evaluate nodes in walk order, each once; the last is the root."""
+    values: dict[int, FreePoly] = {}
+    for node in nodes:
+        values[id(node)] = _node_value(ctx, node, values)
+    return values[id(nodes[-1])]
+
+
+def cert_value(ctx: Context, node: CertNode) -> FreePoly:
+    """Symbolic replay: the polynomial a certificate node proves membership for."""
+    return _replay(ctx, cert_nodes(node))
+
+
 def cert_leaves(node: CertNode):
-    if isinstance(node, CertLeaf):
-        yield node.generator
-    elif isinstance(node, CertSum):
-        for _, child in node.children:
-            yield from cert_leaves(child)
-    elif isinstance(node, (CertContext, CertSubst)):
-        yield from cert_leaves(node.child)
+    """The generators at the distinct leaves of a certificate, each once."""
+    for n in cert_nodes(node):
+        if isinstance(n, CertLeaf):
+            yield n.generator
 
 
 @dataclass(frozen=True)
@@ -110,14 +153,22 @@ class ReductionCertificate:
 
 def check_certificate(cert: ReductionCertificate,
                       max_part_len: int = MAX_REDUCED_PART_LEN):
-    """Raise CertificateError at the first failing step or oversized leaf."""
-    for idx, leaf in enumerate(cert_leaves(cert.root)):
+    """Raise CertificateError at the first failing step or oversized leaf.
+
+    A DeclarationError (a node names an undeclared variable) is bad input,
+    not a failed step, and propagates.
+    """
+    nodes = cert_nodes(cert.root)
+    leaves = (n.generator for n in nodes if isinstance(n, CertLeaf))
+    for idx, leaf in enumerate(leaves):
         if not leaf.is_reduced(max_part_len):
             raise CertificateError(
                 f"leaf {idx} has part lengths {leaf.part_lengths()}, "
                 f"limit is {max_part_len}")
     try:
-        value = cert_value(cert.ctx, cert.root)
+        value = _replay(cert.ctx, nodes)
+    except DeclarationError:
+        raise
     except (SubstitutionError, ValueError) as exc:
         raise CertificateError(f"replay failed: {exc}") from exc
     if value != expand(cert.target):
@@ -469,41 +520,60 @@ def _head_decompose_words(ctx: Context, h: Word):
     return z, res.image_word, lw, res.swapped
 
 
-def _reduce1(ctx: Context, h1: Word, h2: Word) -> CertNode:
+def _memoised(build):
+    """Memoise a recursion step by its parts, in the dict of one reduction.
+
+    A subproblem reached again (the telescoped `hat`, or the same parts
+    along another branch) returns the node already built, so the
+    certificate is a DAG that shares it.
+    """
+    @functools.wraps(build)
+    def step(ctx: Context, memo: dict, *parts: Word) -> CertNode:
+        key = (build, parts)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = build(ctx, memo, *parts)
+        return node
+    return step
+
+
+@_memoised
+def _reduce1(ctx: Context, memo: dict, h1: Word, h2: Word) -> CertNode:
     if len(h1) <= MAX_REDUCED_PART_LEN and len(h2) <= MAX_REDUCED_PART_LEN:
         return CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, (h1, h2)))
     if len(h1) <= MAX_REDUCED_PART_LEN:
         # [h1, h2] = -[h2, h1]
-        return CertSum(((-1, _reduce1(ctx, h2, h1)),))
+        return CertSum(((-1, _reduce1(ctx, memo, h2, h1)),))
 
     split = _zero_prefix_split(ctx, h1)
     if split is not None:
         # [u v, h2] = u [v, h2] + [u, h2] v
         u, v = h1[:split], h1[split:]
         return CertSum((
-            (1, CertContext(u, (), _reduce1(ctx, v, h2))),
-            (1, CertContext((), v, _reduce1(ctx, u, h2))),
+            (1, CertContext(u, (), _reduce1(ctx, memo, v, h2))),
+            (1, CertContext((), v, _reduce1(ctx, memo, u, h2))),
         ))
 
     zi = _zero_variable_index(ctx, h1)
     if zi is not None:
         # telescope the trivial-degree variable to the front, then split
         z, u, v = h1[zi], h1[:zi], h1[zi + 1:]
-        hat = _reduce1(ctx, u + v, h2)
+        hat = _reduce1(ctx, memo, u + v, h2)
         children = [(1, CertSubst(((u[k], (u[k], z)),), hat))
                     for k in range(len(u) - 1, -1, -1)]
-        children.append((1, _reduce1(ctx, (z,) + u + v, h2)))
+        children.append((1, _reduce1(ctx, memo, (z,) + u + v, h2)))
         return CertSum(tuple(children))
 
     # no trivial-degree variable anywhere: head decomposition
     z, image_word, lw, swapped = _head_decompose_words(ctx, h1)
     return CertSum((
-        (1, CertSubst(((z, lw),), _reduce1(ctx, image_word, h2))),
-        (1, _reduce1(ctx, swapped, h2)),
+        (1, CertSubst(((z, lw),), _reduce1(ctx, memo, image_word, h2))),
+        (1, _reduce1(ctx, memo, swapped, h2)),
     ))
 
 
-def _reduce2(ctx: Context, h1: Word, h2: Word, h3: Word) -> CertNode:
+@_memoised
+def _reduce2(ctx: Context, memo: dict, h1: Word, h2: Word, h3: Word) -> CertNode:
     L = MAX_REDUCED_PART_LEN
     if len(h1) > L:
         split = _zero_prefix_split(ctx, h1)
@@ -511,21 +581,21 @@ def _reduce2(ctx: Context, h1: Word, h2: Word, h3: Word) -> CertNode:
             # H = u T' + [u, h3 h2] v  with  T' = v h2 h3 - h3 h2 v
             u, v = h1[:split], h1[split:]
             return CertSum((
-                (1, CertContext(u, (), _reduce2(ctx, v, h2, h3))),
-                (1, CertContext((), v, _reduce1(ctx, u, h3 + h2))),
+                (1, CertContext(u, (), _reduce2(ctx, memo, v, h2, h3))),
+                (1, CertContext((), v, _reduce1(ctx, memo, u, h3 + h2))),
             ))
         zi = _zero_variable_index(ctx, h1)
         if zi is not None:
             z, u, v = h1[zi], h1[:zi], h1[zi + 1:]
-            hat = _reduce2(ctx, u + v, h2, h3)
+            hat = _reduce2(ctx, memo, u + v, h2, h3)
             children = [(1, CertSubst(((u[k], (u[k], z)),), hat))
                         for k in range(len(u) - 1, -1, -1)]
-            children.append((1, _reduce2(ctx, (z,) + u + v, h2, h3)))
+            children.append((1, _reduce2(ctx, memo, (z,) + u + v, h2, h3)))
             return CertSum(tuple(children))
         z, image_word, lw, swapped = _head_decompose_words(ctx, h1)
         return CertSum((
-            (1, CertSubst(((z, lw),), _reduce2(ctx, image_word, h2, h3))),
-            (1, _reduce2(ctx, swapped, h2, h3)),
+            (1, CertSubst(((z, lw),), _reduce2(ctx, memo, image_word, h2, h3))),
+            (1, _reduce2(ctx, memo, swapped, h2, h3)),
         ))
 
     if len(h2) > L:
@@ -534,16 +604,16 @@ def _reduce2(ctx: Context, h1: Word, h2: Word, h3: Word) -> CertNode:
             # H = v T' + [h1 u, v] h3 - [h3 u, v] h1  with  T' = h1 u h3 - h3 u h1
             u, v = h2[:-split], h2[-split:]
             return CertSum((
-                (1, CertContext(v, (), _reduce2(ctx, h1, u, h3))),
-                (1, CertContext((), h3, _reduce1(ctx, h1 + u, v))),
-                (-1, CertContext((), h1, _reduce1(ctx, h3 + u, v))),
+                (1, CertContext(v, (), _reduce2(ctx, memo, h1, u, h3))),
+                (1, CertContext((), h3, _reduce1(ctx, memo, h1 + u, v))),
+                (-1, CertContext((), h1, _reduce1(ctx, memo, h3 + u, v))),
             ))
         zi = _zero_variable_index(ctx, h2)
         if zi is not None:
             # telescope the trivial-degree variable to the back, then split
             z, u, v = h2[zi], h2[:zi], h2[zi + 1:]
-            hat = _reduce2(ctx, h1, u + v, h3)
-            children = [(1, _reduce2(ctx, h1, u + v + (z,), h3))]
+            hat = _reduce2(ctx, memo, h1, u + v, h3)
+            children = [(1, _reduce2(ctx, memo, h1, u + v + (z,), h3))]
             children.extend((-1, CertSubst(((v[j], (v[j], z)),), hat))
                             for j in range(len(v)))
             return CertSum(tuple(children))
@@ -553,13 +623,13 @@ def _reduce2(ctx: Context, h1: Word, h2: Word, h3: Word) -> CertNode:
         (var, lw), = res.substitution.images.items()
         assert var == z
         return CertSum((
-            (1, CertSubst(((z, lw),), _reduce2(ctx, h1, res.image_word, h3))),
-            (1, _reduce2(ctx, h1, res.swapped, h3)),
+            (1, CertSubst(((z, lw),), _reduce2(ctx, memo, h1, res.image_word, h3))),
+            (1, _reduce2(ctx, memo, h1, res.swapped, h3)),
         ))
 
     if len(h3) > L:
         # H(h1,h2,h3) = -H(h3,h2,h1)
-        return CertSum(((-1, _reduce2(ctx, h3, h2, h1)),))
+        return CertSum(((-1, _reduce2(ctx, memo, h3, h2, h1)),))
 
     return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h1, h2, h3)))
 
@@ -569,7 +639,7 @@ def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:
         raise ReductionError("reduce_type1 expects a type-1 generator")
     _require_z3(H.ctx)
     h1, h2 = H.parts
-    return ReductionCertificate(H.ctx, H, _reduce1(H.ctx, h1, h2))
+    return ReductionCertificate(H.ctx, H, _reduce1(H.ctx, {}, h1, h2))
 
 
 def reduce_type2(H: GeneratorInstance) -> ReductionCertificate:
@@ -577,7 +647,7 @@ def reduce_type2(H: GeneratorInstance) -> ReductionCertificate:
         raise ReductionError("reduce_type2 expects a type-2 generator")
     _require_z3(H.ctx)
     h1, h2, h3 = H.parts
-    return ReductionCertificate(H.ctx, H, _reduce2(H.ctx, h1, h2, h3))
+    return ReductionCertificate(H.ctx, H, _reduce2(H.ctx, {}, h1, h2, h3))
 
 
 # --- enumeration of the reduced shapes ----------------------------------------

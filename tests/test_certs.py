@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import support
@@ -9,8 +10,9 @@ from gpi.genmat import eval_word_closed
 from gpi.identity import GeneratorKind, expand, make_generator
 from gpi.rewrite import (JCombination, RewriteChain, congruence_chain,
                          express_in_J, verify_chain, verify_combination)
-from gpi.z3reduce import ReductionCertificate, reduce_type1, reduce_type2, \
-    verify_certificate
+from gpi.z3reduce import (CertContext, CertSubst, CertSum, ReductionCertificate,
+                          cert_nodes, reduce_type1, reduce_type2,
+                          verify_certificate)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -106,3 +108,119 @@ class TestMatrixJson:
         p = FreePoly(c, {(2, 1): -1, (1, 2): 1})
         assert certs.poly_to_json(p) == [
             {"coeff": 1, "word": [1, 2]}, {"coeff": -1, "word": [2, 1]}]
+
+
+# A reduction certificate in format version 1 (the root a nested tree), as the
+# version-1 encoder wrote it for [x1 x2 x3 x4, x5] with degrees 1, 1, 2, 2, 0.
+V1_REDUCTION = (
+    '{"grading":[0,1,2],"group":{"names":["0","1","2"],"order":3,'
+    '"table":[[0,1,2],[1,2,0],[2,0,1]]},"kind":"reduction","payload":{"root":'
+    '{"children":[[1,{"child":{"generator":{"kind":1,"parts":[[1,6,4],[5]]},'
+    '"op":"leaf"},"images":[[6,[2,3]]],"op":"subst"}],[1,{"children":[[1,'
+    '{"child":{"generator":{"kind":1,"parts":[[2,4],[5]]},"op":"leaf"},'
+    '"left":[1,3],"op":"context","right":[]}],[1,{"child":{"generator":'
+    '{"kind":1,"parts":[[1,3],[5]]},"op":"leaf"},"left":[],"op":"context",'
+    '"right":[2,4]}]],"op":"sum"}]],"op":"sum"},"target":{"kind":1,"parts":'
+    '[[1,2,3,4],[5]]}},"vars":{"1":1,"2":1,"3":2,"4":2,"5":0,"6":0},"version":1}')
+
+
+def _table_doc(nodes, root, target_parts=((1,), (2,))):
+    """A version-2 reduction document over x1, x2 of trivial degree."""
+    c = Context(Z3, {1: 0, 2: 0})
+    doc = {"version": 2, "kind": "reduction"}
+    doc.update(certs.context_to_json(c))
+    doc["payload"] = {"target": {"kind": 1, "parts": [list(p) for p in target_parts]},
+                      "nodes": nodes, "root": root}
+    return doc
+
+
+LEAF = {"op": "leaf", "generator": {"kind": 1, "parts": [[1], [2]]}}
+
+
+def tree_size(root) -> int:
+    """Nodes of the certificate expanded as a tree, counted over its DAG."""
+    size = {}
+    for node in cert_nodes(root):
+        if isinstance(node, CertSum):
+            size[id(node)] = 1 + sum(size[id(ch)] for _, ch in node.children)
+        elif isinstance(node, (CertContext, CertSubst)):
+            size[id(node)] = 1 + size[id(node.child)]
+        else:
+            size[id(node)] = 1
+    return size[id(root)]
+
+
+class TestReductionFormat:
+    def test_version_1_tree_still_verifies(self):
+        doc = json.loads(V1_REDUCTION)
+        cert = certs.certificate_from_json(doc)
+        assert verify_certificate(cert)
+        again = certs.reduction_to_json(cert)
+        assert again["version"] == certs.FORMAT_VERSION == 2
+        assert isinstance(again["payload"]["root"], int)
+        assert len(again["payload"]["nodes"]) == 8
+        assert verify_certificate(certs.certificate_from_json(again))
+
+    def test_tampered_version_1_tree_fails(self):
+        doc = json.loads(V1_REDUCTION)
+        doc["payload"]["root"]["children"][0][0] = 2
+        assert not verify_certificate(certs.certificate_from_json(doc))
+
+    def test_version_1_child_must_be_a_node(self):
+        doc = json.loads(V1_REDUCTION)
+        doc["payload"]["root"]["children"][0][1] = 0
+        with pytest.raises(certs.CertificateFormatError):
+            certs.certificate_from_json(doc)
+
+    def test_table_is_post_order_with_earlier_references(self):
+        rand = support.rng(503)
+        cert = reduce_type2(support.random_generator(rand, Z3, GeneratorKind.TYPE2, 5))
+        payload = certs.reduction_to_json(cert)["payload"]
+        for i, entry in enumerate(payload["nodes"]):
+            refs = [ch for _, ch in entry.get("children", ())]
+            refs += [entry["child"]] if "child" in entry else []
+            assert all(type(r) is int and 0 <= r < i for r in refs)
+        assert payload["root"] == len(payload["nodes"]) - 1
+
+    def test_doubling_dag_answers_fast(self):
+        # level k sums level k-1 with itself: 2^64 leaves as a tree
+        nodes = [LEAF] + [{"op": "sum", "children": [[1, k], [1, k]]}
+                          for k in range(64)]
+        start = time.perf_counter()
+        cert = certs.certificate_from_json(_table_doc(nodes, 64))
+        assert not verify_certificate(cert)
+        # the leaf plus a DAG that replays to zero: valid, same sharing
+        nodes = [LEAF, {"op": "sum", "children": [[1, 0], [-1, 0]]}]
+        nodes += [{"op": "sum", "children": [[1, k], [1, k]]} for k in range(1, 64)]
+        nodes.append({"op": "sum", "children": [[1, 0], [1, 64]]})
+        cert = certs.certificate_from_json(_table_doc(nodes, 65))
+        assert verify_certificate(cert)
+        assert time.perf_counter() - start < 1.0
+
+    def test_long_context_chain(self):
+        nodes = [LEAF] + [{"op": "context", "left": [], "right": [], "child": k}
+                          for k in range(5000)]
+        cert = certs.certificate_from_json(_table_doc(nodes, 5000))
+        assert verify_certificate(cert)
+        back = json.loads(certs.dumps(certs.reduction_to_json(cert)))
+        assert len(back["payload"]["nodes"]) == 5001
+
+    def test_long_version_1_tree_flattens_iteratively(self):
+        root = LEAF
+        for _ in range(5000):
+            root = {"op": "context", "left": [], "right": [], "child": root}
+        doc = _table_doc(None, root)
+        doc["version"] = 1
+        del doc["payload"]["nodes"]
+        assert verify_certificate(certs.certificate_from_json(doc))
+
+    def test_table_smaller_than_tree(self):
+        c = Context(Z3, dict(enumerate(
+            (1, 0, 1, 0, 2, 1, 0, 1, 2, 1, 0, 2, 2, 1, 2, 1), start=1)))
+        g = make_generator(GeneratorKind.TYPE2, c, (
+            (1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16)))
+        cert = reduce_type2(g)
+        table = certs.reduction_to_json(cert)["payload"]["nodes"]
+        assert 0 < len(table) < tree_size(cert.root) // 10
+        assert verify_certificate(certs.certificate_from_json(
+            json.loads(certs.dumps(certs.reduction_to_json(cert)))))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gpi.cli import main
 
 ID_FILE = """\
@@ -28,6 +30,14 @@ type: 2
 h1: x1*x2*x5*x3
 h2: x4
 h3: x7
+"""
+
+GEN1_FILE = """\
+group: Z3
+vars: x1:1 x2:1 x3:2 x4:2 x5:0
+type: 1
+h1: x1*x2*x3*x4
+h2: x5
 """
 
 
@@ -142,6 +152,52 @@ class TestHostileCertificates:
         doc["payload"] = {"start": [1, 9], "end": [9, 1], "moves": [
             {"kind": "swap0", "left": [], "blocks": [[1], [9]], "right": []}]}
         cert = tmp_path / "undeclared.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    def reduction_doc(self, tmp_path, capsys):
+        f = write(tmp_path, "g1.gpi", GEN1_FILE)
+        code, out, _ = run(capsys, "z3reduce", f)
+        assert code == 0
+        return json.loads(out)
+
+    @pytest.mark.parametrize("op, field, value", [
+        ("context", "left", [99]),
+        ("subst", "images", [[99, [2, 3]]]),
+        ("subst", "images", [[6, [2, 99]]]),
+    ])
+    def test_reduction_names_undeclared_variable(self, tmp_path, capsys, op, field, value):
+        doc = self.reduction_doc(tmp_path, capsys)
+        node = next(n for n in doc["payload"]["nodes"] if n["op"] == op)
+        node[field] = value
+        cert = tmp_path / "undeclared.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    @pytest.mark.parametrize("bad", ["self", "forward", "string", "root"])
+    def test_reduction_bad_reference(self, tmp_path, capsys, bad):
+        doc = self.reduction_doc(tmp_path, capsys)
+        payload = doc["payload"]
+        i = next(i for i, n in enumerate(payload["nodes"]) if "child" in n)
+        if bad == "root":
+            payload["root"] = len(payload["nodes"])
+        else:
+            payload["nodes"][i]["child"] = {"self": i, "forward": i + 1,
+                                            "string": str(i - 1)}[bad]
+        cert = tmp_path / "badref.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    @pytest.mark.parametrize("op, field, value", [
+        ("sum", "children", [[1.5, 0]]),
+        ("subst", "images", [[6.0, [2, 3]]]),
+        ("context", "left", [1.0, 3]),
+    ])
+    def test_reduction_non_integer(self, tmp_path, capsys, op, field, value):
+        doc = self.reduction_doc(tmp_path, capsys)
+        node = next(n for n in doc["payload"]["nodes"] if n["op"] == op)
+        node[field] = value
+        cert = tmp_path / "float.json"
         cert.write_text(json.dumps(doc))
         self.assert_rejected(capsys, cert)
 
