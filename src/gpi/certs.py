@@ -43,10 +43,10 @@ def context_to_json(ctx: Context) -> dict:
 def context_from_json(doc: dict) -> Context:
     try:
         gdoc = doc["group"]
-        group = FiniteGroup(tuple(tuple(r) for r in gdoc["table"]),
+        group = FiniteGroup(tuple(tuple(_integer(x) for x in r) for r in gdoc["table"]),
                            tuple(gdoc.get("names", ())))
-        grading = GradingTuple(group, tuple(doc["grading"]))
-        degrees = {int(k): int(d) for k, d in doc["vars"].items()}
+        grading = GradingTuple(group, tuple(_integer(g) for g in doc["grading"]))
+        degrees = {int(k): _integer(d) for k, d in doc["vars"].items()}
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError(f"malformed context: {exc}") from exc
     return Context(grading, degrees)
@@ -79,9 +79,11 @@ def move_to_json(mv: Move) -> dict:
             "blocks": [list(b) for b in mv.blocks], "right": list(mv.right)}
 
 
-def move_from_json(doc: dict) -> Move:
-    return Move(doc["kind"], tuple(doc["left"]),
-                tuple(tuple(b) for b in doc["blocks"]), tuple(doc["right"]))
+def move_from_json(ctx: Context, doc: dict) -> Move:
+    mv = Move(doc["kind"], tuple(doc["left"]),
+              tuple(tuple(b) for b in doc["blocks"]), tuple(doc["right"]))
+    _declared_word(ctx, mv.source())  # every letter, in one pass
+    return mv
 
 
 def chain_payload(chain: RewriteChain) -> dict:
@@ -90,9 +92,9 @@ def chain_payload(chain: RewriteChain) -> dict:
 
 
 def chain_from_payload(ctx: Context, doc: dict) -> RewriteChain:
-    return RewriteChain(ctx, tuple(doc["start"]),
-                        tuple(move_from_json(m) for m in doc["moves"]),
-                        tuple(doc["end"]))
+    return RewriteChain(ctx, _declared_word(ctx, doc["start"]),
+                        tuple(move_from_json(ctx, m) for m in doc["moves"]),
+                        _declared_word(ctx, doc["end"]))
 
 
 def chain_to_json(chain: RewriteChain) -> dict:
@@ -109,7 +111,8 @@ def jcomb_payload(comb: JCombination) -> dict:
 
 
 def jcomb_from_payload(ctx: Context, doc: dict) -> JCombination:
-    terms = tuple(JTerm(int(t["coeff"]), tuple(t["source"]), tuple(t["target"]),
+    terms = tuple(JTerm(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
+                        _declared_word(ctx, t["target"]),
                         chain_from_payload(ctx, t["chain"]))
                   for t in doc["terms"])
     return JCombination(ctx, terms)
@@ -159,7 +162,11 @@ def _lieword_from_json(ctx: Context, doc):
 
 
 def _declared_word(ctx: Context, doc) -> Word:
-    return tuple(_declared(ctx, v) for v in doc)
+    word, degrees = tuple(doc), ctx.degrees
+    for v in word:
+        if type(v) is not int or v not in degrees:
+            _declared(ctx, v)  # raises, naming v
+    return word
 
 
 def _node_entry(node: CertNode, index: dict[int, int]) -> dict:

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import certs
-from .dsl import ParseError, parse_expr, parse_file, parse_word
-from .freealg import DeclarationError, FreePoly, multihomogeneous_components
+from .dsl import ParseError, parse_file, parse_word
+from .freealg import DeclarationError, FreePoly
 from .genmat import eval_poly, eval_word_closed
 from .groups import GroupError, cyclic_group, default_grading
 from .identity import (ContractError, GeneratorError, GeneratorKind,

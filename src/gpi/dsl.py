@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .freealg import Context, FreePoly, Word, bracket
+from .freealg import Context, FreePoly, Word, bracket, terms_product
 from .groups import FiniteGroup, GradingTuple, GroupError, cyclic_group, default_grading
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 
@@ -112,13 +112,7 @@ class _ExprParser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            rhs = self.factor()
-            prod: dict[Word, int] = {}
-            for w1, c1 in acc.items():
-                for w2, c2 in rhs.items():
-                    w = w1 + w2
-                    prod[w] = prod.get(w, 0) + c1 * c2
-            acc = {w: c for w, c in prod.items() if c}
+            acc = terms_product(acc, self.factor())
         return acc
 
     def factor(self) -> dict[Word, int]:

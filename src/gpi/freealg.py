@@ -139,12 +139,7 @@ class FreePoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        terms: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return FreePoly(self.ctx, terms)
+        return FreePoly(self.ctx, terms_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -184,6 +179,16 @@ class FreePoly:
             body = "*".join(f"x{v}" for v in w) if w else "1"
             parts.append(f"{'+' if c >= 0 else '-'} {abs(c) if abs(c) != 1 or not w else ''}{body}".strip())
         return " ".join(parts).lstrip("+ ")
+
+
+def terms_product(a: dict[Word, int], b: dict[Word, int]) -> dict[Word, int]:
+    """The product of two term dicts, word by word, without zero coefficients."""
+    prod: dict[Word, int] = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            prod[w] = prod.get(w, 0) + c1 * c2
+    return {w: c for w, c in prod.items() if c}
 
 
 def bracket(p: FreePoly, q: FreePoly) -> FreePoly:
@@ -240,22 +245,16 @@ class WeakSubstitution:
                 raise SubstitutionError(
                     f"image of x{k} has degree {got}, expected {want}")
 
-    def image_poly(self, var: int) -> FreePoly:
-        if var in self.images:
-            return lie_expand(self.ctx, self.images[var])
-        return FreePoly.var(self.ctx, var)
-
     def __call__(self, p: FreePoly) -> FreePoly:
+        """The image of p, multiplied out in plain term dicts."""
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
+        images = {k: lie_expand(self.ctx, lw).terms for k, lw in self.images.items()}
         terms: dict[Word, int] = {}
-        cache: dict[int, FreePoly] = {}
         for w, c in p.terms.items():
-            acc = FreePoly.one(self.ctx).scale(c)
+            acc = {(): c}
             for v in w:
-                if v not in cache:
-                    cache[v] = self.image_poly(v)
-                acc = acc * cache[v]
-            for u, d in acc.terms.items():
+                acc = terms_product(acc, images[v] if v in images else {(v,): 1})
+            for u, d in acc.items():
                 terms[u] = terms.get(u, 0) + d
         return FreePoly(self.ctx, terms)

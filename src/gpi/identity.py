@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .freealg import (Context, FreePoly, Word, is_multilinear_word,
-                      multihomogeneous_components, word_degree)
+from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
 from .genmat import ScalarPoly, eval_entries, eval_poly
 
 
@@ -105,10 +104,3 @@ def identity_witness(p: FreePoly) -> Witness | None:
     row, col, _ = min(entries)
     return Witness(row, col, ScalarPoly({m: c for (i, j, m), c in entries.items()
                                          if i == row and j == col}))
-
-
-def components_are_identities(p: FreePoly) -> bool:
-    """Every multihomogeneous component of an identity is one as well."""
-    if not is_graded_identity(p):
-        raise ContractError("input must be a graded identity")
-    return all(is_graded_identity(c) for c in multihomogeneous_components(p))

@@ -8,15 +8,22 @@ and whose leaves are reduced generator instances; a subproblem the
 recursion reaches twice is one shared node.  Certificates are verified by
 symbolic replay in the free algebra, each distinct node once.
 
-Three families of helper identities drive the recursion:
+Every step of the recursion is a node built by the helper of its lemma,
+with the recursion itself as the children (tests pass leaf makers):
 
-  * the commutator splitting [h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for
-    parts of trivial degree;
-  * telescoping of a trivial-degree variable across a part, using the
-    substitutions x -> [x, z];
-  * the decomposition of a part with no trivial-degree variable into a
-    swapped word plus a substitution image of a shorter word, which is
-    where the arithmetic of Z3 enters (the nonzero-degree triple lemma).
+  * split_commutator, [h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for parts of
+    trivial degree: a type-1 first part with a trivial-degree prefix;
+  * pull_zero_factor, peeling a trivial-degree factor out of a type-2
+    generator: LEFT for a prefix of the first part, RIGHT for a suffix of
+    the middle part;
+  * telescope, moving a trivial-degree letter across a part by the
+    substitutions x -> [x, z]: LEFT to the front of a first part, RIGHT to
+    the back of a middle part;
+  * decompose, writing a part with no trivial-degree letter as a swapped
+    word plus a substitution image of a word with a fresh trivial-degree
+    letter: R5 at the head of a first part, R3 at the tail of a middle
+    part.  This is where the arithmetic of Z3 enters, through the
+    nonzero-degree triple lemma (nonzero_triple_forced).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
                       WeakSubstitution, Word, bracket, is_multilinear_word,
@@ -184,36 +192,6 @@ def verify_certificate(cert: ReductionCertificate,
     return True
 
 
-# --- named substitutions ------------------------------------------------------
-
-class SubstKind(Enum):
-    MU = "mu"
-    PSI = "psi"
-    RHO = "rho"
-
-
-def substitution(ctx: Context, kind: SubstKind, r: int) -> WeakSubstitution:
-    """The indexed endomorphism families, on consecutively numbered variables.
-
-    mu(r):  x_{r-1} -> [x_{r-1}, x_r]       (r >= 2, x_r of trivial degree)
-    psi(r): x_{r+3} -> [x_r, x_{r+1}]       (r >= 2, x_{r+3} of trivial degree)
-    rho(r): x_{r+1} -> [x_2, x_3]           (r >= 4, x_{r+1} of trivial degree)
-    """
-    if kind is SubstKind.MU:
-        if r < 2:
-            raise SubstitutionError("mu is defined for r >= 2")
-        images = {r - 1: (r - 1, r)}
-    elif kind is SubstKind.PSI:
-        if r < 2:
-            raise SubstitutionError("psi is defined for r >= 2")
-        images = {r + 3: (r, r + 1)}
-    else:
-        if r < 4:
-            raise SubstitutionError("rho is defined for r >= 4")
-        images = {r + 1: (2, 3)}
-    return WeakSubstitution(ctx, images)
-
-
 # --- helper identities --------------------------------------------------------
 
 def bracket_expand(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word):
@@ -230,47 +208,40 @@ def bracket_expand(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A polynomial together with a certificate node that replays to it."""
+# --- node builders, one per lemma ---------------------------------------------
+#
+# Each builder returns the certificate node of one recursion step.  It takes
+# the lemma's parts and callables that build the child nodes: the memoised
+# recursion on the proof path, leaf makers in the tests.  It raises
+# ReductionError when the lemma's hypotheses fail.
 
-    ctx: Context
-    total: FreePoly
-    node: CertNode
-
-    def verified(self) -> bool:
-        return cert_value(self.ctx, self.node) == self.total
+Child = Callable[..., CertNode]
 
 
-def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word) -> Decomposition:
+def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word,
+                     type1: Child) -> CertNode:
     """[h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for trivial-degree parts."""
     one = ctx.grading.group.identity_index
-    h1, h2, h3 = tuple(h1), tuple(h2), tuple(h3)
-    for h in (h1, h2, h3):
-        if word_degree(ctx, h) != one:
-            raise ReductionError("all three parts must have trivial degree")
-    total = bracket(FreePoly.word(ctx, h1 + h2), FreePoly.word(ctx, h3))
-    node = CertSum((
-        (1, CertContext(h1, (), CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, (h2, h3))))),
-        (1, CertContext((), h2, CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, (h1, h3))))),
-    ))
-    return Decomposition(ctx, total, node)
+    if any(word_degree(ctx, h) != one for h in (h1, h2, h3)):
+        raise ReductionError("all three parts must have trivial degree")
+    return CertSum(((1, CertContext(h1, (), type1(h2, h3))),
+                    (1, CertContext((), h2, type1(h1, h3)))))
 
 
 class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
+    LEFT = "left"    # the first part of a generator
+    RIGHT = "right"  # the middle part of a type-2 generator
 
 
 def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
-                     side: Side) -> Decomposition:
-    """Peel a trivial-degree factor h3 out of a four-part alternating sum.
+                     side: Side, type1: Child, type2: Child) -> CertNode:
+    """Peel a trivial-degree factor h3 out of a type-2 generator.
 
-    LEFT:  h3 h4 h2 h1 - h1 h2 h3 h4  =  h3 (h4 h2 h1 - h1 h2 h4)  + J1 moves
-    RIGHT: h1 h2 h3 h4 - h4 h2 h3 h1  =  h3 (h1 h2 h4 - h4 h2 h1)  + J1 moves
+    LEFT:  h3 h4 h2 h1 - h1 h2 h3 h4 = h3 (h4 h2 h1 - h1 h2 h4) + [h3, h1 h2] h4
+    RIGHT: h1 h2 h3 h4 - h4 h2 h3 h1 = h3 (h1 h2 h4 - h4 h2 h1)
+                                       + [h1 h2, h3] h4 - [h4 h2, h3] h1
     """
     group = ctx.grading.group
-    h1, h2, h3, h4 = (tuple(h) for h in (h1, h2, h3, h4))
     if not is_multilinear_word(h1 + h2 + h3 + h4):
         raise ReductionError("the concatenated word must be multilinear")
     d1, d2, d4 = (word_degree(ctx, h) for h in (h1, h2, h4))
@@ -278,139 +249,47 @@ def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
         raise ReductionError("outer parts must have degree inverse to the middle")
     if word_degree(ctx, h3) != group.identity_index:
         raise ReductionError("the peeled factor must have trivial degree")
-
-    def w(word):
-        return FreePoly.word(ctx, word)
-
     if side is Side.LEFT:
-        total = w(h3 + h4 + h2 + h1) - w(h1 + h2 + h3 + h4)
-        core = CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h4, h2, h1)))
+        core = type2(h4, h2, h1)
         if not h3:
-            return Decomposition(ctx, total, core)
-        node = CertSum((
-            (1, CertContext(h3, (), core)),
-            (1, CertContext((), h4, CertLeaf(
-                make_generator(GeneratorKind.TYPE1, ctx, (h3, h1 + h2))))),
-        ))
-    else:
-        total = w(h1 + h2 + h3 + h4) - w(h4 + h2 + h3 + h1)
-        core = CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h1, h2, h4)))
-        if not h3:
-            return Decomposition(ctx, total, core)
-        node = CertSum((
-            (1, CertContext(h3, (), core)),
-            (1, CertContext((), h4, CertLeaf(
-                make_generator(GeneratorKind.TYPE1, ctx, (h1 + h2, h3))))),
-            (-1, CertContext((), h1, CertLeaf(
-                make_generator(GeneratorKind.TYPE1, ctx, (h4 + h2, h3))))),
-        ))
-    return Decomposition(ctx, total, node)
+            return core
+        return CertSum(((1, CertContext(h3, (), core)),
+                        (1, CertContext((), h4, type1(h3, h1 + h2)))))
+    core = type2(h1, h2, h4)
+    if not h3:
+        return core
+    return CertSum(((1, CertContext(h3, (), core)),
+                    (1, CertContext((), h4, type1(h1 + h2, h3))),
+                    (-1, CertContext((), h1, type1(h4 + h2, h3)))))
 
 
-# --- the Y / V / W families and their telescopes ------------------------------
+def telescope(ctx: Context, u: Word, z: int, v: Word, side: Side,
+              child: Child) -> CertNode:
+    """Move the trivial-degree letter z of a part u z v to one end of it.
 
-class FamilyKind(Enum):
-    Y = "Y"
-    V = "V"
-    W = "W"
-
-
-def _family_check(ctx: Context, kind: FamilyKind, r: int, parts):
-    if r < 1:
-        raise ReductionError("family index must be at least 1")
-    want = 2 if kind is FamilyKind.Y else 3
-    if len(parts) != want:
-        raise ReductionError(f"family {kind.value} takes {want} parts")
-    if ctx.degree(r) != ctx.grading.group.identity_index:
-        raise ReductionError(f"x{r} must have trivial degree")
-    prefix = tuple(range(1, r + 1))
-    if any(v in prefix for p in parts for v in p):
-        raise ReductionError("parts must avoid the prefix variables x1..xr")
-
-
-def build_family(ctx: Context, kind: FamilyKind, r: int, parts) -> FreePoly:
-    """The polynomials Y (a bracket), V and W (three-part alternating sums),
-    with prefix variables x1..xr and the trivial-degree variable at x_r."""
-    _family_check(ctx, kind, r, parts)
-    parts = tuple(tuple(p) for p in parts)
-    prefix = tuple(range(1, r + 1))
-
-    def w(word):
-        return FreePoly.word(ctx, word)
-
-    if kind is FamilyKind.Y:
-        h1, h2 = parts
-        return bracket(w(prefix + h1), w(h2))
-    if kind is FamilyKind.V:
-        h1, h2, h3 = parts
-        lead = prefix + h1
-        return w(lead + h2 + h3) - w(h3 + h2 + lead)
-    h1, h2, h3 = parts
-    mid = h1 + tuple(range(r, 0, -1))
-    return w(h2 + mid + h3) - w(h3 + mid + h2)
-
-
-def telescope(ctx: Context, kind: FamilyKind, r: int, parts) -> list[FreePoly]:
-    """Summands whose free-algebra sum is build_family(kind, r, parts).
-
-    Every summand but the last is a substitution image x_k -> [x_k, x_r] of
-    the family member with x_r deleted; the last is the index-1 member with
-    x_r moved next to the deleted slot.  W telescopes with minus signs.
+    child(w) builds the node of the generator G whose part u z v is replaced
+    by the word w; mu_x is the substitution x -> [x, z].
+      LEFT, to the front:  G(u z v) = sum of mu_x G(u v) over x in u, last
+                                      first, + G(z u v)
+      RIGHT, to the back:  G(u z v) = G(u v z) - sum of mu_x G(u v) over x in v
+    G(u v) is built first, then the other child: decompose numbers its fresh
+    variables by declaration order, so this order fixes the certificate bytes.
     """
-    if r < 2:
-        raise ReductionError("telescoping requires r >= 2")
-    _family_check(ctx, kind, r, parts)
-    parts = tuple(tuple(p) for p in parts)
-    inner = tuple(range(1, r))  # x1..x_{r-1}
+    if ctx.degree(z) != ctx.grading.group.identity_index:
+        raise ReductionError(f"x{z} must have trivial degree")
+    if not (u if side is Side.LEFT else v):
+        raise ReductionError("the telescoped letter must move past a letter")
+    hat = child(u + v)
+    if side is Side.LEFT:
+        mus = tuple((1, CertSubst(((x, (x, z)),), hat)) for x in reversed(u))
+        return CertSum(mus + ((1, child((z,) + u + v)),))
+    return CertSum(((1, child(u + v + (z,))),)
+                   + tuple((-1, CertSubst(((x, (x, z)),), hat)) for x in v))
 
-    def w(word):
-        return FreePoly.word(ctx, word)
-
-    def mu(k, poly):
-        return WeakSubstitution(ctx, {k: (k, r)})(poly)
-
-    out = []
-    if kind is FamilyKind.Y:
-        h1, h2 = parts
-        hat = bracket(w(inner + h1), w(h2))
-        for k in range(r - 1, 0, -1):
-            out.append(mu(k, hat))
-        out.append(bracket(w((r,) + inner + h1), w(h2)))
-    elif kind is FamilyKind.V:
-        h1, h2, h3 = parts
-        lead = inner + h1
-        hat = w(lead + h2 + h3) - w(h3 + h2 + lead)
-        for k in range(r - 1, 0, -1):
-            out.append(mu(k, hat))
-        first = (r,) + inner + h1
-        out.append(w(first + h2 + h3) - w(h3 + h2 + first))
-    else:
-        h1, h2, h3 = parts
-        mid_hat = h1 + tuple(range(r - 1, 0, -1))
-        hat = w(h2 + mid_hat + h3) - w(h3 + mid_hat + h2)
-        for k in range(r - 1, 0, -1):
-            out.append(mu(k, hat).scale(-1))
-        mid_last = mid_hat + (r,)
-        out.append(w(h2 + mid_last + h3) - w(h3 + mid_last + h2))
-    return out
-
-
-# --- decompositions of parts without trivial-degree variables -----------------
 
 class DecomposeKind(Enum):
     R3 = "tail"   # rewrite around the last three variables
     R5 = "head"   # rewrite around the first three variables
-
-
-@dataclass(frozen=True)
-class DecomposeResult:
-    """h = substituted + swapped, with the forced degree relations recorded."""
-
-    substituted: FreePoly
-    swapped: Word
-    image_word: Word            # contains the fresh trivial-degree variable
-    substitution: WeakSubstitution
-    forced_relations: tuple[tuple[int, int], ...]  # pairs of variables with inverse degrees
 
 
 def nonzero_triple_forced(group, a1: int, a2: int, a3: int, direction: str) -> bool:
@@ -432,50 +311,37 @@ def nonzero_triple_forced(group, a1: int, a2: int, a3: int, direction: str) -> b
     return group.mul(a1, a3) == one and group.mul(a1, a2) == one
 
 
-def decompose(ctx: Context, kind: DecomposeKind, h: Word,
-              fresh: int | None = None) -> DecomposeResult:
-    """Split a word with no trivial-degree variable near one end.
+def decompose(ctx: Context, kind: DecomposeKind, h: Word, child: Child) -> CertNode:
+    """Split a part h with no trivial-degree letter near one end.
 
-    R5 works on the first three variables x1 x2 x3 (needs length >= 4 and
-    nontrivial prefix degrees); R3 mirrors it on the last three.  The word
-    equals the substitution image of a shorter word (a fresh trivial-degree
-    variable replaced by a bracket) plus the word with two variables swapped.
+    child(w) builds the node of the generator whose part h is replaced by
+    the word w; z is a fresh trivial-degree variable, declared in ctx.
+      R5, head, on the first letters a b c:  h = (a z t)|z->[b,c] + a c b t
+      R3, tail, on the last letters a b c:   h = (t z c)|z->[a,b] + t b a c
+    The letters and two partial products of nontrivial degree force [b, c]
+    (R5) or [a, b] (R3) to have trivial degree: nonzero_triple_forced.
+    The image child is built first, then the swapped one, which fixes the
+    ids of the fresh variables declared below them.
     """
     _require_z3(ctx)
     group = ctx.grading.group
     one = group.identity_index
-    h = tuple(h)
     if len(h) < 4:
         raise ReductionError("decomposition needs a word of length at least 4")
-    if kind is DecomposeKind.R5:
-        a, b, c = h[0], h[1], h[2]
-        da, db, dc = (ctx.degree(v) for v in (a, b, c))
-        sums = (da, db, dc, group.mul(da, db), group.product((da, db, dc)))
-        if any(s == one for s in sums):
-            raise ReductionError("prefix degree conditions for the head decomposition unmet")
-        relations = ((b, c), (a, c))  # forced inverse pairs
-        swapped = (a, c, b) + h[3:]
-        z = ctx.declare(fresh if fresh is not None else ctx.fresh_id(), one)
-        image_word = (a, z) + h[3:]
-        sub = WeakSubstitution(ctx, {z: (b, c)})
+    head = kind is DecomposeKind.R5
+    a, b, c = h[:3] if head else h[-3:]
+    da, db, dc = (ctx.degree(x) for x in (a, b, c))
+    pair = group.mul(da, db) if head else group.mul(db, dc)
+    if one in (da, db, dc, pair, group.product((da, db, dc))):
+        raise ReductionError(f"degree conditions for the {kind.value} decomposition unmet")
+    if not nonzero_triple_forced(group, da, db, dc, "forward" if head else "mirror"):
+        raise AssertionError("forced degree relation does not hold; group arithmetic bug")
+    z = ctx.declare(ctx.fresh_id(), one)
+    if head:
+        image, lw, swapped = (a, z) + h[3:], (b, c), (a, c, b) + h[3:]
     else:
-        a, b, c = h[-3], h[-2], h[-1]
-        da, db, dc = (ctx.degree(v) for v in (a, b, c))
-        sums = (da, db, dc, group.mul(db, dc), group.product((da, db, dc)))
-        if any(s == one for s in sums):
-            raise ReductionError("suffix degree conditions for the tail decomposition unmet")
-        relations = ((a, b), (a, c))
-        swapped = h[:-3] + (b, a, c)
-        z = ctx.declare(fresh if fresh is not None else ctx.fresh_id(), one)
-        image_word = h[:-3] + (z, c)
-        sub = WeakSubstitution(ctx, {z: (a, b)})
-    for u, v in relations:
-        if group.mul(ctx.degree(u), ctx.degree(v)) != one:
-            raise AssertionError("forced degree relation does not hold; group arithmetic bug")
-    substituted = sub(FreePoly.word(ctx, image_word))
-    if substituted + FreePoly.word(ctx, swapped) != FreePoly.word(ctx, h):
-        raise AssertionError("decomposition identity failed to verify")
-    return DecomposeResult(substituted, swapped, image_word, sub, relations)
+        image, lw, swapped = h[:-3] + (z, c), (a, b), h[:-3] + (b, a, c)
+    return CertSum(((1, CertSubst(((z, lw),), child(image))), (1, child(swapped))))
 
 
 # --- the reduction recursion --------------------------------------------------
@@ -511,15 +377,6 @@ def _zero_variable_index(ctx: Context, h: Word) -> int | None:
     return None
 
 
-def _head_decompose_words(ctx: Context, h: Word):
-    """R5 pieces for the recursion: (fresh id, image word, lie image, swapped)."""
-    res = decompose(ctx, DecomposeKind.R5, h)
-    z = res.image_word[1]
-    (var, lw), = res.substitution.images.items()
-    assert var == z
-    return z, res.image_word, lw, res.swapped
-
-
 def _memoised(build):
     """Memoise a recursion step by its parts, in the dict of one reduction.
 
@@ -544,88 +401,43 @@ def _reduce1(ctx: Context, memo: dict, h1: Word, h2: Word) -> CertNode:
     if len(h1) <= MAX_REDUCED_PART_LEN:
         # [h1, h2] = -[h2, h1]
         return CertSum(((-1, _reduce1(ctx, memo, h2, h1)),))
-
+    type1 = functools.partial(_reduce1, ctx, memo)
     split = _zero_prefix_split(ctx, h1)
     if split is not None:
-        # [u v, h2] = u [v, h2] + [u, h2] v
-        u, v = h1[:split], h1[split:]
-        return CertSum((
-            (1, CertContext(u, (), _reduce1(ctx, memo, v, h2))),
-            (1, CertContext((), v, _reduce1(ctx, memo, u, h2))),
-        ))
-
+        return split_commutator(ctx, h1[:split], h1[split:], h2, type1)
     zi = _zero_variable_index(ctx, h1)
     if zi is not None:
-        # telescope the trivial-degree variable to the front, then split
-        z, u, v = h1[zi], h1[:zi], h1[zi + 1:]
-        hat = _reduce1(ctx, memo, u + v, h2)
-        children = [(1, CertSubst(((u[k], (u[k], z)),), hat))
-                    for k in range(len(u) - 1, -1, -1)]
-        children.append((1, _reduce1(ctx, memo, (z,) + u + v, h2)))
-        return CertSum(tuple(children))
-
-    # no trivial-degree variable anywhere: head decomposition
-    z, image_word, lw, swapped = _head_decompose_words(ctx, h1)
-    return CertSum((
-        (1, CertSubst(((z, lw),), _reduce1(ctx, memo, image_word, h2))),
-        (1, _reduce1(ctx, memo, swapped, h2)),
-    ))
+        return telescope(ctx, h1[:zi], h1[zi], h1[zi + 1:], Side.LEFT,
+                         lambda w: type1(w, h2))
+    return decompose(ctx, DecomposeKind.R5, h1, lambda w: type1(w, h2))
 
 
 @_memoised
 def _reduce2(ctx: Context, memo: dict, h1: Word, h2: Word, h3: Word) -> CertNode:
     L = MAX_REDUCED_PART_LEN
+    type1 = functools.partial(_reduce1, ctx, memo)
+    type2 = functools.partial(_reduce2, ctx, memo)
     if len(h1) > L:
         split = _zero_prefix_split(ctx, h1)
         if split is not None:
-            # H = u T' + [u, h3 h2] v  with  T' = v h2 h3 - h3 h2 v
-            u, v = h1[:split], h1[split:]
-            return CertSum((
-                (1, CertContext(u, (), _reduce2(ctx, memo, v, h2, h3))),
-                (1, CertContext((), v, _reduce1(ctx, memo, u, h3 + h2))),
-            ))
+            return pull_zero_factor(ctx, h3, h2, h1[:split], h1[split:], Side.LEFT,
+                                    type1, type2)
         zi = _zero_variable_index(ctx, h1)
         if zi is not None:
-            z, u, v = h1[zi], h1[:zi], h1[zi + 1:]
-            hat = _reduce2(ctx, memo, u + v, h2, h3)
-            children = [(1, CertSubst(((u[k], (u[k], z)),), hat))
-                        for k in range(len(u) - 1, -1, -1)]
-            children.append((1, _reduce2(ctx, memo, (z,) + u + v, h2, h3)))
-            return CertSum(tuple(children))
-        z, image_word, lw, swapped = _head_decompose_words(ctx, h1)
-        return CertSum((
-            (1, CertSubst(((z, lw),), _reduce2(ctx, memo, image_word, h2, h3))),
-            (1, _reduce2(ctx, memo, swapped, h2, h3)),
-        ))
+            return telescope(ctx, h1[:zi], h1[zi], h1[zi + 1:], Side.LEFT,
+                             lambda w: type2(w, h2, h3))
+        return decompose(ctx, DecomposeKind.R5, h1, lambda w: type2(w, h2, h3))
 
     if len(h2) > L:
         split = _zero_suffix_split(ctx, h2)
         if split is not None:
-            # H = v T' + [h1 u, v] h3 - [h3 u, v] h1  with  T' = h1 u h3 - h3 u h1
-            u, v = h2[:-split], h2[-split:]
-            return CertSum((
-                (1, CertContext(v, (), _reduce2(ctx, memo, h1, u, h3))),
-                (1, CertContext((), h3, _reduce1(ctx, memo, h1 + u, v))),
-                (-1, CertContext((), h1, _reduce1(ctx, memo, h3 + u, v))),
-            ))
+            return pull_zero_factor(ctx, h1, h2[:-split], h2[-split:], h3, Side.RIGHT,
+                                    type1, type2)
         zi = _zero_variable_index(ctx, h2)
         if zi is not None:
-            # telescope the trivial-degree variable to the back, then split
-            z, u, v = h2[zi], h2[:zi], h2[zi + 1:]
-            hat = _reduce2(ctx, memo, h1, u + v, h3)
-            children = [(1, _reduce2(ctx, memo, h1, u + v + (z,), h3))]
-            children.extend((-1, CertSubst(((v[j], (v[j], z)),), hat))
-                            for j in range(len(v)))
-            return CertSum(tuple(children))
-        # tail decomposition on the middle part
-        res = decompose(ctx, DecomposeKind.R3, h2)
-        z = res.image_word[-2]
-        (var, lw), = res.substitution.images.items()
-        assert var == z
-        return CertSum((
-            (1, CertSubst(((z, lw),), _reduce2(ctx, memo, h1, res.image_word, h3))),
-            (1, _reduce2(ctx, memo, h1, res.swapped, h3)),
-        ))
+            return telescope(ctx, h2[:zi], h2[zi], h2[zi + 1:], Side.RIGHT,
+                             lambda w: type2(h1, w, h3))
+        return decompose(ctx, DecomposeKind.R3, h2, lambda w: type2(h1, w, h3))
 
     if len(h3) > L:
         # H(h1,h2,h3) = -H(h3,h2,h1)

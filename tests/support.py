@@ -9,6 +9,7 @@ from gpi.freealg import Context, WeakSubstitution, word_degree
 from gpi.groups import FiniteGroup, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
+from gpi.z3reduce import CertLeaf, Side, telescope
 
 DEFAULT_SEED = 20260823
 
@@ -155,3 +156,43 @@ def random_weak_substitution(rand: random.Random, ctx: Context, targets,
         if lw is not None:
             images[k] = lw
     return WeakSubstitution(ctx, images)
+
+
+# --- children for the z3reduce node builders ----------------------------------
+
+def leaf_makers(ctx: Context):
+    """Type-1 and type-2 child callables that make each child a leaf."""
+    def type1(*parts):
+        return CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, parts))
+
+    def type2(*parts):
+        return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, parts))
+    return type1, type2
+
+
+def random_telescope(rand: random.Random, grading, r: int):
+    """A telescope node with leaf children and the generator it rewrites.
+
+    A random generator gets r fresh trivial-degree letters, the last of them
+    the telescoped letter z, in one part: Y puts them in front of a type-1
+    first part, V in front of a type-2 first part (z moves to the front),
+    and W behind a type-2 middle part (z moves to the back).
+    """
+    family = rand.choice("YVW")
+    kind = GeneratorKind.TYPE1 if family == "Y" else GeneratorKind.TYPE2
+    g = random_generator(rand, grading, kind, 2)
+    ctx, parts = g.ctx, list(g.parts)
+    i = 1 if family == "W" else 0
+    *passed, z = [ctx.declare(ctx.fresh_id(), grading.group.identity_index)
+                  for _ in range(r)]
+    passed = tuple(passed)
+
+    def with_part(w):
+        return make_generator(kind, ctx, parts[:i] + [w] + parts[i + 1:])
+
+    if family == "W":
+        u, v, side = parts[1], passed, Side.RIGHT
+    else:
+        u, v, side = passed, parts[0], Side.LEFT
+    node = telescope(ctx, u, z, v, side, lambda w: CertLeaf(with_part(w)))
+    return node, with_part(u + (z,) + v)

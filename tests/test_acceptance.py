@@ -12,17 +12,16 @@ import pytest
 import support
 
 from gpi import certs
-from gpi.freealg import FreePoly, multihomogeneous_components
+from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_degree
 from gpi.genmat import eval_poly, eval_word_closed, eval_word_direct
 from gpi.identity import (GeneratorKind, expand, identity_witness,
-                          is_graded_identity)
+                          is_graded_identity, make_generator)
 from gpi.rewrite import (NoExpressionError, express_in_J, extract_sigma,
                          shared_entry, verify_chain, verify_combination)
-from gpi.z3reduce import (DecomposeKind, FamilyKind, Side, bracket_expand,
-                          build_family, cert_leaves, decompose,
-                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
-                          reduce_type2, split_commutator, telescope,
-                          verify_certificate)
+from gpi.z3reduce import (DecomposeKind, ReductionError, Side, bracket_expand,
+                          cert_leaves, cert_value, decompose, nonzero_triple_forced,
+                          pull_zero_factor, reduce_type1, reduce_type2,
+                          split_commutator, verify_certificate)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -235,41 +234,32 @@ def test_criterion_6(report):
             ok = False
     # telescopes, r <= 5
     for _ in range(100):
-        r = rand.randint(2, 5)
-        kind = rand.choice(list(FamilyKind))
-        nparts = 2 if kind is FamilyKind.Y else 3
-        degrees = {k: 0 for k in range(1, r + 1)}
-        nxt = r + 1
-        parts = []
-        for _ in range(nparts):
-            ln = rand.randint(1, 2)
-            parts.append(tuple(range(nxt, nxt + ln)))
-            for k in range(nxt, nxt + ln):
-                degrees[k] = rand.randrange(3)
-            nxt += ln
-        from gpi.freealg import Context
-        ctx = Context(Z3, degrees)
-        total = build_family(ctx, kind, r, parts)
-        acc = FreePoly.zero(ctx)
-        for s in telescope(ctx, kind, r, parts):
-            acc = acc + s
-        if acc != total:
+        node, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
+        if cert_value(g.ctx, node) != expand(g):
             ok = False
-    # decomposition lemmas (both), via random nontrivial-degree words
+    # decomposition lemmas (both), via random nontrivial-degree words: R5 as
+    # the first part, R3 as the middle part of a type-2 generator
     done = 0
     while done < 100:
         length = rand.randint(4, 6)
         degrees = {k: rand.choice([1, 2]) for k in range(1, length + 1)}
-        from gpi.freealg import Context
         ctx = Context(Z3, degrees)
         h = tuple(range(1, length + 1))
         kind = rand.choice([DecomposeKind.R3, DecomposeKind.R5])
+        d = word_degree(ctx, h)
+        y = ctx.declare(length + 1, Z3.group.inv(d))
+        w = ctx.declare(length + 2, d if kind is DecomposeKind.R5 else Z3.group.inv(d))
+        _, type2 = support.leaf_makers(ctx)
+        if kind is DecomposeKind.R5:
+            parts, child = (h, (y,), (w,)), lambda word: type2(word, (y,), (w,))
+        else:
+            parts, child = ((y,), h, (w,)), lambda word: type2((y,), word, (w,))
         try:
-            res = decompose(ctx, kind, h)
-        except Exception:
+            node = decompose(ctx, kind, h, child)
+        except ReductionError:
             continue
-        if res.substituted + FreePoly.word(ctx, res.swapped) != \
-                FreePoly.word(ctx, h):
+        if cert_value(ctx, node) != expand(make_generator(
+                GeneratorKind.TYPE2, ctx, parts)):
             ok = False
         done += 1
     # the split-commutator and zero-factor identities
@@ -279,17 +269,22 @@ def test_criterion_6(report):
         spare = [k for k in sorted(ctx.degrees)
                  if all(k not in p for p in g.parts)]
         h3 = tuple(k for k in spare if ctx.degree(k) == 0)[:1]
+        h1, h2, h4 = g.parts
         for side in Side:
-            if not pull_zero_factor(ctx, *g.parts[:2], h3, g.parts[2],
-                                    side).verified():
+            node = pull_zero_factor(ctx, h1, h2, h3, h4, side,
+                                    *support.leaf_makers(ctx))
+            parts = (h3 + h4, h2, h1) if side is Side.LEFT else (h1, h2 + h3, h4)
+            if cert_value(ctx, node) != expand(make_generator(
+                    GeneratorKind.TYPE2, ctx, parts)):
                 ok = False
     for _ in range(50):
-        from gpi.freealg import Context
         ctx = Context(Z3, {k: 0 for k in range(1, 7)})
         cut1, cut2 = sorted(rand.sample(range(1, 6), 2))
         ids = tuple(range(1, 7))
-        if not split_commutator(ctx, ids[:cut1], ids[cut1:cut2],
-                                ids[cut2:]).verified():
+        type1, _ = support.leaf_makers(ctx)
+        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], type1)
+        if cert_value(ctx, node) != expand(make_generator(
+                GeneratorKind.TYPE1, ctx, (ids[:cut2], ids[cut2:]))):
             ok = False
     # the nonzero-triple lemma, exhaustively, both directions
     for a1 in (1, 2):

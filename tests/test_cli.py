@@ -201,6 +201,46 @@ class TestHostileCertificates:
         cert.write_text(json.dumps(doc))
         self.assert_rejected(capsys, cert)
 
+    def edited(self, tmp_path, capsys, command, text, edit):
+        """Run a command, edit its certificate, and expect verify to reject it."""
+        _, out, _ = run(capsys, command, write(tmp_path, "f.gpi", text))
+        doc = json.loads(out)
+        edit(doc)
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    def test_jcomb_non_integer_coefficient(self, tmp_path, capsys):
+        def edit(doc):
+            term = doc["payload"]["terms"][0]
+            assert term["coeff"] == 1
+            term["coeff"] = 1.5
+        self.edited(tmp_path, capsys, "express", ID_FILE, edit)
+
+    def test_context_non_integer_degree(self, tmp_path, capsys):
+        def edit(doc):
+            assert doc["vars"]["1"] == 1
+            doc["vars"]["1"] = 1.5
+        self.edited(tmp_path, capsys, "express", ID_FILE, edit)
+
+    def test_group_table_non_integer(self, tmp_path, capsys):
+        def edit(doc):
+            assert doc["group"]["table"][0][0] == 0
+            doc["group"]["table"][0][0] = 0.0
+        self.edited(tmp_path, capsys, "express", ID_FILE, edit)
+
+    def test_chain_string_letters(self, tmp_path, capsys):
+        def edit(doc):
+            payload = doc["payload"]
+            payload["start"] = [str(v) for v in payload["start"]]
+        self.edited(tmp_path, capsys, "congruent", CONG_FILE, edit)
+
+    def test_move_non_integer_letter(self, tmp_path, capsys):
+        def edit(doc):
+            blocks = doc["payload"]["moves"][0]["blocks"]
+            blocks[0] = [float(v) for v in blocks[0]]
+        self.edited(tmp_path, capsys, "congruent", CONG_FILE, edit)
+
     def test_nested_3000_deep(self, tmp_path, capsys):
         f = write(tmp_path, "g.gpi", GEN_FILE)
         _, out, _ = run(capsys, "z3reduce", f)

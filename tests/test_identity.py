@@ -3,10 +3,9 @@ import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpi.freealg import Context, FreePoly, multihomogeneous_components
+from gpi.freealg import Context, FreePoly
 from gpi.genmat import ScalarPoly, eval_poly, eval_word_direct
-from gpi.identity import (ContractError, GeneratorError, GeneratorKind, expand,
-                          components_are_identities, identity_witness,
+from gpi.identity import (GeneratorError, GeneratorKind, expand, identity_witness,
                           is_graded_identity, make_generator)
 from gpi.groups import cyclic_group, default_grading
 
@@ -88,25 +87,6 @@ class TestGenerators:
         assert not g.is_reduced()
         assert g.is_reduced(max_part_len=4)
         assert g.part_lengths() == (4, 2)
-
-
-class TestComponents:
-    def test_disjoint_sum_of_generators(self):
-        c = Context(Z3, {1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
-        p = (expand(make_generator(GeneratorKind.TYPE1, c, ((1,), (2,))))
-             + expand(make_generator(GeneratorKind.TYPE2, c, ((3,), (4,), (5,)))))
-        assert components_are_identities(p)
-        assert len(multihomogeneous_components(p)) == 2
-
-    def test_single_component(self):
-        c = Context(Z3, {1: 1, 2: 2, 3: 1})
-        p = FreePoly(c, {(1, 2, 3): 1, (3, 2, 1): -1})
-        assert components_are_identities(p)
-
-    def test_precondition(self):
-        c = Context(Z3, {1: 1})
-        with pytest.raises(ContractError):
-            components_are_identities(FreePoly.var(c, 1))
 
 
 # --- the keyed witness against dense evaluation -------------------------------

@@ -1,14 +1,13 @@
 import pytest
 import support
 
-from gpi.freealg import Context, FreePoly, SubstitutionError, bracket
+from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
-from gpi.z3reduce import (CertLeaf, CertSum, DecomposeKind, FamilyKind,
-                          ReductionCertificate, ReductionError, Side, SubstKind,
-                          bracket_expand, build_family, cert_leaves, cert_value,
-                          decompose, enumerate_reduced, nonzero_triple_forced,
-                          pull_zero_factor, reduce_type1, reduce_type2,
-                          split_commutator, substitution, telescope,
+from gpi.z3reduce import (CertLeaf, CertSum, DecomposeKind, ReductionCertificate,
+                          ReductionError, Side, bracket_expand, cert_leaves,
+                          cert_value, decompose, enumerate_reduced,
+                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
+                          reduce_type2, split_commutator, telescope,
                           verify_certificate)
 from gpi.groups import cyclic_group, default_grading
 
@@ -17,30 +16,6 @@ Z3 = default_grading(cyclic_group(3))
 
 def ctx3(degs: dict) -> Context:
     return Context(Z3, degs)
-
-
-class TestSubstitutionFamilies:
-    def test_mu(self):
-        c = ctx3({1: 1, 2: 0})
-        s = substitution(c, SubstKind.MU, 2)
-        assert s.images == {1: (1, 2)}
-        assert s(FreePoly.var(c, 1)) == bracket(FreePoly.var(c, 1),
-                                                FreePoly.var(c, 2))
-
-    def test_psi(self):
-        c = ctx3({2: 1, 3: 2, 5: 0})
-        s = substitution(c, SubstKind.PSI, 2)
-        assert s.images == {5: (2, 3)}
-
-    def test_rho_needs_trivial_degree(self):
-        c = ctx3({2: 1, 3: 1, 5: 1})
-        with pytest.raises(SubstitutionError):
-            substitution(c, SubstKind.RHO, 4)
-
-    def test_index_bounds(self):
-        c = ctx3({1: 0, 2: 0})
-        with pytest.raises(SubstitutionError):
-            substitution(c, SubstKind.MU, 1)
 
 
 class TestBracketExpand:
@@ -67,39 +42,52 @@ class TestBracketExpand:
 class TestSplitCommutator:
     def test_single_variables(self):
         c = ctx3({1: 0, 2: 0, 3: 0})
-        d = split_commutator(c, (1,), (2,), (3,))
+        type1, _ = support.leaf_makers(c)
+        value = cert_value(c, split_commutator(c, (1,), (2,), (3,), type1))
         x1, x2, x3 = (FreePoly.var(c, k) for k in (1, 2, 3))
-        assert d.total == x1 * bracket(x2, x3) + bracket(x1, x3) * x2
-        assert d.verified()
+        assert value == x1 * bracket(x2, x3) + bracket(x1, x3) * x2
+        assert value == bracket(x1 * x2, x3)
 
     def test_symmetric_parts(self):
         c = ctx3({1: 0, 3: 0})
-        d = split_commutator(c, (1,), (1,), (3,))
-        assert d.verified()
+        type1, _ = support.leaf_makers(c)
+        x1, x3 = FreePoly.var(c, 1), FreePoly.var(c, 3)
+        node = split_commutator(c, (1,), (1,), (3,), type1)
+        assert cert_value(c, node) == bracket(x1 * x1, x3)
 
     def test_nontrivial_degree_rejected(self):
         c = ctx3({1: 0, 2: 0, 3: 1})
+        type1, _ = support.leaf_makers(c)
         with pytest.raises(ReductionError):
-            split_commutator(c, (1,), (2,), (3,))
+            split_commutator(c, (1,), (2,), (3,), type1)
+
+
+def peeled(c, h1, h2, h3, h4, side):
+    """The type-2 generator pull_zero_factor rewrites, expanded."""
+    parts = (h3 + h4, h2, h1) if side is Side.LEFT else (h1, h2 + h3, h4)
+    return expand(make_generator(GeneratorKind.TYPE2, c, parts))
 
 
 class TestPullZeroFactor:
     def test_single_variables(self):
         c = ctx3({1: 1, 2: 2, 3: 0, 4: 1})
         for side in Side:
-            d = pull_zero_factor(c, (1,), (2,), (3,), (4,), side)
-            assert d.verified()
+            node = pull_zero_factor(c, (1,), (2,), (3,), (4,), side,
+                                    *support.leaf_makers(c))
+            assert cert_value(c, node) == peeled(c, (1,), (2,), (3,), (4,), side)
 
     def test_empty_factor_passthrough(self):
         c = ctx3({1: 1, 2: 2, 4: 1})
-        d = pull_zero_factor(c, (1,), (2,), (), (4,), Side.RIGHT)
-        assert isinstance(d.node, CertLeaf)
-        assert d.verified()
+        node = pull_zero_factor(c, (1,), (2,), (), (4,), Side.RIGHT,
+                                *support.leaf_makers(c))
+        assert isinstance(node, CertLeaf)
+        assert cert_value(c, node) == peeled(c, (1,), (2,), (), (4,), Side.RIGHT)
 
     def test_wrong_degree_rejected(self):
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            pull_zero_factor(c, (1,), (2,), (3,), (4,), Side.LEFT)
+            pull_zero_factor(c, (1,), (2,), (3,), (4,), Side.LEFT,
+                             *support.leaf_makers(c))
 
     def test_random_words(self):
         rand = support.rng(402)
@@ -111,74 +99,47 @@ class TestPullZeroFactor:
                      and all(k not in p for p in g.parts)]
             h3 = (spare[0],) if spare else ()
             for side in Side:
-                assert pull_zero_factor(c, h1, h2, h3, h4, side).verified()
-
-
-class TestFamilies:
-    def test_y_r1(self):
-        c = ctx3({1: 0, 2: 1, 3: 2})
-        got = build_family(c, FamilyKind.Y, 1, ((2,), (3,)))
-        assert got == bracket(FreePoly(c, {(1, 2): 1}), FreePoly.var(c, 3))
-
-    def test_v_r1(self):
-        c = ctx3({1: 0, 2: 1, 3: 2, 4: 1})
-        got = build_family(c, FamilyKind.V, 1, ((2,), (3,), (4,)))
-        assert got == FreePoly(c, {(1, 2, 3, 4): 1, (4, 3, 1, 2): -1})
-
-    def test_w_r2(self):
-        c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
-        got = build_family(c, FamilyKind.W, 2, ((3,), (4,), (5,)))
-        # middle word is h1 followed by x_r .. x_1
-        assert got == FreePoly(c, {(4, 3, 2, 1, 5): 1, (5, 3, 2, 1, 4): -1})
-
-    def test_nontrivial_xr_rejected(self):
-        c = ctx3({1: 1, 2: 1, 3: 2})
-        with pytest.raises(ReductionError):
-            build_family(c, FamilyKind.Y, 1, ((2,), (3,)))
+                node = pull_zero_factor(c, h1, h2, h3, h4, side,
+                                        *support.leaf_makers(c))
+                assert cert_value(c, node) == peeled(c, h1, h2, h3, h4, side)
 
 
 class TestTelescope:
-    def _check(self, c, kind, r, parts):
-        total = build_family(c, kind, r, parts)
-        summands = telescope(c, kind, r, parts)
-        acc = FreePoly.zero(c)
-        for s in summands:
-            acc = acc + s
-        assert acc == total
-        return summands
-
     def test_y_r2(self):
-        c = ctx3({1: 0, 2: 0, 3: 1, 4: 2})
-        self._check(c, FamilyKind.Y, 2, ((3,), (4,)))
+        # [x1 x2 x3 x4, x5] with x2 moved to the front
+        c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 0})
+        type1, _ = support.leaf_makers(c)
+        node = telescope(c, (1,), 2, (3, 4), Side.LEFT, lambda w: type1(w, (5,)))
+        assert cert_value(c, node) == expand(type1((1, 2, 3, 4), (5,)).generator)
 
     def test_v_r2(self):
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
-        self._check(c, FamilyKind.V, 2, ((3,), (4,), (5,)))
+        _, type2 = support.leaf_makers(c)
+        node = telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: type2(w, (4,), (5,)))
+        assert cert_value(c, node) == expand(type2((1, 2, 3), (4,), (5,)).generator)
 
     def test_w_r2_sign(self):
-        c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
-        summands = self._check(c, FamilyKind.W, 2, ((3,), (4,), (5,)))
+        # the middle word is h1 followed by x_r .. x_1; x_r moves to the back
+        c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
+        _, type2 = support.leaf_makers(c)
+        node = telescope(c, (3,), 2, (1,), Side.RIGHT, lambda w: type2((4,), w, (5,)))
+        assert cert_value(c, node) == \
+            FreePoly(c, {(4, 3, 2, 1, 5): 1, (5, 3, 2, 1, 4): -1})
         # the substituted summand carries a minus sign
-        first = summands[0]
-        assert any(coeff < 0 for coeff in first.terms.values())
+        coeff, child = node.children[1]
+        assert coeff == -1 and child.images == ((1, (1, 2)),)
+
+    def test_nontrivial_letter_rejected(self):
+        c = ctx3({1: 0, 2: 1, 3: 2, 4: 0})
+        type1, _ = support.leaf_makers(c)
+        with pytest.raises(ReductionError):
+            telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: type1(w, (4,)))
 
     def test_random_r_up_to_5(self):
         rand = support.rng(403)
         for _ in range(30):
-            r = rand.randint(2, 5)
-            kind = rand.choice(list(FamilyKind))
-            nparts = 2 if kind is FamilyKind.Y else 3
-            degrees = {k: 0 for k in range(1, r + 1)}
-            nxt = r + 1
-            parts = []
-            for _ in range(nparts):
-                ln = rand.randint(1, 2)
-                parts.append(tuple(range(nxt, nxt + ln)))
-                for k in range(nxt, nxt + ln):
-                    degrees[k] = rand.randrange(3)
-                nxt += ln
-            c = ctx3(degrees)
-            self._check(c, kind, r, parts)
+            node, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
+            assert cert_value(g.ctx, node) == expand(g)
 
 
 class TestNonzeroTripleLemma:
@@ -197,31 +158,33 @@ class TestNonzeroTripleLemma:
 
 class TestDecompose:
     def test_tail(self):
-        c = ctx3({1: 1, 2: 2, 3: 1, 4: 1})
-        res = decompose(c, DecomposeKind.R3, (1, 2, 3, 4))
-        for u, v in res.forced_relations:
-            assert Z3.group.mul(c.degree(u), c.degree(v)) == 0
-        assert res.substituted + FreePoly.word(c, res.swapped) == \
-            FreePoly.word(c, (1, 2, 3, 4))
+        # the middle part (1, 2, 3, 4) of a type-2 generator
+        c = ctx3({1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1})
+        _, type2 = support.leaf_makers(c)
+        node = decompose(c, DecomposeKind.R3, (1, 2, 3, 4), lambda w: type2((5,), w, (6,)))
+        assert cert_value(c, node) == expand(type2((5,), (1, 2, 3, 4), (6,)).generator)
+        (z, (a, b)), = node.children[0][1].images
+        assert c.degree(z) == 0 and (a, b) == (2, 3)
+        assert Z3.group.mul(c.degree(a), c.degree(b)) == 0
 
     def test_head(self):
-        c = ctx3({1: 1, 2: 1, 3: 2, 4: 2})
-        res = decompose(c, DecomposeKind.R5, (1, 2, 3, 4))
-        assert res.substituted + FreePoly.word(c, res.swapped) == \
-            FreePoly.word(c, (1, 2, 3, 4))
+        c = ctx3({1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
+        type1, _ = support.leaf_makers(c)
+        node = decompose(c, DecomposeKind.R5, (1, 2, 3, 4), lambda w: type1(w, (5,)))
+        assert cert_value(c, node) == expand(type1((1, 2, 3, 4), (5,)).generator)
         # the image word contains the fresh trivial-degree variable
-        z = res.image_word[1]
+        z = node.children[0][1].child.generator.parts[0][1]
         assert c.degree(z) == 0
 
     def test_trivial_degree_present_rejected(self):
         c = ctx3({1: 1, 2: 0, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            decompose(c, DecomposeKind.R3, (1, 2, 3, 4))
+            decompose(c, DecomposeKind.R3, (1, 2, 3, 4), support.leaf_makers(c)[1])
 
     def test_too_short(self):
         c = ctx3({1: 1, 2: 2, 3: 1})
         with pytest.raises(ReductionError):
-            decompose(c, DecomposeKind.R5, (1, 2, 3))
+            decompose(c, DecomposeKind.R5, (1, 2, 3), support.leaf_makers(c)[0])
 
 
 class TestReduceType1:
