@@ -13,7 +13,7 @@ from .freealg import (Context, DeclarationError, FreePoly, LieWord,
                       bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
 from .genmat import (GenericMatrix, ScalarPoly, eval_poly, eval_word_closed,
-                     eval_word_direct, generic, word_entry_monomial)
+                     eval_word_direct, generic)
 from .identity import (GeneratorError, GeneratorInstance, GeneratorKind,
                        Witness, expand, identity_witness, is_graded_identity,
                        make_generator, validate_generator)
@@ -36,7 +36,7 @@ __all__ = [
     "WeakSubstitution", "Word", "bracket", "lie_degree",
     "lie_expand", "multidegree", "multihomogeneous_components", "word_degree",
     "GenericMatrix", "ScalarPoly", "eval_poly", "eval_word_closed",
-    "eval_word_direct", "generic", "word_entry_monomial",
+    "eval_word_direct", "generic",
     "GeneratorError", "GeneratorInstance", "GeneratorKind", "Witness", "expand",
     "identity_witness", "is_graded_identity", "make_generator", "validate_generator",
     "JCombination", "JTerm", "Move", "MoveError", "NoExpressionError",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .freealg import Context, FreePoly, Word
-from .genmat import GenericMatrix
+from .genmat import GenericMatrix, ScalarPoly
 from .groups import FiniteGroup, GradingTuple
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 from .rewrite import JCombination, JTerm, Move, RewriteChain
@@ -58,17 +58,16 @@ def poly_to_json(p: FreePoly) -> list[dict]:
     return [{"coeff": p.terms[w], "word": list(w)} for w in p.support()]
 
 
+def scalar_poly_to_json(p: ScalarPoly) -> list[dict]:
+    """Terms in monomial order; each variable y^k_{a,b}^e is [k, a, b, e], 1-based."""
+    return [{"coeff": c, "vars": [[k, a + 1, b + 1, e] for (k, a, b), e in m]}
+            for m, c in sorted(p.terms.items())]
+
+
 def matrix_to_json(mat: GenericMatrix) -> dict:
-    entries = []
-    for i in range(mat.n):
-        for j in range(mat.n):
-            e = mat.entries[i][j]
-            if e.is_zero():
-                continue
-            terms = [{"coeff": c,
-                      "vars": [[k, a + 1, b + 1, exp] for (k, a, b), exp in m]}
-                     for m, c in sorted(e.terms.items())]
-            entries.append({"row": i + 1, "col": j + 1, "terms": terms})
+    entries = [{"row": i + 1, "col": j + 1, "terms": scalar_poly_to_json(e)}
+               for i, row in enumerate(mat.entries) for j, e in enumerate(row)
+               if not e.is_zero()]
     return {"n": mat.n, "entries": entries}
 
 

@@ -43,10 +43,8 @@ def _diag(msg: str) -> None:
 
 
 def _witness_json(w) -> dict:
-    terms = [{"coeff": c,
-              "vars": [[k, a + 1, b + 1, e] for (k, a, b), e in m]}
-             for m, c in sorted(w.value.terms.items())]
-    return {"row": w.row + 1, "col": w.col + 1, "value": terms}
+    return {"row": w.row + 1, "col": w.col + 1,
+            "value": certs.scalar_poly_to_json(w.value)}
 
 
 def _load(path: str):
@@ -375,8 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _CliInputError as exc:

@@ -210,29 +210,20 @@ def word_path(ctx: Context, w: Word, row: int,
     return out
 
 
-def _monomial(path: list[ScalarVar], row: int) -> tuple[Mono, int]:
-    exps: dict[ScalarVar, int] = {}
-    for sv in path:
-        exps[sv] = exps.get(sv, 0) + 1
-    return tuple(sorted(exps.items())), (path[-1][2] if path else row)
-
-
-def word_entry_monomial(ctx: Context, w: Word, row: int) -> tuple[Mono, int]:
-    """Closed-form entry of the word's evaluation along the path from row.
-
-    Returns (monomial, final column).  The entry at (row, column) is the
-    monomial with coefficient 1; all other entries in that row vanish.
-    """
-    return _monomial(word_path(ctx, w, row), row)
-
-
 def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
-    """The word's evaluation as one key (row, col, mono) per row, in row order."""
+    """The word's evaluation as one key (row, col, mono) per row, in row order.
+
+    The entry at (row, col) is the monomial of the scalar variables on the
+    path from row, with coefficient 1; all other entries in that row vanish.
+    """
     degrees = path_degrees(ctx, w)
     keys = []
     for row in range(ctx.grading.n):
-        mono, col = _monomial(word_path(ctx, w, row, degrees), row)
-        keys.append((row, col, mono))
+        exps: dict[ScalarVar, int] = {}
+        path = word_path(ctx, w, row, degrees)
+        for sv in path:
+            exps[sv] = exps.get(sv, 0) + 1
+        keys.append((row, path[-1][2] if path else row, tuple(sorted(exps.items()))))
     return keys
 
 

@@ -3,7 +3,8 @@
 Elements are integer indices into the table.  A grading tuple assigns a
 group element to each of the n matrix positions; since the tuple is a
 bijection onto the group, every homogeneous degree g acts on positions
-through the bijection phi_g, and products of degrees act through beta_t.
+through the bijection phi_g, and a product of degrees h_1 ... h_t through
+phi_{h_1 ... h_t} (the path walk genmat.word_path).
 
 Positions are 0-based throughout the library; the JSON/DSL layer converts
 to the 1-based convention used in documentation.
@@ -170,13 +171,6 @@ class GradingTuple:
     def phi(self, g: int, i: int) -> int:
         """The unique position j with tuple[j] = tuple[i] * g."""
         return self._pos[self.group.mul(self.tuple_[i], g)]
-
-    def beta(self, hbar, t: int, i: int) -> int:
-        """phi of the reversed prefix product h_{t+1} * ... * h_1 (0-based t)."""
-        if not (0 <= t <= len(hbar) - 1):
-            raise IndexError(f"beta index {t} out of range for {len(hbar)} degrees")
-        g = self.group.product(reversed(hbar[: t + 1]))
-        return self.phi(g, i)
 
 
 def default_grading(group: FiniteGroup) -> GradingTuple:

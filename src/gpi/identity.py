@@ -57,26 +57,28 @@ class GeneratorInstance:
         return all(len(p) <= max_part_len for p in self.parts)
 
 
-def validate_generator(kind: GeneratorKind, ctx: Context, parts):
+def degree_rule_holds(kind: GeneratorKind, ctx: Context, parts) -> bool:
+    """The family's degree rule: two parts, both of trivial degree (type 1),
+    or three, the outer ones of degree inverse to the middle (type 2)."""
     group = ctx.grading.group
-    one = group.identity_index
-    if any(len(p) == 0 for p in parts):
-        raise GeneratorError("generator parts must be nonempty monomials")
-    concat = tuple(v for p in parts for v in p)
-    if not is_multilinear_word(concat):
-        raise GeneratorError("the concatenation of the parts must be multilinear")
     degs = [word_degree(ctx, p) for p in parts]
     if kind is GeneratorKind.TYPE1:
-        if len(parts) != 2:
-            raise GeneratorError("type-1 generators take two parts")
-        if degs[0] != one or degs[1] != one:
-            raise GeneratorError("type-1 parts must both have trivial degree")
-    else:
-        if len(parts) != 3:
-            raise GeneratorError("type-2 generators take three parts")
-        if degs[0] != degs[2] or degs[0] != group.inv(degs[1]):
-            raise GeneratorError(
-                "type-2 outer parts must have degree inverse to the middle")
+        return degs == [group.identity_index] * 2
+    return len(degs) == 3 and degs[0] == degs[2] == group.inv(degs[1])
+
+
+def validate_generator(kind: GeneratorKind, ctx: Context, parts):
+    if any(len(p) == 0 for p in parts):
+        raise GeneratorError("generator parts must be nonempty monomials")
+    if not is_multilinear_word(tuple(v for p in parts for v in p)):
+        raise GeneratorError("the concatenation of the parts must be multilinear")
+    if degree_rule_holds(kind, ctx, parts):
+        return
+    if kind is GeneratorKind.TYPE1:
+        raise GeneratorError("type-1 generators take two parts" if len(parts) != 2
+                             else "type-1 parts must both have trivial degree")
+    raise GeneratorError("type-2 generators take three parts" if len(parts) != 3
+                         else "type-2 outer parts must have degree inverse to the middle")
 
 
 def make_generator(kind: GeneratorKind, ctx: Context, parts) -> GeneratorInstance:
@@ -84,12 +86,10 @@ def make_generator(kind: GeneratorKind, ctx: Context, parts) -> GeneratorInstanc
 
 
 def expand(g: GeneratorInstance) -> FreePoly:
-    """[h1,h2] for type 1; h1h2h3 - h3h2h1 for type 2."""
-    if g.kind is GeneratorKind.TYPE1:
-        h1, h2 = g.parts
-        return FreePoly(g.ctx, {h1 + h2: 1, h2 + h1: -1})
-    h1, h2, h3 = g.parts
-    return FreePoly(g.ctx, {h1 + h2 + h3: 1, h3 + h2 + h1: -1})
+    """The parts minus the parts reversed: [h1,h2] for type 1, h1h2h3 - h3h2h1
+    for type 2."""
+    return FreePoly(g.ctx, {tuple(v for p in g.parts for v in p): 1,
+                            tuple(v for p in reversed(g.parts) for v in p): -1})
 
 
 def is_graded_identity(p: FreePoly) -> bool:

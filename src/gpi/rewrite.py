@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Context, FreePoly, Word, multidegree, word_degree, word_key
-from .genmat import eval_word_closed, word_entries, word_entry_monomial, word_path
-from .identity import ContractError, Witness, identity_witness
+from .freealg import Context, FreePoly, Word, multidegree, word_key
+from .genmat import ScalarVar, eval_word_closed, word_entries, word_path
+from .identity import (ContractError, GeneratorKind, Witness, degree_rule_holds,
+                       identity_witness)
 
 
 class NotCongruentError(ValueError):
@@ -42,13 +43,11 @@ class SigmaWitness:
     """Permutation matching the evaluation paths of two monomials.
 
     sigma[h] is the 0-based position in m whose scalar variable equals the
-    one at position h in n; both unit paths start at the shared row.
+    one at position h in n; both paths start at the shared row.
     """
 
     sigma: tuple[int, ...]
     position: tuple[int, int]
-    unit_path_m: tuple[tuple[int, int], ...]
-    unit_path_n: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,10 @@ class Move:
         return self.left + tuple(v for b in reversed(self.blocks) for v in b) + self.right
 
     def degree_conditions_hold(self, ctx: Context) -> bool:
-        group = ctx.grading.group
-        one = group.identity_index
-        degs = [word_degree(ctx, b) for b in self.blocks]
-        if self.kind == "swap0":
-            return degs[0] == one and degs[1] == one
-        return degs[0] == degs[2] and degs[0] == group.inv(degs[1])
+        """A swap0 move's blocks are the parts of a type-1 generator, a
+        reverse3 move's those of a type-2 one."""
+        kind = GeneratorKind.TYPE1 if self.kind == "swap0" else GeneratorKind.TYPE2
+        return degree_rule_holds(kind, ctx, self.blocks)
 
 
 def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
@@ -119,43 +116,37 @@ def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     """First position (row-major) where both evaluations carry the same monomial."""
     if multidegree(m) != multidegree(n):
         raise ContractError("monomials must have the same multidegree")
-    for row in range(ctx.grading.n):
-        mono_m, col_m = word_entry_monomial(ctx, m, row)
-        mono_n, col_n = word_entry_monomial(ctx, n, row)
-        if col_m == col_n and mono_m == mono_n:
-            return (row, col_m)
+    for key_m, key_n in zip(word_entries(ctx, m), word_entries(ctx, n)):
+        if key_m == key_n:
+            return key_m[:2]
     return None
 
 
-def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
-    """Match equal scalar variables between the two unit paths from pos.
+def _match_paths(ctx: Context, m: Word, n: Word, row: int) -> tuple[tuple[int, ...], int]:
+    """Walk both words once from row and match their scalar variables.
 
-    Repeated variables are disambiguated by the least unused match, so the
+    Returns sigma (see SigmaWitness) and the column where both paths end.
+    A repeated variable goes to the least unused position of m, so the
     result is deterministic; multilinear words never have ties.
     """
+    path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
+    if len(path_m) == len(path_n):
+        unused: dict[ScalarVar, list[int]] = {}
+        for s in reversed(range(len(path_m))):
+            unused.setdefault(path_m[s], []).append(s)  # least position last
+        sigma = tuple(unused[t].pop() for t in path_n if unused.get(t))
+        if len(sigma) == len(path_n):
+            return sigma, (path_m[-1][2] if path_m else row)
+    raise ContractError("monomials share no entry at the given position")
+
+
+def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
+    """Match equal scalar variables between the two paths from pos."""
     row, col = pos
-    mono_m, col_m = word_entry_monomial(ctx, m, row)
-    mono_n, col_n = word_entry_monomial(ctx, n, row)
-    if col_m != col_n or mono_m != mono_n or col != col_m:
+    sigma, end = _match_paths(ctx, m, n, row)
+    if end != col:
         raise ContractError("monomials share no entry at the given position")
-    path_m = word_path(ctx, m, row)
-    path_n = word_path(ctx, n, row)
-    used = [False] * len(path_m)
-    sigma = []
-    for triple in path_n:
-        for s, cand in enumerate(path_m):
-            if not used[s] and cand == triple:
-                used[s] = True
-                sigma.append(s)
-                break
-        else:
-            raise ContractError("paths do not match at the shared entry")
-    return SigmaWitness(
-        sigma=tuple(sigma),
-        position=(row, col),
-        unit_path_m=tuple((a, b) for _, a, b in path_m),
-        unit_path_n=tuple((a, b) for _, a, b in path_n),
-    )
+    return SigmaWitness(sigma=sigma, position=(row, col))
 
 
 # --- the congruence recursion -------------------------------------------------
@@ -166,8 +157,6 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     Requires a shared nonzero entry; raises NotCongruentError otherwise.
     """
     m, n = tuple(m), tuple(n)
-    if multidegree(m) != multidegree(n):
-        raise ContractError("monomials must have the same multidegree")
     se = shared_entry(ctx, m, n)
     if se is None:
         raise NotCongruentError("evaluations share no nonzero entry")
@@ -186,9 +175,7 @@ def _chain_moves(ctx: Context, m: Word, n: Word, row: int, prefix: Word):
             m, n = m[1:], n[1:]
         if m == n:
             return moves
-        _, col = word_entry_monomial(ctx, m, row)
-        witness = extract_sigma(ctx, m, n, (row, col))
-        sigma = witness.sigma
+        sigma, _ = _match_paths(ctx, m, n, row)
         inv = [0] * len(sigma)
         for h, s in enumerate(sigma):
             inv[s] = h

@@ -9,21 +9,22 @@ recursion reaches twice is one shared node.  Certificates are verified by
 symbolic replay in the free algebra, each distinct node once.
 
 Every step of the recursion is a node built by the helper of its lemma,
-with the recursion itself as the children (tests pass leaf makers):
+with the recursion itself as the children (tests pass leaf makers).  A
+long part is shortened at one end, its Side: LEFT is the head of a first
+part, RIGHT the tail of a type-2 middle part.  One shortening step tries,
+in order,
 
-  * split_commutator, [h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for parts of
-    trivial degree: a type-1 first part with a trivial-degree prefix;
-  * pull_zero_factor, peeling a trivial-degree factor out of a type-2
-    generator: LEFT for a prefix of the first part, RIGHT for a suffix of
-    the middle part;
-  * telescope, moving a trivial-degree letter across a part by the
-    substitutions x -> [x, z]: LEFT to the front of a first part, RIGHT to
-    the back of a middle part;
+  * the shortest trivial-degree piece at that end, peeled off by the
+    caller's split builder: split_commutator, [h1 h2, h3] = h1 [h2, h3]
+    + [h1, h3] h2, for a type-1 first part, and pull_zero_factor for a
+    type-2 generator;
+  * telescope, moving a trivial-degree letter to that end of the part by
+    the substitutions x -> [x, z];
   * decompose, writing a part with no trivial-degree letter as a swapped
     word plus a substitution image of a word with a fresh trivial-degree
-    letter: R5 at the head of a first part, R3 at the tail of a middle
-    part.  This is where the arithmetic of Z3 enters, through the
-    nonzero-degree triple lemma (nonzero_triple_forced).
+    letter, around the three letters at that end.  This is where the
+    arithmetic of Z3 enters, through the nonzero-degree triple lemma
+    (nonzero_triple_forced).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from enum import Enum
 from typing import Callable
 
 from .freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
-                      WeakSubstitution, Word, bracket, is_multilinear_word,
-                      word_degree)
-from .identity import GeneratorInstance, GeneratorKind, expand, make_generator
+                      WeakSubstitution, Word, is_multilinear_word, word_degree)
+from .identity import (GeneratorInstance, GeneratorKind, degree_rule_holds, expand,
+                       make_generator)
 
 
 class ReductionError(ValueError):
@@ -192,22 +193,6 @@ def verify_certificate(cert: ReductionCertificate,
     return True
 
 
-# --- helper identities --------------------------------------------------------
-
-def bracket_expand(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word):
-    """Both sides of [h1 h2, h3 h4] = h1 h3 [h2,h4] + h1 [h2,h3] h4
-    + h3 [h1,h4] h2 + [h1,h3] h4 h2; a free-algebra identity."""
-    def w(word):
-        return FreePoly.word(ctx, word)
-
-    lhs = bracket(w(h1) * w(h2), w(h3) * w(h4))
-    rhs = (w(h1) * w(h3) * bracket(w(h2), w(h4))
-           + w(h1) * bracket(w(h2), w(h3)) * w(h4)
-           + w(h3) * bracket(w(h1), w(h4)) * w(h2)
-           + bracket(w(h1), w(h3)) * w(h4) * w(h2))
-    return lhs, rhs
-
-
 # --- node builders, one per lemma ---------------------------------------------
 #
 # Each builder returns the certificate node of one recursion step.  It takes
@@ -216,6 +201,12 @@ def bracket_expand(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word):
 # ReductionError when the lemma's hypotheses fail.
 
 Child = Callable[..., CertNode]
+
+
+class Side(Enum):
+    """The end of a part that a step works at."""
+    LEFT = "head"    # the head of a first part
+    RIGHT = "tail"   # the tail of a type-2 middle part
 
 
 def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word,
@@ -228,11 +219,6 @@ def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word,
                     (1, CertContext((), h2, type1(h1, h3)))))
 
 
-class Side(Enum):
-    LEFT = "left"    # the first part of a generator
-    RIGHT = "right"  # the middle part of a type-2 generator
-
-
 def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
                      side: Side, type1: Child, type2: Child) -> CertNode:
     """Peel a trivial-degree factor h3 out of a type-2 generator.
@@ -241,13 +227,11 @@ def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
     RIGHT: h1 h2 h3 h4 - h4 h2 h3 h1 = h3 (h1 h2 h4 - h4 h2 h1)
                                        + [h1 h2, h3] h4 - [h4 h2, h3] h1
     """
-    group = ctx.grading.group
     if not is_multilinear_word(h1 + h2 + h3 + h4):
         raise ReductionError("the concatenated word must be multilinear")
-    d1, d2, d4 = (word_degree(ctx, h) for h in (h1, h2, h4))
-    if d1 != d4 or d1 != group.inv(d2):
+    if not degree_rule_holds(GeneratorKind.TYPE2, ctx, (h1, h2, h4)):
         raise ReductionError("outer parts must have degree inverse to the middle")
-    if word_degree(ctx, h3) != group.identity_index:
+    if word_degree(ctx, h3) != ctx.grading.group.identity_index:
         raise ReductionError("the peeled factor must have trivial degree")
     if side is Side.LEFT:
         core = type2(h4, h2, h1)
@@ -287,39 +271,31 @@ def telescope(ctx: Context, u: Word, z: int, v: Word, side: Side,
                    + tuple((-1, CertSubst(((x, (x, z)),), hat)) for x in v))
 
 
-class DecomposeKind(Enum):
-    R3 = "tail"   # rewrite around the last three variables
-    R5 = "head"   # rewrite around the first three variables
+def nonzero_triple_forced(group, a1: int, a2: int, a3: int, side: Side) -> bool:
+    """The Z3 arithmetic fact behind the decompositions, for a1, a2, a3 nonzero.
 
-
-def nonzero_triple_forced(group, a1: int, a2: int, a3: int, direction: str) -> bool:
-    """The Z3 arithmetic fact behind the decompositions.
-
-    forward:  a1+a2 != 0 and a1+a2+a3 != 0  imply  a1+a3 = a2+a3 = 0
-    mirror:   a3+a2 != 0 and a3+a2+a1 != 0  imply  a1+a3 = a1+a2 = 0
-    for a1, a2, a3 nonzero.
+    LEFT:   a1+a2 != 0 and a1+a2+a3 != 0  imply  a1+a3 = a2+a3 = 0
+    RIGHT:  the same for the triple read backwards, a3, a2, a1
     """
     one = group.identity_index
     if any(a == one for a in (a1, a2, a3)):
         raise ReductionError("all three degrees must be nontrivial")
-    if direction == "forward":
-        if group.mul(a1, a2) == one or group.product((a1, a2, a3)) == one:
-            return True  # hypothesis empty
-        return group.mul(a1, a3) == one and group.mul(a2, a3) == one
-    if group.mul(a3, a2) == one or group.product((a3, a2, a1)) == one:
-        return True
-    return group.mul(a1, a3) == one and group.mul(a1, a2) == one
+    if side is Side.RIGHT:
+        a1, a3 = a3, a1
+    if group.mul(a1, a2) == one or group.product((a1, a2, a3)) == one:
+        return True  # hypothesis empty
+    return group.mul(a1, a3) == one and group.mul(a2, a3) == one
 
 
-def decompose(ctx: Context, kind: DecomposeKind, h: Word, child: Child) -> CertNode:
+def decompose(ctx: Context, side: Side, h: Word, child: Child) -> CertNode:
     """Split a part h with no trivial-degree letter near one end.
 
     child(w) builds the node of the generator whose part h is replaced by
     the word w; z is a fresh trivial-degree variable, declared in ctx.
-      R5, head, on the first letters a b c:  h = (a z t)|z->[b,c] + a c b t
-      R3, tail, on the last letters a b c:   h = (t z c)|z->[a,b] + t b a c
+      LEFT, on the first letters a b c:  h = (a z t)|z->[b,c] + a c b t
+      RIGHT, on the last letters a b c:  h = (t z c)|z->[a,b] + t b a c
     The letters and two partial products of nontrivial degree force [b, c]
-    (R5) or [a, b] (R3) to have trivial degree: nonzero_triple_forced.
+    (LEFT) or [a, b] (RIGHT) to have trivial degree: nonzero_triple_forced.
     The image child is built first, then the swapped one, which fixes the
     ids of the fresh variables declared below them.
     """
@@ -328,13 +304,13 @@ def decompose(ctx: Context, kind: DecomposeKind, h: Word, child: Child) -> CertN
     one = group.identity_index
     if len(h) < 4:
         raise ReductionError("decomposition needs a word of length at least 4")
-    head = kind is DecomposeKind.R5
+    head = side is Side.LEFT
     a, b, c = h[:3] if head else h[-3:]
     da, db, dc = (ctx.degree(x) for x in (a, b, c))
     pair = group.mul(da, db) if head else group.mul(db, dc)
     if one in (da, db, dc, pair, group.product((da, db, dc))):
-        raise ReductionError(f"degree conditions for the {kind.value} decomposition unmet")
-    if not nonzero_triple_forced(group, da, db, dc, "forward" if head else "mirror"):
+        raise ReductionError(f"degree conditions for the {side.value} decomposition unmet")
+    if not nonzero_triple_forced(group, da, db, dc, side):
         raise AssertionError("forced degree relation does not hold; group arithmetic bug")
     z = ctx.declare(ctx.fresh_id(), one)
     if head:
@@ -346,35 +322,35 @@ def decompose(ctx: Context, kind: DecomposeKind, h: Word, child: Child) -> CertN
 
 # --- the reduction recursion --------------------------------------------------
 
-def _zero_prefix_split(ctx: Context, h: Word) -> int | None:
-    """Least proper prefix length with trivial degree, if any."""
-    one = ctx.grading.group.identity_index
-    acc = one
-    for i in range(len(h) - 1):
-        acc = ctx.grading.group.mul(acc, ctx.degree(h[i]))
-        if acc == one:
-            return i + 1
-    return None
-
-
-def _zero_suffix_split(ctx: Context, h: Word) -> int | None:
-    """Least proper suffix length with trivial degree, if any."""
-    one = ctx.grading.group.identity_index
+def _zero_split(ctx: Context, h: Word, side: Side) -> int | None:
+    """The cut of h whose piece at that end is the shortest proper one of
+    trivial degree, if any: h[:cut] for LEFT, h[cut:] for RIGHT."""
     group = ctx.grading.group
-    acc = one
-    for i in range(len(h) - 1):
-        acc = group.mul(ctx.degree(h[-1 - i]), acc)
+    one = acc = group.identity_index
+    for cut in range(1, len(h)) if side is Side.LEFT else range(len(h) - 1, 0, -1):
+        if side is Side.LEFT:
+            acc = group.mul(acc, ctx.degree(h[cut - 1]))
+        else:
+            acc = group.mul(ctx.degree(h[cut]), acc)
         if acc == one:
-            return i + 1
+            return cut
     return None
 
 
-def _zero_variable_index(ctx: Context, h: Word) -> int | None:
-    one = ctx.grading.group.identity_index
+def _shorten(ctx: Context, h: Word, side: Side, child: Child,
+             split: Callable[[Word, Word], CertNode]) -> CertNode:
+    """One step on a long part h at its side end.
+
+    child(w) builds the node of the generator with h replaced by w, and
+    split(a, b) the node that peels the trivial-degree piece off h = a b.
+    """
+    cut = _zero_split(ctx, h, side)
+    if cut is not None:
+        return split(h[:cut], h[cut:])
     for i, v in enumerate(h):
-        if ctx.degree(v) == one:
-            return i
-    return None
+        if ctx.degree(v) == ctx.grading.group.identity_index:
+            return telescope(ctx, h[:i], v, h[i + 1:], side, child)
+    return decompose(ctx, side, h, child)
 
 
 def _memoised(build):
@@ -402,14 +378,8 @@ def _reduce1(ctx: Context, memo: dict, h1: Word, h2: Word) -> CertNode:
         # [h1, h2] = -[h2, h1]
         return CertSum(((-1, _reduce1(ctx, memo, h2, h1)),))
     type1 = functools.partial(_reduce1, ctx, memo)
-    split = _zero_prefix_split(ctx, h1)
-    if split is not None:
-        return split_commutator(ctx, h1[:split], h1[split:], h2, type1)
-    zi = _zero_variable_index(ctx, h1)
-    if zi is not None:
-        return telescope(ctx, h1[:zi], h1[zi], h1[zi + 1:], Side.LEFT,
-                         lambda w: type1(w, h2))
-    return decompose(ctx, DecomposeKind.R5, h1, lambda w: type1(w, h2))
+    return _shorten(ctx, h1, Side.LEFT, lambda w: type1(w, h2),
+                    lambda a, b: split_commutator(ctx, a, b, h2, type1))
 
 
 @_memoised
@@ -418,31 +388,16 @@ def _reduce2(ctx: Context, memo: dict, h1: Word, h2: Word, h3: Word) -> CertNode
     type1 = functools.partial(_reduce1, ctx, memo)
     type2 = functools.partial(_reduce2, ctx, memo)
     if len(h1) > L:
-        split = _zero_prefix_split(ctx, h1)
-        if split is not None:
-            return pull_zero_factor(ctx, h3, h2, h1[:split], h1[split:], Side.LEFT,
-                                    type1, type2)
-        zi = _zero_variable_index(ctx, h1)
-        if zi is not None:
-            return telescope(ctx, h1[:zi], h1[zi], h1[zi + 1:], Side.LEFT,
-                             lambda w: type2(w, h2, h3))
-        return decompose(ctx, DecomposeKind.R5, h1, lambda w: type2(w, h2, h3))
-
+        return _shorten(ctx, h1, Side.LEFT, lambda w: type2(w, h2, h3),
+                        lambda a, b: pull_zero_factor(ctx, h3, h2, a, b, Side.LEFT,
+                                                      type1, type2))
     if len(h2) > L:
-        split = _zero_suffix_split(ctx, h2)
-        if split is not None:
-            return pull_zero_factor(ctx, h1, h2[:-split], h2[-split:], h3, Side.RIGHT,
-                                    type1, type2)
-        zi = _zero_variable_index(ctx, h2)
-        if zi is not None:
-            return telescope(ctx, h2[:zi], h2[zi], h2[zi + 1:], Side.RIGHT,
-                             lambda w: type2(h1, w, h3))
-        return decompose(ctx, DecomposeKind.R3, h2, lambda w: type2(h1, w, h3))
-
+        return _shorten(ctx, h2, Side.RIGHT, lambda w: type2(h1, w, h3),
+                        lambda a, b: pull_zero_factor(ctx, h1, a, b, h3, Side.RIGHT,
+                                                      type1, type2))
     if len(h3) > L:
         # H(h1,h2,h3) = -H(h3,h2,h1)
         return CertSum(((-1, _reduce2(ctx, memo, h3, h2, h1)),))
-
     return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h1, h2, h3)))
 
 

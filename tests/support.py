@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import random
 
-from gpi.freealg import Context, WeakSubstitution, word_degree
+from gpi.freealg import Context, FreePoly, WeakSubstitution, bracket, word_degree
 from gpi.groups import FiniteGroup, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
@@ -156,6 +156,22 @@ def random_weak_substitution(rand: random.Random, ctx: Context, targets,
         if lw is not None:
             images[k] = lw
     return WeakSubstitution(ctx, images)
+
+
+# --- free-algebra identities -------------------------------------------------
+
+def bracket_expand(ctx: Context, h1, h2, h3, h4):
+    """Both sides of [h1 h2, h3 h4] = h1 h3 [h2,h4] + h1 [h2,h3] h4
+    + h3 [h1,h4] h2 + [h1,h3] h4 h2; a free-algebra identity."""
+    def w(word):
+        return FreePoly.word(ctx, word)
+
+    lhs = bracket(w(h1) * w(h2), w(h3) * w(h4))
+    rhs = (w(h1) * w(h3) * bracket(w(h2), w(h4))
+           + w(h1) * bracket(w(h2), w(h3)) * w(h4)
+           + w(h3) * bracket(w(h1), w(h4)) * w(h2)
+           + bracket(w(h1), w(h3)) * w(h4) * w(h2))
+    return lhs, rhs
 
 
 # --- children for the z3reduce node builders ----------------------------------

@@ -18,10 +18,9 @@ from gpi.identity import (GeneratorKind, expand, identity_witness,
                           is_graded_identity, make_generator)
 from gpi.rewrite import (NoExpressionError, express_in_J, extract_sigma,
                          shared_entry, verify_chain, verify_combination)
-from gpi.z3reduce import (DecomposeKind, ReductionError, Side, bracket_expand,
-                          cert_leaves, cert_value, decompose, nonzero_triple_forced,
-                          pull_zero_factor, reduce_type1, reduce_type2,
-                          split_commutator, verify_certificate)
+from gpi.z3reduce import (ReductionError, Side, cert_leaves, cert_value, decompose,
+                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
+                          reduce_type2, split_commutator, verify_certificate)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -229,7 +228,7 @@ def test_criterion_6(report):
     for _ in range(100):
         ctx = support.random_context(rand, Z3, 8)
         ws = [support.random_word(rand, ctx, rand.randint(1, 3)) for _ in range(4)]
-        lhs, rhs = bracket_expand(ctx, *ws)
+        lhs, rhs = support.bracket_expand(ctx, *ws)
         if lhs != rhs:
             ok = False
     # telescopes, r <= 5
@@ -237,25 +236,25 @@ def test_criterion_6(report):
         node, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
         if cert_value(g.ctx, node) != expand(g):
             ok = False
-    # decomposition lemmas (both), via random nontrivial-degree words: R5 as
-    # the first part, R3 as the middle part of a type-2 generator
+    # decomposition lemmas (both), via random nontrivial-degree words: LEFT
+    # on the first part, RIGHT on the middle part of a type-2 generator
     done = 0
     while done < 100:
         length = rand.randint(4, 6)
         degrees = {k: rand.choice([1, 2]) for k in range(1, length + 1)}
         ctx = Context(Z3, degrees)
         h = tuple(range(1, length + 1))
-        kind = rand.choice([DecomposeKind.R3, DecomposeKind.R5])
+        side = rand.choice([Side.RIGHT, Side.LEFT])
         d = word_degree(ctx, h)
         y = ctx.declare(length + 1, Z3.group.inv(d))
-        w = ctx.declare(length + 2, d if kind is DecomposeKind.R5 else Z3.group.inv(d))
+        w = ctx.declare(length + 2, d if side is Side.LEFT else Z3.group.inv(d))
         _, type2 = support.leaf_makers(ctx)
-        if kind is DecomposeKind.R5:
+        if side is Side.LEFT:
             parts, child = (h, (y,), (w,)), lambda word: type2(word, (y,), (w,))
         else:
             parts, child = ((y,), h, (w,)), lambda word: type2((y,), word, (w,))
         try:
-            node = decompose(ctx, kind, h, child)
+            node = decompose(ctx, side, h, child)
         except ReductionError:
             continue
         if cert_value(ctx, node) != expand(make_generator(
@@ -290,9 +289,9 @@ def test_criterion_6(report):
     for a1 in (1, 2):
         for a2 in (1, 2):
             for a3 in (1, 2):
-                if not nonzero_triple_forced(Z3.group, a1, a2, a3, "forward"):
+                if not nonzero_triple_forced(Z3.group, a1, a2, a3, Side.LEFT):
                     ok = False
-                if not nonzero_triple_forced(Z3.group, a1, a2, a3, "mirror"):
+                if not nonzero_triple_forced(Z3.group, a1, a2, a3, Side.RIGHT):
                     ok = False
     elapsed = time.monotonic() - start
     ok = ok and elapsed <= 30

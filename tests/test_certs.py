@@ -7,9 +7,10 @@ import pytest
 import support
 
 from gpi import certs
+from gpi.cli import _witness_json
 from gpi.freealg import Context, FreePoly
-from gpi.genmat import eval_word_closed
-from gpi.identity import GeneratorKind, expand, make_generator
+from gpi.genmat import eval_poly, eval_word_closed
+from gpi.identity import GeneratorKind, expand, identity_witness, make_generator
 from gpi.rewrite import (JCombination, RewriteChain, congruence_chain,
                          express_in_J, verify_chain, verify_combination)
 from gpi.z3reduce import (CertContext, CertSubst, CertSum, ReductionCertificate,
@@ -229,6 +230,7 @@ class TestReductionFormat:
 
 
 # sha256 of the documents below, as the reduction and encoder wrote them
+PINNED_CHAIN_JCOMB_EVAL_DIGEST = "f3a3049e31db32dfffbfede512faed3a183b15bc9165e4d438bd19f5bc631448"
 PINNED_REDUCTION_DIGEST = "16dab9802c467c80d9e95994cb072bcc4b105b8a3bb5dbc8a41faa18e9e13266"
 
 
@@ -250,3 +252,43 @@ def test_reduction_bytes_pinned():
         digest.update(certs.dumps(certs.reduction_to_json(reduce(g))).encode())
     assert max(max(g.part_lengths()) for g in gens[400:]) == 8
     assert digest.hexdigest() == PINNED_REDUCTION_DIGEST
+
+
+def test_chain_jcomb_eval_bytes_pinned():
+    """Criterion 4's jcomb documents, the chains between seeded congruent
+    words with repeated letters over Z2, Z3 and S3, and the evaluation and
+    the CLI witness of seeded non-identities hash to the digest recorded
+    when this test was written.  The chains pin the rule that matches
+    repeated letters (the least unused position).  The seeds are fixed,
+    not taken from GPI_SEED."""
+    from test_acceptance import generate_criterion4
+    digest = hashlib.sha256()
+    _, combos, _ = generate_criterion4(random.Random(support.DEFAULT_SEED + 4))
+    for comb in combos:
+        digest.update(certs.dumps(certs.jcomb_to_json(comb)).encode())
+    rand = random.Random(support.DEFAULT_SEED + 10)
+    gradings = support.configs() + [default_grading(support.s3())]
+    repeated = 0
+    for grading in gradings:
+        for _ in range(60):
+            ctx = support.random_context(rand, grading, 4)
+            word = support.random_word(rand, ctx, rand.randint(2, 8))
+            m, n = support.random_congruent_pair(rand, ctx, word)
+            repeated += len(set(word)) < len(word)
+            chain = congruence_chain(ctx, m, n)
+            digest.update(certs.dumps(certs.chain_to_json(chain)).encode())
+    witnesses = 0
+    for grading in gradings:
+        for _ in range(30):
+            ctx = support.random_context(rand, grading, 5)
+            base = support.random_word(rand, ctx, rand.randint(1, 6))
+            terms = {tuple(rand.sample(base, len(base))): rand.choice([-2, -1, 1, 2])
+                     for _ in range(rand.randint(1, 3))}
+            p = FreePoly(ctx, terms)
+            digest.update(certs.dumps(certs.matrix_to_json(eval_poly(p))).encode())
+            w = identity_witness(p)
+            if w is not None:
+                witnesses += 1
+                digest.update(certs.dumps(_witness_json(w)).encode())
+    assert repeated >= 120 and witnesses >= 60
+    assert digest.hexdigest() == PINNED_CHAIN_JCOMB_EVAL_DIGEST

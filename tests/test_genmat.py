@@ -2,7 +2,7 @@ import support
 
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.genmat import (GenericMatrix, ScalarPoly, eval_poly, eval_word_closed,
-                        eval_word_direct, generic, mono_var, word_entry_monomial)
+                        eval_word_direct, generic, mono_var, word_entries)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -60,8 +60,8 @@ class TestEvalWord:
     def test_repeated_variable_exponent(self):
         g2 = default_grading(cyclic_group(2))
         c = Context(g2, {1: 0})
-        mono, col = word_entry_monomial(c, (1, 1), 0)
-        assert col == 0
+        row, col, mono = word_entries(c, (1, 1))[0]
+        assert (row, col) == (0, 0)
         assert mono == (((1, 0, 0), 2),)
 
     def test_closed_equals_direct_random(self):

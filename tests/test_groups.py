@@ -90,37 +90,6 @@ class TestPhi:
             assert len(set(maps.values())) == n
 
 
-class TestBeta:
-    def setup_method(self):
-        self.grading = default_grading(cyclic_group(3))
-
-    def test_single_degree(self):
-        assert self.grading.beta((1,), 0, 0) == 1
-
-    def test_cancelling_pair(self):
-        assert self.grading.beta((1, 2), 1, 1) == 1
-
-    def test_trivial_degrees(self):
-        for t in range(2):
-            for i in range(3):
-                assert self.grading.beta((0, 0), t, i) == i
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            self.grading.beta((1,), 1, 0)
-
-    def test_fold_oracle(self):
-        import itertools
-        g3 = self.grading
-        for hbar in itertools.product(range(3), repeat=3):
-            for t in range(3):
-                prod = 0
-                for h in hbar[: t + 1]:
-                    prod = g3.group.mul(h, prod)
-                for i in range(3):
-                    assert g3.beta(hbar, t, i) == g3.phi(prod, i)
-
-
 def test_grading_tuple_must_be_bijection():
     with pytest.raises(GroupError):
         GradingTuple(cyclic_group(3), (0, 1, 1))

@@ -3,12 +3,11 @@ import support
 
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
-from gpi.z3reduce import (CertLeaf, CertSum, DecomposeKind, ReductionCertificate,
-                          ReductionError, Side, bracket_expand, cert_leaves,
-                          cert_value, decompose, enumerate_reduced,
-                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
-                          reduce_type2, split_commutator, telescope,
-                          verify_certificate)
+from gpi.z3reduce import (CertLeaf, CertSum, ReductionCertificate, ReductionError,
+                          Side, cert_leaves, cert_value, decompose,
+                          enumerate_reduced, nonzero_triple_forced,
+                          pull_zero_factor, reduce_type1, reduce_type2,
+                          split_commutator, telescope, verify_certificate)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -21,12 +20,12 @@ def ctx3(degs: dict) -> Context:
 class TestBracketExpand:
     def test_single_variables(self):
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 2})
-        lhs, rhs = bracket_expand(c, (1,), (2,), (3,), (4,))
+        lhs, rhs = support.bracket_expand(c, (1,), (2,), (3,), (4,))
         assert lhs == rhs
 
     def test_equal_parts(self):
         c = ctx3({1: 1, 2: 2})
-        lhs, rhs = bracket_expand(c, (1,), (2,), (1,), (2,))
+        lhs, rhs = support.bracket_expand(c, (1,), (2,), (1,), (2,))
         assert lhs == rhs
 
     def test_random_words(self):
@@ -35,7 +34,7 @@ class TestBracketExpand:
             c = support.random_context(rand, Z3, 8)
             ws = [support.random_word(rand, c, rand.randint(1, 3))
                   for _ in range(4)]
-            lhs, rhs = bracket_expand(c, *ws)
+            lhs, rhs = support.bracket_expand(c, *ws)
             assert lhs == rhs
 
 
@@ -148,12 +147,12 @@ class TestNonzeroTripleLemma:
         for a1 in (1, 2):
             for a2 in (1, 2):
                 for a3 in (1, 2):
-                    assert nonzero_triple_forced(g, a1, a2, a3, "forward")
-                    assert nonzero_triple_forced(g, a1, a2, a3, "mirror")
+                    assert nonzero_triple_forced(g, a1, a2, a3, Side.LEFT)
+                    assert nonzero_triple_forced(g, a1, a2, a3, Side.RIGHT)
 
     def test_trivial_degree_rejected(self):
         with pytest.raises(ReductionError):
-            nonzero_triple_forced(Z3.group, 0, 1, 2, "forward")
+            nonzero_triple_forced(Z3.group, 0, 1, 2, Side.LEFT)
 
 
 class TestDecompose:
@@ -161,7 +160,7 @@ class TestDecompose:
         # the middle part (1, 2, 3, 4) of a type-2 generator
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1})
         _, type2 = support.leaf_makers(c)
-        node = decompose(c, DecomposeKind.R3, (1, 2, 3, 4), lambda w: type2((5,), w, (6,)))
+        node = decompose(c, Side.RIGHT, (1, 2, 3, 4), lambda w: type2((5,), w, (6,)))
         assert cert_value(c, node) == expand(type2((5,), (1, 2, 3, 4), (6,)).generator)
         (z, (a, b)), = node.children[0][1].images
         assert c.degree(z) == 0 and (a, b) == (2, 3)
@@ -170,7 +169,7 @@ class TestDecompose:
     def test_head(self):
         c = ctx3({1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
         type1, _ = support.leaf_makers(c)
-        node = decompose(c, DecomposeKind.R5, (1, 2, 3, 4), lambda w: type1(w, (5,)))
+        node = decompose(c, Side.LEFT, (1, 2, 3, 4), lambda w: type1(w, (5,)))
         assert cert_value(c, node) == expand(type1((1, 2, 3, 4), (5,)).generator)
         # the image word contains the fresh trivial-degree variable
         z = node.children[0][1].child.generator.parts[0][1]
@@ -179,12 +178,12 @@ class TestDecompose:
     def test_trivial_degree_present_rejected(self):
         c = ctx3({1: 1, 2: 0, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            decompose(c, DecomposeKind.R3, (1, 2, 3, 4), support.leaf_makers(c)[1])
+            decompose(c, Side.RIGHT, (1, 2, 3, 4), support.leaf_makers(c)[1])
 
     def test_too_short(self):
         c = ctx3({1: 1, 2: 2, 3: 1})
         with pytest.raises(ReductionError):
-            decompose(c, DecomposeKind.R5, (1, 2, 3), support.leaf_makers(c)[0])
+            decompose(c, Side.LEFT, (1, 2, 3), support.leaf_makers(c)[0])
 
 
 class TestReduceType1:
