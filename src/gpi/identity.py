@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
-from .genmat import ScalarPoly, eval_entries, eval_poly
+from .genmat import Mono, ScalarPoly, eval_entries, eval_poly
 
 
 class GeneratorError(ValueError):
@@ -93,14 +93,20 @@ def expand(g: GeneratorInstance) -> FreePoly:
 
 
 def is_graded_identity(p: FreePoly) -> bool:
-    return eval_poly(p).is_zero()
+    return eval_poly(p).is_zero()  # through eval_poly: bench/spans.py rebinds that name
 
 
 def identity_witness(p: FreePoly) -> Witness | None:
     """None when p is an identity, otherwise the first nonzero entry (row-major)."""
-    entries = eval_entries(p)
-    if not entries:
+    return keyed_witness(eval_entries(p))
+
+
+def keyed_witness(entries: dict[tuple[int, int, Mono], int]) -> Witness | None:
+    """The first nonzero entry (row-major) of a keyed evaluation (see
+    eval_entries), or None when every coefficient is zero."""
+    first = min((key for key, c in entries.items() if c), default=None)
+    if first is None:
         return None
-    row, col, _ = min(entries)
+    row, col, _ = first
     return Witness(row, col, ScalarPoly({m: c for (i, j, m), c in entries.items()
                                          if i == row and j == col}))

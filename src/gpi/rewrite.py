@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Context, FreePoly, Word, multidegree, word_key
-from .genmat import ScalarVar, eval_word_closed, word_entries, word_path
-from .identity import (ContractError, GeneratorKind, Witness, degree_rule_holds,
-                       identity_witness)
+from .genmat import ScalarVar, word_entries, word_path
+from .identity import ContractError, GeneratorKind, Witness, degree_rule_holds, keyed_witness
+
+# Unused here, but kept bound: bench/spans.py rebinds these names in this module.
+from .genmat import eval_word_closed  # noqa: F401
+from .identity import identity_witness  # noqa: F401
 
 
 class NotCongruentError(ValueError):
@@ -98,7 +101,11 @@ class RewriteChain:
 
 
 def verify_chain(chain: RewriteChain) -> bool:
-    """Replay the chain and cross-check the endpoint evaluations."""
+    """Replay the chain and cross-check the endpoint evaluations.
+
+    A word evaluates to one key (row, col, mono) per row with coefficient 1,
+    so equal keys are exactly equal evaluation matrices.
+    """
     w = tuple(chain.start)
     try:
         for mv in chain.moves:
@@ -107,7 +114,7 @@ def verify_chain(chain: RewriteChain) -> bool:
         return False
     if w != tuple(chain.end):
         return False
-    return eval_word_closed(chain.ctx, chain.start) == eval_word_closed(chain.ctx, chain.end)
+    return word_entries(chain.ctx, chain.start) == word_entries(chain.ctx, chain.end)
 
 
 # --- shared entries and permutation extraction -------------------------------
@@ -116,7 +123,12 @@ def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     """First position (row-major) where both evaluations carry the same monomial."""
     if multidegree(m) != multidegree(n):
         raise ContractError("monomials must have the same multidegree")
-    for key_m, key_n in zip(word_entries(ctx, m), word_entries(ctx, n)):
+    return _first_shared(word_entries(ctx, m), word_entries(ctx, n))
+
+
+def _first_shared(keys_m, keys_n) -> tuple[int, int] | None:
+    """The (row, col) of the first equal key of two word_entries lists."""
+    for key_m, key_n in zip(keys_m, keys_n):
         if key_m == key_n:
             return key_m[:2]
     return None
@@ -160,8 +172,12 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     se = shared_entry(ctx, m, n)
     if se is None:
         raise NotCongruentError("evaluations share no nonzero entry")
-    moves = _chain_moves(ctx, m, n, se[0], ())
-    return RewriteChain(ctx, start=n, moves=tuple(moves), end=m)
+    return _chain_from(ctx, m, n, se[0])
+
+
+def _chain_from(ctx: Context, m: Word, n: Word, row: int) -> RewriteChain:
+    """The chain transforming n into m, walked from their shared row."""
+    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(ctx, m, n, row, ())), end=m)
 
 
 def _chain_moves(ctx: Context, m: Word, n: Word, row: int, prefix: Word):
@@ -242,22 +258,31 @@ def express_in_J(f: FreePoly) -> JCombination:
     only leave the support, so one sort ranks every round; each entry key
     (row, col, mono) keeps a bucket of the ranks of the words carrying it,
     and dead ranks are skipped lazily from the front.
+
+    Each word is evaluated once, by word_entries.  The same pass sums the
+    keys into f's keyed evaluation, which decides membership (a non-identity
+    raises NoExpressionError with identity_witness's witness), and each round
+    takes its shared row from the two words' stored keys.  The cost is
+    O(support * n * L) for words of length L, plus the chains.
     """
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
-    w = identity_witness(f)
-    if w is not None:
-        raise NoExpressionError("input is not a graded identity", witness=w)
     ctx = f.ctx
     work = dict(f.terms)
     support = sorted(work, key=word_key)
     word_keys = []
     buckets: dict[tuple, list[int]] = {}
+    total: dict[tuple, int] = {}
     for rank, word in enumerate(support):
         keys = word_entries(ctx, word)
+        c = work[word]
         for key in keys:
             buckets.setdefault(key, []).append(rank)
+            total[key] = total.get(key, 0) + c
         word_keys.append(keys)
+    w = keyed_witness(total)
+    if w is not None:
+        raise NoExpressionError("input is not a graded identity", witness=w)
     heads = dict.fromkeys(buckets, 0)
     terms: list[JTerm] = []
     rank = 0
@@ -279,7 +304,8 @@ def express_in_J(f: FreePoly) -> JCombination:
             raise AssertionError("no partner with a shared entry; evaluation bug")
         partner = support[best]
         lam = work[m1]
-        chain = congruence_chain(ctx, partner, m1)  # start=m1, end=partner
+        row, _ = _first_shared(word_keys[best], word_keys[rank])
+        chain = _chain_from(ctx, partner, m1, row)  # start=m1, end=partner
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
         before = len(work)
         del work[m1]

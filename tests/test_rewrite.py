@@ -2,8 +2,9 @@ import pytest
 import support
 
 from gpi.freealg import Context, FreePoly, word_key
-from gpi.genmat import eval_word_closed
-from gpi.identity import ContractError, GeneratorKind, expand, make_generator
+from gpi.genmat import eval_word_closed, eval_word_direct, word_entries
+from gpi.identity import (ContractError, GeneratorKind, expand, identity_witness,
+                          make_generator)
 from gpi.rewrite import (JCombination, Move, MoveError, NoExpressionError,
                          NotCongruentError, RewriteChain, apply_move,
                          congruence_chain, express_in_J, extract_sigma,
@@ -115,6 +116,28 @@ class TestMoves:
             Move("rotate", (), ((1,), (2,)), ())
 
 
+def test_equal_keys_iff_equal_matrices():
+    """verify_chain compares word_entries: for words of one multidegree,
+    repeated letters included, the keys agree exactly when the dense
+    products do."""
+    rand = support.rng(307)
+    equal = unequal = 0
+    for grading in support.configs() + [default_grading(support.s3())]:
+        for _ in range(40):
+            c = support.random_context(rand, grading, 3)
+            a = support.random_word(rand, c, rand.randint(1, 6))
+            if rand.random() < 0.5:
+                b = tuple(rand.sample(a, len(a)))
+            else:
+                b = support.random_congruent_pair(rand, c, a)[1]
+            same = word_entries(c, a) == word_entries(c, b)
+            assert same == (eval_word_direct(c, a) == eval_word_direct(c, b))
+            if a != b:
+                equal += same
+                unequal += not same
+    assert equal > 10 and unequal > 10
+
+
 class TestCongruenceChain:
     def test_identical_words(self):
         c = Context(Z3, {1: 1, 2: 2})
@@ -166,6 +189,21 @@ class TestCongruenceChain:
                     assert eval_word_closed(c, cur) == base
 
 
+def _walks(rand, c, base, skew=0):
+    """Independent walks of moves from permutations of base.  Each walk's
+    coefficients sum to zero, except the first walk's, which sum to skew."""
+    terms = {}
+    for walk in range(rand.randint(1, 3)):
+        words = [tuple(rand.sample(base, len(base)))]
+        for _ in range(rand.randint(1, 6)):
+            words.append(support.random_congruent_pair(rand, c, words[-1])[1])
+        coeffs = [rand.choice((-2, -1, 1, 2)) for _ in words[1:]]
+        lead = (skew if walk == 0 else 0) - sum(coeffs)
+        for w, lam in zip(words, [lead] + coeffs):
+            terms[w] = terms.get(w, 0) + lam
+    return FreePoly(c, terms)
+
+
 class TestExpressInJ:
     def test_generator_is_its_own_chain(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})
@@ -202,6 +240,30 @@ class TestExpressInJ:
             express_in_J(f)
         assert ei.value.witness is not None
 
+    def test_keyed_pass_matches_witness_and_chains(self):
+        """express_in_J decides membership and takes each shared row from the
+        keys of its one evaluation pass: the witness is identity_witness's,
+        and each chain is the one congruence_chain builds for the pair."""
+        rand = support.rng(308)
+        expressed = rejected = 0
+        for grading in support.configs() + [default_grading(support.s3())]:
+            for _ in range(30):
+                # few letters, so that words repeat them and paths tie
+                c = support.random_context(rand, grading, 4)
+                base = support.random_word(rand, c, rand.randint(3, 7))
+                f = _walks(rand, c, base, skew=rand.choice((0, 1)))
+                want = identity_witness(f)
+                if want is not None:
+                    with pytest.raises(NoExpressionError) as ei:
+                        express_in_J(f)
+                    assert ei.value.witness == want
+                    rejected += 1
+                    continue
+                for t in express_in_J(f).terms:
+                    assert t.chain == congruence_chain(c, t.target, t.source)
+                    expressed += 1
+        assert expressed > 50 and rejected > 10
+
     def test_non_multihomogeneous_rejected(self):
         c = Context(Z3, {1: 0})
         f = FreePoly(c, {(1,): 1, (1, 1): 1})
@@ -226,15 +288,7 @@ class TestExpressInJ:
             for _ in range(30):
                 c = support.random_context(rand, grading, 8)
                 base = support.random_multilinear_word(rand, c, rand.randint(3, 7))
-                terms = {}
-                for _ in range(rand.randint(1, 3)):  # independent walks of moves
-                    words = [tuple(rand.sample(base, len(base)))]
-                    for _ in range(rand.randint(1, 6)):
-                        words.append(support.random_congruent_pair(rand, c, words[-1])[1])
-                    coeffs = [rand.choice((-2, -1, 1, 2)) for _ in words[1:]]
-                    for w, lam in zip(words, [-sum(coeffs)] + coeffs):
-                        terms[w] = terms.get(w, 0) + lam
-                f = FreePoly(c, terms)
+                f = _walks(rand, c, base)
                 if f.is_zero():
                     continue
                 work = dict(f.terms)
