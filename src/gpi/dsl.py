@@ -38,23 +38,19 @@ class ParseError(ValueError):
 
 # --- expression parsing -------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*()\[\],]))")
+# A token, or (group 2) the first other non-space character.  Every match
+# starts where the last one ended, so one scan reads the whole line.
+_TOKEN = re.compile(r"\s*(?:(x\d+|\d+|[+\-*()\[\],])|(\S))")
 
 
 def _tokenize(text: str, line: int):
-    pos = 0
+    """The (token, 1-based column) pairs of an expression."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        if m.lastindex:
-            out.append((m.group(m.lastindex), m.start(m.lastindex) + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            raise ParseError(f"unexpected character {m.group(2)!r}", line, m.start(2) + 1)
+        out.append((tok, m.start(1) + 1))
     return out
 
 

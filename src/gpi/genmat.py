@@ -3,8 +3,12 @@
 The scalar ring is the commutative polynomial ring over the integers in
 variables y^k_{i,j}, one per (variable id, row, column) triple.  A word is
 evaluated either by multiplying the generic matrices directly or by the
-closed form: starting from each row, walk the position bijections induced
+closed form: starting from a row, walk the position bijections induced
 by the successive factor degrees and collect one scalar variable per step.
+
+The group acts on the rows, so row 0 decides (see word_entry): the
+decision paths key each word once, at row 0 (row0_entries), and only
+what prints whole matrices walks all n rows (word_entries, eval_entries).
 """
 
 from __future__ import annotations
@@ -210,21 +214,37 @@ def word_path(ctx: Context, w: Word, row: int,
     return out
 
 
-def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
-    """The word's evaluation as one key (row, col, mono) per row, in row order.
+def word_entry(ctx: Context, w: Word, row: int = 0,
+               degrees: list[int] | None = None) -> tuple[int, int, Mono]:
+    """The word's one nonzero entry in the given row, as a key (row, col, mono).
 
-    The entry at (row, col) is the monomial of the scalar variables on the
-    path from row, with coefficient 1; all other entries in that row vanish.
+    The entry is the monomial of the scalar variables on the path from row,
+    with coefficient 1; all other entries in that row vanish.
+
+    Row 0 decides every row.  Let a = t_r * t_0^-1 for the grading tuple
+    (t_0, ..., t_{n-1}), and pi(i) = the row whose tuple element is a * t_i.
+    After a prefix of degree h the path from row i is at the row of t_i * h,
+    so pi maps the path from row 0 step by step onto the path from row r,
+    and the key at row r is the key at row 0 with every row index i
+    (in the key and in each scalar variable (k, i, j)) replaced by pi(i).
+    Left multiplication by a is a bijection of the group and the tuple is
+    a bijection onto it, so pi is a permutation of the rows and the
+    relabelling is injective on keys; this uses only the group axioms,
+    so it holds for any group table and any bijective tuple.  Hence two
+    words have equal keys at row r iff they do at row 0, and a keyed sum
+    over words is zero at row r iff it is zero at row 0.
     """
+    path = word_path(ctx, w, row, degrees)
+    exps: dict[ScalarVar, int] = {}
+    for sv in path:
+        exps[sv] = exps.get(sv, 0) + 1
+    return (row, path[-1][2] if path else row, tuple(sorted(exps.items())))
+
+
+def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
+    """The word's evaluation as one word_entry per row, in row order."""
     degrees = path_degrees(ctx, w)
-    keys = []
-    for row in range(ctx.grading.n):
-        exps: dict[ScalarVar, int] = {}
-        path = word_path(ctx, w, row, degrees)
-        for sv in path:
-            exps[sv] = exps.get(sv, 0) + 1
-        keys.append((row, path[-1][2] if path else row, tuple(sorted(exps.items()))))
-    return keys
+    return [word_entry(ctx, w, row, degrees) for row in range(ctx.grading.n)]
 
 
 def eval_word_closed(ctx: Context, w: Word) -> GenericMatrix:
@@ -237,22 +257,34 @@ def eval_word_closed(ctx: Context, w: Word) -> GenericMatrix:
     return GenericMatrix(n, rows)
 
 
+def _keyed_sum(pairs) -> dict[tuple[int, int, Mono], int]:
+    """Sum (key, coefficient) pairs, dropping a key as soon as it cancels."""
+    acc: dict[tuple[int, int, Mono], int] = {}
+    for key, c in pairs:
+        total = acc.get(key, 0) + c
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+    return acc
+
+
 def eval_entries(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
     """The nonzero terms of the polynomial's evaluation, keyed (row, col, mono).
 
     Each word contributes one monomial per row (word_entries), so the
-    evaluation is a single keyed sum; a key is dropped as soon as its
-    coefficient cancels.
+    evaluation is a single keyed sum.
     """
-    acc: dict[tuple[int, int, Mono], int] = {}
-    for w, c in p.terms.items():
-        for key in word_entries(p.ctx, w):
-            total = acc.get(key, 0) + c
-            if total:
-                acc[key] = total
-            else:
-                del acc[key]
-    return acc
+    return _keyed_sum((key, c) for w, c in p.terms.items()
+                      for key in word_entries(p.ctx, w))
+
+
+def row0_entries(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
+    """The row-0 part of eval_entries, one word_entry per word.
+
+    It is empty exactly when the whole evaluation is (see word_entry).
+    """
+    return _keyed_sum((word_entry(p.ctx, w), c) for w, c in p.terms.items())
 
 
 def eval_poly(p: FreePoly) -> GenericMatrix:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
-from .genmat import Mono, ScalarPoly, eval_entries, eval_poly
+from .genmat import Mono, ScalarPoly, row0_entries
+from .genmat import eval_poly  # noqa: F401  unused here: bench/spans.py rebinds this name
 
 
 class GeneratorError(ValueError):
@@ -93,12 +94,16 @@ def expand(g: GeneratorInstance) -> FreePoly:
 
 
 def is_graded_identity(p: FreePoly) -> bool:
-    return eval_poly(p).is_zero()  # through eval_poly: bench/spans.py rebinds that name
+    return identity_witness(p) is None
 
 
 def identity_witness(p: FreePoly) -> Witness | None:
-    """None when p is an identity, otherwise the first nonzero entry (row-major)."""
-    return keyed_witness(eval_entries(p))
+    """None when p is an identity, otherwise the first nonzero entry (row-major).
+
+    Row 0 decides (see genmat.word_entry): the evaluation is zero iff its
+    row 0 is, so when it is not, the first nonzero entry lies in row 0.
+    """
+    return keyed_witness(row0_entries(p))
 
 
 def keyed_witness(entries: dict[tuple[int, int, Mono], int]) -> Witness | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Context, FreePoly, Word, multidegree, word_key
-from .genmat import ScalarVar, word_entries, word_path
+from .genmat import ScalarVar, word_entry, word_path
 from .identity import ContractError, GeneratorKind, Witness, degree_rule_holds, keyed_witness
 
 # Unused here, but kept bound: bench/spans.py rebinds these names in this module.
@@ -104,7 +104,8 @@ def verify_chain(chain: RewriteChain) -> bool:
     """Replay the chain and cross-check the endpoint evaluations.
 
     A word evaluates to one key (row, col, mono) per row with coefficient 1,
-    so equal keys are exactly equal evaluation matrices.
+    and row 0 decides the rest (see genmat.word_entry), so equal row-0 keys
+    are exactly equal evaluation matrices.
     """
     w = tuple(chain.start)
     try:
@@ -114,24 +115,20 @@ def verify_chain(chain: RewriteChain) -> bool:
         return False
     if w != tuple(chain.end):
         return False
-    return word_entries(chain.ctx, chain.start) == word_entries(chain.ctx, chain.end)
+    return word_entry(chain.ctx, chain.start) == word_entry(chain.ctx, chain.end)
 
 
 # --- shared entries and permutation extraction -------------------------------
 
 def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
-    """First position (row-major) where both evaluations carry the same monomial."""
+    """First position (row-major) where both evaluations carry the same monomial.
+
+    Row 0 decides (see genmat.word_entry), so it is in row 0 or nowhere.
+    """
     if multidegree(m) != multidegree(n):
         raise ContractError("monomials must have the same multidegree")
-    return _first_shared(word_entries(ctx, m), word_entries(ctx, n))
-
-
-def _first_shared(keys_m, keys_n) -> tuple[int, int] | None:
-    """The (row, col) of the first equal key of two word_entries lists."""
-    for key_m, key_n in zip(keys_m, keys_n):
-        if key_m == key_n:
-            return key_m[:2]
-    return None
+    key_m = word_entry(ctx, m)
+    return key_m[:2] if key_m == word_entry(ctx, n) else None
 
 
 def _match_paths(ctx: Context, m: Word, n: Word, row: int) -> tuple[tuple[int, ...], int]:
@@ -259,11 +256,13 @@ def express_in_J(f: FreePoly) -> JCombination:
     (row, col, mono) keeps a bucket of the ranks of the words carrying it,
     and dead ranks are skipped lazily from the front.
 
-    Each word is evaluated once, by word_entries.  The same pass sums the
-    keys into f's keyed evaluation, which decides membership (a non-identity
-    raises NoExpressionError with identity_witness's witness), and each round
-    takes its shared row from the two words' stored keys.  The cost is
-    O(support * n * L) for words of length L, plus the chains.
+    Each word is evaluated once, at row 0 only, by word_entry: row 0
+    decides every row (see genmat.word_entry), so two words share an entry
+    exactly when their row-0 keys are equal.  The same pass sums the keys
+    into the row 0 of f's evaluation, which decides membership (a
+    non-identity raises NoExpressionError with identity_witness's witness),
+    and each round takes its shared row from the two words' stored key.
+    The cost is O(support * L) for words of length L, plus the chains.
     """
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
@@ -274,12 +273,10 @@ def express_in_J(f: FreePoly) -> JCombination:
     buckets: dict[tuple, list[int]] = {}
     total: dict[tuple, int] = {}
     for rank, word in enumerate(support):
-        keys = word_entries(ctx, word)
-        c = work[word]
-        for key in keys:
-            buckets.setdefault(key, []).append(rank)
-            total[key] = total.get(key, 0) + c
-        word_keys.append(keys)
+        key = word_entry(ctx, word)
+        buckets.setdefault(key, []).append(rank)
+        total[key] = total.get(key, 0) + work[word]
+        word_keys.append(key)
     w = keyed_witness(total)
     if w is not None:
         raise NoExpressionError("input is not a graded identity", witness=w)
@@ -292,20 +289,16 @@ def express_in_J(f: FreePoly) -> JCombination:
         m1 = support[rank]
         if len(work) == 1:
             raise AssertionError("single-monomial identity encountered; evaluation bug")
-        best = None
-        for key in word_keys[rank]:
-            bucket, i = buckets[key], heads[key]
-            while i < len(bucket) and (bucket[i] <= rank or support[bucket[i]] not in work):
-                i += 1
-            heads[key] = i
-            if i < len(bucket) and (best is None or bucket[i] < best):
-                best = bucket[i]
-        if best is None:
+        key = word_keys[rank]
+        bucket, i = buckets[key], heads[key]
+        while i < len(bucket) and (bucket[i] <= rank or support[bucket[i]] not in work):
+            i += 1
+        heads[key] = i
+        if i == len(bucket):
             raise AssertionError("no partner with a shared entry; evaluation bug")
-        partner = support[best]
+        partner = support[bucket[i]]
         lam = work[m1]
-        row, _ = _first_shared(word_keys[best], word_keys[rank])
-        chain = _chain_from(ctx, partner, m1, row)  # start=m1, end=partner
+        chain = _chain_from(ctx, partner, m1, key[0])  # start=m1, end=partner
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
         before = len(work)
         del work[m1]

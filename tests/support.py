@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
+from gpi.dsl import ParseError
 from gpi.freealg import Context, FreePoly, WeakSubstitution, bracket, word_degree
 from gpi.groups import FiniteGroup, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
@@ -36,6 +38,15 @@ def s3() -> FiniteGroup:
     return FiniteGroup(table)
 
 
+def relabelled(group: FiniteGroup, perm) -> FiniteGroup:
+    """The same group with element a renamed perm[a]."""
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(tuple(map(tuple, table)))
+
+
 def configs():
     """The two desk-scale group configurations."""
     return [default_grading(cyclic_group(2)), default_grading(cyclic_group(3))]
@@ -54,6 +65,29 @@ def random_word(rand: random.Random, ctx: Context, length: int):
 def random_multilinear_word(rand: random.Random, ctx: Context, length: int):
     ids = sorted(ctx.degrees)
     return tuple(rand.sample(ids, length))
+
+
+# --- the tokenizer that dsl._tokenize replaced, as an oracle -----------------
+
+_OLD_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*()\[\],]))")
+
+
+def old_tokenize(text: str, line: int):
+    """One re.match per token: the tokens and errors dsl._tokenize must match."""
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _OLD_TOKEN.match(text, pos)
+        if m is None or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            col = len(text) - len(stripped) + 1
+            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
+        if m.lastindex:
+            out.append((m.group(m.lastindex), m.start(m.lastindex) + 1))
+        pos = m.end()
+    return out
 
 
 # --- random congruences -------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
+import support
 
-from gpi.dsl import (ParseError, format_file, parse_expr, parse_text,
+from gpi.dsl import (ParseError, _tokenize, format_file, parse_expr, parse_text,
                      parse_word)
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.groups import cyclic_group, default_grading
@@ -59,6 +60,29 @@ class TestExpr:
         with pytest.raises(ParseError):
             parse_word(ctx(), "2*x1")
         assert parse_word(ctx(), "x1*x2") == (1, 2)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text, 7)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+def test_tokenizer_matches_per_token_oracle():
+    """One finditer scan gives the tokens, columns and errors of the
+    per-token re.match loop it replaced (support.old_tokenize)."""
+    rand = support.rng(111)
+    alphabet = "x0123456789+-*()[],.a#_ \t\u00a0\u0663"
+    texts = ["", "   ", "x", "x1 ", "  $", "x12x3", "1x", "x\u0661\u0662 + 2", "x1 +\u2003x2"]
+    texts += ["".join(rand.choice(alphabet) for _ in range(rand.randint(0, 12)))
+              for _ in range(5000)]
+    errors = 0
+    for text in texts:
+        got = _tokens_or_error(_tokenize, text)
+        assert got == _tokens_or_error(support.old_tokenize, text), text
+        errors += isinstance(got, tuple)
+    assert 100 < errors < len(texts) - 100
 
 
 class TestFile:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpi.freealg import Context, FreePoly
-from gpi.genmat import ScalarPoly, eval_poly, eval_word_direct
+from gpi.genmat import (ScalarPoly, eval_entries, eval_poly, eval_word_direct, word_entries,
+                        word_entry)
 from gpi.identity import (GeneratorError, GeneratorKind, expand, identity_witness,
-                          is_graded_identity, make_generator)
-from gpi.groups import cyclic_group, default_grading
+                          is_graded_identity, keyed_witness, make_generator)
+from gpi.groups import GradingTuple, cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
 WITNESS_GRADINGS = [default_grading(cyclic_group(k)) for k in range(2, 7)] + \
@@ -141,3 +142,62 @@ def test_witness_is_first_nonzero_dense_entry(p):
     else:
         assert (w.row, w.col, w.value) == first
     assert [list(row) for row in eval_poly(p).entries] == cells
+
+
+# --- row 0 decides --------------------------------------------------------------
+
+def _row0_gradings():
+    """Z2, Z3, S3, S3 under a non-default tuple, and S3 with its table
+    relabelled so that the identity is element 4, not 0."""
+    s3 = support.s3()
+    moved = support.relabelled(s3, (4, 0, 5, 2, 1, 3))
+    assert moved.identity_index == 4
+    return support.configs() + [default_grading(s3), GradingTuple(s3, (3, 5, 0, 1, 4, 2)),
+                                default_grading(moved), GradingTuple(moved, (2, 4, 1, 5, 0, 3))]
+
+
+def test_row0_key_decides_word_equality():
+    """word_entry at row 0 is equal for two words exactly when all n keys are."""
+    rand = support.rng(211)
+    equal = unequal = 0
+    for grading in _row0_gradings():
+        for _ in range(60):
+            c = support.random_context(rand, grading, 3)
+            a = support.random_word(rand, c, rand.randint(0, 6))
+            if rand.random() < 0.5:
+                b = tuple(rand.sample(a, len(a)))
+            else:
+                b = support.random_congruent_pair(rand, c, a)[1]
+            same = word_entry(c, a) == word_entry(c, b)
+            assert same == (word_entries(c, a) == word_entries(c, b))
+            if a != b:
+                equal += same
+                unequal += not same
+    assert equal > 20 and unequal > 20
+
+
+def test_row0_witness_is_full_evaluation_witness():
+    """identity_witness sums row 0 only; it equals the witness of the full
+    n-row sum, and a non-identity's witness is in row 0."""
+    rand = support.rng(212)
+    identities = 0
+    for grading in _row0_gradings():
+        for _ in range(40):
+            c = Context(grading, {k: rand.choice((grading.group.identity_index,
+                                                  rand.randrange(grading.n)))
+                                  for k in range(1, 4)})
+            base = support.random_word(rand, c, rand.randint(2, 5))
+            terms = {}
+            for _ in range(rand.randint(0, 3)):
+                w = tuple(rand.sample(base, len(base)))
+                terms[w] = terms.get(w, 0) + rand.choice((-1, 1))
+            for _ in range(rand.randint(1, 3)):
+                m, n = support.random_congruent_pair(rand, c, rand.sample(base, len(base)))
+                terms[m] = terms.get(m, 0) + 1
+                terms[n] = terms.get(n, 0) - 1
+            p = FreePoly(c, terms)
+            w = identity_witness(p)
+            assert w == keyed_witness(eval_entries(p))
+            assert w is None or w.row == 0
+            identities += w is None
+    assert 10 < identities < 230
