@@ -12,7 +12,7 @@ import json
 
 from .freealg import Context, FreePoly, Word
 from .genmat import GenericMatrix, ScalarPoly
-from .groups import FiniteGroup, GradingTuple
+from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 from .rewrite import JCombination, JTerm, Move, RewriteChain
 from .z3reduce import (CertContext, CertLeaf, CertNode, CertSubst, CertSum,
@@ -43,7 +43,9 @@ def context_to_json(ctx: Context) -> dict:
 def context_from_json(doc: dict) -> Context:
     try:
         gdoc = doc["group"]
-        group = FiniteGroup(tuple(tuple(_integer(x) for x in r) for r in gdoc["table"]),
+        rows = tuple(gdoc["table"])
+        check_order(len(rows))  # before the per-entry pass over n^2 entries
+        group = FiniteGroup(tuple(tuple(_integer(x) for x in r) for r in rows),
                            tuple(gdoc.get("names", ())))
         grading = GradingTuple(group, tuple(_integer(g) for g in doc["grading"]))
         degrees = {int(k): _integer(d) for k, d in doc["vars"].items()}

@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass
 
 from .freealg import Context, FreePoly, Word, bracket, terms_product
-from .groups import FiniteGroup, GradingTuple, GroupError, cyclic_group, default_grading
+from .groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError, cyclic_group,
+                     default_grading)
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 
 
@@ -38,15 +39,17 @@ class ParseError(ValueError):
 
 # --- expression parsing -------------------------------------------------------
 
-# A token, or (group 2) the first other non-space character.  Every match
-# starts where the last one ended, so one scan reads the whole line.
-_TOKEN = re.compile(r"\s*(?:(x\d+|\d+|[+\-*()\[\],])|(\S))")
+# One token.  _SCAN adds the spaces before it and, as group 2, the first other
+# non-space character; every _SCAN match starts where the last one ended, so
+# one finditer scan reads the whole line.
+_TOKEN = re.compile(r"x\d+|\d+|[+\-*()\[\],]")
+_SCAN = re.compile(rf"\s*(?:({_TOKEN.pattern})|(\S))")
 
 
 def _tokenize(text: str, line: int):
     """The (token, 1-based column) pairs of an expression."""
     out = []
-    for m in _TOKEN.finditer(text):
+    for m in _SCAN.finditer(text):
         tok = m.group(1)
         if tok is None:
             raise ParseError(f"unexpected character {m.group(2)!r}", line, m.start(2) + 1)
@@ -55,98 +58,126 @@ def _tokenize(text: str, line: int):
 
 
 class _ExprParser:
-    """Recursive descent over + - * ( ) [ , ] with unary minus."""
+    """Recursive descent over + - * ( ) [ , ] with unary minus.
 
-    def __init__(self, ctx: Context, tokens, line: int):
+    The parser walks plain token strings, ending in a None sentinel.  A
+    column is needed only for an error message, and then the text is
+    scanned again with _tokenize, which pairs each token with its column.
+    """
+
+    def __init__(self, ctx: Context, tokens, text: str, line: int):
         self.ctx = ctx
         self.tokens = tokens
+        self.text = text
         self.line = line
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def col(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok[0]
+    def fail(self, msg: str, i: int):
+        """Raise msg at the column of token i, or just past the last token."""
+        pairs = _tokenize(self.text, self.line)
+        if i < len(pairs):
+            col = pairs[i][1]
+        else:
+            col = pairs[-1][1] + len(pairs[-1][0])
+        raise ParseError(msg, self.line, col)
 
     def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}", self.line, self.col())
-        self.take()
+        if self.tokens[self.i] != tok:
+            self.fail(f"expected {tok!r}", self.i)
+        self.i += 1
 
     def parse(self) -> FreePoly:
         p = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.line, self.col())
+        if self.tokens[self.i] is not None:
+            self.fail(f"trailing input {self.tokens[self.i]!r}", self.i)
         return p
 
     def expr(self) -> FreePoly:
+        tokens = self.tokens
         terms: dict[Word, int] = {}
         sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
+        if tokens[self.i] in ("+", "-"):
+            sign = -1 if tokens[self.i] == "-" else 1
+            self.i += 1
         while True:
             for w, c in self.term().items():
                 terms[w] = terms.get(w, 0) + sign * c
-            if self.peek() not in ("+", "-"):
+            tok = tokens[self.i]
+            if tok != "+" and tok != "-":
                 return FreePoly(self.ctx, terms)
-            sign = -1 if self.take() == "-" else 1
+            sign = -1 if tok == "-" else 1
+            self.i += 1
 
     def term(self) -> dict[Word, int]:
-        """A product of factors, multiplied out dict by dict.
+        """A product of factors, without zero coefficients.
 
+        A run of letters and integer literals is one word and one
+        coefficient; terms_product joins the run so far to a ( or [ factor.
         No FreePoly is built until the whole expression is read, so each
         letter's declaration is checked a fixed number of times.
         """
-        acc = self.factor()
-        while self.peek() == "*":
-            self.take()
-            acc = terms_product(acc, self.factor())
-        return acc
+        tokens = self.tokens
+        declared = self.ctx.degrees
+        acc: dict[Word, int] | None = None  # the product before the run
+        word: list[int] = []
+        coeff = 1
+        i = self.i
+        while True:
+            tok = tokens[i]
+            if tok is None:
+                self.fail("unexpected end of expression", i)
+            if tok[0] == "x":
+                vid = int(tok[1:])
+                if vid < 1 or vid not in declared:
+                    self.fail(f"variable {tok} is not declared", i)
+                word.append(vid)
+                i += 1
+            elif tok.isdigit():
+                coeff *= int(tok)
+                i += 1
+            elif tok == "(" or tok == "[":
+                self.i = i
+                acc = terms_product(_times(acc, word, coeff), self.bracketed())
+                i = self.i
+                word = []
+                coeff = 1
+            else:
+                self.fail(f"unexpected token {tok!r}", i)
+            if tokens[i] != "*":
+                self.i = i
+                return _times(acc, word, coeff)
+            i += 1
 
-    def factor(self) -> dict[Word, int]:
-        """The terms of one factor, without zero coefficients, as FreePoly holds them."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line, self.col())
-        if tok == "(":
-            self.take()
-            p = self.expr()
+    def bracketed(self) -> dict[Word, int]:
+        """The terms of a ( or [ factor, without zero coefficients."""
+        opener = self.tokens[self.i]
+        self.i += 1
+        a = self.expr()
+        if opener == "(":
             self.expect(")")
-            return p.terms
-        if tok == "[":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("]")
-            return bracket(a, b).terms
-        if tok.startswith("x"):
-            col = self.col()
-            self.take()
-            vid = int(tok[1:])
-            if vid < 1 or vid not in self.ctx.degrees:
-                raise ParseError(f"variable {tok} is not declared", self.line, col)
-            return {(vid,): 1}
-        if tok.isdigit():
-            self.take()
-            n = int(tok)
-            return {(): n} if n else {}
-        raise ParseError(f"unexpected token {tok!r}", self.line, self.col())
+            return a.terms
+        self.expect(",")
+        b = self.expr()
+        self.expect("]")
+        return bracket(a, b).terms
+
+
+def _times(acc: dict[Word, int] | None, word: list[int], coeff: int) -> dict[Word, int]:
+    """acc times the monomial coeff * word; acc None stands for 1."""
+    run = {tuple(word): coeff} if coeff else {}
+    return run if acc is None else terms_product(acc, run)
 
 
 def parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
-    tokens = _tokenize(text, line)
+    tokens = _TOKEN.findall(text)
+    # The tokens hold every non-space character exactly when _tokenize finds
+    # no bad one, and then they are the tokens it pairs with columns.
+    if "".join(tokens) != "".join(text.split()):
+        _tokenize(text, line)  # raises at the first character outside a token
     if not tokens:
         raise ParseError("empty expression", line)
-    return _ExprParser(ctx, tokens, line).parse()
+    tokens.append(None)
+    return _ExprParser(ctx, tokens, text, line).parse()
 
 
 def parse_word(ctx: Context, text: str, line: int = 1) -> Word:
@@ -254,10 +285,17 @@ def parse_text(text: str) -> ParsedFile:
 def _parse_group(value: str, lineno: int) -> FiniteGroup:
     m = re.fullmatch(r"[Zz](\d+)", value)
     if m:
-        order = int(m.group(1))
+        try:
+            order = int(m.group(1))
+        except ValueError:  # more digits than int() reads, far above the limit
+            raise ParseError(f"group order exceeds the limit {MAX_GROUP_ORDER}",
+                             lineno) from None
         if order < 1:
             raise ParseError("cyclic group order must be positive", lineno)
-        return cyclic_group(order)
+        try:
+            return cyclic_group(order)
+        except GroupError as exc:  # above MAX_GROUP_ORDER
+            raise ParseError(str(exc), lineno) from None
     if value.lower().startswith("table"):
         rest = value[len("table"):].strip()
         try:

@@ -13,10 +13,22 @@ to the 1-based convention used in documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+
+# Groups are given by full tables, so construction costs O(n^2) memory and
+# time; larger orders are refused before anything of that size is built.
+MAX_GROUP_ORDER = 1024
 
 
 class GroupError(ValueError):
     pass
+
+
+def check_order(n: int) -> None:
+    """Refuse a group order above MAX_GROUP_ORDER, before its table exists."""
+    if n > MAX_GROUP_ORDER:
+        raise GroupError(f"group order {n} exceeds the limit {MAX_GROUP_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -24,40 +36,55 @@ class FiniteGroup:
     """A finite group presented by its full multiplication table.
 
     ``table[a][b]`` is the index of the product a*b.  Associativity,
-    identity and inverses are checked on construction.
+    identity and inverses are checked on construction, one row (or column)
+    at a time in C-level tuple operations, and the inverses found are kept.
     """
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] = ()
     identity_index: int = field(init=False, default=0)
+    inverses: tuple[int, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
         if n == 0:
             raise GroupError("group order must be positive")
-        tbl = tuple(tuple(row) for row in self.table)
+        check_order(n)
+        tbl = tuple(map(tuple, self.table))
         object.__setattr__(self, "table", tbl)
         if any(len(row) != n for row in tbl):
             raise GroupError("multiplication table must be square")
+        plain = tuple(range(n))
+        elements = frozenset(plain)
         for row in tbl:
-            for v in row:
-                if not (0 <= v < n):
-                    raise GroupError(f"table entry {v} out of range")
-        # locate the two-sided identity
-        ident = None
-        for e in range(n):
-            if all(tbl[e][a] == a and tbl[a][e] == a for a in range(n)):
-                ident = e
-                break
+            try:
+                in_range = elements.issuperset(row)
+            except TypeError:  # an unhashable entry: the scan below meets it
+                in_range = False
+            if not in_range:
+                for v in row:
+                    if not 0 <= v < n:
+                        raise GroupError(f"table entry {v} out of range")
+        # 1.0 equals 1 and passes every check by equality; the sum of
+        # integers is an integer, and one float among them makes it a float.
+        if type(sum(map(sum, tbl))) is not int:
+            v = next(v for row in tbl for v in row if not isinstance(v, int))
+            raise GroupError(f"table entry {v!r} is not an integer")
+        # the two-sided identity: its row and its column are 0, 1, ..., n-1
+        ident = next((e for e, row in enumerate(tbl)
+                      if row == plain and tuple(map(itemgetter(e), tbl)) == plain), None)
         if ident is None:
             raise GroupError("table has no two-sided identity")
         object.__setattr__(self, "identity_index", ident)
+        inverses = []
         for a in range(n):
             if ident not in tbl[a]:
                 raise GroupError(f"element {a} has no right inverse")
             b = tbl[a].index(ident)
             if tbl[b][a] != ident:
                 raise GroupError(f"element {a} has no two-sided inverse")
+            inverses.append(b)
+        object.__setattr__(self, "inverses", tuple(inverses))
         if not _associative(tbl, ident):
             raise GroupError("table is not associative")
         if not self.names:
@@ -73,7 +100,7 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.table[a].index(self.identity_index)
+        return self.inverses[a]
 
     def product(self, elems) -> int:
         """Product of a sequence of elements, left to right; empty -> identity."""
@@ -94,10 +121,14 @@ def _associative(tbl, ident: int) -> bool:
     because the elements a satisfying it are closed under the product
     (Clifford & Preston, The Algebraic Theory of Semigroups I, section 1.2).
     Generators are added while the closure of those so far misses an element.
-    In a group each closure is a subgroup, so each new generator at least
-    doubles it; a closure that grows less proves the table is not a group,
-    and with identity and inverses present, that it is not associative.  At
-    most log2(n) generators are tested, O(n^2 log n) in all.
+    The closure is grown by right multiplication with the generators: a new
+    generator g is first applied to every element already inside, and each
+    element that enters is then multiplied by every generator once, O(n) per
+    generator.  In a group each closure is the subgroup the generators span,
+    so each new generator at least doubles it; a closure that grows less
+    proves the table is not a group, and with identity and inverses present,
+    that it is not associative.  At most log2(n) generators are tested, each
+    by n row comparisons, O(n^2 log n) in all.
     """
     n = len(tbl)
     inside = [False] * n
@@ -109,25 +140,22 @@ def _associative(tbl, ident: int) -> bool:
             continue
         before = len(closure)
         gens.append(g)
-        pending = [g]
+        pending = [row[g] for row in map(tbl.__getitem__, closure)]
         while pending:
             x = pending.pop()
             if inside[x]:
                 continue
             inside[x] = True
             closure.append(x)
-            for y in closure:
-                for z in (tbl[x][y], tbl[y][x]):
-                    if not inside[z]:
-                        pending.append(z)
+            pending.extend(map(tbl[x].__getitem__, gens))
         if len(closure) < 2 * before:
             return False
     for a in gens:
-        col_a = [row[a] for row in tbl]
-        for x in range(n):
-            x_row = tbl[x]
-            xa_row = tbl[col_a[x]]
-            if any(xa_row[y] != x_row[ay] for y, ay in enumerate(tbl[a])):
+        # x_row -> (x(a y) for every y); a generator exists only when n >= 2,
+        # so the itemgetter takes several items and returns a tuple
+        x_a_y = itemgetter(*tbl[a])
+        for x_row in tbl:
+            if tbl[x_row[a]] != x_a_y(x_row):
                 return False
     return True
 
@@ -136,8 +164,10 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with elements 0..n-1 in natural order; identity at index 0."""
     if n < 1:
         raise GroupError("cyclic group order must be at least 1")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    names = tuple(f"{a}" for a in range(n))
+    check_order(n)
+    plain = tuple(range(n))
+    table = tuple(plain[a:] + plain[:a] for a in range(n))
+    names = tuple(map(str, plain))
     return FiniteGroup(table, names)
 
 

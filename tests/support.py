@@ -6,9 +6,10 @@ import os
 import random
 import re
 
-from gpi.dsl import ParseError
-from gpi.freealg import Context, FreePoly, WeakSubstitution, bracket, word_degree
-from gpi.groups import FiniteGroup, cyclic_group, default_grading
+from gpi.dsl import ParseError, _tokenize
+from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
+                         word_degree)
+from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
 from gpi.z3reduce import CertLeaf, Side, telescope
@@ -88,6 +89,159 @@ def old_tokenize(text: str, line: int):
             out.append((m.group(m.lastindex), m.start(m.lastindex) + 1))
         pos = m.end()
     return out
+
+
+# --- the parser that dsl._ExprParser replaced, as an oracle -------------------
+
+class _OldExprParser:
+    """Factor by factor over (token, column) pairs: each letter and literal is
+    its own term dict, multiplied into the product with terms_product."""
+
+    def __init__(self, ctx: Context, tokens, line: int):
+        self.ctx = ctx
+        self.tokens = tokens
+        self.line = line
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def col(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i][1]
+        return self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok[0]
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            raise ParseError(f"expected {tok!r}", self.line, self.col())
+        self.take()
+
+    def parse(self) -> FreePoly:
+        p = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.peek()!r}", self.line, self.col())
+        return p
+
+    def expr(self) -> FreePoly:
+        terms = {}
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.take() == "-" else 1
+        while True:
+            for w, c in self.term().items():
+                terms[w] = terms.get(w, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return FreePoly(self.ctx, terms)
+            sign = -1 if self.take() == "-" else 1
+
+    def term(self):
+        acc = self.factor()
+        while self.peek() == "*":
+            self.take()
+            acc = terms_product(acc, self.factor())
+        return acc
+
+    def factor(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", self.line, self.col())
+        if tok == "(":
+            self.take()
+            p = self.expr()
+            self.expect(")")
+            return p.terms
+        if tok == "[":
+            self.take()
+            a = self.expr()
+            self.expect(",")
+            b = self.expr()
+            self.expect("]")
+            return bracket(a, b).terms
+        if tok.startswith("x"):
+            col = self.col()
+            self.take()
+            vid = int(tok[1:])
+            if vid < 1 or vid not in self.ctx.degrees:
+                raise ParseError(f"variable {tok} is not declared", self.line, col)
+            return {(vid,): 1}
+        if tok.isdigit():
+            self.take()
+            n = int(tok)
+            return {(): n} if n else {}
+        raise ParseError(f"unexpected token {tok!r}", self.line, self.col())
+
+
+def old_parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
+    """The polynomial or the ParseError dsl.parse_expr must give."""
+    tokens = _tokenize(text, line)
+    if not tokens:
+        raise ParseError("empty expression", line)
+    return _OldExprParser(ctx, tokens, line).parse()
+
+
+# --- the group-table validator that FiniteGroup's row passes replaced ----------
+
+def old_group_check(table) -> int:
+    """The identity index, or the GroupError FiniteGroup must raise: every
+    check entry by entry, and Light's test over a two-sided closure."""
+    n = len(table)
+    if n == 0:
+        raise GroupError("group order must be positive")
+    tbl = tuple(tuple(row) for row in table)
+    if any(len(row) != n for row in tbl):
+        raise GroupError("multiplication table must be square")
+    for row in tbl:
+        for v in row:
+            if not (0 <= v < n):
+                raise GroupError(f"table entry {v} out of range")
+    ident = None
+    for e in range(n):
+        if all(tbl[e][a] == a and tbl[a][e] == a for a in range(n)):
+            ident = e
+            break
+    if ident is None:
+        raise GroupError("table has no two-sided identity")
+    for a in range(n):
+        if ident not in tbl[a]:
+            raise GroupError(f"element {a} has no right inverse")
+        b = tbl[a].index(ident)
+        if tbl[b][a] != ident:
+            raise GroupError(f"element {a} has no two-sided inverse")
+    inside = [False] * n
+    inside[ident] = True
+    closure = [ident]
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        before = len(closure)
+        gens.append(g)
+        pending = [g]
+        while pending:
+            x = pending.pop()
+            if inside[x]:
+                continue
+            inside[x] = True
+            closure.append(x)
+            for y in closure:
+                for z in (tbl[x][y], tbl[y][x]):
+                    if not inside[z]:
+                        pending.append(z)
+        if len(closure) < 2 * before:
+            raise GroupError("table is not associative")
+    for a in gens:
+        col_a = [row[a] for row in tbl]
+        for x in range(n):
+            x_row = tbl[x]
+            xa_row = tbl[col_a[x]]
+            if any(xa_row[y] != x_row[ay] for y, ay in enumerate(tbl[a])):
+                raise GroupError("table is not associative")
+    return ident
 
 
 # --- random congruences -------------------------------------------------------

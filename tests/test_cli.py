@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gpi.cli import main
+from gpi.groups import MAX_GROUP_ORDER
 
 ID_FILE = """\
 group: Z3
@@ -292,6 +293,34 @@ class TestZ3Reduce:
         f = write(tmp_path, "g.gpi", GEN_FILE)
         code, _, err = run(capsys, "z3reduce", f, "--type", "1")
         assert code == 2 and err
+
+
+class TestGroupOrderLimit:
+    """An order above MAX_GROUP_ORDER exits 2 before any table is built."""
+
+    def assert_over_limit(self, code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+        assert f"exceeds the limit {MAX_GROUP_ORDER}" in err
+
+    def test_dsl_cyclic_order(self, tmp_path, capsys):
+        f = write(tmp_path, "big.gpi", "group: Z1000000000\nvars: x1:0\npoly: x1\n")
+        self.assert_over_limit(*run(capsys, "check", f))
+
+    def test_dsl_order_too_long_to_read(self, tmp_path, capsys):
+        f = write(tmp_path, "big.gpi", "group: Z" + "9" * 5000 + "\nvars: x1:0\npoly: x1\n")
+        self.assert_over_limit(*run(capsys, "check", f))
+
+    def test_enum_reduced_order(self, capsys):
+        self.assert_over_limit(*run(capsys, "enum-reduced", "--order", "1000000000"))
+
+    def test_certificate_table_rows(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "express", write(tmp_path, "f.gpi", ID_FILE))
+        doc = json.loads(out)
+        doc["group"]["table"] = [[0]] * (MAX_GROUP_ORDER + 1)
+        cert = tmp_path / "big.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_over_limit(*run(capsys, "verify", str(cert)))
 
 
 class TestEnumReduced:

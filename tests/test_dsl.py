@@ -169,3 +169,66 @@ class TestRoundTrip:
             assert again.generator.parts == parsed.generator.parts
         # a second round trip is exact
         assert format_file(again) == rendered
+
+
+def _poly_or_error(parse, c, text):
+    try:
+        return parse(c, text, 5).terms
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+def _random_expr(rand, nested=False):
+    """Flat and bracketed products, sums, and now and then a broken piece.
+
+    Only top-level terms hold ( or [ factors, at most two each, around
+    short flat sums, so that no expansion grows large."""
+    def factor(groups):
+        roll = rand.random()
+        if roll < 0.5:
+            return f"x{rand.choice((9, 0)) if rand.random() < 0.02 else rand.randint(1, 4)}"
+        if roll < 0.75 or nested or groups >= 2:
+            return str(rand.choice((0, 1, 2, 2, 3, 10)))
+        if roll < 0.9:
+            return f"({_random_expr(rand, True)})"
+        return f"[{_random_expr(rand, True)}, {_random_expr(rand, True)}]"
+
+    def term():
+        out = []
+        for _ in range(rand.randint(1, 5)):
+            out.append(factor(sum(f[0] in "([" for f in out)))
+        return "*".join(out)
+
+    text = term()
+    for _ in range(rand.randint(0, 1 if nested else 3)):
+        text += rand.choice((" + ", " - ", "-", "+")) + term()
+    if not nested and rand.random() < 0.3:
+        pos = rand.randint(0, len(text))
+        text = text[:pos] + rand.choice(("$", "(", "]", ",", "*", " x3", "x", "+")) + text[pos:]
+    return text
+
+
+def test_parser_matches_factor_by_factor_oracle():
+    """Flat runs built as one monomial give the terms, and the errors with
+    their columns, of the factor-by-factor parser (support.old_parse_expr)."""
+    rand = support.rng(112)
+    c = ctx()
+    texts = ["2*x1*3*x2", "0*x1*x2", "x1*0*x9", "2*(x1+x2)*3*x3", "x1*[x2, x3]*x4*2",
+             "x1*x2 - x1*x2", "2*x1 + 3*x1 - 5*x1", "x1*x9", "(x1 + x2", "x1 x2", "x1 *",
+             "[x1, x2", "x1 + $", "-(x1)*x2*(x3 - x4)*0", "--x1", ""]
+    texts += [_random_expr(rand) for _ in range(3000)]
+    errors = flat = 0
+    for text in texts:
+        got = _poly_or_error(parse_expr, c, text)
+        assert got == _poly_or_error(support.old_parse_expr, c, text), text
+        errors += isinstance(got, tuple)
+        flat += not any(ch in text for ch in "([")
+    assert 300 < errors < len(texts) - 300
+    assert 300 < flat < len(texts) - 300
+    # short strings over tokens, bad characters and Unicode spaces and digits
+    alphabet = ["x1", "x4", "x9", "2", "0", "\u0663", "+", "-", "*", "(", ")", "[", "]",
+                ",", " ", "\t", "\u00a0", "\u2003", "$", "x", "."]
+    for _ in range(3000):
+        text = "".join(rand.choice(alphabet) for _ in range(rand.randint(0, 8)))
+        assert _poly_or_error(parse_expr, c, text) == \
+            _poly_or_error(support.old_parse_expr, c, text), text

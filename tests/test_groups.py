@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 import support
 from support import s3
 
-from gpi.groups import (FiniteGroup, GradingTuple, GroupError, cyclic_group,
-                        default_grading)
+from gpi.groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError,
+                        cyclic_group, default_grading)
 
 
 class TestCyclicGroup:
@@ -23,9 +24,9 @@ class TestCyclicGroup:
             cyclic_group(0)
 
     def test_inverses(self):
-        g = cyclic_group(5)
-        for a in range(5):
-            assert g.mul(a, g.inv(a)) == g.identity_index
+        for g in (cyclic_group(5), s3(), support.relabelled(s3(), (3, 5, 0, 1, 4, 2))):
+            for a in range(g.order):
+                assert g.mul(a, g.inv(a)) == g.mul(g.inv(a), a) == g.identity_index
 
 
 class TestTableValidation:
@@ -169,7 +170,48 @@ def _near_group(rand, table):
     return out
 
 
+def _outcome(check, table):
+    """None when the table is accepted, else the GroupError message."""
+    try:
+        check(table)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+def _broken(rand, table):
+    """A relabelled group table with an entry out of range, no identity, or
+    an element without an inverse."""
+    out = _near_group(rand, table)
+    n = len(out)
+    how = rand.choice(("range", "identity", "inverse"))
+    if how == "range":
+        for _ in range(rand.randint(1, 3)):
+            out[rand.randrange(n)][rand.randrange(n)] = rand.choice((-1, n, n + 5))
+    elif how == "identity":  # spoil its row, its column, or both
+        one = next(e for e in range(n) if out[e] == list(range(n)))
+        a = rand.randrange(n)
+        x = rand.choice([x for x in range(n) if x != a] or [0])
+        side = rand.randrange(3)
+        if side != 0:
+            out[one][a] = x
+        if side != 1:
+            out[a][one] = x
+    else:
+        one = next(e for e in range(n) if out[e] == list(range(n)))
+        a = rand.randrange(n)
+        b = out[a].index(one)
+        if rand.random() < 0.5:
+            out[a][b] = rand.choice([x for x in range(n) if x != one] or [one])
+        else:
+            out[b][a] = rand.choice([x for x in range(n) if x != one] or [one])
+    return out
+
+
 def test_light_test_agrees_with_cubic_check():
+    """The row passes accept exactly the associative tables, and reject every
+    table with the message of the entry-by-entry validator they replaced
+    (support.old_group_check)."""
     rand = support.rng(401)
     # In LOOP5 x Z2 the first generator found, element 1 = (e, 1), associates
     # with everything; only a later generator exposes the loop.
@@ -177,12 +219,42 @@ def test_light_test_agrees_with_cubic_check():
     tables = bases + [_near_group(rand, rand.choice(bases)) for _ in range(300)]
     outcomes = set()
     for table in tables:
-        try:
-            FiniteGroup(tuple(map(tuple, table)))
-            accepted = True
-        except GroupError as exc:
-            assert str(exc) == "table is not associative"
-            accepted = False
+        got = _outcome(FiniteGroup, tuple(map(tuple, table)))
+        assert got == _outcome(support.old_group_check, table)
+        assert got in (None, "table is not associative")
+        accepted = got is None
         assert accepted == _cubic_associative(table)
         outcomes.add(accepted)
     assert outcomes == {True, False}
+    messages = Counter()
+    for _ in range(600):
+        table = _broken(rand, rand.choice(bases))
+        got = _outcome(FiniteGroup, tuple(map(tuple, table)))
+        assert got == _outcome(support.old_group_check, table), table
+        messages[got and got.split()[0] + " " + got.split()[-1]] += 1
+    assert messages["table range"] > 50
+    assert messages["table identity"] > 50
+    assert messages["element inverse"] > 50
+
+
+def test_non_integer_entries_rejected():
+    # an integral float compares equal to its int, so no equality check sees it
+    with pytest.raises(GroupError, match="table entry 0.0 is not an integer"):
+        FiniteGroup(((0.0,),))
+    with pytest.raises(GroupError, match="table entry 1.0 is not an integer"):
+        FiniteGroup(((0, 1), (1.0, 0)))
+
+
+def test_cyclic_table_is_addition_mod_n():
+    for n in range(1, 129):
+        assert cyclic_group(n).table == tuple(tuple((a + b) % n for b in range(n))
+                                              for a in range(n))
+
+
+def test_order_limit_checked_before_the_table():
+    # Z_(10^9) would be 10^18 entries: the limit must refuse it before building
+    with pytest.raises(GroupError, match=f"exceeds the limit {MAX_GROUP_ORDER}"):
+        cyclic_group(10 ** 9)
+    with pytest.raises(GroupError, match="exceeds the limit"):
+        FiniteGroup(((0,),) * (MAX_GROUP_ORDER + 1))
+    assert cyclic_group(MAX_GROUP_ORDER).order == MAX_GROUP_ORDER
