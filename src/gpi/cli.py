@@ -56,6 +56,23 @@ def _load(path: str):
         raise _CliInputError(f"{path}: {exc}") from exc
 
 
+def _read_json(path: str):
+    """The JSON document in path; unreadable or malformed input exits 2."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _CliInputError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliInputError(f"{path}: JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliInputError(f"{path}: not UTF-8 text") from exc
+    except ValueError as exc:  # json reads every integer with int(), which has a digit limit
+        raise _CliInputError(f"{path}: an integer has more digits than can be read") from exc
+
+
 def _need_poly(parsed, path: str) -> FreePoly:
     if parsed.poly is None:
         raise _CliInputError(f"{path}: no 'poly:' line")
@@ -78,10 +95,14 @@ def cmd_eval(args) -> int:
     parsed = _load(args.file)
     ctx = parsed.ctx
     if args.word is not None:
-        if args.word.isdigit():
+        if args.word.isdecimal():
             p = _need_poly(parsed, args.file)
             support = p.support()
-            idx = int(args.word)
+            try:
+                idx = int(args.word)
+            except ValueError:  # more digits than int() reads, far past any support
+                raise _CliInputError(f"word index of {len(args.word)} digits out of range "
+                                     f"(support has {len(support)})") from None
             if not (0 <= idx < len(support)):
                 raise _CliInputError(
                     f"word index {idx} out of range (support has {len(support)})")
@@ -177,15 +198,7 @@ def cmd_enum_reduced(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.cert, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _CliInputError(f"cannot read {args.cert}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliInputError(f"{args.cert}: not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise _CliInputError(f"{args.cert}: JSON nested too deeply") from exc
+    doc = _read_json(args.cert)
     if not isinstance(doc, dict):
         raise _CliInputError(f"{args.cert}: a certificate is a JSON object")
     try:
@@ -298,13 +311,7 @@ def _run_entry(entry: dict) -> dict:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise _CliInputError(f"cannot read {args.manifest}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliInputError(f"{args.manifest}: not valid JSON: {exc}") from exc
+    manifest = _read_json(args.manifest)
     if not isinstance(manifest, list):
         raise _CliInputError(f"{args.manifest}: manifest must be a JSON list")
     base = os.path.dirname(os.path.abspath(args.manifest))

@@ -127,13 +127,19 @@ class _ExprParser:
             if tok is None:
                 self.fail("unexpected end of expression", i)
             if tok[0] == "x":
-                vid = int(tok[1:])
+                try:
+                    vid = int(tok[1:])
+                except ValueError:
+                    self.fail(_too_long(tok[1:], "variable id"), i)
                 if vid < 1 or vid not in declared:
                     self.fail(f"variable {tok} is not declared", i)
                 word.append(vid)
                 i += 1
             elif tok.isdigit():
-                coeff *= int(tok)
+                try:
+                    coeff *= int(tok)
+                except ValueError:
+                    self.fail(_too_long(tok, "integer"), i)
                 i += 1
             elif tok == "(" or tok == "[":
                 self.i = i
@@ -160,6 +166,21 @@ class _ExprParser:
         b = self.expr()
         self.expect("]")
         return bracket(a, b).terms
+
+
+def _too_long(digits: str, what: str) -> str:
+    """The message for a run of digits longer than int() reads (Python's
+    integer-string limit, 4300 digits by default)."""
+    return f"{what} of {len(digits)} digits is too long to read"
+
+
+def _read_int(text: str, what: str, line: int) -> int:
+    """int(text), or a ParseError at line naming what."""
+    try:
+        return int(text)
+    except ValueError:
+        msg = _too_long(text, what) if text.isdigit() else f"{what} {text!r} is not an integer"
+        raise ParseError(msg, line) from None
 
 
 def _times(acc: dict[Word, int] | None, word: list[int], coeff: int) -> dict[Word, int]:
@@ -205,8 +226,13 @@ class ParsedFile:
 
 
 def parse_file(path: str) -> ParsedFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_text(text)
 
 
 def parse_text(text: str) -> ParsedFile:
@@ -227,10 +253,7 @@ def parse_text(text: str) -> ParsedFile:
         if key == "group":
             group = _parse_group(value, lineno)
         elif key == "grading":
-            try:
-                grading_spec = tuple(int(t) for t in value.split())
-            except ValueError:
-                raise ParseError("grading entries must be integers", lineno) from None
+            grading_spec = tuple(_read_int(t, "grading entry", lineno) for t in value.split())
         elif key == "vars":
             degrees.update(_parse_vars(value, lineno))
         else:
@@ -312,12 +335,12 @@ def _parse_vars(value: str, lineno: int) -> dict[int, int]:
         m = re.fullmatch(r"x(\d+):(\d+)", tok)
         if not m:
             raise ParseError(f"bad variable declaration {tok!r} (want xK:DEG)", lineno)
-        k = int(m.group(1))
+        k = _read_int(m.group(1), "variable id", lineno)
         if k < 1:
             raise ParseError("variable ids start at 1", lineno)
         if k in degrees:
             raise ParseError(f"x{k} declared twice", lineno)
-        degrees[k] = int(m.group(2))
+        degrees[k] = _read_int(m.group(2), "degree", lineno)
     return degrees
 
 

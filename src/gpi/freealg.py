@@ -73,7 +73,14 @@ class Context:
 
 def word_degree(ctx: Context, w: Word) -> int:
     """Product of the factor degrees in word order; empty word -> identity."""
-    return ctx.grading.group.product(ctx.degree(v) for v in w)
+    table, declared = ctx.grading.group.table, ctx.degrees
+    g = ctx.grading.group.identity_index
+    try:
+        for v in w:
+            g = table[g][declared[v]]
+    except KeyError:
+        ctx.degree(v)  # raises DeclarationError naming the undeclared id
+    return g
 
 
 def word_key(w: Word):
@@ -98,9 +105,10 @@ class FreePoly:
     def __init__(self, ctx: Context, terms: dict[Word, int] | None = None):
         self.ctx = ctx
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-        for w in self.terms:
-            for v in w:
-                ctx.degree(v)  # raises on undeclared ids
+        if not ctx.degrees.keys() >= set().union(*self.terms):
+            for w in self.terms:  # name the first undeclared id
+                for v in w:
+                    ctx.degree(v)
 
     @classmethod
     def zero(cls, ctx: Context) -> "FreePoly":

@@ -185,12 +185,15 @@ def path_degrees(ctx: Context, w: Word) -> list[int]:
     They do not depend on the starting row: after t factors the path from
     row i is at phi(h_1 * ... * h_t, i), since phi_b(phi_a(i)) = phi_{ab}(i).
     """
-    table = ctx.grading.group.table
+    table, declared = ctx.grading.group.table, ctx.degrees
     g = ctx.grading.group.identity_index
     out = []
-    for v in w:
-        g = table[g][ctx.degree(v)]
-        out.append(g)
+    try:
+        for v in w:
+            g = table[g][declared[v]]
+            out.append(g)
+    except KeyError:
+        ctx.degree(v)  # raises DeclarationError naming the undeclared id
     return out
 
 
@@ -214,6 +217,14 @@ def word_path(ctx: Context, w: Word, row: int,
     return out
 
 
+def path_entry(path: list[ScalarVar], row: int) -> tuple[int, int, Mono]:
+    """The key (row, col, mono) of a path walked from row (see word_entry)."""
+    exps: dict[ScalarVar, int] = {}
+    for sv in path:
+        exps[sv] = exps.get(sv, 0) + 1
+    return (row, path[-1][2] if path else row, tuple(sorted(exps.items())))
+
+
 def word_entry(ctx: Context, w: Word, row: int = 0,
                degrees: list[int] | None = None) -> tuple[int, int, Mono]:
     """The word's one nonzero entry in the given row, as a key (row, col, mono).
@@ -234,11 +245,7 @@ def word_entry(ctx: Context, w: Word, row: int = 0,
     words have equal keys at row r iff they do at row 0, and a keyed sum
     over words is zero at row r iff it is zero at row 0.
     """
-    path = word_path(ctx, w, row, degrees)
-    exps: dict[ScalarVar, int] = {}
-    for sv in path:
-        exps[sv] = exps.get(sv, 0) + 1
-    return (row, path[-1][2] if path else row, tuple(sorted(exps.items())))
+    return path_entry(word_path(ctx, w, row, degrees), row)
 
 
 def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Context, FreePoly, Word, multidegree, word_key
-from .genmat import ScalarVar, word_entry, word_path
+from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import ContractError, GeneratorKind, Witness, degree_rule_holds, keyed_witness
 
 # Unused here, but kept bound: bench/spans.py rebinds these names in this module.
@@ -70,10 +70,10 @@ class Move:
             raise MoveError("move blocks must be nonempty")
 
     def source(self) -> Word:
-        return self.left + tuple(v for b in self.blocks for v in b) + self.right
+        return self.left + sum(self.blocks, ()) + self.right
 
     def target(self) -> Word:
-        return self.left + tuple(v for b in reversed(self.blocks) for v in b) + self.right
+        return self.left + sum(reversed(self.blocks), ()) + self.right
 
     def degree_conditions_hold(self, ctx: Context) -> bool:
         """A swap0 move's blocks are the parts of a type-1 generator, a
@@ -100,6 +100,18 @@ class RewriteChain:
     end: Word
 
 
+def _replays(chain: RewriteChain) -> bool:
+    """Every move matches the word so far and obeys the degree rule, and
+    the last one leaves the chain's end."""
+    w = tuple(chain.start)
+    try:
+        for mv in chain.moves:
+            w = apply_move(chain.ctx, w, mv)
+    except MoveError:
+        return False
+    return w == tuple(chain.end)
+
+
 def verify_chain(chain: RewriteChain) -> bool:
     """Replay the chain and cross-check the endpoint evaluations.
 
@@ -107,15 +119,8 @@ def verify_chain(chain: RewriteChain) -> bool:
     and row 0 decides the rest (see genmat.word_entry), so equal row-0 keys
     are exactly equal evaluation matrices.
     """
-    w = tuple(chain.start)
-    try:
-        for mv in chain.moves:
-            w = apply_move(chain.ctx, w, mv)
-    except MoveError:
-        return False
-    if w != tuple(chain.end):
-        return False
-    return word_entry(chain.ctx, chain.start) == word_entry(chain.ctx, chain.end)
+    return (_replays(chain)
+            and word_entry(chain.ctx, chain.start) == word_entry(chain.ctx, chain.end))
 
 
 # --- shared entries and permutation extraction -------------------------------
@@ -164,50 +169,90 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     """A certified chain of moves transforming n into m.
 
     Requires a shared nonzero entry; raises NotCongruentError otherwise.
+    Row 0 decides (see genmat.word_entry), so each word is walked once,
+    from row 0, and the chain is built on those two paths.
     """
     m, n = tuple(m), tuple(n)
-    se = shared_entry(ctx, m, n)
-    if se is None:
+    if multidegree(m) != multidegree(n):
+        raise ContractError("monomials must have the same multidegree")
+    path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
+    if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
-    return _chain_from(ctx, m, n, se[0])
+    return _chain_from(ctx, m, n, path_m, path_n)
 
 
-def _chain_from(ctx: Context, m: Word, n: Word, row: int) -> RewriteChain:
-    """The chain transforming n into m, walked from their shared row."""
-    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(ctx, m, n, row, ())), end=m)
+def _chain_from(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
+                path_n: list[ScalarVar]) -> RewriteChain:
+    """The chain transforming n into m, given their paths from one row."""
+    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(ctx, m, n, path_m, path_n)),
+                        end=m)
 
 
-def _chain_moves(ctx: Context, m: Word, n: Word, row: int, prefix: Word):
+def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
+                 path_n: list[ScalarVar]) -> list[Move]:
+    """The moves transforming n into m, from both words' paths from one row.
+
+    Each round skips the common first letters by index, matches the scalar
+    variables of the rest of the two paths, and emits the one move that
+    brings the partner of m's first remaining variable forward.  A repeated
+    variable goes to the least unused position of m, so the result is
+    deterministic; multilinear words never have ties.  Sorting positions
+    by variable, ties by position, pairs the i-th occurrence in m with the
+    i-th in n, which is that rule; the common first letters carry the same
+    variables in both paths, so the pairing of the rest is unchanged by
+    including them.
+
+    Neither word is walked again: each move permutes n's path with the
+    same blocks it permutes n, and the result is the path of the new n from
+    the same row.  A block's path depends only on its letters and the row
+    it starts on, and every block of a move that obeys the degree rule
+    starts on the same row before and after the move (phi of the identity
+    fixes every row, and phi_b(phi_a(r)) = phi_{ab}(r)):
+
+      swap0:    both blocks have trivial degree, so from the row r after
+                the left context each returns to r, in either order;
+      reverse3: with g the degree of b2, b1 and b3 have degree g^-1, and
+                from r the blocks b1, b2, b3 run r -> s -> r -> s with
+                s = phi(g^-1, r); after the move b3, b2, b1 run the same
+                r -> s -> r -> s, each block from the row it left.
+
+    In both cases the right context starts on the row it started on.  This
+    uses only the group axioms and the action through phi, so it holds for
+    any group and any bijective tuple.  Every emitted move is still checked
+    against the degree rule.  Each move costs one C-level sort of the L
+    positions and O(L) slicing, and no path walk.
+    """
+    length = len(m)
+    if len(n) != length or sorted(path_m) != sorted(path_n):
+        raise ContractError("monomials share no entry at the given position")
+    # rank[j]: the place of m's position j in the variable order of m's path
+    rank = [0] * length
+    for r, j in enumerate(sorted(range(length), key=path_m.__getitem__)):
+        rank[j] = r
     moves: list[Move] = []
+    k = 0
     while True:
-        # strip the common first variables, shifting the shared row along
-        while m and n and m[0] == n[0]:
-            g = ctx.degree(m[0])
-            row = ctx.grading.phi(g, row)
-            prefix = prefix + (m[0],)
-            m, n = m[1:], n[1:]
-        if m == n:
+        while k < length and m[k] == n[k]:
+            k += 1
+        if k == length:
             return moves
-        sigma, _ = _match_paths(ctx, m, n, row)
-        inv = [0] * len(sigma)
-        for h, s in enumerate(sigma):
-            inv[s] = h
-        r0 = inv[0]
-        if r0 == 0:
+        # partner[rank[j]]: the position in n paired with m's position j
+        partner = sorted(range(length), key=path_n.__getitem__)
+        r0 = partner[rank[k]]
+        if r0 == k:
             raise ContractError("first variables differ but sigma fixes position 1")
-        t = next(k for k in range(1, len(inv)) if inv[k] < r0)
-        p0, s0 = inv[t], inv[t - 1]
-        b1, b2, b3, b4 = n[:p0], n[p0:r0], n[r0:s0 + 1], n[s0 + 1:]
+        t = next(j for j in range(k + 1, length) if partner[rank[j]] < r0)
+        p0, e = partner[rank[t]], partner[rank[t - 1]] + 1
+        b1, b2, b3 = n[k:p0], n[p0:r0], n[r0:e]
         if b1:
-            mv = Move("reverse3", prefix, (b1, b2, b3), b4)
-            replaced = b3 + b2 + b1 + b4
+            mv = Move("reverse3", n[:k], (b1, b2, b3), n[e:])
         else:
-            mv = Move("swap0", prefix, (b2, b3), b4)
-            replaced = b3 + b2 + b4
+            mv = Move("swap0", n[:k], (b2, b3), n[e:])
         if not mv.degree_conditions_hold(ctx):
             raise ContractError("computed blocks violate the degree conditions")
         moves.append(mv)
-        n = replaced
+        n = n[:k] + b3 + b2 + b1 + n[e:]
+        path_n = path_n[:k] + path_n[r0:e] + path_n[p0:r0] + path_n[k:p0] + path_n[e:]
 
 
 # --- expressing identities in the generator ideal ------------------------------
@@ -236,10 +281,32 @@ class JCombination:
 
 
 def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
+    """Check every term's chain as verify_chain does, and the expansion.
+
+    Each term's chain must start at its source and end at its target, and
+    every move must match the word so far and obey the degree rule.  The
+    endpoint keys are compared as in verify_chain, but a word met in many
+    terms, as a partner usually is, is keyed once per combination (per
+    context, for chains that carry their own).
+    """
+    # A word keeps only the number of its row-0 key, one number per distinct
+    # key: holding every word's key (2L + 3 small objects) alive to the end
+    # made the garbage collector run about eight times as often.
+    numbers: dict[tuple, int] = {}
+    seen: dict[tuple[int, Word], int] = {}
+
+    def key_number(ctx: Context, w: Word) -> int:
+        slot = (id(ctx), w)
+        if slot not in seen:
+            seen[slot] = numbers.setdefault(word_entry(ctx, w), len(numbers))
+        return seen[slot]
+
     for t in comb.terms:
-        if tuple(t.chain.start) != tuple(t.source) or tuple(t.chain.end) != tuple(t.target):
+        chain = t.chain
+        start, end = tuple(chain.start), tuple(chain.end)
+        if start != tuple(t.source) or end != tuple(t.target) or not _replays(chain):
             return False
-        if not verify_chain(t.chain):
+        if key_number(chain.ctx, start) != key_number(chain.ctx, end):
             return False
     if claimed is not None and comb.expansion() != claimed:
         return False
@@ -256,26 +323,30 @@ def express_in_J(f: FreePoly) -> JCombination:
     (row, col, mono) keeps a bucket of the ranks of the words carrying it,
     and dead ranks are skipped lazily from the front.
 
-    Each word is evaluated once, at row 0 only, by word_entry: row 0
+    Each word's path is walked once, from row 0 only, and kept: row 0
     decides every row (see genmat.word_entry), so two words share an entry
-    exactly when their row-0 keys are equal.  The same pass sums the keys
-    into the row 0 of f's evaluation, which decides membership (a
-    non-identity raises NoExpressionError with identity_witness's witness),
-    and each round takes its shared row from the two words' stored key.
-    The cost is O(support * L) for words of length L, plus the chains.
+    exactly when the keys of their row-0 paths are equal.  The same pass
+    sums the keys into the row 0 of f's evaluation, which decides
+    membership (a non-identity raises NoExpressionError with
+    identity_witness's witness), and each round hands the two words' kept
+    paths to the chain builder, which permutes them and walks no word
+    again (see _chain_moves).  The cost is O(support * L) for words of
+    length L, plus one sort of L positions per move for the chains.
     """
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
     ctx = f.ctx
     work = dict(f.terms)
     support = sorted(work, key=word_key)
-    word_keys = []
+    word_paths, word_keys = [], []
     buckets: dict[tuple, list[int]] = {}
     total: dict[tuple, int] = {}
     for rank, word in enumerate(support):
-        key = word_entry(ctx, word)
+        path = word_path(ctx, word, 0)
+        key = path_entry(path, 0)
         buckets.setdefault(key, []).append(rank)
         total[key] = total.get(key, 0) + work[word]
+        word_paths.append(path)
         word_keys.append(key)
     w = keyed_witness(total)
     if w is not None:
@@ -298,7 +369,8 @@ def express_in_J(f: FreePoly) -> JCombination:
             raise AssertionError("no partner with a shared entry; evaluation bug")
         partner = support[bucket[i]]
         lam = work[m1]
-        chain = _chain_from(ctx, partner, m1, key[0])  # start=m1, end=partner
+        # start=m1, end=partner
+        chain = _chain_from(ctx, partner, m1, word_paths[bucket[i]], word_paths[rank])
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
         before = len(work)
         del work[m1]

@@ -9,8 +9,9 @@ import re
 from gpi.dsl import ParseError, _tokenize
 from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
                          word_degree)
+from gpi.genmat import word_path
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
-from gpi.identity import GeneratorInstance, GeneratorKind, make_generator
+from gpi.identity import ContractError, GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
 from gpi.z3reduce import CertLeaf, Side, telescope
 
@@ -242,6 +243,50 @@ def old_group_check(table) -> int:
             if any(xa_row[y] != x_row[ay] for y, ay in enumerate(tbl[a])):
                 raise GroupError("table is not associative")
     return ident
+
+
+# --- the chain builder that rewrite._chain_moves replaced, as an oracle --------
+
+def _old_match_paths(ctx: Context, m, n, row: int):
+    """Walk both words from row and match their scalar variables: sigma[h]
+    is the least unused position of m carrying the variable at n's h."""
+    path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
+    if len(path_m) == len(path_n):
+        unused = {}
+        for s in reversed(range(len(path_m))):
+            unused.setdefault(path_m[s], []).append(s)  # least position last
+        sigma = tuple(unused[t].pop() for t in path_n if unused.get(t))
+        if len(sigma) == len(path_n):
+            return sigma
+    raise ContractError("monomials share no entry at the given position")
+
+
+def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
+    """The moves turning n into m, re-walking both remaining words from the
+    shared row after every move: the moves rewrite._chain_moves must emit."""
+    m, n, prefix = tuple(m), tuple(n), ()
+    moves = []
+    while True:
+        while m and n and m[0] == n[0]:
+            row = ctx.grading.phi(ctx.degree(m[0]), row)
+            prefix = prefix + (m[0],)
+            m, n = m[1:], n[1:]
+        if m == n:
+            return moves
+        sigma = _old_match_paths(ctx, m, n, row)
+        inv = [0] * len(sigma)
+        for h, s in enumerate(sigma):
+            inv[s] = h
+        r0 = inv[0]
+        t = next(k for k in range(1, len(inv)) if inv[k] < r0)
+        p0, s0 = inv[t], inv[t - 1]
+        b1, b2, b3, b4 = n[:p0], n[p0:r0], n[r0:s0 + 1], n[s0 + 1:]
+        if b1:
+            mv = Move("reverse3", prefix, (b1, b2, b3), b4)
+        else:
+            mv = Move("swap0", prefix, (b2, b3), b4)
+        moves.append(mv)
+        n = mv.target()[len(prefix):]
 
 
 # --- random congruences -------------------------------------------------------

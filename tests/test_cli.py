@@ -279,6 +279,137 @@ class TestExpress:
         assert code == 1 and "witness" in doc
 
 
+class TestVerifyKeysEachWordOnce:
+    """verify keys each distinct word once per combination; a word shared by
+    several terms must not let a later term's chain skip any check."""
+
+    # x1 x1 x2 x4 x3 pairs with x1 x1 x2 x3 x4 in term 0 and is the source
+    # of term 1; x2, x3, x4 have trivial degree, x1 does not.
+    SHARED = ("group: Z3\nvars: x1:1 x2:0 x3:0 x4:0\n"
+              "poly: x1*x1*x2*x3*x4 + x1*x1*x2*x4*x3 - 2*x1*x1*x3*x2*x4\n")
+
+    def verify(self, tmp_path, capsys, doc):
+        cert = tmp_path / "comb.json"
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert json.loads(out)["valid"] is (code == 0)
+        return code
+
+    def later_chain(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "express", write(tmp_path, "f.gpi", self.SHARED))
+        doc = json.loads(out)
+        first, later = doc["payload"]["terms"]
+        assert code == 0 and first["target"] == later["source"] == [1, 1, 2, 4, 3]
+        assert self.verify(tmp_path, capsys, doc) == 0
+        return doc, later
+
+    def test_degree_violating_move(self, tmp_path, capsys):
+        doc, later = self.later_chain(tmp_path, capsys)
+        # swapping the two x1 leaves the word as it is, but x1 has degree 1
+        later["chain"]["moves"].insert(0, {"kind": "swap0", "left": [],
+                                           "blocks": [[1], [1]], "right": [2, 4, 3]})
+        assert self.verify(tmp_path, capsys, doc) == 1
+
+    def test_wrong_end(self, tmp_path, capsys):
+        doc, later = self.later_chain(tmp_path, capsys)
+        # congruent to the real end and keyed already, but not where the moves lead
+        later["target"] = later["chain"]["end"] = [1, 1, 2, 3, 4]
+        assert self.verify(tmp_path, capsys, doc) == 1
+
+    def test_move_source_mismatch(self, tmp_path, capsys):
+        doc, later = self.later_chain(tmp_path, capsys)
+        # its target is the start, so only the source comparison rejects it
+        later["chain"]["moves"].insert(0, {"kind": "swap0", "left": [1, 1],
+                                           "blocks": [[4], [2]], "right": [3]})
+        assert self.verify(tmp_path, capsys, doc) == 1
+
+
+class TestLongIntegers:
+    """An integer longer than int() reads (4300 digits by default) exits 2
+    with one `gpi:` line; DSL errors keep their line, and expression tokens
+    their column."""
+
+    BIG = "7" * 5000
+
+    def assert_rejected(self, capsys, *argv, where=""):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+        assert where in err
+
+    def check(self, tmp_path, capsys, text, where):
+        self.assert_rejected(capsys, "check", write(tmp_path, "f.gpi", text), where=where)
+
+    def test_vars_degree(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, f"group: Z3\nvars: x1:{self.BIG}\npoly: x1\n",
+                   "line 2, column 1: degree of 5000 digits")
+
+    def test_vars_id(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, f"group: Z3\nvars: x{self.BIG}:1\npoly: x1\n",
+                   "line 2, column 1: variable id of 5000 digits")
+
+    def test_poly_coefficient(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, f"group: Z3\nvars: x1:1\npoly: x1 + {self.BIG}*x1\n",
+                   "line 3, column 6: integer of 5000 digits")
+
+    def test_poly_variable_id(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, f"group: Z3\nvars: x1:1\npoly: x1 - x{self.BIG}\n",
+                   "line 3, column 6: variable id of 5000 digits")
+
+    def test_grading_line(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   f"group: Z3\ngrading: 0 {self.BIG} 2\nvars: x1:1\npoly: x1\n",
+                   "line 2, column 1: grading entry of 5000 digits")
+
+    def test_type_line(self, tmp_path, capsys):
+        text = f"group: Z3\nvars: x1:0 x2:0\ntype: {self.BIG}\nh1: x1\nh2: x2\n"
+        self.assert_rejected(capsys, "z3reduce", write(tmp_path, "g.gpi", text),
+                             where="line 3, column 1: generator type must be 1 or 2")
+
+    def test_eval_word_index(self, tmp_path, capsys):
+        self.assert_rejected(capsys, "eval", write(tmp_path, "f.gpi", ID_FILE),
+                             "--word", self.BIG, where="word index of 5000 digits")
+
+    def test_certificate_coefficient(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "express", write(tmp_path, "f.gpi", ID_FILE))
+        assert '"coeff":1,' in out
+        cert = tmp_path / "big.json"
+        cert.write_text(out.replace('"coeff":1,', f'"coeff":{self.BIG},', 1))
+        self.assert_rejected(capsys, "verify", str(cert), where="more digits than can be read")
+
+    def test_corpus_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f'[{{"file": "f.gpi", "expected": "identity", "n": {self.BIG}}}]')
+        self.assert_rejected(capsys, "corpus", str(manifest),
+                             where="more digits than can be read")
+
+    def test_4000_digit_coefficient_accepted(self, tmp_path, capsys):
+        lam = "9" * 4000
+        f = write(tmp_path, "f.gpi", "group: Z3\nvars: x1:1 x2:2 x3:1\n"
+                  f"poly: {lam}*x1*x2*x3 - {lam}*x3*x2*x1\n")
+        assert run(capsys, "check", f)[0] == 0
+        code, out, _ = run(capsys, "express", f)
+        assert code == 0 and f'"coeff":{lam},' in out
+        cert = tmp_path / "comb.json"
+        cert.write_text(out)
+        assert run(capsys, "verify", str(cert))[0] == 0
+
+
+class TestNotUtf8:
+    def test_problem_file(self, tmp_path, capsys):
+        f = tmp_path / "f.gpi"
+        f.write_bytes(b"group: Z3\nvars: x1:1\npoly: x1 \xff\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "line 3, column 1: not UTF-8 text" in err
+
+    def test_certificate(self, tmp_path, capsys):
+        cert = tmp_path / "c.json"
+        cert.write_bytes(b'{"kind": "\xff"}')
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 2 and out == "" and err == f"gpi: {cert}: not UTF-8 text\n"
+
+
 class TestZ3Reduce:
     def test_reduce_and_verify(self, tmp_path, capsys):
         f = write(tmp_path, "g.gpi", GEN_FILE)

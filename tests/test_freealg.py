@@ -62,6 +62,15 @@ class TestArithmetic:
         p = FreePoly(self.c, {(1,): 1}) - FreePoly(self.c, {(1,): 1})
         assert p.is_zero() and p.terms == {}
 
+    def test_undeclared_letter_named_in_term_order(self):
+        """The first undeclared letter, word by word, is the one named; a
+        word whose coefficient is zero is dropped before the check."""
+        with pytest.raises(DeclarationError, match="^variable x7 is not declared$"):
+            FreePoly(self.c, {(1, 2): 1, (2, 7, 9): 2, (8,): 1})
+        with pytest.raises(DeclarationError, match="^variable x9 is not declared$"):
+            FreePoly.var(self.c, 1) * FreePoly.var(self.c, 9)
+        assert FreePoly(self.c, {(9,): 0, (): 3}).terms == {(): 3}
+
 
 @st.composite
 def polys(draw):

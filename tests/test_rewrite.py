@@ -2,14 +2,14 @@ import pytest
 import support
 
 from gpi.freealg import Context, FreePoly, word_key
-from gpi.genmat import eval_word_closed, eval_word_direct, word_entries
+from gpi.genmat import eval_word_closed, eval_word_direct, word_entries, word_path
 from gpi.identity import (ContractError, GeneratorKind, expand, identity_witness,
                           make_generator)
 from gpi.rewrite import (JCombination, Move, MoveError, NoExpressionError,
                          NotCongruentError, RewriteChain, apply_move,
                          congruence_chain, express_in_J, extract_sigma,
                          shared_entry, verify_chain, verify_combination)
-from gpi.groups import cyclic_group, default_grading
+from gpi.groups import GradingTuple, cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
 
@@ -187,6 +187,76 @@ class TestCongruenceChain:
                 for mv in chain.moves:
                     cur = apply_move(c, cur, mv)
                     assert eval_word_closed(c, cur) == base
+
+
+def _chain_gradings():
+    """Z2, Z3 and S3, S3 also under a non-default tuple and with its
+    elements renamed so that the identity is not element 0."""
+    s3 = support.s3()
+    return support.configs() + [default_grading(s3), GradingTuple(s3, (3, 1, 4, 0, 5, 2)),
+                                default_grading(support.relabelled(s3, (2, 0, 1, 5, 3, 4)))]
+
+
+class TestChainBuilder:
+    """The chain builder permutes the row-0 paths it is given instead of
+    re-walking the words after each move; support.old_chain_moves re-walks."""
+
+    def test_moves_permute_paths(self):
+        """Every block of a move that obeys the degree rule starts on the same
+        row before and after it, so the target's path from any row is the
+        source's path with its block segments reordered like the blocks."""
+        rand = support.rng(309)
+        checked = 0
+        for grading in _chain_gradings():
+            for _ in range(16):
+                c = support.random_context(rand, grading, 4)
+                w = support.random_word(rand, c, rand.randint(3, 6))
+                for mv in support.enumerate_moves(c, w):
+                    cuts = [len(mv.left)]
+                    for b in mv.blocks:
+                        cuts.append(cuts[-1] + len(b))
+                    for row in range(grading.n):
+                        path = word_path(c, w, row)
+                        segs = [path[a:b] for a, b in zip(cuts, cuts[1:])]
+                        want = path[:cuts[0]] + sum(reversed(segs), []) + path[cuts[-1]:]
+                        assert word_path(c, mv.target(), row) == want
+                        checked += 1
+        assert checked > 300
+
+    def test_congruence_chain_matches_rewalking_builder(self):
+        rand = support.rng(310)
+        ties = 0
+        for grading in _chain_gradings():
+            for _ in range(40):
+                # three letters for long words, so that paths repeat variables
+                c = support.random_context(rand, grading, rand.choice((3, 8)))
+                w = support.random_word(rand, c, rand.randint(1, 8))
+                m, n = support.random_congruent_pair(rand, c, w, max_moves=4)
+                chain = congruence_chain(c, m, n)
+                assert chain.moves == tuple(support.old_chain_moves(c, m, n))
+                assert verify_chain(chain)
+                if chain.moves and len(set(w)) < len(w):
+                    ties += 1
+        assert ties > 30
+
+    def test_express_terms_match_rewalking_builder(self):
+        rand = support.rng(311)
+        terms = 0
+        for grading in _chain_gradings():
+            for _ in range(25):
+                c = support.random_context(rand, grading, rand.choice((3, 6)))
+                base = support.random_word(rand, c, rand.randint(3, 7))
+                f = _walks(rand, c, base)
+                if f.is_zero():
+                    continue
+                comb = express_in_J(f)
+                for t in comb.terms:
+                    assert (t.chain.start, t.chain.end) == (t.source, t.target)
+                    assert t.chain.moves == tuple(
+                        support.old_chain_moves(c, t.target, t.source))
+                    terms += 1
+                assert verify_combination(comb, claimed=f)
+        assert terms > 100
 
 
 def _walks(rand, c, base, skew=0):
