@@ -12,8 +12,7 @@ from .freealg import (Context, DeclarationError, FreePoly, LieWord,
                       SubstitutionError, WeakSubstitution, Word,
                       bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
-from .genmat import (GenericMatrix, ScalarPoly, eval_poly, eval_word_closed,
-                     eval_word_direct, generic)
+from .genmat import ScalarPoly, eval_poly, eval_word_closed
 from .identity import (GeneratorError, GeneratorInstance, GeneratorKind,
                        Witness, expand, identity_witness, is_graded_identity,
                        make_generator, validate_generator)
@@ -35,8 +34,7 @@ __all__ = [
     "Context", "DeclarationError", "FreePoly", "LieWord", "SubstitutionError",
     "WeakSubstitution", "Word", "bracket", "lie_degree",
     "lie_expand", "multidegree", "multihomogeneous_components", "word_degree",
-    "GenericMatrix", "ScalarPoly", "eval_poly", "eval_word_closed",
-    "eval_word_direct", "generic",
+    "ScalarPoly", "eval_poly", "eval_word_closed",
     "GeneratorError", "GeneratorInstance", "GeneratorKind", "Witness", "expand",
     "identity_witness", "is_graded_identity", "make_generator", "validate_generator",
     "JCombination", "JTerm", "Move", "MoveError", "NoExpressionError",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .freealg import Context, FreePoly, Word
-from .genmat import GenericMatrix, ScalarPoly
+from .genmat import Mono, ScalarPoly
 from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 from .rewrite import JCombination, JTerm, Move, RewriteChain
@@ -48,7 +48,10 @@ def context_from_json(doc: dict) -> Context:
         group = FiniteGroup(tuple(tuple(_integer(x) for x in r) for r in rows),
                            tuple(gdoc.get("names", ())))
         grading = GradingTuple(group, tuple(_integer(g) for g in doc["grading"]))
-        degrees = {int(k): _integer(d) for k, d in doc["vars"].items()}
+        vars_doc = doc["vars"]
+        if not isinstance(vars_doc, dict):
+            raise TypeError("vars is not a JSON object")
+        degrees = {_var_id(k): _integer(d) for k, d in vars_doc.items()}
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError(f"malformed context: {exc}") from exc
     return Context(grading, degrees)
@@ -66,11 +69,15 @@ def scalar_poly_to_json(p: ScalarPoly) -> list[dict]:
             for m, c in sorted(p.terms.items())]
 
 
-def matrix_to_json(mat: GenericMatrix) -> dict:
-    entries = [{"row": i + 1, "col": j + 1, "terms": scalar_poly_to_json(e)}
-               for i, row in enumerate(mat.entries) for j, e in enumerate(row)
-               if not e.is_zero()]
-    return {"n": mat.n, "entries": entries}
+def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
+    """An n x n keyed sum (see genmat.eval_poly) as its nonzero cells, row-major."""
+    cells: dict[tuple[int, int], dict[Mono, int]] = {}
+    for (row, col, mono), c in sorted(entries.items()):
+        if c:
+            cells.setdefault((row, col), {})[mono] = c
+    return {"n": n, "entries": [{"row": i + 1, "col": j + 1,
+                                 "terms": scalar_poly_to_json(ScalarPoly(terms))}
+                                for (i, j), terms in cells.items()]}
 
 
 # --- rewrite chains and combinations ------------------------------------------
@@ -148,6 +155,16 @@ def _integer(doc) -> int:
     if type(doc) is not int:  # int() would truncate 1.5 and accept "1"
         raise CertificateFormatError(f"expected an integer, got {doc!r}")
     return doc
+
+
+def _var_id(key) -> int:
+    """A key of `vars`: the id as context_to_json writes it, ASCII digits
+    without sign or leading zero (int() would also take " 1", "+2", "0_3"
+    and "03", and two spellings of one id would merge)."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+            and (key == "0" or key[0] != "0")):
+        raise CertificateFormatError(f"variable id {key!r} is not a decimal integer")
+    return int(key)
 
 
 def _declared(ctx: Context, var) -> int:

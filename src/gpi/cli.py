@@ -106,16 +106,16 @@ def cmd_eval(args) -> int:
             if not (0 <= idx < len(support)):
                 raise _CliInputError(
                     f"word index {idx} out of range (support has {len(support)})")
-            mat = eval_word_closed(ctx, support[idx])
+            w = support[idx]
         else:
             try:
                 w = parse_word(ctx, args.word)
             except ParseError as exc:
                 raise _CliInputError(f"--word: {exc}") from exc
-            mat = eval_word_closed(ctx, w)
+        entries = dict.fromkeys(eval_word_closed(ctx, w), 1)
     else:
-        mat = eval_poly(_need_poly(parsed, args.file))
-    _emit(certs.matrix_to_json(mat))
+        entries = eval_poly(_need_poly(parsed, args.file))
+    _emit(certs.matrix_to_json(ctx.grading.n, entries))
     return EXIT_OK
 
 

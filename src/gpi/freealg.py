@@ -184,9 +184,13 @@ class FreePoly:
         parts = []
         for w in self.support():
             c = self.terms[w]
-            body = "*".join(f"x{v}" for v in w) if w else "1"
-            parts.append(f"{'+' if c >= 0 else '-'} {abs(c) if abs(c) != 1 or not w else ''}{body}".strip())
-        return " ".join(parts).lstrip("+ ")
+            body = "*".join(f"x{v}" for v in w)
+            piece = body if abs(c) == 1 and w else f"{abs(c)}{body}"
+            if not parts:
+                parts.append(piece if c > 0 else "-" + piece)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + piece)
+        return " ".join(parts)
 
 
 def terms_product(a: dict[Word, int], b: dict[Word, int]) -> dict[Word, int]:

@@ -1,20 +1,22 @@
-"""Generic matrices and evaluation of free-algebra elements at them.
+"""Evaluation of free-algebra elements at the generic matrices.
 
 The scalar ring is the commutative polynomial ring over the integers in
-variables y^k_{i,j}, one per (variable id, row, column) triple.  A word is
-evaluated either by multiplying the generic matrices directly or by the
-closed form: starting from a row, walk the position bijections induced
-by the successive factor degrees and collect one scalar variable per step.
+variables y^k_{i,j}, one per (variable id, row, column) triple.  Under the
+elementary grading the generic matrix of x_k, of degree g, has one
+nonzero entry per row, y^k_{i,phi(g,i)}, so every word evaluates to a
+monomial matrix: from each row, walk the position bijections induced by
+the successive factor degrees and collect one scalar variable per step.
+A word is n keys (row, col, mono) with coefficient 1, and a polynomial
+is a keyed sum.
 
 The group acts on the rows, so row 0 decides (see word_entry): the
 decision paths key each word once, at row 0 (row0_entries), and only
-what prints whole matrices walks all n rows (word_entries, eval_entries).
+what prints whole matrices walks all n rows (eval_word_closed, eval_poly).
 """
 
 from __future__ import annotations
 
 from .freealg import Context, FreePoly, Word
-from .groups import GradingTuple
 
 # A scalar variable is a triple (k, i, j); a monomial is a sorted tuple of
 # ((k, i, j), exponent) pairs; a ScalarPoly maps monomials to coefficients.
@@ -22,75 +24,20 @@ from .groups import GradingTuple
 ScalarVar = tuple[int, int, int]
 Mono = tuple[tuple[ScalarVar, int], ...]
 
-MONO_ONE: Mono = ()
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def mono_var(k: int, i: int, j: int) -> Mono:
-    return (((k, i, j), 1),)
-
 
 class ScalarPoly:
-    """Sparse commutative polynomial over the integers."""
+    """Sparse commutative polynomial over the integers: monomial -> coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Mono, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
-    @classmethod
-    def zero(cls) -> "ScalarPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c: int) -> "ScalarPoly":
-        return cls({MONO_ONE: c})
-
-    @classmethod
-    def variable(cls, k: int, i: int, j: int) -> "ScalarPoly":
-        return cls({mono_var(k, i, j): 1})
-
-    @classmethod
-    def monomial(cls, m: Mono, c: int = 1) -> "ScalarPoly":
-        return cls({m: c})
-
-    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return ScalarPoly(terms)
-
-    def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
-        terms: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return ScalarPoly(terms)
-
-    def scale(self, c: int) -> "ScalarPoly":
-        return ScalarPoly({m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, ScalarPoly) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:
@@ -102,81 +49,6 @@ class ScalarPoly:
                 for (k, i, j), e in m) or "1"
             parts.append(f"{c}*{vs}" if c != 1 or not m else vs)
         return " + ".join(parts)
-
-
-class GenericMatrix:
-    """An n x n matrix with ScalarPoly entries."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries):
-        self.n = n
-        self.entries = tuple(tuple(row) for row in entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "GenericMatrix":
-        rows = []
-        for i in range(n):
-            rows.append([ScalarPoly.const(1) if i == j else ScalarPoly.zero()
-                         for j in range(n)])
-        return cls(n, rows)
-
-    def scale(self, c: int) -> "GenericMatrix":
-        return GenericMatrix(self.n, [
-            [e.scale(c) for e in row] for row in self.entries])
-
-    def __mul__(self, other: "GenericMatrix") -> "GenericMatrix":
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ScalarPoly.zero()
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return GenericMatrix(n, rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, GenericMatrix) and self.n == other.n
-                and self.entries == other.entries)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def nonzero_positions(self):
-        return [(i, j) for i in range(self.n) for j in range(self.n)
-                if not self.entries[i][j].is_zero()]
-
-    def __repr__(self):
-        return "\n".join("[" + ", ".join(repr(e) for e in row) + "]"
-                         for row in self.entries)
-
-
-def generic(grading: GradingTuple, k: int, g: int) -> GenericMatrix:
-    """The generic matrix A_{k,g}: one fresh variable per allowed position."""
-    if k < 1:
-        raise ValueError("generic matrix id must be positive")
-    n = grading.n
-    mat = [[ScalarPoly.zero()] * n for n_ in range(n)]
-    for i in range(n):
-        j = grading.phi(g, i)
-        mat[i] = list(mat[i])
-        mat[i][j] = ScalarPoly.variable(k, i, j)
-    return GenericMatrix(n, mat)
-
-
-def eval_word_direct(ctx: Context, w: Word) -> GenericMatrix:
-    """Evaluate a word by multiplying generic matrices left to right."""
-    n = ctx.grading.n
-    out = GenericMatrix.identity(n)
-    for v in w:
-        out = out * generic(ctx.grading, v, ctx.degree(v))
-    return out
 
 
 def path_degrees(ctx: Context, w: Word) -> list[int]:
@@ -248,20 +120,10 @@ def word_entry(ctx: Context, w: Word, row: int = 0,
     return path_entry(word_path(ctx, w, row, degrees), row)
 
 
-def word_entries(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
+def eval_word_closed(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
     """The word's evaluation as one word_entry per row, in row order."""
     degrees = path_degrees(ctx, w)
     return [word_entry(ctx, w, row, degrees) for row in range(ctx.grading.n)]
-
-
-def eval_word_closed(ctx: Context, w: Word) -> GenericMatrix:
-    """Evaluate a word without matrix products, via the path walk per row."""
-    n = ctx.grading.n
-    rows = [[ScalarPoly.zero()] * n for _ in range(n)]
-    for row, col, mono in word_entries(ctx, w):
-        rows[row] = list(rows[row])
-        rows[row][col] = ScalarPoly.monomial(mono)
-    return GenericMatrix(n, rows)
 
 
 def _keyed_sum(pairs) -> dict[tuple[int, int, Mono], int]:
@@ -276,29 +138,19 @@ def _keyed_sum(pairs) -> dict[tuple[int, int, Mono], int]:
     return acc
 
 
-def eval_entries(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
+def eval_poly(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
     """The nonzero terms of the polynomial's evaluation, keyed (row, col, mono).
 
-    Each word contributes one monomial per row (word_entries), so the
+    Each word contributes one monomial per row (eval_word_closed), so the
     evaluation is a single keyed sum.
     """
     return _keyed_sum((key, c) for w, c in p.terms.items()
-                      for key in word_entries(p.ctx, w))
+                      for key in eval_word_closed(p.ctx, w))
 
 
 def row0_entries(p: FreePoly) -> dict[tuple[int, int, Mono], int]:
-    """The row-0 part of eval_entries, one word_entry per word.
+    """The row-0 part of eval_poly, one word_entry per word.
 
     It is empty exactly when the whole evaluation is (see word_entry).
     """
     return _keyed_sum((word_entry(p.ctx, w), c) for w, c in p.terms.items())
-
-
-def eval_poly(p: FreePoly) -> GenericMatrix:
-    """Evaluate a polynomial at the generic matrices, exactly over Z."""
-    n = p.ctx.grading.n
-    cells: dict[tuple[int, int], dict[Mono, int]] = {}
-    for (row, col, mono), c in eval_entries(p).items():
-        cells.setdefault((row, col), {})[mono] = c
-    return GenericMatrix(n, [[ScalarPoly(cells.get((i, j))) for j in range(n)]
-                             for i in range(n)])

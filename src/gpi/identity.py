@@ -108,7 +108,7 @@ def identity_witness(p: FreePoly) -> Witness | None:
 
 def keyed_witness(entries: dict[tuple[int, int, Mono], int]) -> Witness | None:
     """The first nonzero entry (row-major) of a keyed evaluation (see
-    eval_entries), or None when every coefficient is zero."""
+    genmat.eval_poly), or None when every coefficient is zero."""
     first = min((key for key, c in entries.items() if c), default=None)
     if first is None:
         return None

@@ -46,7 +46,8 @@ class SigmaWitness:
     """Permutation matching the evaluation paths of two monomials.
 
     sigma[h] is the 0-based position in m whose scalar variable equals the
-    one at position h in n; both paths start at the shared row.
+    one at position h in n (repeated variables paired as in _by_variable);
+    both paths start at the shared row.
     """
 
     sigma: tuple[int, ...]
@@ -136,31 +137,28 @@ def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     return key_m[:2] if key_m == word_entry(ctx, n) else None
 
 
-def _match_paths(ctx: Context, m: Word, n: Word, row: int) -> tuple[tuple[int, ...], int]:
-    """Walk both words once from row and match their scalar variables.
+def _by_variable(path: list[ScalarVar]) -> list[int]:
+    """The positions of a path sorted by scalar variable, ties by position.
 
-    Returns sigma (see SigmaWitness) and the column where both paths end.
-    A repeated variable goes to the least unused position of m, so the
-    result is deterministic; multilinear words never have ties.
+    Two paths with the same variables are paired by this order: the i-th
+    position of one goes with the i-th of the other.  A repeated variable's
+    occurrences are paired in position order, so each position of n goes to
+    the least unused position of m carrying its variable; the pairing is
+    deterministic, and multilinear words never have ties.
     """
-    path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
-    if len(path_m) == len(path_n):
-        unused: dict[ScalarVar, list[int]] = {}
-        for s in reversed(range(len(path_m))):
-            unused.setdefault(path_m[s], []).append(s)  # least position last
-        sigma = tuple(unused[t].pop() for t in path_n if unused.get(t))
-        if len(sigma) == len(path_n):
-            return sigma, (path_m[-1][2] if path_m else row)
-    raise ContractError("monomials share no entry at the given position")
+    return sorted(range(len(path)), key=path.__getitem__)
 
 
 def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
     """Match equal scalar variables between the two paths from pos."""
     row, col = pos
-    sigma, end = _match_paths(ctx, m, n, row)
-    if end != col:
+    path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
+    if sorted(path_m) != sorted(path_n) or (path_m[-1][2] if path_m else row) != col:
         raise ContractError("monomials share no entry at the given position")
-    return SigmaWitness(sigma=sigma, position=(row, col))
+    sigma = [0] * len(path_n)
+    for h, s in zip(_by_variable(path_n), _by_variable(path_m)):
+        sigma[h] = s
+    return SigmaWitness(sigma=tuple(sigma), position=(row, col))
 
 
 # --- the congruence recursion -------------------------------------------------
@@ -194,13 +192,10 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
 
     Each round skips the common first letters by index, matches the scalar
     variables of the rest of the two paths, and emits the one move that
-    brings the partner of m's first remaining variable forward.  A repeated
-    variable goes to the least unused position of m, so the result is
-    deterministic; multilinear words never have ties.  Sorting positions
-    by variable, ties by position, pairs the i-th occurrence in m with the
-    i-th in n, which is that rule; the common first letters carry the same
-    variables in both paths, so the pairing of the rest is unchanged by
-    including them.
+    brings the partner of m's first remaining variable forward.  Positions
+    are paired as in extract_sigma (see _by_variable); the common first
+    letters carry the same variables in both paths, so the pairing of the
+    rest is unchanged by including them.
 
     Neither word is walked again: each move permutes n's path with the
     same blocks it permutes n, and the result is the path of the new n from
@@ -227,7 +222,7 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
         raise ContractError("monomials share no entry at the given position")
     # rank[j]: the place of m's position j in the variable order of m's path
     rank = [0] * length
-    for r, j in enumerate(sorted(range(length), key=path_m.__getitem__)):
+    for r, j in enumerate(_by_variable(path_m)):
         rank[j] = r
     moves: list[Move] = []
     k = 0
@@ -237,7 +232,7 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
         if k == length:
             return moves
         # partner[rank[j]]: the position in n paired with m's position j
-        partner = sorted(range(length), key=path_n.__getitem__)
+        partner = _by_variable(path_n)
         r0 = partner[rank[k]]
         if r0 == k:
             raise ContractError("first variables differ but sigma fixes position 1")

@@ -6,10 +6,11 @@ import os
 import random
 import re
 
+from gpi import certs
 from gpi.dsl import ParseError, _tokenize
 from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
                          word_degree)
-from gpi.genmat import word_path
+from gpi.genmat import Mono, ScalarPoly, eval_word_closed, word_path
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import ContractError, GeneratorInstance, GeneratorKind, make_generator
 from gpi.rewrite import Move, apply_move
@@ -67,6 +68,159 @@ def random_word(rand: random.Random, ctx: Context, length: int):
 def random_multilinear_word(rand: random.Random, ctx: Context, length: int):
     ids = sorted(ctx.degrees)
     return tuple(rand.sample(ids, length))
+
+
+# --- the dense matrix product, as the oracle for keyed evaluation -------------
+
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def mono_var(k: int, i: int, j: int) -> Mono:
+    return (((k, i, j), 1),)
+
+
+class OraclePoly(ScalarPoly):
+    """A ScalarPoly with the ring operations the dense product needs; it
+    compares equal to any ScalarPoly with the same terms."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "OraclePoly":
+        return cls()
+
+    @classmethod
+    def const(cls, c: int) -> "OraclePoly":
+        return cls({(): c})
+
+    @classmethod
+    def variable(cls, k: int, i: int, j: int) -> "OraclePoly":
+        return cls({mono_var(k, i, j): 1})
+
+    def __add__(self, other: ScalarPoly) -> "OraclePoly":
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return OraclePoly(terms)
+
+    def __neg__(self) -> "OraclePoly":
+        return self.scale(-1)
+
+    def __sub__(self, other: "OraclePoly") -> "OraclePoly":
+        return self + -other
+
+    def __mul__(self, other: ScalarPoly) -> "OraclePoly":
+        terms: dict[Mono, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mono_mul(m1, m2)
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return OraclePoly(terms)
+
+    def scale(self, c: int) -> "OraclePoly":
+        return OraclePoly({m: c * v for m, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class GenericMatrix:
+    """An n x n matrix with OraclePoly entries."""
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries):
+        self.n = n
+        self.entries = tuple(tuple(row) for row in entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "GenericMatrix":
+        return cls(n, [[OraclePoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+
+    def scale(self, c: int) -> "GenericMatrix":
+        return GenericMatrix(self.n, [[e.scale(c) for e in row] for row in self.entries])
+
+    def __add__(self, other: "GenericMatrix") -> "GenericMatrix":
+        return GenericMatrix(self.n, [[a + b for a, b in zip(r, s)]
+                                      for r, s in zip(self.entries, other.entries)])
+
+    def __mul__(self, other: "GenericMatrix") -> "GenericMatrix":
+        n = self.n
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = OraclePoly.zero()
+                for k in range(n):
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                row.append(acc)
+            rows.append(row)
+        return GenericMatrix(n, rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, GenericMatrix) and self.n == other.n
+                and self.entries == other.entries)
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    def nonzero_positions(self):
+        return [(i, j) for i in range(self.n) for j in range(self.n)
+                if not self.entries[i][j].is_zero()]
+
+    def __repr__(self):
+        return "\n".join("[" + ", ".join(repr(e) for e in row) + "]"
+                         for row in self.entries)
+
+
+def generic(grading, k: int, g: int) -> GenericMatrix:
+    """The generic matrix A_{k,g}: one fresh variable per allowed position."""
+    n = grading.n
+    return GenericMatrix(n, [[OraclePoly.variable(k, i, j) if j == grading.phi(g, i)
+                              else OraclePoly.zero() for j in range(n)] for i in range(n)])
+
+
+def eval_word_direct(ctx: Context, w) -> GenericMatrix:
+    """Evaluate a word by multiplying generic matrices left to right."""
+    out = GenericMatrix.identity(ctx.grading.n)
+    for v in w:
+        out = out * generic(ctx.grading, v, ctx.degree(v))
+    return out
+
+
+def eval_poly_direct(p: FreePoly) -> GenericMatrix:
+    """The polynomial's evaluation as the sum of its words' matrix products."""
+    out = GenericMatrix.identity(p.ctx.grading.n).scale(0)
+    for w, c in p.terms.items():
+        out = out + eval_word_direct(p.ctx, w).scale(c)
+    return out
+
+
+def keyed_matrix(n: int, entries: dict) -> GenericMatrix:
+    """A keyed sum (genmat.eval_poly) as a dense n x n matrix, to compare
+    with the products above."""
+    cells: dict[tuple[int, int], dict[Mono, int]] = {}
+    for (row, col, mono), c in entries.items():
+        cells.setdefault((row, col), {})[mono] = c
+    return GenericMatrix(n, [[OraclePoly(cells.get((i, j))) for j in range(n)]
+                             for i in range(n)])
+
+
+def word_matrix(ctx: Context, w) -> GenericMatrix:
+    """The word's keys (eval_word_closed), each with coefficient 1, as a
+    dense matrix."""
+    return keyed_matrix(ctx.grading.n, dict.fromkeys(eval_word_closed(ctx, w), 1))
+
+
+def dense_matrix_json(mat: GenericMatrix) -> dict:
+    """The `gpi eval` document of a dense matrix: its nonzero cells, row-major."""
+    return {"n": mat.n, "entries": [
+        {"row": i + 1, "col": j + 1, "terms": certs.scalar_poly_to_json(e)}
+        for i, row in enumerate(mat.entries) for j, e in enumerate(row) if not e.is_zero()]}
 
 
 # --- the tokenizer that dsl._tokenize replaced, as an oracle -----------------

@@ -99,7 +99,7 @@ class TestReductionDocuments:
 class TestMatrixJson:
     def test_positions_are_one_based(self):
         c = Context(Z3, {1: 1})
-        doc = certs.matrix_to_json(eval_word_closed(c, (1,)))
+        doc = certs.matrix_to_json(3, dict.fromkeys(eval_word_closed(c, (1,)), 1))
         assert doc["n"] == 3
         assert {(e["row"], e["col"]) for e in doc["entries"]} == \
             {(1, 2), (2, 3), (3, 1)}
@@ -285,7 +285,7 @@ def test_chain_jcomb_eval_bytes_pinned():
             terms = {tuple(rand.sample(base, len(base))): rand.choice([-2, -1, 1, 2])
                      for _ in range(rand.randint(1, 3))}
             p = FreePoly(ctx, terms)
-            digest.update(certs.dumps(certs.matrix_to_json(eval_poly(p))).encode())
+            digest.update(certs.dumps(certs.matrix_to_json(ctx.grading.n, eval_poly(p))).encode())
             w = identity_witness(p)
             if w is not None:
                 witnesses += 1

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+import support
 
+from gpi import certs
 from gpi.cli import main
-from gpi.groups import MAX_GROUP_ORDER
+from gpi.dsl import ParsedFile, format_file
+from gpi.freealg import Context, FreePoly
+from gpi.groups import MAX_GROUP_ORDER, GradingTuple, default_grading
 
 ID_FILE = """\
 group: Z3
@@ -104,6 +108,58 @@ class TestEval:
         assert code == 2 and err
 
 
+class TestEvalOracle:
+    """gpi eval prints the matrix the dense product gives (support's oracle),
+    for the whole polynomial, --word <index> and --word <expr>."""
+
+    def random_poly(self, rand, ctx):
+        """Repeated letters, a constant term, and congruent pairs with
+        opposite coefficients, whose evaluations cancel."""
+        base = support.random_word(rand, ctx, rand.randint(2, 5))
+        terms = {(): rand.choice((-2, 1, 3))} if rand.random() < 0.5 else {}
+        for _ in range(rand.randint(1, 3)):
+            w = tuple(rand.sample(base, len(base)))
+            terms[w] = terms.get(w, 0) + rand.choice((-2, -1, 1, 2))
+        for _ in range(rand.randint(1, 2)):
+            m, n = support.random_congruent_pair(rand, ctx, rand.sample(base, len(base)))
+            lam = rand.choice((-1, 1, 3))
+            terms[m] = terms.get(m, 0) + lam
+            terms[n] = terms.get(n, 0) - lam
+        return FreePoly(ctx, terms)
+
+    def test_matches_dense_product(self, tmp_path, capsys):
+        rand = support.rng(601)
+        s3 = support.s3()
+        gradings = support.configs() + [default_grading(s3),
+                                        GradingTuple(s3, (3, 1, 4, 0, 5, 2))]
+        constants = cancelled = runs = 0
+        for grading in gradings:
+            for i in range(8):
+                # trivial degrees often, so that words admit moves
+                ctx = Context(grading, {k: rand.choice((grading.group.identity_index,
+                                                        rand.randrange(grading.n)))
+                                        for k in (1, 2, 3)})
+                p = self.random_poly(rand, ctx)
+                f = write(tmp_path, f"p{i}.gpi", format_file(ParsedFile(ctx, poly=p)))
+                cases = [((), support.eval_poly_direct(p))]
+                for idx, w in list(enumerate(p.support()))[:3]:
+                    cases.append((("--word", str(idx)), support.eval_word_direct(ctx, w)))
+                w = support.random_word(rand, ctx, rand.randint(1, 5))
+                cases.append((("--word", "*".join(f"x{v}" for v in w)),
+                              support.eval_word_direct(ctx, w)))
+                for flags, dense in cases:
+                    code, out, err = run(capsys, "eval", f, *flags)
+                    assert (code, err) == (0, "")
+                    assert out == certs.dumps(support.dense_matrix_json(dense))
+                    runs += 1
+                constants += () in p.terms
+                # each word puts one monomial in every row; fewer in the sum cancelled
+                whole = support.eval_poly_direct(p)
+                cancelled += sum(len(e.terms) for row in whole.entries for e in row) \
+                    < grading.n * len(p.terms)
+        assert runs > 100 and constants > 5 and cancelled > 10
+
+
 class TestCongruentVerify:
     def test_chain_and_verify(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", CONG_FILE)
@@ -174,6 +230,35 @@ class TestHostileCertificates:
         cert = tmp_path / "undeclared.json"
         cert.write_text(json.dumps(doc))
         self.assert_rejected(capsys, cert)
+
+    def express_doc(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "express", write(tmp_path, "id.gpi", ID_FILE))
+        doc = json.loads(out)
+        assert code == 0 and doc["vars"] == {"1": 1, "2": 2, "3": 1}
+        return doc
+
+    @pytest.mark.parametrize("vars_doc", [
+        {" 1": 1, "2": 2, "3": 1},
+        {"1": 1, "+2": 2, "3": 1},
+        {"1": 1, "2": 2, "0_3": 1},
+        {"1": 1, "2": 2, "3": 1, "03": 2},
+        {"1": 1, "2": 2, "\u0663": 1},  # ARABIC-INDIC DIGIT THREE
+        {" 1": 1, "+2": 2, "0_3": 1},
+        [1, 2, 1],
+    ])
+    def test_vars_keys_are_decimal_ids(self, tmp_path, capsys, vars_doc):
+        """int() reads each of these keys ("03" would override x3), and a
+        list of degrees is not the documented object."""
+        doc = self.express_doc(tmp_path, capsys)
+        doc["vars"] = vars_doc
+        cert = tmp_path / "vars.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    def test_untampered_vars_verify(self, tmp_path, capsys):
+        cert = tmp_path / "comb.json"
+        cert.write_text(json.dumps(self.express_doc(tmp_path, capsys)))
+        assert run(capsys, "verify", str(cert))[0] == 0
 
     @pytest.mark.parametrize("bad", ["self", "forward", "string", "root"])
     def test_reduction_bad_reference(self, tmp_path, capsys, bad):

@@ -71,6 +71,20 @@ class TestArithmetic:
             FreePoly.var(self.c, 1) * FreePoly.var(self.c, 9)
         assert FreePoly(self.c, {(9,): 0, (): 3}).terms == {(): 3}
 
+    @pytest.mark.parametrize("terms, text", [
+        ({(): 3}, "3"),
+        ({(): 1}, "1"),
+        ({(): -1}, "-1"),
+        ({(): -3, (1,): 2}, "-3 + 2x1"),
+        ({(): 2, (1, 2): -1, (2, 1): 1}, "2 - x1*x2 + x2*x1"),
+        ({(1, 2): 1, (2, 1): -1}, "x1*x2 - x2*x1"),
+        ({(1,): -1, (3, 3): 4}, "-x1 + 4x3*x3"),
+        ({}, "0"),
+    ])
+    def test_repr(self, terms, text):
+        """A constant term is its coefficient alone, never followed by 1."""
+        assert repr(FreePoly(self.c, terms)) == text
+
 
 @st.composite
 def polys(draw):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpi.freealg import Context, FreePoly
-from gpi.genmat import (ScalarPoly, eval_entries, eval_poly, eval_word_direct, word_entries,
-                        word_entry)
+from gpi.genmat import eval_poly, eval_word_closed, word_entry
 from gpi.identity import (GeneratorError, GeneratorKind, expand, identity_witness,
                           is_graded_identity, keyed_witness, make_generator)
 from gpi.groups import GradingTuple, cyclic_group, default_grading
@@ -39,8 +38,8 @@ class TestIsGradedIdentity:
         p = FreePoly(c, {(1, 2): 1, (2, 1): -1})
         w = identity_witness(p)
         assert w is not None and (w.row, w.col) == (0, 0)
-        assert w.value == eval_poly(p).entries[0][0]
-        assert not w.value.is_zero()
+        assert w.value == support.keyed_matrix(3, eval_poly(p)).entries[0][0]
+        assert w.value.terms
 
 
 class TestGenerators:
@@ -118,30 +117,19 @@ def cancelling_polys(draw):
     return FreePoly(ctx, terms)
 
 
-def _dense_first_nonzero(p):
-    """Sum the words' matrix products entry by entry; first nonzero, row-major."""
-    n = p.ctx.grading.n
-    cells = [[ScalarPoly() for _ in range(n)] for _ in range(n)]
-    for w, c in p.terms.items():
-        mat = eval_word_direct(p.ctx, w)
-        for i in range(n):
-            for j in range(n):
-                cells[i][j] = cells[i][j] + mat.entries[i][j].scale(c)
-    nonzero = [(i, j, cells[i][j]) for i in range(n) for j in range(n)
-               if not cells[i][j].is_zero()]
-    return cells, (nonzero[0] if nonzero else None)
-
-
 @settings(max_examples=150, deadline=None)
 @given(cancelling_polys())
 def test_witness_is_first_nonzero_dense_entry(p):
-    cells, first = _dense_first_nonzero(p)
+    """The witness is the first nonzero entry (row-major) of the sum of the
+    words' matrix products, and the keyed sum is that whole sum."""
+    dense = support.eval_poly_direct(p)
+    first = next(((i, j, dense.entries[i][j]) for i, j in dense.nonzero_positions()), None)
     w = identity_witness(p)
     if first is None:
         assert w is None and is_graded_identity(p)
     else:
         assert (w.row, w.col, w.value) == first
-    assert [list(row) for row in eval_poly(p).entries] == cells
+    assert support.keyed_matrix(p.ctx.grading.n, eval_poly(p)) == dense
 
 
 # --- row 0 decides --------------------------------------------------------------
@@ -169,7 +157,7 @@ def test_row0_key_decides_word_equality():
             else:
                 b = support.random_congruent_pair(rand, c, a)[1]
             same = word_entry(c, a) == word_entry(c, b)
-            assert same == (word_entries(c, a) == word_entries(c, b))
+            assert same == (eval_word_closed(c, a) == eval_word_closed(c, b))
             if a != b:
                 equal += same
                 unequal += not same
@@ -197,7 +185,7 @@ def test_row0_witness_is_full_evaluation_witness():
                 terms[n] = terms.get(n, 0) - 1
             p = FreePoly(c, terms)
             w = identity_witness(p)
-            assert w == keyed_witness(eval_entries(p))
+            assert w == keyed_witness(eval_poly(p))
             assert w is None or w.row == 0
             identities += w is None
     assert 10 < identities < 230

@@ -1,12 +1,12 @@
 import pytest
 import support
 
-from gpi.freealg import Context, FreePoly, word_key
-from gpi.genmat import eval_word_closed, eval_word_direct, word_entries, word_path
+from gpi.freealg import Context, DeclarationError, FreePoly, word_key
+from gpi.genmat import eval_word_closed, word_path
 from gpi.identity import (ContractError, GeneratorKind, expand, identity_witness,
                           make_generator)
 from gpi.rewrite import (JCombination, Move, MoveError, NoExpressionError,
-                         NotCongruentError, RewriteChain, apply_move,
+                         NotCongruentError, RewriteChain, SigmaWitness, apply_move,
                          congruence_chain, express_in_J, extract_sigma,
                          shared_entry, verify_chain, verify_combination)
 from gpi.groups import GradingTuple, cyclic_group, default_grading
@@ -81,6 +81,47 @@ class TestExtractSigma:
                 w = extract_sigma(c, m2, n, pos)
                 assert w.sigma[0] != 0
 
+    def test_matches_least_unused_position_matcher(self):
+        """extract_sigma pairs by one sort per path; support._old_match_paths
+        hands out the least unused position of m.  On move-walk pairs with
+        repeated letters they agree, from every row and at every column: the
+        same sigma where the paths share the entry, a ContractError where
+        they do not.  Words of another length or other letters, and an
+        undeclared letter, fail the same way in both."""
+        rand = support.rng(312)
+        ties = raised = 0
+        for grading in _chain_gradings():
+            for _ in range(30):
+                c = support.random_context(rand, grading, 3)
+                m = support.random_word(rand, c, rand.randint(1, 7))
+                others = [support.random_congruent_pair(rand, c, m)[1],
+                          tuple(rand.sample(m, len(m))), m[1:], m + m[:1], m[:-1] + (9,)]
+                for n in others:
+                    for row in range(grading.n):
+                        for col in range(grading.n):
+                            got, want = _outcome(extract_sigma, c, m, n, (row, col)), \
+                                _outcome(_old_extract_sigma, c, m, n, (row, col))
+                            assert got == want
+                            raised += got[0] == "raise"
+                ties += len(set(m)) < len(m)
+        assert ties > 60 and raised > 1000
+
+
+def _old_extract_sigma(ctx, m, n, pos):
+    row, col = pos
+    sigma = support._old_match_paths(ctx, m, n, row)
+    path_m = word_path(ctx, m, row)
+    if (path_m[-1][2] if path_m else row) != col:
+        raise ContractError("monomials share no entry at the given position")
+    return SigmaWitness(sigma=sigma, position=pos)
+
+
+def _outcome(extract, ctx, m, n, pos):
+    try:
+        return ("ok", extract(ctx, m, n, pos))
+    except (ContractError, DeclarationError) as exc:
+        return ("raise", type(exc), str(exc))
+
 
 class TestMoves:
     def test_swap0(self):
@@ -117,7 +158,7 @@ class TestMoves:
 
 
 def test_equal_keys_iff_equal_matrices():
-    """verify_chain compares word_entries: for words of one multidegree,
+    """verify_chain compares word keys: for words of one multidegree,
     repeated letters included, the keys agree exactly when the dense
     products do."""
     rand = support.rng(307)
@@ -130,8 +171,8 @@ def test_equal_keys_iff_equal_matrices():
                 b = tuple(rand.sample(a, len(a)))
             else:
                 b = support.random_congruent_pair(rand, c, a)[1]
-            same = word_entries(c, a) == word_entries(c, b)
-            assert same == (eval_word_direct(c, a) == eval_word_direct(c, b))
+            same = eval_word_closed(c, a) == eval_word_closed(c, b)
+            assert same == (support.eval_word_direct(c, a) == support.eval_word_direct(c, b))
             if a != b:
                 equal += same
                 unequal += not same
@@ -183,10 +224,10 @@ class TestCongruenceChain:
                 m, n = support.random_congruent_pair(rand, c, w)
                 chain = congruence_chain(c, m, n)
                 cur = chain.start
-                base = eval_word_closed(c, chain.start)
+                base = support.eval_word_direct(c, chain.start)
                 for mv in chain.moves:
                     cur = apply_move(c, cur, mv)
-                    assert eval_word_closed(c, cur) == base
+                    assert support.eval_word_direct(c, cur) == base
 
 
 def _chain_gradings():
