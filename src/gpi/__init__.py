@@ -8,8 +8,8 @@ instances with short parts, again with verifiable certificates.
 """
 
 from .groups import FiniteGroup, GradingTuple, GroupError, cyclic_group, default_grading
-from .freealg import (Context, DeclarationError, FreePoly, LieWord,
-                      SubstitutionError, WeakSubstitution, Word,
+from .freealg import (MAX_REPLAY_LETTERS, Context, DeclarationError, FreePoly, LieWord,
+                      ReplayBudgetError, SubstitutionError, WeakSubstitution, Word,
                       bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
 from .genmat import ScalarPoly, eval_poly, eval_word_closed
@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteGroup", "GradingTuple", "GroupError", "cyclic_group", "default_grading",
-    "Context", "DeclarationError", "FreePoly", "LieWord", "SubstitutionError",
+    "MAX_REPLAY_LETTERS", "Context", "DeclarationError", "FreePoly", "LieWord",
+    "ReplayBudgetError", "SubstitutionError",
     "WeakSubstitution", "Word", "bracket", "lie_degree",
     "lie_expand", "multidegree", "multihomogeneous_components", "word_degree",
     "ScalarPoly", "eval_poly", "eval_word_closed",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .freealg import Context, FreePoly, Word
+from .freealg import Context, FreePoly, ReplayBudget, Word
 from .genmat import Mono, ScalarPoly
 from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import GeneratorInstance, GeneratorKind, make_generator
@@ -18,8 +18,11 @@ from .rewrite import JCombination, JTerm, Move, RewriteChain
 from .z3reduce import (CertContext, CertLeaf, CertNode, CertSubst, CertSum,
                        ReductionCertificate, cert_nodes)
 
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)  # version 1 wrote a reduction as a nested tree
+CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
+REDUCTION_VERSION = 2  # reduction documents: a node table
+# Version 1 wrote a reduction as a nested tree; versions 1 and 2 wrote
+# chain and jcomb moves with their whole contexts.
+READ_VERSIONS = {"chain": (1, 2, 3), "jcomb": (1, 2, 3), "reduction": (1, 2)}
 
 
 class CertificateFormatError(ValueError):
@@ -81,17 +84,21 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 
 
 # --- rewrite chains and combinations ------------------------------------------
+#
+# Version 3 writes a move as [kind, offset, len1, len2(, len3)]: the blocks
+# are the len_i letters of the running word that follow its first offset
+# letters, and the running word starts at the chain's start (a jcomb term's
+# source).  A jcomb term writes its endpoints once, as source and target.
+# Versions 1 and 2 wrote each move as {kind, left, blocks, right}, and each
+# chain with its own start and end; both still load, into the same Move
+# objects, so every version replays through one verifier.
 
-def move_to_json(mv: Move) -> dict:
-    return {"kind": mv.kind, "left": list(mv.left),
-            "blocks": [list(b) for b in mv.blocks], "right": list(mv.right)}
+_BLOCKS = {"swap0": 2, "reverse3": 3}
+_INT = frozenset({int})
 
 
-def move_from_json(ctx: Context, doc: dict) -> Move:
-    mv = Move(doc["kind"], tuple(doc["left"]),
-              tuple(tuple(b) for b in doc["blocks"]), tuple(doc["right"]))
-    _declared_word(ctx, mv.source())  # every letter, in one pass
-    return mv
+def move_to_json(mv: Move) -> list:
+    return [mv.kind, len(mv.left), *map(len, mv.blocks)]
 
 
 def chain_payload(chain: RewriteChain) -> dict:
@@ -99,14 +106,8 @@ def chain_payload(chain: RewriteChain) -> dict:
             "moves": [move_to_json(m) for m in chain.moves]}
 
 
-def chain_from_payload(ctx: Context, doc: dict) -> RewriteChain:
-    return RewriteChain(ctx, _declared_word(ctx, doc["start"]),
-                        tuple(move_from_json(ctx, m) for m in doc["moves"]),
-                        _declared_word(ctx, doc["end"]))
-
-
 def chain_to_json(chain: RewriteChain) -> dict:
-    out = {"version": FORMAT_VERSION, "kind": "chain"}
+    out = {"version": CHAIN_VERSION, "kind": "chain"}
     out.update(context_to_json(chain.ctx))
     out["payload"] = chain_payload(chain)
     return out
@@ -114,23 +115,91 @@ def chain_to_json(chain: RewriteChain) -> dict:
 
 def jcomb_payload(comb: JCombination) -> dict:
     return {"terms": [{"coeff": t.coeff, "source": list(t.source),
-                       "target": list(t.target), "chain": chain_payload(t.chain)}
+                       "target": list(t.target),
+                       "chain": {"moves": [move_to_json(m) for m in t.chain.moves]}}
                       for t in comb.terms]}
 
 
-def jcomb_from_payload(ctx: Context, doc: dict) -> JCombination:
-    terms = tuple(JTerm(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
-                        _declared_word(ctx, t["target"]),
-                        chain_from_payload(ctx, t["chain"]))
-                  for t in doc["terms"])
-    return JCombination(ctx, terms)
-
-
 def jcomb_to_json(comb: JCombination) -> dict:
-    out = {"version": FORMAT_VERSION, "kind": "jcomb"}
+    out = {"version": CHAIN_VERSION, "kind": "jcomb"}
     out.update(context_to_json(comb.ctx))
     out["payload"] = jcomb_payload(comb)
     return out
+
+
+def _move_list(doc) -> list:
+    if not isinstance(doc, list):
+        raise CertificateFormatError("moves must be a JSON list")
+    return doc
+
+
+def _replay_size(pairs) -> None:
+    """Check, before any move is built, that the moves of every (word, moves)
+    pair fit one replay budget: each move holds a copy of the running word,
+    which keeps the length of its start."""
+    ReplayBudget().spend(sum(len(word) * len(moves) for word, moves in pairs))
+
+
+def _positional_moves(word: Word, docs: list) -> tuple[Move, ...]:
+    """Version-3 moves, sliced from the running word, which starts at word."""
+    moves = []
+    for i, doc in enumerate(docs):
+        if not (type(doc) is list and len(doc) > 2 and type(doc[0]) is str
+                and _BLOCKS.get(doc[0]) == len(doc) - 2):
+            raise CertificateFormatError(
+                f"move {i} is not [swap0, offset, len, len] "
+                "or [reverse3, offset, len, len, len]")
+        if not _INT.issuperset(map(type, doc[1:])):  # bool is not int here
+            raise CertificateFormatError(f"move {i}: an offset or length is not an integer")
+        kind, offset, *lengths = doc
+        end = offset + sum(lengths)
+        if offset < 0 or min(lengths) < 1 or end > len(word):
+            raise CertificateFormatError(
+                f"move {i}: offset {offset} and block lengths {lengths} do not fit "
+                f"a word of length {len(word)}")
+        cut = offset + lengths[0]
+        blocks = (word[offset:cut], word[cut:cut + lengths[1]])
+        if kind == "reverse3":
+            cut += lengths[1]
+            blocks += (word[cut:end],)
+        mv = Move(kind, word[:offset], blocks, word[end:])
+        moves.append(mv)
+        word = mv.target()
+    return tuple(moves)
+
+
+def _explicit_move(ctx: Context, doc: dict) -> Move:
+    """A version-1 or -2 move, {kind, left, blocks, right}."""
+    mv = Move(doc["kind"], tuple(doc["left"]),
+              tuple(tuple(b) for b in doc["blocks"]), tuple(doc["right"]))
+    _declared_word(ctx, mv.source())  # every letter, in one pass
+    return mv
+
+
+def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
+    start, end = _declared_word(ctx, doc["start"]), _declared_word(ctx, doc["end"])
+    moves = _move_list(doc["moves"])
+    if version < 3:
+        return RewriteChain(ctx, start, tuple(_explicit_move(ctx, m) for m in moves), end)
+    _replay_size([(start, moves)])
+    return RewriteChain(ctx, start, _positional_moves(start, moves), end)
+
+
+def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
+    if version < 3:
+        return JCombination(ctx, tuple(
+            JTerm(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
+                  _declared_word(ctx, t["target"]),
+                  chain_from_payload(ctx, t["chain"], version))
+            for t in doc["terms"]))
+    terms = [(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
+              _declared_word(ctx, t["target"]), _move_list(t["chain"]["moves"]))
+             for t in doc["terms"]]
+    _replay_size((source, moves) for _, source, _, moves in terms)
+    return JCombination(ctx, tuple(
+        JTerm(coeff, source, target,
+              RewriteChain(ctx, source, _positional_moves(source, moves), target))
+        for coeff, source, target, moves in terms))
 
 
 # --- reduction certificates ----------------------------------------------------
@@ -258,7 +327,7 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
     """The certificate as a node table: each distinct node once, children first."""
     nodes = cert_nodes(cert.root)
     index = {id(node): i for i, node in enumerate(nodes)}
-    out = {"version": FORMAT_VERSION, "kind": "reduction"}
+    out = {"version": REDUCTION_VERSION, "kind": "reduction"}
     out.update(context_to_json(cert.ctx))
     out["payload"] = {"target": generator_to_json(cert.target),
                       "nodes": [_node_entry(node, index) for node in nodes],
@@ -298,19 +367,18 @@ def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCe
 
 def certificate_from_json(doc: dict):
     """Load any certificate document; returns a chain, combination or reduction."""
-    version = doc.get("version")
-    if version not in READ_VERSIONS:
-        raise CertificateFormatError(f"unsupported version {version!r}")
+    kind, version = doc.get("kind"), doc.get("version")
+    if not (isinstance(kind, str) and kind in READ_VERSIONS):
+        raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+    if type(version) is not int or version not in READ_VERSIONS[kind]:
+        raise CertificateFormatError(f"unsupported version {version!r} of a {kind}")
     ctx = context_from_json(doc)
-    kind = doc.get("kind")
     payload = doc.get("payload", {})
     if kind == "chain":
-        return chain_from_payload(ctx, payload)
+        return chain_from_payload(ctx, payload, version)
     if kind == "jcomb":
-        return jcomb_from_payload(ctx, payload)
-    if kind == "reduction":
-        return reduction_from_payload(ctx, payload, version)
-    raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+        return jcomb_from_payload(ctx, payload, version)
+    return reduction_from_payload(ctx, payload, version)
 
 
 def dumps(doc: dict) -> str:

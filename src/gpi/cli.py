@@ -14,7 +14,7 @@ import sys
 
 from . import certs
 from .dsl import ParseError, parse_file, parse_word
-from .freealg import DeclarationError, FreePoly
+from .freealg import DeclarationError, FreePoly, ReplayBudgetError
 from .genmat import eval_poly, eval_word_closed
 from .groups import GroupError, cyclic_group, default_grading
 from .identity import (ContractError, GeneratorError, GeneratorKind,
@@ -215,7 +215,9 @@ def cmd_verify(args) -> int:
             ok = verify_certificate(cert)
         else:  # pragma: no cover - certificate_from_json is exhaustive
             raise _CliInputError(f"{args.cert}: unknown certificate object")
-    except DeclarationError as exc:  # a move or word names an undeclared variable
+    except (DeclarationError, ReplayBudgetError) as exc:
+        # a move or word names an undeclared variable, or the replay would
+        # build more than MAX_REPLAY_LETTERS letters
         raise _CliInputError(f"{args.cert}: {exc}") from exc
     _emit({"valid": ok, "kind": doc.get("kind")})
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -216,6 +216,44 @@ def multihomogeneous_components(p: FreePoly) -> list[FreePoly]:
     return [FreePoly(p.ctx, terms) for _, terms in sorted(buckets.items())]
 
 
+# --- the replay budget --------------------------------------------------------
+#
+# A certificate of a few hundred bytes can ask its replay for exponentially
+# many letters: a substitution image k brackets deep expands to 2^k words,
+# and k copies of a substituted letter multiply out to 2^k more.  Every word
+# a replay builds is charged to one budget before it is built.
+
+MAX_REPLAY_LETTERS = 2_000_000
+
+
+class ReplayBudgetError(ValueError):
+    pass
+
+
+class ReplayBudget:
+    """The letters one replay may still build; over MAX_REPLAY_LETTERS raises."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = MAX_REPLAY_LETTERS
+
+    def spend(self, letters: int) -> None:
+        self.left -= letters
+        if self.left < 0:
+            raise ReplayBudgetError(
+                f"replay needs more than {MAX_REPLAY_LETTERS:,} letters (MAX_REPLAY_LETTERS)")
+
+
+def _charged_product(a: dict[Word, int], b: dict[Word, int],
+                     budget: ReplayBudget) -> dict[Word, int]:
+    """terms_product(a, b), charged before it is built.  The words of a have
+    one length, and those of b another, so the charge is O(1)."""
+    if a and b:
+        budget.spend(len(a) * len(b) * (len(next(iter(a))) + len(next(iter(b)))))
+    return terms_product(a, b)
+
+
 # --- Lie words and weak substitutions ---------------------------------------
 #
 # A LieWord is either a variable id (int) or a pair (left, right) meaning a
@@ -232,10 +270,18 @@ def lie_degree(ctx: Context, lw) -> int:
 
 
 def lie_expand(ctx: Context, lw) -> FreePoly:
+    return FreePoly(ctx, _lie_terms(lw, ReplayBudget()))
+
+
+def _lie_terms(lw, budget: ReplayBudget) -> dict[Word, int]:
+    """The expansion of a Lie word, each bracket [l, r] as lr - rl."""
     if isinstance(lw, int):
-        return FreePoly.var(ctx, lw)
-    l, r = lw
-    return bracket(lie_expand(ctx, l), lie_expand(ctx, r))
+        return {(lw,): 1}
+    l, r = _lie_terms(lw[0], budget), _lie_terms(lw[1], budget)
+    terms = _charged_product(l, r, budget)
+    for w, c in _charged_product(r, l, budget).items():
+        terms[w] = terms.get(w, 0) - c
+    return {w: c for w, c in terms.items() if c}
 
 
 @dataclass(frozen=True)
@@ -257,16 +303,23 @@ class WeakSubstitution:
                 raise SubstitutionError(
                     f"image of x{k} has degree {got}, expected {want}")
 
-    def __call__(self, p: FreePoly) -> FreePoly:
-        """The image of p, multiplied out in plain term dicts."""
+    def __call__(self, p: FreePoly, budget: ReplayBudget | None = None) -> FreePoly:
+        """The image of p, multiplied out in plain term dicts.
+
+        Each image is a Lie word's expansion, so its words have one length,
+        and so do the words of each partial product.  Every product is
+        charged to budget (a fresh one when none is given).
+        """
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
-        images = {k: lie_expand(self.ctx, lw).terms for k, lw in self.images.items()}
+        if budget is None:
+            budget = ReplayBudget()
+        images = {k: _lie_terms(lw, budget) for k, lw in self.images.items()}
         terms: dict[Word, int] = {}
         for w, c in p.terms.items():
             acc = {(): c}
             for v in w:
-                acc = terms_product(acc, images[v] if v in images else {(v,): 1})
+                acc = _charged_product(acc, images[v] if v in images else {(v,): 1}, budget)
             for u, d in acc.items():
                 terms[u] = terms.get(u, 0) + d
         return FreePoly(self.ctx, terms)

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
-                      WeakSubstitution, Word, is_multilinear_word, word_degree)
+from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget,
+                      ReplayBudgetError, SubstitutionError, WeakSubstitution, Word,
+                      is_multilinear_word, word_degree)
 from .identity import (GeneratorInstance, GeneratorKind, degree_rule_holds, expand,
                        make_generator)
 
@@ -115,10 +116,19 @@ def cert_nodes(root: CertNode) -> list[CertNode]:
     return order
 
 
-def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly]) -> FreePoly:
+def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly],
+                budget: ReplayBudget) -> FreePoly:
+    """The value of one node from its children's values.
+
+    A context node charges budget for the words it builds, a subst node
+    for every product it multiplies out, and a sum node one letter for
+    each child term it adds up, so a table of sums over one large value
+    is bounded too.
+    """
     if isinstance(node, CertLeaf):
         return expand(node.generator)
     if isinstance(node, CertSum):
+        budget.spend(sum(len(values[id(child)].terms) for _, child in node.children))
         terms: dict[Word, int] = {}
         for coeff, child in node.children:
             for w, c in values[id(child)].terms.items():
@@ -126,18 +136,24 @@ def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly]) -> Fr
         return FreePoly(ctx, terms)
     if isinstance(node, CertContext):
         left, right = tuple(node.left), tuple(node.right)
-        return FreePoly(ctx, {left + w + right: c
-                              for w, c in values[id(node.child)].terms.items()})
+        child = values[id(node.child)].terms
+        budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
+        return FreePoly(ctx, {left + w + right: c for w, c in child.items()})
     if isinstance(node, CertSubst):
-        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)])
+        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)], budget)
     raise CertificateError(f"unknown certificate node {type(node).__name__}")
 
 
 def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
-    """Evaluate nodes in walk order, each once; the last is the root."""
+    """Evaluate nodes in walk order, each once; the last is the root.
+
+    The whole replay shares one ReplayBudget, so it raises
+    ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
+    """
     values: dict[int, FreePoly] = {}
+    budget = ReplayBudget()
     for node in nodes:
-        values[id(node)] = _node_value(ctx, node, values)
+        values[id(node)] = _node_value(ctx, node, values, budget)
     return values[id(nodes[-1])]
 
 
@@ -164,8 +180,9 @@ def check_certificate(cert: ReductionCertificate,
                       max_part_len: int = MAX_REDUCED_PART_LEN):
     """Raise CertificateError at the first failing step or oversized leaf.
 
-    A DeclarationError (a node names an undeclared variable) is bad input,
-    not a failed step, and propagates.
+    A DeclarationError (a node names an undeclared variable) and a
+    ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
+    letters) are bad input, not a failed step, and propagate.
     """
     nodes = cert_nodes(cert.root)
     leaves = (n.generator for n in nodes if isinstance(n, CertLeaf))
@@ -176,7 +193,7 @@ def check_certificate(cert: ReductionCertificate,
                 f"limit is {max_part_len}")
     try:
         value = _replay(cert.ctx, nodes)
-    except DeclarationError:
+    except (DeclarationError, ReplayBudgetError):
         raise
     except (SubstitutionError, ValueError) as exc:
         raise CertificateError(f"replay failed: {exc}") from exc

@@ -443,6 +443,80 @@ def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
         n = mv.target()[len(prefix):]
 
 
+# --- chain and jcomb documents written back in format v2, as an oracle ---------
+
+def _v2_moves(word: list, moves: list) -> list:
+    """Replay version-3 moves [kind, offset, len...] from word and write each
+    as the version-2 {kind, left, blocks, right} it stands for.  Raises
+    ValueError where a move cannot be cut from the running word."""
+    out = []
+    for mv in moves:
+        kind, offset, *lengths = mv
+        if not all(type(x) is int for x in (offset, *lengths)) or offset < 0 \
+                or not all(n > 0 for n in lengths) or offset + sum(lengths) > len(word):
+            raise ValueError(f"move {mv!r} does not fit a word of length {len(word)}")
+        blocks, cut = [], offset
+        for n in lengths:
+            blocks.append(word[cut:cut + n])
+            cut += n
+        out.append({"kind": kind, "left": word[:offset], "blocks": blocks,
+                    "right": word[cut:]})
+        word = word[:offset] + [v for b in reversed(blocks) for v in b] + word[cut:]
+    return out
+
+
+def as_v2(doc: dict) -> dict:
+    """A version-3 chain or jcomb document as the version-2 encoder wrote it:
+    explicit moves, and every chain with its own start and end."""
+    doc = dict(doc, version=2)
+    payload = doc["payload"]
+    if doc["kind"] == "chain":
+        doc["payload"] = dict(payload, moves=_v2_moves(payload["start"], payload["moves"]))
+    else:
+        doc["payload"] = {"terms": [
+            dict(t, chain={"start": t["source"], "end": t["target"],
+                           "moves": _v2_moves(t["source"], t["chain"]["moves"])})
+            for t in payload["terms"]]}
+    return doc
+
+
+# --- reductions whose replay grows exponentially with their size ---------------
+
+_Z3_DOC = {"group": {"names": ["0", "1", "2"], "order": 3,
+                     "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+           "grading": [0, 1, 2]}
+
+
+def _reduction_doc(nvars: int, parts, nodes) -> dict:
+    """A version-2 reduction over x1..x<nvars>, all of trivial degree in Z3,
+    whose leaf and target are the type-1 generator with the given parts."""
+    leaf = {"op": "leaf", "generator": {"kind": 1, "parts": parts}}
+    return {"version": 2, "kind": "reduction", **_Z3_DOC,
+            "vars": {str(v): 0 for v in range(1, nvars + 1)},
+            "payload": {"target": {"kind": 1, "parts": parts}, "nodes": [leaf] + nodes,
+                        "root": len(nodes)}}
+
+
+def deep_subst_reduction(brackets: int) -> dict:
+    """[x1, x_last] with x1 replaced by [x2, [x3, ..., [x_b+1, x_b+2]]]: the
+    image of b brackets expands to 2^b words.  At 16 brackets the document
+    is 501 bytes."""
+    image = brackets + 2
+    for v in range(brackets + 1, 1, -1):
+        image = [v, image]
+    last = brackets + 3
+    return _reduction_doc(last, [[1], [last]],
+                          [{"op": "subst", "images": [[1, image]], "child": 0}])
+
+
+def repeated_letter_reduction(copies: int) -> dict:
+    """[x4, x5] behind a context of `copies` letters x1, then x1 replaced by
+    [x2, x3]: 2^copies words.  At 16 copies the document is 415 bytes."""
+    return _reduction_doc(5, [[4], [5]], [
+        {"op": "context", "left": [1] * copies, "right": [], "child": 0},
+        {"op": "subst", "images": [[1, [2, 3]]], "child": 1}])
+
+
 # --- random congruences -------------------------------------------------------
 
 def enumerate_moves(ctx: Context, w):

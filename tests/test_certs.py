@@ -159,7 +159,7 @@ class TestReductionFormat:
         cert = certs.certificate_from_json(doc)
         assert verify_certificate(cert)
         again = certs.reduction_to_json(cert)
-        assert again["version"] == certs.FORMAT_VERSION == 2
+        assert again["version"] == certs.REDUCTION_VERSION == 2
         assert isinstance(again["payload"]["root"], int)
         assert len(again["payload"]["nodes"]) == 8
         assert verify_certificate(certs.certificate_from_json(again))
@@ -231,6 +231,7 @@ class TestReductionFormat:
 
 # sha256 of the documents below, as the reduction and encoder wrote them
 PINNED_CHAIN_JCOMB_EVAL_DIGEST = "f3a3049e31db32dfffbfede512faed3a183b15bc9165e4d438bd19f5bc631448"
+PINNED_CHAIN_JCOMB_V3_DIGEST = "bb27dc52eea754ffc9100d3e55cbe60a025f5b2513f11e3404282a0602941891"
 PINNED_REDUCTION_DIGEST = "16dab9802c467c80d9e95994cb072bcc4b105b8a3bb5dbc8a41faa18e9e13266"
 
 
@@ -254,18 +255,16 @@ def test_reduction_bytes_pinned():
     assert digest.hexdigest() == PINNED_REDUCTION_DIGEST
 
 
-def test_chain_jcomb_eval_bytes_pinned():
+def pinned_chain_jcomb_eval_documents():
     """Criterion 4's jcomb documents, the chains between seeded congruent
-    words with repeated letters over Z2, Z3 and S3, and the evaluation and
-    the CLI witness of seeded non-identities hash to the digest recorded
-    when this test was written.  The chains pin the rule that matches
-    repeated letters (the least unused position).  The seeds are fixed,
-    not taken from GPI_SEED."""
+    words with repeated letters over Z2, Z3 and S3, then the evaluation and
+    the CLI witness of seeded non-identities, each as (is_chain_or_jcomb,
+    document).  The chains pin the rule that matches repeated letters (the
+    least unused position).  The seeds are fixed, not taken from GPI_SEED."""
     from test_acceptance import generate_criterion4
-    digest = hashlib.sha256()
     _, combos, _ = generate_criterion4(random.Random(support.DEFAULT_SEED + 4))
     for comb in combos:
-        digest.update(certs.dumps(certs.jcomb_to_json(comb)).encode())
+        yield True, certs.jcomb_to_json(comb)
     rand = random.Random(support.DEFAULT_SEED + 10)
     gradings = support.configs() + [default_grading(support.s3())]
     repeated = 0
@@ -275,8 +274,7 @@ def test_chain_jcomb_eval_bytes_pinned():
             word = support.random_word(rand, ctx, rand.randint(2, 8))
             m, n = support.random_congruent_pair(rand, ctx, word)
             repeated += len(set(word)) < len(word)
-            chain = congruence_chain(ctx, m, n)
-            digest.update(certs.dumps(certs.chain_to_json(chain)).encode())
+            yield True, certs.chain_to_json(congruence_chain(ctx, m, n))
     witnesses = 0
     for grading in gradings:
         for _ in range(30):
@@ -285,10 +283,33 @@ def test_chain_jcomb_eval_bytes_pinned():
             terms = {tuple(rand.sample(base, len(base))): rand.choice([-2, -1, 1, 2])
                      for _ in range(rand.randint(1, 3))}
             p = FreePoly(ctx, terms)
-            digest.update(certs.dumps(certs.matrix_to_json(ctx.grading.n, eval_poly(p))).encode())
+            yield False, certs.matrix_to_json(ctx.grading.n, eval_poly(p))
             w = identity_witness(p)
             if w is not None:
                 witnesses += 1
-                digest.update(certs.dumps(_witness_json(w)).encode())
+                yield False, _witness_json(w)
     assert repeated >= 120 and witnesses >= 60
+
+
+def test_chain_jcomb_eval_bytes_pinned():
+    """The pinned documents, each chain and jcomb written back in format v2
+    by support.as_v2, hash to the digest the version-2 encoder recorded:
+    the version-3 documents record the same proofs, move for move."""
+    digest = hashlib.sha256()
+    for is_chain, doc in pinned_chain_jcomb_eval_documents():
+        digest.update(certs.dumps(support.as_v2(doc) if is_chain else doc).encode())
     assert digest.hexdigest() == PINNED_CHAIN_JCOMB_EVAL_DIGEST
+
+
+def test_chain_jcomb_v3_bytes_pinned():
+    """The pinned chain and jcomb documents, as the version-3 encoder
+    writes them, hash to the digest recorded when this test was written,
+    and each loads into the same moves as its version-2 form."""
+    digest = hashlib.sha256()
+    for is_chain, doc in pinned_chain_jcomb_eval_documents():
+        if is_chain:
+            assert doc["version"] == certs.CHAIN_VERSION == 3
+            digest.update(certs.dumps(doc).encode())
+            assert certs.certificate_from_json(doc) == \
+                certs.certificate_from_json(support.as_v2(doc))
+    assert digest.hexdigest() == PINNED_CHAIN_JCOMB_V3_DIGEST

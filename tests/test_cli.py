@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import random
 
 import pytest
 import support
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpi import certs
+from gpi import certs, freealg
 from gpi.cli import main
 from gpi.dsl import ParsedFile, format_file
 from gpi.freealg import Context, FreePoly
-from gpi.groups import MAX_GROUP_ORDER, GradingTuple, default_grading
+from gpi.groups import MAX_GROUP_ORDER, GradingTuple, cyclic_group, default_grading
+from gpi.rewrite import express_in_J
 
 ID_FILE = """\
 group: Z3
@@ -186,7 +193,7 @@ class TestCongruentVerify:
     def test_tampered_certificate_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", CONG_FILE)
         _, out, _ = run(capsys, "congruent", f)
-        doc = json.loads(out)
+        doc = support.as_v2(json.loads(out))
         doc["payload"]["end"] = [1, 3, 2]
         cert = tmp_path / "bad.json"
         cert.write_text(json.dumps(doc))
@@ -205,7 +212,7 @@ class TestHostileCertificates:
     def test_move_names_undeclared_variable(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", CONG_FILE)
         _, out, _ = run(capsys, "congruent", f)
-        doc = json.loads(out)
+        doc = support.as_v2(json.loads(out))
         doc["payload"] = {"start": [1, 9], "end": [9, 1], "moves": [
             {"kind": "swap0", "left": [], "blocks": [[1], [9]], "right": []}]}
         cert = tmp_path / "undeclared.json"
@@ -323,6 +330,7 @@ class TestHostileCertificates:
 
     def test_move_non_integer_letter(self, tmp_path, capsys):
         def edit(doc):
+            doc.update(support.as_v2(doc))
             blocks = doc["payload"]["moves"][0]["blocks"]
             blocks[0] = [float(v) for v in blocks[0]]
         self.edited(tmp_path, capsys, "congruent", CONG_FILE, edit)
@@ -382,7 +390,7 @@ class TestVerifyKeysEachWordOnce:
 
     def later_chain(self, tmp_path, capsys):
         code, out, _ = run(capsys, "express", write(tmp_path, "f.gpi", self.SHARED))
-        doc = json.loads(out)
+        doc = support.as_v2(json.loads(out))
         first, later = doc["payload"]["terms"]
         assert code == 0 and first["target"] == later["source"] == [1, 1, 2, 4, 3]
         assert self.verify(tmp_path, capsys, doc) == 0
@@ -407,6 +415,222 @@ class TestVerifyKeysEachWordOnce:
         later["chain"]["moves"].insert(0, {"kind": "swap0", "left": [1, 1],
                                            "blocks": [[4], [2]], "right": [3]})
         assert self.verify(tmp_path, capsys, doc) == 1
+
+
+class TestPositionalMoves:
+    """Version-3 moves [kind, offset, len...] act on the running word.  A
+    move that cannot be cut from it is bad input (exit 2, one `gpi:` line);
+    a move that can but breaks the proof fails verification (exit 1)."""
+
+    def express_doc(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "express", write(
+            tmp_path, "f.gpi", TestVerifyKeysEachWordOnce.SHARED))
+        doc = json.loads(out)
+        assert code == 0 and doc["version"] == 3
+        assert [t["chain"] for t in doc["payload"]["terms"]] == [
+            {"moves": [["swap0", 3, 1, 1]]}, {"moves": [["swap0", 2, 2, 1]]}]
+        return doc
+
+    def verify(self, tmp_path, capsys, doc):
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(doc))
+        return run(capsys, "verify", str(cert))
+
+    @pytest.mark.parametrize("move", [
+        ["swap0", 2.0, 2, 1], ["swap0", True, 2, 1], ["swap0", "2", 2, 1],
+        ["swap0", 2, 2, 1.5], ["swap0", 2, False, 1], ["swap0", 2, None, 1],
+        ["swap0", 2, 0, 1], ["swap0", 2, 2, -1],
+        ["swap0", 2, 2], ["swap0", 2, 2, 1, 1], ["reverse3", 2, 1, 1], ["swap0"], [],
+        ["rotate", 2, 2, 1], [2, 2, 2, 1], [["swap0"], 2, 2, 1], "swap0", {"kind": "swap0"},
+        ["swap0", 3, 2, 1], ["swap0", -1, 2, 1], ["reverse3", 0, 1, 1, 4],
+    ])
+    def test_malformed_move_exit_2(self, tmp_path, capsys, move):
+        doc = self.express_doc(tmp_path, capsys)
+        doc["payload"]["terms"][1]["chain"]["moves"] = [move]
+        code, out, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+
+    def test_moves_not_a_list_exit_2(self, tmp_path, capsys):
+        doc = self.express_doc(tmp_path, capsys)
+        doc["payload"]["terms"][1]["chain"]["moves"] = {"0": ["swap0", 2, 2, 1]}
+        code, _, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and err.count("\n") == 1
+
+    def test_chain_move_past_the_word_exit_2(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "congruent", write(tmp_path, "f.gpi", CONG_FILE))
+        doc = json.loads(out)
+        assert doc["payload"]["moves"] == [["reverse3", 0, 1, 1, 1]]
+        doc["payload"]["moves"] = [["reverse3", 1, 1, 1, 1]]
+        code, _, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("gpi: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", ["degree", "dropped", "extra", "chain end"])
+    def test_broken_proof_exit_1(self, tmp_path, capsys, edit):
+        doc = self.express_doc(tmp_path, capsys)
+        later = doc["payload"]["terms"][1]
+        if edit == "degree":  # swaps the two x1 (degree 1): the word is unchanged
+            later["chain"]["moves"].insert(0, ["swap0", 0, 1, 1])
+        elif edit == "dropped":  # the moves end at the source
+            later["chain"]["moves"] = []
+        elif edit == "extra":  # a valid move too many: congruent, not the target
+            later["chain"]["moves"].append(["swap0", 3, 1, 1])
+        else:
+            _, out, _ = run(capsys, "congruent", write(tmp_path, "f.gpi", CONG_FILE))
+            doc = json.loads(out)
+            doc["payload"]["end"] = [1, 3, 2]
+        code, out, _ = self.verify(tmp_path, capsys, doc)
+        assert code == 1 and json.loads(out)["valid"] is False
+
+    def test_v2_and_v3_verify_alike(self, tmp_path, capsys):
+        doc = self.express_doc(tmp_path, capsys)
+        assert self.verify(tmp_path, capsys, doc)[:2] == \
+            self.verify(tmp_path, capsys, support.as_v2(doc))[:2] == \
+            (0, '{"kind":"jcomb","valid":true}\n')
+
+    def test_replay_budget_counts_before_any_move(self, tmp_path, capsys, monkeypatch):
+        """Each term charges len(source) x len(moves): 5 x 1 twice here."""
+        doc = self.express_doc(tmp_path, capsys)
+        monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", 10)
+        assert self.verify(tmp_path, capsys, doc)[0] == 0
+        monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", 9)
+        code, _, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and "MAX_REPLAY_LETTERS" in err and err.count("\n") == 1
+
+    def test_over_budget_document_exit_2(self, tmp_path, capsys):
+        """A few kilobytes of moves that would copy a 1,000-letter word more
+        times than the budget allows; no move is built."""
+        doc = self.express_doc(tmp_path, capsys)
+        doc["vars"]["5"] = 0
+        term = doc["payload"]["terms"][0]
+        term["source"] = term["target"] = [5] * 1000
+        term["chain"]["moves"] = [["swap0", 0, 1, 1]] * (freealg.MAX_REPLAY_LETTERS // 1000 + 1)
+        code, out, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "MAX_REPLAY_LETTERS" in err
+
+
+def _fuzz_base() -> dict:
+    """A valid version-3 jcomb with two terms and both move kinds."""
+    rand = random.Random(support.DEFAULT_SEED + 11)
+    ctx = Context(default_grading(cyclic_group(3)), {1: 0, 2: 0, 3: 1, 4: 2, 5: 1, 6: 0})
+    terms: dict = {}
+    for c in (1, 2, -3):
+        m, n = support.random_congruent_pair(rand, ctx, (1, 2, 3, 4, 5, 6, 1), max_moves=4)
+        terms[m] = terms.get(m, 0) + c
+        terms[n] = terms.get(n, 0) - c
+    return certs.jcomb_to_json(express_in_J(FreePoly(ctx, terms)))
+
+
+_FUZZ_BASE = _fuzz_base()
+_FIELD = st.one_of(st.integers(-1, 8), st.sampled_from([True, False, 1.0, "1", None]))
+_KIND = st.sampled_from(["swap0", "reverse3", "rotate"])
+_MUTATION = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 9), st.integers(1, 4), _FIELD),
+    st.tuples(st.just("kind"), st.integers(0, 9), _KIND),
+    st.tuples(st.just("insert"), st.integers(0, 9),
+              st.lists(_FIELD, min_size=1, max_size=4), _KIND),
+    st.tuples(st.just("drop"), st.integers(0, 9)))
+
+
+def _mutated(mutations) -> dict:
+    doc = copy.deepcopy(_FUZZ_BASE)
+    terms = doc["payload"]["terms"]
+    for what, at, *rest in mutations:
+        moves = terms[at % len(terms)]["chain"]["moves"]
+        if what == "insert":
+            fields, kind = rest
+            moves.insert(at % (len(moves) + 1), [kind, *fields])
+        elif not moves:
+            continue
+        elif what == "drop":
+            del moves[at % len(moves)]
+        elif what == "kind":
+            moves[at % len(moves)][0] = rest[0]
+        else:
+            mv = moves[at % len(moves)]
+            if len(mv) > 1:
+                mv[1 + rest[0] % (len(mv) - 1)] = rest[1]
+    return doc
+
+
+def _verify_doc(path, doc) -> tuple[int, str, str]:
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+def test_fuzz_positional_moves_match_v2(tmp_path_factory, mutations):
+    """Mutated move lists: exit 0, 1 or 2, at most one `gpi:` line, and the
+    same answer as the version-2 document the moves stand for."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    doc = _mutated(mutations)
+    code, out, err = _verify_doc(path, doc)
+    assert code in (0, 1, 2)
+    assert err == "" if code != 2 else (err.startswith("gpi: ") and err.count("\n") == 1)
+    try:
+        v2 = support.as_v2(doc)
+    except (ValueError, TypeError):
+        return
+    assert _verify_doc(path, v2)[:2] == (code, out)
+
+
+class TestReplayBudget:
+    """A reduction's replay charges every word it builds to one budget; past
+    MAX_REPLAY_LETTERS, verify exits 2 with one `gpi:` line."""
+
+    def verify(self, tmp_path, capsys, doc):
+        cert = tmp_path / "reduction.json"
+        cert.write_text(certs.dumps(doc))
+        return run(capsys, "verify", str(cert))
+
+    def assert_over_budget(self, tmp_path, capsys, doc):
+        code, out, err = self.verify(tmp_path, capsys, doc)
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+        assert "MAX_REPLAY_LETTERS" in err
+
+    @pytest.mark.parametrize("shape, under, over", [
+        # letters the replay builds: 2,241 / 5,121 and 2,522 / 6,044
+        (support.deep_subst_reduction, 6, 7),
+        (support.repeated_letter_reduction, 5, 6),
+    ])
+    def test_crosses_at_a_small_depth(self, tmp_path, capsys, monkeypatch, shape, under, over):
+        monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", 5_000)
+        code, out, _ = self.verify(tmp_path, capsys, shape(under))
+        assert code == 1 and json.loads(out)["valid"] is False
+        self.assert_over_budget(tmp_path, capsys, shape(over))
+
+    @pytest.mark.parametrize("doc", [support.deep_subst_reduction(16),
+                                     support.repeated_letter_reduction(16)])
+    def test_known_slow_documents(self, tmp_path, capsys, doc):
+        """501 and 415 bytes; each took over a second to replay unbounded."""
+        self.assert_over_budget(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("node, under, over", [
+        # a sum holds a copy of its 32 terms; a context copies their 320 letters
+        (lambda child: {"op": "sum", "children": [[1, child]]}, 30, 31),
+        (lambda child: {"op": "context", "left": [], "right": [], "child": child}, 3, 4),
+    ])
+    def test_chains_over_one_large_value(self, tmp_path, capsys, monkeypatch,
+                                         node, under, over):
+        """Nodes that copy one value of 2^k words are charged per copy: the
+        value costs 1,016 letters, and the budget is 2,000."""
+        monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", 2_000)
+        for count in (under, over):
+            doc = support.repeated_letter_reduction(4)
+            nodes = doc["payload"]["nodes"]
+            nodes += [node(len(nodes) - 1 + i) for i in range(count)]
+            doc["payload"]["root"] = len(nodes) - 1
+            if count == under:
+                code, out, _ = self.verify(tmp_path, capsys, doc)
+                assert code == 1 and json.loads(out)["valid"] is False
+            else:
+                self.assert_over_budget(tmp_path, capsys, doc)
 
 
 class TestLongIntegers:
