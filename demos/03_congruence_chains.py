@@ -25,8 +25,11 @@ print("matching permutation (positions in m, per position of n):",
 chain = congruence_chain(ctx, m, n)
 print()
 print("chain from", chain.start, "to", chain.end)
-for mv in chain.moves:
-    print("  move:", mv.kind, "blocks", mv.blocks)
+w = chain.start
+for mv in chain.moves:  # each move cuts its blocks from the running word
+    print("  move:", mv.kind, "offset", mv.offset, "block lengths", mv.lengths,
+          "blocks", mv.blocks(w))
+    w = mv.apply(w)
 print("chain verifies:", verify_chain(chain))
 
 # an identity combining two congruent pairs, expressed in the ideal

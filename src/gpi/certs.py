@@ -14,7 +14,7 @@ from .freealg import Context, FreePoly, ReplayBudget, Word
 from .genmat import Mono, ScalarPoly
 from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import GeneratorInstance, GeneratorKind, make_generator
-from .rewrite import JCombination, JTerm, Move, RewriteChain
+from .rewrite import JCombination, JTerm, Move, MoveError, RewriteChain
 from .z3reduce import (CertContext, CertLeaf, CertNode, CertSubst, CertSum,
                        ReductionCertificate, cert_nodes)
 
@@ -85,20 +85,19 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 
 # --- rewrite chains and combinations ------------------------------------------
 #
-# Version 3 writes a move as [kind, offset, len1, len2(, len3)]: the blocks
-# are the len_i letters of the running word that follow its first offset
-# letters, and the running word starts at the chain's start (a jcomb term's
-# source).  A jcomb term writes its endpoints once, as source and target.
-# Versions 1 and 2 wrote each move as {kind, left, blocks, right}, and each
-# chain with its own start and end; both still load, into the same Move
-# objects, so every version replays through one verifier.
+# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of
+# a Move: the blocks are the len_i letters of the running word that follow its
+# first offset letters, and the running word starts at the chain's start (a
+# jcomb term's source).  A jcomb term writes its endpoints once, as source and
+# target.  Versions 1 and 2 wrote each move as {kind, left, blocks, right}, and
+# each chain with its own start and end; every version loads into the same
+# positional moves, so all replay through one verifier.
 
-_BLOCKS = {"swap0": 2, "reverse3": 3}
 _INT = frozenset({int})
 
 
 def move_to_json(mv: Move) -> list:
-    return [mv.kind, len(mv.left), *map(len, mv.blocks)]
+    return [mv.kind, mv.offset, *mv.lengths]
 
 
 def chain_payload(chain: RewriteChain) -> dict:
@@ -134,55 +133,58 @@ def _move_list(doc) -> list:
 
 
 def _replay_size(pairs) -> None:
-    """Check, before any move is built, that the moves of every (word, moves)
-    pair fit one replay budget: each move holds a copy of the running word,
-    which keeps the length of its start."""
+    """Check, before any move is loaded, that the moves of every (word, moves)
+    pair fit one replay budget: the replay builds one running word per move,
+    and the running word keeps the length of its start."""
     ReplayBudget().spend(sum(len(word) * len(moves) for word, moves in pairs))
 
 
-def _positional_moves(word: Word, docs: list) -> tuple[Move, ...]:
-    """Version-3 moves, sliced from the running word, which starts at word."""
+def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
+    """Version-3 moves, each checked to fit a running word of length size;
+    no word is cut here, apply_move cuts it on replay."""
     moves = []
     for i, doc in enumerate(docs):
-        if not (type(doc) is list and len(doc) > 2 and type(doc[0]) is str
-                and _BLOCKS.get(doc[0]) == len(doc) - 2):
+        if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
+                and _INT.issuperset(map(type, doc[1:]))):  # bool is not int here
             raise CertificateFormatError(
-                f"move {i} is not [swap0, offset, len, len] "
-                "or [reverse3, offset, len, len, len]")
-        if not _INT.issuperset(map(type, doc[1:])):  # bool is not int here
-            raise CertificateFormatError(f"move {i}: an offset or length is not an integer")
-        kind, offset, *lengths = doc
-        end = offset + sum(lengths)
-        if offset < 0 or min(lengths) < 1 or end > len(word):
+                f"move {i} is not [kind, offset, len, ...] with integer offset and lengths")
+        try:
+            mv = Move(doc[0], doc[1], tuple(doc[2:]))
+        except MoveError as exc:
+            raise CertificateFormatError(f"move {i}: {exc}") from None
+        if mv.end > size:
             raise CertificateFormatError(
-                f"move {i}: offset {offset} and block lengths {lengths} do not fit "
-                f"a word of length {len(word)}")
-        cut = offset + lengths[0]
-        blocks = (word[offset:cut], word[cut:cut + lengths[1]])
-        if kind == "reverse3":
-            cut += lengths[1]
-            blocks += (word[cut:end],)
-        mv = Move(kind, word[:offset], blocks, word[end:])
+                f"move {i}: offset {mv.offset} and block lengths {list(mv.lengths)} "
+                f"do not fit a word of length {size}")
         moves.append(mv)
-        word = mv.target()
     return tuple(moves)
 
 
-def _explicit_move(ctx: Context, doc: dict) -> Move:
-    """A version-1 or -2 move, {kind, left, blocks, right}."""
-    mv = Move(doc["kind"], tuple(doc["left"]),
-              tuple(tuple(b) for b in doc["blocks"]), tuple(doc["right"]))
-    _declared_word(ctx, mv.source())  # every letter, in one pass
-    return mv
+def _explicit_moves(ctx: Context, word: Word, docs: list) -> tuple[Move, ...]:
+    """Version-1 or -2 moves, {kind, left, blocks, right}, every letter
+    checked.  Only these can name a context other than the running word,
+    which starts at word: such a move loads at offset len(word), past the
+    word's end, where apply_move refuses it."""
+    moves = []
+    for doc in docs:
+        left, right = tuple(doc["left"]), tuple(doc["right"])
+        blocks = tuple(tuple(b) for b in doc["blocks"])
+        mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
+        if _declared_word(ctx, left + sum(blocks, ()) + right) == word:  # one pass
+            word = mv.apply(word)
+        else:
+            mv = Move(mv.kind, len(word), mv.lengths)
+        moves.append(mv)
+    return tuple(moves)
 
 
 def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
     start, end = _declared_word(ctx, doc["start"]), _declared_word(ctx, doc["end"])
     moves = _move_list(doc["moves"])
     if version < 3:
-        return RewriteChain(ctx, start, tuple(_explicit_move(ctx, m) for m in moves), end)
+        return RewriteChain(ctx, start, _explicit_moves(ctx, start, moves), end)
     _replay_size([(start, moves)])
-    return RewriteChain(ctx, start, _positional_moves(start, moves), end)
+    return RewriteChain(ctx, start, _positional_moves(len(start), moves), end)
 
 
 def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
@@ -198,7 +200,7 @@ def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
     _replay_size((source, moves) for _, source, _, moves in terms)
     return JCombination(ctx, tuple(
         JTerm(coeff, source, target,
-              RewriteChain(ctx, source, _positional_moves(source, moves), target))
+              RewriteChain(ctx, source, _positional_moves(len(source), moves), target))
         for coeff, source, target, moves in terms))
 
 

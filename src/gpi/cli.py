@@ -108,10 +108,7 @@ def cmd_eval(args) -> int:
                     f"word index {idx} out of range (support has {len(support)})")
             w = support[idx]
         else:
-            try:
-                w = parse_word(ctx, args.word)
-            except ParseError as exc:
-                raise _CliInputError(f"--word: {exc}") from exc
+            w = _word_arg(ctx, args.word, "--word")
         entries = dict.fromkeys(eval_word_closed(ctx, w), 1)
     else:
         entries = eval_poly(_need_poly(parsed, args.file))
@@ -228,9 +225,12 @@ def cmd_verify(args) -> int:
 _EXPECTATIONS = ("identity", "non-identity", "congruent", "reducible")
 
 
-def _cert_path(entry_file: str) -> str:
-    base, _ = os.path.splitext(entry_file)
-    return base + ".cert.json"
+def _write_certificate(report: dict, entry_file: str, doc: dict) -> None:
+    """Write doc beside the entry's file, as <base>.cert.json, and report it."""
+    path = os.path.splitext(entry_file)[0] + ".cert.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(certs.dumps(doc))
+    report["certificate"] = path
 
 
 def _run_entry(entry: dict) -> dict:
@@ -268,10 +268,7 @@ def _run_entry(entry: dict) -> dict:
                 return report
             report["status"] = "pass"
             if comb is not None:
-                cert = certs.jcomb_to_json(comb)
-                with open(_cert_path(path), "w", encoding="utf-8") as fh:
-                    fh.write(certs.dumps(cert))
-                report["certificate"] = _cert_path(path)
+                _write_certificate(report, path, certs.jcomb_to_json(comb))
         elif expected == "non-identity":
             p = parsed.poly
             if p is None:
@@ -290,9 +287,8 @@ def _run_entry(entry: dict) -> dict:
             if not verify_chain(chain):
                 report.update(status="fail", detail="chain does not verify")
                 return report
-            with open(_cert_path(path), "w", encoding="utf-8") as fh:
-                fh.write(certs.dumps(certs.chain_to_json(chain)))
-            report.update(status="pass", certificate=_cert_path(path))
+            report["status"] = "pass"
+            _write_certificate(report, path, certs.chain_to_json(chain))
         else:  # reducible
             gen = parsed.generator
             if gen is None:
@@ -303,9 +299,8 @@ def _run_entry(entry: dict) -> dict:
             if not verify_certificate(cert):
                 report.update(status="fail", detail="certificate does not verify")
                 return report
-            with open(_cert_path(path), "w", encoding="utf-8") as fh:
-                fh.write(certs.dumps(certs.reduction_to_json(cert)))
-            report.update(status="pass", certificate=_cert_path(path))
+            report["status"] = "pass"
+            _write_certificate(report, path, certs.reduction_to_json(cert))
     except (ContractError, NotCongruentError, NoExpressionError,
             ReductionError) as exc:
         report.update(status="fail", detail=str(exc))

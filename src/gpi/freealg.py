@@ -45,14 +45,6 @@ class Context:
         except KeyError:
             raise DeclarationError(f"variable x{var} is not declared") from None
 
-    def extend(self, more: dict[int, int]) -> "Context":
-        degrees = dict(self.degrees)
-        for k, d in more.items():
-            if k in degrees and degrees[k] != d:
-                raise DeclarationError(f"x{k} redeclared with a different degree")
-            degrees[k] = d
-        return Context(self.grading, degrees)
-
     def fresh_id(self) -> int:
         return max(self.degrees, default=0) + 1
 
@@ -122,10 +114,6 @@ class FreePoly:
     def var(cls, ctx: Context, k: int) -> "FreePoly":
         return cls(ctx, {(k,): 1})
 
-    @classmethod
-    def one(cls, ctx: Context) -> "FreePoly":
-        return cls(ctx, {(): 1})
-
     def _check(self, other: "FreePoly"):
         if self.ctx is not other.ctx and not self.ctx.compatible(other.ctx):
             raise DeclarationError("operands declared over different contexts")
@@ -168,9 +156,6 @@ class FreePoly:
 
     def support(self) -> list[Word]:
         return sorted(self.terms, key=word_key)
-
-    def variables(self) -> set[int]:
-        return {v for w in self.terms for v in w}
 
     def is_multilinear(self) -> bool:
         return all(is_multilinear_word(w) for w in self.terms)

@@ -54,41 +54,59 @@ class SigmaWitness:
     position: tuple[int, int]
 
 
+# Each move kind is a context multiple of one generator family, whose parts
+# are the move's blocks: the family and the number of blocks.
+MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
+
+
 @dataclass(frozen=True)
 class Move:
+    """A context move as it is written: its blocks are the lengths[i]
+    letters that follow the first offset letters, and the move reverses
+    their order."""
+
     kind: str  # "swap0" | "reverse3"
-    left: Word
-    blocks: tuple[Word, ...]
-    right: Word
+    offset: int
+    lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("swap0", "reverse3"):
+        if self.kind not in MOVE_FAMILIES:
             raise MoveError(f"unknown move kind {self.kind!r}")
-        want = 2 if self.kind == "swap0" else 3
-        if len(self.blocks) != want:
-            raise MoveError(f"{self.kind} takes {want} blocks")
-        if any(len(b) == 0 for b in self.blocks):
-            raise MoveError("move blocks must be nonempty")
+        arity = MOVE_FAMILIES[self.kind][1]
+        if len(self.lengths) != arity:
+            raise MoveError(f"{self.kind} takes {arity} blocks")
+        if self.offset < 0 or min(self.lengths) < 1:
+            raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
 
-    def source(self) -> Word:
-        return self.left + sum(self.blocks, ()) + self.right
+    @property
+    def end(self) -> int:
+        """The position after the last block."""
+        return self.offset + sum(self.lengths)
 
-    def target(self) -> Word:
-        return self.left + sum(reversed(self.blocks), ()) + self.right
+    def blocks(self, seq) -> list:
+        """The blocks cut from seq: a word, or the path walked along it."""
+        out, cut = [], self.offset
+        for n in self.lengths:
+            out.append(seq[cut:cut + n])
+            cut += n
+        return out
 
-    def degree_conditions_hold(self, ctx: Context) -> bool:
-        """A swap0 move's blocks are the parts of a type-1 generator, a
-        reverse3 move's those of a type-2 one."""
-        kind = GeneratorKind.TYPE1 if self.kind == "swap0" else GeneratorKind.TYPE2
-        return degree_rule_holds(kind, ctx, self.blocks)
+    def apply(self, seq):
+        """seq with the blocks in reverse order: a word, or the path walked
+        along it (see _chain_moves)."""
+        blocks = self.blocks(seq)
+        blocks.reverse()
+        return sum(blocks, seq[:self.offset]) + seq[self.end:]
 
 
 def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
-    if mv.source() != tuple(w):
-        raise MoveError("move context does not match the word")
-    if not mv.degree_conditions_hold(ctx):
+    """w after mv: the move must fit w, and its blocks obey the degree rule
+    of its generator family."""
+    if mv.end > len(w):
+        raise MoveError(f"move does not fit a word of length {len(w)}")
+    if not degree_rule_holds(MOVE_FAMILIES[mv.kind][0], ctx, mv.blocks(w)):
         raise MoveError("move violates its degree side-conditions")
-    return mv.target()
+    return mv.apply(w)
 
 
 @dataclass(frozen=True)
@@ -102,8 +120,8 @@ class RewriteChain:
 
 
 def _replays(chain: RewriteChain) -> bool:
-    """Every move matches the word so far and obeys the degree rule, and
-    the last one leaves the chain's end."""
+    """Every move fits the word so far and obeys the degree rule, and the
+    last one leaves the chain's end."""
     w = tuple(chain.start)
     try:
         for mv in chain.moves:
@@ -198,8 +216,8 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
     rest is unchanged by including them.
 
     Neither word is walked again: each move permutes n's path with the
-    same blocks it permutes n, and the result is the path of the new n from
-    the same row.  A block's path depends only on its letters and the row
+    same Move.apply it permutes n, and the result is the path of the new n
+    from the same row.  A block's path depends only on its letters and the row
     it starts on, and every block of a move that obeys the degree rule
     starts on the same row before and after the move (phi of the identity
     fixes every row, and phi_b(phi_a(r)) = phi_{ab}(r)):
@@ -213,9 +231,9 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
 
     In both cases the right context starts on the row it started on.  This
     uses only the group axioms and the action through phi, so it holds for
-    any group and any bijective tuple.  Every emitted move is still checked
-    against the degree rule.  Each move costs one C-level sort of the L
-    positions and O(L) slicing, and no path walk.
+    any group and any bijective tuple.  Every emitted move is still applied
+    to n through apply_move, which checks the degree rule.  Each move costs
+    one C-level sort of the L positions and O(L) slicing, and no path walk.
     """
     length = len(m)
     if len(n) != length or sorted(path_m) != sorted(path_n):
@@ -238,16 +256,13 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
             raise ContractError("first variables differ but sigma fixes position 1")
         t = next(j for j in range(k + 1, length) if partner[rank[j]] < r0)
         p0, e = partner[rank[t]], partner[rank[t - 1]] + 1
-        b1, b2, b3 = n[k:p0], n[p0:r0], n[r0:e]
-        if b1:
-            mv = Move("reverse3", n[:k], (b1, b2, b3), n[e:])
+        if p0 > k:
+            mv = Move("reverse3", k, (p0 - k, r0 - p0, e - r0))
         else:
-            mv = Move("swap0", n[:k], (b2, b3), n[e:])
-        if not mv.degree_conditions_hold(ctx):
-            raise ContractError("computed blocks violate the degree conditions")
+            mv = Move("swap0", k, (r0 - p0, e - r0))
+        n = apply_move(ctx, n, mv)
+        path_n = mv.apply(path_n)
         moves.append(mv)
-        n = n[:k] + b3 + b2 + b1 + n[e:]
-        path_n = path_n[:k] + path_n[r0:e] + path_n[p0:r0] + path_n[k:p0] + path_n[e:]
 
 
 # --- expressing identities in the generator ideal ------------------------------

@@ -12,7 +12,8 @@ from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_pro
                          word_degree)
 from gpi.genmat import Mono, ScalarPoly, eval_word_closed, word_path
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
-from gpi.identity import ContractError, GeneratorInstance, GeneratorKind, make_generator
+from gpi.identity import (ContractError, GeneratorInstance, GeneratorKind, degree_rule_holds,
+                          make_generator)
 from gpi.rewrite import Move, apply_move
 from gpi.z3reduce import CertLeaf, Side, telescope
 
@@ -436,11 +437,10 @@ def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
         p0, s0 = inv[t], inv[t - 1]
         b1, b2, b3, b4 = n[:p0], n[p0:r0], n[r0:s0 + 1], n[s0 + 1:]
         if b1:
-            mv = Move("reverse3", prefix, (b1, b2, b3), b4)
+            moves.append(Move("reverse3", len(prefix), (len(b1), len(b2), len(b3))))
         else:
-            mv = Move("swap0", prefix, (b2, b3), b4)
-        moves.append(mv)
-        n = mv.target()[len(prefix):]
+            moves.append(Move("swap0", len(prefix), (len(b2), len(b3))))
+        n = b3 + b2 + b1 + b4
 
 
 # --- chain and jcomb documents written back in format v2, as an oracle ---------
@@ -530,12 +530,10 @@ def enumerate_moves(ctx: Context, w):
             for c in range(b + 1, l + 1):
                 b1, b2 = w[a:b], w[b:c]
                 if word_degree(ctx, b1) == one and word_degree(ctx, b2) == one:
-                    out.append(Move("swap0", w[:a], (b1, b2), w[c:]))
+                    out.append(Move("swap0", a, (b - a, c - b)))
                 for d in range(c + 1, l + 1):
-                    b3 = w[c:d]
-                    mv = Move("reverse3", w[:a], (b1, b2, b3), w[d:])
-                    if mv.degree_conditions_hold(ctx):
-                        out.append(mv)
+                    if degree_rule_holds(GeneratorKind.TYPE2, ctx, (b1, b2, w[c:d])):
+                        out.append(Move("reverse3", a, (b - a, c - b, d - c)))
     return out
 
 

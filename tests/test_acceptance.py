@@ -14,7 +14,7 @@ import support
 from gpi import certs
 from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_degree
 from gpi.genmat import eval_poly
-from gpi.identity import (GeneratorKind, expand, identity_witness,
+from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_witness,
                           is_graded_identity, make_generator)
 from gpi.rewrite import (NoExpressionError, express_in_J, extract_sigma,
                          shared_entry, verify_chain, verify_combination)
@@ -206,9 +206,12 @@ def test_criterion_5(report, crit4_data):
             nchains += 1
             if not verify_chain(chain):
                 ok = False
+            w = chain.start
             for mv in chain.moves:
-                if not mv.degree_conditions_hold(ctx):
+                kind = GeneratorKind.TYPE1 if mv.kind == "swap0" else GeneratorKind.TYPE2
+                if not degree_rule_holds(kind, ctx, mv.blocks(w)):
                     ok = False
+                w = mv.apply(w)
             m, n = chain.end, chain.start
             pos = shared_entry(ctx, m, n)
             if pos is None:

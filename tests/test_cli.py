@@ -201,6 +201,24 @@ class TestCongruentVerify:
         assert code == 1 and json.loads(out)["valid"] is False
 
 
+    def test_v1_wrong_context_exit_1(self, tmp_path, capsys):
+        """The move's offset and lengths fit the start and would lead to the
+        end, so only the comparison of its context with the start rejects it."""
+        f = write(tmp_path, "f.gpi", "group: Z3\nvars: x1:1 x2:0 x3:0 x4:0\n"
+                                     "m: x1*x1*x2*x3*x4\nn: x1*x1*x2*x4*x3\n")
+        _, out, _ = run(capsys, "congruent", f)
+        doc = dict(support.as_v2(json.loads(out)), version=1)
+        cert = tmp_path / "v1.json"
+        cert.write_text(json.dumps(doc))
+        assert run(capsys, "verify", str(cert))[0] == 0
+        move, = doc["payload"]["moves"]
+        assert move["left"] == [1, 1, 2]
+        move["left"] = [2, 1, 1]
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 1 and json.loads(out)["valid"] is False
+
+
 class TestHostileCertificates:
     """Malformed certificates exit 2 with one `gpi:` line, never a traceback."""
 
@@ -215,6 +233,18 @@ class TestHostileCertificates:
         doc = support.as_v2(json.loads(out))
         doc["payload"] = {"start": [1, 9], "end": [9, 1], "moves": [
             {"kind": "swap0", "left": [], "blocks": [[1], [9]], "right": []}]}
+        cert = tmp_path / "undeclared.json"
+        cert.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, cert)
+
+    def test_v2_undeclared_after_wrong_context(self, tmp_path, capsys):
+        """A move whose context is not the running word loads, and the
+        replay refuses it; every letter of a later move is still checked."""
+        _, out, _ = run(capsys, "congruent", write(tmp_path, "f.gpi", CONG_FILE))
+        doc = support.as_v2(json.loads(out))
+        doc["payload"]["moves"] = [
+            {"kind": "reverse3", "left": [], "blocks": [[1], [2], [3]], "right": []},
+            {"kind": "reverse3", "left": [], "blocks": [[3], [2], [9]], "right": []}]
         cert = tmp_path / "undeclared.json"
         cert.write_text(json.dumps(doc))
         self.assert_rejected(capsys, cert)

@@ -126,35 +126,50 @@ def _outcome(extract, ctx, m, n, pos):
 class TestMoves:
     def test_swap0(self):
         c = Context(Z3, {1: 0, 2: 0})
-        mv = Move("swap0", (), ((1,), (2,)), ())
+        mv = Move("swap0", 0, (1, 1))
         assert apply_move(c, (1, 2), mv) == (2, 1)
 
     def test_reverse3(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})
-        mv = Move("reverse3", (), ((1,), (2,), (3,)), ())
+        mv = Move("reverse3", 0, (1, 1, 1))
         assert apply_move(c, (1, 2, 3), mv) == (3, 2, 1)
 
-    def test_context_mismatch(self):
+    def test_contexts_and_paths(self):
+        """The blocks follow the first offset letters; a path is cut alike."""
+        c = Context(Z3, {1: 0, 2: 0, 3: 0, 4: 0, 5: 0})
+        mv = Move("swap0", 1, (2, 1))
+        assert apply_move(c, (1, 2, 3, 4, 5), mv) == (1, 4, 2, 3, 5)
+        assert mv.apply(["a", "b", "c", "d", "e"]) == ["a", "d", "b", "c", "e"]
+
+    def test_does_not_fit(self):
+        """A move that runs past its word is refused, not cut short."""
         c = Context(Z3, {1: 0, 2: 0})
-        mv = Move("swap0", (), ((1,), (2,)), ())
-        with pytest.raises(MoveError):
-            apply_move(c, (2, 1), mv)
+        for mv in (Move("swap0", 1, (1, 1)), Move("swap0", 0, (2, 1)),
+                   Move("swap0", 2, (1, 1)), Move("reverse3", 0, (1, 1, 1))):
+            with pytest.raises(MoveError, match="does not fit"):
+                apply_move(c, (2, 1), mv)
 
     def test_degree_condition_violation(self):
         c = Context(Z3, {1: 1, 2: 0})
-        mv = Move("swap0", (), ((1,), (2,)), ())
+        mv = Move("swap0", 0, (1, 1))
         with pytest.raises(MoveError):
             apply_move(c, (1, 2), mv)
 
     def test_bad_chain_fails_verification(self):
         c = Context(Z3, {1: 1, 2: 0})
-        mv = Move("swap0", (), ((1,), (2,)), ())
+        mv = Move("swap0", 0, (1, 1))
         chain = RewriteChain(c, (1, 2), (mv,), (2, 1))
         assert not verify_chain(chain)
 
     def test_unknown_kind(self):
         with pytest.raises(MoveError):
-            Move("rotate", (), ((1,), (2,)), ())
+            Move("rotate", 0, (1, 1))
+
+    @pytest.mark.parametrize("offset, lengths", [
+        (-1, (1, 1)), (0, (0, 1)), (0, (1,)), (0, (1, 1, 1))])
+    def test_bad_fields(self, offset, lengths):
+        with pytest.raises(MoveError):
+            Move("swap0", offset, lengths)
 
 
 def test_equal_keys_iff_equal_matrices():
@@ -253,14 +268,15 @@ class TestChainBuilder:
                 c = support.random_context(rand, grading, 4)
                 w = support.random_word(rand, c, rand.randint(3, 6))
                 for mv in support.enumerate_moves(c, w):
-                    cuts = [len(mv.left)]
-                    for b in mv.blocks:
-                        cuts.append(cuts[-1] + len(b))
+                    cuts = [mv.offset]
+                    for n in mv.lengths:
+                        cuts.append(cuts[-1] + n)
+                    target = apply_move(c, w, mv)
                     for row in range(grading.n):
                         path = word_path(c, w, row)
                         segs = [path[a:b] for a, b in zip(cuts, cuts[1:])]
                         want = path[:cuts[0]] + sum(reversed(segs), []) + path[cuts[-1]:]
-                        assert word_path(c, mv.target(), row) == want
+                        assert word_path(c, target, row) == want == mv.apply(path)
                         checked += 1
         assert checked > 300
 
@@ -328,7 +344,8 @@ class TestExpressInJ:
         f = FreePoly(c, {(1, 2, 3): 1, (2, 1, 3): -1})
         comb = express_in_J(f)
         assert len(comb.terms) == 1
-        assert comb.terms[0].chain.moves[0].right == (3,)
+        # the blocks x1, x2 end before x3, the right context
+        assert comb.terms[0].chain.moves == (Move("swap0", 0, (1, 1)),)
         assert verify_combination(comb, claimed=f)
 
     def test_scaled_pair(self):
