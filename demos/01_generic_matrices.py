@@ -4,9 +4,12 @@ Under the elementary grading by a tuple (t_0, ..., t_{n-1}) each generic
 matrix has one nonzero entry per row, and so does every product: a word
 evaluates to n keys (row, col, monomial), each with coefficient 1.  The
 group acts on the rows, so the key in the first row fixes all the others.
+A key's monomial is the path's scalar variables (k, i, j), sorted;
+mono_exponents counts the repeats for printing.
 """
 
-from gpi import Context, ScalarPoly, cyclic_group, default_grading, eval_word_closed
+from gpi import (Context, ScalarPoly, cyclic_group, default_grading, eval_word_closed,
+                 mono_exponents)
 
 grading = default_grading(cyclic_group(3))
 group, tuple_ = grading.group, grading.tuple_
@@ -18,13 +21,13 @@ keys = eval_word_closed(ctx, (1, 2, 3))
 print()
 print("x1*x2*x3 evaluates to one entry per row (1-based positions):")
 for row, col, mono in keys:
-    print(f"  ({row + 1},{col + 1}): {ScalarPoly({mono: 1})}")
+    print(f"  ({row + 1},{col + 1}): {ScalarPoly({mono_exponents(mono): 1})}")
 
 
 def relabel(key, pi):
     """The key with every row index i replaced by pi[i]."""
     row, col, mono = key
-    return (pi[row], pi[col], tuple(sorted(((k, pi[i], pi[j]), e) for (k, i, j), e in mono)))
+    return (pi[row], pi[col], tuple(sorted((k, pi[i], pi[j]) for k, i, j in mono)))
 
 
 # Rows are 0-based here.  Let a = t_r * t_0^-1 and pi(i) = the row whose

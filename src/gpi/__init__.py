@@ -12,7 +12,7 @@ from .freealg import (MAX_REPLAY_LETTERS, Context, DeclarationError, FreePoly, L
                       ReplayBudgetError, SubstitutionError, WeakSubstitution, Word,
                       bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
-from .genmat import ScalarPoly, eval_poly, eval_word_closed
+from .genmat import ScalarPoly, eval_poly, eval_word_closed, mono_exponents
 from .identity import (GeneratorError, GeneratorInstance, GeneratorKind,
                        Witness, expand, identity_witness, is_graded_identity,
                        make_generator, validate_generator)
@@ -35,7 +35,7 @@ __all__ = [
     "ReplayBudgetError", "SubstitutionError",
     "WeakSubstitution", "Word", "bracket", "lie_degree",
     "lie_expand", "multidegree", "multihomogeneous_components", "word_degree",
-    "ScalarPoly", "eval_poly", "eval_word_closed",
+    "ScalarPoly", "eval_poly", "eval_word_closed", "mono_exponents",
     "GeneratorError", "GeneratorInstance", "GeneratorKind", "Witness", "expand",
     "identity_witness", "is_graded_identity", "make_generator", "validate_generator",
     "JCombination", "JTerm", "Move", "MoveError", "NoExpressionError",

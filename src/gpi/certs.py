@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .freealg import Context, FreePoly, ReplayBudget, Word
-from .genmat import Mono, ScalarPoly
+from .genmat import ExpMono, Mono, ScalarPoly, mono_exponents
 from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import GeneratorInstance, GeneratorKind, make_generator
 from .rewrite import JCombination, JTerm, Move, MoveError, RewriteChain
@@ -73,11 +73,15 @@ def scalar_poly_to_json(p: ScalarPoly) -> list[dict]:
 
 
 def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
-    """An n x n keyed sum (see genmat.eval_poly) as its nonzero cells, row-major."""
-    cells: dict[tuple[int, int], dict[Mono, int]] = {}
+    """An n x n keyed sum (see genmat.eval_poly) as its nonzero cells, row-major.
+
+    Each cell's monomials are written in exponent form, and in its order
+    (scalar_poly_to_json), which is not the order of the keys' monomials.
+    """
+    cells: dict[tuple[int, int], dict[ExpMono, int]] = {}
     for (row, col, mono), c in sorted(entries.items()):
         if c:
-            cells.setdefault((row, col), {})[mono] = c
+            cells.setdefault((row, col), {})[mono_exponents(mono)] = c
     return {"n": n, "entries": [{"row": i + 1, "col": j + 1,
                                  "terms": scalar_poly_to_json(ScalarPoly(terms))}
                                 for (i, j), terms in cells.items()]}

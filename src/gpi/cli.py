@@ -95,7 +95,7 @@ def cmd_eval(args) -> int:
     parsed = _load(args.file)
     ctx = parsed.ctx
     if args.word is not None:
-        if args.word.isdecimal():
+        if args.word.isascii() and args.word.isdecimal():
             p = _need_poly(parsed, args.file)
             support = p.support()
             try:

@@ -41,8 +41,10 @@ class ParseError(ValueError):
 
 # One token.  _SCAN adds the spaces before it and, as group 2, the first other
 # non-space character; every _SCAN match starts where the last one ended, so
-# one finditer scan reads the whole line.
-_TOKEN = re.compile(r"x\d+|\d+|[+\-*()\[\],]")
+# one finditer scan reads the whole line.  Digits are ASCII ([0-9]): \d would
+# also match other scripts' digits, which int() reads ("x\u0661" as x1), while
+# \s stays Unicode, as str.split in parse_expr is.
+_TOKEN = re.compile(r"x[0-9]+|[0-9]+|[+\-*()\[\],]")
 _SCAN = re.compile(rf"\s*(?:({_TOKEN.pattern})|(\S))")
 
 
@@ -175,12 +177,14 @@ def _too_long(digits: str, what: str) -> str:
 
 
 def _read_int(text: str, what: str, line: int) -> int:
-    """int(text), or a ParseError at line naming what."""
+    """The number written in ASCII digits, or a ParseError at line naming
+    what (int() alone would also read "+1", "1_0" and other scripts' digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} {text!r} is not a nonnegative integer in ASCII digits", line)
     try:
         return int(text)
     except ValueError:
-        msg = _too_long(text, what) if text.isdigit() else f"{what} {text!r} is not an integer"
-        raise ParseError(msg, line) from None
+        raise ParseError(_too_long(text, what), line) from None
 
 
 def _times(acc: dict[Word, int] | None, word: list[int], coeff: int) -> dict[Word, int]:
@@ -306,7 +310,7 @@ def parse_text(text: str) -> ParsedFile:
 
 
 def _parse_group(value: str, lineno: int) -> FiniteGroup:
-    m = re.fullmatch(r"[Zz](\d+)", value)
+    m = re.fullmatch(r"[Zz]([0-9]+)", value)
     if m:
         try:
             order = int(m.group(1))
@@ -332,7 +336,7 @@ def _parse_group(value: str, lineno: int) -> FiniteGroup:
 def _parse_vars(value: str, lineno: int) -> dict[int, int]:
     degrees = {}
     for tok in value.split():
-        m = re.fullmatch(r"x(\d+):(\d+)", tok)
+        m = re.fullmatch(r"x([0-9]+):([0-9]+)", tok)
         if not m:
             raise ParseError(f"bad variable declaration {tok!r} (want xK:DEG)", lineno)
         k = _read_int(m.group(1), "variable id", lineno)

@@ -7,7 +7,10 @@ nonzero entry per row, y^k_{i,phi(g,i)}, so every word evaluates to a
 monomial matrix: from each row, walk the position bijections induced by
 the successive factor degrees and collect one scalar variable per step.
 A word is n keys (row, col, mono) with coefficient 1, and a polynomial
-is a keyed sum.
+is a keyed sum.  A key's mono is the path's scalar variables sorted,
+repeats kept: two paths carry the same monomial exactly when they sort
+to the same tuple.  Exponents are counted only where a monomial is
+printed (mono_exponents, for a ScalarPoly).
 
 The group acts on the rows, so row 0 decides (see word_entry): the
 decision paths key each word once, at row 0 (row0_entries), and only
@@ -16,13 +19,23 @@ what prints whole matrices walks all n rows (eval_word_closed, eval_poly).
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .freealg import Context, FreePoly, Word
 
-# A scalar variable is a triple (k, i, j); a monomial is a sorted tuple of
-# ((k, i, j), exponent) pairs; a ScalarPoly maps monomials to coefficients.
+# A scalar variable is a triple (k, i, j).  A key's monomial is the sorted
+# tuple of its scalar variables, a repeated one repeated; a ScalarPoly maps
+# monomials in exponent form, sorted ((k, i, j), exponent) pairs, to
+# coefficients.
 
 ScalarVar = tuple[int, int, int]
-Mono = tuple[tuple[ScalarVar, int], ...]
+Mono = tuple[ScalarVar, ...]
+ExpMono = tuple[tuple[ScalarVar, int], ...]
+
+
+def mono_exponents(mono: Mono) -> ExpMono:
+    """A key's monomial in exponent form: each variable once, with its count."""
+    return tuple((v, sum(1 for _ in run)) for v, run in groupby(mono))
 
 
 class ScalarPoly:
@@ -30,7 +43,7 @@ class ScalarPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, int] | None = None):
+    def __init__(self, terms: dict[ExpMono, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     def __eq__(self, other):
@@ -51,54 +64,37 @@ class ScalarPoly:
         return " + ".join(parts)
 
 
-def path_degrees(ctx: Context, w: Word) -> list[int]:
-    """The prefix products h_1 * ... * h_t of the factor degrees.
+def word_path(ctx: Context, w: Word, row: int) -> list[ScalarVar]:
+    """The scalar variables (var id, from, to) met along the word's path from row.
 
-    They do not depend on the starting row: after t factors the path from
-    row i is at phi(h_1 * ... * h_t, i), since phi_b(phi_a(i)) = phi_{ab}(i).
+    After the first t factors, of degrees h_1, ..., h_t, the path from row
+    is at phi(h_1 * ... * h_t, row), since phi_b(phi_a(i)) = phi_{ab}(i):
+    one walk keeps the prefix product and looks up one table row per letter.
     """
-    table, declared = ctx.grading.group.table, ctx.degrees
-    g = ctx.grading.group.identity_index
+    grading = ctx.grading
+    table, declared = grading.group.table, ctx.degrees
+    g = grading.group.identity_index
+    # phi(g, row) = _pos[tuple_[row] * g], with the table row looked up once
+    pos, row_times = grading._pos, table[grading.tuple_[row]]
     out = []
+    i = row
     try:
         for v in w:
             g = table[g][declared[v]]
-            out.append(g)
+            j = pos[row_times[g]]
+            out.append((v, i, j))
+            i = j
     except KeyError:
         ctx.degree(v)  # raises DeclarationError naming the undeclared id
     return out
 
 
-def word_path(ctx: Context, w: Word, row: int,
-              degrees: list[int] | None = None) -> list[ScalarVar]:
-    """The scalar variables (var id, from, to) met along the word's path from row.
-
-    Pass the word's path_degrees as `degrees` when walking it from many rows.
-    """
-    if degrees is None:
-        degrees = path_degrees(ctx, w)
-    grading = ctx.grading
-    # phi(g, row) = _pos[tuple_[row] * g], with the table row looked up once
-    pos, row_times = grading._pos, grading.group.table[grading.tuple_[row]]
-    out = []
-    i = row
-    for v, g in zip(w, degrees):
-        j = pos[row_times[g]]
-        out.append((v, i, j))
-        i = j
-    return out
-
-
 def path_entry(path: list[ScalarVar], row: int) -> tuple[int, int, Mono]:
     """The key (row, col, mono) of a path walked from row (see word_entry)."""
-    exps: dict[ScalarVar, int] = {}
-    for sv in path:
-        exps[sv] = exps.get(sv, 0) + 1
-    return (row, path[-1][2] if path else row, tuple(sorted(exps.items())))
+    return (row, path[-1][2] if path else row, tuple(sorted(path)))
 
 
-def word_entry(ctx: Context, w: Word, row: int = 0,
-               degrees: list[int] | None = None) -> tuple[int, int, Mono]:
+def word_entry(ctx: Context, w: Word, row: int = 0) -> tuple[int, int, Mono]:
     """The word's one nonzero entry in the given row, as a key (row, col, mono).
 
     The entry is the monomial of the scalar variables on the path from row,
@@ -117,13 +113,12 @@ def word_entry(ctx: Context, w: Word, row: int = 0,
     words have equal keys at row r iff they do at row 0, and a keyed sum
     over words is zero at row r iff it is zero at row 0.
     """
-    return path_entry(word_path(ctx, w, row, degrees), row)
+    return path_entry(word_path(ctx, w, row), row)
 
 
 def eval_word_closed(ctx: Context, w: Word) -> list[tuple[int, int, Mono]]:
     """The word's evaluation as one word_entry per row, in row order."""
-    degrees = path_degrees(ctx, w)
-    return [word_entry(ctx, w, row, degrees) for row in range(ctx.grading.n)]
+    return [word_entry(ctx, w, row) for row in range(ctx.grading.n)]
 
 
 def _keyed_sum(pairs) -> dict[tuple[int, int, Mono], int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
-from .genmat import Mono, ScalarPoly, row0_entries
+from .genmat import Mono, ScalarPoly, mono_exponents, row0_entries
 from .genmat import eval_poly  # noqa: F401  unused here: bench/spans.py rebinds this name
 
 
@@ -113,5 +113,6 @@ def keyed_witness(entries: dict[tuple[int, int, Mono], int]) -> Witness | None:
     if first is None:
         return None
     row, col, _ = first
-    return Witness(row, col, ScalarPoly({m: c for (i, j, m), c in entries.items()
+    return Witness(row, col, ScalarPoly({mono_exponents(m): c
+                                         for (i, j, m), c in entries.items()
                                          if i == row and j == col}))

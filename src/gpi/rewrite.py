@@ -17,6 +17,7 @@ differences source - target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .freealg import Context, FreePoly, Word, multidegree, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
@@ -59,24 +60,28 @@ class SigmaWitness:
 MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
 
 
-@dataclass(frozen=True)
-class Move:
-    """A context move as it is written: its blocks are the lengths[i]
-    letters that follow the first offset letters, and the move reverses
-    their order."""
-
+class _MoveFields(NamedTuple):
     kind: str  # "swap0" | "reverse3"
     offset: int
     lengths: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in MOVE_FAMILIES:
-            raise MoveError(f"unknown move kind {self.kind!r}")
-        arity = MOVE_FAMILIES[self.kind][1]
-        if len(self.lengths) != arity:
-            raise MoveError(f"{self.kind} takes {arity} blocks")
-        if self.offset < 0 or min(self.lengths) < 1:
+
+class Move(_MoveFields):
+    """A context move as it is written: its blocks are the lengths[i]
+    letters that follow the first offset letters, and the move reverses
+    their order."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, offset: int, lengths: tuple[int, ...]):
+        if kind not in MOVE_FAMILIES:
+            raise MoveError(f"unknown move kind {kind!r}")
+        arity = MOVE_FAMILIES[kind][1]
+        if len(lengths) != arity:
+            raise MoveError(f"{kind} takes {arity} blocks")
+        if offset < 0 or min(lengths) < 1:
             raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
+        return super().__new__(cls, kind, offset, lengths)
 
     @property
     def end(self) -> int:
@@ -85,28 +90,40 @@ class Move:
 
     def blocks(self, seq) -> list:
         """The blocks cut from seq: a word, or the path walked along it."""
-        out, cut = [], self.offset
-        for n in self.lengths:
-            out.append(seq[cut:cut + n])
-            cut += n
-        return out
+        return _cut(seq, self.offset, self.lengths)[0]
 
     def apply(self, seq):
         """seq with the blocks in reverse order: a word, or the path walked
         along it (see _chain_moves)."""
-        blocks = self.blocks(seq)
-        blocks.reverse()
-        return sum(blocks, seq[:self.offset]) + seq[self.end:]
+        return _blocks_reversed(seq, self.offset, *_cut(seq, self.offset, self.lengths))
+
+
+def _cut(seq, offset: int, lengths: tuple[int, ...]) -> tuple[list, int]:
+    """The blocks of the given lengths that follow the first offset items
+    of seq, and the position after the last one."""
+    blocks = []
+    for n in lengths:
+        blocks.append(seq[offset:offset + n])
+        offset += n
+    return blocks, offset
+
+
+def _blocks_reversed(seq, offset: int, blocks: list, end: int):
+    """seq with the blocks _cut from it, between offset and end, reversed."""
+    return sum(reversed(blocks), seq[:offset]) + seq[end:]
 
 
 def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
     """w after mv: the move must fit w, and its blocks obey the degree rule
-    of its generator family."""
-    if mv.end > len(w):
+    of its generator family.  The blocks are cut once, for both checks and
+    the result."""
+    kind, offset, lengths = mv
+    blocks, end = _cut(w, offset, lengths)
+    if end > len(w):
         raise MoveError(f"move does not fit a word of length {len(w)}")
-    if not degree_rule_holds(MOVE_FAMILIES[mv.kind][0], ctx, mv.blocks(w)):
+    if not degree_rule_holds(MOVE_FAMILIES[kind][0], ctx, blocks):
         raise MoveError("move violates its degree side-conditions")
-    return mv.apply(w)
+    return _blocks_reversed(w, offset, blocks, end)
 
 
 @dataclass(frozen=True)
@@ -329,9 +346,11 @@ def express_in_J(f: FreePoly) -> JCombination:
     Follows the cancellation loop: repeatedly eliminate the least word of
     the support against the least other word sharing an evaluation entry.
     The support strictly shrinks each round, so the loop terminates.  Words
-    only leave the support, so one sort ranks every round; each entry key
-    (row, col, mono) keeps a bucket of the ranks of the words carrying it,
-    and dead ranks are skipped lazily from the front.
+    only leave the support, so one sort ranks every round: coefficients
+    are kept by rank, 0 for a word eliminated, and no word is hashed in
+    the loop.  Each entry key (row, col, mono) keeps a bucket of the ranks
+    of the words carrying it, and dead ranks are skipped lazily from the
+    front.
 
     Each word's path is walked once, from row 0 only, and kept: row 0
     decides every row (see genmat.word_entry), so two words share an entry
@@ -346,8 +365,8 @@ def express_in_J(f: FreePoly) -> JCombination:
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
     ctx = f.ctx
-    work = dict(f.terms)
-    support = sorted(work, key=word_key)
+    support = sorted(f.terms, key=word_key)
+    coeffs = [f.terms[word] for word in support]
     word_paths, word_keys = [], []
     buckets: dict[tuple, list[int]] = {}
     total: dict[tuple, int] = {}
@@ -355,7 +374,7 @@ def express_in_J(f: FreePoly) -> JCombination:
         path = word_path(ctx, word, 0)
         key = path_entry(path, 0)
         buckets.setdefault(key, []).append(rank)
-        total[key] = total.get(key, 0) + work[word]
+        total[key] = total.get(key, 0) + coeffs[rank]
         word_paths.append(path)
         word_keys.append(key)
     w = keyed_witness(total)
@@ -363,30 +382,28 @@ def express_in_J(f: FreePoly) -> JCombination:
         raise NoExpressionError("input is not a graded identity", witness=w)
     heads = dict.fromkeys(buckets, 0)
     terms: list[JTerm] = []
+    alive = len(support)
     rank = 0
-    while work:
-        while support[rank] not in work:
+    while alive:
+        while not coeffs[rank]:
             rank += 1
-        m1 = support[rank]
-        if len(work) == 1:
+        if alive == 1:
             raise AssertionError("single-monomial identity encountered; evaluation bug")
         key = word_keys[rank]
         bucket, i = buckets[key], heads[key]
-        while i < len(bucket) and (bucket[i] <= rank or support[bucket[i]] not in work):
+        while i < len(bucket) and (bucket[i] <= rank or not coeffs[bucket[i]]):
             i += 1
         heads[key] = i
         if i == len(bucket):
             raise AssertionError("no partner with a shared entry; evaluation bug")
-        partner = support[bucket[i]]
-        lam = work[m1]
+        j = bucket[i]
+        m1, partner, lam = support[rank], support[j], coeffs[rank]
         # start=m1, end=partner
-        chain = _chain_from(ctx, partner, m1, word_paths[bucket[i]], word_paths[rank])
+        chain = _chain_from(ctx, partner, m1, word_paths[j], word_paths[rank])
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
-        before = len(work)
-        del work[m1]
-        work[partner] = work.get(partner, 0) + lam
-        if work[partner] == 0:
-            del work[partner]
-        if len(work) >= before:
+        coeffs[rank] = 0
+        coeffs[j] += lam
+        if coeffs[rank]:  # the partner was m1 itself
             raise AssertionError("support did not shrink; elimination bug")
+        alive -= 1 if coeffs[j] else 2
     return JCombination(ctx, tuple(terms))

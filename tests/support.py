@@ -10,7 +10,7 @@ from gpi import certs
 from gpi.dsl import ParseError, _tokenize
 from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
                          word_degree)
-from gpi.genmat import Mono, ScalarPoly, eval_word_closed, word_path
+from gpi.genmat import ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_path
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import (ContractError, GeneratorInstance, GeneratorKind, degree_rule_holds,
                           make_generator)
@@ -73,14 +73,14 @@ def random_multilinear_word(rand: random.Random, ctx: Context, length: int):
 
 # --- the dense matrix product, as the oracle for keyed evaluation -------------
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
+def mono_mul(a: ExpMono, b: ExpMono) -> ExpMono:
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted(exps.items()))
 
 
-def mono_var(k: int, i: int, j: int) -> Mono:
+def mono_var(k: int, i: int, j: int) -> ExpMono:
     return (((k, i, j), 1),)
 
 
@@ -115,7 +115,7 @@ class OraclePoly(ScalarPoly):
         return self + -other
 
     def __mul__(self, other: ScalarPoly) -> "OraclePoly":
-        terms: dict[Mono, int] = {}
+        terms: dict[ExpMono, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
@@ -204,11 +204,20 @@ def eval_poly_direct(p: FreePoly) -> GenericMatrix:
 def keyed_matrix(n: int, entries: dict) -> GenericMatrix:
     """A keyed sum (genmat.eval_poly) as a dense n x n matrix, to compare
     with the products above."""
-    cells: dict[tuple[int, int], dict[Mono, int]] = {}
+    cells: dict[tuple[int, int], dict[ExpMono, int]] = {}
     for (row, col, mono), c in entries.items():
-        cells.setdefault((row, col), {})[mono] = c
+        cells.setdefault((row, col), {})[mono_exponents(mono)] = c
     return GenericMatrix(n, [[OraclePoly(cells.get((i, j))) for j in range(n)]
                              for i in range(n)])
+
+
+def old_path_entry(path, row: int):
+    """The key genmat.path_entry made before its monomial became the sorted
+    path: sorted (scalar variable, exponent) pairs, as the oracle for it."""
+    exps = {}
+    for sv in path:
+        exps[sv] = exps.get(sv, 0) + 1
+    return (row, path[-1][2] if path else row, tuple(sorted(exps.items())))
 
 
 def word_matrix(ctx: Context, w) -> GenericMatrix:
@@ -226,7 +235,7 @@ def dense_matrix_json(mat: GenericMatrix) -> dict:
 
 # --- the tokenizer that dsl._tokenize replaced, as an oracle -----------------
 
-_OLD_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|([+\-*()\[\],]))")
+_OLD_TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*()\[\],]))")
 
 
 def old_tokenize(text: str, line: int):

@@ -65,7 +65,25 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+# x1*x1 and x1*x2 share an entry at every row; a key's monomial (the sorted
+# path) orders them x1*x1 first, their exponent form x1*x2 first, and the
+# output is in exponent form.
+SQUARE_FILE = """\
+group: Z2
+vars: x1:0 x2:0
+poly: x1*x1 + x1*x2
+"""
+SQUARE_CELL = ('[{"coeff":1,"vars":[[1,%(r)d,%(r)d,1],[2,%(r)d,%(r)d,1]]},'
+               '{"coeff":1,"vars":[[1,%(r)d,%(r)d,2]]}]')
+
+
 class TestCheck:
+    def test_witness_bytes_pinned(self, tmp_path, capsys):
+        code, out, err = run(capsys, "check", write(tmp_path, "f.gpi", SQUARE_FILE))
+        assert (code, err) == (1, "")
+        assert out == ('{"identity":false,"witness":{"col":1,"row":1,"value":'
+                       + SQUARE_CELL % {"r": 1} + "}}\n")
+
     def test_identity_exit_0(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", ID_FILE)
         code, out, _ = run(capsys, "check", f)
@@ -91,6 +109,13 @@ class TestCheck:
 
 
 class TestEval:
+    def test_bytes_pinned(self, tmp_path, capsys):
+        code, out, err = run(capsys, "eval", write(tmp_path, "f.gpi", SQUARE_FILE))
+        assert (code, err) == (0, "")
+        assert out == ('{"entries":[{"col":1,"row":1,"terms":' + SQUARE_CELL % {"r": 1}
+                       + '},{"col":2,"row":2,"terms":' + SQUARE_CELL % {"r": 2}
+                       + '}],"n":2}\n')
+
     def test_poly_matrix(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi", ID_FILE)
         code, out, _ = run(capsys, "eval", f)
@@ -747,6 +772,102 @@ class TestNotUtf8:
         cert.write_bytes(b'{"kind": "\xff"}')
         code, out, err = run(capsys, "verify", str(cert))
         assert code == 2 and out == "" and err == f"gpi: {cert}: not UTF-8 text\n"
+
+
+class TestAsciiDigits:
+    """Problem files read numbers in ASCII digits only: int() would also read
+    other scripts' digits, a sign and underscores.  Each case exits 2 with
+    one `gpi:` line."""
+
+    def assert_rejected(self, capsys, *argv, where):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+        assert where in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("group: Z3\nvars: x1:0 x2:0\npoly: x\u0661*x2 - x2*x1\n",
+         "line 3, column 1: unexpected character"),
+        ("group: Z3\nvars: x1:0 x2:0\npoly: 2*x1*x2 - \u0662*x2*x1\n",
+         "line 3, column 11: unexpected character '\u0662'"),
+        ("group: Z\u0663\nvars: x1:0\npoly: x1\n", "line 1, column 1: unknown group"),
+        ("group: Z2\ngrading: 0 +1\nvars: x1:0\npoly: x1\n",
+         "line 2, column 1: grading entry '+1' is not"),
+        ("group: Z2\ngrading: 1_0\nvars: x1:0\npoly: x1\n",
+         "line 2, column 1: grading entry '1_0' is not"),
+        ("group: Z2\ngrading: 0 \u0661\nvars: x1:0\npoly: x1\n",
+         "line 2, column 1: grading entry"),
+        ("group: Z3\nvars: x\u0661:0\npoly: x1\n", "line 2, column 1: bad variable declaration"),
+        ("group: Z3\nvars: x1:\u0661\npoly: x1\n", "line 2, column 1: bad variable declaration"),
+    ], ids=["poly-variable-id", "poly-coefficient", "group-order", "grading-sign",
+            "grading-underscore", "grading-digit", "vars-id", "vars-degree"])
+    def test_problem_file(self, tmp_path, capsys, text, where):
+        path = tmp_path / "f.gpi"
+        path.write_text(text, encoding="utf-8")
+        self.assert_rejected(capsys, "check", str(path), where=where)
+
+    def test_eval_word_index(self, tmp_path, capsys):
+        self.assert_rejected(capsys, "eval", write(tmp_path, "f.gpi", ID_FILE),
+                             "--word", "\u0660", where="--word: line 1, column 1: unexpected")
+
+    def test_ascii_spellings_still_read(self, tmp_path, capsys):
+        text = "group: Z2\ngrading: 01 00\nvars: x01:0 x2:00\npoly: x1*x1 + x1*x2\n"
+        code, out, _ = run(capsys, "check", write(tmp_path, "f.gpi", text))
+        assert code == 1 and json.loads(out)["witness"]["row"] == 1
+
+
+# Valid problem files, mutated a character at a time by the fuzz below.
+_DSL_BASES = [ID_FILE, NONID_FILE, SQUARE_FILE,
+              "group: Z3\ngrading: 0 2 1\nvars: x1:1 x2:2 x3:0\n"
+              "poly: 2*[x1*x3, x2] - (x1 + x3)*x2*x1\n# comment\n",
+              "group: table [[0,1],[1,0]]\nvars: x1:0 x2:1\npoly: [x1,x2]\n"]
+_DSL_ALPHABET = ("0123456789x*+-()[],:# \n_"
+                 "\u0660\u0661\u0663\u0967\uff11\u00b2\u00a0\u2028\u2003")
+_DSL_EDIT = st.tuples(st.sampled_from(("insert", "replace", "delete", "digit")),
+                      st.integers(0, 200), st.sampled_from(_DSL_ALPHABET))
+# "digit" writes one ASCII digit of the text in another script (Arabic-Indic,
+# Devanagari or fullwidth, picked by the edit's character).
+_DIGIT_ZEROS = "\u0660\u0966\uff10"
+
+
+def _non_ascii_digit_line(text: str) -> bool:
+    """A line that parse_text reads (not blank, not a comment) holds a
+    digit outside ASCII."""
+    return any(any(c.isdigit() and not c.isascii() for c in line)
+               for line in (raw.strip() for raw in text.splitlines())
+               if line and not line.startswith("#"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_DSL_BASES), st.lists(_DSL_EDIT, min_size=1, max_size=4))
+def test_fuzz_problem_text(tmp_path_factory, base, edits):
+    """Mutated problem files: exit 0, 1 or 2, no traceback, at most one
+    `gpi:` line, and exit 2 whenever a line that is read holds a digit
+    outside ASCII."""
+    text = base
+    for what, at, char in edits:
+        if what == "digit":
+            places = [i for i, c in enumerate(text) if "0" <= c <= "9"]
+            if places:
+                i = places[at % len(places)]
+                zero = _DIGIT_ZEROS[ord(char) % len(_DIGIT_ZEROS)]
+                text = text[:i] + chr(ord(zero) + int(text[i])) + text[i + 1:]
+            continue
+        at %= len(text) + (what == "insert")
+        if what == "insert":
+            text = text[:at] + char + text[at:]
+        elif text:
+            text = text[:at] + (char if what == "replace" else "") + text[at + 1:]
+    path = tmp_path_factory.getbasetemp() / "fuzz.gpi"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err == "" if code != 2 else (err.startswith("gpi: ") and err.count("\n") == 1)
+    if _non_ascii_digit_line(text):
+        assert code == 2, text
 
 
 class TestZ3Reduce:

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from gpi.freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
                          WeakSubstitution, bracket, is_multilinear_word,
-                         lie_degree, lie_expand, multihomogeneous_components,
-                         word_degree)
+                         lie_degree, lie_expand, multidegree,
+                         multihomogeneous_components, word_degree)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -144,6 +144,20 @@ class TestMultihomogeneous:
         for comp in multihomogeneous_components(p):
             total = total + comp
         assert total == p
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys())
+    def test_is_multihomogeneous_by_multidegree(self, p):
+        """Words sorting to one tuple is the definition: one multidegree."""
+        assert p.is_multihomogeneous() == (len({multidegree(w) for w in p.terms}) <= 1)
+
+    def test_is_multihomogeneous_examples(self):
+        c = ctx3(x1=0, x2=1, x3=2)
+        assert FreePoly(c, {(1, 2, 1): 1, (2, 1, 1): 3, (1, 1, 2): -1}).is_multihomogeneous()
+        assert not FreePoly(c, {(1, 2, 1): 1, (1, 2, 2): 1}).is_multihomogeneous()
+        assert not FreePoly(c, {(1, 2): 1, (1, 2, 3): 1}).is_multihomogeneous()
+        assert FreePoly.zero(c).is_multihomogeneous()
 
 
 class TestMultilinear:

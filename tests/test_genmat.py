@@ -2,7 +2,7 @@ import support
 from support import GenericMatrix, OraclePoly, eval_word_direct, generic, keyed_matrix, word_matrix
 
 from gpi.freealg import Context, FreePoly, bracket
-from gpi.genmat import eval_poly, eval_word_closed
+from gpi.genmat import eval_poly, eval_word_closed, mono_exponents, path_entry, word_path
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -62,7 +62,8 @@ class TestEvalWord:
         c = Context(g2, {1: 0})
         row, col, mono = eval_word_closed(c, (1, 1))[0]
         assert (row, col) == (0, 0)
-        assert mono == (((1, 0, 0), 2),)
+        assert mono == ((1, 0, 0), (1, 0, 0))
+        assert mono_exponents(mono) == (((1, 0, 0), 2),)
 
     def test_closed_equals_direct_random(self):
         rand = support.rng(101)
@@ -123,6 +124,39 @@ class TestEvalPoly:
         c = Context(Z3, {1: 1, 2: 2})
         p = FreePoly(c, {(1, 2): 3})
         assert keyed_matrix(3, eval_poly(p)) == word_matrix(c, (1, 2)).scale(3)
+
+
+class TestKeyMonomial:
+    """A key's monomial is the path's scalar variables sorted, repeats kept;
+    the (variable, exponent) form it replaced is support.old_path_entry."""
+
+    def test_agrees_with_exponent_form(self):
+        rand = support.rng(105)
+        pairs = equal = 0
+        for grading in support.configs() + [default_grading(support.s3())]:
+            for _ in range(60):
+                # few variables and long words, so letters repeat
+                c = support.random_context(rand, grading, 3)
+                w = support.random_word(rand, c, rand.randint(0, 9))
+                shuffled = tuple(rand.sample(w, len(w)))
+                other = support.random_word(rand, c, len(w))
+                for row in range(grading.n):
+                    path = word_path(c, w, row)
+                    new, old = path_entry(path, row), support.old_path_entry(path, row)
+                    assert new[:2] == old[:2]
+                    assert mono_exponents(new[2]) == old[2]
+                    for v in (shuffled, other):
+                        p = word_path(c, v, row)
+                        same = path_entry(p, row) == new
+                        assert same == (support.old_path_entry(p, row) == old)
+                        pairs += 1
+                        equal += same
+        assert 100 < equal < pairs - 100
+
+    def test_repeats_counted_in_order(self):
+        mono = ((1, 0, 0), (1, 0, 0), (1, 0, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1))
+        assert mono_exponents(mono) == (((1, 0, 0), 2), ((1, 0, 1), 1), ((2, 1, 1), 3))
+        assert mono_exponents(()) == ()
 
 
 def test_mono_var_shape():
