@@ -10,8 +10,7 @@ once.
 from gpi import (Context, GeneratorKind, cyclic_group, default_grading,
                  enumerate_reduced, expand, make_generator, reduce_type2,
                  verify_certificate)
-from gpi.z3reduce import (CertContext, CertLeaf, CertSubst, CertSum,
-                          cert_leaves, cert_nodes)
+from gpi.certs import CertContext, CertLeaf, CertSubst, CertSum, cert_leaves, cert_nodes
 
 grading = default_grading(cyclic_group(3))
 

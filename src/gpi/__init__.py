@@ -16,14 +16,12 @@ from .genmat import ScalarPoly, eval_poly, eval_word_closed, mono_exponents
 from .identity import (GeneratorError, GeneratorInstance, GeneratorKind,
                        Witness, expand, identity_witness, is_graded_identity,
                        make_generator, validate_generator)
-from .rewrite import (JCombination, JTerm, Move, MoveError, NoExpressionError,
-                      NotCongruentError, RewriteChain, SigmaWitness,
-                      apply_move, congruence_chain, express_in_J,
-                      extract_sigma, shared_entry, verify_chain,
-                      verify_combination)
-from .z3reduce import (MAX_REDUCED_PART_LEN, CertificateError, ReductionCertificate,
-                       ReductionError, check_certificate, enumerate_reduced,
-                       reduce_type1, reduce_type2, verify_certificate)
+from .certs import (MAX_REDUCED_PART_LEN, JCombination, JTerm, Move, MoveError,
+                    ReductionCertificate, RewriteChain, apply_move, verify_certificate,
+                    verify_chain, verify_combination)
+from .rewrite import (NoExpressionError, NotCongruentError, SigmaWitness, congruence_chain,
+                      express_in_J, extract_sigma, shared_entry)
+from .z3reduce import ReductionError, enumerate_reduced, reduce_type1, reduce_type2
 from .dsl import ParseError, format_file, parse_expr, parse_file, parse_text, parse_word
 from . import certs
 
@@ -42,9 +40,8 @@ __all__ = [
     "NotCongruentError", "RewriteChain", "SigmaWitness", "apply_move",
     "congruence_chain", "express_in_J", "extract_sigma", "shared_entry",
     "verify_chain", "verify_combination",
-    "MAX_REDUCED_PART_LEN", "CertificateError", "ReductionCertificate",
-    "ReductionError", "check_certificate", "enumerate_reduced", "reduce_type1",
-    "reduce_type2", "verify_certificate",
+    "MAX_REDUCED_PART_LEN", "ReductionCertificate", "ReductionError",
+    "enumerate_reduced", "reduce_type1", "reduce_type2", "verify_certificate",
     "ParseError", "format_file", "parse_expr", "parse_file", "parse_text",
     "parse_word", "certs",
 ]

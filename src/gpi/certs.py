@@ -1,4 +1,11 @@
-"""JSON (de)serialization of contexts and certificates.
+"""Certificates: their types, their checking, and their JSON wire format.
+
+A certificate is a rewrite chain, a combination of chains (a jcomb) or a
+reduction DAG.  The producers in rewrite and z3reduce build them; this
+module holds everything `gpi verify` runs on them: the data classes, the
+replay that checks them, and the loaders and writers of every format
+version.  It trusts only freealg's arithmetic, the group table, identity's
+degree rules and generator expansions, and genmat's row-0 keys.
 
 Every certificate embeds its full context (group table, grading tuple,
 variable degrees) so that verification needs no side files.  Matrix
@@ -9,14 +16,15 @@ element indices into the embedded table.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .freealg import Context, FreePoly, ReplayBudget, Word
-from .genmat import ExpMono, Mono, ScalarPoly, mono_exponents
+from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
+                      WeakSubstitution, Word)
+from .genmat import ExpMono, Mono, ScalarPoly, mono_exponents, word_entry
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import GeneratorInstance, GeneratorKind, make_generator
-from .rewrite import JCombination, JTerm, Move, MoveError, RewriteChain
-from .z3reduce import (CertContext, CertLeaf, CertNode, CertSubst, CertSum,
-                       ReductionCertificate, cert_nodes)
+from .identity import (GeneratorInstance, GeneratorKind, degree_rule_holds, expand,
+                       make_generator)
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -24,12 +32,310 @@ REDUCTION_VERSION = 2  # reduction documents: a node table
 # chain and jcomb moves with their whole contexts.
 READ_VERSIONS = {"chain": (1, 2, 3), "jcomb": (1, 2, 3), "reduction": (1, 2)}
 
+MAX_REDUCED_PART_LEN = 3  # the longest part of a reduced leaf, by default
+
 
 class CertificateFormatError(ValueError):
     pass
 
 
-# --- context ------------------------------------------------------------------
+class MoveError(ValueError):
+    pass
+
+
+# --- moves, chains and combinations ---------------------------------------------
+
+# Each move kind is a context multiple of one generator family, whose parts
+# are the move's blocks: the family and the number of blocks.
+MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
+
+
+class _MoveFields(NamedTuple):
+    kind: str  # "swap0" | "reverse3"
+    offset: int
+    lengths: tuple[int, ...]
+
+
+class Move(_MoveFields):
+    """A context move as it is written: its blocks are the lengths[i]
+    letters that follow the first offset letters, and the move reverses
+    their order."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, offset: int, lengths: tuple[int, ...]):
+        if kind not in MOVE_FAMILIES:
+            raise MoveError(f"unknown move kind {kind!r}")
+        arity = MOVE_FAMILIES[kind][1]
+        if len(lengths) != arity:
+            raise MoveError(f"{kind} takes {arity} blocks")
+        if offset < 0 or min(lengths) < 1:
+            raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
+        return super().__new__(cls, kind, offset, lengths)
+
+    @property
+    def end(self) -> int:
+        """The position after the last block."""
+        return self.offset + sum(self.lengths)
+
+    def blocks(self, seq) -> list:
+        """The blocks cut from seq: a word, or the path walked along it."""
+        return _cut(seq, self.offset, self.lengths)[0]
+
+    def apply(self, seq):
+        """seq with the blocks in reverse order: a word, or the path walked
+        along it (see rewrite._chain_moves)."""
+        return _blocks_reversed(seq, self.offset, *_cut(seq, self.offset, self.lengths))
+
+
+def _cut(seq, offset: int, lengths: tuple[int, ...]) -> tuple[list, int]:
+    """The blocks of the given lengths that follow the first offset items
+    of seq, and the position after the last one."""
+    blocks = []
+    for n in lengths:
+        blocks.append(seq[offset:offset + n])
+        offset += n
+    return blocks, offset
+
+
+def _blocks_reversed(seq, offset: int, blocks: list, end: int):
+    """seq with the blocks _cut from it, between offset and end, reversed."""
+    return sum(reversed(blocks), seq[:offset]) + seq[end:]
+
+
+def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
+    """w after mv: the move must fit w, and its blocks obey the degree rule
+    of its generator family.  The blocks are cut once, for both checks and
+    the result."""
+    kind, offset, lengths = mv
+    blocks, end = _cut(w, offset, lengths)
+    if end > len(w):
+        raise MoveError(f"move does not fit a word of length {len(w)}")
+    if not degree_rule_holds(MOVE_FAMILIES[kind][0], ctx, blocks):
+        raise MoveError("move violates its degree side-conditions")
+    return _blocks_reversed(w, offset, blocks, end)
+
+
+@dataclass(frozen=True)
+class RewriteChain:
+    """Certified congruence: applying the moves transforms start into end."""
+
+    ctx: Context
+    start: Word
+    moves: tuple[Move, ...]
+    end: Word
+
+
+@dataclass(frozen=True)
+class JTerm:
+    coeff: int
+    source: Word
+    target: Word
+    chain: RewriteChain
+
+
+@dataclass(frozen=True)
+class JCombination:
+    """Expression of an identity as sum of coeff * (source - target)."""
+
+    ctx: Context
+    terms: tuple[JTerm, ...]
+
+    def expansion(self) -> FreePoly:
+        terms: dict[Word, int] = {}
+        for t in self.terms:
+            terms[t.source] = terms.get(t.source, 0) + t.coeff
+            terms[t.target] = terms.get(t.target, 0) - t.coeff
+        return FreePoly(self.ctx, terms)
+
+
+def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
+    """Replay every term's chain and cross-check its endpoint evaluations,
+    then the expansion against claimed, if given.
+
+    Each term's chain must start at its source and end at its target, and
+    every move must fit the word so far and obey the degree rule.  A word
+    evaluates to one key (row, col, mono) per row with coefficient 1, and
+    row 0 decides the rest (see genmat.word_entry), so equal row-0 keys are
+    exactly equal evaluation matrices.  A word met in many terms, as a
+    partner usually is, is keyed once per combination (per context, for
+    chains that carry their own).
+    """
+    # A word keeps only the number of its row-0 key, one number per distinct
+    # key: holding every word's key (2L + 3 small objects) alive to the end
+    # made the garbage collector run about eight times as often.
+    numbers: dict[tuple, int] = {}
+    seen: dict[tuple[int, Word], int] = {}
+
+    def key_number(ctx: Context, w: Word) -> int:
+        slot = (id(ctx), w)
+        if slot not in seen:
+            seen[slot] = numbers.setdefault(word_entry(ctx, w), len(numbers))
+        return seen[slot]
+
+    for t in comb.terms:
+        chain = t.chain
+        w = start = tuple(chain.start)
+        end = tuple(chain.end)
+        if start != tuple(t.source) or end != tuple(t.target):
+            return False
+        try:
+            for mv in chain.moves:
+                w = apply_move(chain.ctx, w, mv)
+        except MoveError:
+            return False
+        if w != end or key_number(chain.ctx, start) != key_number(chain.ctx, end):
+            return False
+    return claimed is None or comb.expansion() == claimed
+
+
+def verify_chain(chain: RewriteChain) -> bool:
+    """verify_combination on the one term start - end."""
+    return verify_combination(
+        JCombination(chain.ctx, (JTerm(1, chain.start, chain.end, chain),)))
+
+
+# --- reduction DAGs -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CertLeaf:
+    generator: GeneratorInstance
+
+
+@dataclass(frozen=True)
+class CertSum:
+    children: tuple[tuple[int, "CertNode"], ...]
+
+
+@dataclass(frozen=True)
+class CertContext:
+    left: Word
+    right: Word
+    child: "CertNode"
+
+
+@dataclass(frozen=True)
+class CertSubst:
+    images: tuple[tuple[int, object], ...]  # (variable id, LieWord) pairs
+    child: "CertNode"
+
+
+CertNode = CertLeaf | CertSum | CertContext | CertSubst
+
+
+def _children(node: CertNode) -> list[CertNode]:
+    if isinstance(node, CertSum):
+        return [child for _, child in node.children]
+    if isinstance(node, (CertContext, CertSubst)):
+        return [node.child]
+    return []
+
+
+def cert_nodes(root: CertNode) -> list[CertNode]:
+    """The distinct nodes of a certificate DAG, each once, children first.
+
+    Nodes are told apart by identity, so a subproof shared by several
+    parents appears once.  The order is the post-order of a depth-first
+    walk that takes children left to right; it is deterministic, and it
+    is iterative, so depth costs no stack.
+    """
+    order: list[CertNode] = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
+def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly],
+                budget: ReplayBudget) -> FreePoly:
+    """The value of one node from its children's values.
+
+    A context node charges budget for the words it builds, a subst node
+    for every product it multiplies out, and a sum node one letter for
+    each child term it adds up, so a table of sums over one large value
+    is bounded too.
+    """
+    if isinstance(node, CertLeaf):
+        return expand(node.generator)
+    if isinstance(node, CertSum):
+        budget.spend(sum(len(values[id(child)].terms) for _, child in node.children))
+        terms: dict[Word, int] = {}
+        for coeff, child in node.children:
+            for w, c in values[id(child)].terms.items():
+                terms[w] = terms.get(w, 0) + coeff * c
+        return FreePoly(ctx, terms)
+    if isinstance(node, CertContext):
+        left, right = tuple(node.left), tuple(node.right)
+        child = values[id(node.child)].terms
+        budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
+        return FreePoly(ctx, {left + w + right: c for w, c in child.items()})
+    if isinstance(node, CertSubst):
+        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)], budget)
+    raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
+
+
+def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
+    """Evaluate nodes in walk order, each once; the last is the root.
+
+    The whole replay shares one ReplayBudget, so it raises
+    ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
+    """
+    values: dict[int, FreePoly] = {}
+    budget = ReplayBudget()
+    for node in nodes:
+        values[id(node)] = _node_value(ctx, node, values, budget)
+    return values[id(nodes[-1])]
+
+
+def cert_value(ctx: Context, node: CertNode) -> FreePoly:
+    """Symbolic replay: the polynomial a certificate node proves membership for."""
+    return _replay(ctx, cert_nodes(node))
+
+
+def cert_leaves(node: CertNode):
+    """The generators at the distinct leaves of a certificate, each once."""
+    for n in cert_nodes(node):
+        if isinstance(n, CertLeaf):
+            yield n.generator
+
+
+@dataclass(frozen=True)
+class ReductionCertificate:
+    ctx: Context
+    target: GeneratorInstance
+    root: CertNode
+
+
+def verify_certificate(cert: ReductionCertificate,
+                       max_part_len: int = MAX_REDUCED_PART_LEN) -> bool:
+    """Every leaf has parts of length at most max_part_len, and the replay
+    equals the target's expansion.
+
+    A DeclarationError (a node names an undeclared variable) and a
+    ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
+    letters) are bad input, not a failed step, and propagate.
+    """
+    nodes = cert_nodes(cert.root)
+    if not all(n.generator.is_reduced(max_part_len)
+               for n in nodes if isinstance(n, CertLeaf)):
+        return False
+    try:
+        value = _replay(cert.ctx, nodes)
+    except (DeclarationError, ReplayBudgetError):
+        raise
+    except ValueError:  # a substitution that breaks its degree rule, say
+        return False
+    return value == expand(cert.target)
+
+
+# --- wire format: contexts ----------------------------------------------------
 
 def context_to_json(ctx: Context) -> dict:
     return {
@@ -60,7 +366,7 @@ def context_from_json(doc: dict) -> Context:
     return Context(grading, degrees)
 
 
-# --- words, polynomials, matrices ---------------------------------------------
+# --- wire format: words, polynomials, matrices --------------------------------
 
 def poly_to_json(p: FreePoly) -> list[dict]:
     return [{"coeff": p.terms[w], "word": list(w)} for w in p.support()]
@@ -87,7 +393,7 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
                                 for (i, j), terms in cells.items()]}
 
 
-# --- rewrite chains and combinations ------------------------------------------
+# --- wire format: rewrite chains and combinations -----------------------------
 #
 # Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of
 # a Move: the blocks are the len_i letters of the running word that follow its
@@ -208,7 +514,7 @@ def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
         for coeff, source, target, moves in terms))
 
 
-# --- reduction certificates ----------------------------------------------------
+# --- wire format: reduction certificates --------------------------------------
 
 def generator_to_json(g: GeneratorInstance) -> dict:
     return {"kind": g.kind.value, "parts": [list(p) for p in g.parts]}
@@ -369,7 +675,7 @@ def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCe
     return ReductionCertificate(ctx, generator_from_json(ctx, doc["target"]), nodes[root])
 
 
-# --- top-level load -------------------------------------------------------------
+# --- wire format: loading any certificate -------------------------------------
 
 def certificate_from_json(doc: dict):
     """Load any certificate document; returns a chain, combination or reduction."""

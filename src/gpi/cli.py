@@ -13,17 +13,16 @@ import os
 import sys
 
 from . import certs
+from .certs import (JCombination, ReductionCertificate, RewriteChain, verify_certificate,
+                    verify_chain, verify_combination)
 from .dsl import ParseError, parse_file, parse_word
 from .freealg import DeclarationError, FreePoly, ReplayBudgetError
 from .genmat import eval_poly, eval_word_closed
 from .groups import GroupError, cyclic_group, default_grading
 from .identity import (ContractError, GeneratorError, GeneratorKind,
                        identity_witness)
-from .rewrite import (JCombination, NoExpressionError, NotCongruentError,
-                      RewriteChain, congruence_chain, express_in_J,
-                      verify_chain, verify_combination)
-from .z3reduce import (ReductionCertificate, ReductionError, enumerate_reduced,
-                       reduce_type1, reduce_type2, verify_certificate)
+from .rewrite import NoExpressionError, NotCongruentError, congruence_chain, express_in_J
+from .z3reduce import ReductionError, enumerate_reduced, reduce_type1, reduce_type2
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -198,10 +197,9 @@ def cmd_verify(args) -> int:
     doc = _read_json(args.cert)
     if not isinstance(doc, dict):
         raise _CliInputError(f"{args.cert}: a certificate is a JSON object")
-    try:
+    try:  # format, group, declaration and generator errors are all ValueErrors
         cert = certs.certificate_from_json(doc)
-    except (certs.CertificateFormatError, GroupError, DeclarationError,
-            GeneratorError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _CliInputError(f"{args.cert}: {exc}") from exc
     try:
         if isinstance(cert, RewriteChain):

@@ -43,9 +43,10 @@ class ParseError(ValueError):
 # non-space character; every _SCAN match starts where the last one ended, so
 # one finditer scan reads the whole line.  Digits are ASCII ([0-9]): \d would
 # also match other scripts' digits, which int() reads ("x\u0661" as x1), while
-# \s stays Unicode, as str.split in parse_expr is.
+# \s stays Unicode, as str.split in parse_expr is.  An x before such a digit
+# is skipped, so the error names the digit; a bare x is named itself.
 _TOKEN = re.compile(r"x[0-9]+|[0-9]+|[+\-*()\[\],]")
-_SCAN = re.compile(rf"\s*(?:({_TOKEN.pattern})|(\S))")
+_SCAN = re.compile(rf"\s*(?:({_TOKEN.pattern})|(?:x(?=\d))?(\S))")
 
 
 def _tokenize(text: str, line: int):

@@ -17,11 +17,11 @@ differences source - target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .freealg import Context, FreePoly, Word, multidegree, word_key
+from .certs import JCombination, JTerm, Move, RewriteChain, apply_move
+from .freealg import Context, Word, multidegree, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
-from .identity import ContractError, GeneratorKind, Witness, degree_rule_holds, keyed_witness
+from .identity import ContractError, Witness, keyed_witness
 
 # Unused here, but kept bound: bench/spans.py rebinds these names in this module.
 from .genmat import eval_word_closed  # noqa: F401
@@ -29,10 +29,6 @@ from .identity import identity_witness  # noqa: F401
 
 
 class NotCongruentError(ValueError):
-    pass
-
-
-class MoveError(ValueError):
     pass
 
 
@@ -53,110 +49,6 @@ class SigmaWitness:
 
     sigma: tuple[int, ...]
     position: tuple[int, int]
-
-
-# Each move kind is a context multiple of one generator family, whose parts
-# are the move's blocks: the family and the number of blocks.
-MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
-
-
-class _MoveFields(NamedTuple):
-    kind: str  # "swap0" | "reverse3"
-    offset: int
-    lengths: tuple[int, ...]
-
-
-class Move(_MoveFields):
-    """A context move as it is written: its blocks are the lengths[i]
-    letters that follow the first offset letters, and the move reverses
-    their order."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, offset: int, lengths: tuple[int, ...]):
-        if kind not in MOVE_FAMILIES:
-            raise MoveError(f"unknown move kind {kind!r}")
-        arity = MOVE_FAMILIES[kind][1]
-        if len(lengths) != arity:
-            raise MoveError(f"{kind} takes {arity} blocks")
-        if offset < 0 or min(lengths) < 1:
-            raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
-        return super().__new__(cls, kind, offset, lengths)
-
-    @property
-    def end(self) -> int:
-        """The position after the last block."""
-        return self.offset + sum(self.lengths)
-
-    def blocks(self, seq) -> list:
-        """The blocks cut from seq: a word, or the path walked along it."""
-        return _cut(seq, self.offset, self.lengths)[0]
-
-    def apply(self, seq):
-        """seq with the blocks in reverse order: a word, or the path walked
-        along it (see _chain_moves)."""
-        return _blocks_reversed(seq, self.offset, *_cut(seq, self.offset, self.lengths))
-
-
-def _cut(seq, offset: int, lengths: tuple[int, ...]) -> tuple[list, int]:
-    """The blocks of the given lengths that follow the first offset items
-    of seq, and the position after the last one."""
-    blocks = []
-    for n in lengths:
-        blocks.append(seq[offset:offset + n])
-        offset += n
-    return blocks, offset
-
-
-def _blocks_reversed(seq, offset: int, blocks: list, end: int):
-    """seq with the blocks _cut from it, between offset and end, reversed."""
-    return sum(reversed(blocks), seq[:offset]) + seq[end:]
-
-
-def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
-    """w after mv: the move must fit w, and its blocks obey the degree rule
-    of its generator family.  The blocks are cut once, for both checks and
-    the result."""
-    kind, offset, lengths = mv
-    blocks, end = _cut(w, offset, lengths)
-    if end > len(w):
-        raise MoveError(f"move does not fit a word of length {len(w)}")
-    if not degree_rule_holds(MOVE_FAMILIES[kind][0], ctx, blocks):
-        raise MoveError("move violates its degree side-conditions")
-    return _blocks_reversed(w, offset, blocks, end)
-
-
-@dataclass(frozen=True)
-class RewriteChain:
-    """Certified congruence: applying the moves transforms start into end."""
-
-    ctx: Context
-    start: Word
-    moves: tuple[Move, ...]
-    end: Word
-
-
-def _replays(chain: RewriteChain) -> bool:
-    """Every move fits the word so far and obeys the degree rule, and the
-    last one leaves the chain's end."""
-    w = tuple(chain.start)
-    try:
-        for mv in chain.moves:
-            w = apply_move(chain.ctx, w, mv)
-    except MoveError:
-        return False
-    return w == tuple(chain.end)
-
-
-def verify_chain(chain: RewriteChain) -> bool:
-    """Replay the chain and cross-check the endpoint evaluations.
-
-    A word evaluates to one key (row, col, mono) per row with coefficient 1,
-    and row 0 decides the rest (see genmat.word_entry), so equal row-0 keys
-    are exactly equal evaluation matrices.
-    """
-    return (_replays(chain)
-            and word_entry(chain.ctx, chain.start) == word_entry(chain.ctx, chain.end))
 
 
 # --- shared entries and permutation extraction -------------------------------
@@ -225,6 +117,10 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
                  path_n: list[ScalarVar]) -> list[Move]:
     """The moves transforming n into m, from both words' paths from one row.
 
+    Precondition, checked by both callers: the two paths have equal keys
+    (path_entry).  A key holds its path sorted, so the paths carry the same
+    scalar variables and the words have one length.
+
     Each round skips the common first letters by index, matches the scalar
     variables of the rest of the two paths, and emits the one move that
     brings the partner of m's first remaining variable forward.  Positions
@@ -253,8 +149,6 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
     one C-level sort of the L positions and O(L) slicing, and no path walk.
     """
     length = len(m)
-    if len(n) != length or sorted(path_m) != sorted(path_n):
-        raise ContractError("monomials share no entry at the given position")
     # rank[j]: the place of m's position j in the variable order of m's path
     rank = [0] * length
     for r, j in enumerate(_by_variable(path_m)):
@@ -283,62 +177,6 @@ def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
 
 
 # --- expressing identities in the generator ideal ------------------------------
-
-@dataclass(frozen=True)
-class JTerm:
-    coeff: int
-    source: Word
-    target: Word
-    chain: RewriteChain
-
-
-@dataclass(frozen=True)
-class JCombination:
-    """Expression of an identity as sum of coeff * (source - target)."""
-
-    ctx: Context
-    terms: tuple[JTerm, ...]
-
-    def expansion(self) -> FreePoly:
-        terms: dict[Word, int] = {}
-        for t in self.terms:
-            terms[t.source] = terms.get(t.source, 0) + t.coeff
-            terms[t.target] = terms.get(t.target, 0) - t.coeff
-        return FreePoly(self.ctx, terms)
-
-
-def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
-    """Check every term's chain as verify_chain does, and the expansion.
-
-    Each term's chain must start at its source and end at its target, and
-    every move must match the word so far and obey the degree rule.  The
-    endpoint keys are compared as in verify_chain, but a word met in many
-    terms, as a partner usually is, is keyed once per combination (per
-    context, for chains that carry their own).
-    """
-    # A word keeps only the number of its row-0 key, one number per distinct
-    # key: holding every word's key (2L + 3 small objects) alive to the end
-    # made the garbage collector run about eight times as often.
-    numbers: dict[tuple, int] = {}
-    seen: dict[tuple[int, Word], int] = {}
-
-    def key_number(ctx: Context, w: Word) -> int:
-        slot = (id(ctx), w)
-        if slot not in seen:
-            seen[slot] = numbers.setdefault(word_entry(ctx, w), len(numbers))
-        return seen[slot]
-
-    for t in comb.terms:
-        chain = t.chain
-        start, end = tuple(chain.start), tuple(chain.end)
-        if start != tuple(t.source) or end != tuple(t.target) or not _replays(chain):
-            return False
-        if key_number(chain.ctx, start) != key_number(chain.ctx, end):
-            return False
-    if claimed is not None and comb.expansion() != claimed:
-        return False
-    return True
-
 
 def express_in_J(f: FreePoly) -> JCombination:
     """Express a multihomogeneous identity through certified congruent pairs.

@@ -5,8 +5,9 @@ a consequence of generators whose monomial parts have length at most
 three.  The reduction is fully constructive: it produces a certificate
 DAG whose steps are sums, context multiplications and weak substitutions,
 and whose leaves are reduced generator instances; a subproblem the
-recursion reaches twice is one shared node.  Certificates are verified by
-symbolic replay in the free algebra, each distinct node once.
+recursion reaches twice is one shared node.  gpi.certs holds the node
+types and verifies a certificate by symbolic replay in the free algebra,
+each distinct node once.
 
 Every step of the recursion is a node built by the helper of its lemma,
 with the recursion itself as the children (tests pass leaf makers).  A
@@ -30,184 +31,23 @@ in order,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget,
-                      ReplayBudgetError, SubstitutionError, WeakSubstitution, Word,
-                      is_multilinear_word, word_degree)
-from .identity import (GeneratorInstance, GeneratorKind, degree_rule_holds, expand,
-                       make_generator)
+from .certs import (MAX_REDUCED_PART_LEN, CertContext, CertLeaf, CertNode, CertSubst,
+                    CertSum, ReductionCertificate)
+from .freealg import Context, Word, is_multilinear_word, word_degree
+from .identity import GeneratorInstance, GeneratorKind, degree_rule_holds, make_generator
 
 
 class ReductionError(ValueError):
     pass
 
 
-class CertificateError(ValueError):
-    pass
-
-
-MAX_REDUCED_PART_LEN = 3
-
-
 def _require_z3(ctx: Context):
     g = ctx.grading.group
     if g.order != 3 or not g.is_abelian():
         raise ReductionError("the reduction scheme is specific to the cyclic group of order 3")
-
-
-# --- certificate DAGs ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class CertLeaf:
-    generator: GeneratorInstance
-
-
-@dataclass(frozen=True)
-class CertSum:
-    children: tuple[tuple[int, "CertNode"], ...]
-
-
-@dataclass(frozen=True)
-class CertContext:
-    left: Word
-    right: Word
-    child: "CertNode"
-
-
-@dataclass(frozen=True)
-class CertSubst:
-    images: tuple[tuple[int, object], ...]  # (variable id, LieWord) pairs
-    child: "CertNode"
-
-
-CertNode = CertLeaf | CertSum | CertContext | CertSubst
-
-
-def _children(node: CertNode) -> list[CertNode]:
-    if isinstance(node, CertSum):
-        return [child for _, child in node.children]
-    if isinstance(node, (CertContext, CertSubst)):
-        return [node.child]
-    return []
-
-
-def cert_nodes(root: CertNode) -> list[CertNode]:
-    """The distinct nodes of a certificate DAG, each once, children first.
-
-    Nodes are told apart by identity, so a subproof shared by several
-    parents appears once.  The order is the post-order of a depth-first
-    walk that takes children left to right; it is deterministic, and it
-    is iterative, so depth costs no stack.
-    """
-    order: list[CertNode] = []
-    seen: set[int] = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
-    return order
-
-
-def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly],
-                budget: ReplayBudget) -> FreePoly:
-    """The value of one node from its children's values.
-
-    A context node charges budget for the words it builds, a subst node
-    for every product it multiplies out, and a sum node one letter for
-    each child term it adds up, so a table of sums over one large value
-    is bounded too.
-    """
-    if isinstance(node, CertLeaf):
-        return expand(node.generator)
-    if isinstance(node, CertSum):
-        budget.spend(sum(len(values[id(child)].terms) for _, child in node.children))
-        terms: dict[Word, int] = {}
-        for coeff, child in node.children:
-            for w, c in values[id(child)].terms.items():
-                terms[w] = terms.get(w, 0) + coeff * c
-        return FreePoly(ctx, terms)
-    if isinstance(node, CertContext):
-        left, right = tuple(node.left), tuple(node.right)
-        child = values[id(node.child)].terms
-        budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
-        return FreePoly(ctx, {left + w + right: c for w, c in child.items()})
-    if isinstance(node, CertSubst):
-        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)], budget)
-    raise CertificateError(f"unknown certificate node {type(node).__name__}")
-
-
-def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
-    """Evaluate nodes in walk order, each once; the last is the root.
-
-    The whole replay shares one ReplayBudget, so it raises
-    ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
-    """
-    values: dict[int, FreePoly] = {}
-    budget = ReplayBudget()
-    for node in nodes:
-        values[id(node)] = _node_value(ctx, node, values, budget)
-    return values[id(nodes[-1])]
-
-
-def cert_value(ctx: Context, node: CertNode) -> FreePoly:
-    """Symbolic replay: the polynomial a certificate node proves membership for."""
-    return _replay(ctx, cert_nodes(node))
-
-
-def cert_leaves(node: CertNode):
-    """The generators at the distinct leaves of a certificate, each once."""
-    for n in cert_nodes(node):
-        if isinstance(n, CertLeaf):
-            yield n.generator
-
-
-@dataclass(frozen=True)
-class ReductionCertificate:
-    ctx: Context
-    target: GeneratorInstance
-    root: CertNode
-
-
-def check_certificate(cert: ReductionCertificate,
-                      max_part_len: int = MAX_REDUCED_PART_LEN):
-    """Raise CertificateError at the first failing step or oversized leaf.
-
-    A DeclarationError (a node names an undeclared variable) and a
-    ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
-    letters) are bad input, not a failed step, and propagate.
-    """
-    nodes = cert_nodes(cert.root)
-    leaves = (n.generator for n in nodes if isinstance(n, CertLeaf))
-    for idx, leaf in enumerate(leaves):
-        if not leaf.is_reduced(max_part_len):
-            raise CertificateError(
-                f"leaf {idx} has part lengths {leaf.part_lengths()}, "
-                f"limit is {max_part_len}")
-    try:
-        value = _replay(cert.ctx, nodes)
-    except (DeclarationError, ReplayBudgetError):
-        raise
-    except (SubstitutionError, ValueError) as exc:
-        raise CertificateError(f"replay failed: {exc}") from exc
-    if value != expand(cert.target):
-        raise CertificateError("replayed value differs from the target expansion")
-
-
-def verify_certificate(cert: ReductionCertificate,
-                       max_part_len: int = MAX_REDUCED_PART_LEN) -> bool:
-    try:
-        check_certificate(cert, max_part_len)
-    except CertificateError:
-        return False
-    return True
 
 
 # --- node builders, one per lemma ---------------------------------------------

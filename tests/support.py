@@ -14,8 +14,8 @@ from gpi.genmat import ExpMono, ScalarPoly, eval_word_closed, mono_exponents, wo
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import (ContractError, GeneratorInstance, GeneratorKind, degree_rule_holds,
                           make_generator)
-from gpi.rewrite import Move, apply_move
-from gpi.z3reduce import CertLeaf, Side, telescope
+from gpi.certs import CertLeaf, Move, apply_move
+from gpi.z3reduce import Side, telescope
 
 DEFAULT_SEED = 20260823
 
@@ -239,7 +239,9 @@ _OLD_TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*()\[\],]))")
 
 
 def old_tokenize(text: str, line: int):
-    """One re.match per token: the tokens and errors dsl._tokenize must match."""
+    """One re.match per token: the tokens and errors dsl._tokenize must match.
+    An error names the first character outside a token, or the digit after
+    it when that character is an x followed by a non-ASCII decimal digit."""
     pos = 0
     out = []
     while pos < len(text):
@@ -249,6 +251,8 @@ def old_tokenize(text: str, line: int):
             if not stripped:
                 break
             col = len(text) - len(stripped) + 1
+            if stripped[0] == "x" and stripped[1:2].isdecimal():
+                stripped, col = stripped[1:], col + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
         if m.lastindex:
             out.append((m.group(m.lastindex), m.start(m.lastindex) + 1))

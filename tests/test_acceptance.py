@@ -16,11 +16,11 @@ from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_deg
 from gpi.genmat import eval_poly
 from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_witness,
                           is_graded_identity, make_generator)
-from gpi.rewrite import (NoExpressionError, express_in_J, extract_sigma,
-                         shared_entry, verify_chain, verify_combination)
-from gpi.z3reduce import (ReductionError, Side, cert_leaves, cert_value, decompose,
-                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
-                          reduce_type2, split_commutator, verify_certificate)
+from gpi.certs import (cert_leaves, cert_value, verify_certificate, verify_chain,
+                       verify_combination)
+from gpi.rewrite import NoExpressionError, express_in_J, extract_sigma, shared_entry
+from gpi.z3reduce import (ReductionError, Side, decompose, nonzero_triple_forced,
+                          pull_zero_factor, reduce_type1, reduce_type2, split_commutator)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))

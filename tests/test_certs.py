@@ -1,21 +1,25 @@
+import ast
 import hashlib
 import json
+import os
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import support
 
-from gpi import certs
-from gpi.cli import _witness_json
+from gpi import certs, dsl, rewrite, z3reduce
+from gpi.certs import (CertContext, CertSubst, CertSum, JCombination, ReductionCertificate,
+                       RewriteChain, cert_nodes, verify_certificate, verify_chain,
+                       verify_combination)
+from gpi.cli import _witness_json, main
 from gpi.freealg import Context, FreePoly
 from gpi.genmat import eval_poly, eval_word_closed
 from gpi.identity import GeneratorKind, expand, identity_witness, make_generator
-from gpi.rewrite import (JCombination, RewriteChain, congruence_chain,
-                         express_in_J, verify_chain, verify_combination)
-from gpi.z3reduce import (CertContext, CertSubst, CertSum, ReductionCertificate,
-                          cert_nodes, reduce_type1, reduce_type2,
-                          verify_certificate)
+from gpi.rewrite import congruence_chain, express_in_J
+from gpi.z3reduce import reduce_type1, reduce_type2
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -313,3 +317,87 @@ def test_chain_jcomb_v3_bytes_pinned():
             assert certs.certificate_from_json(doc) == \
                 certs.certificate_from_json(support.as_v2(doc))
     assert digest.hexdigest() == PINNED_CHAIN_JCOMB_V3_DIGEST
+
+
+# --- the checker stands apart from the producers -------------------------------
+
+def documents_of_every_version() -> dict:
+    """A valid chain, jcomb and reduction document of every version in
+    certs.READ_VERSIONS, keyed by (kind, version).  Version 3 chains and
+    jcombs are the encoder's, version 2 is support.as_v2 of them, and
+    version 1 is version 2 relabelled: the two wrote chains and jcombs
+    alike.  Reduction version 2 is the encoder's, version 1 V1_REDUCTION,
+    for the same generator, whose long first part gives subst and context
+    nodes.  The chains take a reverse3 and a swap0 move."""
+    ctx = Context(Z3, {1: 1, 2: 2, 3: 1, 4: 0, 5: 0})
+    words = (1, 2, 3, 4, 5), (3, 2, 1, 5, 4), (3, 2, 1, 4, 5)
+    docs = {
+        ("chain", 3): certs.chain_to_json(congruence_chain(ctx, words[0], words[1])),
+        ("jcomb", 3): certs.jcomb_to_json(
+            express_in_J(FreePoly(ctx, {words[0]: 1, words[1]: 1, words[2]: -2}))),
+        ("reduction", 1): json.loads(V1_REDUCTION),
+    }
+    v1 = docs["reduction", 1]
+    gen = make_generator(GeneratorKind.TYPE1, certs.context_from_json(v1),
+                         tuple(map(tuple, v1["payload"]["target"]["parts"])))
+    docs["reduction", 2] = certs.reduction_to_json(reduce_type1(gen))
+    for kind in ("chain", "jcomb"):
+        docs[kind, 2] = support.as_v2(docs[kind, 3])
+        docs[kind, 1] = dict(docs[kind, 2], version=1)
+    assert set(docs) == {(k, v) for k, vs in certs.READ_VERSIONS.items() for v in vs}
+    return docs
+
+
+def test_verify_runs_no_producer_code(tmp_path, capsys):
+    """`gpi verify` on a document of every version calls no function defined
+    in rewrite.py, z3reduce.py or dsl.py: the checker does not run the code
+    that produces what it checks."""
+    producers = {os.path.realpath(m.__file__) for m in (rewrite, z3reduce, dsl)}
+    files: dict[str, str] = {}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name not in files:
+                files[name] = os.path.realpath(name)
+            if files[name] in producers:
+                called.add(f"{os.path.basename(name)}:{frame.f_code.co_name}")
+
+    docs = documents_of_every_version()
+    for (kind, version), doc in docs.items():
+        path = tmp_path / f"{kind}-v{version}.json"
+        path.write_text(certs.dumps(doc))
+        sys.setprofile(profile)
+        try:
+            code = main(["verify", str(path)])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and json.loads(capsys.readouterr().out)["valid"] is True
+    assert called == set()
+
+
+def _relative_imports() -> dict[str, set[str]]:
+    """Each module of the gpi package and the modules it imports from the
+    package, read from the source, function bodies included."""
+    out = {}
+    for path in Path(certs.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update([node.module] if node.module else (a.name for a in node.names))
+        out[path.stem] = names
+    return out
+
+
+def test_certs_imports_only_what_it_trusts():
+    """The import closure of certs is the algebra the checker trusts; the
+    producers and the CLI import certs, never the reverse."""
+    imports = _relative_imports()
+    closure, todo = set(), ["certs"]
+    while todo:
+        for name in imports[todo.pop()] - closure:
+            closure.add(name)
+            todo.append(name)
+    assert closure == {"freealg", "groups", "genmat", "identity"}
+    assert all("certs" in imports[m] for m in ("rewrite", "z3reduce", "cli"))

@@ -634,6 +634,83 @@ def test_fuzz_positional_moves_match_v2(tmp_path_factory, mutations):
     assert _verify_doc(path, v2)[:2] == (code, out)
 
 
+# Reductions that `gpi z3reduce` writes for generators with a long part:
+# both have sum, context, subst and leaf rows.
+_REDUCED: dict[str, dict] = {}
+_REDUCTION_OPS = ["leaf", "sum", "context", "subst", "mystery"]
+_REDUCTION_EDIT = st.tuples(
+    st.sampled_from(["op", "child", "coeff", "letter", "image", "root", "drop", "duplicate"]),
+    st.integers(0, 99), _FIELD)
+
+
+def _z3reduce_output(tmp_path_factory, text: str) -> dict:
+    """The document `gpi z3reduce` prints for a problem text, run once per text."""
+    if text not in _REDUCED:
+        path = tmp_path_factory.getbasetemp() / "long_part.gpi"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["z3reduce", str(path)]) == 0
+        _REDUCED[text] = json.loads(out.getvalue())
+    return copy.deepcopy(_REDUCED[text])
+
+
+def _reduction_sites(payload: dict, what: str) -> list:
+    """The (container, key) places that an edit of one kind may overwrite."""
+    sites = []
+    if what == "letter":
+        sites += [(p, i) for p in payload["target"]["parts"] for i in range(len(p))]
+    for node in payload["nodes"]:
+        op = node["op"]
+        if what == "op":
+            sites.append((node, "op"))
+        elif what == "child" and op == "sum":
+            sites += [(ch, 1) for ch in node["children"]]
+        elif what == "child" and op in ("context", "subst"):
+            sites.append((node, "child"))
+        elif what == "coeff" and op == "sum":
+            sites += [(ch, 0) for ch in node["children"]]
+        elif what == "letter":
+            words = ([node["left"], node["right"]] if op == "context"
+                     else node["generator"]["parts"] if op == "leaf" else [])
+            sites += [(w, i) for w in words for i in range(len(w))]
+        elif what == "image" and op == "subst":
+            sites += [(image, k) for image in node["images"] for k in (0, 1)]
+    return sites
+
+
+def _mutated_reduction(doc: dict, what: str, at: int, value) -> dict:
+    """doc with one op, child index, coefficient, letter, image or the root
+    overwritten, or one row dropped or duplicated."""
+    payload = doc["payload"]
+    nodes = payload["nodes"]
+    if what == "root":
+        payload["root"] = value
+    elif what == "drop":
+        del nodes[at % len(nodes)]
+    elif what == "duplicate":
+        nodes.insert(at % (len(nodes) + 1), copy.deepcopy(nodes[at % len(nodes)]))
+    else:
+        sites = _reduction_sites(payload, what)
+        owner, key = sites[at % len(sites)]
+        owner[key] = (_REDUCTION_OPS[at // len(sites) % len(_REDUCTION_OPS)]
+                      if what == "op" else value)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GEN_FILE, GEN1_FILE]), _REDUCTION_EDIT)
+def test_fuzz_reduction_documents(tmp_path_factory, text, edit):
+    """`gpi z3reduce` output with one field changed or one row dropped or
+    duplicated: `gpi verify` exits 0, 1 or 2 with at most one `gpi:` line."""
+    doc = _z3reduce_output(tmp_path_factory, text)
+    assert {"subst", "context"} <= {node["op"] for node in doc["payload"]["nodes"]}
+    path = tmp_path_factory.getbasetemp() / "reduction.json"
+    code, out, err = _verify_doc(path, _mutated_reduction(doc, *edit))
+    assert code in (0, 1, 2)
+    assert err == "" if code != 2 else (err.startswith("gpi: ") and err.count("\n") == 1)
+
+
 class TestReplayBudget:
     """A reduction's replay charges every word it builds to one budget; past
     MAX_REPLAY_LETTERS, verify exits 2 with one `gpi:` line."""
@@ -787,7 +864,7 @@ class TestAsciiDigits:
 
     @pytest.mark.parametrize("text, where", [
         ("group: Z3\nvars: x1:0 x2:0\npoly: x\u0661*x2 - x2*x1\n",
-         "line 3, column 1: unexpected character"),
+         "line 3, column 2: unexpected character '\u0661'"),
         ("group: Z3\nvars: x1:0 x2:0\npoly: 2*x1*x2 - \u0662*x2*x1\n",
          "line 3, column 11: unexpected character '\u0662'"),
         ("group: Z\u0663\nvars: x1:0\npoly: x1\n", "line 1, column 1: unknown group"),
@@ -809,6 +886,19 @@ class TestAsciiDigits:
     def test_eval_word_index(self, tmp_path, capsys):
         self.assert_rejected(capsys, "eval", write(tmp_path, "f.gpi", ID_FILE),
                              "--word", "\u0660", where="--word: line 1, column 1: unexpected")
+
+    @pytest.mark.parametrize("poly, where", [
+        ("x1*x2 - x2*x\u0662\u0663", "column 13: unexpected character '\u0662'"),
+        ("x\u0967*x2", "column 2: unexpected character '\u0967'"),
+        ("x + 1", "column 1: unexpected character 'x'"),
+        ("x1*x2 - x", "column 9: unexpected character 'x'"),
+    ], ids=["arabic-indic", "devanagari", "bare-x", "trailing-x"])
+    def test_diagnostic_names_the_digit(self, tmp_path, capsys, poly, where):
+        """After an x, a digit outside ASCII is the character named; a bare
+        x is named itself."""
+        text = f"group: Z3\nvars: x1:0 x2:0\npoly: {poly}\n"
+        self.assert_rejected(capsys, "check", write(tmp_path, "f.gpi", text),
+                             where=f"line 3, {where}")
 
     def test_ascii_spellings_still_read(self, tmp_path, capsys):
         text = "group: Z2\ngrading: 01 00\nvars: x01:0 x2:00\npoly: x1*x1 + x1*x2\n"

@@ -5,10 +5,10 @@ from gpi.freealg import Context, DeclarationError, FreePoly, word_key
 from gpi.genmat import eval_word_closed, word_path
 from gpi.identity import (ContractError, GeneratorKind, expand, identity_witness,
                           make_generator)
-from gpi.rewrite import (JCombination, Move, MoveError, NoExpressionError,
-                         NotCongruentError, RewriteChain, SigmaWitness, apply_move,
-                         congruence_chain, express_in_J, extract_sigma,
-                         shared_entry, verify_chain, verify_combination)
+from gpi.certs import (JCombination, Move, MoveError, RewriteChain, apply_move, verify_chain,
+                       verify_combination)
+from gpi.rewrite import (NoExpressionError, NotCongruentError, SigmaWitness, congruence_chain,
+                         express_in_J, extract_sigma, shared_entry)
 from gpi.groups import GradingTuple, cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))

@@ -3,11 +3,11 @@ import support
 
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
-from gpi.z3reduce import (CertLeaf, CertSum, ReductionCertificate, ReductionError,
-                          Side, cert_leaves, cert_value, decompose,
-                          enumerate_reduced, nonzero_triple_forced,
-                          pull_zero_factor, reduce_type1, reduce_type2,
-                          split_commutator, telescope, verify_certificate)
+from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_value,
+                       verify_certificate)
+from gpi.z3reduce import (ReductionError, Side, decompose, enumerate_reduced,
+                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
+                          reduce_type2, split_commutator, telescope)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
