@@ -5,7 +5,9 @@ reduction DAG.  The producers in rewrite and z3reduce build them; this
 module holds everything `gpi verify` runs on them: the data classes, the
 replay that checks them, and the loaders and writers of every format
 version.  It trusts only freealg's arithmetic, the group table, identity's
-degree rules and generator expansions, and genmat's row-0 keys.
+generator families (their degree rules and expansions), and genmat's row-0
+paths and keys; a move's degree rule is read from the rows of the path it
+permutes (move_path).
 
 Every certificate embeds its full context (group table, grading tuple,
 variable degrees) so that verification needs no side files.  Matrix
@@ -21,10 +23,9 @@ from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
                       WeakSubstitution, Word)
-from .genmat import ExpMono, Mono, ScalarPoly, mono_exponents, word_entry
+from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, path_entry, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import (GeneratorInstance, GeneratorKind, degree_rule_holds, expand,
-                       make_generator)
+from .identity import GeneratorInstance, GeneratorKind, expand, make_generator
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -84,7 +85,7 @@ class Move(_MoveFields):
 
     def apply(self, seq):
         """seq with the blocks in reverse order: a word, or the path walked
-        along it (see rewrite._chain_moves)."""
+        along it (see move_path)."""
         return _blocks_reversed(seq, self.offset, *_cut(seq, self.offset, self.lengths))
 
 
@@ -103,17 +104,63 @@ def _blocks_reversed(seq, offset: int, blocks: list, end: int):
     return sum(reversed(blocks), seq[:offset]) + seq[end:]
 
 
-def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
-    """w after mv: the move must fit w, and its blocks obey the degree rule
-    of its generator family.  The blocks are cut once, for both checks and
-    the result."""
+def path_rule_holds(kind: str, row: int, ends) -> bool:
+    """The degree rule of a move of this kind, read from its path: row is the
+    row its first block starts on and ends the rows its blocks end on (see
+    move_path)."""
+    if kind == "swap0":
+        return ends[0] == ends[1] == row
+    return ends[1] == row and ends[2] == ends[0]
+
+
+def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
+    """The path of a word after mv, from the path of the word: path is the
+    word's path from some row, and the result is the moved word's path from
+    the same row.  Raises MoveError unless the move fits the path and its
+    blocks obey the degree rule of its family.
+
+    The rule is read from the rows of the path.  On a path from row r0, a
+    block of degree d that follows a prefix of degree h starts on phi(h, r0)
+    and ends on phi(hd, r0), since phi_b(phi_a(i)) = phi_{ab}(i).  phi(g, r0)
+    is the position of tuple[r0] * g, and under a bijective tuple that is
+    injective in g, so two points of the path are on one row exactly when
+    their prefixes have one degree.  With r the row the first block starts
+    on, and d1, d2(, d3) the degrees of the blocks b1, b2(, b3):
+
+      swap0:    b1 ends on r exactly when d1 is trivial, and then b2 ends
+                on r exactly when d2 is trivial;
+      reverse3: b2 ends on r exactly when d1 d2 is trivial, and then b3
+                ends on the row where b1 ended exactly when d3 = d1;
+                together, d1 = d3 = d2^-1, the type-2 rule.
+
+    A move that obeys the rule only reorders the segments of the path: a
+    block's path depends only on its letters and the row it starts on, and
+    every block starts on the same row before and after the move.  A swap0
+    block runs r -> r in either order; reverse3's blocks b1, b2, b3 run
+    r -> s -> r -> s, and after the move b3, b2, b1 run the same
+    r -> s -> r -> s, each block from the row it left.  The right context
+    then starts on the row it started on.  This uses only the group axioms
+    and the action through phi, so it holds for any group and any bijective
+    tuple.
+    """
     kind, offset, lengths = mv
-    blocks, end = _cut(w, offset, lengths)
-    if end > len(w):
-        raise MoveError(f"move does not fit a word of length {len(w)}")
-    if not degree_rule_holds(MOVE_FAMILIES[kind][0], ctx, blocks):
+    blocks, end = _cut(path, offset, lengths)
+    if end > len(path):
+        raise MoveError(f"move does not fit a word of length {len(path)}")
+    if not path_rule_holds(kind, path[offset][1], [b[-1][2] for b in blocks]):
         raise MoveError("move violates its degree side-conditions")
-    return _blocks_reversed(w, offset, blocks, end)
+    return _blocks_reversed(path, offset, blocks, end)
+
+
+def _letters(path: list[ScalarVar]) -> Word:
+    """The word a path was walked along."""
+    return tuple([v for v, _, _ in path])
+
+
+def apply_move(ctx: Context, w: Word, mv: Move) -> Word:
+    """w after mv: move_path on the row-0 path of w, which must fit and obey
+    the degree rule; every letter of w must be declared."""
+    return _letters(move_path(word_path(ctx, w, 0), mv))
 
 
 @dataclass(frozen=True)
@@ -150,41 +197,29 @@ class JCombination:
 
 
 def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
-    """Replay every term's chain and cross-check its endpoint evaluations,
-    then the expansion against claimed, if given.
+    """Replay every term's chain on the row-0 path of its source, then check
+    the expansion against claimed, if given.
 
-    Each term's chain must start at its source and end at its target, and
-    every move must fit the word so far and obey the degree rule.  A word
-    evaluates to one key (row, col, mono) per row with coefficient 1, and
-    row 0 decides the rest (see genmat.word_entry), so equal row-0 keys are
-    exactly equal evaluation matrices.  A word met in many terms, as a
-    partner usually is, is keyed once per combination (per context, for
-    chains that carry their own).
+    Each term's chain must start at its source and end at its target.  The
+    source is walked once, and every move is replayed on its path with
+    move_path, which checks that the move fits and obeys the degree rule.
+    The final path must be walked along the target, and its key must equal
+    the source's.  A word evaluates to one key (row, col, mono) per row with
+    coefficient 1, and row 0 decides the rest (see genmat.word_entry), so
+    equal row-0 keys are exactly equal evaluation matrices.
     """
-    # A word keeps only the number of its row-0 key, one number per distinct
-    # key: holding every word's key (2L + 3 small objects) alive to the end
-    # made the garbage collector run about eight times as often.
-    numbers: dict[tuple, int] = {}
-    seen: dict[tuple[int, Word], int] = {}
-
-    def key_number(ctx: Context, w: Word) -> int:
-        slot = (id(ctx), w)
-        if slot not in seen:
-            seen[slot] = numbers.setdefault(word_entry(ctx, w), len(numbers))
-        return seen[slot]
-
     for t in comb.terms:
         chain = t.chain
-        w = start = tuple(chain.start)
-        end = tuple(chain.end)
+        start, end = tuple(chain.start), tuple(chain.end)
         if start != tuple(t.source) or end != tuple(t.target):
             return False
+        path = source_path = word_path(chain.ctx, start, 0)
         try:
             for mv in chain.moves:
-                w = apply_move(chain.ctx, w, mv)
+                path = move_path(path, mv)
         except MoveError:
             return False
-        if w != end or key_number(chain.ctx, start) != key_number(chain.ctx, end):
+        if _letters(path) != end or path_entry(source_path, 0) != path_entry(path, 0):
             return False
     return claimed is None or comb.expansion() == claimed
 
@@ -451,7 +486,7 @@ def _replay_size(pairs) -> None:
 
 def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     """Version-3 moves, each checked to fit a running word of length size;
-    no word is cut here, apply_move cuts it on replay."""
+    no path is cut here, move_path cuts it on replay."""
     moves = []
     for i, doc in enumerate(docs):
         if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
@@ -474,7 +509,7 @@ def _explicit_moves(ctx: Context, word: Word, docs: list) -> tuple[Move, ...]:
     """Version-1 or -2 moves, {kind, left, blocks, right}, every letter
     checked.  Only these can name a context other than the running word,
     which starts at word: such a move loads at offset len(word), past the
-    word's end, where apply_move refuses it."""
+    word's end, where move_path refuses it."""
     moves = []
     for doc in docs:
         left, right = tuple(doc["left"]), tuple(doc["right"])

@@ -17,9 +17,10 @@ differences source - target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .certs import JCombination, JTerm, Move, RewriteChain, apply_move
-from .freealg import Context, Word, multidegree, word_key
+from .certs import JCombination, JTerm, Move, MoveError, RewriteChain, path_rule_holds
+from .freealg import Context, Word, is_multilinear_word, multidegree, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import ContractError, Witness, keyed_witness
 
@@ -76,15 +77,29 @@ def _by_variable(path: list[ScalarVar]) -> list[int]:
     return sorted(range(len(path)), key=path.__getitem__)
 
 
+def _pairing(order_n: list[int], order_m: list[int]) -> list[int]:
+    """For each position of n, its paired position in m, from both paths'
+    positions in variable order (_by_variable)."""
+    seq = [0] * len(order_n)
+    for h, s in zip(order_n, order_m):
+        seq[h] = s
+    return seq
+
+
+def _ties(path: list[ScalarVar], order: list[int]) -> list[list[int]]:
+    """The runs of two or more positions of path that carry one scalar
+    variable, each in position order; order is _by_variable(path)."""
+    runs = (list(run) for _, run in groupby(order, path.__getitem__))
+    return [run for run in runs if len(run) > 1]
+
+
 def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
     """Match equal scalar variables between the two paths from pos."""
     row, col = pos
     path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
     if sorted(path_m) != sorted(path_n) or (path_m[-1][2] if path_m else row) != col:
         raise ContractError("monomials share no entry at the given position")
-    sigma = [0] * len(path_n)
-    for h, s in zip(_by_variable(path_n), _by_variable(path_m)):
-        sigma[h] = s
+    sigma = _pairing(_by_variable(path_n), _by_variable(path_m))
     return SigmaWitness(sigma=tuple(sigma), position=(row, col))
 
 
@@ -103,76 +118,68 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
     if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
-    return _chain_from(ctx, m, n, path_m, path_n)
+    return _chain_from(ctx, m, n, path_m, _by_variable(path_m), _by_variable(path_n),
+                       not is_multilinear_word(m))
 
 
-def _chain_from(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
-                path_n: list[ScalarVar]) -> RewriteChain:
-    """The chain transforming n into m, given their paths from one row."""
-    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(ctx, m, n, path_m, path_n)),
+def _chain_from(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar], order_m: list[int],
+                order_n: list[int], repeats: bool) -> RewriteChain:
+    """The chain transforming n into m, given m's path from one row and both
+    paths' positions in variable order; repeats says whether a letter of m
+    repeats."""
+    ties = _ties(path_m, order_m) if repeats else []
+    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(path_m, order_m, order_n, ties)),
                         end=m)
 
 
-def _chain_moves(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar],
-                 path_n: list[ScalarVar]) -> list[Move]:
-    """The moves transforming n into m, from both words' paths from one row.
+def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int],
+                 ties: list[list[int]]) -> list[Move]:
+    """The moves transforming n into m, from m's path from one row, both
+    paths' positions in variable order (_by_variable) and m's ties (_ties).
 
     Precondition, checked by both callers: the two paths have equal keys
     (path_entry).  A key holds its path sorted, so the paths carry the same
     scalar variables and the words have one length.
 
-    Each round skips the common first letters by index, matches the scalar
-    variables of the rest of the two paths, and emits the one move that
-    brings the partner of m's first remaining variable forward.  Positions
-    are paired as in extract_sigma (see _by_variable); the common first
-    letters carry the same variables in both paths, so the pairing of the
-    rest is unchanged by including them.
+    seq[i] is the position in m paired with n's position i, as in
+    extract_sigma.  Each round skips the first positions k that seq fixes,
+    where the two words agree; r0 is the position in n paired with m's k,
+    t the least position in m paired with one of n's positions k..r0-1, at
+    p0, and the move brings n's r0..e-1 forward, where e - 1 is paired with
+    t - 1.  It is a reverse3 when p0 > k, and a swap0 otherwise.
 
-    Neither word is walked again: each move permutes n's path with the
-    same Move.apply it permutes n, and the result is the path of the new n
-    from the same row.  A block's path depends only on its letters and the row
-    it starts on, and every block of a move that obeys the degree rule
-    starts on the same row before and after the move (phi of the identity
-    fixes every row, and phi_b(phi_a(r)) = phi_{ab}(r)):
-
-      swap0:    both blocks have trivial degree, so from the row r after
-                the left context each returns to r, in either order;
-      reverse3: with g the degree of b2, b1 and b3 have degree g^-1, and
-                from r the blocks b1, b2, b3 run r -> s -> r -> s with
-                s = phi(g^-1, r); after the move b3, b2, b1 run the same
-                r -> s -> r -> s, each block from the row it left.
-
-    In both cases the right context starts on the row it started on.  This
-    uses only the group axioms and the action through phi, so it holds for
-    any group and any bijective tuple.  Every emitted move is still applied
-    to n through apply_move, which checks the degree rule.  Each move costs
-    one C-level sort of the L positions and O(L) slicing, and no path walk.
+    Neither word is walked: by move_path, a move that obeys its degree rule
+    permutes n's path as it permutes n, so each move permutes seq alike, and
+    n's path is path_m read through seq.  Each move's degree rule is checked
+    from those rows (path_rule_holds).  A scalar variable that occurs more
+    than once in m is then paired again in position order, as _by_variable
+    pairs it; on multilinear words ties is empty.  Each move costs O(L) at C
+    speed for words of length L, and sorts no path.
     """
-    length = len(m)
-    # rank[j]: the place of m's position j in the variable order of m's path
-    rank = [0] * length
-    for r, j in enumerate(_by_variable(path_m)):
-        rank[j] = r
+    seq = _pairing(order_n, order_m)
+    length = len(seq)
     moves: list[Move] = []
     k = 0
     while True:
-        while k < length and m[k] == n[k]:
+        while k < length and seq[k] == k:
             k += 1
         if k == length:
             return moves
-        # partner[rank[j]]: the position in n paired with m's position j
-        partner = _by_variable(path_n)
-        r0 = partner[rank[k]]
-        if r0 == k:
-            raise ContractError("first variables differ but sigma fixes position 1")
-        t = next(j for j in range(k + 1, length) if partner[rank[j]] < r0)
-        p0, e = partner[rank[t]], partner[rank[t - 1]] + 1
+        r0 = seq.index(k, k)
+        t = min(seq[k:r0])
+        p0 = seq.index(t, k)
+        e = seq.index(t - 1, k) + 1
         if p0 > k:
-            mv = Move("reverse3", k, (p0 - k, r0 - p0, e - r0))
+            mv, cuts = Move("reverse3", k, (p0 - k, r0 - p0, e - r0)), (p0, r0, e)
         else:
-            mv = Move("swap0", k, (r0 - p0, e - r0))
-        n = apply_move(ctx, n, mv)
-        path_n = mv.apply(path_n)
+            mv, cuts = Move("swap0", k, (r0 - k, e - r0)), (r0, e)
+        ends = [path_m[seq[c - 1]][2] for c in cuts]
+        if not path_rule_holds(mv.kind, path_m[seq[k]][1], ends):
+            raise MoveError("move violates its degree side-conditions")
+        seq = mv.apply(seq)
+        for run in ties:
+            for i, j in zip(sorted(map(seq.index, run)), run):
+                seq[i] = j
         moves.append(mv)
 
 
@@ -195,10 +202,11 @@ def express_in_J(f: FreePoly) -> JCombination:
     exactly when the keys of their row-0 paths are equal.  The same pass
     sums the keys into the row 0 of f's evaluation, which decides
     membership (a non-identity raises NoExpressionError with
-    identity_witness's witness), and each round hands the two words' kept
-    paths to the chain builder, which permutes them and walks no word
-    again (see _chain_moves).  The cost is O(support * L) for words of
-    length L, plus one sort of L positions per move for the chains.
+    identity_witness's witness).  Only then are each word's positions
+    sorted by scalar variable, once, for the chain builder's pairing, and
+    each round hands the two words' kept paths and orders to the chain
+    builder, which walks no word again (see _chain_moves).  The cost is
+    O(support * L log L) for words of length L, plus O(L) per move.
     """
     if not f.is_multihomogeneous():
         raise ContractError("input must be multihomogeneous; split into components first")
@@ -218,6 +226,10 @@ def express_in_J(f: FreePoly) -> JCombination:
     w = keyed_witness(total)
     if w is not None:
         raise NoExpressionError("input is not a graded identity", witness=w)
+    # every word of an identity takes part in a chain; a non-identity needs none
+    word_orders = list(map(_by_variable, word_paths))
+    # one multidegree: a letter repeats in every word or in none
+    repeats = bool(support) and not is_multilinear_word(support[0])
     heads = dict.fromkeys(buckets, 0)
     terms: list[JTerm] = []
     alive = len(support)
@@ -237,7 +249,8 @@ def express_in_J(f: FreePoly) -> JCombination:
         j = bucket[i]
         m1, partner, lam = support[rank], support[j], coeffs[rank]
         # start=m1, end=partner
-        chain = _chain_from(ctx, partner, m1, word_paths[j], word_paths[rank])
+        chain = _chain_from(ctx, partner, m1, word_paths[j], word_orders[j],
+                            word_orders[rank], repeats)
         terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
         coeffs[rank] = 0
         coeffs[j] += lam

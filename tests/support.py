@@ -10,11 +10,12 @@ from gpi import certs
 from gpi.dsl import ParseError, _tokenize
 from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
                          word_degree)
-from gpi.genmat import ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_path
+from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_entry,
+                        word_path)
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import (ContractError, GeneratorInstance, GeneratorKind, degree_rule_holds,
                           make_generator)
-from gpi.certs import CertLeaf, Move, apply_move
+from gpi.certs import MOVE_FAMILIES, CertLeaf, Move, MoveError, apply_move
 from gpi.z3reduce import Side, telescope
 
 DEFAULT_SEED = 20260823
@@ -454,6 +455,39 @@ def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
         else:
             moves.append(Move("swap0", len(prefix), (len(b2), len(b3))))
         n = b3 + b2 + b1 + b4
+
+
+# --- the word-level replay that certs.move_path replaced, as an oracle ---------
+
+def old_apply_move(ctx: Context, w, mv: Move):
+    """w after mv, checked on its letters: the move must fit w, and the
+    degrees of its blocks, each walked letter by letter, must obey
+    degree_rule_holds."""
+    if mv.end > len(w):
+        raise MoveError(f"move does not fit a word of length {len(w)}")
+    if not degree_rule_holds(MOVE_FAMILIES[mv.kind][0], ctx, mv.blocks(w)):
+        raise MoveError("move violates its degree side-conditions")
+    return mv.apply(w)
+
+
+def old_verify_combination(comb, claimed=None) -> bool:
+    """Replay every term's moves on its words with old_apply_move, then
+    compare the word_entry keys of each term's source and target, each
+    walked on its own: the answer certs.verify_combination must give."""
+    for t in comb.terms:
+        chain = t.chain
+        w = start = tuple(chain.start)
+        end = tuple(chain.end)
+        if start != tuple(t.source) or end != tuple(t.target):
+            return False
+        try:
+            for mv in chain.moves:
+                w = old_apply_move(chain.ctx, w, mv)
+        except MoveError:
+            return False
+        if w != end or word_entry(chain.ctx, start) != word_entry(chain.ctx, end):
+            return False
+    return claimed is None or comb.expansion() == claimed
 
 
 # --- chain and jcomb documents written back in format v2, as an oracle ---------

@@ -5,15 +5,16 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import support
 
-from gpi import certs, dsl, rewrite, z3reduce
-from gpi.certs import (CertContext, CertSubst, CertSum, JCombination, ReductionCertificate,
-                       RewriteChain, cert_nodes, verify_certificate, verify_chain,
-                       verify_combination)
+from gpi import certs, dsl, freealg, genmat, rewrite, z3reduce
+from gpi.certs import (CertContext, CertSubst, CertSum, JCombination, JTerm,
+                       ReductionCertificate, RewriteChain, cert_nodes, verify_certificate,
+                       verify_chain, verify_combination)
 from gpi.cli import _witness_json, main
 from gpi.freealg import Context, FreePoly
 from gpi.genmat import eval_poly, eval_word_closed
@@ -375,6 +376,55 @@ def test_verify_runs_no_producer_code(tmp_path, capsys):
             sys.setprofile(None)
         assert code == 0 and json.loads(capsys.readouterr().out)["valid"] is True
     assert called == set()
+
+
+def test_verify_matches_word_level_replay():
+    """verify_combination answers as support.old_verify_combination, the
+    word-level replay that walks every block for its degree and keys both
+    endpoints, on the chain and jcomb of every version."""
+    checked = 0
+    for (kind, version), doc in documents_of_every_version().items():
+        cert = certs.certificate_from_json(doc)
+        if isinstance(cert, RewriteChain):
+            cert = JCombination(cert.ctx, (JTerm(1, cert.start, cert.end, cert),))
+        elif not isinstance(cert, JCombination):
+            continue
+        assert verify_combination(cert) is support.old_verify_combination(cert) is True
+        checked += 1
+    assert checked == 6
+
+
+def test_verify_walks_each_source_once(tmp_path, capsys):
+    """`gpi verify` on a jcomb of T terms walks T words, one source each
+    (genmat.word_path), and no block (freealg.word_degree): a move's degree
+    rule is read from the rows of the replayed path."""
+    rand = support.rng(412)
+    ctx = Context(Z3, {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})
+    terms: dict = {}
+    for c in (1, 2, -1, 3, -2, 1):
+        word = tuple(rand.sample((1, 2, 3, 4, 5, 6), 6))
+        m, n = support.random_congruent_pair(rand, ctx, word, max_moves=4)
+        terms[m] = terms.get(m, 0) + c
+        terms[n] = terms.get(n, 0) - c
+    doc = certs.jcomb_to_json(express_in_J(FreePoly(ctx, terms)))
+    size = len(doc["payload"]["terms"])
+    assert size > 1 and any(t["chain"]["moves"] for t in doc["payload"]["terms"])
+    path = tmp_path / "jcomb.json"
+    path.write_text(certs.dumps(doc))
+    watched = {genmat.word_path.__code__: "word_path", freealg.word_degree.__code__: "word_degree"}
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(["verify", str(path)])
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and json.loads(capsys.readouterr().out)["valid"] is True
+    assert calls == {"word_path": size}
 
 
 def _relative_imports() -> dict[str, set[str]]:

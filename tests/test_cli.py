@@ -565,12 +565,13 @@ class TestPositionalMoves:
         assert "MAX_REPLAY_LETTERS" in err
 
 
-def _fuzz_base() -> dict:
-    """A valid version-3 jcomb with two terms and both move kinds."""
-    rand = random.Random(support.DEFAULT_SEED + 11)
+def _fuzz_base(salt: int = 11, coeffs=(1, 2, -3)) -> dict:
+    """A valid version-3 jcomb from one random congruent pair per coefficient,
+    each from x1..x6x1; the default has two terms and both move kinds."""
+    rand = random.Random(support.DEFAULT_SEED + salt)
     ctx = Context(default_grading(cyclic_group(3)), {1: 0, 2: 0, 3: 1, 4: 2, 5: 1, 6: 0})
     terms: dict = {}
-    for c in (1, 2, -3):
+    for c in coeffs:
         m, n = support.random_congruent_pair(rand, ctx, (1, 2, 3, 4, 5, 6, 1), max_moves=4)
         terms[m] = terms.get(m, 0) + c
         terms[n] = terms.get(n, 0) - c
@@ -578,6 +579,7 @@ def _fuzz_base() -> dict:
 
 
 _FUZZ_BASE = _fuzz_base()
+_BOUNDARY_BASE = _fuzz_base(12, (1, 2, -3, 1, -1, 2, 3, -2))  # 7 terms, 88 boundary edits
 _FIELD = st.one_of(st.integers(-1, 8), st.sampled_from([True, False, 1.0, "1", None]))
 _KIND = st.sampled_from(["swap0", "reverse3", "rotate"])
 _MUTATION = st.one_of(
@@ -627,11 +629,50 @@ def test_fuzz_positional_moves_match_v2(tmp_path_factory, mutations):
     code, out, err = _verify_doc(path, doc)
     assert code in (0, 1, 2)
     assert err == "" if code != 2 else (err.startswith("gpi: ") and err.count("\n") == 1)
+    if code != 2:
+        comb = certs.certificate_from_json(doc)
+        assert certs.verify_combination(comb) is support.old_verify_combination(comb) is (code == 0)
     try:
         v2 = support.as_v2(doc)
     except (ValueError, TypeError):
         return
     assert _verify_doc(path, v2)[:2] == (code, out)
+
+
+def _boundary_edits(move: list, size: int) -> list[list]:
+    """The move [kind, offset, len...] with one block boundary moved 1 to 3
+    letters either way: every such edit that keeps each block nonempty and
+    the move inside a word of length size.  Boundary j is the offset (j = 0)
+    or the end of block j; the block after it keeps its own end."""
+    kind, *fields = move
+    edits = []
+    for j in range(len(fields)):
+        for delta in (-3, -2, -1, 1, 2, 3):
+            new = list(fields)
+            new[j] += delta
+            if j + 1 < len(new):
+                new[j + 1] -= delta
+            if new[0] >= 0 and min(new[1:]) >= 1 and sum(new) <= size:
+                edits.append([kind, *new])
+    return edits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99))
+def test_fuzz_move_boundary(tmp_path_factory, term, move, edit):
+    """A version-3 jcomb with one block boundary of one move moved, inside
+    the word: `gpi verify` exits 0 or 1, silently, as the word-level replay
+    (support.old_verify_combination) answers."""
+    doc = copy.deepcopy(_BOUNDARY_BASE)
+    terms = [t for t in doc["payload"]["terms"] if t["chain"]["moves"]]
+    t = terms[term % len(terms)]
+    moves = t["chain"]["moves"]
+    edits = _boundary_edits(moves[move % len(moves)], len(t["source"]))
+    moves[move % len(moves)] = edits[edit % len(edits)]
+    code, out, err = _verify_doc(tmp_path_factory.getbasetemp() / "boundary.json", doc)
+    valid = support.old_verify_combination(certs.certificate_from_json(doc))
+    assert (code, out, err) == (0 if valid else 1,
+                                certs.dumps({"kind": "jcomb", "valid": valid}), "")
 
 
 # Reductions that `gpi z3reduce` writes for generators with a long part:

@@ -1,12 +1,14 @@
+from itertools import combinations, product
+
 import pytest
 import support
 
 from gpi.freealg import Context, DeclarationError, FreePoly, word_key
 from gpi.genmat import eval_word_closed, word_path
-from gpi.identity import (ContractError, GeneratorKind, expand, identity_witness,
-                          make_generator)
-from gpi.certs import (JCombination, Move, MoveError, RewriteChain, apply_move, verify_chain,
-                       verify_combination)
+from gpi.identity import (ContractError, GeneratorKind, degree_rule_holds, expand,
+                          identity_witness, make_generator)
+from gpi.certs import (MOVE_FAMILIES, JCombination, Move, MoveError, RewriteChain, apply_move,
+                       move_path, verify_chain, verify_combination)
 from gpi.rewrite import (NoExpressionError, NotCongruentError, SigmaWitness, congruence_chain,
                          express_in_J, extract_sigma, shared_entry)
 from gpi.groups import GradingTuple, cyclic_group, default_grading
@@ -253,6 +255,21 @@ def _chain_gradings():
                                 default_grading(support.relabelled(s3, (2, 0, 1, 5, 3, 4)))]
 
 
+def _letter_degrees(group) -> list[int]:
+    """Every element of a group of order at most 3; of a larger one, the
+    identity, its first element of order 2 and its first of order 3 (for S3,
+    a generating set)."""
+    if group.order <= 3:
+        return list(range(group.order))
+    by_order: dict[int, int] = {}
+    for g in range(group.order):
+        k, x = 1, g
+        while x != group.identity_index:
+            k, x = k + 1, group.mul(x, g)
+        by_order.setdefault(k, g)
+    return [by_order[1], by_order[2], by_order[3]]
+
+
 class TestChainBuilder:
     """The chain builder permutes the row-0 paths it is given instead of
     re-walking the words after each move; support.old_chain_moves re-walks."""
@@ -279,6 +296,41 @@ class TestChainBuilder:
                         assert word_path(c, target, row) == want == mv.apply(path)
                         checked += 1
         assert checked > 300
+
+    def test_move_path_reads_the_degree_rule_from_rows(self):
+        """Every move on every word of length up to 6, and every move that
+        runs one letter past it: move_path raises MoveError exactly when the
+        move does not fit or its blocks break degree_rule_holds, and
+        otherwise returns the moved word's path.  The words run over one
+        letter per degree of _letter_degrees, each walked from one row, the
+        rows in turn."""
+        seen = {"moved": 0, "too long": 0, "degree": 0}
+        for grading in _chain_gradings():
+            c = Context(grading, dict(enumerate(_letter_degrees(grading.group), 1)))
+            row = 0
+            for length in range(1, 7):
+                moves = [Move(kind, cuts[0], tuple(b - a for a, b in zip(cuts, cuts[1:])))
+                         for kind, (_, arity) in MOVE_FAMILIES.items()
+                         for cuts in combinations(range(length + 2), arity + 1)]
+                for w in product(c.degrees, repeat=length):
+                    row = (row + 1) % grading.n
+                    path = word_path(c, w, row)
+                    for mv in moves:
+                        if mv.end > length:
+                            why = "too long"
+                        elif degree_rule_holds(MOVE_FAMILIES[mv.kind][0], c, mv.blocks(w)):
+                            why = "moved"
+                        else:
+                            why = "degree"
+                        try:
+                            got = move_path(path, mv)
+                        except MoveError:
+                            assert why != "moved", (w, mv)
+                        else:
+                            assert why == "moved", (w, mv)
+                            assert got == word_path(c, mv.apply(w), row)
+                        seen[why] += 1
+        assert min(seen.values()) > 10_000
 
     def test_congruence_chain_matches_rewalking_builder(self):
         rand = support.rng(310)
