@@ -13,10 +13,10 @@ from .freealg import (MAX_REPLAY_LETTERS, Context, DeclarationError, FreePoly, L
                       bracket, lie_degree, lie_expand,
                       multidegree, multihomogeneous_components, word_degree)
 from .genmat import ScalarPoly, eval_poly, eval_word_closed, mono_exponents
-from .identity import (GeneratorError, GeneratorInstance, GeneratorKind,
+from .identity import (MAX_REDUCED_PART_LEN, GeneratorError, GeneratorInstance, GeneratorKind,
                        Witness, expand, identity_witness, is_graded_identity,
                        make_generator, validate_generator)
-from .certs import (MAX_REDUCED_PART_LEN, JCombination, JTerm, Move, MoveError,
+from .certs import (JCombination, JTerm, Move, MoveError,
                     ReductionCertificate, RewriteChain, apply_move, verify_certificate,
                     verify_chain, verify_combination)
 from .rewrite import (NoExpressionError, NotCongruentError, SigmaWitness, congruence_chain,

@@ -25,15 +25,14 @@ from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayB
                       WeakSubstitution, Word)
 from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, path_entry, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import GeneratorInstance, GeneratorKind, expand, make_generator
+from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, expand,
+                       make_generator)
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
 # Version 1 wrote a reduction as a nested tree; versions 1 and 2 wrote
 # chain and jcomb moves with their whole contexts.
 READ_VERSIONS = {"chain": (1, 2, 3), "jcomb": (1, 2, 3), "reduction": (1, 2)}
-
-MAX_REDUCED_PART_LEN = 3  # the longest part of a reduced leaf, by default
 
 
 class CertificateFormatError(ValueError):

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import certs
-from .certs import (JCombination, ReductionCertificate, RewriteChain, verify_certificate,
-                    verify_chain, verify_combination)
+from .certs import (JCombination, RewriteChain, verify_certificate, verify_chain,
+                    verify_combination)
 from .dsl import ParseError, parse_file, parse_word
 from .freealg import DeclarationError, FreePoly, ReplayBudgetError
 from .genmat import eval_poly, eval_word_closed
@@ -55,11 +55,14 @@ def _load(path: str):
         raise _CliInputError(f"{path}: {exc}") from exc
 
 
-def _read_json(path: str):
-    """The JSON document in path; unreadable or malformed input exits 2."""
+def _read_json(path: str, text: str | None = None):
+    """The JSON document in path, or in text when given; unreadable or
+    malformed input exits 2."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        if text is None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
     except OSError as exc:
         raise _CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -79,18 +82,19 @@ def _need_poly(parsed, path: str) -> FreePoly:
 
 
 # --- subcommands --------------------------------------------------------------
+#
+# Each answers with (exit code, JSON document), which `main` prints, and
+# raises _CliInputError on bad input.  The ones that read a problem file take
+# it already parsed too, as the corpus runner passes it.
 
-def cmd_check(args) -> int:
-    p = _need_poly(_load(args.file), args.file)
-    w = identity_witness(p)
+def cmd_check(args, parsed=None):
+    w = identity_witness(_need_poly(parsed or _load(args.file), args.file))
     if w is None:
-        _emit({"identity": True})
-        return EXIT_OK
-    _emit({"identity": False, "witness": _witness_json(w)})
-    return EXIT_NEGATIVE
+        return EXIT_OK, {"identity": True}
+    return EXIT_NEGATIVE, {"identity": False, "witness": _witness_json(w)}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     parsed = _load(args.file)
     ctx = parsed.ctx
     if args.word is not None:
@@ -111,8 +115,7 @@ def cmd_eval(args) -> int:
         entries = dict.fromkeys(eval_word_closed(ctx, w), 1)
     else:
         entries = eval_poly(_need_poly(parsed, args.file))
-    _emit(certs.matrix_to_json(ctx.grading.n, entries))
-    return EXIT_OK
+    return EXIT_OK, certs.matrix_to_json(ctx.grading.n, entries)
 
 
 def _word_arg(ctx, text: str, flag: str):
@@ -122,8 +125,8 @@ def _word_arg(ctx, text: str, flag: str):
         raise _CliInputError(f"{flag}: {exc}") from exc
 
 
-def cmd_congruent(args) -> int:
-    parsed = _load(args.file)
+def cmd_congruent(args, parsed=None):
+    parsed = parsed or _load(args.file)
     ctx = parsed.ctx
     m = _word_arg(ctx, args.m, "--m") if args.m else parsed.word_m
     n = _word_arg(ctx, args.n, "--n") if args.n else parsed.word_n
@@ -134,14 +137,12 @@ def cmd_congruent(args) -> int:
     except ContractError as exc:
         raise _CliInputError(str(exc)) from exc
     except NotCongruentError as exc:
-        _emit({"congruent": False, "reason": str(exc)})
-        return EXIT_NEGATIVE
-    _emit(certs.chain_to_json(chain))
-    return EXIT_OK
+        return EXIT_NEGATIVE, {"congruent": False, "reason": str(exc)}
+    return EXIT_OK, certs.chain_to_json(chain)
 
 
-def cmd_express(args) -> int:
-    p = _need_poly(_load(args.file), args.file)
+def cmd_express(args, parsed=None):
+    p = _need_poly(parsed or _load(args.file), args.file)
     try:
         comb = express_in_J(p)
     except ContractError as exc:
@@ -150,15 +151,12 @@ def cmd_express(args) -> int:
         doc = {"expressed": False, "reason": str(exc)}
         if exc.witness is not None:
             doc["witness"] = _witness_json(exc.witness)
-        _emit(doc)
-        return EXIT_NEGATIVE
-    _emit(certs.jcomb_to_json(comb))
-    return EXIT_OK
+        return EXIT_NEGATIVE, doc
+    return EXIT_OK, certs.jcomb_to_json(comb)
 
 
-def cmd_z3reduce(args) -> int:
-    parsed = _load(args.file)
-    gen = parsed.generator
+def cmd_z3reduce(args, parsed=None):
+    gen = (parsed or _load(args.file)).generator
     if gen is None:
         raise _CliInputError(f"{args.file}: no generator (type:/h1:/... lines)")
     if args.type is not None and gen.kind.value != args.type:
@@ -171,11 +169,10 @@ def cmd_z3reduce(args) -> int:
             cert = reduce_type2(gen)
     except ReductionError as exc:
         raise _CliInputError(str(exc)) from exc
-    _emit(certs.reduction_to_json(cert))
-    return EXIT_OK
+    return EXIT_OK, certs.reduction_to_json(cert)
 
 
-def cmd_enum_reduced(args) -> int:
+def cmd_enum_reduced(args):
     try:
         group = cyclic_group(args.order)
         grading = default_grading(group)
@@ -183,129 +180,97 @@ def cmd_enum_reduced(args) -> int:
     except (GroupError, ValueError) as exc:
         raise _CliInputError(str(exc)) from exc
     if args.json:
-        _emit([{"kind": g.kind.value, "parts": [list(p) for p in g.parts],
-                "vars": {str(k): d for k, d in sorted(g.ctx.degrees.items())}}
-               for g in gens])
-    else:
-        _emit({"count": len(gens),
-               "by_kind": {str(k.value): sum(1 for g in gens if g.kind is k)
-                           for k in GeneratorKind}})
-    return EXIT_OK
+        return EXIT_OK, [{"kind": g.kind.value, "parts": [list(p) for p in g.parts],
+                          "vars": {str(k): d for k, d in sorted(g.ctx.degrees.items())}}
+                         for g in gens]
+    return EXIT_OK, {"count": len(gens),
+                     "by_kind": {str(k.value): sum(1 for g in gens if g.kind is k)
+                                 for k in GeneratorKind}}
 
 
-def cmd_verify(args) -> int:
-    doc = _read_json(args.cert)
+def _verify(doc, path: str):
+    """`gpi verify` on the JSON document doc, read from path."""
     if not isinstance(doc, dict):
-        raise _CliInputError(f"{args.cert}: a certificate is a JSON object")
+        raise _CliInputError(f"{path}: a certificate is a JSON object")
     try:  # format, group, declaration and generator errors are all ValueErrors
         cert = certs.certificate_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _CliInputError(f"{args.cert}: {exc}") from exc
-    try:
+        raise _CliInputError(f"{path}: {exc}") from exc
+    try:  # certificate_from_json returns one of the three kinds
         if isinstance(cert, RewriteChain):
             ok = verify_chain(cert)
         elif isinstance(cert, JCombination):
             ok = verify_combination(cert)
-        elif isinstance(cert, ReductionCertificate):
+        else:
             ok = verify_certificate(cert)
-        else:  # pragma: no cover - certificate_from_json is exhaustive
-            raise _CliInputError(f"{args.cert}: unknown certificate object")
     except (DeclarationError, ReplayBudgetError) as exc:
         # a move or word names an undeclared variable, or the replay would
         # build more than MAX_REPLAY_LETTERS letters
-        raise _CliInputError(f"{args.cert}: {exc}") from exc
-    _emit({"valid": ok, "kind": doc.get("kind")})
-    return EXIT_OK if ok else EXIT_NEGATIVE
+        raise _CliInputError(f"{path}: {exc}") from exc
+    return (EXIT_OK if ok else EXIT_NEGATIVE), {"valid": ok, "kind": doc.get("kind")}
+
+
+def cmd_verify(args):
+    return _verify(_read_json(args.cert), args.cert)
 
 
 # --- corpus runner ------------------------------------------------------------
 
-_EXPECTATIONS = ("identity", "non-identity", "congruent", "reducible")
+def _identity(args, parsed):
+    """`gpi express` where it can certify an identity, `gpi check` elsewhere."""
+    p = _need_poly(parsed, args.file)
+    answer = cmd_express if p.is_multihomogeneous() and not p.is_zero() else cmd_check
+    return answer(args, parsed)
 
 
-def _write_certificate(report: dict, entry_file: str, doc: dict) -> None:
-    """Write doc beside the entry's file, as <base>.cert.json, and report it."""
-    path = os.path.splitext(entry_file)[0] + ".cert.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(certs.dumps(doc))
-    report["certificate"] = path
+# expectation -> (its answer, the exit code that answer gives when it holds, detail of a miss)
+_EXPECTATIONS = {"identity": (_identity, EXIT_OK, "not an identity"),
+                 "non-identity": (cmd_check, EXIT_NEGATIVE, "is an identity"),
+                 "congruent": (cmd_congruent, EXIT_OK, "not congruent"),
+                 "reducible": (cmd_z3reduce, EXIT_OK, "not reducible")}
+
+
+def _write_verified(doc: dict, path: str) -> bool:
+    """Write certificate doc to path unless `gpi verify` on its bytes fails."""
+    text = certs.dumps(doc)
+    if _verify(_read_json(path, text), path)[0] != EXIT_OK:
+        return False
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return True
 
 
 def _run_entry(entry: dict) -> dict:
-    path = entry.get("file")
-    expected = entry.get("expected")
+    """One report: error where the subcommand would exit 2, else pass or fail."""
+    path, expected = entry.get("file"), entry.get("expected")
     report = {"file": path, "expected": expected}
-    if not isinstance(path, str) or expected not in _EXPECTATIONS:
+    if not (isinstance(path, str) and isinstance(expected, str)
+            and expected in _EXPECTATIONS):
         report.update(status="error", detail="malformed manifest entry")
         return report
-    if not os.path.exists(path):
-        report.update(status="error", detail="file not found")
-        return report
+    answer, want, miss = _EXPECTATIONS[expected]
+    args = argparse.Namespace(file=path, m=None, n=None, type=None)
+    cert = os.path.splitext(path)[0] + ".cert.json"
     try:
-        parsed = parse_file(path)
-    except (ParseError, GroupError, DeclarationError, GeneratorError) as exc:
+        code, doc = answer(args, _load(path))
+        report.update({k: doc[k] for k in ("reason", "witness") if k in doc})
+        if code != want:
+            report.update(status="fail", detail=miss)
+        elif "kind" not in doc:  # an answer without a certificate
+            report["status"] = "pass"
+        elif _write_verified(doc, cert):
+            report.update(status="pass", certificate=cert)
+        else:
+            report.update(status="fail", detail="certificate does not verify")
+    except _CliInputError as exc:
         report.update(status="error", detail=str(exc))
-        return report
-
-    try:
-        if expected == "identity":
-            p = parsed.poly
-            if p is None:
-                report.update(status="error", detail="no 'poly:' line")
-                return report
-            if p.is_multihomogeneous() and not p.is_zero():
-                try:  # express_in_J decides membership on the way
-                    comb, w = express_in_J(p), None
-                except NoExpressionError as exc:
-                    comb, w = None, exc.witness
-            else:
-                comb, w = None, identity_witness(p)
-            if w is not None:
-                report.update(status="fail", detail="not an identity",
-                              witness=_witness_json(w))
-                return report
-            report["status"] = "pass"
-            if comb is not None:
-                _write_certificate(report, path, certs.jcomb_to_json(comb))
-        elif expected == "non-identity":
-            p = parsed.poly
-            if p is None:
-                report.update(status="error", detail="no 'poly:' line")
-                return report
-            w = identity_witness(p)
-            if w is None:
-                report.update(status="fail", detail="is an identity")
-            else:
-                report.update(status="pass", witness=_witness_json(w))
-        elif expected == "congruent":
-            if parsed.word_m is None or parsed.word_n is None:
-                report.update(status="error", detail="missing m:/n: lines")
-                return report
-            chain = congruence_chain(parsed.ctx, parsed.word_m, parsed.word_n)
-            if not verify_chain(chain):
-                report.update(status="fail", detail="chain does not verify")
-                return report
-            report["status"] = "pass"
-            _write_certificate(report, path, certs.chain_to_json(chain))
-        else:  # reducible
-            gen = parsed.generator
-            if gen is None:
-                report.update(status="error", detail="no generator lines")
-                return report
-            cert = (reduce_type1 if gen.kind is GeneratorKind.TYPE1
-                    else reduce_type2)(gen)
-            if not verify_certificate(cert):
-                report.update(status="fail", detail="certificate does not verify")
-                return report
-            report["status"] = "pass"
-            _write_certificate(report, path, certs.reduction_to_json(cert))
-    except (ContractError, NotCongruentError, NoExpressionError,
-            ReductionError) as exc:
-        report.update(status="fail", detail=str(exc))
     return report
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args):
     manifest = _read_json(args.manifest)
     if not isinstance(manifest, list):
         raise _CliInputError(f"{args.manifest}: manifest must be a JSON list")
@@ -317,12 +282,11 @@ def cmd_corpus(args) -> int:
             entry["file"] = os.path.join(base, entry["file"])
         entries.append(entry)
     reports = [_run_entry(e) for e in entries]
-    failures = sum(1 for r in reports if r.get("status") != "pass")
-    _emit({"entries": reports, "total": len(reports), "failures": failures})
+    failures = sum(1 for r in reports if r["status"] != "pass")
     for r in reports:
-        status = r.get("status", "error").upper()
-        _diag(f"{status}: {r.get('file')} ({r.get('expected')})")
-    return EXIT_OK if failures == 0 else EXIT_NEGATIVE
+        _diag(f"{r['status'].upper()}: {r['file']} ({r['expected']})")
+    return (EXIT_OK if failures == 0 else EXIT_NEGATIVE,
+            {"entries": reports, "total": len(reports), "failures": failures})
 
 
 # --- entry point --------------------------------------------------------------
@@ -381,10 +345,12 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code, doc = args.func(args)
     except _CliInputError as exc:
         _diag(str(exc))
         return EXIT_INPUT
+    _emit(doc)
+    return code
 
 
 if __name__ == "__main__":

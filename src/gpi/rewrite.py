@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .certs import JCombination, JTerm, Move, MoveError, RewriteChain, path_rule_holds
-from .freealg import Context, Word, is_multilinear_word, multidegree, word_key
+from .freealg import Context, FreePoly, Word, is_multilinear_word, multidegree, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import ContractError, Witness, keyed_witness
 

@@ -34,10 +34,10 @@ import functools
 from enum import Enum
 from typing import Callable
 
-from .certs import (MAX_REDUCED_PART_LEN, CertContext, CertLeaf, CertNode, CertSubst,
-                    CertSum, ReductionCertificate)
+from .certs import CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate
 from .freealg import Context, Word, is_multilinear_word, word_degree
-from .identity import GeneratorInstance, GeneratorKind, degree_rule_holds, make_generator
+from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind,
+                       degree_rule_holds, make_generator)
 
 
 class ReductionError(ValueError):

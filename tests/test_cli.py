@@ -428,8 +428,8 @@ class TestExpress:
 
 
 class TestVerifyKeysEachWordOnce:
-    """verify keys each distinct word once per combination; a word shared by
-    several terms must not let a later term's chain skip any check."""
+    """verify walks each term's source once; a word shared by several terms
+    must not let a later term's chain skip any check."""
 
     # x1 x1 x2 x4 x3 pairs with x1 x1 x2 x3 x4 in term 0 and is the source
     # of term 1; x2, x3, x4 have trivial degree, x1 does not.
@@ -1108,3 +1108,80 @@ class TestCorpus:
         manifest.write_text("[]")
         code, out, _ = run(capsys, "corpus", str(manifest))
         assert code == 0 and json.loads(out)["total"] == 0
+
+    def corpus(self, capsys, tmp_path, entries):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "corpus", str(manifest))
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        assert len(doc["entries"]) == len(err.splitlines()) == len(entries)
+        return code, doc
+
+    def test_directory_entry_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "dir.gpi").mkdir()
+        code, doc = self.corpus(capsys, tmp_path,
+                                [{"file": "dir.gpi", "expected": "identity"}])
+        assert code == 1 and doc["failures"] == 1
+        assert doc["entries"][0]["status"] == "error"
+        assert doc["entries"][0]["detail"].startswith("cannot read ")
+
+    def test_directory_at_certificate_path_is_an_error(self, tmp_path, capsys):
+        write(tmp_path, "cong.gpi", CONG_FILE)
+        (tmp_path / "cong.cert.json").mkdir()
+        code, doc = self.corpus(capsys, tmp_path,
+                                [{"file": "cong.gpi", "expected": "congruent"}])
+        assert code == 1 and doc["entries"][0]["status"] == "error"
+        assert doc["entries"][0]["detail"].startswith("cannot write ")
+
+    def test_bad_input_is_an_error_with_the_subcommand_message(self, tmp_path, capsys):
+        # monomials of different multidegrees, and a generator outside Z3:
+        # `gpi congruent` and `gpi z3reduce` exit 2 on them
+        f = write(tmp_path, "cong.gpi", "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\nn: x1*x1\n")
+        g = write(tmp_path, "gen.gpi", GEN1_FILE.replace("Z3", "Z2").replace(":2", ":0"))
+        messages = []
+        for cmd, path in (("congruent", f), ("z3reduce", g)):
+            code, _, err = run(capsys, cmd, path)
+            assert code == 2 and err.startswith("gpi: ")
+            messages.append(err[len("gpi: "):].rstrip("\n"))
+        code, doc = self.corpus(capsys, tmp_path, [
+            {"file": "cong.gpi", "expected": "congruent"},
+            {"file": "gen.gpi", "expected": "reducible"}])
+        assert code == 1
+        assert [(e["status"], e["detail"]) for e in doc["entries"]] == [
+            ("error", m) for m in messages]
+
+    def test_unhashable_expectation_is_malformed(self, tmp_path, capsys):
+        write(tmp_path, "id.gpi", ID_FILE)
+        code, doc = self.corpus(capsys, tmp_path,
+                                [{"file": "id.gpi", "expected": ["identity"]}])
+        assert code == 1
+        assert doc["entries"][0]["detail"] == "malformed manifest entry"
+
+    def test_certificates_are_the_subcommand_output(self, tmp_path, capsys):
+        entries = []
+        for name, text, expected, cmd in (("id", ID_FILE, "identity", "express"),
+                                          ("cong", CONG_FILE, "congruent", "congruent"),
+                                          ("gen", GEN_FILE, "reducible", "z3reduce")):
+            code, out, _ = run(capsys, cmd, write(tmp_path, f"{name}.gpi", text))
+            assert code == 0
+            entries.append(({"file": f"{name}.gpi", "expected": expected}, out))
+        code, doc = self.corpus(capsys, tmp_path, [e for e, _ in entries])
+        assert code == 0
+        for (entry, out), report in zip(entries, doc["entries"]):
+            cert = tmp_path / entry["file"].replace(".gpi", ".cert.json")
+            assert report["certificate"] == str(cert)
+            assert cert.read_text() == out
+            assert run(capsys, "verify", str(cert))[0] == 0
+
+    def test_certificate_is_verified_before_it_is_written(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from gpi import cli
+        write(tmp_path, "id.gpi", ID_FILE)
+        monkeypatch.setattr(cli, "verify_combination", lambda comb: False)
+        code, doc = self.corpus(capsys, tmp_path,
+                                [{"file": "id.gpi", "expected": "identity"}])
+        assert code == 1
+        assert doc["entries"][0]["status"] == "fail"
+        assert doc["entries"][0]["detail"] == "certificate does not verify"
+        assert not (tmp_path / "id.cert.json").exists()
