@@ -39,6 +39,6 @@ comb = express_in_J(f)
 print("expressing 2*(x1*x2*x3 - x3*x2*x1):")
 for t in comb.terms:
     print(f"  {t.coeff} * ({t.source} - {t.target}),"
-          f" chain of {len(t.chain.moves)} move(s)")
+          f" chain of {len(t.moves)} move(s)")
 print("combination verifies and expands back to f:",
       verify_combination(comb, claimed=f))

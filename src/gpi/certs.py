@@ -1,13 +1,13 @@
 """Certificates: their types, their checking, and their JSON wire format.
 
-A certificate is a rewrite chain, a combination of chains (a jcomb) or a
-reduction DAG.  The producers in rewrite and z3reduce build them; this
-module holds everything `gpi verify` runs on them: the data classes, the
-replay that checks them, and the loaders and writers of every format
-version.  It trusts only freealg's arithmetic, the group table, identity's
-generator families (their degree rules and expansions), and genmat's row-0
-paths and keys; a move's degree rule is read from the rows of the path it
-permutes (move_path).
+A certificate is a rewrite chain, a combination of certified differences
+(a jcomb) or a reduction DAG.  The producers in rewrite and z3reduce build
+them; this module holds everything `gpi verify` runs on them: the data
+classes, the replay that checks them, and the loaders and writers of every
+format version.  It trusts only freealg's arithmetic, the group table,
+identity's generator families (their degree rules and expansions), and
+genmat's row-0 paths and keys; a move's degree rule is read from the rows of
+the path it permutes (move_path).
 
 Every certificate embeds its full context (group table, grading tuple,
 variable degrees) so that verification needs no side files.  Matrix
@@ -174,10 +174,13 @@ class RewriteChain:
 
 @dataclass(frozen=True)
 class JTerm:
+    """One certified difference coeff * (source - target): applying the
+    moves transforms source into target."""
+
     coeff: int
     source: Word
     target: Word
-    chain: RewriteChain
+    moves: tuple[Move, ...]
 
 
 @dataclass(frozen=True)
@@ -196,29 +199,25 @@ class JCombination:
 
 
 def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
-    """Replay every term's chain on the row-0 path of its source, then check
+    """Replay every term's moves on the row-0 path of its source, then check
     the expansion against claimed, if given.
 
-    Each term's chain must start at its source and end at its target.  The
-    source is walked once, and every move is replayed on its path with
-    move_path, which checks that the move fits and obeys the degree rule.
-    The final path must be walked along the target, and its key must equal
-    the source's.  A word evaluates to one key (row, col, mono) per row with
-    coefficient 1, and row 0 decides the rest (see genmat.word_entry), so
-    equal row-0 keys are exactly equal evaluation matrices.
+    Each term's source is walked once, and every move is replayed on its
+    path with move_path, which checks that the move fits and obeys the
+    degree rule.  The final path must be walked along the term's target,
+    and its key must equal the source's.  A word evaluates to one key
+    (row, col, mono) per row with coefficient 1, and row 0 decides the
+    rest (see genmat.word_entry), so equal row-0 keys are exactly equal
+    evaluation matrices.
     """
     for t in comb.terms:
-        chain = t.chain
-        start, end = tuple(chain.start), tuple(chain.end)
-        if start != tuple(t.source) or end != tuple(t.target):
-            return False
-        path = source_path = word_path(chain.ctx, start, 0)
+        path = source_path = word_path(comb.ctx, t.source, 0)
         try:
-            for mv in chain.moves:
+            for mv in t.moves:
                 path = move_path(path, mv)
         except MoveError:
             return False
-        if _letters(path) != end or path_entry(source_path, 0) != path_entry(path, 0):
+        if _letters(path) != tuple(t.target) or path_entry(source_path, 0) != path_entry(path, 0):
             return False
     return claimed is None or comb.expansion() == claimed
 
@@ -226,7 +225,7 @@ def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> b
 def verify_chain(chain: RewriteChain) -> bool:
     """verify_combination on the one term start - end."""
     return verify_combination(
-        JCombination(chain.ctx, (JTerm(1, chain.start, chain.end, chain),)))
+        JCombination(chain.ctx, (JTerm(1, chain.start, chain.end, chain.moves),)))
 
 
 # --- reduction DAGs -------------------------------------------------------------
@@ -371,6 +370,11 @@ def verify_certificate(cert: ReductionCertificate,
 
 # --- wire format: contexts ----------------------------------------------------
 
+def _document(kind: str, version: int, ctx: Context, payload: dict) -> dict:
+    """A certificate document: its kind and version, its context, its payload."""
+    return {"version": version, "kind": kind, **context_to_json(ctx), "payload": payload}
+
+
 def context_to_json(ctx: Context) -> dict:
     return {
         "group": {
@@ -379,8 +383,13 @@ def context_to_json(ctx: Context) -> dict:
             "names": list(ctx.grading.group.names),
         },
         "grading": list(ctx.grading.tuple_),
-        "vars": {str(k): d for k, d in sorted(ctx.degrees.items())},
+        "vars": vars_to_json(ctx),
     }
+
+
+def vars_to_json(ctx: Context) -> dict:
+    """The variable degrees, keyed by decimal id (see _var_id)."""
+    return {str(k): d for k, d in sorted(ctx.degrees.items())}
 
 
 def context_from_json(doc: dict) -> Context:
@@ -401,10 +410,6 @@ def context_from_json(doc: dict) -> Context:
 
 
 # --- wire format: words, polynomials, matrices --------------------------------
-
-def poly_to_json(p: FreePoly) -> list[dict]:
-    return [{"coeff": p.terms[w], "word": list(w)} for w in p.support()]
-
 
 def scalar_poly_to_json(p: ScalarPoly) -> list[dict]:
     """Terms in monomial order; each variable y^k_{a,b}^e is [k, a, b, e], 1-based."""
@@ -444,30 +449,17 @@ def move_to_json(mv: Move) -> list:
     return [mv.kind, mv.offset, *mv.lengths]
 
 
-def chain_payload(chain: RewriteChain) -> dict:
-    return {"start": list(chain.start), "end": list(chain.end),
-            "moves": [move_to_json(m) for m in chain.moves]}
-
-
 def chain_to_json(chain: RewriteChain) -> dict:
-    out = {"version": CHAIN_VERSION, "kind": "chain"}
-    out.update(context_to_json(chain.ctx))
-    out["payload"] = chain_payload(chain)
-    return out
-
-
-def jcomb_payload(comb: JCombination) -> dict:
-    return {"terms": [{"coeff": t.coeff, "source": list(t.source),
-                       "target": list(t.target),
-                       "chain": {"moves": [move_to_json(m) for m in t.chain.moves]}}
-                      for t in comb.terms]}
+    return _document("chain", CHAIN_VERSION, chain.ctx, {
+        "start": list(chain.start), "end": list(chain.end),
+        "moves": [move_to_json(m) for m in chain.moves]})
 
 
 def jcomb_to_json(comb: JCombination) -> dict:
-    out = {"version": CHAIN_VERSION, "kind": "jcomb"}
-    out.update(context_to_json(comb.ctx))
-    out["payload"] = jcomb_payload(comb)
-    return out
+    return _document("jcomb", CHAIN_VERSION, comb.ctx, {"terms": [
+        {"coeff": t.coeff, "source": list(t.source), "target": list(t.target),
+         "chain": {"moves": [move_to_json(m) for m in t.moves]}}
+        for t in comb.terms]})
 
 
 def _move_list(doc) -> list:
@@ -532,19 +524,23 @@ def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
 
 
 def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
-    if version < 3:
-        return JCombination(ctx, tuple(
-            JTerm(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
-                  _declared_word(ctx, t["target"]),
-                  chain_from_payload(ctx, t["chain"], version))
-            for t in doc["terms"]))
+    if version < 3:  # each term's chain wrote its own start and end
+        loaded = []
+        for t in doc["terms"]:
+            coeff, source = _integer(t["coeff"]), _declared_word(ctx, t["source"])
+            target, chain = _declared_word(ctx, t["target"]), t["chain"]
+            start, end = _declared_word(ctx, chain["start"]), _declared_word(ctx, chain["end"])
+            moves = _explicit_moves(ctx, start, _move_list(chain["moves"]))
+            if (start, end) != (source, target):  # one more move, which move_path refuses
+                moves += (Move("swap0", len(source), (1, 1)),)
+            loaded.append(JTerm(coeff, source, target, moves))
+        return JCombination(ctx, tuple(loaded))
     terms = [(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
               _declared_word(ctx, t["target"]), _move_list(t["chain"]["moves"]))
              for t in doc["terms"]]
     _replay_size((source, moves) for _, source, _, moves in terms)
     return JCombination(ctx, tuple(
-        JTerm(coeff, source, target,
-              RewriteChain(ctx, source, _positional_moves(len(source), moves), target))
+        JTerm(coeff, source, target, _positional_moves(len(source), moves))
         for coeff, source, target, moves in terms))
 
 
@@ -673,12 +669,10 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
     """The certificate as a node table: each distinct node once, children first."""
     nodes = cert_nodes(cert.root)
     index = {id(node): i for i, node in enumerate(nodes)}
-    out = {"version": REDUCTION_VERSION, "kind": "reduction"}
-    out.update(context_to_json(cert.ctx))
-    out["payload"] = {"target": generator_to_json(cert.target),
-                      "nodes": [_node_entry(node, index) for node in nodes],
-                      "root": index[id(cert.root)]}
-    return out
+    return _document("reduction", REDUCTION_VERSION, cert.ctx, {
+        "target": generator_to_json(cert.target),
+        "nodes": [_node_entry(node, index) for node in nodes],
+        "root": index[id(cert.root)]})
 
 
 def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCertificate:

@@ -180,8 +180,7 @@ def cmd_enum_reduced(args):
     except (GroupError, ValueError) as exc:
         raise _CliInputError(str(exc)) from exc
     if args.json:
-        return EXIT_OK, [{"kind": g.kind.value, "parts": [list(p) for p in g.parts],
-                          "vars": {str(k): d for k, d in sorted(g.ctx.degrees.items())}}
+        return EXIT_OK, [{**certs.generator_to_json(g), "vars": certs.vars_to_json(g.ctx)}
                          for g in gens]
     return EXIT_OK, {"count": len(gens),
                      "by_kind": {str(k.value): sum(1 for g in gens if g.kind is k)
@@ -243,8 +242,9 @@ def _write_verified(doc: dict, path: str) -> bool:
     return True
 
 
-def _run_entry(entry: dict) -> dict:
-    """One report: error where the subcommand would exit 2, else pass or fail."""
+def _run_entry(entry: dict, written: set[str]) -> dict:
+    """One report: error where the subcommand would exit 2 or where an earlier
+    entry wrote the certificate path (in written), else pass or fail."""
     path, expected = entry.get("file"), entry.get("expected")
     report = {"file": path, "expected": expected}
     if not (isinstance(path, str) and isinstance(expected, str)
@@ -261,7 +261,10 @@ def _run_entry(entry: dict) -> dict:
             report.update(status="fail", detail=miss)
         elif "kind" not in doc:  # an answer without a certificate
             report["status"] = "pass"
+        elif os.path.realpath(cert) in written:
+            report.update(status="error", detail=f"{cert} was written by an earlier entry")
         elif _write_verified(doc, cert):
+            written.add(os.path.realpath(cert))
             report.update(status="pass", certificate=cert)
         else:
             report.update(status="fail", detail="certificate does not verify")
@@ -281,7 +284,8 @@ def cmd_corpus(args):
         if isinstance(entry.get("file"), str) and not os.path.isabs(entry["file"]):
             entry["file"] = os.path.join(base, entry["file"])
         entries.append(entry)
-    reports = [_run_entry(e) for e in entries]
+    written: set[str] = set()
+    reports = [_run_entry(e, written) for e in entries]
     failures = sum(1 for r in reports if r["status"] != "pass")
     for r in reports:
         _diag(f"{r['status'].upper()}: {r['file']} ({r['expected']})")

@@ -118,24 +118,16 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
     if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
-    return _chain_from(ctx, m, n, path_m, _by_variable(path_m), _by_variable(path_n),
-                       not is_multilinear_word(m))
-
-
-def _chain_from(ctx: Context, m: Word, n: Word, path_m: list[ScalarVar], order_m: list[int],
-                order_n: list[int], repeats: bool) -> RewriteChain:
-    """The chain transforming n into m, given m's path from one row and both
-    paths' positions in variable order; repeats says whether a letter of m
-    repeats."""
-    ties = _ties(path_m, order_m) if repeats else []
-    return RewriteChain(ctx, start=n, moves=tuple(_chain_moves(path_m, order_m, order_n, ties)),
-                        end=m)
+    moves = _chain_moves(path_m, _by_variable(path_m), _by_variable(path_n),
+                         not is_multilinear_word(m))
+    return RewriteChain(ctx, start=n, moves=moves, end=m)
 
 
 def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int],
-                 ties: list[list[int]]) -> list[Move]:
-    """The moves transforming n into m, from m's path from one row, both
-    paths' positions in variable order (_by_variable) and m's ties (_ties).
+                 repeats: bool) -> tuple[Move, ...]:
+    """The moves transforming n into m, from m's path from one row and both
+    paths' positions in variable order (_by_variable); repeats says whether
+    a letter of m repeats.
 
     Precondition, checked by both callers: the two paths have equal keys
     (path_entry).  A key holds its path sorted, so the paths carry the same
@@ -153,9 +145,10 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     n's path is path_m read through seq.  Each move's degree rule is checked
     from those rows (path_rule_holds).  A scalar variable that occurs more
     than once in m is then paired again in position order, as _by_variable
-    pairs it; on multilinear words ties is empty.  Each move costs O(L) at C
-    speed for words of length L, and sorts no path.
+    pairs it (see _ties); on multilinear words there are no ties.  Each move
+    costs O(L) at C speed for words of length L, and sorts no path.
     """
+    ties = _ties(path_m, order_m) if repeats else []
     seq = _pairing(order_n, order_m)
     length = len(seq)
     moves: list[Move] = []
@@ -164,7 +157,7 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         while k < length and seq[k] == k:
             k += 1
         if k == length:
-            return moves
+            return tuple(moves)
         r0 = seq.index(k, k)
         t = min(seq[k:r0])
         p0 = seq.index(t, k)
@@ -248,10 +241,9 @@ def express_in_J(f: FreePoly) -> JCombination:
             raise AssertionError("no partner with a shared entry; evaluation bug")
         j = bucket[i]
         m1, partner, lam = support[rank], support[j], coeffs[rank]
-        # start=m1, end=partner
-        chain = _chain_from(ctx, partner, m1, word_paths[j], word_orders[j],
-                            word_orders[rank], repeats)
-        terms.append(JTerm(coeff=lam, source=m1, target=partner, chain=chain))
+        # the moves transform m1 into partner
+        moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank], repeats)
+        terms.append(JTerm(coeff=lam, source=m1, target=partner, moves=moves))
         coeffs[rank] = 0
         coeffs[j] += lam
         if coeffs[rank]:  # the partner was m1 itself

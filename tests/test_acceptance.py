@@ -16,8 +16,8 @@ from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_deg
 from gpi.genmat import eval_poly
 from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_witness,
                           is_graded_identity, make_generator)
-from gpi.certs import (cert_leaves, cert_value, verify_certificate, verify_chain,
-                       verify_combination)
+from gpi.certs import (RewriteChain, cert_leaves, cert_value, verify_certificate,
+                       verify_chain, verify_combination)
 from gpi.rewrite import NoExpressionError, express_in_J, extract_sigma, shared_entry
 from gpi.z3reduce import (ReductionError, Side, decompose, nonzero_triple_forced,
                           pull_zero_factor, reduce_type1, reduce_type2, split_commutator)
@@ -202,7 +202,7 @@ def test_criterion_5(report, crit4_data):
     for comb in combos:
         ctx = comb.ctx
         for term in comb.terms:
-            chain = term.chain
+            chain = RewriteChain(ctx, term.source, term.moves, term.target)
             nchains += 1
             if not verify_chain(chain):
                 ok = False

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -242,6 +243,38 @@ class TestCongruentVerify:
         cert.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(cert))
         assert code == 1 and json.loads(out)["valid"] is False
+
+
+class TestV2TermChains:
+    """Versions 1 and 2 wrote each jcomb term's chain with its own start and
+    end.  A chain between other words than the term's source and target
+    fails verification; an undeclared letter in its end is bad input."""
+
+    def verify(self, tmp_path, capsys, version, edit):
+        _, out, _ = run(capsys, "express", write(tmp_path, "id.gpi", ID_FILE))
+        doc = dict(support.as_v2(json.loads(out)), version=version)
+        term, = doc["payload"]["terms"]
+        edit(term)
+        cert = tmp_path / "old.json"
+        cert.write_text(json.dumps(doc))
+        return run(capsys, "verify", str(cert))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("edit", [
+        lambda t: t["chain"].update(end=t["source"]),
+        lambda t: t["chain"].update(start=t["target"]),
+        lambda t: t.update(chain={"start": t["target"], "end": t["target"], "moves": []}),
+    ], ids=["end-at-source", "start-at-target", "empty-at-target"])
+    def test_chain_of_another_pair_fails(self, tmp_path, capsys, version, edit):
+        assert self.verify(tmp_path, capsys, version, lambda t: None)[0] == 0
+        code, out, err = self.verify(tmp_path, capsys, version, edit)
+        assert code == 1 and json.loads(out)["valid"] is False and err == ""
+
+    def test_undeclared_end_is_bad_input(self, tmp_path, capsys):
+        code, out, err = self.verify(tmp_path, capsys, 2,
+                                     lambda t: t["chain"].update(end=[3, 2, 9]))
+        assert code == 2 and out == ""
+        assert err.startswith("gpi: ") and err.count("\n") == 1 and "x9" in err
 
 
 class TestHostileCertificates:
@@ -1056,6 +1089,16 @@ class TestEnumReduced:
         doc = json.loads(out)
         assert code == 0 and len(doc) == 4
 
+    @pytest.mark.parametrize("max_len, size, sha256", [
+        ("1", 232, "550e95aee8b71a119c6792fbc92a3094f96f51b9d9d81eaffdbf2412e2438761"),
+        ("2", 15970, "66c946cf98380b875398750545b47659dd500b65bc16833964c3e141dcb83065"),
+    ])
+    def test_json_bytes(self, capsys, max_len, size, sha256):
+        """Each generator and its vars are written as a certificate writes them."""
+        code, out, _ = run(capsys, "enum-reduced", "--max-len", max_len, "--json")
+        assert code == 0 and len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestCorpus:
     def test_mixed_manifest(self, tmp_path, capsys):
@@ -1172,6 +1215,28 @@ class TestCorpus:
             cert = tmp_path / entry["file"].replace(".gpi", ".cert.json")
             assert report["certificate"] == str(cert)
             assert cert.read_text() == out
+            assert run(capsys, "verify", str(cert))[0] == 0
+
+    def test_certificate_path_collision_is_an_error(self, tmp_path, capsys):
+        """Certificates are named <base>.cert.json.  A later entry whose path an
+        earlier entry of the run wrote is an error naming the path, and the
+        earlier certificate stays: d.gpi and d.txt, and one file listed under
+        two expectations."""
+        write(tmp_path, "d.gpi", CONG_FILE)
+        write(tmp_path, "d.txt", ID_FILE)
+        write(tmp_path, "both.gpi", ID_FILE + "m: x1*x2*x3\nn: x3*x2*x1\n")
+        code, doc = self.corpus(capsys, tmp_path, [
+            {"file": "d.gpi", "expected": "congruent"},
+            {"file": "d.txt", "expected": "identity"},
+            {"file": "both.gpi", "expected": "identity"},
+            {"file": "./both.gpi", "expected": "congruent"}])
+        assert code == 1 and doc["failures"] == 2
+        assert [e["status"] for e in doc["entries"]] == ["pass", "error", "pass", "error"]
+        for report, name, kind in ((doc["entries"][1], "d", "chain"),
+                                   (doc["entries"][3], "both", "jcomb")):
+            cert = tmp_path / f"{name}.cert.json"
+            assert name + ".cert.json" in report["detail"] and "certificate" not in report
+            assert json.loads(cert.read_text())["kind"] == kind
             assert run(capsys, "verify", str(cert))[0] == 0
 
     def test_certificate_is_verified_before_it_is_written(self, tmp_path, capsys,

@@ -360,8 +360,7 @@ class TestChainBuilder:
                     continue
                 comb = express_in_J(f)
                 for t in comb.terms:
-                    assert (t.chain.start, t.chain.end) == (t.source, t.target)
-                    assert t.chain.moves == tuple(
+                    assert t.moves == tuple(
                         support.old_chain_moves(c, t.target, t.source))
                     terms += 1
                 assert verify_combination(comb, claimed=f)
@@ -397,7 +396,7 @@ class TestExpressInJ:
         comb = express_in_J(f)
         assert len(comb.terms) == 1
         # the blocks x1, x2 end before x3, the right context
-        assert comb.terms[0].chain.moves == (Move("swap0", 0, (1, 1)),)
+        assert comb.terms[0].moves == (Move("swap0", 0, (1, 1)),)
         assert verify_combination(comb, claimed=f)
 
     def test_scaled_pair(self):
@@ -440,7 +439,8 @@ class TestExpressInJ:
                     rejected += 1
                     continue
                 for t in express_in_J(f).terms:
-                    assert t.chain == congruence_chain(c, t.target, t.source)
+                    chain = congruence_chain(c, t.target, t.source)
+                    assert (chain.start, chain.moves, chain.end) == (t.source, t.moves, t.target)
                     expressed += 1
         assert expressed > 50 and rejected > 10
 
@@ -455,7 +455,7 @@ class TestExpressInJ:
         f = expand(make_generator(GeneratorKind.TYPE2, c, ((1,), (2,), (3,))))
         comb = express_in_J(f)
         bad = JCombination(c, tuple(
-            type(t)(t.coeff + 1, t.source, t.target, t.chain) for t in comb.terms))
+            type(t)(t.coeff + 1, t.source, t.target, t.moves) for t in comb.terms))
         assert not verify_combination(bad, claimed=f)
 
     def test_partner_is_least_word_sharing_an_entry(self):
