@@ -48,6 +48,7 @@ class MoveError(ValueError):
 # Each move kind is a context multiple of one generator family, whose parts
 # are the move's blocks: the family and the number of blocks.
 MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
+_ARITY = {kind: arity for kind, (_, arity) in MOVE_FAMILIES.items()}
 
 
 class _MoveFields(NamedTuple):
@@ -59,7 +60,10 @@ class _MoveFields(NamedTuple):
 class Move(_MoveFields):
     """A context move as it is written: its blocks are the lengths[i]
     letters that follow the first offset letters, and the move reverses
-    their order."""
+    their order.
+
+    Move(...) checks its fields.  Move._make((kind, offset, lengths))
+    builds one unchecked, for a caller that has checked them itself."""
 
     __slots__ = ()
 
@@ -80,27 +84,29 @@ class Move(_MoveFields):
 
     def blocks(self, seq) -> list:
         """The blocks cut from seq: a word, or the path walked along it."""
-        return _cut(seq, self.offset, self.lengths)[0]
+        bounds = _bounds(self.offset, self.lengths)
+        return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def apply(self, seq):
         """seq with the blocks in reverse order: a word, or the path walked
         along it (see move_path)."""
-        return _blocks_reversed(seq, self.offset, *_cut(seq, self.offset, self.lengths))
+        return _reversed_blocks(seq, *_bounds(self.offset, self.lengths))
 
 
-def _cut(seq, offset: int, lengths: tuple[int, ...]) -> tuple[list, int]:
-    """The blocks of the given lengths that follow the first offset items
-    of seq, and the position after the last one."""
-    blocks = []
-    for n in lengths:
-        blocks.append(seq[offset:offset + n])
-        offset += n
-    return blocks, offset
+def _bounds(offset: int, lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The offset of a move with two or three blocks of these lengths, then
+    the position after each block."""
+    b = offset + lengths[0]
+    c = b + lengths[1]
+    return (offset, b, c) if len(lengths) == 2 else (offset, b, c, c + lengths[2])
 
 
-def _blocks_reversed(seq, offset: int, blocks: list, end: int):
-    """seq with the blocks _cut from it, between offset and end, reversed."""
-    return sum(reversed(blocks), seq[:offset]) + seq[end:]
+def _reversed_blocks(seq, a: int, b: int, c: int, d: int | None = None):
+    """seq with its blocks seq[a:b], seq[b:c](, seq[c:d]) in reverse order,
+    in slices of seq: a word, a path, or a list of positions."""
+    if d is None:
+        return seq[:a] + seq[b:c] + seq[a:b] + seq[c:]
+    return seq[:a] + seq[c:d] + seq[b:c] + seq[a:b] + seq[d:]
 
 
 def path_rule_holds(kind: str, row: int, ends) -> bool:
@@ -143,12 +149,12 @@ def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
     tuple.
     """
     kind, offset, lengths = mv
-    blocks, end = _cut(path, offset, lengths)
-    if end > len(path):
+    bounds = _bounds(offset, lengths)
+    if bounds[-1] > len(path):
         raise MoveError(f"move does not fit a word of length {len(path)}")
-    if not path_rule_holds(kind, path[offset][1], [b[-1][2] for b in blocks]):
+    if not path_rule_holds(kind, path[offset][1], [path[end - 1][2] for end in bounds[1:]]):
         raise MoveError("move violates its degree side-conditions")
-    return _blocks_reversed(path, offset, blocks, end)
+    return _reversed_blocks(path, *bounds)
 
 
 def _letters(path: list[ScalarVar]) -> Word:
@@ -477,22 +483,29 @@ def _replay_size(pairs) -> None:
 
 def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     """Version-3 moves, each checked to fit a running word of length size;
-    no path is cut here, move_path cuts it on replay."""
+    no path is cut here, move_path cuts it on replay.
+
+    One pass checks each move's types and shape (a known kind, its number
+    of blocks, offset >= 0, blocks nonempty, and the fit), so the move is
+    built unchecked; the checked Move(...) runs only on a bad move, to name
+    what is wrong."""
     moves = []
     for i, doc in enumerate(docs):
         if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
                 and _INT.issuperset(map(type, doc[1:]))):  # bool is not int here
             raise CertificateFormatError(
                 f"move {i} is not [kind, offset, len, ...] with integer offset and lengths")
-        try:
-            mv = Move(doc[0], doc[1], tuple(doc[2:]))
-        except MoveError as exc:
-            raise CertificateFormatError(f"move {i}: {exc}") from None
-        if mv.end > size:
+        kind, offset, lengths = doc[0], doc[1], tuple(doc[2:])
+        if not (len(lengths) == _ARITY.get(kind) and offset >= 0 and min(lengths) >= 1
+                and offset + sum(lengths) <= size):
+            try:
+                Move(kind, offset, lengths)
+            except MoveError as exc:
+                raise CertificateFormatError(f"move {i}: {exc}") from None
             raise CertificateFormatError(
-                f"move {i}: offset {mv.offset} and block lengths {list(mv.lengths)} "
+                f"move {i}: offset {offset} and block lengths {list(lengths)} "
                 f"do not fit a word of length {size}")
-        moves.append(mv)
+        moves.append(Move._make((kind, offset, lengths)))
     return tuple(moves)
 
 
@@ -714,11 +727,16 @@ def certificate_from_json(doc: dict):
         raise CertificateFormatError(f"unsupported version {version!r} of a {kind}")
     ctx = context_from_json(doc)
     payload = doc.get("payload", {})
-    if kind == "chain":
-        return chain_from_payload(ctx, payload, version)
-    if kind == "jcomb":
-        return jcomb_from_payload(ctx, payload, version)
-    return reduction_from_payload(ctx, payload, version)
+    if not isinstance(payload, dict):
+        raise CertificateFormatError("payload must be a JSON object")
+    try:
+        if kind == "chain":
+            return chain_from_payload(ctx, payload, version)
+        if kind == "jcomb":
+            return jcomb_from_payload(ctx, payload, version)
+        return reduction_from_payload(ctx, payload, version)
+    except KeyError as exc:  # a JSON object of the payload lacks a field
+        raise CertificateFormatError(f"missing field {exc.args[0]!r}") from None
 
 
 def dumps(doc: dict) -> str:

@@ -39,13 +39,15 @@ class ParseError(ValueError):
 
 # --- expression parsing -------------------------------------------------------
 
-# One token.  _SCAN adds the spaces before it and, as group 2, the first other
-# non-space character; every _SCAN match starts where the last one ended, so
-# one finditer scan reads the whole line.  Digits are ASCII ([0-9]): \d would
-# also match other scripts' digits, which int() reads ("x\u0661" as x1), while
-# \s stays Unicode, as str.split in parse_expr is.  An x before such a digit
-# is skipped, so the error names the digit; a bare x is named itself.
-_TOKEN = re.compile(r"x[0-9]+|[0-9]+|[+\-*()\[\],]")
+# One token: a run of letters joined by * with no space (x1*x2*x3), an integer
+# literal, or one punctuation character.  _SCAN adds the spaces before it and,
+# as group 2, the first other non-space character; every _SCAN match starts
+# where the last one ended, so one finditer scan reads the whole line.  Digits
+# are ASCII ([0-9]): \d would also match other scripts' digits, which int()
+# reads ("x\u0661" as x1), while \s stays Unicode, as str.split in parse_expr
+# is.  An x before such a digit is skipped, so the error names the digit; a
+# bare x is named itself.  A run stops before a * that no letter follows.
+_TOKEN = re.compile(r"x[0-9]+(?:\*x[0-9]+)*|[0-9]+|[+\-*()\[\],]")
 _SCAN = re.compile(rf"\s*(?:({_TOKEN.pattern})|(?:x(?=\d))?(\S))")
 
 
@@ -75,14 +77,28 @@ class _ExprParser:
         self.line = line
         self.i = 0
 
-    def fail(self, msg: str, i: int):
-        """Raise msg at the column of token i, or just past the last token."""
+    def fail(self, msg: str, i: int, offset: int = 0):
+        """Raise msg at the column offset characters into token i, or just
+        past the last token."""
         pairs = _tokenize(self.text, self.line)
         if i < len(pairs):
-            col = pairs[i][1]
+            col = pairs[i][1] + offset
         else:
             col = pairs[-1][1] + len(pairs[-1][0])
         raise ParseError(msg, self.line, col)
+
+    def bad_letter(self, run: str, i: int):
+        """Raise at the first letter of the run (token i) that is not a
+        declared variable, at that letter's own column."""
+        offset = 0
+        for letter in run.split("*"):
+            try:
+                vid = int(letter[1:])
+            except ValueError:
+                self.fail(_too_long(letter[1:], "variable id"), i, offset)
+            if vid < 1 or vid not in self.ctx.degrees:
+                self.fail(f"variable {letter} is not declared", i, offset)
+            offset += len(letter) + 1
 
     def expect(self, tok):
         if self.tokens[self.i] != tok:
@@ -91,8 +107,11 @@ class _ExprParser:
 
     def parse(self) -> FreePoly:
         p = self.expr()
-        if self.tokens[self.i] is not None:
-            self.fail(f"trailing input {self.tokens[self.i]!r}", self.i)
+        tok = self.tokens[self.i]
+        if tok is not None:
+            if tok[0] == "x":  # a run of letters: its first letter is named
+                tok = tok.partition("*")[0]
+            self.fail(f"trailing input {tok!r}", self.i)
         return p
 
     def expr(self) -> FreePoly:
@@ -117,7 +136,10 @@ class _ExprParser:
         A run of letters and integer literals is one word and one
         coefficient; terms_product joins the run so far to a ( or [ factor.
         No FreePoly is built until the whole expression is read, so each
-        letter's declaration is checked a fixed number of times.
+        letter's declaration is checked a fixed number of times.  A run of
+        letters is one token, read and checked by C-level calls (split, int,
+        a set comparison); only a run that fails the check is walked letter
+        by letter, to name the letter.
         """
         tokens = self.tokens
         declared = self.ctx.degrees
@@ -131,12 +153,12 @@ class _ExprParser:
                 self.fail("unexpected end of expression", i)
             if tok[0] == "x":
                 try:
-                    vid = int(tok[1:])
-                except ValueError:
-                    self.fail(_too_long(tok[1:], "variable id"), i)
-                if vid < 1 or vid not in declared:
-                    self.fail(f"variable {tok} is not declared", i)
-                word.append(vid)
+                    ids = list(map(int, tok[1:].split("*x")))
+                except ValueError:  # an id longer than int() reads
+                    self.bad_letter(tok, i)
+                if not (declared.keys() >= set(ids) and min(ids) >= 1):
+                    self.bad_letter(tok, i)
+                word += ids
                 i += 1
             elif tok.isdigit():
                 try:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .certs import JCombination, JTerm, Move, MoveError, RewriteChain, path_rule_holds
+from .certs import (JCombination, JTerm, Move, MoveError, RewriteChain, _reversed_blocks,
+                    path_rule_holds)
 from .freealg import Context, FreePoly, Word, is_multilinear_word, multidegree, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import ContractError, Witness, keyed_witness
@@ -143,10 +144,13 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     Neither word is walked: by move_path, a move that obeys its degree rule
     permutes n's path as it permutes n, so each move permutes seq alike, and
     n's path is path_m read through seq.  Each move's degree rule is checked
-    from those rows (path_rule_holds).  A scalar variable that occurs more
-    than once in m is then paired again in position order, as _by_variable
-    pairs it (see _ties); on multilinear words there are no ties.  Each move
-    costs O(L) at C speed for words of length L, and sorts no path.
+    from those rows (path_rule_holds).  The move's bounds k < (p0 <) r0 < e
+    <= L are nonnegative and increasing, so each move is built unchecked
+    (Move._make) and applied to seq by slices.  A scalar variable that
+    occurs more than once in m is then paired again in position order, as
+    _by_variable pairs it (see _ties); on multilinear words there are no
+    ties.  Each move costs O(L) at C speed for words of length L, and sorts
+    no path.
     """
     ties = _ties(path_m, order_m) if repeats else []
     seq = _pairing(order_n, order_m)
@@ -163,13 +167,15 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         p0 = seq.index(t, k)
         e = seq.index(t - 1, k) + 1
         if p0 > k:
-            mv, cuts = Move("reverse3", k, (p0 - k, r0 - p0, e - r0)), (p0, r0, e)
+            bounds = (k, p0, r0, e)
+            mv = Move._make(("reverse3", k, (p0 - k, r0 - p0, e - r0)))
         else:
-            mv, cuts = Move("swap0", k, (r0 - k, e - r0)), (r0, e)
-        ends = [path_m[seq[c - 1]][2] for c in cuts]
+            bounds = (k, r0, e)
+            mv = Move._make(("swap0", k, (r0 - k, e - r0)))
+        ends = [path_m[seq[c - 1]][2] for c in bounds[1:]]
         if not path_rule_holds(mv.kind, path_m[seq[k]][1], ends):
             raise MoveError("move violates its degree side-conditions")
-        seq = mv.apply(seq)
+        seq = _reversed_blocks(seq, *bounds)
         for run in ties:
             for i, j in zip(sorted(map(seq.index, run)), run):
                 seq[i] = j

@@ -7,7 +7,7 @@ import random
 import re
 
 from gpi import certs
-from gpi.dsl import ParseError, _tokenize
+from gpi.dsl import ParseError
 from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
                          word_degree)
 from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_entry,
@@ -240,8 +240,9 @@ _OLD_TOKEN = re.compile(r"\s*(?:(x[0-9]+)|([0-9]+)|([+\-*()\[\],]))")
 
 
 def old_tokenize(text: str, line: int):
-    """One re.match per token: the tokens and errors dsl._tokenize must match.
-    An error names the first character outside a token, or the digit after
+    """One re.match per token, one letter a token: the errors dsl._tokenize
+    must give, and its tokens once each run of letters is split at its *s
+    (see test_dsl.test_tokenizer_matches_per_token_oracle).  An error names the first character outside a token, or the digit after
     it when that character is an x followed by a non-ASCII decimal digit."""
     pos = 0
     out = []
@@ -335,7 +336,11 @@ class _OldExprParser:
         if tok.startswith("x"):
             col = self.col()
             self.take()
-            vid = int(tok[1:])
+            try:
+                vid = int(tok[1:])
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"variable id of {len(tok) - 1} digits is too long to read",
+                                 self.line, col) from None
             if vid < 1 or vid not in self.ctx.degrees:
                 raise ParseError(f"variable {tok} is not declared", self.line, col)
             return {(vid,): 1}
@@ -348,7 +353,7 @@ class _OldExprParser:
 
 def old_parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
     """The polynomial or the ParseError dsl.parse_expr must give."""
-    tokens = _tokenize(text, line)
+    tokens = old_tokenize(text, line)
     if not tokens:
         raise ParseError("empty expression", line)
     return _OldExprParser(ctx, tokens, line).parse()

@@ -307,6 +307,23 @@ class TestHostileCertificates:
         cert.write_text(json.dumps(doc))
         self.assert_rejected(capsys, cert)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("no start", "missing field 'start'"),
+        ("no moves", "missing field 'moves'"),
+        ("payload list", "payload must be a JSON object"),
+    ])
+    def test_missing_or_mistyped_payload_field(self, tmp_path, capsys, edit, message):
+        _, out, _ = run(capsys, "congruent", write(tmp_path, "f.gpi", CONG_FILE))
+        doc = json.loads(out)
+        if edit == "payload list":
+            doc["payload"] = [1]
+        else:
+            del doc["payload"][edit.split()[1]]
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
+
     def reduction_doc(self, tmp_path, capsys):
         f = write(tmp_path, "g1.gpi", GEN1_FILE)
         code, out, _ = run(capsys, "z3reduce", f)
@@ -531,13 +548,36 @@ class TestPositionalMoves:
         ["swap0", 2, 2], ["swap0", 2, 2, 1, 1], ["reverse3", 2, 1, 1], ["swap0"], [],
         ["rotate", 2, 2, 1], [2, 2, 2, 1], [["swap0"], 2, 2, 1], "swap0", {"kind": "swap0"},
         ["swap0", 3, 2, 1], ["swap0", -1, 2, 1], ["reverse3", 0, 1, 1, 4],
+        ["reverse3", 0, 1, 0, 1],
     ])
     def test_malformed_move_exit_2(self, tmp_path, capsys, move):
+        """Each bad move is named with the checked Move constructor's
+        message, or the type or fit message, whatever the loader skips."""
         doc = self.express_doc(tmp_path, capsys)
         doc["payload"]["terms"][1]["chain"]["moves"] = [move]
         code, out, err = self.verify(tmp_path, capsys, doc)
         assert code == 2 and out == ""
         assert err.startswith("gpi: ") and err.count("\n") == 1
+        want = self.SHAPE_ERRORS.get(
+            json.dumps(move), "move 0 is not [kind, offset, len, ...] with integer offset and lengths")
+        assert err.endswith(f": {want}\n")
+
+    # the message of each well-typed bad move above; term 1's source has 5 letters
+    SHAPE_ERRORS = {
+        '["rotate", 2, 2, 1]': "move 0: unknown move kind 'rotate'",
+        '["swap0", 2, 2]': "move 0: swap0 takes 2 blocks",
+        '["swap0", 2, 2, 1, 1]': "move 0: swap0 takes 2 blocks",
+        '["reverse3", 2, 1, 1]': "move 0: reverse3 takes 3 blocks",
+        '["swap0", -1, 2, 1]': "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["swap0", 2, 0, 1]': "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["swap0", 2, 2, -1]': "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["reverse3", 0, 1, 0, 1]':
+            "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["swap0", 3, 2, 1]':
+            "move 0: offset 3 and block lengths [2, 1] do not fit a word of length 5",
+        '["reverse3", 0, 1, 1, 4]':
+            "move 0: offset 0 and block lengths [1, 1, 4] do not fit a word of length 5",
+    }
 
     def test_moves_not_a_list_exit_2(self, tmp_path, capsys):
         doc = self.express_doc(tmp_path, capsys)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import support
 
@@ -69,20 +71,37 @@ def _tokens_or_error(tokenize, text):
         return str(e), e.line, e.col
 
 
+def _letters(pairs):
+    """The (token, column) pairs with each run of letters split into its
+    letters and *s, each at its own column."""
+    out = []
+    for tok, col in pairs:
+        for piece in re.split(r"(\*)", tok) if tok[0] == "x" else [tok]:
+            out.append((piece, col))
+            col += len(piece)
+    return out
+
+
 def test_tokenizer_matches_per_token_oracle():
     """One finditer scan gives the tokens, columns and errors of the
-    per-token re.match loop it replaced (support.old_tokenize)."""
+    per-token re.match loop it replaced (support.old_tokenize), once each
+    run of letters it reads as one token is split into its letters."""
     rand = support.rng(111)
     alphabet = "x0123456789+-*()[],.a#_ \t\u00a0\u0663"
-    texts = ["", "   ", "x", "x1 ", "  $", "x12x3", "1x", "x\u0661\u0662 + 2", "x1 +\u2003x2"]
+    texts = ["", "   ", "x", "x1 ", "  $", "x12x3", "1x", "x\u0661\u0662 + 2", "x1 +\u2003x2",
+             "x1*x2", "x1 *x2", "2*x1*x3x4", "x1*x", "x1*x\u0663"]
     texts += ["".join(rand.choice(alphabet) for _ in range(rand.randint(0, 12)))
               for _ in range(5000)]
-    errors = 0
+    errors = runs = 0
     for text in texts:
         got = _tokens_or_error(_tokenize, text)
+        if isinstance(got, list):
+            runs += any("*" in tok for tok, _ in got if tok[0] == "x")
+            got = _letters(got)
         assert got == _tokens_or_error(support.old_tokenize, text), text
         errors += isinstance(got, tuple)
     assert 100 < errors < len(texts) - 100
+    assert runs >= 2
 
 
 class TestFile:
@@ -215,7 +234,15 @@ def test_parser_matches_factor_by_factor_oracle():
     c = ctx()
     texts = ["2*x1*3*x2", "0*x1*x2", "x1*0*x9", "2*(x1+x2)*3*x3", "x1*[x2, x3]*x4*2",
              "x1*x2 - x1*x2", "2*x1 + 3*x1 - 5*x1", "x1*x9", "(x1 + x2", "x1 x2", "x1 *",
-             "[x1, x2", "x1 + $", "-(x1)*x2*(x3 - x4)*0", "--x1", ""]
+             "[x1, x2", "x1 + $", "-(x1)*x2*(x3 - x4)*0", "--x1", "",
+             "x1*x9*x2", "x1*x0", "x1*x2*x0*x9", "2*x1*x3*x02 - x1", "x4*x1*x2*x3*x4 + x3",
+             f"x1 + x2*x{'7' * 5000}*x9", f"x2*x1*x{'0' * 5000}1"]
+    # a bad letter inside a run of letters is named at its own column
+    for text, col, msg in [("x1*x9*x2", 4, "variable x9 is not declared"),
+                           ("x1*x0", 4, "variable x0 is not declared"),
+                           (f"x1 + x2*x{'7' * 5000}*x9", 9,
+                            "variable id of 5000 digits is too long to read")]:
+        assert _poly_or_error(parse_expr, c, text) == (f"line 5, column {col}: {msg}", 5, col)
     texts += [_random_expr(rand) for _ in range(3000)]
     errors = flat = 0
     for text in texts:

@@ -349,8 +349,11 @@ class TestChainBuilder:
         assert ties > 30
 
     def test_express_terms_match_rewalking_builder(self):
+        """The producer's moves are the rewalking builder's, and each is a
+        move the checked constructor accepts, within its term's source: the
+        producer builds them unchecked (Move._make)."""
         rand = support.rng(311)
-        terms = 0
+        terms = repeated = 0
         for grading in _chain_gradings():
             for _ in range(25):
                 c = support.random_context(rand, grading, rand.choice((3, 6)))
@@ -362,9 +365,13 @@ class TestChainBuilder:
                 for t in comb.terms:
                     assert t.moves == tuple(
                         support.old_chain_moves(c, t.target, t.source))
+                    for mv in t.moves:
+                        assert type(mv) is Move and Move(*mv) == mv
+                        assert mv.end <= len(t.source)
                     terms += 1
+                    repeated += bool(t.moves) and len(set(t.source)) < len(t.source)
                 assert verify_combination(comb, claimed=f)
-        assert terms > 100
+        assert terms > 100 and repeated > 30
 
 
 def _walks(rand, c, base, skew=0):
