@@ -270,15 +270,15 @@ def _children(node: CertNode) -> list[CertNode]:
     return []
 
 
-def cert_nodes(root: CertNode) -> list[CertNode]:
-    """The distinct nodes of a certificate DAG, each once, children first.
+def _post_order(root, children) -> list:
+    """The distinct nodes reachable from root, each once, children first.
 
     Nodes are told apart by identity, so a subproof shared by several
     parents appears once.  The order is the post-order of a depth-first
-    walk that takes children left to right; it is deterministic, and it
-    is iterative, so depth costs no stack.
+    walk that takes children(node) left to right; it is deterministic, and
+    it is iterative, so depth costs no stack.
     """
-    order: list[CertNode] = []
+    order: list = []
     seen: set[int] = set()
     stack = [(root, False)]
     while stack:
@@ -288,8 +288,13 @@ def cert_nodes(root: CertNode) -> list[CertNode]:
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
+            stack.extend((child, False) for child in reversed(children(node)))
     return order
+
+
+def cert_nodes(root: CertNode) -> list[CertNode]:
+    """The distinct nodes of a certificate DAG, each once, children first."""
+    return _post_order(root, _children)
 
 
 def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly],
@@ -474,13 +479,6 @@ def _move_list(doc) -> list:
     return doc
 
 
-def _replay_size(pairs) -> None:
-    """Check, before any move is loaded, that the moves of every (word, moves)
-    pair fit one replay budget: the replay builds one running word per move,
-    and the running word keeps the length of its start."""
-    ReplayBudget().spend(sum(len(word) * len(moves) for word, moves in pairs))
-
-
 def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     """Version-3 moves, each checked to fit a running word of length size;
     no path is cut here, move_path cuts it on replay.
@@ -509,13 +507,16 @@ def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _explicit_moves(ctx: Context, word: Word, docs: list) -> tuple[Move, ...]:
-    """Version-1 or -2 moves, {kind, left, blocks, right}, every letter
-    checked.  Only these can name a context other than the running word,
-    which starts at word: such a move loads at offset len(word), past the
-    word's end, where move_path refuses it."""
-    moves = []
-    for doc in docs:
+def _explicit_moves(ctx: Context, source: Word, target: Word, chain: dict) -> tuple[Move, ...]:
+    """Version-1 or -2 moves, {kind, left, blocks, right}, on the running
+    word from the chain's own start, every letter checked.  A move whose
+    letters are not the running word loads at offset len(word), and a chain
+    whose start and end are not the term's source and target gets one more
+    move at offset len(source): both lie past the word's end, where
+    move_path refuses them."""
+    word = start = _declared_word(ctx, chain["start"])
+    end, moves = _declared_word(ctx, chain["end"]), []
+    for doc in _move_list(chain["moves"]):
         left, right = tuple(doc["left"]), tuple(doc["right"])
         blocks = tuple(tuple(b) for b in doc["blocks"])
         mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
@@ -524,37 +525,37 @@ def _explicit_moves(ctx: Context, word: Word, docs: list) -> tuple[Move, ...]:
         else:
             mv = Move(mv.kind, len(word), mv.lengths)
         moves.append(mv)
+    if (start, end) != (source, target):
+        moves.append(Move("swap0", len(source), (1, 1)))
     return tuple(moves)
 
 
-def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
-    start, end = _declared_word(ctx, doc["start"]), _declared_word(ctx, doc["end"])
-    moves = _move_list(doc["moves"])
+def _load_terms(ctx: Context, version: int, fields) -> tuple[JTerm, ...]:
+    """The terms whose (coeff, source, target, chain) come from fields, each
+    chain's moves read in the same pass: explicit moves in versions 1 and 2,
+    the move list in version 3, whose moves load once the replay fits one
+    budget (a running word as long as the source per move)."""
+    terms = [(coeff, source, target, _explicit_moves(ctx, source, target, chain)
+              if version < 3 else _move_list(chain["moves"]))
+             for coeff, source, target, chain in fields]
     if version < 3:
-        return RewriteChain(ctx, start, _explicit_moves(ctx, start, moves), end)
-    _replay_size([(start, moves)])
-    return RewriteChain(ctx, start, _positional_moves(len(start), moves), end)
+        return tuple(JTerm(*t) for t in terms)
+    ReplayBudget().spend(sum(len(source) * len(moves) for _, source, _, moves in terms))
+    return tuple(JTerm(coeff, source, target, _positional_moves(len(source), moves))
+                 for coeff, source, target, moves in terms)
+
+
+def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
+    """The chain's one term (1, start, end); the payload is its own chain."""
+    (t,) = _load_terms(ctx, version, [(1, _declared_word(ctx, doc["start"]),
+                                       _declared_word(ctx, doc["end"]), doc)])
+    return RewriteChain(ctx, t.source, t.moves, t.target)
 
 
 def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
-    if version < 3:  # each term's chain wrote its own start and end
-        loaded = []
-        for t in doc["terms"]:
-            coeff, source = _integer(t["coeff"]), _declared_word(ctx, t["source"])
-            target, chain = _declared_word(ctx, t["target"]), t["chain"]
-            start, end = _declared_word(ctx, chain["start"]), _declared_word(ctx, chain["end"])
-            moves = _explicit_moves(ctx, start, _move_list(chain["moves"]))
-            if (start, end) != (source, target):  # one more move, which move_path refuses
-                moves += (Move("swap0", len(source), (1, 1)),)
-            loaded.append(JTerm(coeff, source, target, moves))
-        return JCombination(ctx, tuple(loaded))
-    terms = [(_integer(t["coeff"]), _declared_word(ctx, t["source"]),
-              _declared_word(ctx, t["target"]), _move_list(t["chain"]["moves"]))
-             for t in doc["terms"]]
-    _replay_size((source, moves) for _, source, _, moves in terms)
-    return JCombination(ctx, tuple(
-        JTerm(coeff, source, target, _positional_moves(len(source), moves))
-        for coeff, source, target, moves in terms))
+    return JCombination(ctx, _load_terms(ctx, version, (
+        (_integer(t["coeff"]), _declared_word(ctx, t["source"]),
+         _declared_word(ctx, t["target"]), t["chain"]) for t in doc["terms"])))
 
 
 # --- wire format: reduction certificates --------------------------------------
@@ -646,36 +647,13 @@ def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
     raise CertificateFormatError(f"unknown certificate op {op!r}")
 
 
-def _tree_to_table(root) -> list:
-    """A version-1 nested tree as a node table with no sharing, iteratively."""
-    table: list = []
-    done: list[int] = []  # table rows of finished subtrees, in order
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not isinstance(node, dict):
-            raise CertificateFormatError("a certificate node is a JSON object")
-        op = node.get("op")
-        if op == "sum":
-            children = [ch for _, ch in node["children"]]
-        elif op in ("context", "subst"):
-            children = [node["child"]]
-        else:
-            children = []
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in reversed(children))
-            continue
-        refs = done[len(done) - len(children):]
-        del done[len(done) - len(children):]
-        entry = dict(node)
-        if op == "sum":
-            entry["children"] = [[c, r] for (c, _), r in zip(node["children"], refs)]
-        elif children:
-            entry["child"] = refs[0]
-        done.append(len(table))
-        table.append(entry)
-    return table
+def _tree_children(entry) -> list:
+    """The nodes nested in a node of a version-1 tree, in order."""
+    if not isinstance(entry, dict):
+        raise CertificateFormatError("a certificate node is a JSON object")
+    if entry.get("op") == "sum":
+        return [ch for _, ch in entry["children"]]
+    return [entry["child"]] if entry.get("op") in ("context", "subst") else []
 
 
 def reduction_to_json(cert: ReductionCertificate) -> dict:
@@ -689,21 +667,23 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
 
 
 def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCertificate:
-    """Build the DAG from its node table; a version-1 tree is flattened first.
+    """Build the DAG from its node table, or a version-1 tree's nodes in walk order.
 
-    Every child reference and the root must be an int naming an earlier row,
-    so the rows load in one pass and no cycle can be written.
+    Every child reference and the root must be an int naming an earlier row (a tree's
+    child is named by its row), so the rows load in one pass and no cycle can be written.
     """
     if version == 1:
-        table = _tree_to_table(doc["root"])
-        root = len(table) - 1
+        table = _post_order(doc["root"], _tree_children)
+        rows, root = {id(entry): i for i, entry in enumerate(table)}, len(table) - 1
     else:
-        table, root = doc["nodes"], doc["root"]
+        table, root, rows = doc["nodes"], doc["root"], None
     if not isinstance(table, list):
         raise CertificateFormatError("reduction nodes must be a JSON list")
     nodes: list[CertNode] = []
 
     def ref(i) -> CertNode:
+        if rows is not None:
+            i = rows[id(i)]
         if type(i) is not int or not 0 <= i < len(nodes):
             raise CertificateFormatError(
                 f"node {len(nodes)}: reference {i!r} does not name an earlier node")
