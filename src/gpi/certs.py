@@ -33,6 +33,7 @@ REDUCTION_VERSION = 2  # reduction documents: a node table
 # Version 1 wrote a reduction as a nested tree; versions 1 and 2 wrote
 # chain and jcomb moves with their whole contexts.
 READ_VERSIONS = {"chain": (1, 2, 3), "jcomb": (1, 2, 3), "reduction": (1, 2)}
+_GENERATOR_KINDS = {kind.value: kind for kind in GeneratorKind}
 
 
 class CertificateFormatError(ValueError):
@@ -68,7 +69,7 @@ class Move(_MoveFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, offset: int, lengths: tuple[int, ...]):
-        if kind not in MOVE_FAMILIES:
+        if not (isinstance(kind, str) and kind in MOVE_FAMILIES):
             raise MoveError(f"unknown move kind {kind!r}")
         arity = MOVE_FAMILIES[kind][1]
         if len(lengths) != arity:
@@ -405,12 +406,12 @@ def vars_to_json(ctx: Context) -> dict:
 
 def context_from_json(doc: dict) -> Context:
     try:
-        gdoc = doc["group"]
-        rows = tuple(gdoc["table"])
+        gdoc = _object(doc["group"], "group")
+        rows = _entries(gdoc["table"], "group table")
         check_order(len(rows))  # before the per-entry pass over n^2 entries
-        group = FiniteGroup(tuple(tuple(_integer(x) for x in r) for r in rows),
-                           tuple(gdoc.get("names", ())))
-        grading = GradingTuple(group, tuple(_integer(g) for g in doc["grading"]))
+        table = tuple(tuple(map(_integer, _entries(r, "a table row"))) for r in rows)
+        group = FiniteGroup(table, _entries(gdoc.get("names", ()), "group names"))
+        grading = GradingTuple(group, tuple(map(_integer, _entries(doc["grading"], "grading"))))
         vars_doc = doc["vars"]
         if not isinstance(vars_doc, dict):
             raise TypeError("vars is not a JSON object")
@@ -514,13 +515,14 @@ def _explicit_moves(ctx: Context, source: Word, target: Word, chain: dict) -> tu
     whose start and end are not the term's source and target gets one more
     move at offset len(source): both lie past the word's end, where
     move_path refuses them."""
-    word = start = _declared_word(ctx, chain["start"])
-    end, moves = _declared_word(ctx, chain["end"]), []
+    word = start = _declared_word(ctx, chain["start"], "start")
+    end, moves = _declared_word(ctx, chain["end"], "end"), []
     for doc in _move_list(chain["moves"]):
-        left, right = tuple(doc["left"]), tuple(doc["right"])
-        blocks = tuple(tuple(b) for b in doc["blocks"])
+        doc = _object(doc, "a move")
+        left, right = _entries(doc["left"], "left"), _entries(doc["right"], "right")
+        blocks = tuple(_entries(b, "a block") for b in _entries(doc["blocks"], "blocks"))
         mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
-        if _declared_word(ctx, left + sum(blocks, ()) + right) == word:  # one pass
+        if _declared_word(ctx, left + sum(blocks, ()) + right, "a move") == word:  # one pass
             word = mv.apply(word)
         else:
             mv = Move(mv.kind, len(word), mv.lengths)
@@ -531,10 +533,11 @@ def _explicit_moves(ctx: Context, source: Word, target: Word, chain: dict) -> tu
 
 
 def _load_terms(ctx: Context, version: int, fields) -> tuple[JTerm, ...]:
-    """The terms whose (coeff, source, target, chain) come from fields, each
-    chain's moves read in the same pass: explicit moves in versions 1 and 2,
-    the move list in version 3, whose moves load once the replay fits one
-    budget (a running word as long as the source per move)."""
+    """The terms whose fields (coeff, source, target, chain) come, one term
+    at a time, from fields.  The pass that reads them reads each chain's
+    moves too: explicit moves in versions 1 and 2, the move list in version
+    3, whose moves load once the replay fits one budget (one running word,
+    as long as the source, per move)."""
     terms = [(coeff, source, target, _explicit_moves(ctx, source, target, chain)
               if version < 3 else _move_list(chain["moves"]))
              for coeff, source, target, chain in fields]
@@ -547,15 +550,17 @@ def _load_terms(ctx: Context, version: int, fields) -> tuple[JTerm, ...]:
 
 def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
     """The chain's one term (1, start, end); the payload is its own chain."""
-    (t,) = _load_terms(ctx, version, [(1, _declared_word(ctx, doc["start"]),
-                                       _declared_word(ctx, doc["end"]), doc)])
+    (t,) = _load_terms(ctx, version, [(1, _declared_word(ctx, doc["start"], "start"),
+                                       _declared_word(ctx, doc["end"], "end"), doc)])
     return RewriteChain(ctx, t.source, t.moves, t.target)
 
 
 def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
+    terms = (_object(t, "a jcomb term") for t in _entries(doc["terms"], "terms"))
     return JCombination(ctx, _load_terms(ctx, version, (
-        (_integer(t["coeff"]), _declared_word(ctx, t["source"]),
-         _declared_word(ctx, t["target"]), t["chain"]) for t in doc["terms"])))
+        (_integer(t["coeff"]), _declared_word(ctx, t["source"], "source"),
+         _declared_word(ctx, t["target"], "target"), _object(t["chain"], "a term's chain"))
+        for t in terms)))
 
 
 # --- wire format: reduction certificates --------------------------------------
@@ -564,9 +569,13 @@ def generator_to_json(g: GeneratorInstance) -> dict:
     return {"kind": g.kind.value, "parts": [list(p) for p in g.parts]}
 
 
-def generator_from_json(ctx: Context, doc: dict) -> GeneratorInstance:
-    return make_generator(GeneratorKind(doc["kind"]), ctx,
-                          tuple(tuple(p) for p in doc["parts"]))
+def generator_from_json(ctx: Context, doc) -> GeneratorInstance:
+    doc = _object(doc, "a generator")
+    kind = _GENERATOR_KINDS.get(_integer(doc["kind"]))
+    if kind is None:
+        raise CertificateFormatError(f"unknown generator kind {doc['kind']}")
+    return make_generator(kind, ctx, tuple(
+        _declared_word(ctx, p, "a generator part") for p in _entries(doc["parts"], "parts")))
 
 
 def _lieword_to_json(lw):
@@ -574,6 +583,27 @@ def _lieword_to_json(lw):
         return lw
     l, r = lw
     return [_lieword_to_json(l), _lieword_to_json(r)]
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise CertificateFormatError(f"{what} must be a JSON object")
+    return doc
+
+
+def _entries(doc, what: str) -> tuple:
+    """The entries of a JSON list; a string or an object iterates too, to
+    its characters or keys."""
+    try:
+        return tuple(doc)
+    except TypeError:  # null, a boolean or a number
+        raise CertificateFormatError(f"{what} must be a JSON list") from None
+
+
+def _pair(doc, what: str) -> list:
+    if not (isinstance(doc, list) and len(doc) == 2):
+        raise CertificateFormatError(f"{what} must be a JSON list of two entries")
+    return doc
 
 
 def _integer(doc) -> int:
@@ -599,13 +629,13 @@ def _declared(ctx: Context, var) -> int:
 
 def _lieword_from_json(ctx: Context, doc):
     if isinstance(doc, list):
-        l, r = doc
+        l, r = _pair(doc, "a Lie word")
         return (_lieword_from_json(ctx, l), _lieword_from_json(ctx, r))
     return _declared(ctx, doc)
 
 
-def _declared_word(ctx: Context, doc) -> Word:
-    word, degrees = tuple(doc), ctx.degrees
+def _declared_word(ctx: Context, doc, what: str) -> Word:
+    word, degrees = _entries(doc, what), ctx.degrees
     for v in word:
         if type(v) is not int or v not in degrees:
             _declared(ctx, v)  # raises, naming v
@@ -636,15 +666,20 @@ def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
     if op == "leaf":
         return CertLeaf(generator_from_json(ctx, entry["generator"]))
     if op == "sum":
-        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in entry["children"]))
+        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in _sum_children(entry)))
     if op == "context":
-        return CertContext(_declared_word(ctx, entry["left"]),
-                           _declared_word(ctx, entry["right"]), ref(entry["child"]))
+        return CertContext(_declared_word(ctx, entry["left"], "left"),
+                           _declared_word(ctx, entry["right"], "right"), ref(entry["child"]))
     if op == "subst":
+        images = (_pair(p, "an image") for p in _entries(entry["images"], "images"))
         return CertSubst(tuple((_declared(ctx, v), _lieword_from_json(ctx, lw))
-                               for v, lw in entry["images"]),
-                         ref(entry["child"]))
+                               for v, lw in images), ref(entry["child"]))
     raise CertificateFormatError(f"unknown certificate op {op!r}")
+
+
+def _sum_children(entry: dict) -> list:
+    """The [coeff, child] pairs of a sum node."""
+    return [_pair(p, "a sum child") for p in _entries(entry["children"], "children")]
 
 
 def _tree_children(entry) -> list:
@@ -652,7 +687,7 @@ def _tree_children(entry) -> list:
     if not isinstance(entry, dict):
         raise CertificateFormatError("a certificate node is a JSON object")
     if entry.get("op") == "sum":
-        return [ch for _, ch in entry["children"]]
+        return [ch for _, ch in _sum_children(entry)]
     return [entry["child"]] if entry.get("op") in ("context", "subst") else []
 
 

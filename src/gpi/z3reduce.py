@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
+from itertools import accumulate, chain, pairwise, product
 from typing import Callable
 
 from .certs import CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate
@@ -258,20 +259,24 @@ def _reduce2(ctx: Context, memo: dict, h1: Word, h2: Word, h3: Word) -> CertNode
     return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h1, h2, h3)))
 
 
-def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:
-    if H.kind is not GeneratorKind.TYPE1:
-        raise ReductionError("reduce_type1 expects a type-1 generator")
+def _reduce(H: GeneratorInstance, kind: GeneratorKind, step) -> ReductionCertificate:
+    """The certificate of H by the recursion step, built on a copy of H's
+    context: the copy gains the fresh variables that decompose declares, and
+    the caller's context stays as it was, so every reduction of one
+    generator writes the same certificate."""
+    if H.kind is not kind:
+        raise ReductionError(f"reduce_type{kind.value} expects a type-{kind.value} generator")
     _require_z3(H.ctx)
-    h1, h2 = H.parts
-    return ReductionCertificate(H.ctx, H, _reduce1(H.ctx, {}, h1, h2))
+    ctx = Context(H.ctx.grading, dict(H.ctx.degrees))
+    return ReductionCertificate(ctx, H, step(ctx, {}, *H.parts))
+
+
+def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:
+    return _reduce(H, GeneratorKind.TYPE1, _reduce1)
 
 
 def reduce_type2(H: GeneratorInstance) -> ReductionCertificate:
-    if H.kind is not GeneratorKind.TYPE2:
-        raise ReductionError("reduce_type2 expects a type-2 generator")
-    _require_z3(H.ctx)
-    h1, h2, h3 = H.parts
-    return ReductionCertificate(H.ctx, H, _reduce2(H.ctx, {}, h1, h2, h3))
+    return _reduce(H, GeneratorKind.TYPE2, _reduce2)
 
 
 # --- enumeration of the reduced shapes ----------------------------------------
@@ -282,48 +287,21 @@ def enumerate_reduced(grading, max_part_len: int = MAX_REDUCED_PART_LEN):
     A shape is a kind together with one degree per variable position;
     instances are built over a fresh context with ids 1, 2, 3, ...
     """
-    from itertools import product as iproduct
-
     if max_part_len < 1:
         raise ReductionError("part length bound must be at least 1")
     group = grading.group
-    one = group.identity_index
-    lengths = range(1, max_part_len + 1)
-    elements = range(group.order)
+    one, lengths = group.identity_index, range(1, max_part_len + 1)
+    # (kind, part lengths, the degree of each part): type-1 parts have trivial
+    # degree, type-2 outer parts the inverse of the middle part's
+    shapes = [(GeneratorKind.TYPE1, ls, (one, one)) for ls in product(lengths, repeat=2)]
+    shapes += [(GeneratorKind.TYPE2, ls, (group.inv(mid), mid, group.inv(mid)))
+               for ls in product(lengths, repeat=3) for mid in range(group.order)]
 
-    def tuples_with_product(length, target):
-        for degs in iproduct(elements, repeat=length):
-            if group.product(degs) == target:
-                yield degs
+    def degrees(length: int, target: int) -> list[tuple[int, ...]]:
+        """The degrees of a part of this length whose product is target."""
+        return [d for d in product(range(group.order), repeat=length)
+                if group.product(d) == target]
 
-    out = []
-    for la in lengths:
-        for lb in lengths:
-            for da in tuples_with_product(la, one):
-                for db in tuples_with_product(lb, one):
-                    out.append((GeneratorKind.TYPE1, (da, db)))
-    for la in lengths:
-        for lb in lengths:
-            for lc in lengths:
-                for mid in elements:
-                    outer = group.inv(mid)
-                    for da in tuples_with_product(la, outer):
-                        for db in tuples_with_product(lb, mid):
-                            for dc in tuples_with_product(lc, outer):
-                                out.append((GeneratorKind.TYPE2, (da, db, dc)))
-
-    instances = []
-    for kind, part_degs in out:
-        degrees = {}
-        parts = []
-        nxt = 1
-        for degs in part_degs:
-            word = []
-            for d in degs:
-                degrees[nxt] = d
-                word.append(nxt)
-                nxt += 1
-            parts.append(tuple(word))
-        ctx = Context(grading, degrees)
-        instances.append(make_generator(kind, ctx, tuple(parts)))
-    return instances
+    return [make_generator(kind, Context(grading, dict(enumerate(chain(*degs), start=1))),
+                           [range(a + 1, b + 1) for a, b in pairwise(accumulate(ls, initial=0))])
+            for kind, ls, targets in shapes for degs in product(*map(degrees, ls, targets))]

@@ -16,6 +16,7 @@ from gpi.dsl import ParsedFile, format_file
 from gpi.freealg import Context, FreePoly
 from gpi.groups import MAX_GROUP_ORDER, GradingTuple, cyclic_group, default_grading
 from gpi.rewrite import express_in_J
+from test_certs import V1_REDUCTION, documents_of_every_version
 
 ID_FILE = """\
 group: Z3
@@ -323,6 +324,64 @@ class TestHostileCertificates:
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(cert))
         assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
+
+    @pytest.mark.parametrize("kind, version, path, value, message", [
+        ("jcomb", 3, ["terms"], [[1]], "a jcomb term must be a JSON object"),
+        ("jcomb", 3, ["terms"], {"a": 1}, "a jcomb term must be a JSON object"),
+        ("jcomb", 3, ["terms", 0, "chain"], [], "a term's chain must be a JSON object"),
+        ("jcomb", 2, ["terms", 1, "chain", "moves", 0], [1], "a move must be a JSON object"),
+        ("jcomb", 3, ["terms", 0, "source"], 0, "source must be a JSON list"),
+        ("chain", 3, ["end"], 0, "end must be a JSON list"),
+        ("chain", 1, ["moves", 0, "blocks", 1], None, "a block must be a JSON list"),
+        ("reduction", 2, ["target", "parts"], 0, "parts must be a JSON list"),
+        ("reduction", 2, ["nodes", 6, "children", 0], [1, 0, 2],
+         "a sum child must be a JSON list of two entries"),
+        ("reduction", 1, ["root", "children", 1], True,
+         "a sum child must be a JSON list of two entries"),
+        ("reduction", 2, ["nodes", 1, "images", 0, 1], [2, 3, 4],
+         "a Lie word must be a JSON list of two entries"),
+        ("reduction", 2, ["nodes", 0, "generator", "kind"], 3, "unknown generator kind 3"),
+        ("reduction", 2, ["nodes", 0, "generator"], [1], "a generator must be a JSON object"),
+        ("chain", 3, ["..", "group"], 0, "group must be a JSON object"),
+        ("chain", 3, ["..", "grading"], None, "grading must be a JSON list"),
+        ("jcomb", 2, ["..", "group", "table", 1], 1.0, "a table row must be a JSON list"),
+    ])
+    def test_mistyped_field_is_named(self, tmp_path, capsys, kind, version, path, value,
+                                     message):
+        """A JSON value of the wrong type where an object, a list or a pair
+        belongs exits 2 with one line that names the field, not with
+        Python's message about indexing or unpacking it."""
+        doc = documents_of_every_version()[kind, version]
+        owner = doc if path[0] == ".." else doc["payload"]
+        for key in path[1 if path[0] == ".." else 0:-1]:
+            owner = owner[key]
+        assert owner[path[-1]] != value
+        owner[path[-1]] = value
+        cert = tmp_path / "mistyped.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
+
+    @pytest.mark.parametrize("spelling", [1.0, True])
+    @pytest.mark.parametrize("path", [
+        ["nodes", 0, "generator", "parts", 0, 0],
+        ["nodes", 0, "generator", "kind"],
+        ["target", "parts", 0, 0],
+        ["target", "kind"],
+    ])
+    def test_generator_integers_are_strict(self, tmp_path, capsys, path, spelling):
+        """A generator's kind and part letters are integers, as every other
+        letter is: 1.0 and true are not 1, though Python compares them equal."""
+        doc = documents_of_every_version()["reduction", 2]
+        owner = doc["payload"]
+        for key in path[:-1]:
+            owner = owner[key]
+        assert owner[path[-1]] == 1
+        owner[path[-1]] = spelling
+        cert = tmp_path / "spelled.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out, err) == (2, "", f"gpi: {cert}: expected an integer, got {spelling}\n")
 
     def reduction_doc(self, tmp_path, capsys):
         f = write(tmp_path, "g1.gpi", GEN1_FILE)
@@ -769,12 +828,33 @@ def _z3reduce_output(tmp_path_factory, text: str) -> dict:
     return copy.deepcopy(_REDUCED[text])
 
 
+def _reduction_source(tmp_path_factory, source: str) -> dict:
+    """V1_REDUCTION's nested tree, or `gpi z3reduce`'s node table for a problem text."""
+    if source == V1_REDUCTION:
+        return json.loads(V1_REDUCTION)
+    return _z3reduce_output(tmp_path_factory, source)
+
+
+def _reduction_nodes(payload: dict) -> list[dict]:
+    """The rows of a node table, or the nodes of a version-1 tree, parents first."""
+    if "nodes" in payload:
+        return payload["nodes"]
+    nodes, stack = [], [payload["root"]]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += [ch for _, ch in node.get("children", ())]
+        stack += [node["child"]] if "child" in node else []
+    return nodes
+
+
 def _reduction_sites(payload: dict, what: str) -> list:
-    """The (container, key) places that an edit of one kind may overwrite."""
+    """The (container, key) places that an edit of one kind may overwrite;
+    in a version-1 tree a child site holds a nested node."""
     sites = []
     if what == "letter":
         sites += [(p, i) for p in payload["target"]["parts"] for i in range(len(p))]
-    for node in payload["nodes"]:
+    for node in _reduction_nodes(payload):
         op = node["op"]
         if what == "op":
             sites.append((node, "op"))
@@ -794,16 +874,29 @@ def _reduction_sites(payload: dict, what: str) -> list:
 
 
 def _mutated_reduction(doc: dict, what: str, at: int, value) -> dict:
-    """doc with one op, child index, coefficient, letter, image or the root
-    overwritten, or one row dropped or duplicated."""
+    """doc with one op, child reference, coefficient, letter, image or the
+    root overwritten, or one node dropped or duplicated: a row of a table, or
+    a nested node of a version-1 tree, spliced out (a node below it, if any,
+    takes its place) or overwritten by a copy of another node."""
     payload = doc["payload"]
-    nodes = payload["nodes"]
+    nodes = payload.get("nodes")
     if what == "root":
         payload["root"] = value
-    elif what == "drop":
+    elif nodes is not None and what == "drop":
         del nodes[at % len(nodes)]
-    elif what == "duplicate":
+    elif nodes is not None and what == "duplicate":
         nodes.insert(at % (len(nodes) + 1), copy.deepcopy(nodes[at % len(nodes)]))
+    elif what in ("drop", "duplicate"):
+        sites = _reduction_sites(payload, "child")
+        owner, key = sites[at % len(sites)]
+        below = _reduction_nodes({"root": owner[key]})[1:]
+        if what == "duplicate":
+            tree = _reduction_nodes(payload)
+            owner[key] = copy.deepcopy(tree[at // len(sites) % len(tree)])
+        elif below:
+            owner[key] = below[0]
+        else:
+            del owner[key]
     else:
         sites = _reduction_sites(payload, what)
         owner, key = sites[at % len(sites)]
@@ -812,13 +905,14 @@ def _mutated_reduction(doc: dict, what: str, at: int, value) -> dict:
     return doc
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([GEN_FILE, GEN1_FILE]), _REDUCTION_EDIT)
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from([GEN_FILE, GEN1_FILE, V1_REDUCTION]), _REDUCTION_EDIT)
 def test_fuzz_reduction_documents(tmp_path_factory, text, edit):
-    """`gpi z3reduce` output with one field changed or one row dropped or
-    duplicated: `gpi verify` exits 0, 1 or 2 with at most one `gpi:` line."""
-    doc = _z3reduce_output(tmp_path_factory, text)
-    assert {"subst", "context"} <= {node["op"] for node in doc["payload"]["nodes"]}
+    """`gpi z3reduce` output, or a version-1 tree, with one field changed or
+    one node dropped or duplicated: `gpi verify` exits 0, 1 or 2 with at most
+    one `gpi:` line."""
+    doc = _reduction_source(tmp_path_factory, text)
+    assert {"subst", "context"} <= {node["op"] for node in _reduction_nodes(doc["payload"])}
     path = tmp_path_factory.getbasetemp() / "reduction.json"
     code, out, err = _verify_doc(path, _mutated_reduction(doc, *edit))
     assert code in (0, 1, 2)

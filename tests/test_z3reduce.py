@@ -4,7 +4,7 @@ import support
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
 from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_value,
-                       verify_certificate)
+                       dumps, reduction_to_json, verify_certificate)
 from gpi.z3reduce import (ReductionError, Side, decompose, enumerate_reduced,
                           nonzero_triple_forced, pull_zero_factor, reduce_type1,
                           reduce_type2, split_commutator, telescope)
@@ -220,6 +220,16 @@ class TestReduceType1:
         g = make_generator(GeneratorKind.TYPE1, c, ((1,), (2,)))
         with pytest.raises(ReductionError):
             reduce_type1(g)
+
+    def test_reducing_twice_writes_one_certificate(self):
+        """decompose declares fresh variables in the reduction's own copy of
+        the context, so the caller's context keeps its degrees and a second
+        reduction of the same generator writes the same bytes."""
+        c = ctx3({1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
+        g = make_generator(GeneratorKind.TYPE1, c, ((1, 2, 3, 4), (5,)))
+        first, second = (dumps(reduction_to_json(reduce_type1(g))) for _ in range(2))
+        assert first == second and len(first) == 644
+        assert g.ctx.degrees == {1: 1, 2: 1, 3: 2, 4: 2, 5: 0}
 
 
 class TestReduceType2:
