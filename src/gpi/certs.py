@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
-                      WeakSubstitution, Word)
+                      WeakSubstitution, Word, check_declared)
 from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, path_entry, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
 from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, expand,
-                       make_generator)
+                       generator_terms, make_generator)
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -264,11 +264,15 @@ CertNode = CertLeaf | CertSum | CertContext | CertSubst
 
 
 def _children(node: CertNode) -> list[CertNode]:
-    if isinstance(node, CertSum):
+    kind = type(node)
+    if kind is CertSum:
         return [child for _, child in node.children]
-    if isinstance(node, (CertContext, CertSubst)):
+    if kind is CertContext or kind is CertSubst:
         return [node.child]
     return []
+
+
+_VISITED = object()  # on the walk's stack: the node below it has its children done
 
 
 def _post_order(root, children) -> list:
@@ -277,19 +281,21 @@ def _post_order(root, children) -> list:
     Nodes are told apart by identity, so a subproof shared by several
     parents appears once.  The order is the post-order of a depth-first
     walk that takes children(node) left to right; it is deterministic, and
-    it is iterative, so depth costs no stack.
+    it is iterative, so depth costs no stack.  A node is pushed with a
+    sentinel above it and its children above that, so the node is popped
+    into the order once its children are.
     """
     order: list = []
     seen: set[int] = set()
-    stack = [(root, False)]
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node is _VISITED:
+            order.append(stack.pop())
         elif id(node) not in seen:
             seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children(node)))
+            stack += (node, _VISITED)
+            stack += reversed(children(node))
     return order
 
 
@@ -298,31 +304,42 @@ def cert_nodes(root: CertNode) -> list[CertNode]:
     return _post_order(root, _children)
 
 
-def _node_value(ctx: Context, node: CertNode, values: dict[int, FreePoly],
-                budget: ReplayBudget) -> FreePoly:
-    """The value of one node from its children's values.
+def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]],
+                budget: ReplayBudget) -> dict[Word, int]:
+    """The terms of one node's value (word -> nonzero coefficient), from its
+    children's terms.
 
-    A context node charges budget for the words it builds, a subst node
-    for every product it multiplies out, and a sum node one letter for
-    each child term it adds up, so a table of sums over one large value
-    is bounded too.
+    Each node checks only the letters it brings in against ctx, so every
+    value's letters are declared: a leaf through its generator, a context
+    node its left and right words, a subst node through WeakSubstitution's
+    own checks.  A context node charges budget for the words it builds, a
+    subst node what multiplying out builds, and a sum node one letter for
+    each child term it adds up, so a table of sums over one large value is
+    bounded too.
     """
-    if isinstance(node, CertLeaf):
-        return expand(node.generator)
-    if isinstance(node, CertSum):
-        budget.spend(sum(len(values[id(child)].terms) for _, child in node.children))
+    kind = type(node)
+    if kind is CertContext:
+        left, right = tuple(node.left), tuple(node.right)
+        check_declared(ctx, (left, right))
+        child = values[id(node.child)]
+        budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
+        return {left + w + right: c for w, c in child.items()}
+    if kind is CertSum:
+        budget.spend(sum(len(values[id(child)]) for _, child in node.children))
         terms: dict[Word, int] = {}
         for coeff, child in node.children:
-            for w, c in values[id(child)].terms.items():
+            for w, c in values[id(child)].items():
                 terms[w] = terms.get(w, 0) + coeff * c
-        return FreePoly(ctx, terms)
-    if isinstance(node, CertContext):
-        left, right = tuple(node.left), tuple(node.right)
-        child = values[id(node.child)].terms
-        budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
-        return FreePoly(ctx, {left + w + right: c for w, c in child.items()})
-    if isinstance(node, CertSubst):
-        return WeakSubstitution(ctx, dict(node.images))(values[id(node.child)], budget)
+        return {w: c for w, c in terms.items() if c}
+    if kind is CertLeaf:
+        g = node.generator
+        terms = generator_terms(g)
+        if g.ctx is not ctx:  # its letters were checked in its own context
+            check_declared(ctx, terms)
+        return terms
+    if kind is CertSubst:
+        mu = WeakSubstitution(ctx, dict(node.images))
+        return mu(FreePoly(ctx, values[id(node.child)]), budget).terms
     raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
 
 
@@ -332,11 +349,11 @@ def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
     The whole replay shares one ReplayBudget, so it raises
     ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
     """
-    values: dict[int, FreePoly] = {}
+    values: dict[int, dict[Word, int]] = {}
     budget = ReplayBudget()
     for node in nodes:
-        values[id(node)] = _node_value(ctx, node, values, budget)
-    return values[id(nodes[-1])]
+        values[id(node)] = _node_terms(ctx, node, values, budget)
+    return FreePoly(ctx, values[id(nodes[-1])])
 
 
 def cert_value(ctx: Context, node: CertNode) -> FreePoly:
@@ -409,8 +426,12 @@ def context_from_json(doc: dict) -> Context:
         gdoc = _object(doc["group"], "group")
         rows = _entries(gdoc["table"], "group table")
         check_order(len(rows))  # before the per-entry pass over n^2 entries
+        order = gdoc["order"]
+        if type(order) is not int or order != len(rows):
+            raise CertificateFormatError(
+                f"group order {order!r} is not the number of table rows, {len(rows)}")
         table = tuple(tuple(map(_integer, _entries(r, "a table row"))) for r in rows)
-        group = FiniteGroup(table, _entries(gdoc.get("names", ()), "group names"))
+        group = FiniteGroup(table, _entries(gdoc.get("names", []), "group names"))
         grading = GradingTuple(group, tuple(map(_integer, _entries(doc["grading"], "grading"))))
         vars_doc = doc["vars"]
         if not isinstance(vars_doc, dict):
@@ -522,7 +543,7 @@ def _explicit_moves(ctx: Context, source: Word, target: Word, chain: dict) -> tu
         left, right = _entries(doc["left"], "left"), _entries(doc["right"], "right")
         blocks = tuple(_entries(b, "a block") for b in _entries(doc["blocks"], "blocks"))
         mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
-        if _declared_word(ctx, left + sum(blocks, ()) + right, "a move") == word:  # one pass
+        if _declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move") == word:  # one pass
             word = mv.apply(word)
         else:
             mv = Move(mv.kind, len(word), mv.lengths)
@@ -592,12 +613,10 @@ def _object(doc, what: str) -> dict:
 
 
 def _entries(doc, what: str) -> tuple:
-    """The entries of a JSON list; a string or an object iterates too, to
-    its characters or keys."""
-    try:
-        return tuple(doc)
-    except TypeError:  # null, a boolean or a number
-        raise CertificateFormatError(f"{what} must be a JSON list") from None
+    """The entries of a JSON list; a string or an object is not one."""
+    if type(doc) is not list:
+        raise CertificateFormatError(f"{what} must be a JSON list")
+    return tuple(doc)
 
 
 def _pair(doc, what: str) -> list:

@@ -75,6 +75,14 @@ def word_degree(ctx: Context, w: Word) -> int:
     return g
 
 
+def check_declared(ctx: Context, words) -> None:
+    """Raise DeclarationError naming the first undeclared id in words."""
+    if not ctx.degrees.keys() >= set().union(*words):
+        for w in words:
+            for v in w:
+                ctx.degree(v)
+
+
 def word_key(w: Word):
     """Length-lexicographic canonical order on words."""
     return (len(w), w)
@@ -97,10 +105,7 @@ class FreePoly:
     def __init__(self, ctx: Context, terms: dict[Word, int] | None = None):
         self.ctx = ctx
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-        if not ctx.degrees.keys() >= set().union(*self.terms):
-            for w in self.terms:  # name the first undeclared id
-                for v in w:
-                    ctx.degree(v)
+        check_declared(ctx, self.terms)
 
     @classmethod
     def zero(cls, ctx: Context) -> "FreePoly":
@@ -291,22 +296,52 @@ class WeakSubstitution:
                     f"image of x{k} has degree {got}, expected {want}")
 
     def __call__(self, p: FreePoly, budget: ReplayBudget | None = None) -> FreePoly:
-        """The image of p, multiplied out in plain term dicts.
+        """The image of p, built one word at a time.
 
-        Each image is a Lie word's expansion, so its words have one length,
-        and so do the words of each partial product.  Every product is
-        charged to budget (a fresh one when none is given).
+        A word is sliced before and after each mapped letter.  Its image is
+        the slice before the first mapped letter, multiplied out, one
+        mapped letter at a time, by the letter's image followed by the
+        slice after it.  Before that, the budget (a fresh one when none is
+        given) is charged what multiplying the word out one letter at a
+        time would build (_substitution_charge).  That bounds every word
+        built from the slices: each step builds the words that end in a
+        mapped letter's image and, when the slice after it is not empty,
+        the words that end in that slice.
         """
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
         if budget is None:
             budget = ReplayBudget()
-        images = {k: _lie_terms(lw, budget) for k, lw in self.images.items()}
-        terms: dict[Word, int] = {}
+        images = {k: list(_lie_terms(lw, budget).items()) for k, lw in self.images.items()}
+        image: dict[Word, int] = {}
         for w, c in p.terms.items():
-            acc = {(): c}
-            for v in w:
-                acc = _charged_product(acc, images[v] if v in images else {(v,): 1}, budget)
-            for u, d in acc.items():
-                terms[u] = terms.get(u, 0) + d
-        return FreePoly(self.ctx, terms)
+            spots = [i for i, v in enumerate(w) if v in images]
+            factors = [images[w[i]] for i in spots]
+            budget.spend(_substitution_charge(len(w), spots, factors))
+            cuts = [w[a:b] for a, b in zip([0] + [i + 1 for i in spots], spots + [len(w)])]
+            acc = [(cuts[0], c)]
+            for terms, cut in zip(factors, cuts[1:]):
+                acc = [(u + x + cut, d * e) for u, d in acc for x, e in terms]
+            for u, d in acc:
+                image[u] = image.get(u, 0) + d
+        return FreePoly(self.ctx, image)
+
+
+def _substitution_charge(size: int, spots: list[int], factors: list[list]) -> int:
+    """What multiplying out a word of this size one letter at a time builds,
+    where the letter at spots[j] is mapped to the terms factors[j].
+
+    Each letter multiplies the product of the letters before it, n words
+    of length m, by its image, k words of length l, at a charge of
+    n k (m + l) (_charged_product).  An unmapped letter is its own image,
+    k = l = 1, so a run of r of them is charged n (m + 1) + ... + n (m + r)
+    in closed form.  An image with no terms makes n = 0: nothing after it
+    is built or charged.  A Lie word's expansion has words of one length.
+    """
+    n, m, prev, charge = 1, 0, 0, 0
+    for i, terms in zip(spots, factors):
+        r, k, l = i - prev, len(terms), len(terms[0][0]) if terms else 0
+        charge += n * (r * m + r * (r + 1) // 2) + n * k * (m + r + l)
+        n, m, prev = n * k, m + r + l, i + 1
+    r = size - prev
+    return charge + n * (r * m + r * (r + 1) // 2)

@@ -89,10 +89,14 @@ def make_generator(kind: GeneratorKind, ctx: Context, parts) -> GeneratorInstanc
 
 
 def expand(g: GeneratorInstance) -> FreePoly:
+    return FreePoly(g.ctx, generator_terms(g))
+
+
+def generator_terms(g: GeneratorInstance) -> dict[Word, int]:
     """The parts minus the parts reversed: [h1,h2] for type 1, h1h2h3 - h3h2h1
-    for type 2."""
-    return FreePoly(g.ctx, {tuple(v for p in g.parts for v in p): 1,
-                            tuple(v for p in reversed(g.parts) for v in p): -1})
+    for type 2.  The two words differ, since the parts are nonempty and
+    share no letter."""
+    return {sum(g.parts, ()): 1, sum(reversed(g.parts), ()): -1}
 
 
 def is_graded_identity(p: FreePoly) -> bool:

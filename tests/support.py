@@ -8,8 +8,8 @@ import re
 
 from gpi import certs
 from gpi.dsl import ParseError
-from gpi.freealg import (Context, FreePoly, WeakSubstitution, bracket, terms_product,
-                         word_degree)
+from gpi.freealg import (Context, FreePoly, ReplayBudget, WeakSubstitution, _charged_product,
+                         _lie_terms, bracket, terms_product, word_degree)
 from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_entry,
                         word_path)
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
@@ -490,6 +490,40 @@ def old_verify_combination(comb, claimed=None) -> bool:
         if w != end or word_entry(comb.ctx, start) != word_entry(comb.ctx, end):
             return False
     return claimed is None or comb.expansion() == claimed
+
+
+# --- the letter-by-letter substitution and the tuple-stack walk, as oracles ----
+
+def old_substitute(mu: WeakSubstitution, p: FreePoly, budget: ReplayBudget) -> FreePoly:
+    """The image of p under mu, each word multiplied out one letter at a
+    time, every product charged to budget before it is built: the terms and
+    the charge WeakSubstitution.__call__ must give."""
+    images = {k: _lie_terms(lw, budget) for k, lw in mu.images.items()}
+    terms: dict = {}
+    for w, c in p.terms.items():
+        acc = {(): c}
+        for v in w:
+            acc = _charged_product(acc, images[v] if v in images else {(v,): 1}, budget)
+        for u, d in acc.items():
+            terms[u] = terms.get(u, 0) + d
+    return FreePoly(mu.ctx, terms)
+
+
+def old_post_order(root, children) -> list:
+    """The walk certs._post_order must give: a stack of (node, expanded)
+    pairs, a node appended when it is popped the second time."""
+    order: list = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children(node)))
+    return order
 
 
 # --- chain and jcomb documents written back in format v2, as an oracle ---------

@@ -10,13 +10,16 @@ from pathlib import Path
 
 import pytest
 import support
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpi import certs, dsl, freealg, genmat, rewrite, z3reduce
-from gpi.certs import (CertContext, CertSubst, CertSum, JCombination, JTerm,
+from gpi.certs import (CertContext, CertLeaf, CertSubst, CertSum, JCombination, JTerm,
                        ReductionCertificate, RewriteChain, cert_nodes, verify_certificate,
                        verify_chain, verify_combination)
 from gpi.cli import _witness_json, main
-from gpi.freealg import Context, FreePoly
+from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
+                         WeakSubstitution)
 from gpi.genmat import eval_poly, eval_word_closed
 from gpi.identity import GeneratorKind, expand, identity_witness, make_generator
 from gpi.rewrite import congruence_chain, express_in_J
@@ -226,6 +229,98 @@ class TestReductionFormat:
         assert 0 < len(table) < tree_size(cert.root) // 10
         assert verify_certificate(certs.certificate_from_json(
             json.loads(certs.dumps(certs.reduction_to_json(cert)))))
+
+
+_VARS = tuple(range(1, 7))  # x1..x6, all of trivial degree, so every image is weak
+_LIE_WORDS = st.recursive(st.sampled_from(_VARS), lambda inner: st.tuples(inner, inner),
+                          max_leaves=4)
+_WORDS = st.lists(st.sampled_from(_VARS), max_size=3).map(tuple)
+_TRIVIAL = Context(Z3, dict.fromkeys(_VARS, 0))
+
+
+@st.composite
+def _dags(draw):
+    """A reduction DAG over x1..x6: type-1 leaves, then sums, contexts and
+    substitutions, each over nodes drawn from those before it, so nodes are
+    shared; the last node is the root."""
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm, a, b = draw(st.permutations(_VARS)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        nodes.append(CertLeaf(make_generator(GeneratorKind.TYPE1, _TRIVIAL,
+                                             (perm[:a], perm[a:a + b]))))
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(("sum", "context", "subst", "subst")))  # subst most often
+        earlier = st.sampled_from(nodes)
+        if op == "sum":
+            nodes.append(CertSum(tuple(draw(st.lists(st.tuples(st.integers(-2, 2), earlier),
+                                                     min_size=1, max_size=3)))))
+        elif op == "context":
+            nodes.append(CertContext(draw(_WORDS), draw(_WORDS), draw(earlier)))
+        else:
+            images = draw(st.dictionaries(st.sampled_from(_VARS), _LIE_WORDS,
+                                          min_size=1, max_size=2))
+            nodes.append(CertSubst(tuple(images.items()), draw(earlier)))
+    return nodes[-1]
+
+
+def _example_dag():
+    """Every case at once: x1 three times in a word, x1 -> [x2, x2] (which
+    expands to 0), a nested image, words with no mapped letter (those of
+    [x4, x5]), and a sum shared by two substitutions."""
+    leaf = CertLeaf(make_generator(GeneratorKind.TYPE1, _TRIVIAL, ((1, 2), (3,))))
+    other = CertLeaf(make_generator(GeneratorKind.TYPE1, _TRIVIAL, ((4,), (5,))))
+    shared = CertSum(((1, CertContext((1, 1), (), leaf)), (2, other)))
+    return CertSum(((1, CertSubst(((1, (2, 2)), (3, (4, (5, 6)))), shared)),
+                    (1, CertSubst(((1, (2, 3)),), shared))))
+
+
+def _image_or_refusal(substitute, mu, p, budget):
+    """The terms of substitute(mu, p, budget), or None when it is over budget."""
+    try:
+        return substitute(mu, p, budget).terms
+    except ReplayBudgetError:
+        return None
+
+
+class TestReplayOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(_dags())
+    @example(_example_dag())
+    def test_walk_and_substitution_match_the_old_ones(self, root):
+        """cert_nodes gives the tuple-stack walk's order, and every subst
+        node's image and charge are the letter-by-letter product's (an image
+        over budget is refused by both)."""
+        nodes = cert_nodes(root)
+        assert list(map(id, nodes)) == list(map(id, support.old_post_order(root, certs._children)))
+        values, budget = {}, ReplayBudget()
+        budget.left = 20_000  # so that a blow-up is refused fast
+        for node in nodes:
+            if isinstance(node, CertSubst):
+                mu = WeakSubstitution(_TRIVIAL, dict(node.images))
+                p, oracle = FreePoly(_TRIVIAL, values[id(node.child)]), ReplayBudget()
+                oracle.left = budget.left
+                got = _image_or_refusal(WeakSubstitution.__call__, mu, p, budget)
+                assert got == _image_or_refusal(support.old_substitute, mu, p, oracle)
+                if got is None:
+                    return
+                assert budget.left == oracle.left
+                values[id(node)] = got
+            else:
+                try:
+                    values[id(node)] = certs._node_terms(_TRIVIAL, node, values, budget)
+                except ReplayBudgetError:
+                    return
+
+    def test_each_node_checks_its_own_letters(self):
+        """x9 is not declared: a context node that names it is refused where
+        it is replayed, though a sum then cancels it and the root's value
+        never names it."""
+        c = Context(Z3, {1: 0, 2: 0})
+        leaf = CertLeaf(make_generator(GeneratorKind.TYPE1, c, ((1,), (2,))))
+        stray = CertContext((9,), (), leaf)
+        root = CertSum(((1, leaf), (1, CertSum(((1, stray), (-1, stray))))))
+        with pytest.raises(DeclarationError, match="x9 is not declared"):
+            verify_certificate(ReductionCertificate(c, leaf.generator, root))
 
 
 # sha256 of the documents below, as the reduction and encoder wrote them

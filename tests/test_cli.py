@@ -327,7 +327,7 @@ class TestHostileCertificates:
 
     @pytest.mark.parametrize("kind, version, path, value, message", [
         ("jcomb", 3, ["terms"], [[1]], "a jcomb term must be a JSON object"),
-        ("jcomb", 3, ["terms"], {"a": 1}, "a jcomb term must be a JSON object"),
+        ("jcomb", 3, ["terms"], {"a": 1}, "terms must be a JSON list"),
         ("jcomb", 3, ["terms", 0, "chain"], [], "a term's chain must be a JSON object"),
         ("jcomb", 2, ["terms", 1, "chain", "moves", 0], [1], "a move must be a JSON object"),
         ("jcomb", 3, ["terms", 0, "source"], 0, "source must be a JSON list"),
@@ -345,6 +345,12 @@ class TestHostileCertificates:
         ("chain", 3, ["..", "group"], 0, "group must be a JSON object"),
         ("chain", 3, ["..", "grading"], None, "grading must be a JSON list"),
         ("jcomb", 2, ["..", "group", "table", 1], 1.0, "a table row must be a JSON list"),
+        # a string or an object is not a list, though Python iterates both
+        ("jcomb", 3, ["terms"], "", "terms must be a JSON list"),
+        ("chain", 3, ["start"], "", "start must be a JSON list"),
+        ("reduction", 2, ["nodes", 3, "left"], {}, "left must be a JSON list"),
+        ("reduction", 2, ["nodes", 6, "children"], "", "children must be a JSON list"),
+        ("jcomb", 3, ["..", "group", "table"], "1", "group table must be a JSON list"),
     ])
     def test_mistyped_field_is_named(self, tmp_path, capsys, kind, version, path, value,
                                      message):
@@ -358,6 +364,28 @@ class TestHostileCertificates:
         assert owner[path[-1]] != value
         owner[path[-1]] = value
         cert = tmp_path / "mistyped.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
+
+    @pytest.mark.parametrize("kind, version", [("chain", 3), ("jcomb", 1), ("reduction", 2)])
+    @pytest.mark.parametrize("order, message", [
+        (None, "malformed context: 'order'"),
+        (7, "group order 7 is not the number of table rows, 3"),
+        (4, "group order 4 is not the number of table rows, 3"),
+        ("3", "group order '3' is not the number of table rows, 3"),
+        (3.0, "group order 3.0 is not the number of table rows, 3"),
+        (True, "group order True is not the number of table rows, 3"),
+    ])
+    def test_group_order_is_read(self, tmp_path, capsys, kind, version, order, message):
+        """A Z3 document whose group order is missing (None here), or is not
+        the integer 3, exits 2 naming the order."""
+        doc = documents_of_every_version()[kind, version]
+        if order is None:
+            del doc["group"]["order"]
+        else:
+            doc["group"]["order"] = order
+        cert = tmp_path / "order.json"
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(cert))
         assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
