@@ -2,8 +2,8 @@
 
 Two monomials whose evaluations share a nonzero entry are congruent
 modulo the generator ideal; the congruence is witnessed by an explicit
-chain of swap0/reverse3 context moves.  Any multihomogeneous identity
-is then an integer combination of such certified differences.
+chain of swap0/reverse3 context moves.  Any identity is then an
+integer combination of such certified differences.
 """
 
 from gpi import (Context, FreePoly, congruence_chain, cyclic_group,

@@ -19,8 +19,7 @@ from .dsl import ParseError, parse_file, parse_word
 from .freealg import DeclarationError, FreePoly, ReplayBudgetError
 from .genmat import eval_poly, eval_word_closed
 from .groups import GroupError, cyclic_group, default_grading
-from .identity import (ContractError, GeneratorError, GeneratorKind,
-                       identity_witness)
+from .identity import GeneratorError, GeneratorKind, identity_witness
 from .rewrite import NoExpressionError, NotCongruentError, congruence_chain, express_in_J
 from .z3reduce import ReductionError, enumerate_reduced, reduce_type1, reduce_type2
 
@@ -134,8 +133,6 @@ def cmd_congruent(args, parsed=None):
         raise _CliInputError("both monomials are required (--m/--n or m:/n: lines)")
     try:
         chain = congruence_chain(ctx, m, n)
-    except ContractError as exc:
-        raise _CliInputError(str(exc)) from exc
     except NotCongruentError as exc:
         return EXIT_NEGATIVE, {"congruent": False, "reason": str(exc)}
     return EXIT_OK, certs.chain_to_json(chain)
@@ -145,8 +142,6 @@ def cmd_express(args, parsed=None):
     p = _need_poly(parsed or _load(args.file), args.file)
     try:
         comb = express_in_J(p)
-    except ContractError as exc:
-        raise _CliInputError(str(exc)) from exc
     except NoExpressionError as exc:
         doc = {"expressed": False, "reason": str(exc)}
         if exc.witness is not None:
@@ -215,15 +210,8 @@ def cmd_verify(args):
 
 # --- corpus runner ------------------------------------------------------------
 
-def _identity(args, parsed):
-    """`gpi express` where it can certify an identity, `gpi check` elsewhere."""
-    p = _need_poly(parsed, args.file)
-    answer = cmd_express if p.is_multihomogeneous() and not p.is_zero() else cmd_check
-    return answer(args, parsed)
-
-
 # expectation -> (its answer, the exit code that answer gives when it holds, detail of a miss)
-_EXPECTATIONS = {"identity": (_identity, EXIT_OK, "not an identity"),
+_EXPECTATIONS = {"identity": (cmd_express, EXIT_OK, "not an identity"),
                  "non-identity": (cmd_check, EXIT_NEGATIVE, "is an identity"),
                  "congruent": (cmd_congruent, EXIT_OK, "not congruent"),
                  "reducible": (cmd_z3reduce, EXIT_OK, "not reducible")}

@@ -165,11 +165,6 @@ class FreePoly:
     def is_multilinear(self) -> bool:
         return all(is_multilinear_word(w) for w in self.terms)
 
-    def is_multihomogeneous(self) -> bool:
-        """All words have one multidegree: two words do exactly when they
-        sort to the same tuple of letters."""
-        return len({tuple(sorted(w)) for w in self.terms}) <= 1
-
     def __repr__(self):
         if not self.terms:
             return "0"

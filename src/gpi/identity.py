@@ -85,7 +85,7 @@ def validate_generator(kind: GeneratorKind, ctx: Context, parts):
 
 
 def make_generator(kind: GeneratorKind, ctx: Context, parts) -> GeneratorInstance:
-    return GeneratorInstance(kind, ctx, tuple(tuple(p) for p in parts))
+    return GeneratorInstance(kind, ctx, parts)
 
 
 def expand(g: GeneratorInstance) -> FreePoly:

@@ -1,17 +1,16 @@
 """Rewriting monomials modulo the generator ideal, with certificates.
 
-Two monomials with the same multidegree whose evaluations share a nonzero
-entry are congruent modulo the generator ideal.  The congruence is made
-effective: a permutation is extracted by matching scalar variables along
-the two evaluation paths, and the recursion emits context moves
+Two monomials whose evaluations share a nonzero entry are congruent
+modulo the generator ideal.  The congruence is made effective: a
+permutation is extracted by matching scalar variables along the two
+evaluation paths, and the recursion emits context moves
 
   swap0:     u (b1)(b2) v     ->  u (b2)(b1) v      both blocks of trivial degree
   reverse3:  u (b1)(b2)(b3) v ->  u (b3)(b2)(b1) v  outer blocks inverse to middle
 
 each of which is a context multiple of a generator, hence preserves the
 evaluation matrix exactly.  The cancellation loop then expresses any
-multihomogeneous identity as an integer combination of certified
-differences source - target.
+identity as an integer combination of certified differences source - target.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import groupby
 
 from .certs import (JCombination, JTerm, Move, MoveError, RewriteChain, _reversed_blocks,
                     path_rule_holds)
-from .freealg import Context, FreePoly, Word, is_multilinear_word, multidegree, word_key
+from .freealg import Context, FreePoly, Word, is_multilinear_word, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import ContractError, Witness, keyed_witness
 
@@ -59,9 +58,9 @@ def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     """First position (row-major) where both evaluations carry the same monomial.
 
     Row 0 decides (see genmat.word_entry), so it is in row 0 or nowhere.
+    A key holds a scalar variable per letter, so words of different
+    multidegrees share none.
     """
-    if multidegree(m) != multidegree(n):
-        raise ContractError("monomials must have the same multidegree")
     key_m = word_entry(ctx, m)
     return key_m[:2] if key_m == word_entry(ctx, n) else None
 
@@ -114,8 +113,6 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     from row 0, and the chain is built on those two paths.
     """
     m, n = tuple(m), tuple(n)
-    if multidegree(m) != multidegree(n):
-        raise ContractError("monomials must have the same multidegree")
     path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
     if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
@@ -185,7 +182,7 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
 # --- expressing identities in the generator ideal ------------------------------
 
 def express_in_J(f: FreePoly) -> JCombination:
-    """Express a multihomogeneous identity through certified congruent pairs.
+    """Express an identity through certified congruent pairs.
 
     Follows the cancellation loop: repeatedly eliminate the least word of
     the support against the least other word sharing an evaluation entry.
@@ -198,17 +195,17 @@ def express_in_J(f: FreePoly) -> JCombination:
 
     Each word's path is walked once, from row 0 only, and kept: row 0
     decides every row (see genmat.word_entry), so two words share an entry
-    exactly when the keys of their row-0 paths are equal.  The same pass
-    sums the keys into the row 0 of f's evaluation, which decides
-    membership (a non-identity raises NoExpressionError with
-    identity_witness's witness).  Only then are each word's positions
-    sorted by scalar variable, once, for the chain builder's pairing, and
-    each round hands the two words' kept paths and orders to the chain
-    builder, which walks no word again (see _chain_moves).  The cost is
-    O(support * L log L) for words of length L, plus O(L) per move.
+    exactly when the keys of their row-0 paths are equal, so only words of
+    one multidegree do (see shared_entry), and f need not be
+    multihomogeneous.  The same pass sums the keys into the row 0 of f's
+    evaluation, which decides membership (a non-identity raises
+    NoExpressionError with identity_witness's witness).  Only then are
+    each word's positions sorted by scalar variable, once, for the chain
+    builder's pairing, and each round hands the two words' kept paths and
+    orders to the chain builder, which walks no word again (see
+    _chain_moves).  The cost is O(support * L log L) for words of length
+    L, plus O(L) per move.
     """
-    if not f.is_multihomogeneous():
-        raise ContractError("input must be multihomogeneous; split into components first")
     ctx = f.ctx
     support = sorted(f.terms, key=word_key)
     coeffs = [f.terms[word] for word in support]
@@ -227,8 +224,6 @@ def express_in_J(f: FreePoly) -> JCombination:
         raise NoExpressionError("input is not a graded identity", witness=w)
     # every word of an identity takes part in a chain; a non-identity needs none
     word_orders = list(map(_by_variable, word_paths))
-    # one multidegree: a letter repeats in every word or in none
-    repeats = bool(support) and not is_multilinear_word(support[0])
     heads = dict.fromkeys(buckets, 0)
     terms: list[JTerm] = []
     alive = len(support)
@@ -248,7 +243,8 @@ def express_in_J(f: FreePoly) -> JCombination:
         j = bucket[i]
         m1, partner, lam = support[rank], support[j], coeffs[rank]
         # the moves transform m1 into partner
-        moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank], repeats)
+        moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank],
+                             not is_multilinear_word(partner))
         terms.append(JTerm(coeff=lam, source=m1, target=partner, moves=moves))
         coeffs[rank] = 0
         coeffs[j] += lam

@@ -41,6 +41,9 @@ from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind,
                        degree_rule_holds, make_generator)
 
 
+MAX_ENUMERATED_SHAPES = 200_000  # enumerate_reduced's limit; Z3 up to length 4 has 193,600
+
+
 class ReductionError(ValueError):
     pass
 
@@ -286,10 +289,22 @@ def enumerate_reduced(grading, max_part_len: int = MAX_REDUCED_PART_LEN):
 
     A shape is a kind together with one degree per variable position;
     instances are built over a fresh context with ids 1, 2, 3, ...
+
+    A part of length l has order^(l-1) degree sequences of one product, so
+    with S their sum over l <= max_part_len there are S^2 + order * S^3
+    shapes.  More than MAX_ENUMERATED_SHAPES raise ReductionError unbuilt,
+    from the first term of S that passes the limit.
     """
     if max_part_len < 1:
         raise ReductionError("part length bound must be at least 1")
     group = grading.group
+    n, s, term = group.order, 0, 1
+    for _ in range(max_part_len):
+        s += term
+        if s * s + n * s ** 3 > MAX_ENUMERATED_SHAPES:
+            raise ReductionError(f"more than {MAX_ENUMERATED_SHAPES} reduced shapes for order "
+                                 f"{n} and parts up to length {max_part_len}")
+        term *= n
     one, lengths = group.identity_index, range(1, max_part_len + 1)
     # (kind, part lengths, the degree of each part): type-1 parts have trivial
     # degree, type-2 outer parts the inverse of the middle part's

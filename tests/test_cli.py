@@ -16,6 +16,7 @@ from gpi.dsl import ParsedFile, format_file
 from gpi.freealg import Context, FreePoly
 from gpi.groups import MAX_GROUP_ORDER, GradingTuple, cyclic_group, default_grading
 from gpi.rewrite import express_in_J
+from gpi.z3reduce import MAX_ENUMERATED_SHAPES
 from test_certs import V1_REDUCTION, documents_of_every_version
 
 ID_FILE = """\
@@ -28,6 +29,13 @@ NONID_FILE = """\
 group: Z2
 vars: x1:1 x2:1
 poly: x1*x2
+"""
+
+# an identity of two multidegrees, x1 x2 x3 and x4 x5
+MIXED_ID_FILE = """\
+group: Z3
+vars: x1:1 x2:2 x3:1 x4:0 x5:0
+poly: x1*x2*x3 - x3*x2*x1 + x4*x5 - x5*x4
 """
 
 CONG_FILE = """\
@@ -562,6 +570,28 @@ class TestExpress:
         code, out, _ = run(capsys, "express", f)
         doc = json.loads(out)
         assert code == 1 and "witness" in doc
+
+    def test_mixed_identity(self, tmp_path, capsys):
+        """An identity whose words differ in multidegree is expressed, one
+        component at a time, and its certificate verifies."""
+        f = write(tmp_path, "f.gpi", MIXED_ID_FILE)
+        code, out, _ = run(capsys, "check", f)
+        assert code == 0 and json.loads(out) == {"identity": True}
+        code, out, _ = run(capsys, "express", f)
+        assert code == 0 and json.loads(out)["kind"] == "jcomb"
+        cert = tmp_path / "comb.json"
+        cert.write_text(out)
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 0 and json.loads(out)["valid"] is True
+
+    def test_mixed_non_identity_exit_1(self, tmp_path, capsys):
+        """A non-identity of mixed multidegree exits 1 with check's witness."""
+        f = write(tmp_path, "f.gpi", MIXED_ID_FILE.replace("- x5*x4", ""))
+        code, out, _ = run(capsys, "express", f)
+        doc = json.loads(out)
+        check_code, check_out, _ = run(capsys, "check", f)
+        assert code == check_code == 1
+        assert doc["witness"] == json.loads(check_out)["witness"]
 
 
 class TestVerifyKeysEachWordOnce:
@@ -1251,6 +1281,16 @@ class TestEnumReduced:
         doc = json.loads(out)
         assert code == 0 and len(doc) == 4
 
+    @pytest.mark.parametrize("argv", [("--max-len", "5"), ("--max-len", "1000000000"),
+                                      ("--order", "1", "--max-len", "1000000000"),
+                                      ("--order", "1024", "--max-len", "2")])
+    def test_over_the_shape_limit(self, capsys, argv):
+        """Refused from the closed-form count, before any shape is built."""
+        code, out, err = run(capsys, "enum-reduced", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"gpi: more than {MAX_ENUMERATED_SHAPES} reduced shapes")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("max_len, size, sha256", [
         ("1", 232, "550e95aee8b71a119c6792fbc92a3094f96f51b9d9d81eaffdbf2412e2438761"),
         ("2", 15970, "66c946cf98380b875398750545b47659dd500b65bc16833964c3e141dcb83065"),
@@ -1340,21 +1380,39 @@ class TestCorpus:
         assert doc["entries"][0]["detail"].startswith("cannot write ")
 
     def test_bad_input_is_an_error_with_the_subcommand_message(self, tmp_path, capsys):
-        # monomials of different multidegrees, and a generator outside Z3:
-        # `gpi congruent` and `gpi z3reduce` exit 2 on them
-        f = write(tmp_path, "cong.gpi", "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\nn: x1*x1\n")
+        # a pair without its n: line, and a generator outside Z3: `gpi
+        # congruent` and `gpi z3reduce` exit 2 on them
+        f = write(tmp_path, "cong.gpi", "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\n")
         g = write(tmp_path, "gen.gpi", GEN1_FILE.replace("Z3", "Z2").replace(":2", ":0"))
         messages = []
         for cmd, path in (("congruent", f), ("z3reduce", g)):
             code, _, err = run(capsys, cmd, path)
             assert code == 2 and err.startswith("gpi: ")
             messages.append(err[len("gpi: "):].rstrip("\n"))
+        # monomials of different multidegrees are not congruent: exit 1
+        h = write(tmp_path, "apart.gpi", "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\nn: x1*x1\n")
+        code, out, _ = run(capsys, "congruent", h)
+        assert code == 1 and json.loads(out)["congruent"] is False
         code, doc = self.corpus(capsys, tmp_path, [
             {"file": "cong.gpi", "expected": "congruent"},
-            {"file": "gen.gpi", "expected": "reducible"}])
+            {"file": "gen.gpi", "expected": "reducible"},
+            {"file": "apart.gpi", "expected": "congruent"}])
         assert code == 1
         assert [(e["status"], e["detail"]) for e in doc["entries"]] == [
-            ("error", m) for m in messages]
+            ("error", m) for m in messages] + [("fail", "not congruent")]
+
+    @pytest.mark.parametrize("text", [MIXED_ID_FILE, "group: Z3\nvars: x1:1\npoly: 0\n"])
+    def test_identity_entry_writes_a_certificate(self, tmp_path, capsys, text):
+        """An identity of mixed multidegree and the zero polynomial each get
+        `gpi express`'s certificate, which verifies."""
+        f = write(tmp_path, "id.gpi", text)
+        _, out, _ = run(capsys, "express", f)
+        code, doc = self.corpus(capsys, tmp_path, [{"file": "id.gpi", "expected": "identity"}])
+        cert = tmp_path / "id.cert.json"
+        assert code == 0 and doc["entries"][0]["certificate"] == str(cert)
+        assert cert.read_text() == out
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 0 and json.loads(out) == {"valid": True, "kind": "jcomb"}
 
     def test_unhashable_expectation_is_malformed(self, tmp_path, capsys):
         write(tmp_path, "id.gpi", ID_FILE)

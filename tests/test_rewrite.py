@@ -1,9 +1,15 @@
+import json
+import random
 from itertools import combinations, product
 
 import pytest
 import support
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gpi.freealg import Context, DeclarationError, FreePoly, word_key
+from gpi import certs
+from gpi.freealg import (Context, DeclarationError, FreePoly, multihomogeneous_components,
+                         word_key)
 from gpi.genmat import eval_word_closed, word_path
 from gpi.identity import (ContractError, GeneratorKind, degree_rule_holds, expand,
                           identity_witness, make_generator)
@@ -31,9 +37,10 @@ class TestSharedEntry:
         assert shared_entry(c, (1, 2), (1, 2)) is not None
 
     def test_multidegree_mismatch(self):
+        """Words of different multidegrees have different row-0 keys."""
         c = Context(Z3, {1: 0, 2: 0})
-        with pytest.raises(ContractError):
-            shared_entry(c, (1,), (2,))
+        assert shared_entry(c, (1,), (2,)) is None
+        assert shared_entry(c, (1, 1), (1,)) is None
 
 
 class TestExtractSigma:
@@ -451,11 +458,41 @@ class TestExpressInJ:
                     expressed += 1
         assert expressed > 50 and rejected > 10
 
-    def test_non_multihomogeneous_rejected(self):
-        c = Context(Z3, {1: 0})
-        f = FreePoly(c, {(1,): 1, (1, 1): 1})
-        with pytest.raises(ContractError):
-            express_in_J(f)
+    def test_non_multihomogeneous_expressed(self):
+        """Each multihomogeneous component is eliminated on its own: [x1, x2]
+        has no repeated letter, x1[x1, x2] repeats x1."""
+        c = Context(Z3, {1: 0, 2: 0})
+        f = FreePoly(c, {(1, 2): 1, (2, 1): -1, (1, 1, 2): 3, (1, 2, 1): -3})
+        comb = express_in_J(f)
+        assert [t.source for t in comb.terms] == [(1, 2), (1, 1, 2)]
+        assert verify_combination(comb, claimed=f)
+        for t in comb.terms:  # each pair's chain is congruence_chain's
+            assert congruence_chain(c, t.target, t.source).moves == t.moves
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((-2, -1, 1, 2)), st.booleans())
+    def test_mixed_identity_certificate_replays(self, seed, lam, square):
+        """p + lam*x*p (+ p*x*x) + q is an identity of several multidegrees
+        when p and q are, with p multilinear, x a letter of p, and q's words
+        longer ones that repeat p's letters: the least word has no repeated
+        letter, and the others' chains pair tied letters.  Each pair's chain
+        is congruence_chain's, and the certificate goes through the wire
+        format and replays."""
+        rand = random.Random(seed)
+        grading = rand.choice(support.configs())
+        c = support.random_context(rand, grading, 5)
+        base = support.random_multilinear_word(rand, c, rand.randint(2, 4))
+        p = _walks(rand, c, base)
+        assume(not p.is_zero())
+        x = FreePoly.var(c, rand.choice(base))
+        q = _walks(rand, c, [rand.choice(base) for _ in range(len(base) + rand.randint(2, 4))])
+        f = p + lam * (x * p) + (p * x * x if square else FreePoly.zero(c)) + q
+        assert len(multihomogeneous_components(f)) >= 2
+        comb = express_in_J(f)
+        for t in comb.terms:
+            assert congruence_chain(c, t.target, t.source).moves == t.moves
+        doc = json.loads(certs.dumps(certs.jcomb_to_json(comb)))
+        assert verify_combination(certs.certificate_from_json(doc), claimed=f)
 
     def test_tampered_combination_fails(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})

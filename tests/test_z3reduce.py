@@ -1,6 +1,7 @@
 import pytest
 import support
 
+from gpi import z3reduce
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
 from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_value,
@@ -317,6 +318,19 @@ class TestEnumerateReduced:
     def test_all_shapes_valid_and_reduced(self):
         for g in enumerate_reduced(Z3, max_part_len=2):
             assert g.is_reduced(2)
+
+    def test_limit_is_the_exact_count(self, monkeypatch):
+        """Z3 with parts up to length 2 has S = 1 + 3 shapes per part, and
+        S^2 + 3 S^3 = 208 in all: a limit of 207 refuses it unbuilt."""
+        monkeypatch.setattr(z3reduce, "MAX_ENUMERATED_SHAPES", 208)
+        assert len(enumerate_reduced(Z3, max_part_len=2)) == 208
+        monkeypatch.setattr(z3reduce, "MAX_ENUMERATED_SHAPES", 207)
+        with pytest.raises(ReductionError, match="more than 207 reduced shapes"):
+            enumerate_reduced(Z3, max_part_len=2)
+
+    def test_limit_admits_z3_parts_of_length_4(self):
+        s = 1 + 3 + 9 + 27
+        assert s * s + 3 * s ** 3 == 193_600 <= z3reduce.MAX_ENUMERATED_SHAPES
 
 
 def test_cert_value_of_sum_is_linear():
