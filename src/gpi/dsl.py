@@ -353,6 +353,11 @@ def _parse_group(value: str, lineno: int) -> FiniteGroup:
             return FiniteGroup(tuple(tuple(r) for r in rows))
         except (json.JSONDecodeError, GroupError, TypeError) as exc:
             raise ParseError(f"bad group table: {exc}", lineno) from None
+        except RecursionError:
+            raise ParseError("bad group table: JSON nested too deeply", lineno) from None
+        except ValueError:  # json reads every integer with int(), which has a digit limit
+            raise ParseError("bad group table: an integer has more digits than can be read",
+                             lineno) from None
     raise ParseError(f"unknown group {value!r} (use Z<n> or table [[...]])", lineno)
 
 

@@ -12,6 +12,7 @@ to the 1-based convention used in documentation.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -59,10 +60,12 @@ class FiniteGroup:
         for row in tbl:
             try:
                 in_range = elements.issuperset(row)
-            except TypeError:  # an unhashable entry: the scan below meets it
+            except TypeError:  # an unhashable entry: the scan below names it
                 in_range = False
             if not in_range:
                 for v in row:
+                    if not isinstance(v, int):
+                        raise GroupError(f"table entry {reprlib.repr(v)} is not an integer")
                     if not 0 <= v < n:
                         raise GroupError(f"table entry {v} out of range")
         # 1.0 equals 1 and passes every check by equality; the sum of
@@ -161,14 +164,23 @@ def _associative(tbl, ident: int) -> bool:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Z_n with elements 0..n-1 in natural order; identity at index 0."""
+    """Z_n with elements 0..n-1 in natural order; identity at index 0.
+
+    Addition mod n is a group by definition, so the table is not checked
+    again; the result equals FiniteGroup(table, names) field for field
+    (tests/test_groups.py holds the proof that it does).
+    """
     if n < 1:
         raise GroupError("cyclic group order must be at least 1")
     check_order(n)
     plain = tuple(range(n))
-    table = tuple(plain[a:] + plain[:a] for a in range(n))
-    names = tuple(map(str, plain))
-    return FiniteGroup(table, names)
+    group = object.__new__(FiniteGroup)
+    for name, value in (("table", tuple(plain[a:] + plain[:a] for a in range(n))),
+                        ("names", tuple(map(str, plain))),
+                        ("identity_index", 0),
+                        ("inverses", plain[:1] + plain[:0:-1])):  # -a mod n
+        object.__setattr__(group, name, value)
+    return group
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
 import support
 from support import s3
+from test_certs import documents_of_every_version
+from test_cli import run
 
 from gpi.groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError,
                         cyclic_group, default_grading)
@@ -243,6 +246,11 @@ def test_non_integer_entries_rejected():
         FiniteGroup(((0.0,),))
     with pytest.raises(GroupError, match="table entry 1.0 is not an integer"):
         FiniteGroup(((0, 1), (1.0, 0)))
+    # an entry that cannot be compared with an integer is named, not compared
+    for entry, shown in (("a", "'a'"), (None, "None"), ([0], "[0]")):
+        with pytest.raises(GroupError) as info:
+            FiniteGroup(((0, 1), (1, entry)))
+        assert str(info.value) == f"table entry {shown} is not an integer"
 
 
 def test_cyclic_table_is_addition_mod_n():
@@ -258,3 +266,96 @@ def test_order_limit_checked_before_the_table():
     with pytest.raises(GroupError, match="exceeds the limit"):
         FiniteGroup(((0,),) * (MAX_GROUP_ORDER + 1))
     assert cyclic_group(MAX_GROUP_ORDER).order == MAX_GROUP_ORDER
+
+
+def test_cyclic_group_is_the_checked_group():
+    """cyclic_group builds Z_n from its definition, without the table checks;
+    this is the proof that it builds what the checks would accept, field for
+    field."""
+    for n in (*range(1, 129), MAX_GROUP_ORDER):
+        g = cyclic_group(n)
+        checked = FiniteGroup(g.table, g.names)
+        assert g.table == checked.table
+        assert g.names == checked.names == tuple(map(str, range(n)))
+        assert g.identity_index == checked.identity_index == 0
+        assert g.inverses == checked.inverses
+        assert vars(g) == vars(checked)
+        assert g == checked and hash(g) == hash(checked)
+
+
+# --- tables read from input keep every check --------------------------------------
+
+def _swapped_z5(a, b, c, d):
+    """Z5's table with the entries at (a, b) and (c, d) swapped."""
+    table = [list(row) for row in cyclic_group(5).table]
+    table[a][b], table[c][d] = table[c][d], table[a][b]
+    return table
+
+
+def test_every_swap_of_z5_is_refused():
+    cells = list(itertools.product(range(5), repeat=2))
+    refused = 0
+    for (a, b), (c, d) in itertools.combinations(cells, 2):
+        table = _swapped_z5(a, b, c, d)
+        if table[a][b] != table[c][d]:
+            with pytest.raises(GroupError):
+                FiniteGroup(tuple(map(tuple, table)))
+            refused += 1
+    assert refused == 250
+
+
+SWAPPED = _swapped_z5(1, 2, 1, 3)
+
+
+def assert_refused(run_result, message):
+    """Exit 2, nothing on stdout, and exactly one gpi: line."""
+    assert run_result == (2, "", f"gpi: {message}\n")
+
+
+def test_swapped_z5_refused_by_gpi_verify(tmp_path, capsys):
+    source = tmp_path / "z5.gpi"
+    source.write_text("group: Z5\nvars: x1:0 x2:0\npoly: x1*x2 - x2*x1\n")
+    code, out, _ = run(capsys, "express", str(source))
+    doc = json.loads(out)
+    assert code == 0 and doc["group"]["table"] == [list(r) for r in cyclic_group(5).table]
+    cert = tmp_path / "z5.json"
+    cert.write_text(out)
+    assert run(capsys, "verify", str(cert))[0] == 0
+    doc["group"]["table"] = SWAPPED
+    cert.write_text(json.dumps(doc))
+    assert_refused(run(capsys, "verify", str(cert)), f"{cert}: table is not associative")
+
+
+# --- group: table lines that are not a group exit 2 with one line -------------------
+
+@pytest.mark.parametrize("table, message", [
+    pytest.param(json.dumps(SWAPPED), "table is not associative", id="swapped-z5"),
+    pytest.param("[" * 200_000 + "]" * 200_000, "JSON nested too deeply", id="nested"),
+    pytest.param("[[" + "9" * 5000 + "]]", "an integer has more digits than can be read",
+                 id="digits"),
+    pytest.param('[[0, 1], [1, "a"]]', "table entry 'a' is not an integer", id="string"),
+    pytest.param("[[0, 1], [1, null]]", "table entry None is not an integer", id="null"),
+    pytest.param("[[0, 1], [1, [0]]]", "table entry [0] is not an integer", id="list"),
+    pytest.param("[[0, 1], [1, 0.5]]", "table entry 0.5 is not an integer", id="float"),
+    pytest.param("[[0, 1], [1, 5.5]]", "table entry 5.5 is not an integer", id="float-above"),
+    # the entry is named in a few characters however deep it is
+    pytest.param("[[" + "[" * 200 + "]" * 200 + "]]",
+                 "table entry [[[[[[[...]]]]]]] is not an integer", id="nested-entry"),
+])
+def test_refused_table_line(tmp_path, capsys, table, message):
+    path = tmp_path / "table.gpi"
+    path.write_text(f"vars: x1:0\ngroup: table {table}\npoly: x1\n")
+    assert_refused(run(capsys, "check", str(path)),
+                   f"{path}: line 2, column 1: bad group table: {message}")
+
+
+@pytest.mark.parametrize("entry", ["a", None, [0], 1.0, 0.5])
+def test_certificate_table_entries_keep_their_message(tmp_path, capsys, entry):
+    """A certificate's table entries are read as strict integers before
+    FiniteGroup sees them, so every document version names them as before."""
+    for (kind, version), doc in documents_of_every_version().items():
+        doc["group"]["table"][1][1] = entry
+        cert = tmp_path / f"{kind}-v{version}.json"
+        cert.write_text(json.dumps(doc))
+        assert_refused(run(capsys, "verify", str(cert)),
+                       f"{cert}: expected an integer, got {entry!r}")
