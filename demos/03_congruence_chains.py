@@ -7,7 +7,7 @@ integer combination of such certified differences.
 """
 
 from gpi import (Context, FreePoly, congruence_chain, cyclic_group,
-                 default_grading, express_in_J, extract_sigma, shared_entry,
+                 default_grading, express_in_J, shared_entry,
                  verify_chain, verify_combination)
 
 grading = default_grading(cyclic_group(3))
@@ -18,12 +18,7 @@ pos = shared_entry(ctx, m, n)
 print("shared entry of x1*x2*x3 and x3*x2*x1 at (row, col):",
       (pos[0] + 1, pos[1] + 1))
 
-sigma = extract_sigma(ctx, m, n, pos)
-print("matching permutation (positions in m, per position of n):",
-      tuple(s + 1 for s in sigma.sigma))
-
 chain = congruence_chain(ctx, m, n)
-print()
 print("chain from", chain.start, "to", chain.end)
 w = chain.start
 for mv in chain.moves:  # each move cuts its blocks from the running word

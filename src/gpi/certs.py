@@ -3,11 +3,12 @@
 A certificate is a rewrite chain, a combination of certified differences
 (a jcomb) or a reduction DAG.  The producers in rewrite and z3reduce build
 them; this module holds everything `gpi verify` runs on them: the data
-classes, the replay that checks them, and the loaders and writers of every
-format version.  It trusts only freealg's arithmetic, the group table,
-identity's generator families (their degree rules and expansions), and
-genmat's row-0 paths and keys; a move's degree rule is read from the rows of
-the path it permutes (move_path).
+classes, the replay that checks them, and the writer and loader of the
+current format version of each kind (gpi.upgrade, outside this module,
+rewrites older documents as the current version).  It trusts only
+freealg's arithmetic, the group table, identity's generator families (their
+degree rules and expansions), and genmat's row-0 paths and keys; a move's
+degree rule is read from the rows of the path it permutes (move_path).
 
 Every certificate embeds its full context (group table, grading tuple,
 variable degrees) so that verification needs no side files.  Matrix
@@ -30,9 +31,7 @@ from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, e
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
-# Version 1 wrote a reduction as a nested tree; versions 1 and 2 wrote
-# chain and jcomb moves with their whole contexts.
-READ_VERSIONS = {"chain": (1, 2, 3), "jcomb": (1, 2, 3), "reduction": (1, 2)}
+READ_VERSIONS = dict(chain=CHAIN_VERSION, jcomb=CHAIN_VERSION, reduction=REDUCTION_VERSION)
 _GENERATOR_KINDS = {kind.value: kind for kind in GeneratorKind}
 
 
@@ -467,13 +466,10 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 
 # --- wire format: rewrite chains and combinations -----------------------------
 #
-# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of
-# a Move: the blocks are the len_i letters of the running word that follow its
-# first offset letters, and the running word starts at the chain's start (a
-# jcomb term's source).  A jcomb term writes its endpoints once, as source and
-# target.  Versions 1 and 2 wrote each move as {kind, left, blocks, right}, and
-# each chain with its own start and end; every version loads into the same
-# positional moves, so all replay through one verifier.
+# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of a
+# Move: its blocks are the len_i letters of the running word after its first
+# offset letters, and the running word starts at the chain's start (a jcomb
+# term's source).  A jcomb term writes its endpoints once, as source and target.
 
 _INT = frozenset({int})
 
@@ -493,12 +489,6 @@ def jcomb_to_json(comb: JCombination) -> dict:
         {"coeff": t.coeff, "source": list(t.source), "target": list(t.target),
          "chain": {"moves": [move_to_json(m) for m in t.moves]}}
         for t in comb.terms]})
-
-
-def _move_list(doc) -> list:
-    if not isinstance(doc, list):
-        raise CertificateFormatError("moves must be a JSON list")
-    return doc
 
 
 def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
@@ -529,56 +519,26 @@ def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _explicit_moves(ctx: Context, source: Word, target: Word, chain: dict) -> tuple[Move, ...]:
-    """Version-1 or -2 moves, {kind, left, blocks, right}, on the running
-    word from the chain's own start, every letter checked.  A move whose
-    letters are not the running word loads at offset len(word), and a chain
-    whose start and end are not the term's source and target gets one more
-    move at offset len(source): both lie past the word's end, where
-    move_path refuses them."""
-    word = start = _declared_word(ctx, chain["start"], "start")
-    end, moves = _declared_word(ctx, chain["end"], "end"), []
-    for doc in _move_list(chain["moves"]):
-        doc = _object(doc, "a move")
-        left, right = _entries(doc["left"], "left"), _entries(doc["right"], "right")
-        blocks = tuple(_entries(b, "a block") for b in _entries(doc["blocks"], "blocks"))
-        mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
-        if _declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move") == word:  # one pass
-            word = mv.apply(word)
-        else:
-            mv = Move(mv.kind, len(word), mv.lengths)
-        moves.append(mv)
-    if (start, end) != (source, target):
-        moves.append(Move("swap0", len(source), (1, 1)))
-    return tuple(moves)
-
-
-def _load_terms(ctx: Context, version: int, fields) -> tuple[JTerm, ...]:
-    """The terms whose fields (coeff, source, target, chain) come, one term
-    at a time, from fields.  The pass that reads them reads each chain's
-    moves too: explicit moves in versions 1 and 2, the move list in version
-    3, whose moves load once the replay fits one budget (one running word,
-    as long as the source, per move)."""
-    terms = [(coeff, source, target, _explicit_moves(ctx, source, target, chain)
-              if version < 3 else _move_list(chain["moves"]))
+def _load_terms(ctx: Context, fields) -> tuple[JTerm, ...]:
+    """JTerms from (coeff, source, target, chain) fields, their moves loaded once
+    the replay fits one budget: one running word, as long as the source, per move."""
+    terms = [(coeff, source, target, _entries(chain["moves"], "moves"))
              for coeff, source, target, chain in fields]
-    if version < 3:
-        return tuple(JTerm(*t) for t in terms)
     ReplayBudget().spend(sum(len(source) * len(moves) for _, source, _, moves in terms))
     return tuple(JTerm(coeff, source, target, _positional_moves(len(source), moves))
                  for coeff, source, target, moves in terms)
 
 
-def chain_from_payload(ctx: Context, doc: dict, version: int) -> RewriteChain:
+def chain_from_payload(ctx: Context, doc: dict) -> RewriteChain:
     """The chain's one term (1, start, end); the payload is its own chain."""
-    (t,) = _load_terms(ctx, version, [(1, _declared_word(ctx, doc["start"], "start"),
-                                       _declared_word(ctx, doc["end"], "end"), doc)])
+    (t,) = _load_terms(ctx, [(1, _declared_word(ctx, doc["start"], "start"),
+                              _declared_word(ctx, doc["end"], "end"), doc)])
     return RewriteChain(ctx, t.source, t.moves, t.target)
 
 
-def jcomb_from_payload(ctx: Context, doc: dict, version: int) -> JCombination:
+def jcomb_from_payload(ctx: Context, doc: dict) -> JCombination:
     terms = (_object(t, "a jcomb term") for t in _entries(doc["terms"], "terms"))
-    return JCombination(ctx, _load_terms(ctx, version, (
+    return JCombination(ctx, _load_terms(ctx, (
         (_integer(t["coeff"]), _declared_word(ctx, t["source"], "source"),
          _declared_word(ctx, t["target"], "target"), _object(t["chain"], "a term's chain"))
         for t in terms)))
@@ -685,7 +645,8 @@ def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
     if op == "leaf":
         return CertLeaf(generator_from_json(ctx, entry["generator"]))
     if op == "sum":
-        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in _sum_children(entry)))
+        children = (_pair(p, "a sum child") for p in _entries(entry["children"], "children"))
+        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in children))
     if op == "context":
         return CertContext(_declared_word(ctx, entry["left"], "left"),
                            _declared_word(ctx, entry["right"], "right"), ref(entry["child"]))
@@ -694,20 +655,6 @@ def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
         return CertSubst(tuple((_declared(ctx, v), _lieword_from_json(ctx, lw))
                                for v, lw in images), ref(entry["child"]))
     raise CertificateFormatError(f"unknown certificate op {op!r}")
-
-
-def _sum_children(entry: dict) -> list:
-    """The [coeff, child] pairs of a sum node."""
-    return [_pair(p, "a sum child") for p in _entries(entry["children"], "children")]
-
-
-def _tree_children(entry) -> list:
-    """The nodes nested in a node of a version-1 tree, in order."""
-    if not isinstance(entry, dict):
-        raise CertificateFormatError("a certificate node is a JSON object")
-    if entry.get("op") == "sum":
-        return [ch for _, ch in _sum_children(entry)]
-    return [entry["child"]] if entry.get("op") in ("context", "subst") else []
 
 
 def reduction_to_json(cert: ReductionCertificate) -> dict:
@@ -720,24 +667,14 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
         "root": index[id(cert.root)]})
 
 
-def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCertificate:
-    """Build the DAG from its node table, or a version-1 tree's nodes in walk order.
-
-    Every child reference and the root must be an int naming an earlier row (a tree's
-    child is named by its row), so the rows load in one pass and no cycle can be written.
-    """
-    if version == 1:
-        table = _post_order(doc["root"], _tree_children)
-        rows, root = {id(entry): i for i, entry in enumerate(table)}, len(table) - 1
-    else:
-        table, root, rows = doc["nodes"], doc["root"], None
-    if not isinstance(table, list):
-        raise CertificateFormatError("reduction nodes must be a JSON list")
+def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
+    """Build the DAG from its node table.  Every child reference and the root
+    must be an int naming an earlier row, so the rows load in one pass and no
+    cycle can be written."""
+    table, root = _entries(doc["nodes"], "reduction nodes"), doc["root"]
     nodes: list[CertNode] = []
 
     def ref(i) -> CertNode:
-        if rows is not None:
-            i = rows[id(i)]
         if type(i) is not int or not 0 <= i < len(nodes):
             raise CertificateFormatError(
                 f"node {len(nodes)}: reference {i!r} does not name an earlier node")
@@ -750,25 +687,23 @@ def reduction_from_payload(ctx: Context, doc: dict, version: int) -> ReductionCe
     return ReductionCertificate(ctx, generator_from_json(ctx, doc["target"]), nodes[root])
 
 
-# --- wire format: loading any certificate -------------------------------------
+# --- wire format: loading a certificate ---------------------------------------
 
 def certificate_from_json(doc: dict):
-    """Load any certificate document; returns a chain, combination or reduction."""
+    """Load a certificate document of the current version of its kind;
+    returns a chain, combination or reduction."""
     kind, version = doc.get("kind"), doc.get("version")
     if not (isinstance(kind, str) and kind in READ_VERSIONS):
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
-    if type(version) is not int or version not in READ_VERSIONS[kind]:
+    if type(version) is not int or version != READ_VERSIONS[kind]:
         raise CertificateFormatError(f"unsupported version {version!r} of a {kind}")
-    ctx = context_from_json(doc)
-    payload = doc.get("payload", {})
-    if not isinstance(payload, dict):
-        raise CertificateFormatError("payload must be a JSON object")
+    ctx, payload = context_from_json(doc), _object(doc.get("payload", {}), "payload")
     try:
         if kind == "chain":
-            return chain_from_payload(ctx, payload, version)
+            return chain_from_payload(ctx, payload)
         if kind == "jcomb":
-            return jcomb_from_payload(ctx, payload, version)
-        return reduction_from_payload(ctx, payload, version)
+            return jcomb_from_payload(ctx, payload)
+        return reduction_from_payload(ctx, payload)
     except KeyError as exc:  # a JSON object of the payload lacks a field
         raise CertificateFormatError(f"missing field {exc.args[0]!r}") from None
 

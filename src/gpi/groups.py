@@ -90,6 +90,11 @@ class FiniteGroup:
         object.__setattr__(self, "inverses", tuple(inverses))
         if not _associative(tbl, ident):
             raise GroupError("table is not associative")
+        # true and false equal 1 and 0 and pass every check above, the sum too;
+        # in a group, row a holds 0 and 1 once each, at columns a^-1 0 and a^-1 1
+        for entry in (tbl[a][tbl[b][v]] for a, b in enumerate(inverses) for v in plain[:2]):
+            if type(entry) is not int:
+                raise GroupError(f"table entry {entry!r} is not an integer")
         if not self.names:
             object.__setattr__(self, "names", tuple(f"g{i}" for i in range(n)))
         elif len(self.names) != n:

@@ -26,10 +26,6 @@ class GeneratorError(ValueError):
     pass
 
 
-class ContractError(ValueError):
-    pass
-
-
 class GeneratorKind(Enum):
     TYPE1 = 1
     TYPE2 = 2

@@ -1,9 +1,9 @@
 """Rewriting monomials modulo the generator ideal, with certificates.
 
 Two monomials whose evaluations share a nonzero entry are congruent
-modulo the generator ideal.  The congruence is made effective: a
-permutation is extracted by matching scalar variables along the two
-evaluation paths, and the recursion emits context moves
+modulo the generator ideal.  The congruence is made effective: the
+positions of the two words are paired by matching scalar variables along
+their evaluation paths, and the recursion emits context moves
 
   swap0:     u (b1)(b2) v     ->  u (b2)(b1) v      both blocks of trivial degree
   reverse3:  u (b1)(b2)(b3) v ->  u (b3)(b2)(b1) v  outer blocks inverse to middle
@@ -15,14 +15,13 @@ identity as an integer combination of certified differences source - target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .certs import (JCombination, JTerm, Move, MoveError, RewriteChain, _reversed_blocks,
                     path_rule_holds)
 from .freealg import Context, FreePoly, Word, is_multilinear_word, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
-from .identity import ContractError, Witness, keyed_witness
+from .identity import Witness, keyed_witness
 
 # Unused here, but kept bound: bench/spans.py rebinds these names in this module.
 from .genmat import eval_word_closed  # noqa: F401
@@ -39,20 +38,7 @@ class NoExpressionError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class SigmaWitness:
-    """Permutation matching the evaluation paths of two monomials.
-
-    sigma[h] is the 0-based position in m whose scalar variable equals the
-    one at position h in n (repeated variables paired as in _by_variable);
-    both paths start at the shared row.
-    """
-
-    sigma: tuple[int, ...]
-    position: tuple[int, int]
-
-
-# --- shared entries and permutation extraction -------------------------------
+# --- shared entries and the pairing of positions --------------------------------
 
 def shared_entry(ctx: Context, m: Word, n: Word) -> tuple[int, int] | None:
     """First position (row-major) where both evaluations carry the same monomial.
@@ -77,30 +63,11 @@ def _by_variable(path: list[ScalarVar]) -> list[int]:
     return sorted(range(len(path)), key=path.__getitem__)
 
 
-def _pairing(order_n: list[int], order_m: list[int]) -> list[int]:
-    """For each position of n, its paired position in m, from both paths'
-    positions in variable order (_by_variable)."""
-    seq = [0] * len(order_n)
-    for h, s in zip(order_n, order_m):
-        seq[h] = s
-    return seq
-
-
 def _ties(path: list[ScalarVar], order: list[int]) -> list[list[int]]:
     """The runs of two or more positions of path that carry one scalar
     variable, each in position order; order is _by_variable(path)."""
     runs = (list(run) for _, run in groupby(order, path.__getitem__))
     return [run for run in runs if len(run) > 1]
-
-
-def extract_sigma(ctx: Context, m: Word, n: Word, pos: tuple[int, int]) -> SigmaWitness:
-    """Match equal scalar variables between the two paths from pos."""
-    row, col = pos
-    path_m, path_n = word_path(ctx, m, row), word_path(ctx, n, row)
-    if sorted(path_m) != sorted(path_n) or (path_m[-1][2] if path_m else row) != col:
-        raise ContractError("monomials share no entry at the given position")
-    sigma = _pairing(_by_variable(path_n), _by_variable(path_m))
-    return SigmaWitness(sigma=tuple(sigma), position=(row, col))
 
 
 # --- the congruence recursion -------------------------------------------------
@@ -131,12 +98,12 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     (path_entry).  A key holds its path sorted, so the paths carry the same
     scalar variables and the words have one length.
 
-    seq[i] is the position in m paired with n's position i, as in
-    extract_sigma.  Each round skips the first positions k that seq fixes,
-    where the two words agree; r0 is the position in n paired with m's k,
-    t the least position in m paired with one of n's positions k..r0-1, at
-    p0, and the move brings n's r0..e-1 forward, where e - 1 is paired with
-    t - 1.  It is a reverse3 when p0 > k, and a swap0 otherwise.
+    seq[i] is the position in m paired with n's position i.  Each round
+    skips the first positions k that seq fixes, where the two words agree;
+    r0 is the position in n paired with m's k, t the least position in m
+    paired with one of n's positions k..r0-1, at p0, and the move brings
+    n's r0..e-1 forward, where e - 1 is paired with t - 1.  It is a reverse3
+    when p0 > k, and a swap0 otherwise.
 
     Neither word is walked: by move_path, a move that obeys its degree rule
     permutes n's path as it permutes n, so each move permutes seq alike, and
@@ -150,7 +117,9 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     no path.
     """
     ties = _ties(path_m, order_m) if repeats else []
-    seq = _pairing(order_n, order_m)
+    seq = [0] * len(order_n)
+    for h, s in zip(order_n, order_m):  # n's h and m's s have one rank (_by_variable)
+        seq[h] = s
     length = len(seq)
     moves: list[Move] = []
     k = 0

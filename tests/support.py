@@ -8,14 +8,15 @@ import re
 
 from gpi import certs
 from gpi.dsl import ParseError
-from gpi.freealg import (Context, FreePoly, ReplayBudget, WeakSubstitution, _charged_product,
-                         _lie_terms, bracket, terms_product, word_degree)
+from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
+                         WeakSubstitution, _charged_product, _lie_terms, bracket, terms_product,
+                         word_degree)
 from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, word_entry,
                         word_path)
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
-from gpi.identity import (ContractError, GeneratorInstance, GeneratorKind, degree_rule_holds,
-                          make_generator)
-from gpi.certs import MOVE_FAMILIES, CertLeaf, Move, MoveError, apply_move
+from gpi.identity import GeneratorInstance, GeneratorKind, degree_rule_holds, make_generator
+from gpi.certs import (MOVE_FAMILIES, CertLeaf, JCombination, JTerm, Move, MoveError,
+                       ReductionCertificate, RewriteChain, apply_move)
 from gpi.z3reduce import Side, telescope
 
 DEFAULT_SEED = 20260823
@@ -432,7 +433,7 @@ def _old_match_paths(ctx: Context, m, n, row: int):
         sigma = tuple(unused[t].pop() for t in path_n if unused.get(t))
         if len(sigma) == len(path_n):
             return sigma
-    raise ContractError("monomials share no entry at the given position")
+    raise ValueError("monomials share no entry at the given position")
 
 
 def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
@@ -561,6 +562,101 @@ def as_v2(doc: dict) -> dict:
                            "moves": _v2_moves(t["source"], t["chain"]["moves"])})
             for t in payload["terms"]]}
     return doc
+
+
+# --- the version-1 and -2 loader that gpi.upgrade replaced, as an oracle -------
+
+def _old_explicit_moves(ctx: Context, source, target, chain: dict) -> tuple:
+    """Version-1 or -2 moves, {kind, left, blocks, right}, on the running
+    word from the chain's own start, every letter checked.  A move whose
+    letters are not the running word loads at offset len(word), and a chain
+    whose start and end are not the term's source and target gets one more
+    move at offset len(source): both lie past the word's end, where
+    move_path refuses them."""
+    word = start = certs._declared_word(ctx, chain["start"], "start")
+    end, moves = certs._declared_word(ctx, chain["end"], "end"), []
+    for doc in certs._entries(chain["moves"], "moves"):
+        doc = certs._object(doc, "a move")
+        left, right = certs._entries(doc["left"], "left"), certs._entries(doc["right"], "right")
+        blocks = tuple(certs._entries(b, "a block")
+                       for b in certs._entries(doc["blocks"], "blocks"))
+        mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
+        if certs._declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move") == word:
+            word = mv.apply(word)
+        else:
+            mv = Move(mv.kind, len(word), mv.lengths)
+        moves.append(mv)
+    if (start, end) != (source, target):
+        moves.append(Move("swap0", len(source), (1, 1)))
+    return tuple(moves)
+
+
+def _old_tree_children(entry) -> list:
+    """The nodes nested in a node of a version-1 tree, in order."""
+    if not isinstance(entry, dict):
+        raise certs.CertificateFormatError("a certificate node is a JSON object")
+    if entry.get("op") == "sum":
+        return [certs._pair(p, "a sum child")[1]
+                for p in certs._entries(entry["children"], "children")]
+    return [entry["child"]] if entry.get("op") in ("context", "subst") else []
+
+
+def _old_payload(ctx: Context, kind: str, payload: dict):
+    if kind == "chain":
+        start, end = (certs._declared_word(ctx, payload[k], k) for k in ("start", "end"))
+        return RewriteChain(ctx, start, _old_explicit_moves(ctx, start, end, payload), end)
+    if kind == "jcomb":
+        terms = (certs._object(t, "a jcomb term")
+                 for t in certs._entries(payload["terms"], "terms"))
+        fields = ((certs._integer(t["coeff"]), certs._declared_word(ctx, t["source"], "source"),
+                   certs._declared_word(ctx, t["target"], "target"),
+                   certs._object(t["chain"], "a term's chain")) for t in terms)
+        return JCombination(ctx, tuple(JTerm(c, s, e, _old_explicit_moves(ctx, s, e, chain))
+                                       for c, s, e, chain in fields))
+    table = certs._post_order(payload["root"], _old_tree_children)
+    rows, nodes = {id(entry): i for i, entry in enumerate(table)}, []
+    for entry in table:
+        nodes.append(certs._node_from_entry(ctx, entry, lambda ch: nodes[rows[id(ch)]]))
+    return ReductionCertificate(ctx, certs.generator_from_json(ctx, payload["target"]),
+                                nodes[-1])
+
+
+OLD_READ_VERSIONS = {"chain": (1, 2), "jcomb": (1, 2), "reduction": (1,)}
+
+
+def old_certificate_from_json(doc: dict):
+    """The certificate certs.certificate_from_json loaded, or the error it
+    raised, before versions 1 and 2 went to gpi.upgrade: those versions load
+    as above, every other document as certs loads it now."""
+    kind, version = doc.get("kind"), doc.get("version")
+    if not (isinstance(kind, str) and type(version) is int
+            and version in OLD_READ_VERSIONS.get(kind, ())):
+        return certs.certificate_from_json(doc)
+    ctx = certs.context_from_json(doc)
+    try:
+        return _old_payload(ctx, kind, certs._object(doc.get("payload", {}), "payload"))
+    except KeyError as exc:
+        raise certs.CertificateFormatError(f"missing field {exc.args[0]!r}") from None
+
+
+def old_verify_exit(doc) -> int:
+    """The exit code `gpi verify` gave on doc through old_certificate_from_json."""
+    if not isinstance(doc, dict):
+        return 2
+    try:
+        cert = old_certificate_from_json(doc)
+    except (KeyError, TypeError, ValueError):
+        return 2
+    try:
+        if isinstance(cert, RewriteChain):
+            ok = certs.verify_chain(cert)
+        elif isinstance(cert, JCombination):
+            ok = certs.verify_combination(cert)
+        else:
+            ok = certs.verify_certificate(cert)
+    except (DeclarationError, ReplayBudgetError):
+        return 2
+    return 0 if ok else 1
 
 
 # --- reductions whose replay grows exponentially with their size ---------------

@@ -1,8 +1,10 @@
 import ast
+import copy
 import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -13,11 +15,11 @@ import support
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpi import certs, dsl, freealg, genmat, rewrite, z3reduce
+from gpi import certs, dsl, freealg, genmat, rewrite, upgrade, z3reduce
 from gpi.certs import (CertContext, CertLeaf, CertSubst, CertSum, JCombination, JTerm,
                        ReductionCertificate, RewriteChain, cert_nodes, verify_certificate,
                        verify_chain, verify_combination)
-from gpi.cli import _witness_json, main
+from gpi.cli import _CliInputError, _verify, _witness_json, main
 from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
                          WeakSubstitution)
 from gpi.genmat import eval_poly, eval_word_closed
@@ -158,7 +160,7 @@ def tree_size(root) -> int:
 class TestReductionFormat:
     def test_version_1_tree_still_verifies(self):
         doc = json.loads(V1_REDUCTION)
-        cert = certs.certificate_from_json(doc)
+        cert = certs.certificate_from_json(upgrade.upgrade(doc))
         assert verify_certificate(cert)
         again = certs.reduction_to_json(cert)
         assert again["version"] == certs.REDUCTION_VERSION == 2
@@ -169,13 +171,19 @@ class TestReductionFormat:
     def test_tampered_version_1_tree_fails(self):
         doc = json.loads(V1_REDUCTION)
         doc["payload"]["root"]["children"][0][0] = 2
-        assert not verify_certificate(certs.certificate_from_json(doc))
+        assert not verify_certificate(certs.certificate_from_json(upgrade.upgrade(doc)))
 
     def test_version_1_child_must_be_a_node(self):
         doc = json.loads(V1_REDUCTION)
         doc["payload"]["root"]["children"][0][1] = 0
         with pytest.raises(certs.CertificateFormatError):
-            certs.certificate_from_json(doc)
+            upgrade.upgrade(doc)
+
+    def test_only_the_current_version_loads(self):
+        """The checker reads one version per kind; older ones go through
+        gpi.upgrade first."""
+        with pytest.raises(certs.CertificateFormatError, match="unsupported version 1"):
+            certs.certificate_from_json(json.loads(V1_REDUCTION))
 
     def test_table_is_post_order_with_earlier_references(self):
         rand = support.rng(503)
@@ -217,7 +225,7 @@ class TestReductionFormat:
         doc = _table_doc(None, root)
         doc["version"] = 1
         del doc["payload"]["nodes"]
-        assert verify_certificate(certs.certificate_from_json(doc))
+        assert verify_certificate(certs.certificate_from_json(upgrade.upgrade(doc)))
 
     def test_table_smaller_than_tree(self):
         c = Context(Z3, dict(enumerate(
@@ -405,15 +413,16 @@ def test_chain_jcomb_v3_bytes_pinned():
             assert doc["version"] == certs.CHAIN_VERSION == 3
             digest.update(certs.dumps(doc).encode())
             assert certs.certificate_from_json(doc) == \
-                certs.certificate_from_json(support.as_v2(doc))
+                support.old_certificate_from_json(support.as_v2(doc))
     assert digest.hexdigest() == PINNED_CHAIN_JCOMB_V3_DIGEST
 
 
 # --- the checker stands apart from the producers -------------------------------
 
 def documents_of_every_version() -> dict:
-    """A valid chain, jcomb and reduction document of every version in
-    certs.READ_VERSIONS, keyed by (kind, version).  Version 3 chains and
+    """A valid chain, jcomb and reduction document of every version `gpi
+    verify` reads (certs.READ_VERSIONS and support.OLD_READ_VERSIONS), keyed by
+    (kind, version).  Version 3 chains and
     jcombs are the encoder's, version 2 is support.as_v2 of them, and
     version 1 is version 2 relabelled: the two wrote chains and jcombs
     alike.  Reduction version 2 is the encoder's, version 1 V1_REDUCTION,
@@ -434,15 +443,17 @@ def documents_of_every_version() -> dict:
     for kind in ("chain", "jcomb"):
         docs[kind, 2] = support.as_v2(docs[kind, 3])
         docs[kind, 1] = dict(docs[kind, 2], version=1)
-    assert set(docs) == {(k, v) for k, vs in certs.READ_VERSIONS.items() for v in vs}
+    assert set(docs) == {(k, v) for k, vs in support.OLD_READ_VERSIONS.items()
+                         for v in (*vs, certs.READ_VERSIONS[k])}
     return docs
 
 
 def test_verify_runs_no_producer_code(tmp_path, capsys):
     """`gpi verify` on a document of every version calls no function defined
     in rewrite.py, z3reduce.py or dsl.py: the checker does not run the code
-    that produces what it checks."""
-    producers = {os.path.realpath(m.__file__) for m in (rewrite, z3reduce, dsl)}
+    that produces what it checks.  On a document of the current version it
+    calls nothing in upgrade.py either."""
+    watched = {os.path.realpath(m.__file__) for m in (rewrite, z3reduce, dsl, upgrade)}
     files: dict[str, str] = {}
     called = set()
 
@@ -451,11 +462,10 @@ def test_verify_runs_no_producer_code(tmp_path, capsys):
             name = frame.f_code.co_filename
             if name not in files:
                 files[name] = os.path.realpath(name)
-            if files[name] in producers:
-                called.add(f"{os.path.basename(name)}:{frame.f_code.co_name}")
+            if files[name] in watched:
+                called.add((os.path.basename(name), frame.f_code.co_name))
 
-    docs = documents_of_every_version()
-    for (kind, version), doc in docs.items():
+    for (kind, version), doc in documents_of_every_version().items():
         path = tmp_path / f"{kind}-v{version}.json"
         path.write_text(certs.dumps(doc))
         sys.setprofile(profile)
@@ -464,7 +474,110 @@ def test_verify_runs_no_producer_code(tmp_path, capsys):
         finally:
             sys.setprofile(None)
         assert code == 0 and json.loads(capsys.readouterr().out)["valid"] is True
-    assert called == set()
+        assert {file for file, _ in called} <= {"upgrade.py"}
+        assert bool(called) is (version != certs.READ_VERSIONS[kind])
+        called.clear()
+
+
+def test_verify_of_the_current_version_leaves_the_upgrader_unloaded(tmp_path):
+    """In a fresh process, `gpi verify` on the current version of each kind
+    never imports gpi.upgrade; a version-1 document then does."""
+    docs = documents_of_every_version()
+    paths = []
+    for kind, version in [(k, v) for k, v in certs.READ_VERSIONS.items()] + [("jcomb", 1)]:
+        paths.append(tmp_path / f"{kind}-v{version}.json")
+        paths[-1].write_text(certs.dumps(docs[kind, version]))
+    script = ("import sys\n"
+              "from gpi.cli import main\n"
+              "codes = [main(['verify', p]) for p in sys.argv[1:-1]]\n"
+              "loaded = 'gpi.upgrade' in sys.modules\n"
+              "codes.append(main(['verify', sys.argv[-1]]))\n"
+              "print(codes, loaded, 'gpi.upgrade' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certs.__file__)))
+    out = subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] False True"
+
+
+# --- older versions: the upgrader against the loader it replaced ---------------
+
+def test_upgrade_round_trips_every_pinned_document():
+    """Each pinned chain and jcomb, written back as version 2 and as version
+    1, upgrades to itself; V1_REDUCTION upgrades to the node table the
+    encoder writes for the certificate the old loader read from it."""
+    upgraded = 0
+    for is_chain, doc in pinned_chain_jcomb_eval_documents():
+        if is_chain:
+            v2 = support.as_v2(doc)
+            assert upgrade.upgrade(v2) == upgrade.upgrade(dict(v2, version=1)) == doc
+            upgraded += 1
+    v1 = json.loads(V1_REDUCTION)
+    assert upgrade.upgrade(v1) == certs.reduction_to_json(support.old_certificate_from_json(v1))
+    assert upgraded == 380
+
+
+HOSTILE = [None, True, False, 0, -1, 1.0, "1", "", [], {}, [1, 0, 2], [[1]]]
+_DROP = object()
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every field of a JSON document: each key and each index."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _with_field(doc: dict, path: tuple, value) -> dict:
+    """doc with the field at path set to value, or dropped (_DROP)."""
+    doc = copy.deepcopy(doc)
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is _DROP:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return doc
+
+
+def _verify_exit(doc) -> int:
+    try:
+        return _verify(doc, "edited.json")[0]
+    except _CliInputError:
+        return 2
+
+
+def test_upgrade_passes_nothing_the_old_loader_refused():
+    """Version-1 and -2 documents with one field dropped or set to a hostile
+    value, a seeded sample: `gpi verify` exits 0 only where the loader that
+    read these versions before (support.old_verify_exit) exits 0, and in
+    fact exits as that loader does."""
+    cases = [(doc, path, value)
+             for (kind, version), doc in documents_of_every_version().items()
+             if version != certs.READ_VERSIONS[kind]
+             for path in _field_paths(doc) for value in [_DROP, *HOSTILE]]
+    rand = support.rng(23)
+    start, seen = time.perf_counter(), Counter()
+    for doc, path, value in rand.sample(cases, 3000):
+        edited = _with_field(doc, path, value)
+        old, new = support.old_verify_exit(edited), _verify_exit(edited)
+        assert new != 0 or old == 0, (path, value)
+        assert new == old, (path, value)
+        seen[old] += 1
+    assert len(cases) > 5000 and set(seen) == {0, 1, 2}
+    assert time.perf_counter() - start < 3
+
+
+def test_claim_nested_too_deeply_is_bad_input():
+    """An older document whose claim holds JSON nested too deeply to write
+    back, here a group name, is bad input, not a traceback."""
+    doc = documents_of_every_version()["chain", 2]
+    for _ in range(100_000):
+        doc["group"]["names"][0] = [doc["group"]["names"][0]]
+    with pytest.raises(_CliInputError, match="recursion"):
+        _verify(doc, "deep.json")
 
 
 def test_verify_matches_word_level_replay():
@@ -473,6 +586,8 @@ def test_verify_matches_word_level_replay():
     endpoints, on the chain and jcomb of every version."""
     checked = 0
     for (kind, version), doc in documents_of_every_version().items():
+        if version != certs.READ_VERSIONS[kind]:
+            doc = upgrade.upgrade(doc)
         cert = certs.certificate_from_json(doc)
         if isinstance(cert, RewriteChain):
             cert = JCombination(cert.ctx, (JTerm(1, cert.start, cert.end, cert.moves),))
@@ -531,7 +646,7 @@ def _relative_imports() -> dict[str, set[str]]:
 
 def test_certs_imports_only_what_it_trusts():
     """The import closure of certs is the algebra the checker trusts; the
-    producers and the CLI import certs, never the reverse."""
+    producers, the upgrader and the CLI import certs, never the reverse."""
     imports = _relative_imports()
     closure, todo = set(), ["certs"]
     while todo:
@@ -539,4 +654,4 @@ def test_certs_imports_only_what_it_trusts():
             closure.add(name)
             todo.append(name)
     assert closure == {"freealg", "groups", "genmat", "identity"}
-    assert all("certs" in imports[m] for m in ("rewrite", "z3reduce", "cli"))
+    assert all("certs" in imports[m] for m in ("rewrite", "z3reduce", "cli", "upgrade"))

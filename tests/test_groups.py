@@ -253,6 +253,28 @@ def test_non_integer_entries_rejected():
         assert str(info.value) == f"table entry {shown} is not an integer"
 
 
+@pytest.mark.parametrize("group", [cyclic_group(5), s3(),
+                                   support.relabelled(s3(), (3, 5, 0, 1, 4, 2))],
+                         ids=["Z5", "S3", "S3-relabelled"])
+def test_bool_entries_rejected(group):
+    """true and false equal 1 and 0, and a sum takes them as integers, so no
+    equality check sees them: each cell holding 0 or 1, written as a bool,
+    is named."""
+    cells = 0
+    for a, row in enumerate(group.table):
+        for b, v in enumerate(row):
+            if v in (0, 1):
+                table = [list(r) for r in group.table]
+                table[a][b] = bool(v)
+                with pytest.raises(GroupError) as info:
+                    FiniteGroup(tuple(map(tuple, table)))
+                assert str(info.value) == f"table entry {bool(v)} is not an integer"
+                cells += 1
+    assert cells == 2 * group.order
+    with pytest.raises(GroupError, match="table entry False is not an integer"):
+        FiniteGroup(((False,),))
+
+
 def test_cyclic_table_is_addition_mod_n():
     for n in range(1, 129):
         assert cyclic_group(n).table == tuple(tuple((a + b) % n for b in range(n))
@@ -338,6 +360,8 @@ def test_swapped_z5_refused_by_gpi_verify(tmp_path, capsys):
     pytest.param("[[0, 1], [1, [0]]]", "table entry [0] is not an integer", id="list"),
     pytest.param("[[0, 1], [1, 0.5]]", "table entry 0.5 is not an integer", id="float"),
     pytest.param("[[0, 1], [1, 5.5]]", "table entry 5.5 is not an integer", id="float-above"),
+    # Z2 with its entry 1 written as true
+    pytest.param("[[0, true], [true, 0]]", "table entry True is not an integer", id="bool"),
     # the entry is named in a few characters however deep it is
     pytest.param("[[" + "[" * 200 + "]" * 200 + "]]",
                  "table entry [[[[[[[...]]]]]]] is not an integer", id="nested-entry"),

@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpi import certs
-from gpi.freealg import (Context, DeclarationError, FreePoly, multihomogeneous_components,
-                         word_key)
+from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_key
 from gpi.genmat import eval_word_closed, word_path
-from gpi.identity import (ContractError, GeneratorKind, degree_rule_holds, expand,
-                          identity_witness, make_generator)
+from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_witness,
+                          make_generator)
 from gpi.certs import (MOVE_FAMILIES, JCombination, Move, MoveError, RewriteChain, apply_move,
                        move_path, verify_chain, verify_combination)
-from gpi.rewrite import (NoExpressionError, NotCongruentError, SigmaWitness, congruence_chain,
-                         express_in_J, extract_sigma, shared_entry)
+from gpi.rewrite import (NoExpressionError, NotCongruentError, congruence_chain, express_in_J,
+                         shared_entry)
 from gpi.groups import GradingTuple, cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -41,95 +40,6 @@ class TestSharedEntry:
         c = Context(Z3, {1: 0, 2: 0})
         assert shared_entry(c, (1,), (2,)) is None
         assert shared_entry(c, (1, 1), (1,)) is None
-
-
-class TestExtractSigma:
-    def test_reversal_is_a_transposition(self):
-        c = Context(Z3, {1: 1, 2: 2, 3: 1})
-        pos = shared_entry(c, (1, 2, 3), (3, 2, 1))
-        w = extract_sigma(c, (1, 2, 3), (3, 2, 1), pos)
-        assert w.sigma == (2, 1, 0)
-
-    def test_identity_permutation(self):
-        c = Context(Z3, {1: 1, 2: 2, 3: 0})
-        m = (1, 2, 3)
-        pos = shared_entry(c, m, m)
-        w = extract_sigma(c, m, m, pos)
-        assert w.sigma == (0, 1, 2)
-
-    def test_repeated_variable_tie_break(self):
-        c = Context(Z3, {1: 0})
-        m = (1, 1)
-        pos = shared_entry(c, m, m)
-        w = extract_sigma(c, m, m, pos)
-        assert w.sigma == (0, 1)
-
-    def test_sigma_matches_variables(self):
-        rand = support.rng(301)
-        for grading in support.configs():
-            for _ in range(40):
-                c = support.random_context(rand, grading, 6)
-                m = support.random_word(rand, c, rand.randint(1, 7))
-                m2, n = support.random_congruent_pair(rand, c, m)
-                pos = shared_entry(c, m2, n)
-                assert pos is not None  # moves preserve the evaluation
-                w = extract_sigma(c, m2, n, pos)
-                for h, s in enumerate(w.sigma):
-                    assert m2[s] == n[h]
-
-    def test_sigma_moves_first_position_when_words_differ(self):
-        rand = support.rng(302)
-        for grading in support.configs():
-            for _ in range(60):
-                c = support.random_context(rand, grading, 6)
-                m = support.random_word(rand, c, rand.randint(2, 7))
-                m2, n = support.random_congruent_pair(rand, c, m)
-                if m2[0] == n[0]:
-                    continue
-                pos = shared_entry(c, m2, n)
-                w = extract_sigma(c, m2, n, pos)
-                assert w.sigma[0] != 0
-
-    def test_matches_least_unused_position_matcher(self):
-        """extract_sigma pairs by one sort per path; support._old_match_paths
-        hands out the least unused position of m.  On move-walk pairs with
-        repeated letters they agree, from every row and at every column: the
-        same sigma where the paths share the entry, a ContractError where
-        they do not.  Words of another length or other letters, and an
-        undeclared letter, fail the same way in both."""
-        rand = support.rng(312)
-        ties = raised = 0
-        for grading in _chain_gradings():
-            for _ in range(30):
-                c = support.random_context(rand, grading, 3)
-                m = support.random_word(rand, c, rand.randint(1, 7))
-                others = [support.random_congruent_pair(rand, c, m)[1],
-                          tuple(rand.sample(m, len(m))), m[1:], m + m[:1], m[:-1] + (9,)]
-                for n in others:
-                    for row in range(grading.n):
-                        for col in range(grading.n):
-                            got, want = _outcome(extract_sigma, c, m, n, (row, col)), \
-                                _outcome(_old_extract_sigma, c, m, n, (row, col))
-                            assert got == want
-                            raised += got[0] == "raise"
-                ties += len(set(m)) < len(m)
-        assert ties > 60 and raised > 1000
-
-
-def _old_extract_sigma(ctx, m, n, pos):
-    row, col = pos
-    sigma = support._old_match_paths(ctx, m, n, row)
-    path_m = word_path(ctx, m, row)
-    if (path_m[-1][2] if path_m else row) != col:
-        raise ContractError("monomials share no entry at the given position")
-    return SigmaWitness(sigma=sigma, position=pos)
-
-
-def _outcome(extract, ctx, m, n, pos):
-    try:
-        return ("ok", extract(ctx, m, n, pos))
-    except (ContractError, DeclarationError) as exc:
-        return ("raise", type(exc), str(exc))
 
 
 class TestMoves:
