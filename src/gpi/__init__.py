@@ -19,8 +19,8 @@ from .identity import (MAX_REDUCED_PART_LEN, GeneratorError, GeneratorInstance, 
 from .certs import (JCombination, JTerm, Move, MoveError,
                     ReductionCertificate, RewriteChain, apply_move, verify_certificate,
                     verify_chain, verify_combination)
-from .rewrite import (NoExpressionError, NotCongruentError, congruence_chain, express_in_J,
-                      shared_entry)
+from .rewrite import (NoExpressionError, NotCongruentError, congruence_chain,
+                      express_in_J, shared_entry)
 from .z3reduce import ReductionError, enumerate_reduced, reduce_type1, reduce_type2
 from .dsl import ParseError, format_file, parse_expr, parse_file, parse_text, parse_word
 from . import certs
@@ -37,8 +37,9 @@ __all__ = [
     "GeneratorError", "GeneratorInstance", "GeneratorKind", "Witness", "expand",
     "identity_witness", "is_graded_identity", "make_generator", "validate_generator",
     "JCombination", "JTerm", "Move", "MoveError", "NoExpressionError",
-    "NotCongruentError", "RewriteChain", "apply_move", "congruence_chain", "express_in_J",
-    "shared_entry", "verify_chain", "verify_combination",
+    "NotCongruentError", "RewriteChain", "apply_move",
+    "congruence_chain", "express_in_J", "shared_entry",
+    "verify_chain", "verify_combination",
     "MAX_REDUCED_PART_LEN", "ReductionCertificate", "ReductionError",
     "enumerate_reduced", "reduce_type1", "reduce_type2", "verify_certificate",
     "ParseError", "format_file", "parse_expr", "parse_file", "parse_text",

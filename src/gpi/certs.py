@@ -466,10 +466,11 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 
 # --- wire format: rewrite chains and combinations -----------------------------
 #
-# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of a
-# Move: its blocks are the len_i letters of the running word after its first
-# offset letters, and the running word starts at the chain's start (a jcomb
-# term's source).  A jcomb term writes its endpoints once, as source and target.
+# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of
+# a Move: the blocks are the len_i letters of the running word that follow its
+# first offset letters, and the running word starts at the chain's start (a
+# jcomb term's source).  A jcomb term writes its endpoints once, as source and
+# target.
 
 _INT = frozenset({int})
 
@@ -520,8 +521,10 @@ def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
 
 
 def _load_terms(ctx: Context, fields) -> tuple[JTerm, ...]:
-    """JTerms from (coeff, source, target, chain) fields, their moves loaded once
-    the replay fits one budget: one running word, as long as the source, per move."""
+    """The terms whose fields (coeff, source, target, chain) come, one term
+    at a time, from fields.  The pass that reads them reads each chain's
+    move list too, whose moves load once the replay fits one budget (one
+    running word, as long as the source, per move)."""
     terms = [(coeff, source, target, _entries(chain["moves"], "moves"))
              for coeff, source, target, chain in fields]
     ReplayBudget().spend(sum(len(source) * len(moves) for _, source, _, moves in terms))
@@ -668,9 +671,11 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
 
 
 def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
-    """Build the DAG from its node table.  Every child reference and the root
-    must be an int naming an earlier row, so the rows load in one pass and no
-    cycle can be written."""
+    """Build the DAG from its node table.
+
+    Every child reference and the root must be an int naming an earlier row,
+    so the rows load in one pass and no cycle can be written.
+    """
     table, root = _entries(doc["nodes"], "reduction nodes"), doc["root"]
     nodes: list[CertNode] = []
 
@@ -697,7 +702,8 @@ def certificate_from_json(doc: dict):
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
     if type(version) is not int or version != READ_VERSIONS[kind]:
         raise CertificateFormatError(f"unsupported version {version!r} of a {kind}")
-    ctx, payload = context_from_json(doc), _object(doc.get("payload", {}), "payload")
+    ctx = context_from_json(doc)
+    payload = _object(doc.get("payload", {}), "payload")
     try:
         if kind == "chain":
             return chain_from_payload(ctx, payload)
@@ -706,6 +712,16 @@ def certificate_from_json(doc: dict):
         return reduction_from_payload(ctx, payload)
     except KeyError as exc:  # a JSON object of the payload lacks a field
         raise CertificateFormatError(f"missing field {exc.args[0]!r}") from None
+
+
+def claim(doc: dict) -> str:
+    """What a certificate document of any version asserts, as JSON text: its
+    kind, context and endpoints (a chain's start and end, each jcomb term's
+    coeff, source and target, a reduction's target)."""
+    p = doc["payload"]
+    return dumps([doc.get(k) for k in ("kind", "group", "grading", "vars")]
+                 + [p.get(k) for k in ("start", "end", "target")]
+                 + [[t["coeff"], t["source"], t["target"]] for t in p.get("terms", ())])
 
 
 def dumps(doc: dict) -> str:

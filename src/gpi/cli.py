@@ -182,19 +182,9 @@ def cmd_enum_reduced(args):
                                  for k in GeneratorKind}}
 
 
-def _claim(doc: dict) -> str:
-    """What a certificate document asserts, as JSON text: its kind, context and
-    endpoints (a chain's start and end, each jcomb term's coeff, source and
-    target, a reduction's target)."""
-    p = doc["payload"]
-    return certs.dumps([doc.get(k) for k in ("kind", "group", "grading", "vars")]
-                       + [p.get(k) for k in ("start", "end", "target")]
-                       + [[t["coeff"], t["source"], t["target"]] for t in p.get("terms", ())])
-
-
 def _verify(doc, path: str):
     """`gpi verify` on the JSON document doc, read from path; an older version
-    as gpi.upgrade rewrites it, if the rewrite makes the same claim (_claim)."""
+    as gpi.upgrade rewrites it, if the rewrite makes the same claim (certs.claim)."""
     if not isinstance(doc, dict):
         raise _CliInputError(f"{path}: a certificate is a JSON object")
     kind, version = doc.get("kind"), doc.get("version")
@@ -203,11 +193,11 @@ def _verify(doc, path: str):
                 and 0 < version < certs.READ_VERSIONS.get(kind, 0):
             from .upgrade import upgrade
             new = upgrade(doc)
-            if new is None or _claim(new) != _claim(doc):
+            if new is None or certs.claim(new) != certs.claim(doc):
                 return EXIT_NEGATIVE, {"valid": False, "kind": kind}
             doc = new
         cert = certs.certificate_from_json(doc)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # _claim on deep JSON
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # claim on deep JSON
         raise _CliInputError(f"{path}: {exc}") from exc
     try:  # certificate_from_json returns one of the three kinds
         if isinstance(cert, RewriteChain):

@@ -98,12 +98,12 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     (path_entry).  A key holds its path sorted, so the paths carry the same
     scalar variables and the words have one length.
 
-    seq[i] is the position in m paired with n's position i.  Each round
-    skips the first positions k that seq fixes, where the two words agree;
-    r0 is the position in n paired with m's k, t the least position in m
-    paired with one of n's positions k..r0-1, at p0, and the move brings
-    n's r0..e-1 forward, where e - 1 is paired with t - 1.  It is a reverse3
-    when p0 > k, and a swap0 otherwise.
+    seq[i] is the position in m paired with n's position i by
+    _by_variable.  Each round skips the first positions k that seq fixes,
+    where the two words agree; r0 is the position in n paired with m's k,
+    t the least position in m paired with one of n's positions k..r0-1, at
+    p0, and the move brings n's r0..e-1 forward, where e - 1 is paired with
+    t - 1.  It is a reverse3 when p0 > k, and a swap0 otherwise.
 
     Neither word is walked: by move_path, a move that obeys its degree rule
     permutes n's path as it permutes n, so each move permutes seq alike, and
@@ -118,7 +118,7 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     """
     ties = _ties(path_m, order_m) if repeats else []
     seq = [0] * len(order_n)
-    for h, s in zip(order_n, order_m):  # n's h and m's s have one rank (_by_variable)
+    for h, s in zip(order_n, order_m):
         seq[h] = s
     length = len(seq)
     moves: list[Move] = []

@@ -17,7 +17,8 @@ def upgrade(doc: dict) -> dict | None:
     where a move does not spell its running word or a term's chain runs
     between other words than the term's source and target.  Each field gets
     the checks of the loader that read its version, in its order."""
-    ctx, payload = context_from_json(doc), _object(doc.get("payload", {}), "payload")
+    ctx = context_from_json(doc)
+    payload = _object(doc.get("payload", {}), "payload")
     try:
         if doc["kind"] == "reduction":
             table = _post_order(payload["root"], _tree_children)
@@ -38,8 +39,7 @@ def _term(ctx, t) -> dict | None:
     _integer(_object(t, "a jcomb term")["coeff"])
     ends = tuple(_declared_word(ctx, t[k], k) for k in ("source", "target"))
     moves = _moves(ctx, _object(t["chain"], "a term's chain"), ends)
-    return None if moves is None else {"coeff": t["coeff"], "source": t["source"],
-                                       "target": t["target"], "chain": {"moves": moves}}
+    return None if moves is None else dict(t, chain={"moves": moves})
 
 
 def _moves(ctx, chain: dict, ends=None) -> list | None:
@@ -53,8 +53,10 @@ def _moves(ctx, chain: dict, ends=None) -> list | None:
         left, right = _entries(doc["left"], "left"), _entries(doc["right"], "right")
         blocks = tuple(_entries(b, "a block") for b in _entries(doc["blocks"], "blocks"))
         mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
-        spelled &= _declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move") == word
-        word = mv.apply(word)
+        letters = _declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move")
+        spelled = spelled and letters == word
+        if spelled:  # each word built is paid for by the letters of its move
+            word = mv.apply(word)
         moves.append(move_to_json(mv))
     return moves if spelled else None
 

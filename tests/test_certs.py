@@ -570,6 +570,18 @@ def test_upgrade_passes_nothing_the_old_loader_refused():
     assert time.perf_counter() - start < 3
 
 
+def test_upgrade_of_moves_that_miss_a_long_word_stays_linear():
+    """A version-2 chain on a 50,000-letter word with 50,000 two-letter moves
+    that do not spell it is refused in time linear in the document: the
+    upgrader builds no running word past the first move that misses it."""
+    doc = documents_of_every_version()["chain", 2]
+    move = {"kind": "swap0", "left": [], "blocks": [[4], [4]], "right": []}
+    doc["payload"] = {"start": [4] * 50_000, "end": [4] * 50_000, "moves": [move] * 50_000}
+    start = time.perf_counter()
+    assert _verify(doc, "long.json") == (1, {"valid": False, "kind": "chain"})
+    assert time.perf_counter() - start < 2
+
+
 def test_claim_nested_too_deeply_is_bad_input():
     """An older document whose claim holds JSON nested too deeply to write
     back, here a group name, is bad input, not a traceback."""
