@@ -430,7 +430,10 @@ def context_from_json(doc: dict) -> Context:
             raise CertificateFormatError(
                 f"group order {order!r} is not the number of table rows, {len(rows)}")
         table = tuple(tuple(map(_integer, _entries(r, "a table row"))) for r in rows)
-        group = FiniteGroup(table, _entries(gdoc.get("names", []), "group names"))
+        names = _entries(gdoc.get("names", []), "group names")
+        if not all(type(name) is str for name in names):
+            raise CertificateFormatError("group names must be JSON strings")
+        group = FiniteGroup(table, names)
         grading = GradingTuple(group, tuple(map(_integer, _entries(doc["grading"], "grading"))))
         vars_doc = doc["vars"]
         if not isinstance(vars_doc, dict):

@@ -32,8 +32,12 @@ class _CliInputError(Exception):
     pass
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(certs.dumps(doc))
+def _dumps(doc) -> str:
+    """certs.dumps(doc); an integer past Python's integer-string limit is bad input."""
+    try:
+        return certs.dumps(doc)
+    except ValueError as exc:
+        raise _CliInputError("an integer in the answer is too long to write") from exc
 
 
 def _diag(msg: str) -> None:
@@ -228,7 +232,7 @@ _EXPECTATIONS = {"identity": (cmd_express, EXIT_OK, "not an identity"),
 
 def _write_verified(doc: dict, path: str) -> bool:
     """Write certificate doc to path unless `gpi verify` on its bytes fails."""
-    text = certs.dumps(doc)
+    text = _dumps(doc)
     if _verify(_read_json(path, text), path)[0] != EXIT_OK:
         return False
     try:
@@ -347,10 +351,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         code, doc = args.func(args)
+        sys.stdout.write(_dumps(doc))
     except _CliInputError as exc:
         _diag(str(exc))
         return EXIT_INPUT
-    _emit(doc)
     return code
 
 

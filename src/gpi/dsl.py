@@ -24,7 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 
-from .freealg import Context, FreePoly, Word, bracket, terms_product
+from .freealg import (Context, FreePoly, ReplayBudget, ReplayBudgetError, Word,
+                      _charged_product, bracket_terms)
 from .groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError, cyclic_group,
                      default_grading)
 from .identity import GeneratorInstance, GeneratorKind, make_generator
@@ -68,6 +69,8 @@ class _ExprParser:
     The parser walks plain token strings, ending in a None sentinel.  A
     column is needed only for an error message, and then the text is
     scanned again with _tokenize, which pairs each token with its column.
+    Each product is charged to one ReplayBudget before it is built: nested
+    brackets double the expansion per level, up to MAX_REPLAY_LETTERS.
     """
 
     def __init__(self, ctx: Context, tokens, text: str, line: int):
@@ -76,6 +79,7 @@ class _ExprParser:
         self.text = text
         self.line = line
         self.i = 0
+        self.budget = ReplayBudget()
 
     def fail(self, msg: str, i: int, offset: int = 0):
         """Raise msg at the column offset characters into token i, or just
@@ -134,7 +138,7 @@ class _ExprParser:
         """A product of factors, without zero coefficients.
 
         A run of letters and integer literals is one word and one
-        coefficient; terms_product joins the run so far to a ( or [ factor.
+        coefficient; _charged_product joins the run so far to a ( or [ factor.
         No FreePoly is built until the whole expression is read, so each
         letter's declaration is checked a fixed number of times.  A run of
         letters is one token, read and checked by C-level calls (split, int,
@@ -168,7 +172,8 @@ class _ExprParser:
                 i += 1
             elif tok == "(" or tok == "[":
                 self.i = i
-                acc = terms_product(_times(acc, word, coeff), self.bracketed())
+                acc = _charged_product(_times(acc, word, coeff, self.budget),
+                                       self.bracketed(), self.budget)
                 i = self.i
                 word = []
                 coeff = 1
@@ -176,7 +181,7 @@ class _ExprParser:
                 self.fail(f"unexpected token {tok!r}", i)
             if tokens[i] != "*":
                 self.i = i
-                return _times(acc, word, coeff)
+                return _times(acc, word, coeff, self.budget)
             i += 1
 
     def bracketed(self) -> dict[Word, int]:
@@ -190,7 +195,7 @@ class _ExprParser:
         self.expect(",")
         b = self.expr()
         self.expect("]")
-        return bracket(a, b).terms
+        return bracket_terms(a.terms, b.terms, self.budget)
 
 
 def _too_long(digits: str, what: str) -> str:
@@ -210,10 +215,11 @@ def _read_int(text: str, what: str, line: int) -> int:
         raise ParseError(_too_long(text, what), line) from None
 
 
-def _times(acc: dict[Word, int] | None, word: list[int], coeff: int) -> dict[Word, int]:
-    """acc times the monomial coeff * word; acc None stands for 1."""
+def _times(acc: dict[Word, int] | None, word: list[int], coeff: int,
+           budget: ReplayBudget) -> dict[Word, int]:
+    """acc times the monomial coeff * word, charged to budget; None stands for 1."""
     run = {tuple(word): coeff} if coeff else {}
-    return run if acc is None else terms_product(acc, run)
+    return run if acc is None else _charged_product(acc, run, budget)
 
 
 def parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
@@ -225,7 +231,12 @@ def parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
     if not tokens:
         raise ParseError("empty expression", line)
     tokens.append(None)
-    return _ExprParser(ctx, tokens, text, line).parse()
+    try:
+        return _ExprParser(ctx, tokens, text, line).parse()
+    except RecursionError:  # each ( or [ is a few frames of the descent
+        raise ParseError("expression nested too deeply", line) from None
+    except ReplayBudgetError as exc:
+        raise ParseError(f"expression expands too far: {exc}", line) from None
 
 
 def parse_word(ctx: Context, text: str, line: int = 1) -> Word:

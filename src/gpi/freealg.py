@@ -234,10 +234,9 @@ class ReplayBudget:
 
 def _charged_product(a: dict[Word, int], b: dict[Word, int],
                      budget: ReplayBudget) -> dict[Word, int]:
-    """terms_product(a, b), charged before it is built.  The words of a have
-    one length, and those of b another, so the charge is O(1)."""
-    if a and b:
-        budget.spend(len(a) * len(b) * (len(next(iter(a))) + len(next(iter(b)))))
+    """terms_product(a, b), charged before it is built: its len(a) * len(b)
+    words hold len(b) * (letters of a) + len(a) * (letters of b) letters."""
+    budget.spend(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
     return terms_product(a, b)
 
 
@@ -264,7 +263,12 @@ def _lie_terms(lw, budget: ReplayBudget) -> dict[Word, int]:
     """The expansion of a Lie word, each bracket [l, r] as lr - rl."""
     if isinstance(lw, int):
         return {(lw,): 1}
-    l, r = _lie_terms(lw[0], budget), _lie_terms(lw[1], budget)
+    return bracket_terms(_lie_terms(lw[0], budget), _lie_terms(lw[1], budget), budget)
+
+
+def bracket_terms(l: dict[Word, int], r: dict[Word, int],
+                  budget: ReplayBudget) -> dict[Word, int]:
+    """[l, r] = lr - rl on term dicts, each product charged to budget."""
     terms = _charged_product(l, r, budget)
     for w, c in _charged_product(r, l, budget).items():
         terms[w] = terms.get(w, 0) - c

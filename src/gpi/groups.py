@@ -118,10 +118,6 @@ class FiniteGroup:
             acc = self.table[acc][e]
         return acc
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
-
 
 def _associative(tbl, ident: int) -> bool:
     """Light's associativity test over a greedily built generating set.

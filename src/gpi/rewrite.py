@@ -9,8 +9,9 @@ their evaluation paths, and the recursion emits context moves
   reverse3:  u (b1)(b2)(b3) v ->  u (b3)(b2)(b1) v  outer blocks inverse to middle
 
 each of which is a context multiple of a generator, hence preserves the
-evaluation matrix exactly.  The cancellation loop then expresses any
-identity as an integer combination of certified differences source - target.
+evaluation matrix exactly.  Within each class of words sharing an entry,
+a telescoping sum then expresses any identity as an integer combination of
+certified differences source - target (see express_in_J).
 """
 
 from __future__ import annotations
@@ -151,73 +152,52 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
 # --- expressing identities in the generator ideal ------------------------------
 
 def express_in_J(f: FreePoly) -> JCombination:
-    """Express an identity through certified congruent pairs.
+    """Express an identity through certified congruent pairs, by telescoping.
 
-    Follows the cancellation loop: repeatedly eliminate the least word of
-    the support against the least other word sharing an evaluation entry.
-    The support strictly shrinks each round, so the loop terminates.  Words
-    only leave the support, so one sort ranks every round: coefficients
-    are kept by rank, 0 for a word eliminated, and no word is hashed in
-    the loop.  Each entry key (row, col, mono) keeps a bucket of the ranks
-    of the words carrying it, and dead ranks are skipped lazily from the
-    front.
+    Two words share an evaluation entry exactly when the keys of their
+    row-0 paths are equal: row 0 decides every row (see genmat.word_entry).
+    So the support splits into key classes, each within one multidegree
+    (see shared_entry), and f need not be multihomogeneous.  Take one class
+    b_0 < ... < b_k in word_key order, with coefficients c_i and running
+    sums s_i = c_0 + ... + c_i.  Then
 
-    Each word's path is walked once, from row 0 only, and kept: row 0
-    decides every row (see genmat.word_entry), so two words share an entry
-    exactly when the keys of their row-0 paths are equal, so only words of
-    one multidegree do (see shared_entry), and f need not be
-    multihomogeneous.  The same pass sums the keys into the row 0 of f's
-    evaluation, which decides membership (a non-identity raises
-    NoExpressionError with identity_witness's witness).  Only then are
-    each word's positions sorted by scalar variable, once, for the chain
-    builder's pairing, and each round hands the two words' kept paths and
-    orders to the chain builder, which walks no word again (see
-    _chain_moves).  The cost is O(support * L log L) for words of length
-    L, plus O(L) per move.
+        c_0 b_0 + ... + c_k b_k = sum over i < k of s_i (b_i - b_{i+1}) + s_k b_k,
+
+    and the class contributes s_k times its key to f's evaluation, so f is
+    an identity exactly when every class has s_k = 0; keyed_witness decides
+    that from the keyed sum (a non-identity raises NoExpressionError with
+    identity_witness's witness).  For an identity f is the first sum: in
+    rank order, one term s_i (b_i - b_{i+1}) for each word whose running sum
+    is nonzero, with the chain that transforms b_i into b_{i+1}.
+
+    Each word's path is walked once, from row 0, and its positions are
+    sorted by scalar variable once, for the chain builder, which walks no
+    word again (see _chain_moves).  The cost is O(support * L log L) for
+    words of length L, plus O(L) per move.
     """
-    ctx = f.ctx
     support = sorted(f.terms, key=word_key)
-    coeffs = [f.terms[word] for word in support]
-    word_paths, word_keys = [], []
-    buckets: dict[tuple, list[int]] = {}
+    word_paths = [word_path(f.ctx, word, 0) for word in support]
+    word_keys = [path_entry(path, 0) for path in word_paths]
+    following: dict[int, int] = {}  # rank -> the next rank with its key
+    last: dict[tuple, int] = {}
     total: dict[tuple, int] = {}
-    for rank, word in enumerate(support):
-        path = word_path(ctx, word, 0)
-        key = path_entry(path, 0)
-        buckets.setdefault(key, []).append(rank)
-        total[key] = total.get(key, 0) + coeffs[rank]
-        word_paths.append(path)
-        word_keys.append(key)
+    for rank, (word, key) in enumerate(zip(support, word_keys)):
+        if key in last:
+            following[last[key]] = rank
+        last[key] = rank
+        total[key] = total.get(key, 0) + f.terms[word]
     w = keyed_witness(total)
     if w is not None:
         raise NoExpressionError("input is not a graded identity", witness=w)
-    # every word of an identity takes part in a chain; a non-identity needs none
+    # every word of an identity takes part in a term; a non-identity needs none
     word_orders = list(map(_by_variable, word_paths))
-    heads = dict.fromkeys(buckets, 0)
+    running = dict.fromkeys(total, 0)
     terms: list[JTerm] = []
-    alive = len(support)
-    rank = 0
-    while alive:
-        while not coeffs[rank]:
-            rank += 1
-        if alive == 1:
-            raise AssertionError("single-monomial identity encountered; evaluation bug")
-        key = word_keys[rank]
-        bucket, i = buckets[key], heads[key]
-        while i < len(bucket) and (bucket[i] <= rank or not coeffs[bucket[i]]):
-            i += 1
-        heads[key] = i
-        if i == len(bucket):
-            raise AssertionError("no partner with a shared entry; evaluation bug")
-        j = bucket[i]
-        m1, partner, lam = support[rank], support[j], coeffs[rank]
-        # the moves transform m1 into partner
-        moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank],
-                             not is_multilinear_word(partner))
-        terms.append(JTerm(coeff=lam, source=m1, target=partner, moves=moves))
-        coeffs[rank] = 0
-        coeffs[j] += lam
-        if coeffs[rank]:  # the partner was m1 itself
-            raise AssertionError("support did not shrink; elimination bug")
-        alive -= 1 if coeffs[j] else 2
-    return JCombination(ctx, tuple(terms))
+    for rank, (word, key) in enumerate(zip(support, word_keys)):
+        s = running[key] = running[key] + f.terms[word]
+        if s:  # never a class's last word, whose running sum is its total, 0
+            j = following[rank]
+            moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank],
+                                 not is_multilinear_word(support[j]))
+            terms.append(JTerm(coeff=s, source=word, target=support[j], moves=moves))
+    return JCombination(f.ctx, tuple(terms))

@@ -50,7 +50,7 @@ class ReductionError(ValueError):
 
 def _require_z3(ctx: Context):
     g = ctx.grading.group
-    if g.order != 3 or not g.is_abelian():
+    if g.order != 3:  # every group of order 3 is cyclic, and a FiniteGroup is a group
         raise ReductionError("the reduction scheme is specific to the cyclic group of order 3")
 
 

@@ -584,10 +584,12 @@ def test_upgrade_of_moves_that_miss_a_long_word_stays_linear():
 
 def test_claim_nested_too_deeply_is_bad_input():
     """An older document whose claim holds JSON nested too deeply to write
-    back, here a group name, is bad input, not a traceback."""
+    back, here under a key of the group that the loader does not read, is
+    bad input, not a traceback."""
     doc = documents_of_every_version()["chain", 2]
+    doc["group"]["note"] = 0
     for _ in range(100_000):
-        doc["group"]["names"][0] = [doc["group"]["names"][0]]
+        doc["group"]["note"] = [doc["group"]["note"]]
     with pytest.raises(_CliInputError, match="recursion"):
         _verify(doc, "deep.json")
 

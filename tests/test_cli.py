@@ -3,7 +3,11 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 import support
@@ -397,6 +401,19 @@ class TestHostileCertificates:
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(cert))
         assert (code, out, err) == (2, "", f"gpi: {cert}: {message}\n")
+
+    @pytest.mark.parametrize("kind, version", [("chain", 3), ("jcomb", 1), ("reduction", 2)])
+    @pytest.mark.parametrize("names", [[[1], None, {"a": 2}], [1, 0, 2], ["0", "1", True],
+                                       ["0", "1", ["2"]]])
+    def test_group_names_are_strings(self, tmp_path, capsys, kind, version, names):
+        """Each group name is a JSON string; a list of anything else exits 2
+        naming the field, where it used to load and verify."""
+        doc = documents_of_every_version()[kind, version]
+        doc["group"]["names"] = names
+        cert = tmp_path / "names.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out, err) == (2, "", f"gpi: {cert}: group names must be JSON strings\n")
 
     @pytest.mark.parametrize("spelling", [1.0, True])
     @pytest.mark.parametrize("path", [
@@ -1100,6 +1117,87 @@ class TestLongIntegers:
         cert = tmp_path / "comb.json"
         cert.write_text(out)
         assert run(capsys, "verify", str(cert))[0] == 0
+
+
+class TestHostileProblems:
+    """A problem expression nested too deeply, or expanding past
+    MAX_REPLAY_LETTERS letters, and an answer holding an integer longer than
+    Python writes, exit 2 with one `gpi:` line, nothing on stdout and no
+    traceback."""
+
+    LAMBDA = "*".join(["123456789"] * 2000)  # 16,184 digits once multiplied out
+
+    def assert_rejected(self, capsys, *argv, where=""):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("gpi: ") and err.count("\n") == 1
+        assert where in err
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("line", ["poly: " + "(" * 1000 + "x1" + ")" * 1000,
+                                      "poly: " + "[x1," * 1000 + "x2" + "]" * 1000,
+                                      "m: " + "(" * 1000 + "x1" + ")" * 1000])
+    def test_nested_1000_deep(self, tmp_path, capsys, line):
+        f = write(tmp_path, "deep.gpi", f"group: Z3\nvars: x1:0 x2:0\n{line}\n")
+        command = "check" if line.startswith("poly") else "congruent"
+        self.assert_rejected(capsys, command, f, where="line 3, column 1: expression nested "
+                                                       "too deeply")
+
+    def test_nested_word_argument(self, tmp_path, capsys):
+        f = write(tmp_path, "f.gpi", ID_FILE)
+        self.assert_rejected(capsys, "eval", f, "--word", "(" * 1000 + "x1" + ")" * 1000,
+                             where="--word: line 1, column 1: expression nested too deeply")
+
+    def test_24_nested_brackets_of_distinct_letters(self, tmp_path, capsys):
+        """A 138-character expression whose expansion has 2^24 words."""
+        degrees = " ".join(f"x{k}:0" for k in range(1, 26))
+        poly = "".join(f"[x{k}," for k in range(1, 25)) + "x25" + "]" * 24
+        f = write(tmp_path, "wide.gpi", f"group: Z3\nvars: {degrees}\npoly: {poly}\n")
+        self.assert_rejected(capsys, "check", f, where="MAX_REPLAY_LETTERS")
+
+    @pytest.mark.parametrize("command", ["check", "eval", "express"])
+    @pytest.mark.parametrize("factor", ["x1", "[x1,x2]"])
+    def test_answer_with_an_integer_too_long_to_write(self, tmp_path, capsys, command,
+                                                      factor):
+        """The answer (a witness, a matrix entry or a jcomb coefficient) holds
+        the 16,184-digit coefficient; [x1, x2] is an identity, so check
+        answers it with no number and eval with no entry."""
+        f = write(tmp_path, "big.gpi",
+                  f"group: Z3\nvars: x1:0 x2:0\npoly: {self.LAMBDA}*{factor}\n")
+        if factor != "x1" and command != "express":
+            assert run(capsys, command, f)[0] == 0
+        else:
+            self.assert_rejected(capsys, command, f, where="too long to write")
+
+    def test_corpus_entry_with_an_integer_too_long_to_write(self, tmp_path, capsys):
+        """The certificate cannot be written, so the entry is an error, and
+        no certificate file is left."""
+        write(tmp_path, "big.gpi", f"group: Z3\nvars: x1:0 x2:0\npoly: {self.LAMBDA}*[x1,x2]\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"file": "big.gpi", "expected": "identity"}]')
+        code, out, _ = run(capsys, "corpus", str(manifest))
+        (entry,) = json.loads(out)["entries"]
+        assert code == 1 and entry["status"] == "error"
+        assert entry["detail"] == "an integer in the answer is too long to write"
+        assert not (tmp_path / "big.cert.json").exists()
+
+    @pytest.mark.parametrize("limit, code", [("640", 2), ("100000", 0)])
+    def test_whatever_the_integer_string_limit(self, tmp_path, limit, code):
+        """An 810-digit coefficient is too long under a 640-digit limit and is
+        written under a 100,000-digit one (a real process, so that the
+        limit is read from PYTHONINTMAXSTRDIGITS)."""
+        lam = "*".join(["123456789"] * 100)
+        f = write(tmp_path, "big.gpi", f"group: Z3\nvars: x1:0 x2:0\npoly: {lam}*[x1,x2]\n")
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(certs.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "gpi.cli", "express", f], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        else:
+            assert str(123456789 ** 100) in proc.stdout
 
 
 class TestNotUtf8:

@@ -1,10 +1,13 @@
 import re
+import sys
+from math import comb
 
 import pytest
 import support
 
 from gpi.dsl import (ParseError, _tokenize, format_file, parse_expr, parse_text,
                      parse_word)
+from gpi import freealg
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.groups import cyclic_group, default_grading
 from gpi.identity import GeneratorKind
@@ -62,6 +65,48 @@ class TestExpr:
         with pytest.raises(ParseError):
             parse_word(ctx(), "2*x1")
         assert parse_word(ctx(), "x1*x2") == (1, 2)
+
+
+class TestExpressionLimits:
+    """An expression nested too deeply for the recursive descent, or whose
+    products would build more than MAX_REPLAY_LETTERS letters, is a
+    ParseError at its line; the recursion limit is left as it is."""
+
+    @pytest.mark.parametrize("text", ["(" * 1000 + "x1" + ")" * 1000,
+                                      "[x1," * 1000 + "x2" + "]" * 1000,
+                                      "x1*(" * 1000 + "x2" + ")" * 1000])
+    def test_1000_levels_are_refused(self, text):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(ParseError, match=r"^line 5, column 1: expression nested too deeply$"):
+            parse_expr(ctx(), text, 5)
+        assert sys.getrecursionlimit() == limit
+
+    def test_100_levels_parse(self):
+        c = ctx()
+        assert parse_expr(c, "(" * 100 + "x1" + ")" * 100) == FreePoly.var(c, 1)
+        # [x1, [x1, ... [x1, x2]]] is the sum over j of (-1)^j C(100, j) x1^(100-j) x2 x1^j
+        want = {(1,) * (100 - j) + (2,) + (1,) * j: (-1) ** j * comb(100, j) for j in range(101)}
+        assert parse_expr(c, "[x1," * 100 + "x2" + "]" * 100).terms == want
+
+    @pytest.mark.parametrize("text, letters", [
+        # x1 times x2x3 and back (3 + 3); the term multiplies the bracket's
+        # two words of 3 letters by the empty word, before and after (6 + 6)
+        ("[x1, x2*x3]", 18),
+        # 1 times (x1 + x1x2), then times 1 (3 + 3), then times (x3 + x4)
+        # (2*3 + 2*2), and the four words of 2 and 3 letters times 1 (10)
+        ("(x1 + x1*x2)*(x3 + x4)", 26),
+        ("x1*x2*x3*x4 - 2*x4*x3*x2*x1 + 3", 0),
+    ])
+    def test_each_product_is_charged_its_letters(self, monkeypatch, text, letters):
+        """Each product is charged len(b) * (letters of a) + len(a) *
+        (letters of b) before it is built; a flat run builds none."""
+        c = ctx()
+        monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", letters)
+        parse_expr(c, text)
+        if letters:
+            monkeypatch.setattr(freealg, "MAX_REPLAY_LETTERS", letters - 1)
+            with pytest.raises(ParseError, match="expression expands too far"):
+                parse_expr(c, text)
 
 
 def _tokens_or_error(tokenize, text):

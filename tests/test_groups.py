@@ -44,7 +44,7 @@ class TestTableValidation:
     def test_s3_is_a_group(self):
         g = s3()
         assert g.order == 6
-        assert not g.is_abelian()
+        assert g.mul(1, 3) != g.mul(3, 1)  # the transpositions (0 1) and (1 2)
 
 
 class TestPhi:

@@ -404,6 +404,36 @@ class TestExpressInJ:
         doc = json.loads(certs.dumps(certs.jcomb_to_json(comb)))
         assert verify_combination(certs.certificate_from_json(doc), claimed=f)
 
+    def test_running_sum_returns_to_zero(self):
+        """One key class (every letter of degree 0) with coefficients 1, -1,
+        2, -2 in word_key order: the running sums are 1, 0, 2, 0, so each
+        nonzero sum gives one term to the next word, and x1x3x2, where the
+        sum returns to 0, gives none."""
+        c = Context(Z3, {1: 0, 2: 0, 3: 0})
+        f = FreePoly(c, {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): 2, (2, 3, 1): -2})
+        comb = express_in_J(f)
+        assert [(t.coeff, t.source, t.target) for t in comb.terms] == [
+            (1, (1, 2, 3), (1, 3, 2)), (2, (2, 1, 3), (2, 3, 1))]
+        assert verify_combination(comb, claimed=f)
+
+    def test_interleaved_classes_telescope_apart(self):
+        """Two key classes whose words alternate in word_key order: each
+        class telescopes on its own running sum (a: 1, 0, 2, 0; b: 3, 2, 0)
+        to its own next word, and the terms come in the order of their
+        sources."""
+        c = Context(Z3, {1: 1, 2: 2, 3: 0, 4: 0})
+        a = [(1, 2, 3, 4), (1, 2, 4, 3), (3, 1, 2, 4), (3, 4, 1, 2)]
+        b = [(2, 1, 3, 4), (3, 4, 2, 1), (4, 2, 1, 3)]
+        assert sorted(a + b, key=word_key) == [a[0], a[1], b[0], a[2], a[3], b[1], b[2]]
+        for cls, other in ((a, b), (b, a)):
+            assert all(shared_entry(c, cls[0], u) is not None for u in cls)
+            assert all(shared_entry(c, cls[0], u) is None for u in other)
+        f = FreePoly(c, {**dict(zip(a, (1, -1, 2, -2))), **dict(zip(b, (3, -1, -2)))})
+        comb = express_in_J(f)
+        assert [(t.coeff, t.source, t.target) for t in comb.terms] == [
+            (1, a[0], a[1]), (3, b[0], b[1]), (2, a[2], a[3]), (2, b[1], b[2])]
+        assert verify_combination(comb, claimed=f)
+
     def test_tampered_combination_fails(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})
         f = expand(make_generator(GeneratorKind.TYPE2, c, ((1,), (2,), (3,))))
