@@ -257,6 +257,7 @@ def _run_entry(entry: dict, written: set[str]) -> dict:
     cert = os.path.splitext(path)[0] + ".cert.json"
     try:
         code, doc = answer(args, _load(path))
+        _dumps(doc.get("witness"))  # the report copies it, so it must be writable
         report.update({k: doc[k] for k in ("reason", "witness") if k in doc})
         if code != want:
             report.update(status="fail", detail=miss)

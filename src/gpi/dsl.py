@@ -15,7 +15,8 @@ A file has header lines followed by body directives, one per line:
     h3: x3
 
 Expressions use integer literals, +, -, *, parentheses and [a,b] for the
-Lie bracket.  Whitespace is insignificant inside expressions.
+Lie bracket.  Whitespace is insignificant inside expressions.  The one
+writer of this syntax is repr(FreePoly), which format_file uses for poly:.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import json
 import re
 from dataclasses import dataclass
 
-from .freealg import (Context, FreePoly, ReplayBudget, ReplayBudgetError, Word,
-                      _charged_product, bracket_terms)
+from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
+                      Word, _charged_product, bracket_terms)
 from .groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError, cyclic_group,
                      default_grading)
 from .identity import GeneratorInstance, GeneratorKind, make_generator
@@ -69,8 +70,10 @@ class _ExprParser:
     The parser walks plain token strings, ending in a None sentinel.  A
     column is needed only for an error message, and then the text is
     scanned again with _tokenize, which pairs each token with its column.
-    Each product is charged to one ReplayBudget before it is built: nested
-    brackets double the expansion per level, up to MAX_REPLAY_LETTERS.
+    Every level below parse works on term dicts without zero coefficients;
+    parse builds the expression's one FreePoly.  Each product is charged
+    to one ReplayBudget before it is built, and nothing else is charged:
+    nested brackets double the expansion per level, up to MAX_REPLAY_LETTERS.
     """
 
     def __init__(self, ctx: Context, tokens, text: str, line: int):
@@ -110,15 +113,16 @@ class _ExprParser:
         self.i += 1
 
     def parse(self) -> FreePoly:
-        p = self.expr()
+        terms = self.expr()
         tok = self.tokens[self.i]
         if tok is not None:
             if tok[0] == "x":  # a run of letters: its first letter is named
                 tok = tok.partition("*")[0]
             self.fail(f"trailing input {tok!r}", self.i)
-        return p
+        return FreePoly(self.ctx, terms)
 
-    def expr(self) -> FreePoly:
+    def expr(self) -> dict[Word, int]:
+        """A sum of terms, without zero coefficients."""
         tokens = self.tokens
         terms: dict[Word, int] = {}
         sign = 1
@@ -130,7 +134,7 @@ class _ExprParser:
                 terms[w] = terms.get(w, 0) + sign * c
             tok = tokens[self.i]
             if tok != "+" and tok != "-":
-                return FreePoly(self.ctx, terms)
+                return {w: c for w, c in terms.items() if c}
             sign = -1 if tok == "-" else 1
             self.i += 1
 
@@ -138,16 +142,17 @@ class _ExprParser:
         """A product of factors, without zero coefficients.
 
         A run of letters and integer literals is one word and one
-        coefficient; _charged_product joins the run so far to a ( or [ factor.
-        No FreePoly is built until the whole expression is read, so each
-        letter's declaration is checked a fixed number of times.  A run of
-        letters is one token, read and checked by C-level calls (split, int,
-        a set comparison); only a run that fails the check is walked letter
-        by letter, to name the letter.
+        coefficient: a flat run is that monomial.  Each ( or [ factor
+        ([a,b] is ab - ba), prefixed by the word of the run before it, and
+        the word of the last run are multiplied into the product, each
+        product built once by _charged_product; the coefficient is applied
+        at the end.  A run of letters is one token, read and checked by
+        C-level calls (split, int, a set comparison); only a run that fails
+        the check is walked letter by letter, to name the letter.
         """
         tokens = self.tokens
         declared = self.ctx.degrees
-        acc: dict[Word, int] | None = None  # the product before the run
+        acc: dict[Word, int] | None = None  # the product of the factors so far
         word: list[int] = []
         coeff = 1
         i = self.i
@@ -171,31 +176,30 @@ class _ExprParser:
                     self.fail(_too_long(tok, "integer"), i)
                 i += 1
             elif tok == "(" or tok == "[":
-                self.i = i
-                acc = _charged_product(_times(acc, word, coeff, self.budget),
-                                       self.bracketed(), self.budget)
+                self.i = i + 1
+                factor = self.expr()
+                if tok == "[":
+                    self.expect(",")
+                    right = self.expr()
+                    self.expect("]")
+                    factor = bracket_terms(factor, right, self.budget)
+                else:
+                    self.expect(")")
+                if word:
+                    factor = _charged_product({tuple(word): 1}, factor, self.budget)
+                    word = []
+                acc = factor if acc is None else _charged_product(acc, factor, self.budget)
                 i = self.i
-                word = []
-                coeff = 1
             else:
                 self.fail(f"unexpected token {tok!r}", i)
             if tokens[i] != "*":
                 self.i = i
-                return _times(acc, word, coeff, self.budget)
+                if acc is None:
+                    return {tuple(word): coeff} if coeff else {}
+                if word:
+                    acc = _charged_product(acc, {tuple(word): 1}, self.budget)
+                return {w: coeff * c for w, c in acc.items()} if coeff else {}
             i += 1
-
-    def bracketed(self) -> dict[Word, int]:
-        """The terms of a ( or [ factor, without zero coefficients."""
-        opener = self.tokens[self.i]
-        self.i += 1
-        a = self.expr()
-        if opener == "(":
-            self.expect(")")
-            return a.terms
-        self.expect(",")
-        b = self.expr()
-        self.expect("]")
-        return bracket_terms(a.terms, b.terms, self.budget)
 
 
 def _too_long(digits: str, what: str) -> str:
@@ -213,13 +217,6 @@ def _read_int(text: str, what: str, line: int) -> int:
         return int(text)
     except ValueError:
         raise ParseError(_too_long(text, what), line) from None
-
-
-def _times(acc: dict[Word, int] | None, word: list[int], coeff: int,
-           budget: ReplayBudget) -> dict[Word, int]:
-    """acc times the monomial coeff * word, charged to budget; None stands for 1."""
-    run = {tuple(word): coeff} if coeff else {}
-    return run if acc is None else _charged_product(acc, run, budget)
 
 
 def parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
@@ -308,11 +305,10 @@ def parse_text(text: str) -> ParsedFile:
             grading = GradingTuple(group, grading_spec)
         except GroupError as exc:
             raise ParseError(str(exc), 1) from None
-    n = group.order
-    for k, d in degrees.items():
-        if not (0 <= d < n):
-            raise ParseError(f"degree {d} of x{k} out of group range", 1)
-    ctx = Context(grading, degrees)
+    try:
+        ctx = Context(grading, degrees)
+    except DeclarationError as exc:  # a degree out of the group's range
+        raise ParseError(str(exc), 1) from None
 
     out = ParsedFile(ctx)
     gen_kind: int | None = None
@@ -399,7 +395,7 @@ def format_file(parsed: ParsedFile) -> str:
     lines.append("grading: " + " ".join(str(e) for e in ctx.grading.tuple_))
     lines.append("vars: " + " ".join(f"x{k}:{d}" for k, d in sorted(ctx.degrees.items())))
     if parsed.poly is not None:
-        lines.append("poly: " + _format_poly(parsed.poly))
+        lines.append("poly: " + repr(parsed.poly))
     if parsed.word_m is not None:
         lines.append("m: " + _format_word(parsed.word_m))
     if parsed.word_n is not None:
@@ -415,18 +411,3 @@ def format_file(parsed: ParsedFile) -> str:
 def _format_word(w: Word) -> str:
     return "*".join(f"x{v}" for v in w)
 
-
-def _format_poly(p: FreePoly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for w in p.support():
-        c = p.terms[w]
-        body = _format_word(w) if w else "1"
-        mag = abs(c)
-        piece = body if mag == 1 and w else f"{mag}*{body}"
-        if not chunks:
-            chunks.append(piece if c > 0 else "-" + piece)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(chunks)

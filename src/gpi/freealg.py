@@ -166,13 +166,16 @@ class FreePoly:
         return all(is_multilinear_word(w) for w in self.terms)
 
     def __repr__(self):
+        """The problem-file syntax, terms in word_key order (dsl.parse_expr reads it)."""
         if not self.terms:
             return "0"
         parts = []
         for w in self.support():
             c = self.terms[w]
-            body = "*".join(f"x{v}" for v in w)
-            piece = body if abs(c) == 1 and w else f"{abs(c)}{body}"
+            factors = [f"x{v}" for v in w]
+            if abs(c) != 1 or not w:
+                factors.insert(0, str(abs(c)))
+            piece = "*".join(factors)
             if not parts:
                 parts.append(piece if c > 0 else "-" + piece)
             else:

@@ -1182,6 +1182,19 @@ class TestHostileProblems:
         assert entry["detail"] == "an integer in the answer is too long to write"
         assert not (tmp_path / "big.cert.json").exists()
 
+    def test_corpus_entry_whose_witness_is_too_long_to_write(self, tmp_path, capsys):
+        """The report would copy the witness, so the entry is an error, and
+        the report is still written."""
+        lam = "*".join(["999999999"] * 2000)
+        f = write(tmp_path, "big.gpi", f"group: Z3\nvars: x1:1\npoly: {lam}*x1\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"file": "big.gpi", "expected": "non-identity"}]')
+        code, out, err = run(capsys, "corpus", str(manifest))
+        (entry,) = json.loads(out)["entries"]
+        assert code == 1 and entry["status"] == "error" and "witness" not in entry
+        assert entry["detail"] == "an integer in the answer is too long to write"
+        assert err == f"gpi: ERROR: {f} (non-identity)\n"
+
     @pytest.mark.parametrize("limit, code", [("640", 2), ("100000", 0)])
     def test_whatever_the_integer_string_limit(self, tmp_path, limit, code):
         """An 810-digit coefficient is too long under a 640-digit limit and is

@@ -88,13 +88,25 @@ class TestExpressionLimits:
         want = {(1,) * (100 - j) + (2,) + (1,) * j: (-1) ** j * comb(100, j) for j in range(101)}
         assert parse_expr(c, "[x1," * 100 + "x2" + "]" * 100).terms == want
 
+    def test_15_nested_brackets_of_distinct_letters_parse(self):
+        """[x1,[x2,...[x15,x16]...]] on distinct letters builds and is charged
+        983,040 letters, under MAX_REPLAY_LETTERS; 24 levels are refused."""
+        c = Context(Z3, {k: 0 for k in range(1, 26)})
+
+        def nested(depth):
+            return "".join(f"[x{k}," for k in range(1, depth + 1)) + f"x{depth + 1}" + "]" * depth
+        lie = 16
+        for k in range(15, 0, -1):
+            lie = (k, lie)
+        assert parse_expr(c, nested(15)) == freealg.lie_expand(c, lie)
+        with pytest.raises(ParseError, match="expression expands too far"):
+            parse_expr(c, nested(24))
+
     @pytest.mark.parametrize("text, letters", [
-        # x1 times x2x3 and back (3 + 3); the term multiplies the bracket's
-        # two words of 3 letters by the empty word, before and after (6 + 6)
-        ("[x1, x2*x3]", 18),
-        # 1 times (x1 + x1x2), then times 1 (3 + 3), then times (x3 + x4)
-        # (2*3 + 2*2), and the four words of 2 and 3 letters times 1 (10)
-        ("(x1 + x1*x2)*(x3 + x4)", 26),
+        # x1 times x2x3 and back (3 + 3); the bracket is the term's one factor
+        ("[x1, x2*x3]", 6),
+        # (x1 + x1x2) times (x3 + x4) (2*3 + 2*2), the one product built
+        ("(x1 + x1*x2)*(x3 + x4)", 10),
         ("x1*x2*x3*x4 - 2*x4*x3*x2*x1 + 3", 0),
     ])
     def test_each_product_is_charged_its_letters(self, monkeypatch, text, letters):
@@ -168,8 +180,9 @@ poly: x1*x2*x3 - x3*x2*x1
             parse_text("group: Z3\npoly: x1\n")
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ParseError):
-            parse_text("group: Z3\nvars: x1:5\npoly: x1\n")
+        with pytest.raises(ParseError,
+                           match=r"^line 1, column 1: degree 5 of x2 out of group range$"):
+            parse_text("group: Z3\nvars: x1:2 x2:5 x3:7\npoly: x1\n")
 
     def test_unknown_group(self):
         with pytest.raises(ParseError):
@@ -233,6 +246,11 @@ class TestRoundTrip:
             assert again.generator.parts == parsed.generator.parts
         # a second round trip is exact
         assert format_file(again) == rendered
+
+    def test_poly_line_is_the_repr(self):
+        """A constant is written as its coefficient alone."""
+        parsed = parse_text("group: Z2\nvars: x1:0 x2:0\npoly: 3*x1*x2 - x2*x1 + 2*1 + 1\n")
+        assert "poly: 3 + 3*x1*x2 - x2*x1\n" in format_file(parsed)
 
 
 def _poly_or_error(parse, c, text):

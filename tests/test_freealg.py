@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpi.dsl import parse_expr
 from gpi.freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
                          WeakSubstitution, bracket, is_multilinear_word,
                          lie_degree, lie_expand, multidegree,
@@ -75,14 +76,15 @@ class TestArithmetic:
         ({(): 3}, "3"),
         ({(): 1}, "1"),
         ({(): -1}, "-1"),
-        ({(): -3, (1,): 2}, "-3 + 2x1"),
+        ({(): -3, (1,): 2}, "-3 + 2*x1"),
         ({(): 2, (1, 2): -1, (2, 1): 1}, "2 - x1*x2 + x2*x1"),
         ({(1, 2): 1, (2, 1): -1}, "x1*x2 - x2*x1"),
-        ({(1,): -1, (3, 3): 4}, "-x1 + 4x3*x3"),
+        ({(1,): -1, (3, 3): 4}, "-x1 + 4*x3*x3"),
         ({}, "0"),
     ])
     def test_repr(self, terms, text):
-        """A constant term is its coefficient alone, never followed by 1."""
+        """The problem-file syntax: a coefficient other than +-1 is joined
+        to its word by *, and a constant term is its coefficient alone."""
         assert repr(FreePoly(self.c, terms)) == text
 
 
@@ -120,6 +122,13 @@ class TestRingLaws:
         lhs = (bracket(p, bracket(q, r)) + bracket(q, bracket(r, p))
                + bracket(r, bracket(p, q)))
         assert lhs.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys())
+def test_repr_parses_back(p):
+    """repr writes the problem-file syntax that dsl.parse_expr reads."""
+    assert parse_expr(p.ctx, repr(p)) == p
 
 
 class TestMultihomogeneous:
