@@ -304,17 +304,18 @@ def cert_nodes(root: CertNode) -> list[CertNode]:
 
 
 def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]],
-                budget: ReplayBudget) -> dict[Word, int]:
+                budget: ReplayBudget, expansions: dict) -> dict[Word, int]:
     """The terms of one node's value (word -> nonzero coefficient), from its
     children's terms.
 
     Each node checks only the letters it brings in against ctx, so every
     value's letters are declared: a leaf through its generator, a context
     node its left and right words, a subst node through WeakSubstitution's
-    own checks.  A context node charges budget for the words it builds, a
-    subst node what multiplying out builds, and a sum node one letter for
-    each child term it adds up, so a table of sums over one large value is
-    bounded too.
+    degree check of its images.  A context node charges budget for the
+    words it builds, a subst node what expanding its images and multiplying
+    out build (an image already in expansions is charged, not rebuilt), and
+    a sum node one letter for each child term it adds up, so a table of sums
+    over one large value is bounded too.
     """
     kind = type(node)
     if kind is CertContext:
@@ -338,7 +339,7 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
         return terms
     if kind is CertSubst:
         mu = WeakSubstitution(ctx, dict(node.images))
-        return mu(FreePoly(ctx, values[id(node.child)]), budget).terms
+        return mu.image_terms(values[id(node.child)], budget, expansions)
     raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
 
 
@@ -347,11 +348,13 @@ def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
 
     The whole replay shares one ReplayBudget, so it raises
     ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
+    Each distinct substitution image is expanded once.
     """
     values: dict[int, dict[Word, int]] = {}
     budget = ReplayBudget()
+    expansions: dict = {}
     for node in nodes:
-        values[id(node)] = _node_terms(ctx, node, values, budget)
+        values[id(node)] = _node_terms(ctx, node, values, budget, expansions)
     return FreePoly(ctx, values[id(nodes[-1])])
 
 

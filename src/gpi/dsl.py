@@ -83,6 +83,8 @@ class _ExprParser:
         self.line = line
         self.i = 0
         self.budget = ReplayBudget()
+        # each declared id's spelling, "x12" -> 12, for runs of letters
+        self.letters = {f"x{k}": k for k in ctx.degrees}
 
     def fail(self, msg: str, i: int, offset: int = 0):
         """Raise msg at the column offset characters into token i, or just
@@ -94,9 +96,12 @@ class _ExprParser:
             col = pairs[-1][1] + len(pairs[-1][0])
         raise ParseError(msg, self.line, col)
 
-    def bad_letter(self, run: str, i: int):
-        """Raise at the first letter of the run (token i) that is not a
-        declared variable, at that letter's own column."""
+    def read_run(self, run: str, i: int) -> list[int]:
+        """The ids of a run of letters (token i) that is not all declared
+        spellings, read letter by letter: a leading zero is read by int()
+        (x01 is x1), and the first letter that is not a declared variable
+        is named at its own column."""
+        ids = []
         offset = 0
         for letter in run.split("*"):
             try:
@@ -105,7 +110,9 @@ class _ExprParser:
                 self.fail(_too_long(letter[1:], "variable id"), i, offset)
             if vid < 1 or vid not in self.ctx.degrees:
                 self.fail(f"variable {letter} is not declared", i, offset)
+            ids.append(vid)
             offset += len(letter) + 1
+        return ids
 
     def expect(self, tok):
         if self.tokens[self.i] != tok:
@@ -146,12 +153,12 @@ class _ExprParser:
         ([a,b] is ab - ba), prefixed by the word of the run before it, and
         the word of the last run are multiplied into the product, each
         product built once by _charged_product; the coefficient is applied
-        at the end.  A run of letters is one token, read and checked by
-        C-level calls (split, int, a set comparison); only a run that fails
-        the check is walked letter by letter, to name the letter.
+        at the end.  A run of letters is one token, split at its *s and
+        each letter looked up among the declared spellings in one C-level
+        map; only a run with a letter that misses is read letter by letter.
         """
         tokens = self.tokens
-        declared = self.ctx.degrees
+        spelled = self.letters.__getitem__
         acc: dict[Word, int] | None = None  # the product of the factors so far
         word: list[int] = []
         coeff = 1
@@ -162,11 +169,9 @@ class _ExprParser:
                 self.fail("unexpected end of expression", i)
             if tok[0] == "x":
                 try:
-                    ids = list(map(int, tok[1:].split("*x")))
-                except ValueError:  # an id longer than int() reads
-                    self.bad_letter(tok, i)
-                if not (declared.keys() >= set(ids) and min(ids) >= 1):
-                    self.bad_letter(tok, i)
+                    ids = list(map(spelled, tok.split("*")))
+                except KeyError:
+                    ids = self.read_run(tok, i)
                 word += ids
                 i += 1
             elif tok.isdigit():
@@ -368,18 +373,30 @@ def _parse_group(value: str, lineno: int) -> FiniteGroup:
     raise ParseError(f"unknown group {value!r} (use Z<n> or table [[...]])", lineno)
 
 
+# One declaration of a vars: line, in ASCII digits only, so that int() reads
+# exactly the digits matched (or raises ValueError when they are too long).
+_DECLARATION = re.compile(r"x([0-9]+):([0-9]+)")
+
+
 def _parse_vars(value: str, lineno: int) -> dict[int, int]:
     degrees = {}
     for tok in value.split():
-        m = re.fullmatch(r"x([0-9]+):([0-9]+)", tok)
+        m = _DECLARATION.fullmatch(tok)
         if not m:
             raise ParseError(f"bad variable declaration {tok!r} (want xK:DEG)", lineno)
-        k = _read_int(m.group(1), "variable id", lineno)
+        ident, degree = m.groups()
+        try:
+            k = int(ident)
+        except ValueError:
+            raise ParseError(_too_long(ident, "variable id"), lineno) from None
         if k < 1:
             raise ParseError("variable ids start at 1", lineno)
         if k in degrees:
             raise ParseError(f"x{k} declared twice", lineno)
-        degrees[k] = _read_int(m.group(2), "degree", lineno)
+        try:
+            degrees[k] = int(degree)
+        except ValueError:
+            raise ParseError(_too_long(degree, "degree"), lineno) from None
     return degrees
 
 

@@ -298,35 +298,54 @@ class WeakSubstitution:
                     f"image of x{k} has degree {got}, expected {want}")
 
     def __call__(self, p: FreePoly, budget: ReplayBudget | None = None) -> FreePoly:
-        """The image of p, built one word at a time.
-
-        A word is sliced before and after each mapped letter.  Its image is
-        the slice before the first mapped letter, multiplied out, one
-        mapped letter at a time, by the letter's image followed by the
-        slice after it.  Before that, the budget (a fresh one when none is
-        given) is charged what multiplying the word out one letter at a
-        time would build (_substitution_charge).  That bounds every word
-        built from the slices: each step builds the words that end in a
-        mapped letter's image and, when the slice after it is not empty,
-        the words that end in that slice.
-        """
+        """The image of p (image_terms), charged to budget, a fresh one when
+        none is given."""
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
         if budget is None:
             budget = ReplayBudget()
-        images = {k: list(_lie_terms(lw, budget).items()) for k, lw in self.images.items()}
+        return FreePoly(self.ctx, self.image_terms(p.terms, budget, {}))
+
+    def image_terms(self, terms: dict[Word, int], budget: ReplayBudget,
+                    expansions: dict) -> dict[Word, int]:
+        """The image of a term dict whose letters are declared in self.ctx,
+        without zero coefficients, built one word at a time.
+
+        Every image is expanded and charged first.  expansions maps each
+        Lie word already expanded to its terms and charge, and takes in the
+        new ones: an image found there is charged again but not rebuilt.
+        A word is sliced before and after each mapped letter.  Its image is
+        the slice before the first mapped letter, multiplied out, one
+        mapped letter at a time, by the letter's image followed by the
+        slice after it.  Before that, the budget is charged what
+        multiplying the word out one letter at a time would build
+        (_substitution_charge).  That bounds every word built from the
+        slices: each step builds the words that end in a mapped letter's
+        image and, when the slice after it is not empty, the words that
+        end in that slice.  The images' letters were checked with their
+        degrees, so no letter is checked again.
+        """
+        images = {}
+        for k, lw in self.images.items():
+            if lw in expansions:
+                images[k], charge = expansions[lw]
+                budget.spend(charge)
+            else:
+                left = budget.left
+                images[k] = list(_lie_terms(lw, budget).items())
+                expansions[lw] = images[k], left - budget.left
         image: dict[Word, int] = {}
-        for w, c in p.terms.items():
+        for w, c in terms.items():
             spots = [i for i, v in enumerate(w) if v in images]
             factors = [images[w[i]] for i in spots]
             budget.spend(_substitution_charge(len(w), spots, factors))
             cuts = [w[a:b] for a, b in zip([0] + [i + 1 for i in spots], spots + [len(w)])]
             acc = [(cuts[0], c)]
-            for terms, cut in zip(factors, cuts[1:]):
-                acc = [(u + x + cut, d * e) for u, d in acc for x, e in terms]
+            for factor, cut in zip(factors, cuts[1:]):
+                acc = [(u + x + cut, d * e) for u, d in acc for x, e in factor]
             for u, d in acc:
                 image[u] = image.get(u, 0) + d
-        return FreePoly(self.ctx, image)
+        return {u: d for u, d in image.items() if d}
 
 
 def _substitution_charge(size: int, spots: list[int], factors: list[list]) -> int:

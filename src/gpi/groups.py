@@ -176,8 +176,9 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupError("cyclic group order must be at least 1")
     check_order(n)
     plain = tuple(range(n))
+    doubled = plain + plain  # row a, a + b mod n for each b, is one slice of it
     group = object.__new__(FiniteGroup)
-    for name, value in (("table", tuple(plain[a:] + plain[:a] for a in range(n))),
+    for name, value in (("table", tuple(doubled[a:a + n] for a in range(n))),
                         ("names", tuple(map(str, plain))),
                         ("identity_index", 0),
                         ("inverses", plain[:1] + plain[:0:-1])):  # -a mod n

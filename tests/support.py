@@ -360,6 +360,34 @@ def old_parse_expr(ctx: Context, text: str, line: int = 1) -> FreePoly:
     return _OldExprParser(ctx, tokens, line).parse()
 
 
+# --- the vars: reader that dsl._parse_vars replaced, as an oracle ------------
+
+def _old_read_int(text: str, what: str, line: int) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} {text!r} is not a nonnegative integer in ASCII digits", line)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} of {len(text)} digits is too long to read", line) from None
+
+
+def old_parse_vars(value: str, lineno: int) -> dict[int, int]:
+    """The degrees or the ParseError dsl._parse_vars must give: one
+    re.fullmatch through the module cache and two checked reads a token."""
+    degrees = {}
+    for tok in value.split():
+        m = re.fullmatch(r"x([0-9]+):([0-9]+)", tok)
+        if not m:
+            raise ParseError(f"bad variable declaration {tok!r} (want xK:DEG)", lineno)
+        k = _old_read_int(m.group(1), "variable id", lineno)
+        if k < 1:
+            raise ParseError("variable ids start at 1", lineno)
+        if k in degrees:
+            raise ParseError(f"x{k} declared twice", lineno)
+        degrees[k] = _old_read_int(m.group(2), "degree", lineno)
+    return degrees
+
+
 # --- the group-table validator that FiniteGroup's row passes replaced ----------
 
 def old_group_check(table) -> int:

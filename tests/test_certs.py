@@ -315,9 +315,35 @@ class TestReplayOracles:
                 values[id(node)] = got
             else:
                 try:
-                    values[id(node)] = certs._node_terms(_TRIVIAL, node, values, budget)
+                    values[id(node)] = certs._node_terms(_TRIVIAL, node, values, budget, {})
                 except ReplayBudgetError:
                     return
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dags())
+    @example(_example_dag())
+    @example(CertSum(((1, CertSubst(((1, (2, 3)), (4, (2, 3))), _example_dag())),
+                      (1, CertSubst(((5, (2, 3)),), _example_dag())))))
+    @example(CertSubst(((1, 2),), CertLeaf(make_generator(  # x1 -> x2 cancels every word
+        GeneratorKind.TYPE1, _TRIVIAL, ((1,), (2,))))))
+    def test_each_image_is_expanded_once_and_charged_at_every_use(self, root):
+        """Sharing one expansion of each distinct image across a replay
+        gives every node the value, without zero coefficients, and leaves
+        the budget the letters, that expanding the image at every use does
+        (an image over budget is refused by both)."""
+        shared, alone = ReplayBudget(), ReplayBudget()
+        shared.left = alone.left = 20_000
+        expansions, got, want = {}, {}, {}
+        for node in cert_nodes(root):
+            try:
+                want[id(node)] = certs._node_terms(_TRIVIAL, node, want, alone, {})
+            except ReplayBudgetError:
+                with pytest.raises(ReplayBudgetError):
+                    certs._node_terms(_TRIVIAL, node, got, shared, expansions)
+                return
+            got[id(node)] = certs._node_terms(_TRIVIAL, node, got, shared, expansions)
+            assert got[id(node)] == want[id(node)] and 0 not in got[id(node)].values()
+            assert shared.left == alone.left
 
     def test_each_node_checks_its_own_letters(self):
         """x9 is not declared: a context node that names it is refused where

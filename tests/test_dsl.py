@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 import support
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gpi.dsl import (ParseError, _tokenize, format_file, parse_expr, parse_text,
+from gpi.dsl import (ParseError, _parse_vars, _tokenize, format_file, parse_expr, parse_text,
                      parse_word)
 from gpi import freealg
 from gpi.freealg import Context, FreePoly, bracket
@@ -322,3 +324,61 @@ def test_parser_matches_factor_by_factor_oracle():
         text = "".join(rand.choice(alphabet) for _ in range(rand.randint(0, 8)))
         assert _poly_or_error(parse_expr, c, text) == \
             _poly_or_error(support.old_parse_expr, c, text), text
+
+
+def test_letters_that_miss_the_declared_spellings():
+    """A run with a letter that is not a declared id's spelling is read
+    letter by letter: a leading zero reads as the id, and x0, an undeclared
+    id or an id too long to read is named at its own column, as the
+    factor-by-factor parser does."""
+    c = ctx()
+    assert parse_expr(c, "x01*x2 - x2*x1") == parse_expr(c, "x1*x2 - x2*x1")
+    for text, want in [
+            ("x01*x2 - x2*x1", {(1, 2): 1, (2, 1): -1}),
+            ("x0", ("line 5, column 1: variable x0 is not declared", 5, 1)),
+            ("x1*x2*x9*x3", ("line 5, column 7: variable x9 is not declared", 5, 7)),
+            (f"x1*x{'7' * 5000}",
+             ("line 5, column 4: variable id of 5000 digits is too long to read", 5, 4))]:
+        got = _poly_or_error(parse_expr, c, text)
+        assert got == want == _poly_or_error(support.old_parse_expr, c, text), text
+
+
+# --- vars: lines against the reader they replaced ---------------------------------
+
+_LONG = "7" * 5000
+
+# ids and degrees: small ones (so ids repeat and x0 occurs), leading zeros,
+# 5,000 digits, other scripts' digits and what int() alone would also read
+_NUMBERS = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(1, 3).map(str),
+    st.builds(lambda zeros, k: "0" * zeros + str(k), st.integers(1, 3), st.integers(0, 3)),
+    st.sampled_from([_LONG, "0" * 4999 + "1", "\u0661", "1\u0662", "\uff13", "1_0", "+1", ""]))
+_DECLARATION = st.builds(lambda k, d: f"x{k}:{d}", _NUMBERS, _NUMBERS)
+_DECLARATIONS = st.one_of(_DECLARATION, _DECLARATION, _DECLARATION,
+                          st.text(alphabet="x:01\u0661_+y", max_size=7))  # malformed, mostly
+
+
+def _vars_or_error(parse, value):
+    try:
+        return parse(value, 3)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_DECLARATIONS, max_size=6).map(" ".join))
+@example(f"x0:{_LONG}")
+@example(f"x1:1 x01:{_LONG}")
+@example(f"x{_LONG}:0 x0:1")
+@example("x02:1 x2:\u0661")
+@example("x1:1 x2:2 x3")
+def test_vars_line_matches_the_old_reader(value):
+    """Each vars: line gives the degrees, or the ParseError text, of the
+    reader that ran re.fullmatch and two checked reads per declaration."""
+    assert _vars_or_error(_parse_vars, value) == _vars_or_error(support.old_parse_vars, value)
+
+
+def test_a_zero_id_is_refused_before_its_degree_is_read():
+    assert _vars_or_error(_parse_vars, f"x0:{_LONG}") == \
+        ("line 3, column 1: variable ids start at 1", 3, 1)

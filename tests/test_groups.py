@@ -296,6 +296,8 @@ def test_cyclic_group_is_the_checked_group():
     field."""
     for n in (*range(1, 129), MAX_GROUP_ORDER):
         g = cyclic_group(n)
+        plain = tuple(range(n))
+        assert all(row == plain[a:] + plain[:a] for a, row in enumerate(g.table))
         checked = FiniteGroup(g.table, g.names)
         assert g.table == checked.table
         assert g.names == checked.names == tuple(map(str, range(n)))
