@@ -304,7 +304,7 @@ def cert_nodes(root: CertNode) -> list[CertNode]:
 
 
 def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]],
-                budget: ReplayBudget, expansions: dict) -> dict[Word, int]:
+                budget: ReplayBudget) -> dict[Word, int]:
     """The terms of one node's value (word -> nonzero coefficient), from its
     children's terms.
 
@@ -313,9 +313,8 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
     node its left and right words, a subst node through WeakSubstitution's
     degree check of its images.  A context node charges budget for the
     words it builds, a subst node what expanding its images and multiplying
-    out build (an image already in expansions is charged, not rebuilt), and
-    a sum node one letter for each child term it adds up, so a table of sums
-    over one large value is bounded too.
+    out build, and a sum node one letter for each child term it adds up, so
+    a table of sums over one large value is bounded too.
     """
     kind = type(node)
     if kind is CertContext:
@@ -339,7 +338,7 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
         return terms
     if kind is CertSubst:
         mu = WeakSubstitution(ctx, dict(node.images))
-        return mu.image_terms(values[id(node.child)], budget, expansions)
+        return mu.image_terms(values[id(node.child)], budget)
     raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
 
 
@@ -348,13 +347,11 @@ def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
 
     The whole replay shares one ReplayBudget, so it raises
     ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
-    Each distinct substitution image is expanded once.
     """
     values: dict[int, dict[Word, int]] = {}
     budget = ReplayBudget()
-    expansions: dict = {}
     for node in nodes:
-        values[id(node)] = _node_terms(ctx, node, values, budget, expansions)
+        values[id(node)] = _node_terms(ctx, node, values, budget)
     return FreePoly(ctx, values[id(nodes[-1])])
 
 

@@ -387,8 +387,8 @@ def _parse_vars(value: str, lineno: int) -> dict[int, int]:
         ident, degree = m.groups()
         try:
             k = int(ident)
-        except ValueError:
-            raise ParseError(_too_long(ident, "variable id"), lineno) from None
+        except ValueError:  # too long for int(); _read_int says so
+            k = _read_int(ident, "variable id", lineno)
         if k < 1:
             raise ParseError("variable ids start at 1", lineno)
         if k in degrees:
@@ -396,7 +396,7 @@ def _parse_vars(value: str, lineno: int) -> dict[int, int]:
         try:
             degrees[k] = int(degree)
         except ValueError:
-            raise ParseError(_too_long(degree, "degree"), lineno) from None
+            degrees[k] = _read_int(degree, "degree", lineno)
     return degrees
 
 

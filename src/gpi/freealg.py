@@ -304,36 +304,24 @@ class WeakSubstitution:
             raise SubstitutionError("substitution context does not match")
         if budget is None:
             budget = ReplayBudget()
-        return FreePoly(self.ctx, self.image_terms(p.terms, budget, {}))
+        return FreePoly(self.ctx, self.image_terms(p.terms, budget))
 
-    def image_terms(self, terms: dict[Word, int], budget: ReplayBudget,
-                    expansions: dict) -> dict[Word, int]:
+    def image_terms(self, terms: dict[Word, int], budget: ReplayBudget) -> dict[Word, int]:
         """The image of a term dict whose letters are declared in self.ctx,
         without zero coefficients, built one word at a time.
 
-        Every image is expanded and charged first.  expansions maps each
-        Lie word already expanded to its terms and charge, and takes in the
-        new ones: an image found there is charged again but not rebuilt.
-        A word is sliced before and after each mapped letter.  Its image is
-        the slice before the first mapped letter, multiplied out, one
-        mapped letter at a time, by the letter's image followed by the
-        slice after it.  Before that, the budget is charged what
-        multiplying the word out one letter at a time would build
-        (_substitution_charge).  That bounds every word built from the
-        slices: each step builds the words that end in a mapped letter's
-        image and, when the slice after it is not empty, the words that
-        end in that slice.  The images' letters were checked with their
-        degrees, so no letter is checked again.
+        Every image is expanded and charged first.  A word is sliced
+        before and after each mapped letter.  Its image is the slice before
+        the first mapped letter, multiplied out, one mapped letter at a
+        time, by the letter's image followed by the slice after it.
+        Before that, the budget is charged what multiplying the word out
+        one letter at a time would build (_substitution_charge).  That
+        bounds every word built from the slices: each step builds the words
+        that end in a mapped letter's image and, when the slice after it is
+        not empty, the words that end in that slice.  The images' letters
+        were checked with their degrees, so no letter is checked again.
         """
-        images = {}
-        for k, lw in self.images.items():
-            if lw in expansions:
-                images[k], charge = expansions[lw]
-                budget.spend(charge)
-            else:
-                left = budget.left
-                images[k] = list(_lie_terms(lw, budget).items())
-                expansions[lw] = images[k], left - budget.left
+        images = {k: list(_lie_terms(lw, budget).items()) for k, lw in self.images.items()}
         image: dict[Word, int] = {}
         for w, c in terms.items():
             spots = [i for i, v in enumerate(w) if v in images]

@@ -282,10 +282,10 @@ def _example_dag():
                     (1, CertSubst(((1, (2, 3)),), shared))))
 
 
-def _image_or_refusal(substitute, mu, p, budget):
-    """The terms of substitute(mu, p, budget), or None when it is over budget."""
+def _terms_or_refusal(build):
+    """The terms build() returns, or None when it is over budget."""
     try:
-        return substitute(mu, p, budget).terms
+        return build()
     except ReplayBudgetError:
         return None
 
@@ -294,10 +294,13 @@ class TestReplayOracles:
     @settings(max_examples=150, deadline=None)
     @given(_dags())
     @example(_example_dag())
+    @example(CertSubst(((1, 2),), CertLeaf(make_generator(  # x1 -> x2 cancels every word
+        GeneratorKind.TYPE1, _TRIVIAL, ((1,), (2,))))))
     def test_walk_and_substitution_match_the_old_ones(self, root):
         """cert_nodes gives the tuple-stack walk's order, and every subst
-        node's image and charge are the letter-by-letter product's (an image
-        over budget is refused by both)."""
+        node's replayed terms (no FreePoly around them, so no zero
+        coefficient) and charge are the letter-by-letter product's (an
+        image over budget is refused by both)."""
         nodes = cert_nodes(root)
         assert list(map(id, nodes)) == list(map(id, support.old_post_order(root, certs._children)))
         values, budget = {}, ReplayBudget()
@@ -307,43 +310,17 @@ class TestReplayOracles:
                 mu = WeakSubstitution(_TRIVIAL, dict(node.images))
                 p, oracle = FreePoly(_TRIVIAL, values[id(node.child)]), ReplayBudget()
                 oracle.left = budget.left
-                got = _image_or_refusal(WeakSubstitution.__call__, mu, p, budget)
-                assert got == _image_or_refusal(support.old_substitute, mu, p, oracle)
+                got = _terms_or_refusal(lambda: certs._node_terms(_TRIVIAL, node, values, budget))
+                assert got == _terms_or_refusal(lambda: support.old_substitute(mu, p, oracle).terms)
                 if got is None:
                     return
-                assert budget.left == oracle.left
+                assert budget.left == oracle.left and 0 not in got.values()
                 values[id(node)] = got
             else:
                 try:
-                    values[id(node)] = certs._node_terms(_TRIVIAL, node, values, budget, {})
+                    values[id(node)] = certs._node_terms(_TRIVIAL, node, values, budget)
                 except ReplayBudgetError:
                     return
-
-    @settings(max_examples=150, deadline=None)
-    @given(_dags())
-    @example(_example_dag())
-    @example(CertSum(((1, CertSubst(((1, (2, 3)), (4, (2, 3))), _example_dag())),
-                      (1, CertSubst(((5, (2, 3)),), _example_dag())))))
-    @example(CertSubst(((1, 2),), CertLeaf(make_generator(  # x1 -> x2 cancels every word
-        GeneratorKind.TYPE1, _TRIVIAL, ((1,), (2,))))))
-    def test_each_image_is_expanded_once_and_charged_at_every_use(self, root):
-        """Sharing one expansion of each distinct image across a replay
-        gives every node the value, without zero coefficients, and leaves
-        the budget the letters, that expanding the image at every use does
-        (an image over budget is refused by both)."""
-        shared, alone = ReplayBudget(), ReplayBudget()
-        shared.left = alone.left = 20_000
-        expansions, got, want = {}, {}, {}
-        for node in cert_nodes(root):
-            try:
-                want[id(node)] = certs._node_terms(_TRIVIAL, node, want, alone, {})
-            except ReplayBudgetError:
-                with pytest.raises(ReplayBudgetError):
-                    certs._node_terms(_TRIVIAL, node, got, shared, expansions)
-                return
-            got[id(node)] = certs._node_terms(_TRIVIAL, node, got, shared, expansions)
-            assert got[id(node)] == want[id(node)] and 0 not in got[id(node)].values()
-            assert shared.left == alone.left
 
     def test_each_node_checks_its_own_letters(self):
         """x9 is not declared: a context node that names it is refused where
