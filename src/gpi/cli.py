@@ -58,14 +58,11 @@ def _load(path: str):
         raise _CliInputError(f"{path}: {exc}") from exc
 
 
-def _read_json(path: str, text: str | None = None):
-    """The JSON document in path, or in text when given; unreadable or
-    malformed input exits 2."""
+def _read_json(path: str):
+    """The JSON document in path; unreadable or malformed input exits 2."""
     try:
-        if text is None:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except OSError as exc:
         raise _CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -87,11 +84,10 @@ def _need_poly(parsed, path: str) -> FreePoly:
 # --- subcommands --------------------------------------------------------------
 #
 # Each answers with (exit code, JSON document), which `main` prints, and
-# raises _CliInputError on bad input.  The ones that read a problem file take
-# it already parsed too, as the corpus runner passes it.
+# raises _CliInputError on bad input.
 
-def cmd_check(args, parsed=None):
-    w = identity_witness(_need_poly(parsed or _load(args.file), args.file))
+def cmd_check(args):
+    w = identity_witness(_need_poly(_load(args.file), args.file))
     if w is None:
         return EXIT_OK, {"identity": True}
     return EXIT_NEGATIVE, {"identity": False, "witness": _witness_json(w)}
@@ -128,8 +124,8 @@ def _word_arg(ctx, text: str, flag: str):
         raise _CliInputError(f"{flag}: {exc}") from exc
 
 
-def cmd_congruent(args, parsed=None):
-    parsed = parsed or _load(args.file)
+def cmd_congruent(args):
+    parsed = _load(args.file)
     ctx = parsed.ctx
     m = _word_arg(ctx, args.m, "--m") if args.m else parsed.word_m
     n = _word_arg(ctx, args.n, "--n") if args.n else parsed.word_n
@@ -142,20 +138,18 @@ def cmd_congruent(args, parsed=None):
     return EXIT_OK, certs.chain_to_json(chain)
 
 
-def cmd_express(args, parsed=None):
-    p = _need_poly(parsed or _load(args.file), args.file)
+def cmd_express(args):
+    p = _need_poly(_load(args.file), args.file)
     try:
         comb = express_in_J(p)
     except NoExpressionError as exc:
-        doc = {"expressed": False, "reason": str(exc)}
-        if exc.witness is not None:
-            doc["witness"] = _witness_json(exc.witness)
-        return EXIT_NEGATIVE, doc
+        return EXIT_NEGATIVE, {"expressed": False, "reason": str(exc),
+                               "witness": _witness_json(exc.witness)}
     return EXIT_OK, certs.jcomb_to_json(comb)
 
 
-def cmd_z3reduce(args, parsed=None):
-    gen = (parsed or _load(args.file)).generator
+def cmd_z3reduce(args):
+    gen = _load(args.file).generator
     if gen is None:
         raise _CliInputError(f"{args.file}: no generator (type:/h1:/... lines)")
     if args.type is not None and gen.kind.value != args.type:
@@ -233,7 +227,7 @@ _EXPECTATIONS = {"identity": (cmd_express, EXIT_OK, "not an identity"),
 def _write_verified(doc: dict, path: str) -> bool:
     """Write certificate doc to path unless `gpi verify` on its bytes fails."""
     text = _dumps(doc)
-    if _verify(_read_json(path, text), path)[0] != EXIT_OK:
+    if _verify(json.loads(text), path)[0] != EXIT_OK:
         return False
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -256,7 +250,7 @@ def _run_entry(entry: dict, written: set[str]) -> dict:
     args = argparse.Namespace(file=path, m=None, n=None, type=None)
     cert = os.path.splitext(path)[0] + ".cert.json"
     try:
-        code, doc = answer(args, _load(path))
+        code, doc = answer(args)
         _dumps(doc.get("witness"))  # the report copies it, so it must be writable
         report.update({k: doc[k] for k in ("reason", "witness") if k in doc})
         if code != want:

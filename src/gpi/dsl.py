@@ -278,6 +278,7 @@ def parse_file(path: str) -> ParsedFile:
 def parse_text(text: str) -> ParsedFile:
     group: FiniteGroup | None = None
     grading_spec: tuple[int, ...] | None = None
+    grading_line = 1
     degrees: dict[int, int] = {}
     body: list[tuple[str, str, int]] = []
 
@@ -294,8 +295,9 @@ def parse_text(text: str) -> ParsedFile:
             group = _parse_group(value, lineno)
         elif key == "grading":
             grading_spec = tuple(_read_int(t, "grading entry", lineno) for t in value.split())
+            grading_line = lineno
         elif key == "vars":
-            degrees.update(_parse_vars(value, lineno))
+            _parse_vars(value, lineno, degrees)
         else:
             body.append((key, value, lineno))
 
@@ -309,7 +311,7 @@ def parse_text(text: str) -> ParsedFile:
         try:
             grading = GradingTuple(group, grading_spec)
         except GroupError as exc:
-            raise ParseError(str(exc), 1) from None
+            raise ParseError(str(exc), grading_line) from None
     try:
         ctx = Context(grading, degrees)
     except DeclarationError as exc:  # a degree out of the group's range
@@ -378,8 +380,8 @@ def _parse_group(value: str, lineno: int) -> FiniteGroup:
 _DECLARATION = re.compile(r"x([0-9]+):([0-9]+)")
 
 
-def _parse_vars(value: str, lineno: int) -> dict[int, int]:
-    degrees = {}
+def _parse_vars(value: str, lineno: int, degrees: dict[int, int]) -> None:
+    """Add the declarations of a vars: line to degrees, the ones read so far."""
     for tok in value.split():
         m = _DECLARATION.fullmatch(tok)
         if not m:
@@ -397,7 +399,6 @@ def _parse_vars(value: str, lineno: int) -> dict[int, int]:
             degrees[k] = int(degree)
         except ValueError:
             degrees[k] = _read_int(degree, "degree", lineno)
-    return degrees
 
 
 def format_file(parsed: ParsedFile) -> str:

@@ -32,12 +32,14 @@ class Context:
     degrees: dict[int, int]
 
     def __post_init__(self):
-        n = self.grading.group.order
         for k, d in self.degrees.items():
-            if k < 1:
-                raise DeclarationError(f"variable id {k} must be positive")
-            if not (0 <= d < n):
-                raise DeclarationError(f"degree {d} of x{k} out of group range")
+            self._check(k, d)
+
+    def _check(self, k: int, d: int) -> None:
+        if k < 1:
+            raise DeclarationError(f"variable id {k} must be positive")
+        if not (0 <= d < self.grading.group.order):
+            raise DeclarationError(f"degree {d} of x{k} out of group range")
 
     def degree(self, var: int) -> int:
         try:
@@ -54,8 +56,7 @@ class Context:
             if self.degrees[k] != d:
                 raise DeclarationError(f"x{k} redeclared with a different degree")
         else:
-            if k < 1:
-                raise DeclarationError(f"variable id {k} must be positive")
+            self._check(k, d)
             self.degrees[k] = d
         return k
 
@@ -297,14 +298,11 @@ class WeakSubstitution:
                 raise SubstitutionError(
                     f"image of x{k} has degree {got}, expected {want}")
 
-    def __call__(self, p: FreePoly, budget: ReplayBudget | None = None) -> FreePoly:
-        """The image of p (image_terms), charged to budget, a fresh one when
-        none is given."""
+    def __call__(self, p: FreePoly) -> FreePoly:
+        """The image of p (image_terms), charged to a fresh budget."""
         if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
             raise SubstitutionError("substitution context does not match")
-        if budget is None:
-            budget = ReplayBudget()
-        return FreePoly(self.ctx, self.image_terms(p.terms, budget))
+        return FreePoly(self.ctx, self.image_terms(p.terms, ReplayBudget()))
 
     def image_terms(self, terms: dict[Word, int], budget: ReplayBudget) -> dict[Word, int]:
         """The image of a term dict whose letters are declared in self.ctx,

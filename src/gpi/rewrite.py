@@ -20,7 +20,7 @@ from itertools import groupby
 
 from .certs import (JCombination, JTerm, Move, MoveError, RewriteChain, _reversed_blocks,
                     path_rule_holds)
-from .freealg import Context, FreePoly, Word, is_multilinear_word, word_key
+from .freealg import Context, FreePoly, Word, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import Witness, keyed_witness
 
@@ -34,7 +34,7 @@ class NotCongruentError(ValueError):
 
 
 class NoExpressionError(ValueError):
-    def __init__(self, msg, witness: Witness | None = None):
+    def __init__(self, msg, witness: Witness):
         super().__init__(msg)
         self.witness = witness
 
@@ -67,6 +67,8 @@ def _by_variable(path: list[ScalarVar]) -> list[int]:
 def _ties(path: list[ScalarVar], order: list[int]) -> list[list[int]]:
     """The runs of two or more positions of path that carry one scalar
     variable, each in position order; order is _by_variable(path)."""
+    if len(set(path)) == len(path):  # no runs, and the set is cheaper than the groupby
+        return []
     runs = (list(run) for _, run in groupby(order, path.__getitem__))
     return [run for run in runs if len(run) > 1]
 
@@ -84,16 +86,14 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
     if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
-    moves = _chain_moves(path_m, _by_variable(path_m), _by_variable(path_n),
-                         not is_multilinear_word(m))
+    moves = _chain_moves(path_m, _by_variable(path_m), _by_variable(path_n))
     return RewriteChain(ctx, start=n, moves=moves, end=m)
 
 
-def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int],
-                 repeats: bool) -> tuple[Move, ...]:
+def _chain_moves(path_m: list[ScalarVar], order_m: list[int],
+                 order_n: list[int]) -> tuple[Move, ...]:
     """The moves transforming n into m, from m's path from one row and both
-    paths' positions in variable order (_by_variable); repeats says whether
-    a letter of m repeats.
+    paths' positions in variable order (_by_variable).
 
     Precondition, checked by both callers: the two paths have equal keys
     (path_entry).  A key holds its path sorted, so the paths carry the same
@@ -117,7 +117,7 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     ties.  Each move costs O(L) at C speed for words of length L, and sorts
     no path.
     """
-    ties = _ties(path_m, order_m) if repeats else []
+    ties = _ties(path_m, order_m)
     seq = [0] * len(order_n)
     for h, s in zip(order_n, order_m):
         seq[h] = s
@@ -197,7 +197,6 @@ def express_in_J(f: FreePoly) -> JCombination:
         s = running[key] = running[key] + f.terms[word]
         if s:  # never a class's last word, whose running sum is its total, 0
             j = following[rank]
-            moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank],
-                                 not is_multilinear_word(support[j]))
+            moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank])
             terms.append(JTerm(coeff=s, source=word, target=support[j], moves=moves))
     return JCombination(f.ctx, tuple(terms))

@@ -1228,6 +1228,65 @@ class TestNotUtf8:
         assert code == 2 and out == "" and err == f"gpi: {cert}: not UTF-8 text\n"
 
 
+def _edited_answer(capsys, tmp_path, command, text, edit) -> str:
+    """The JSON text of `gpi command` on a file holding text, after edit(doc)."""
+    _, out, _ = run(capsys, command, write(tmp_path, "source.gpi", text))
+    doc = json.loads(out)
+    edit(doc)
+    return json.dumps(doc)
+
+
+# subcommand, its input's text (None: no file; a function of capsys and
+# tmp_path: made from an answer), the diagnostic with {path} for the input, and
+# whether that is the whole line (not where its end is the OS's or json's text)
+_DIAGNOSTICS = {
+    "key-value": ("check", "group: Z3\nvars: x1:0\npoly x1\n",
+                  "{path}: line 3, column 1: expected 'key: value'", True),
+    "grading": ("check", "group: Z3\ngrading: 0 0 1\nvars: x1:1\npoly: x1\n",
+                "{path}: line 2, column 1: grading tuple must be a bijection onto the group",
+                True),
+    "group-Z0": ("check", "group: Z0\nvars: x1:0\npoly: x1\n",
+                 "{path}: line 1, column 1: cyclic group order must be positive", True),
+    "group-table": ("check", "group: table []\nvars: x1:0\npoly: x1\n",
+                    "{path}: line 1, column 1: bad group table: group order must be positive",
+                    True),
+    "empty-word": ("congruent", "group: Z3\nvars: x1:0\nm: 1\nn: x1\n",
+                   "{path}: line 3, column 1: the empty word is not accepted here", True),
+    "no-poly": ("check", "group: Z3\nvars: x1:0\n",
+                "{path}: no 'poly:' line", True),
+    "no-generator": ("z3reduce", "group: Z3\nvars: x1:0\npoly: x1\n",
+                     "{path}: no generator (type:/h1:/... lines)", True),
+    "manifest-object": ("corpus", '{"file": "a.gpi", "expected": "identity"}',
+                        "{path}: manifest must be a JSON list", True),
+    "verify-missing": ("verify", None, "cannot read {path}: ", False),
+    "verify-not-json": ("verify", "group: Z3\n", "{path}: not valid JSON: ", False),
+    "verify-id-0": ("verify", lambda c, t: _edited_answer(
+        c, t, "congruent", CONG_FILE, lambda doc: doc.update(vars={"0": 1})),
+        "{path}: variable id 0 must be positive", True),
+    "verify-node-7": ("verify", lambda c, t: _edited_answer(
+        c, t, "z3reduce", GEN1_FILE, lambda doc: doc["payload"]["nodes"].__setitem__(0, 7)),
+        "{path}: a certificate node is a JSON object", True),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIAGNOSTICS))
+def test_exit_2_diagnostic(tmp_path, capsys, case):
+    """Bad input to each of these checks exits 2, with nothing on stdout and
+    its one `gpi:` line on stderr."""
+    command, make, line, whole = _DIAGNOSTICS[case]
+    path = tmp_path / "input"
+    text = make(capsys, tmp_path) if callable(make) else make
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    want = "gpi: " + line.format(path=path)
+    assert (code, out) == (2, "")
+    if whole:
+        assert err == want + "\n"
+    else:
+        assert err.startswith(want) and err.count("\n") == 1
+
+
 class TestAsciiDigits:
     """Problem files read numbers in ASCII digits only: int() would also read
     other scripts' digits, a sign and underscores.  Each case exits 2 with

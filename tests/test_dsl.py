@@ -219,8 +219,14 @@ poly: x1*x2*x3 - x3*x2*x1
             parse_text("group: Z3\nvars: x1:0 x2:0\ntype: 1\nh1: x1\n")
 
     def test_duplicate_variable(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^line 2, column 1: x1 declared twice$"):
             parse_text("group: Z3\nvars: x1:0 x1:1\npoly: x1\n")
+
+    def test_duplicate_variable_on_a_later_line(self):
+        """An id is declared once across all vars: lines; the error names the
+        line of the second declaration."""
+        with pytest.raises(ParseError, match=r"^line 3, column 1: x1 declared twice$"):
+            parse_text("group: Z3\nvars: x1:1 x2:2\nvars: x1:2\npoly: x1*x2\n")
 
 
 class TestRoundTrip:
@@ -359,6 +365,12 @@ _DECLARATIONS = st.one_of(_DECLARATION, _DECLARATION, _DECLARATION,
                           st.text(alphabet="x:01\u0661_+y", max_size=7))  # malformed, mostly
 
 
+def _read_vars_line(value, lineno):
+    degrees = {}
+    _parse_vars(value, lineno, degrees)
+    return degrees
+
+
 def _vars_or_error(parse, value):
     try:
         return parse(value, 3)
@@ -376,9 +388,10 @@ def _vars_or_error(parse, value):
 def test_vars_line_matches_the_old_reader(value):
     """Each vars: line gives the degrees, or the ParseError text, of the
     reader that ran re.fullmatch and two checked reads per declaration."""
-    assert _vars_or_error(_parse_vars, value) == _vars_or_error(support.old_parse_vars, value)
+    assert _vars_or_error(_read_vars_line, value) == \
+        _vars_or_error(support.old_parse_vars, value)
 
 
 def test_a_zero_id_is_refused_before_its_degree_is_read():
-    assert _vars_or_error(_parse_vars, f"x0:{_LONG}") == \
+    assert _vars_or_error(_read_vars_line, f"x0:{_LONG}") == \
         ("line 3, column 1: variable ids start at 1", 3, 1)

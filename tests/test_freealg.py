@@ -215,6 +215,22 @@ class TestContext:
         with pytest.raises(DeclarationError):
             c.declare(1, 2)
 
+    @pytest.mark.parametrize("k, d, message", [
+        (2, 3, "degree 3 of x2 out of group range"),
+        (2, 7, "degree 7 of x2 out of group range"),
+        (2, -1, "degree -1 of x2 out of group range"),
+        (0, 1, "variable id 0 must be positive"),
+    ], ids=["degree-3", "degree-7", "degree-minus-1", "id-0"])
+    def test_declare_checks_as_the_constructor_does(self, k, d, message):
+        """declare refuses what Context(grading, {k: d}) refuses, with its
+        message, and leaves the context as it was."""
+        with pytest.raises(DeclarationError, match=f"^{message}$"):
+            Context(Z3, {k: d})
+        c = ctx3(x1=1)
+        with pytest.raises(DeclarationError, match=f"^{message}$"):
+            c.declare(k, d)
+        assert c.degrees == {1: 1}
+
     def test_mixed_contexts_rejected(self):
         a = ctx3(x1=1)
         b = ctx3(x1=2)
