@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
                       WeakSubstitution, Word, check_declared)
-from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, path_entry, word_path
+from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, expand,
-                       generator_terms, make_generator)
+from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, generator_terms,
+                       make_generator)
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -210,20 +210,23 @@ def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> b
 
     Each term's source is walked once, and every move is replayed on its
     path with move_path, which checks that the move fits and obeys the
-    degree rule.  The final path must be walked along the term's target,
-    and its key must equal the source's.  A word evaluates to one key
-    (row, col, mono) per row with coefficient 1, and row 0 decides the
-    rest (see genmat.word_entry), so equal row-0 keys are exactly equal
-    evaluation matrices.
+    degree rule.  The final path must be walked along the term's target.
+    Its row-0 key (row, col, mono), which decides the evaluation (see
+    genmat.word_entry), is then the source's, so no key is compared: a
+    move only rearranges the path's (var, from, to) triples, so the sorted
+    monomial stays, and the end column moves only when the last block ends
+    the word, where the degree rule keeps it: both swap0 blocks end on the
+    row the first starts on, and a reverse3's last block ends where its
+    first ends.
     """
     for t in comb.terms:
-        path = source_path = word_path(comb.ctx, t.source, 0)
+        path = word_path(comb.ctx, t.source, 0)
         try:
             for mv in t.moves:
                 path = move_path(path, mv)
         except MoveError:
             return False
-        if _letters(path) != tuple(t.target) or path_entry(source_path, 0) != path_entry(path, 0):
+        if _letters(path) != tuple(t.target):
             return False
     return claimed is None or comb.expansion() == claimed
 
@@ -342,8 +345,8 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
     raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
 
 
-def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
-    """Evaluate nodes in walk order, each once; the last is the root.
+def _replay(ctx: Context, nodes: list[CertNode]) -> dict[Word, int]:
+    """Evaluate nodes in walk order, each once; the terms of the last, the root.
 
     The whole replay shares one ReplayBudget, so it raises
     ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
@@ -352,12 +355,12 @@ def _replay(ctx: Context, nodes: list[CertNode]) -> FreePoly:
     budget = ReplayBudget()
     for node in nodes:
         values[id(node)] = _node_terms(ctx, node, values, budget)
-    return FreePoly(ctx, values[id(nodes[-1])])
+    return values[id(nodes[-1])]
 
 
 def cert_value(ctx: Context, node: CertNode) -> FreePoly:
     """Symbolic replay: the polynomial a certificate node proves membership for."""
-    return _replay(ctx, cert_nodes(node))
+    return FreePoly(ctx, _replay(ctx, cert_nodes(node)))
 
 
 def cert_leaves(node: CertNode):
@@ -376,8 +379,10 @@ class ReductionCertificate:
 
 def verify_certificate(cert: ReductionCertificate,
                        max_part_len: int = MAX_REDUCED_PART_LEN) -> bool:
-    """Every leaf has parts of length at most max_part_len, and the replay
-    equals the target's expansion.
+    """Every leaf has parts of length at most max_part_len, and the replayed
+    root's terms equal the target's.  Every node has checked the letters it
+    brings in and dropped its zero coefficients, so the root is compared as
+    it is, a term dict.
 
     A DeclarationError (a node names an undeclared variable) and a
     ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
@@ -393,7 +398,7 @@ def verify_certificate(cert: ReductionCertificate,
         raise
     except ValueError:  # a substitution that breaks its degree rule, say
         return False
-    return value == expand(cert.target)
+    return value == generator_terms(cert.target)
 
 
 # --- wire format: contexts ----------------------------------------------------

@@ -280,6 +280,7 @@ def parse_text(text: str) -> ParsedFile:
     grading_spec: tuple[int, ...] | None = None
     grading_line = 1
     degrees: dict[int, int] = {}
+    declared_on: list[int] = []  # the line of each id in degrees, in order
     body: list[tuple[str, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -297,7 +298,9 @@ def parse_text(text: str) -> ParsedFile:
             grading_spec = tuple(_read_int(t, "grading entry", lineno) for t in value.split())
             grading_line = lineno
         elif key == "vars":
+            known = len(degrees)
             _parse_vars(value, lineno, degrees)
+            declared_on += [lineno] * (len(degrees) - known)
         else:
             body.append((key, value, lineno))
 
@@ -312,10 +315,12 @@ def parse_text(text: str) -> ParsedFile:
             grading = GradingTuple(group, grading_spec)
         except GroupError as exc:
             raise ParseError(str(exc), grading_line) from None
-    try:
-        ctx = Context(grading, degrees)
-    except DeclarationError as exc:  # a degree out of the group's range
-        raise ParseError(str(exc), 1) from None
+    ctx = Context(grading, {})
+    for (k, d), lineno in zip(degrees.items(), declared_on):
+        try:
+            ctx.declare(k, d)
+        except DeclarationError as exc:  # a degree out of the group's range
+            raise ParseError(str(exc), lineno) from None
 
     out = ParsedFile(ctx)
     gen_kind: int | None = None
@@ -354,11 +359,9 @@ def _parse_group(value: str, lineno: int) -> FiniteGroup:
         except ValueError:  # more digits than int() reads, far above the limit
             raise ParseError(f"group order exceeds the limit {MAX_GROUP_ORDER}",
                              lineno) from None
-        if order < 1:
-            raise ParseError("cyclic group order must be positive", lineno)
         try:
             return cyclic_group(order)
-        except GroupError as exc:  # above MAX_GROUP_ORDER
+        except GroupError as exc:  # order 0, or above MAX_GROUP_ORDER
             raise ParseError(str(exc), lineno) from None
     if value.lower().startswith("table"):
         rest = value[len("table"):].strip()

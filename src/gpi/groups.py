@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 
@@ -36,9 +37,10 @@ def check_order(n: int) -> None:
 class FiniteGroup:
     """A finite group presented by its full multiplication table.
 
-    ``table[a][b]`` is the index of the product a*b.  Associativity,
-    identity and inverses are checked on construction, one row (or column)
-    at a time in C-level tuple operations, and the inverses found are kept.
+    ``table[a][b]`` is the index of the product a*b.  On construction every
+    entry is checked to be an integer, then to be in range, then the table
+    is checked for an identity, inverses and associativity, in C-level
+    passes where they can be, and the inverses found are kept.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -55,24 +57,14 @@ class FiniteGroup:
         object.__setattr__(self, "table", tbl)
         if any(len(row) != n for row in tbl):
             raise GroupError("multiplication table must be square")
+        # 1.0 and True equal 1, so only their type tells them from an integer
+        if set(map(type, chain.from_iterable(tbl))) != {int}:
+            v = next(v for v in chain.from_iterable(tbl) if type(v) is not int)
+            raise GroupError(f"table entry {reprlib.repr(v)} is not an integer")
         plain = tuple(range(n))
-        elements = frozenset(plain)
-        for row in tbl:
-            try:
-                in_range = elements.issuperset(row)
-            except TypeError:  # an unhashable entry: the scan below names it
-                in_range = False
-            if not in_range:
-                for v in row:
-                    if not isinstance(v, int):
-                        raise GroupError(f"table entry {reprlib.repr(v)} is not an integer")
-                    if not 0 <= v < n:
-                        raise GroupError(f"table entry {v} out of range")
-        # 1.0 equals 1 and passes every check by equality; the sum of
-        # integers is an integer, and one float among them makes it a float.
-        if type(sum(map(sum, tbl))) is not int:
-            v = next(v for row in tbl for v in row if not isinstance(v, int))
-            raise GroupError(f"table entry {v!r} is not an integer")
+        if not frozenset(plain).issuperset(chain.from_iterable(tbl)):
+            v = next(v for v in chain.from_iterable(tbl) if not 0 <= v < n)
+            raise GroupError(f"table entry {v} out of range")
         # the two-sided identity: its row and its column are 0, 1, ..., n-1
         ident = next((e for e, row in enumerate(tbl)
                       if row == plain and tuple(map(itemgetter(e), tbl)) == plain), None)
@@ -90,12 +82,6 @@ class FiniteGroup:
         object.__setattr__(self, "inverses", tuple(inverses))
         if not _associative(tbl, ident):
             raise GroupError("table is not associative")
-        # true and false equal 1 and 0 and pass every check above, the sum too; in a
-        # group, row a holds 0 and 1 at columns a^-1 0 and a^-1 1, 2n entries (a
-        # map(type, row) pass over all n^2, for both, takes twice as long at n = 1024)
-        for entry in (tbl[a][tbl[b][v]] for a, b in enumerate(inverses) for v in plain[:2]):
-            if type(entry) is not int:
-                raise GroupError(f"table entry {entry!r} is not an integer")
         if not self.names:
             object.__setattr__(self, "names", tuple(f"g{i}" for i in range(n)))
         elif len(self.names) != n:
@@ -173,7 +159,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     (tests/test_groups.py holds the proof that it does).
     """
     if n < 1:
-        raise GroupError("cyclic group order must be at least 1")
+        raise GroupError("cyclic group order must be positive")
     check_order(n)
     plain = tuple(range(n))
     doubled = plain + plain  # row a, a + b mod n for each b, is one slice of it

@@ -1461,6 +1461,12 @@ class TestEnumReduced:
         assert err.startswith(f"gpi: more than {MAX_ENUMERATED_SHAPES} reduced shapes")
         assert err.count("\n") == 1
 
+    def test_order_zero(self, capsys):
+        """The one positive-order check, in groups.cyclic_group, words it as a
+        `group: Z0` line does."""
+        assert run(capsys, "enum-reduced", "--order", "0") == \
+            (2, "", "gpi: cyclic group order must be positive\n")
+
     @pytest.mark.parametrize("max_len, size, sha256", [
         ("1", 232, "550e95aee8b71a119c6792fbc92a3094f96f51b9d9d81eaffdbf2412e2438761"),
         ("2", 15970, "66c946cf98380b875398750545b47659dd500b65bc16833964c3e141dcb83065"),

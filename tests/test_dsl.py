@@ -182,9 +182,12 @@ poly: x1*x2*x3 - x3*x2*x1
             parse_text("group: Z3\npoly: x1\n")
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ParseError,
-                           match=r"^line 1, column 1: degree 5 of x2 out of group range$"):
-            parse_text("group: Z3\nvars: x1:2 x2:5 x3:7\npoly: x1\n")
+        """Named at the vars: line that declares it."""
+        for text, line in (("group: Z3\nvars: x1:2 x2:5 x3:7\npoly: x1\n", 2),
+                           ("group: Z3\n# a comment\nvars: x1:1 x2:5\npoly: x1\n", 3)):
+            with pytest.raises(ParseError, match=rf"^line {line}, column 1: "
+                                                 r"degree 5 of x2 out of group range$"):
+                parse_text(text)
 
     def test_unknown_group(self):
         with pytest.raises(ParseError):

@@ -251,28 +251,31 @@ def test_non_integer_entries_rejected():
         with pytest.raises(GroupError) as info:
             FiniteGroup(((0, 1), (1, entry)))
         assert str(info.value) == f"table entry {shown} is not an integer"
+    # every entry's type is checked before any entry's range
+    with pytest.raises(GroupError) as info:
+        FiniteGroup(((7, 1), (1, 0.0)))
+    assert str(info.value) == "table entry 0.0 is not an integer"
 
 
-@pytest.mark.parametrize("group", [cyclic_group(5), s3(),
+@pytest.mark.parametrize("group", [cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                                   cyclic_group(5), s3(),
                                    support.relabelled(s3(), (3, 5, 0, 1, 4, 2))],
-                         ids=["Z5", "S3", "S3-relabelled"])
+                         ids=["Z1", "Z2", "Z3", "Z5", "S3", "S3-relabelled"])
 def test_bool_entries_rejected(group):
-    """true and false equal 1 and 0, and a sum takes them as integers, so no
-    equality check sees them: each cell holding 0 or 1, written as a bool,
-    is named."""
-    cells = 0
-    for a, row in enumerate(group.table):
-        for b, v in enumerate(row):
-            if v in (0, 1):
-                table = [list(r) for r in group.table]
-                table[a][b] = bool(v)
-                with pytest.raises(GroupError) as info:
-                    FiniteGroup(tuple(map(tuple, table)))
-                assert str(info.value) == f"table entry {bool(v)} is not an integer"
-                cells += 1
-    assert cells == 2 * group.order
-    with pytest.raises(GroupError, match="table entry False is not an integer"):
-        FiniteGroup(((False,),))
+    """true and false equal 1 and 0, and 1.0 equals 1, so no equality check
+    sees them: in every one-cell change of a group table, an entry that is
+    not an int is named, whatever the rest of the table, and an int entry
+    gets the message of the entry-by-entry validator."""
+    n = group.order
+    for a, b in itertools.product(range(n), repeat=2):
+        for entry in (True, False, 1.0, 0.0, 0.5, "a", None, [0], -1, n):
+            table = [list(r) for r in group.table]
+            table[a][b] = entry
+            got = _outcome(FiniteGroup, tuple(map(tuple, table)))
+            if type(entry) is int:
+                assert got == _outcome(support.old_group_check, table)
+            else:
+                assert got == f"table entry {entry!r} is not an integer"
 
 
 def test_cyclic_table_is_addition_mod_n():
