@@ -208,26 +208,38 @@ def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> b
     """Replay every term's moves on the row-0 path of its source, then check
     the expansion against claimed, if given.
 
-    Each term's source is walked once, and every move is replayed on its
-    path with move_path, which checks that the move fits and obeys the
-    degree rule.  The final path must be walked along the term's target.
-    Its row-0 key (row, col, mono), which decides the evaluation (see
-    genmat.word_entry), is then the source's, so no key is compared: a
-    move only rearranges the path's (var, from, to) triples, so the sorted
-    monomial stays, and the end column moves only when the last block ends
-    the word, where the degree rule keeps it: both swap0 blocks end on the
-    row the first starts on, and a reverse3's last block ends where its
-    first ends.
+    Every move is replayed on the path with move_path, which checks that
+    the move fits and obeys the degree rule, and the final path must be
+    walked along the term's target.  That path is then the target's row-0
+    path: move_path returns the moved word's path from the row the path
+    started on, and the letters fix the word.  So a term whose source is an
+    earlier term's target starts from that term's final path, and only a
+    source that no earlier term ended on is walked (word_path).  Only paths
+    built by word_path and move_path are kept, so a document cannot plant
+    one.
+
+    The final path's row-0 key (row, col, mono), which decides the
+    evaluation (see genmat.word_entry), is the source's, so no key is
+    compared: a move only rearranges the path's (var, from, to) triples, so
+    the sorted monomial stays, and the end column moves only when the last
+    block ends the word, where the degree rule keeps it: both swap0 blocks
+    end on the row the first starts on, and a reverse3's last block ends
+    where its first ends.
     """
+    ends: dict[Word, list[ScalarVar]] = {}  # a checked target -> its row-0 path
     for t in comb.terms:
-        path = word_path(comb.ctx, t.source, 0)
+        path = ends.get(t.source)
+        if path is None:
+            path = word_path(comb.ctx, t.source, 0)
         try:
             for mv in t.moves:
                 path = move_path(path, mv)
         except MoveError:
             return False
-        if _letters(path) != tuple(t.target):
+        target = tuple(t.target)
+        if _letters(path) != target:
             return False
+        ends[target] = path
     return claimed is None or comb.expansion() == claimed
 
 

@@ -67,8 +67,6 @@ def _by_variable(path: list[ScalarVar]) -> list[int]:
 def _ties(path: list[ScalarVar], order: list[int]) -> list[list[int]]:
     """The runs of two or more positions of path that carry one scalar
     variable, each in position order; order is _by_variable(path)."""
-    if len(set(path)) == len(path):  # no runs, and the set is cheaper than the groupby
-        return []
     runs = (list(run) for _, run in groupby(order, path.__getitem__))
     return [run for run in runs if len(run) > 1]
 
@@ -86,18 +84,21 @@ def congruence_chain(ctx: Context, m: Word, n: Word) -> RewriteChain:
     path_m, path_n = word_path(ctx, m, 0), word_path(ctx, n, 0)
     if path_entry(path_m, 0) != path_entry(path_n, 0):
         raise NotCongruentError("evaluations share no nonzero entry")
-    moves = _chain_moves(path_m, _by_variable(path_m), _by_variable(path_n))
+    order_m = _by_variable(path_m)
+    moves = _chain_moves(path_m, order_m, _by_variable(path_n), _ties(path_m, order_m))
     return RewriteChain(ctx, start=n, moves=moves, end=m)
 
 
-def _chain_moves(path_m: list[ScalarVar], order_m: list[int],
-                 order_n: list[int]) -> tuple[Move, ...]:
-    """The moves transforming n into m, from m's path from one row and both
-    paths' positions in variable order (_by_variable).
+def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int],
+                 ties: list[list[int]]) -> tuple[Move, ...]:
+    """The moves transforming n into m, from m's path from one row, both
+    paths' positions in variable order (_by_variable) and the runs of m's
+    positions that carry one scalar variable (_ties).
 
     Precondition, checked by both callers: the two paths have equal keys
-    (path_entry).  A key holds its path sorted, so the paths carry the same
-    scalar variables and the words have one length.
+    (genmat.path_entry; express_in_J reads the sorted path from the order).
+    A key holds its path sorted, so the paths carry the same scalar
+    variables and the words have one length.
 
     seq[i] is the position in m paired with n's position i by
     _by_variable.  Each round skips the first positions k that seq fixes,
@@ -113,11 +114,10 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int],
     <= L are nonnegative and increasing, so each move is built unchecked
     (Move._make) and applied to seq by slices.  A scalar variable that
     occurs more than once in m is then paired again in position order, as
-    _by_variable pairs it (see _ties); on multilinear words there are no
-    ties.  Each move costs O(L) at C speed for words of length L, and sorts
+    _by_variable pairs it, one run of ties at a time; multilinear words have
+    none.  Each move costs O(L) at C speed for words of length L, and sorts
     no path.
     """
-    ties = _ties(path_m, order_m)
     seq = [0] * len(order_n)
     for h, s in zip(order_n, order_m):
         seq[h] = s
@@ -171,32 +171,41 @@ def express_in_J(f: FreePoly) -> JCombination:
     is nonzero, with the chain that transforms b_i into b_{i+1}.
 
     Each word's path is walked once, from row 0, and its positions are
-    sorted by scalar variable once, for the chain builder, which walks no
-    word again (see _chain_moves).  The cost is O(support * L log L) for
-    words of length L, plus O(L) per move.
+    sorted by scalar variable once (_by_variable); its row-0 key reads its
+    monomial in that order and is hashed once, to the id of its class.
+    Whether a class's monomial repeats a scalar variable (_ties) is decided
+    once per class.  The chain builder walks no word again (see
+    _chain_moves).  The cost is O(support * L log L) for words of length L,
+    plus O(L) per move.
     """
     support = sorted(f.terms, key=word_key)
-    word_paths = [word_path(f.ctx, word, 0) for word in support]
-    word_keys = [path_entry(path, 0) for path in word_paths]
-    following: dict[int, int] = {}  # rank -> the next rank with its key
-    last: dict[tuple, int] = {}
-    total: dict[tuple, int] = {}
-    for rank, (word, key) in enumerate(zip(support, word_keys)):
-        if key in last:
-            following[last[key]] = rank
-        last[key] = rank
-        total[key] = total.get(key, 0) + f.terms[word]
-    w = keyed_witness(total)
+    paths = [word_path(f.ctx, word, 0) for word in support]
+    orders = list(map(_by_variable, paths))
+    ids: dict[tuple, int] = {}  # row-0 key -> class id, in order of first sight
+    classes = [ids.setdefault((0, path[-1][2] if path else 0,
+                               tuple(map(path.__getitem__, order))), len(ids))
+               for path, order in zip(paths, orders)]
+    running = [0] * len(ids)
+    sums = []  # rank -> its class's running sum, up to and including it
+    for word, cls in zip(support, classes):
+        running[cls] += f.terms[word]
+        sums.append(running[cls])
+    w = keyed_witness(dict(zip(ids, running)))  # each class's running sum is its total
     if w is not None:
         raise NoExpressionError("input is not a graded identity", witness=w)
-    # every word of an identity takes part in a term; a non-identity needs none
-    word_orders = list(map(_by_variable, word_paths))
-    running = dict.fromkeys(total, 0)
+    # what follows builds an identity's terms; a non-identity needs none of it
+    following = [0] * len(support)  # rank -> the next rank of its class (0 after its last)
+    head = [0] * len(ids)
+    for rank in range(len(support) - 1, -1, -1):
+        cls = classes[rank]
+        following[rank], head[cls] = head[cls], rank
+    tied = [len(set(mono)) < len(mono) for _, _, mono in ids]
     terms: list[JTerm] = []
-    for rank, (word, key) in enumerate(zip(support, word_keys)):
-        s = running[key] = running[key] + f.terms[word]
+    for rank, s in enumerate(sums):
         if s:  # never a class's last word, whose running sum is its total, 0
             j = following[rank]
-            moves = _chain_moves(word_paths[j], word_orders[j], word_orders[rank])
-            terms.append(JTerm(coeff=s, source=word, target=support[j], moves=moves))
+            path_m, order_m = paths[j], orders[j]
+            ties = _ties(path_m, order_m) if tied[classes[rank]] else []
+            moves = _chain_moves(path_m, order_m, orders[rank], ties)
+            terms.append(JTerm(coeff=s, source=support[rank], target=support[j], moves=moves))
     return JCombination(f.ctx, tuple(terms))

@@ -615,21 +615,21 @@ def test_verify_matches_word_level_replay():
     assert checked == 6
 
 
-def test_verify_walks_each_source_once(tmp_path, capsys):
-    """`gpi verify` on a jcomb of T terms walks T words, one source each
-    (genmat.word_path), and no block (freealg.word_degree): a move's degree
-    rule is read from the rows of the replayed path."""
-    rand = support.rng(412)
-    ctx = Context(Z3, {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})
-    terms: dict = {}
-    for c in (1, 2, -1, 3, -2, 1):
-        word = tuple(rand.sample((1, 2, 3, 4, 5, 6), 6))
-        m, n = support.random_congruent_pair(rand, ctx, word, max_moves=4)
-        terms[m] = terms.get(m, 0) + c
-        terms[n] = terms.get(n, 0) - c
-    doc = certs.jcomb_to_json(express_in_J(FreePoly(ctx, terms)))
-    size = len(doc["payload"]["terms"])
-    assert size > 1 and any(t["chain"]["moves"] for t in doc["payload"]["terms"])
+def _fresh_sources(doc: dict) -> int:
+    """The terms of a jcomb document whose source no earlier term ends on."""
+    targets: set = set()
+    fresh = 0
+    for t in doc["payload"]["terms"]:
+        fresh += tuple(t["source"]) not in targets
+        targets.add(tuple(t["target"]))
+    return fresh
+
+
+def _verify_walks(tmp_path, capsys, comb: JCombination) -> tuple[Counter, dict]:
+    """`gpi verify` on comb's document, which must be valid: the words it
+    walks (genmat.word_path) and the blocks it walks (freealg.word_degree),
+    counted, and the document."""
+    doc = certs.jcomb_to_json(comb)
     path = tmp_path / "jcomb.json"
     path.write_text(certs.dumps(doc))
     watched = {genmat.word_path.__code__: "word_path", freealg.word_degree.__code__: "word_degree"}
@@ -645,7 +645,87 @@ def test_verify_walks_each_source_once(tmp_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0 and json.loads(capsys.readouterr().out)["valid"] is True
-    assert calls == {"word_path": size}
+    return calls, doc
+
+
+def test_verify_walks_each_source_once(tmp_path, capsys):
+    """`gpi verify` on a jcomb walks each term's source (genmat.word_path)
+    unless an earlier term ends on it, and no block (freealg.word_degree):
+    a move's degree rule is read from the rows of the replayed path.  Here
+    every key class holds two words, so every source is walked."""
+    rand = support.rng(412)
+    ctx = Context(Z3, {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2})
+    terms: dict = {}
+    for c in (1, 2, -1, 3, -2, 1):
+        word = tuple(rand.sample((1, 2, 3, 4, 5, 6), 6))
+        m, n = support.random_congruent_pair(rand, ctx, word, max_moves=4)
+        terms[m] = terms.get(m, 0) + c
+        terms[n] = terms.get(n, 0) - c
+    calls, doc = _verify_walks(tmp_path, capsys, express_in_J(FreePoly(ctx, terms)))
+    size = len(doc["payload"]["terms"])
+    assert size > 1 and any(t["chain"]["moves"] for t in doc["payload"]["terms"])
+    assert calls == {"word_path": _fresh_sources(doc)} and _fresh_sources(doc) == size
+
+
+_CLASS_LENGTH = 8
+
+
+def _chained_class(rand: random.Random) -> FreePoly:
+    """An identity on one key class of five or more multilinear words of
+    length _CLASS_LENGTH over Z3, coefficients 1, ..., 1, -(k - 1) in
+    word_key order: each running sum but the last is nonzero, so every term
+    but the first starts at the previous term's target."""
+    ctx = Context(Z3, {k: k % 3 for k in range(1, _CLASS_LENGTH + 1)})
+    words = {tuple(rand.sample(sorted(ctx.degrees), _CLASS_LENGTH))}
+    while len(words) < 5:
+        words.add(support.random_congruent_pair(rand, ctx, min(words), max_moves=4)[1])
+    ranked = sorted(words, key=freealg.word_key)
+    return FreePoly(ctx, {**dict.fromkeys(ranked, 1), ranked[-1]: 1 - len(ranked)})
+
+
+def test_verify_starts_a_term_from_an_earlier_targets_path(tmp_path, capsys):
+    """In a key class of three words or more, a term's source is often the
+    previous term's target, and `gpi verify` starts that term from the path
+    the previous one ended on: it walks fewer words than there are terms.
+    First x1x2x3 + x2x3x1 - 2x3x1x2 over Z3 with every letter of degree 0:
+    two terms and one walk; then a class of random congruent words."""
+    ctx = Context(Z3, {1: 0, 2: 0, 3: 0})
+    f = FreePoly(ctx, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): -2})
+    calls, doc = _verify_walks(tmp_path, capsys, express_in_J(f))
+    assert [(t["source"], t["target"]) for t in doc["payload"]["terms"]] == [
+        ([1, 2, 3], [2, 3, 1]), ([2, 3, 1], [3, 1, 2])]
+    assert calls == {"word_path": 1}
+    calls, doc = _verify_walks(tmp_path, capsys, express_in_J(_chained_class(support.rng(413))))
+    size = len(doc["payload"]["terms"])
+    assert size > 2 and calls == {"word_path": _fresh_sources(doc)} == {"word_path": 1}
+
+
+def test_tampered_chain_fails_where_a_term_starts_at_a_target():
+    """A jcomb whose second term starts at its first term's target: each
+    move of either term's chain dropped, moved one letter left or right, or
+    with its block lengths reversed, wherever it still fits, and either
+    term's target set to another word of the class, makes `gpi verify` exit
+    1, as the word-level replay (support.old_verify_exit) does."""
+    f = _chained_class(support.rng(414))
+    doc = certs.jcomb_to_json(express_in_J(f))
+    first, second = doc["payload"]["terms"][:2]
+    assert second["source"] == first["target"]
+    assert _verify_exit(doc) == 0
+    others = [list(w) for w in f.terms if list(w) not in (first["target"], second["target"])]
+    tampered = []
+    for t in (0, 1):
+        moves = doc["payload"]["terms"][t]["chain"]["moves"]
+        path = ("payload", "terms", t, "chain", "moves")
+        for i, (kind, offset, *lengths) in enumerate(moves):
+            tampered.append(_with_field(doc, path, moves[:i] + moves[i + 1:]))
+            for edited in ([kind, offset - 1, *lengths], [kind, offset + 1, *lengths],
+                           [kind, offset, *lengths[::-1]]):
+                if edited != moves[i] and 0 <= edited[1] <= _CLASS_LENGTH - sum(lengths):
+                    tampered.append(_with_field(doc, path + (i,), edited))
+        tampered.append(_with_field(doc, ("payload", "terms", t, "target"), others[0]))
+    assert len(tampered) > 5
+    for bad in tampered:
+        assert _verify_exit(bad) == support.old_verify_exit(bad) == 1
 
 
 def _relative_imports() -> dict[str, set[str]]:

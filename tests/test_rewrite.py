@@ -1,6 +1,7 @@
 import json
+import math
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 import support
@@ -289,6 +290,113 @@ class TestChainBuilder:
                     repeated += bool(t.moves) and len(set(t.source)) < len(t.source)
                 assert verify_combination(comb, claimed=f)
         assert terms > 100 and repeated > 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_replayed_source_path_is_the_targets_path(self, seed):
+        """For every term of express_in_J(f), replaying its moves with
+        move_path on the source's row-0 path gives exactly the target's
+        row-0 path: the lemma on which verify_combination starts a term from
+        the path an earlier term ended on."""
+        rand = random.Random(seed)
+        c = support.random_context(rand, rand.choice(_chain_gradings()), rand.choice((3, 6)))
+        f = _walks(rand, c, support.random_word(rand, c, rand.randint(3, 7)))
+        assume(not f.is_zero())
+        for t in express_in_J(f).terms:
+            path = word_path(c, t.source, 0)
+            for mv in t.moves:
+                path = move_path(path, mv)
+            assert path == word_path(c, t.target, 0)
+
+    def test_tied_and_multilinear_classes_in_one_polynomial(self):
+        """f mixes key classes whose monomial repeats a scalar variable with
+        multilinear ones, and express decides ties once per class: each
+        term's moves are the rewalking builder's, and verify_combination
+        answers as the word-level replay, on the combination and on it with
+        one term's last move dropped."""
+        rand = support.rng(312)
+        tied = multilinear = mixed = refused = 0
+        for grading in _chain_gradings():
+            for _ in range(12):
+                c = support.random_context(rand, grading, 6)
+                few = tuple(rand.choice((1, 2)) for _ in range(6))
+                f = _walks(rand, c, few) + _walks(rand, c, (3, 4, 5, 6))
+                if f.is_zero():
+                    continue
+                comb = express_in_J(f)
+                kinds = set()
+                for k, t in enumerate(comb.terms):
+                    assert t.moves == tuple(support.old_chain_moves(c, t.target, t.source))
+                    path = word_path(c, t.source, 0)
+                    kinds.add(len(set(path)) < len(path))
+                    if t.moves:
+                        cut = type(t)(t.coeff, t.source, t.target, t.moves[:-1])
+                        bad = JCombination(c, comb.terms[:k] + (cut,) + comb.terms[k + 1:])
+                        valid = verify_combination(bad)
+                        assert valid is support.old_verify_combination(bad)
+                        refused += not valid
+                assert verify_combination(comb, claimed=f) is \
+                    support.old_verify_combination(comb, claimed=f) is True
+                tied += True in kinds
+                multilinear += False in kinds
+                mixed += len(kinds) == 2
+        assert tied > 20 and multilinear > 20 and mixed > 10 and refused > 100
+
+
+def _block_interchange_distance(seq: list[int]) -> int:
+    """The least number of block interchanges that sort a permutation seq of
+    range(L): (L + 1 - c) / 2, where c counts the cycles of its breakpoint
+    graph (D. A. Christie, "Sorting permutations by block-interchanges",
+    Information Processing Letters 60, 1996).  Read seq as the cycle
+    (0, seq[0] + 1, ..., seq[L - 1] + 1); a black edge joins each element
+    to the one before it there, a grey edge joins x to x + 1 mod L + 1, and
+    x -> (the element before x) + 1 follows one of each."""
+    size = len(seq) + 1
+    cycle = [0] + [s + 1 for s in seq]
+    before = dict(zip(cycle[1:] + cycle[:1], cycle))
+    seen: set[int] = set()
+    cycles = 0
+    for x in range(size):
+        cycles += x not in seen
+        while x not in seen:
+            seen.add(x)
+            x = (before[x] + 1) % size
+    return (size - cycles) // 2
+
+
+def test_block_interchange_distance_is_the_least_number_of_moves():
+    """The formula against a breadth-first search over every block
+    interchange, adjacent (swap0's shape) or not (reverse3's), on every
+    permutation of length up to 6."""
+    for length in range(7):
+        start = tuple(range(length))
+        dist, todo = {start: 0}, [start]
+        for p in todo:
+            for cuts in chain(combinations(range(length + 1), 3),
+                              combinations(range(length + 1), 4)):
+                q = tuple(certs._reversed_blocks(list(p), *cuts))
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    todo.append(q)
+        assert len(dist) == math.factorial(length)
+        for p, d in dist.items():
+            assert _block_interchange_distance(list(p)) == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chains_are_as_short_as_possible(seed):
+    """On multilinear congruent pairs congruence_chain emits exactly the
+    block-interchange distance of the pairing of the two words.  Both moves
+    are block interchanges, so no chain can be shorter, and the builder's
+    is never longer."""
+    rand = random.Random(seed)
+    grading = rand.choice(_chain_gradings())
+    c = support.random_context(rand, grading, rand.randint(2, 12))
+    w = support.random_multilinear_word(rand, c, rand.randint(1, len(c.degrees)))
+    m, n = support.random_congruent_pair(rand, c, w, max_moves=rand.randint(1, 8))
+    moves = congruence_chain(c, m, n).moves
+    assert len(moves) == _block_interchange_distance(list(map(m.index, n)))
 
 
 def _walks(rand, c, base, skew=0):
