@@ -48,7 +48,6 @@ class MoveError(ValueError):
 # Each move kind is a context multiple of one generator family, whose parts
 # are the move's blocks: the family and the number of blocks.
 MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
-_ARITY = {kind: arity for kind, (_, arity) in MOVE_FAMILIES.items()}
 
 
 class _MoveFields(NamedTuple):
@@ -492,9 +491,6 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 # jcomb term's source).  A jcomb term writes its endpoints once, as source and
 # target.
 
-_INT = frozenset({int})
-
-
 def move_to_json(mv: Move) -> list:
     return [mv.kind, mv.offset, *mv.lengths]
 
@@ -516,28 +512,43 @@ def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
     """Version-3 moves, each checked to fit a running word of length size;
     no path is cut here, move_path cuts it on replay.
 
-    One pass checks each move's types and shape (a known kind, its number
-    of blocks, offset >= 0, blocks nonempty, and the fit), so the move is
-    built unchecked; the checked Move(...) runs only on a bad move, to name
-    what is wrong."""
+    One expression per kind checks a move's shape, its integer fields (bool
+    is not int here), offset >= 0, blocks nonempty and the fit, so the move
+    is built unchecked; only a bad move reaches _bad_move, to name what is
+    wrong."""
     moves = []
     for i, doc in enumerate(docs):
-        if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
-                and _INT.issuperset(map(type, doc[1:]))):  # bool is not int here
-            raise CertificateFormatError(
-                f"move {i} is not [kind, offset, len, ...] with integer offset and lengths")
-        kind, offset, lengths = doc[0], doc[1], tuple(doc[2:])
-        if not (len(lengths) == _ARITY.get(kind) and offset >= 0 and min(lengths) >= 1
-                and offset + sum(lengths) <= size):
-            try:
-                Move(kind, offset, lengths)
-            except MoveError as exc:
-                raise CertificateFormatError(f"move {i}: {exc}") from None
-            raise CertificateFormatError(
-                f"move {i}: offset {offset} and block lengths {list(lengths)} "
-                f"do not fit a word of length {size}")
-        moves.append(Move._make((kind, offset, lengths)))
+        if type(doc) is list and len(doc) == 4 and doc[0] == "swap0":
+            _, o, a, b = doc
+            if (type(o) is type(a) is type(b) is int
+                    and o >= 0 and a >= 1 and b >= 1 and o + a + b <= size):
+                moves.append(tuple.__new__(Move, ("swap0", o, (a, b))))
+                continue
+        elif type(doc) is list and len(doc) == 5 and doc[0] == "reverse3":
+            _, o, a, b, c = doc
+            if (type(o) is type(a) is type(b) is type(c) is int
+                    and o >= 0 and a >= 1 and b >= 1 and c >= 1 and o + a + b + c <= size):
+                moves.append(tuple.__new__(Move, ("reverse3", o, (a, b, c))))
+                continue
+        raise _bad_move(i, doc, size)
     return tuple(moves)
+
+
+def _bad_move(i: int, doc, size: int) -> CertificateFormatError:
+    """The error naming what is wrong with move i, doc, which _positional_moves
+    refused: its types, else the checked Move constructor's message, else the
+    fit."""
+    if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
+            and all(type(v) is int for v in doc[1:])):
+        return CertificateFormatError(
+            f"move {i} is not [kind, offset, len, ...] with integer offset and lengths")
+    kind, offset, lengths = doc[0], doc[1], tuple(doc[2:])
+    try:
+        Move(kind, offset, lengths)
+    except MoveError as exc:
+        return CertificateFormatError(f"move {i}: {exc}")
+    return CertificateFormatError(f"move {i}: offset {offset} and block lengths "
+                                  f"{list(lengths)} do not fit a word of length {size}")
 
 
 def _load_terms(ctx: Context, fields) -> tuple[JTerm, ...]:

@@ -8,6 +8,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -343,13 +344,23 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector off, and leave it as
+    the caller set it.  Everything a command builds is acyclic (int-tuple
+    words, term dicts, certificate nodes that refer only to their children,
+    JSON trees), so reference counting alone frees it and a collection would
+    only walk it."""
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code, doc = args.func(args)
         sys.stdout.write(_dumps(doc))
     except _CliInputError as exc:
         _diag(str(exc))
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

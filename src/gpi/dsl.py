@@ -70,10 +70,11 @@ class _ExprParser:
     The parser walks plain token strings, ending in a None sentinel.  A
     column is needed only for an error message, and then the text is
     scanned again with _tokenize, which pairs each token with its column.
-    Every level below parse works on term dicts without zero coefficients;
-    parse builds the expression's one FreePoly.  Each product is charged
-    to one ReplayBudget before it is built, and nothing else is charged:
-    nested brackets double the expansion per level, up to MAX_REPLAY_LETTERS.
+    Every level below parse works on term dicts without zero coefficients
+    whose letters are all declared; parse wraps the expression's terms in
+    its one FreePoly unchecked.  Each product is charged to one
+    ReplayBudget before it is built, and nothing else is charged: nested
+    brackets double the expansion per level, up to MAX_REPLAY_LETTERS.
     """
 
     def __init__(self, ctx: Context, tokens, text: str, line: int):
@@ -126,7 +127,7 @@ class _ExprParser:
             if tok[0] == "x":  # a run of letters: its first letter is named
                 tok = tok.partition("*")[0]
             self.fail(f"trailing input {tok!r}", self.i)
-        return FreePoly(self.ctx, terms)
+        return FreePoly._make(self.ctx, terms)
 
     def expr(self) -> dict[Word, int]:
         """A sum of terms, without zero coefficients."""

@@ -109,6 +109,15 @@ class FreePoly:
         check_declared(ctx, self.terms)
 
     @classmethod
+    def _make(cls, ctx: Context, terms: dict[Word, int]) -> "FreePoly":
+        """The polynomial holding terms itself, unchecked, for a caller whose
+        terms have no zero coefficient and only declared letters."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, ctx: Context) -> "FreePoly":
         return cls(ctx)
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpi import certs, freealg
+from gpi import certs, cli, freealg
 from gpi.cli import main
 from gpi.dsl import ParsedFile, format_file
 from gpi.freealg import Context, FreePoly
@@ -656,6 +657,85 @@ class TestVerifyKeysEachWordOnce:
         assert self.verify(tmp_path, capsys, doc) == 1
 
 
+class TestCollectorPaused:
+    """`main` runs a command with the cyclic collector off and leaves it as
+    the caller set it.  That is safe because a command builds no reference
+    cycle: after each one, whatever its answer, a collection finds nothing."""
+
+    def test_no_command_leaves_a_cycle(self, tmp_path, capsys):
+        write(tmp_path, "id.gpi", ID_FILE)
+        write(tmp_path, "non.gpi", NONID_FILE)
+        write(tmp_path, "cong.gpi", CONG_FILE)
+        write(tmp_path, "gen.gpi", GEN_FILE)
+        write(tmp_path, "apart.gpi", "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\nn: x1*x1\n")
+        write(tmp_path, "undeclared.gpi", "group: Z3\nvars: x1:1\npoly: x1*x9\n")
+        (tmp_path / "pass.json").write_text(json.dumps(
+            [{"file": "id.gpi", "expected": "identity"},
+             {"file": "gen.gpi", "expected": "reducible"}]))
+        (tmp_path / "fail.json").write_text(json.dumps(
+            [{"file": "non.gpi", "expected": "identity"}, {"file": "absent.gpi"}]))
+        (tmp_path / "object.json").write_text("{}")
+        for (kind, version), doc in documents_of_every_version().items():
+            (tmp_path / f"{kind}-v{version}.json").write_text(certs.dumps(doc))
+        (tmp_path / "deep.json").write_text(certs.dumps(support.deep_subst_reduction(16)))
+        d = tmp_path
+        steps = [
+            (0, f"check {d}/id.gpi"), (1, f"check {d}/non.gpi"),
+            (2, f"check {d}/undeclared.gpi"), (2, f"check {d}/absent.gpi"),
+            (0, f"eval {d}/id.gpi"), (0, f"eval {d}/id.gpi --word x3*x1"),
+            (2, f"eval {d}/id.gpi --word 7"),
+            (0, f"congruent {d}/cong.gpi"), (1, f"congruent {d}/apart.gpi"),
+            (2, f"congruent {d}/id.gpi"),
+            (0, f"express {d}/id.gpi"), (1, f"express {d}/non.gpi"),
+            (2, f"express {d}/cong.gpi"),
+            (0, f"z3reduce {d}/gen.gpi"), (2, f"z3reduce {d}/gen.gpi --type 1"),
+            (2, f"z3reduce {d}/id.gpi"),
+            (0, "enum-reduced"), (0, "enum-reduced --max-len 2 --json"),
+            (2, "enum-reduced --order 0"),
+            (0, f"corpus {d}/pass.json"), (1, f"corpus {d}/fail.json"),
+            (2, f"corpus {d}/object.json"),
+            *((0, f"verify {d}/{kind}-v{version}.json")
+              for kind, version in documents_of_every_version()),
+            (2, f"verify {d}/deep.json"), (2, f"verify {d}/object.json"),
+            (2, f"verify {d}/id.gpi"),
+        ]
+        for want, line in steps:
+            gc.collect()
+            assert run(capsys, *line.split())[0] == want, line
+            assert gc.isenabled()
+            assert gc.collect() == 0, line
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_main_leaves_the_callers_setting(self, tmp_path, capsys, monkeypatch,
+                                             collecting):
+        f = write(tmp_path, "id.gpi", ID_FILE)
+        seen = []
+
+        def witness(poly):
+            seen.append(gc.isenabled())
+            if len(seen) == 2:
+                raise RuntimeError("unexpected")
+            return None
+
+        monkeypatch.setattr(cli, "identity_witness", witness)
+        before = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            assert run(capsys, "check", f)[0] == 0 and gc.isenabled() is collecting
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(["check", f])
+            assert gc.isenabled() is collecting
+            assert run(capsys, "check", f + ".absent")[0] == 2
+            assert gc.isenabled() is collecting
+            with pytest.raises(SystemExit):
+                main(["check"])
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+        capsys.readouterr()
+        assert seen == [False, False]
+
+
 class TestPositionalMoves:
     """Version-3 moves [kind, offset, len...] act on the running word.  A
     move that cannot be cut from it is bad input (exit 2, one `gpi:` line);
@@ -682,19 +762,22 @@ class TestPositionalMoves:
         ["swap0", 2, 2], ["swap0", 2, 2, 1, 1], ["reverse3", 2, 1, 1], ["swap0"], [],
         ["rotate", 2, 2, 1], [2, 2, 2, 1], [["swap0"], 2, 2, 1], "swap0", {"kind": "swap0"},
         ["swap0", 3, 2, 1], ["swap0", -1, 2, 1], ["reverse3", 0, 1, 1, 4],
-        ["reverse3", 0, 1, 0, 1],
+        ["reverse3", 0, 1, 0, 1], ["reverse3", 0, 0, 1, 1], ["reverse3", 0, 1, 1, 0],
+        ["reverse3", -1, 1, 1, 1],
     ])
     def test_malformed_move_exit_2(self, tmp_path, capsys, move):
         """Each bad move is named with the checked Move constructor's
-        message, or the type or fit message, whatever the loader skips."""
+        message, or the type or fit message, whatever the loader skips, and
+        by its index: move 0 alone, move 1 after a valid move."""
         doc = self.express_doc(tmp_path, capsys)
-        doc["payload"]["terms"][1]["chain"]["moves"] = [move]
-        code, out, err = self.verify(tmp_path, capsys, doc)
-        assert code == 2 and out == ""
-        assert err.startswith("gpi: ") and err.count("\n") == 1
         want = self.SHAPE_ERRORS.get(
             json.dumps(move), "move 0 is not [kind, offset, len, ...] with integer offset and lengths")
-        assert err.endswith(f": {want}\n")
+        for before in ([], [["swap0", 0, 1, 1]]):
+            doc["payload"]["terms"][1]["chain"]["moves"] = [*before, move]
+            code, out, err = self.verify(tmp_path, capsys, doc)
+            assert code == 2 and out == ""
+            assert err.startswith("gpi: ") and err.count("\n") == 1
+            assert err.endswith(f": {want.replace('move 0', f'move {len(before)}', 1)}\n")
 
     # the message of each well-typed bad move above; term 1's source has 5 letters
     SHAPE_ERRORS = {
@@ -706,6 +789,12 @@ class TestPositionalMoves:
         '["swap0", 2, 0, 1]': "move 0: a move's offset must be nonnegative and its blocks nonempty",
         '["swap0", 2, 2, -1]': "move 0: a move's offset must be nonnegative and its blocks nonempty",
         '["reverse3", 0, 1, 0, 1]':
+            "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["reverse3", -1, 1, 1, 1]':
+            "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["reverse3", 0, 0, 1, 1]':
+            "move 0: a move's offset must be nonnegative and its blocks nonempty",
+        '["reverse3", 0, 1, 1, 0]':
             "move 0: a move's offset must be nonnegative and its blocks nonempty",
         '["swap0", 3, 2, 1]':
             "move 0: offset 3 and block lengths [2, 1] do not fit a word of length 5",

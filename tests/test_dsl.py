@@ -317,11 +317,16 @@ def test_parser_matches_factor_by_factor_oracle():
                            (f"x1 + x2*x{'7' * 5000}*x9", 9,
                             "variable id of 5000 digits is too long to read")]:
         assert _poly_or_error(parse_expr, c, text) == (f"line 5, column {col}: {msg}", 5, col)
+    # terms that cancel leave the zero polynomial
+    for text in ("x1*x2 - x1*x2", "2*x1 + 3*x1 - 5*x1", "[x1, x1]", "x1*(x2 - x2)"):
+        assert parse_expr(c, text).terms == {}, text
     texts += [_random_expr(rand) for _ in range(3000)]
     errors = flat = 0
     for text in texts:
         got = _poly_or_error(parse_expr, c, text)
         assert got == _poly_or_error(support.old_parse_expr, c, text), text
+        # the parser builds its result unchecked: no zero and no undeclared letter
+        assert isinstance(got, tuple) or got == FreePoly(c, got).terms, text
         errors += isinstance(got, tuple)
         flat += not any(ch in text for ch in "([")
     assert 300 < errors < len(texts) - 300
