@@ -36,4 +36,4 @@ for t in comb.terms:
     print(f"  {t.coeff} * ({t.source} - {t.target}),"
           f" chain of {len(t.moves)} move(s)")
 print("combination verifies and expands back to f:",
-      verify_combination(comb, claimed=f))
+      verify_combination(comb) and comb.expansion() == f)

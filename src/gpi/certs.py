@@ -26,8 +26,7 @@ from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayB
                       WeakSubstitution, Word, check_declared)
 from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind, generator_terms,
-                       make_generator)
+from .identity import GeneratorInstance, GeneratorKind, generator_terms, make_generator
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -61,8 +60,8 @@ class Move(_MoveFields):
     letters that follow the first offset letters, and the move reverses
     their order.
 
-    Move(...) checks its fields.  Move._make((kind, offset, lengths))
-    builds one unchecked, for a caller that has checked them itself."""
+    Move(...) checks its fields.  tuple.__new__(Move, fields) builds one
+    unchecked, for a caller that has checked them itself."""
 
     __slots__ = ()
 
@@ -203,27 +202,19 @@ class JCombination:
         return FreePoly(self.ctx, terms)
 
 
-def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> bool:
-    """Replay every term's moves on the row-0 path of its source, then check
-    the expansion against claimed, if given.
+def verify_combination(comb: JCombination) -> bool:
+    """Replay every term's moves on the row-0 path of its source: each move
+    must fit and obey its degree rule (move_path), and the final path must
+    be walked along the term's target.  Whether the combination proves a
+    given f is comb.expansion() == f.
 
-    Every move is replayed on the path with move_path, which checks that
-    the move fits and obeys the degree rule, and the final path must be
-    walked along the term's target.  That path is then the target's row-0
-    path: move_path returns the moved word's path from the row the path
-    started on, and the letters fix the word.  So a term whose source is an
+    By move_path's lemma, the final path is the target's row-0 path and has
+    the source's row-0 key, which decides the evaluation (see
+    genmat.word_entry), so no key is compared.  A term whose source is an
     earlier term's target starts from that term's final path, and only a
     source that no earlier term ended on is walked (word_path).  Only paths
     built by word_path and move_path are kept, so a document cannot plant
     one.
-
-    The final path's row-0 key (row, col, mono), which decides the
-    evaluation (see genmat.word_entry), is the source's, so no key is
-    compared: a move only rearranges the path's (var, from, to) triples, so
-    the sorted monomial stays, and the end column moves only when the last
-    block ends the word, where the degree rule keeps it: both swap0 blocks
-    end on the row the first starts on, and a reverse3's last block ends
-    where its first ends.
     """
     ends: dict[Word, list[ScalarVar]] = {}  # a checked target -> its row-0 path
     for t in comb.terms:
@@ -239,7 +230,7 @@ def verify_combination(comb: JCombination, claimed: FreePoly | None = None) -> b
         if _letters(path) != target:
             return False
         ends[target] = path
-    return claimed is None or comb.expansion() == claimed
+    return True
 
 
 def verify_chain(chain: RewriteChain) -> bool:
@@ -388,20 +379,18 @@ class ReductionCertificate:
     root: CertNode
 
 
-def verify_certificate(cert: ReductionCertificate,
-                       max_part_len: int = MAX_REDUCED_PART_LEN) -> bool:
-    """Every leaf has parts of length at most max_part_len, and the replayed
-    root's terms equal the target's.  Every node has checked the letters it
-    brings in and dropped its zero coefficients, so the root is compared as
-    it is, a term dict.
+def verify_certificate(cert: ReductionCertificate) -> bool:
+    """Every leaf is reduced (parts of length at most MAX_REDUCED_PART_LEN),
+    and the replayed root's terms equal the target's.  Every node has
+    checked the letters it brings in and dropped its zero coefficients, so
+    the root is compared as it is, a term dict.
 
     A DeclarationError (a node names an undeclared variable) and a
     ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
     letters) are bad input, not a failed step, and propagate.
     """
     nodes = cert_nodes(cert.root)
-    if not all(n.generator.is_reduced(max_part_len)
-               for n in nodes if isinstance(n, CertLeaf)):
+    if not all(n.generator.is_reduced() for n in nodes if isinstance(n, CertLeaf)):
         return False
     try:
         value = _replay(cert.ctx, nodes)
@@ -672,7 +661,16 @@ def _node_entry(node: CertNode, index: dict[int, int]) -> dict:
     raise CertificateFormatError(f"unknown node {type(node).__name__}")
 
 
-def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
+def _earlier(nodes: list[CertNode], i) -> CertNode:
+    """The node reference i names: an int indexing nodes, the earlier rows."""
+    if type(i) is not int or not 0 <= i < len(nodes):
+        raise CertificateFormatError(
+            f"node {len(nodes)}: reference {i!r} does not name an earlier node")
+    return nodes[i]
+
+
+def _node_from_entry(ctx: Context, entry, nodes: list[CertNode]) -> CertNode:
+    """Row len(nodes) of a node table, whose children are among nodes."""
     if not isinstance(entry, dict):
         raise CertificateFormatError("a certificate node is a JSON object")
     op = entry.get("op")
@@ -680,14 +678,18 @@ def _node_from_entry(ctx: Context, entry, ref) -> CertNode:
         return CertLeaf(generator_from_json(ctx, entry["generator"]))
     if op == "sum":
         children = (_pair(p, "a sum child") for p in _entries(entry["children"], "children"))
-        return CertSum(tuple((_integer(c), ref(ch)) for c, ch in children))
+        return CertSum(tuple((_integer(c), _earlier(nodes, ch)) for c, ch in children))
     if op == "context":
         return CertContext(_declared_word(ctx, entry["left"], "left"),
-                           _declared_word(ctx, entry["right"], "right"), ref(entry["child"]))
+                           _declared_word(ctx, entry["right"], "right"),
+                           _earlier(nodes, entry["child"]))
     if op == "subst":
-        images = (_pair(p, "an image") for p in _entries(entry["images"], "images"))
-        return CertSubst(tuple((_declared(ctx, v), _lieword_from_json(ctx, lw))
-                               for v, lw in images), ref(entry["child"]))
+        images: dict[int, object] = {}
+        for v, lw in (_pair(p, "an image") for p in _entries(entry["images"], "images")):
+            if _declared(ctx, v) in images:
+                raise CertificateFormatError(f"node {len(nodes)}: x{v} is mapped twice")
+            images[v] = _lieword_from_json(ctx, lw)
+        return CertSubst(tuple(images.items()), _earlier(nodes, entry["child"]))
     raise CertificateFormatError(f"unknown certificate op {op!r}")
 
 
@@ -709,15 +711,8 @@ def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
     """
     table, root = _entries(doc["nodes"], "reduction nodes"), doc["root"]
     nodes: list[CertNode] = []
-
-    def ref(i) -> CertNode:
-        if type(i) is not int or not 0 <= i < len(nodes):
-            raise CertificateFormatError(
-                f"node {len(nodes)}: reference {i!r} does not name an earlier node")
-        return nodes[i]
-
     for entry in table:
-        nodes.append(_node_from_entry(ctx, entry, ref))
+        nodes.append(_node_from_entry(ctx, entry, nodes))
     if type(root) is not int or not 0 <= root < len(nodes):
         raise CertificateFormatError(f"root {root!r} does not name a node")
     return ReductionCertificate(ctx, generator_from_json(ctx, doc["target"]), nodes[root])

@@ -18,7 +18,7 @@ from .certs import (JCombination, RewriteChain, verify_certificate, verify_chain
                     verify_combination)
 from .dsl import ParseError, parse_file, parse_word
 from .freealg import DeclarationError, FreePoly, ReplayBudgetError
-from .genmat import eval_poly, eval_word_closed
+from .genmat import eval_poly
 from .groups import GroupError, cyclic_group, default_grading
 from .identity import GeneratorError, GeneratorKind, identity_witness
 from .rewrite import NoExpressionError, NotCongruentError, congruence_chain, express_in_J
@@ -99,8 +99,7 @@ def cmd_eval(args):
     ctx = parsed.ctx
     if args.word is not None:
         if args.word.isascii() and args.word.isdecimal():
-            p = _need_poly(parsed, args.file)
-            support = p.support()
+            support = _need_poly(parsed, args.file).support()
             try:
                 idx = int(args.word)
             except ValueError:  # more digits than int() reads, far past any support
@@ -112,10 +111,10 @@ def cmd_eval(args):
             w = support[idx]
         else:
             w = _word_arg(ctx, args.word, "--word")
-        entries = dict.fromkeys(eval_word_closed(ctx, w), 1)
+        p = FreePoly.word(ctx, w)
     else:
-        entries = eval_poly(_need_poly(parsed, args.file))
-    return EXIT_OK, certs.matrix_to_json(ctx.grading.n, entries)
+        p = _need_poly(parsed, args.file)
+    return EXIT_OK, certs.matrix_to_json(ctx.grading.n, eval_poly(p))
 
 
 def _word_arg(ctx, text: str, flag: str):

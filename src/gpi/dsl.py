@@ -16,7 +16,8 @@ A file has header lines followed by body directives, one per line:
 
 Expressions use integer literals, +, -, *, parentheses and [a,b] for the
 Lie bracket.  Whitespace is insignificant inside expressions.  The one
-writer of this syntax is repr(FreePoly), which format_file uses for poly:.
+writer of this syntax is repr(FreePoly), which format_file uses for every
+expression and word.
 """
 
 from __future__ import annotations
@@ -276,6 +277,10 @@ def parse_file(path: str) -> ParsedFile:
     return parse_text(text)
 
 
+# The directives a file gives at most once; vars: lines may repeat.
+_ONCE = frozenset({"group", "grading", "poly", "m", "n", "type", "h1", "h2", "h3"})
+
+
 def parse_text(text: str) -> ParsedFile:
     group: FiniteGroup | None = None
     grading_spec: tuple[int, ...] | None = None
@@ -283,6 +288,7 @@ def parse_text(text: str) -> ParsedFile:
     degrees: dict[int, int] = {}
     declared_on: list[int] = []  # the line of each id in degrees, in order
     body: list[tuple[str, str, int]] = []
+    given: set[str] = set()  # the _ONCE directives read so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -293,6 +299,10 @@ def parse_text(text: str) -> ParsedFile:
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
+        if key in _ONCE:
+            if key in given:
+                raise ParseError(f"directive {key!r} given twice", lineno)
+            given.add(key)
         if key == "group":
             group = _parse_group(value, lineno)
         elif key == "grading":
@@ -419,17 +429,13 @@ def format_file(parsed: ParsedFile) -> str:
     if parsed.poly is not None:
         lines.append("poly: " + repr(parsed.poly))
     if parsed.word_m is not None:
-        lines.append("m: " + _format_word(parsed.word_m))
+        lines.append("m: " + repr(FreePoly.word(ctx, parsed.word_m)))
     if parsed.word_n is not None:
-        lines.append("n: " + _format_word(parsed.word_n))
+        lines.append("n: " + repr(FreePoly.word(ctx, parsed.word_n)))
     if parsed.generator is not None:
         g = parsed.generator
         lines.append(f"type: {g.kind.value}")
         for i, p in enumerate(g.parts, start=1):
-            lines.append(f"h{i}: " + _format_word(p))
+            lines.append(f"h{i}: " + repr(FreePoly.word(ctx, p)))
     return "\n".join(lines) + "\n"
-
-
-def _format_word(w: Word) -> str:
-    return "*".join(f"x{v}" for v in w)
 

@@ -60,9 +60,6 @@ class Context:
             self.degrees[k] = d
         return k
 
-    def compatible(self, other: "Context") -> bool:
-        return self.grading == other.grading and self.degrees == other.degrees
-
 
 def word_degree(ctx: Context, w: Word) -> int:
     """Product of the factor degrees in word order; empty word -> identity."""
@@ -122,15 +119,15 @@ class FreePoly:
         return cls(ctx)
 
     @classmethod
-    def word(cls, ctx: Context, w, coeff: int = 1) -> "FreePoly":
-        return cls(ctx, {tuple(w): coeff})
+    def word(cls, ctx: Context, w) -> "FreePoly":
+        return cls(ctx, {tuple(w): 1})
 
     @classmethod
     def var(cls, ctx: Context, k: int) -> "FreePoly":
         return cls(ctx, {(k,): 1})
 
     def _check(self, other: "FreePoly"):
-        if self.ctx is not other.ctx and not self.ctx.compatible(other.ctx):
+        if self.ctx != other.ctx:
             raise DeclarationError("operands declared over different contexts")
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
@@ -309,7 +306,7 @@ class WeakSubstitution:
 
     def __call__(self, p: FreePoly) -> FreePoly:
         """The image of p (image_terms), charged to a fresh budget."""
-        if p.ctx is not self.ctx and not p.ctx.compatible(self.ctx):
+        if p.ctx != self.ctx:
             raise SubstitutionError("substitution context does not match")
         return FreePoly(self.ctx, self.image_terms(p.terms, ReplayBudget()))
 

@@ -19,7 +19,7 @@ from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
 from .genmat import Mono, ScalarPoly, mono_exponents, row0_entries
 from .genmat import eval_poly  # noqa: F401  unused here: bench/spans.py rebinds this name
 
-MAX_REDUCED_PART_LEN = 3  # the longest part of a reduced generator, by default
+MAX_REDUCED_PART_LEN = 3  # the longest part of a reduced generator
 
 
 class GeneratorError(ValueError):
@@ -52,8 +52,8 @@ class GeneratorInstance:
     def part_lengths(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
 
-    def is_reduced(self, max_part_len: int = MAX_REDUCED_PART_LEN) -> bool:
-        return all(len(p) <= max_part_len for p in self.parts)
+    def is_reduced(self) -> bool:
+        return all(len(p) <= MAX_REDUCED_PART_LEN for p in self.parts)
 
 
 def degree_rule_holds(kind: GeneratorKind, ctx: Context, parts) -> bool:

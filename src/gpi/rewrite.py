@@ -112,11 +112,11 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     n's path is path_m read through seq.  Each move's degree rule is checked
     from those rows (path_rule_holds).  The move's bounds k < (p0 <) r0 < e
     <= L are nonnegative and increasing, so each move is built unchecked
-    (Move._make) and applied to seq by slices.  A scalar variable that
-    occurs more than once in m is then paired again in position order, as
-    _by_variable pairs it, one run of ties at a time; multilinear words have
-    none.  Each move costs O(L) at C speed for words of length L, and sorts
-    no path.
+    (tuple.__new__, as the loader builds it) and applied to seq by slices.
+    A scalar variable that occurs more than once in m is then paired again
+    in position order, as _by_variable pairs it, one run of ties at a time;
+    multilinear words have none.  Each move costs O(L) at C speed for words
+    of length L, and sorts no path.
     """
     seq = [0] * len(order_n)
     for h, s in zip(order_n, order_m):
@@ -135,10 +135,10 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         e = seq.index(t - 1, k) + 1
         if p0 > k:
             bounds = (k, p0, r0, e)
-            mv = Move._make(("reverse3", k, (p0 - k, r0 - p0, e - r0)))
+            mv = tuple.__new__(Move, ("reverse3", k, (p0 - k, r0 - p0, e - r0)))
         else:
             bounds = (k, r0, e)
-            mv = Move._make(("swap0", k, (r0 - k, e - r0)))
+            mv = tuple.__new__(Move, ("swap0", k, (r0 - k, e - r0)))
         ends = [path_m[seq[c - 1]][2] for c in bounds[1:]]
         if not path_rule_holds(mv.kind, path_m[seq[k]][1], ends):
             raise MoveError("move violates its degree side-conditions")

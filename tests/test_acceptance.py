@@ -172,7 +172,7 @@ def test_criterion_4(report, crit4_data):
     identities, combos, non_identities = crit4_data
     ok = True
     for f, comb in zip(identities, combos):
-        if not verify_combination(comb, claimed=f):
+        if not (verify_combination(comb) and comb.expansion() == f):
             ok = False
     for f in non_identities:
         try:

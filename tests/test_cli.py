@@ -154,6 +154,21 @@ class TestEval:
         code, _, err = run(capsys, "eval", f, "--word", "9")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("word, poly", [
+        ("0", "1"), ("1", "x1*x2"), ("2", "x2*x1"), ("3", "x1*x1*x2"),
+        ("x2*x1", "x2*x1"), ("x1*(x1*x2)", "x1*x1*x2"), ("x2", "x2"),
+    ])
+    def test_word_is_the_one_word_poly(self, tmp_path, capsys, word, poly):
+        """`gpi eval --word W` prints the bytes `gpi eval` prints on a file
+        whose poly: is W's word: a support index names the index-th word in
+        word_key order (the empty word first), an expression is the word."""
+        head = "group: Z3\nvars: x1:1 x2:2\n"
+        f = write(tmp_path, "f.gpi", head + "poly: 3 + x1*x2 - 2*x2*x1 + x1*x1*x2\n")
+        one = write(tmp_path, "one.gpi", head + f"poly: {poly}\n")
+        by_word = run(capsys, "eval", f, "--word", word)
+        assert by_word == run(capsys, "eval", one)
+        assert by_word[0] == 0 and len(json.loads(by_word[1])["entries"]) == 3
+
 
 class TestEvalOracle:
     """gpi eval prints the matrix the dense product gives (support's oracle),
@@ -364,12 +379,16 @@ class TestHostileCertificates:
         ("reduction", 2, ["nodes", 3, "left"], {}, "left must be a JSON list"),
         ("reduction", 2, ["nodes", 6, "children"], "", "children must be a JSON list"),
         ("jcomb", 3, ["..", "group", "table"], "1", "group table must be a JSON list"),
+        # a subst row that maps x7 twice, where the last image used to win
+        ("reduction", 2, ["nodes", 1, "images"], [[7, 6], [7, [2, 3]]],
+         "node 1: x7 is mapped twice"),
     ])
     def test_mistyped_field_is_named(self, tmp_path, capsys, kind, version, path, value,
                                      message):
         """A JSON value of the wrong type where an object, a list or a pair
-        belongs exits 2 with one line that names the field, not with
-        Python's message about indexing or unpacking it."""
+        belongs, or a subst row that maps one variable twice, exits 2 with
+        one line that names the field, not with Python's message about
+        indexing or unpacking it."""
         doc = documents_of_every_version()[kind, version]
         owner = doc if path[0] == ".." else doc["payload"]
         for key in path[1 if path[0] == ".." else 0:-1]:
@@ -1735,3 +1754,26 @@ class TestCorpus:
         assert doc["entries"][0]["status"] == "fail"
         assert doc["entries"][0]["detail"] == "certificate does not verify"
         assert not (tmp_path / "id.cert.json").exists()
+
+
+def test_traced_names_stay_bound(monkeypatch):
+    """bench/spans.py rebinds names in gpi's modules to trace a run, and
+    restore() puts each original back: every name it wraps is still bound,
+    and after restore each holds the object it held before."""
+    import importlib
+    from pathlib import Path
+
+    import gpi
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, gpi)
+    finally:
+        originals: dict[tuple[int, str], tuple] = {}
+        for owner, attr, original in tracer._patches:  # in the order they were made
+            originals.setdefault((id(owner), attr), (owner, attr, original))
+        tracer.restore()
+    assert len(originals) > 20
+    for owner, attr, original in originals.values():
+        assert getattr(owner, attr) is original, attr

@@ -231,6 +231,29 @@ poly: x1*x2*x3 - x3*x2*x1
         with pytest.raises(ParseError, match=r"^line 3, column 1: x1 declared twice$"):
             parse_text("group: Z3\nvars: x1:1 x2:2\nvars: x1:2\npoly: x1*x2\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("group", "Z3"), ("grading", "0 1 2"), ("poly", "x1*x2 - x2*x1"), ("m", "x1*x2"),
+        ("n", "x2*x1"), ("type", "1"), ("h1", "x1"), ("h2", "x2"), ("h3", "x2"),
+    ])
+    def test_directive_given_twice(self, key, value):
+        """Every directive but vars: is given at most once: the second line
+        is refused, naming its line, where it used to replace the first."""
+        text = f"{key}: {value}\ngroup: Z3\nvars: x1:0 x2:0\n{key}: {value}\n"
+        line = 2 if key == "group" else 4
+        with pytest.raises(ParseError, match=rf"^line {line}, column 1: "
+                                             rf"directive '{key}' given twice$"):
+            parse_text(text)
+
+    def test_directive_twice_in_two_spellings(self):
+        """A directive's key is read without case, so POLY: repeats poly:; the
+        first poly: here is not an identity, the second is."""
+        with pytest.raises(ParseError, match=r"^line 4, column 1: directive 'poly' given twice$"):
+            parse_text("group: Z3\nvars: x1:0 x2:0\npoly: x1\nPOLY: x1*x2 - x2*x1\n")
+
+    def test_vars_lines_repeat(self):
+        parsed = parse_text("group: Z3\nvars: x1:1\nvars: x2:2\nvars: x3:0\npoly: x1*x2\n")
+        assert parsed.ctx.degrees == {1: 1, 2: 2, 3: 0}
+
 
 class TestRoundTrip:
     CASES = [
@@ -246,7 +269,7 @@ class TestRoundTrip:
         parsed = parse_text(text)
         rendered = format_file(parsed)
         again = parse_text(rendered)
-        assert again.ctx.compatible(parsed.ctx)
+        assert again.ctx == parsed.ctx
         assert again.poly == parsed.poly
         assert again.word_m == parsed.word_m
         assert again.word_n == parsed.word_n

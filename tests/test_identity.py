@@ -85,7 +85,6 @@ class TestGenerators:
         c = Context(Z3, {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0})
         g = make_generator(GeneratorKind.TYPE1, c, ((1, 2, 3, 4), (5, 6)))
         assert not g.is_reduced()
-        assert g.is_reduced(max_part_len=4)
         assert g.part_lengths() == (4, 2)
 
 
