@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
-                      WeakSubstitution, Word, check_declared)
+                      WeakSubstitution, Word, check_declared, linear_combination)
 from .genmat import ExpMono, Mono, ScalarPoly, ScalarVar, mono_exponents, word_path
 from .groups import FiniteGroup, GradingTuple, check_order
-from .identity import GeneratorInstance, GeneratorKind, generator_terms, make_generator
+from .identity import (GeneratorInstance, GeneratorKind, generator_terms, make_generator,
+                       validate_generator)
 
 CHAIN_VERSION = 3      # chain and jcomb documents: positional moves
 REDUCTION_VERSION = 2  # reduction documents: a node table
@@ -195,11 +196,11 @@ class JCombination:
     terms: tuple[JTerm, ...]
 
     def expansion(self) -> FreePoly:
-        terms: dict[Word, int] = {}
-        for t in self.terms:
-            terms[t.source] = terms.get(t.source, 0) + t.coeff
-            terms[t.target] = terms.get(t.target, 0) - t.coeff
-        return FreePoly(self.ctx, terms)
+        """The sum of coeff * (source - target); a term whose source is its
+        target adds nothing."""
+        return FreePoly(self.ctx, linear_combination(
+            pair for t in self.terms
+            for pair in ((t.coeff, {t.source: 1}), (-t.coeff, {t.target: 1}))))
 
 
 def verify_combination(comb: JCombination) -> bool:
@@ -314,9 +315,10 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
     children's terms.
 
     Each node checks only the letters it brings in against ctx, so every
-    value's letters are declared: a leaf through its generator, a context
-    node its left and right words, a subst node through WeakSubstitution's
-    degree check of its images.  A context node charges budget for the
+    value's letters are declared: a leaf through its generator (one built
+    in another context is validated again in ctx, degree rule too), a
+    context node its left and right words, a subst node through
+    WeakSubstitution's degree check of its images.  A context node charges budget for the
     words it builds, a subst node what expanding its images and multiplying
     out build, and a sum node one letter for each child term it adds up, so
     a table of sums over one large value is bounded too.
@@ -329,18 +331,14 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
         budget.spend(len(child) * (len(left) + len(right)) + sum(map(len, child)))
         return {left + w + right: c for w, c in child.items()}
     if kind is CertSum:
-        budget.spend(sum(len(values[id(child)]) for _, child in node.children))
-        terms: dict[Word, int] = {}
-        for coeff, child in node.children:
-            for w, c in values[id(child)].items():
-                terms[w] = terms.get(w, 0) + coeff * c
-        return {w: c for w, c in terms.items() if c}
+        pairs = [(coeff, values[id(child)]) for coeff, child in node.children]
+        budget.spend(sum(len(terms) for _, terms in pairs))
+        return linear_combination(pairs)
     if kind is CertLeaf:
         g = node.generator
-        terms = generator_terms(g)
-        if g.ctx is not ctx:  # its letters were checked in its own context
-            check_declared(ctx, terms)
-        return terms
+        if g.ctx is not ctx:  # it was validated in its own context
+            validate_generator(g.kind, ctx, g.parts)
+        return generator_terms(g)
     if kind is CertSubst:
         mu = WeakSubstitution(ctx, dict(node.images))
         return mu.image_terms(values[id(node.child)], budget)

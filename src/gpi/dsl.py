@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
-                      Word, _charged_product, bracket_terms)
+                      Word, _charged_product, bracket_terms, linear_combination)
 from .groups import (MAX_GROUP_ORDER, FiniteGroup, GradingTuple, GroupError, cyclic_group,
                      default_grading)
 from .identity import GeneratorInstance, GeneratorKind, make_generator
@@ -133,17 +133,16 @@ class _ExprParser:
     def expr(self) -> dict[Word, int]:
         """A sum of terms, without zero coefficients."""
         tokens = self.tokens
-        terms: dict[Word, int] = {}
+        summands = []  # (sign, term) pairs
         sign = 1
         if tokens[self.i] in ("+", "-"):
             sign = -1 if tokens[self.i] == "-" else 1
             self.i += 1
         while True:
-            for w, c in self.term().items():
-                terms[w] = terms.get(w, 0) + sign * c
+            summands.append((sign, self.term()))
             tok = tokens[self.i]
             if tok != "+" and tok != "-":
-                return {w: c for w, c in terms.items() if c}
+                return linear_combination(summands)
             sign = -1 if tok == "-" else 1
             self.i += 1
 
@@ -335,7 +334,7 @@ def parse_text(text: str) -> ParsedFile:
 
     out = ParsedFile(ctx)
     gen_kind: int | None = None
-    parts: dict[str, Word] = {}
+    parts: dict[str, tuple[Word, int]] = {}  # each part and its line
     for key, value, lineno in body:
         if key == "poly":
             out.poly = parse_expr(ctx, value, lineno)
@@ -348,17 +347,22 @@ def parse_text(text: str) -> ParsedFile:
                 raise ParseError("generator type must be 1 or 2", lineno)
             gen_kind = int(value)
         elif key in ("h1", "h2", "h3"):
-            parts[key] = parse_word(ctx, value, lineno)
+            parts[key] = parse_word(ctx, value, lineno), lineno
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
 
+    want = {1: ("h1", "h2"), 2: ("h1", "h2", "h3")}.get(gen_kind, ())
     if gen_kind is not None:
-        want = ("h1", "h2") if gen_kind == 1 else ("h1", "h2", "h3")
         missing = [k for k in want if k not in parts]
         if missing:
             raise ParseError(f"generator is missing parts: {', '.join(missing)}", 1)
         out.generator = make_generator(GeneratorKind(gen_kind), ctx,
-                                       tuple(parts[k] for k in want))
+                                       tuple(parts[k][0] for k in want))
+    for key, (_, lineno) in parts.items():  # in file order
+        if key not in want:
+            raise ParseError(f"generator part {key!r} given without a 'type:' line"
+                             if gen_kind is None else
+                             f"a type-{gen_kind} generator has no part {key!r}", lineno)
     return out
 
 

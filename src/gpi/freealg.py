@@ -115,10 +115,6 @@ class FreePoly:
         return p
 
     @classmethod
-    def zero(cls, ctx: Context) -> "FreePoly":
-        return cls(ctx)
-
-    @classmethod
     def word(cls, ctx: Context, w) -> "FreePoly":
         return cls(ctx, {tuple(w): 1})
 
@@ -132,45 +128,32 @@ class FreePoly:
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return FreePoly(self.ctx, terms)
+        return FreePoly._make(self.ctx, linear_combination(((1, self.terms), (1, other.terms))))
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
+        self._check(other)
+        return FreePoly._make(self.ctx, linear_combination(((1, self.terms), (-1, other.terms))))
 
     def __neg__(self) -> "FreePoly":
-        return FreePoly(self.ctx, {w: -c for w, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(other)
+            return FreePoly._make(self.ctx, linear_combination(((other, self.terms),)))
         self._check(other)
-        return FreePoly(self.ctx, terms_product(self.terms, other.terms))
+        return FreePoly._make(self.ctx, terms_product(self.terms, other.terms))
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: int) -> "FreePoly":
-        return FreePoly(self.ctx, {w: c * v for w, v in self.terms.items()})
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, FreePoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> list[Word]:
         return sorted(self.terms, key=word_key)
-
-    def is_multilinear(self) -> bool:
-        return all(is_multilinear_word(w) for w in self.terms)
 
     def __repr__(self):
         """The problem-file syntax, terms in word_key order (dsl.parse_expr reads it)."""
@@ -198,6 +181,16 @@ def terms_product(a: dict[Word, int], b: dict[Word, int]) -> dict[Word, int]:
             w = w1 + w2
             prod[w] = prod.get(w, 0) + c1 * c2
     return {w: c for w, c in prod.items() if c}
+
+
+def linear_combination(pairs) -> dict[Word, int]:
+    """The sum of coeff * terms over the (coeff, term dict) pairs, without
+    zero coefficients: the one place term dicts are added."""
+    acc: dict[Word, int] = {}
+    for k, terms in pairs:
+        for w, c in terms.items():
+            acc[w] = acc.get(w, 0) + k * c
+    return {w: c for w, c in acc.items() if c}
 
 
 def bracket(p: FreePoly, q: FreePoly) -> FreePoly:
@@ -279,10 +272,8 @@ def _lie_terms(lw, budget: ReplayBudget) -> dict[Word, int]:
 def bracket_terms(l: dict[Word, int], r: dict[Word, int],
                   budget: ReplayBudget) -> dict[Word, int]:
     """[l, r] = lr - rl on term dicts, each product charged to budget."""
-    terms = _charged_product(l, r, budget)
-    for w, c in _charged_product(r, l, budget).items():
-        terms[w] = terms.get(w, 0) - c
-    return {w: c for w, c in terms.items() if c}
+    return linear_combination(((1, _charged_product(l, r, budget)),
+                               (-1, _charged_product(r, l, budget))))
 
 
 @dataclass(frozen=True)

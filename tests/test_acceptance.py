@@ -72,7 +72,7 @@ def generate_criterion4(rand: random.Random):
         grading = gradings[len(identities) % 2]
         ctx = support.random_context(rand, grading, 7)
         w = support.random_multilinear_word(rand, ctx, rand.randint(2, 7))
-        f = FreePoly.zero(ctx)
+        f = FreePoly(ctx)
         for _ in range(rand.randint(1, 3)):
             m, n = support.random_congruent_pair(rand, ctx, w)
             if m == n:

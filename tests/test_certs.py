@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from gpi import certs, dsl, freealg, genmat, rewrite, upgrade, z3reduce
 from gpi.certs import (CertContext, CertLeaf, CertSubst, CertSum, JCombination, JTerm,
-                       ReductionCertificate, RewriteChain, cert_nodes, verify_certificate,
-                       verify_chain, verify_combination)
+                       ReductionCertificate, RewriteChain, cert_nodes, cert_value,
+                       verify_certificate, verify_chain, verify_combination)
 from gpi.cli import _CliInputError, _verify, _witness_json, main
 from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
                          WeakSubstitution)
 from gpi.genmat import eval_poly, eval_word_closed
-from gpi.identity import GeneratorKind, expand, identity_witness, make_generator
+from gpi.identity import (GeneratorError, GeneratorKind, expand, generator_terms,
+                          identity_witness, make_generator)
 from gpi.rewrite import congruence_chain, express_in_J
 from gpi.z3reduce import reduce_type1, reduce_type2
 from gpi.groups import cyclic_group, default_grading
@@ -79,6 +80,16 @@ class TestCombinationDocuments:
         back = certs.certificate_from_json(json.loads(certs.dumps(doc)))
         assert isinstance(back, JCombination)
         assert verify_combination(back) and back.expansion() == f
+
+
+    def test_term_from_a_word_to_itself_adds_nothing(self):
+        c = Context(Z3, {1: 1, 2: 2, 3: 1})
+        loop = JTerm(5, (1, 2, 3), (1, 2, 3), ())
+        assert verify_combination(JCombination(c, (loop,)))
+        assert JCombination(c, (loop,)).expansion().is_zero()
+        step = JTerm(2, (1, 2, 3), (3, 2, 1), ())
+        assert JCombination(c, (loop, step)).expansion() == \
+            FreePoly(c, {(1, 2, 3): 2, (3, 2, 1): -2})
 
 
 class TestReductionDocuments:
@@ -332,6 +343,24 @@ class TestReplayOracles:
         root = CertSum(((1, leaf), (1, CertSum(((1, stray), (-1, stray))))))
         with pytest.raises(DeclarationError, match="x9 is not declared"):
             verify_certificate(ReductionCertificate(c, leaf.generator, root))
+
+    def test_foreign_leaf_meets_the_degree_rule_of_the_certificate(self):
+        """x1·[x2, x3] + [x1, x3]·x2 = [x1x2, x3].  Leaves built where every
+        letter has degree 0 are refused: [x2, x3] breaks the type-1 rule under
+        x1:1 x2:2 x3:0."""
+        c = Context(Z3, {1: 1, 2: 2, 3: 0})
+        target = make_generator(GeneratorKind.TYPE1, c, ((1, 2), (3,)))
+
+        def root(leaf_ctx):
+            a = CertLeaf(make_generator(GeneratorKind.TYPE1, leaf_ctx, ((2,), (3,))))
+            b = CertLeaf(make_generator(GeneratorKind.TYPE1, leaf_ctx, ((1,), (3,))))
+            return CertSum(((1, CertContext((1,), (), a)), (1, CertContext((), (2,), b))))
+
+        flat = Context(Z3, {1: 0, 2: 0, 3: 0})
+        assert cert_value(flat, root(flat)).terms == generator_terms(target)
+        assert not verify_certificate(ReductionCertificate(c, target, root(flat)))
+        with pytest.raises(GeneratorError, match="type-1 parts must both have trivial degree"):
+            make_generator(GeneratorKind.TYPE1, c, ((2,), (3,)))
 
 
 # sha256 of the documents below, as the reduction and encoder wrote them

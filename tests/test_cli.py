@@ -1575,6 +1575,10 @@ class TestEnumReduced:
         assert run(capsys, "enum-reduced", "--order", "0") == \
             (2, "", "gpi: cyclic group order must be positive\n")
 
+    def test_max_len_zero(self, capsys):
+        assert run(capsys, "enum-reduced", "--max-len", "0") == \
+            (2, "", "gpi: part length bound must be at least 1\n")
+
     @pytest.mark.parametrize("max_len, size, sha256", [
         ("1", 232, "550e95aee8b71a119c6792fbc92a3094f96f51b9d9d81eaffdbf2412e2438761"),
         ("2", 15970, "66c946cf98380b875398750545b47659dd500b65bc16833964c3e141dcb83065"),

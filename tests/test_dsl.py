@@ -42,7 +42,7 @@ class TestExpr:
 
     def test_unary_minus(self):
         c = ctx()
-        assert parse_expr(c, "-x1 + x1") == FreePoly.zero(c)
+        assert parse_expr(c, "-x1 + x1") == FreePoly(c)
 
     def test_whitespace_insensitive(self):
         c = ctx()
@@ -220,6 +220,22 @@ poly: x1*x2*x3 - x3*x2*x1
     def test_missing_generator_part(self):
         with pytest.raises(ParseError):
             parse_text("group: Z3\nvars: x1:0 x2:0\ntype: 1\nh1: x1\n")
+
+    @pytest.mark.parametrize("body, line, msg", [
+        ("type: 1\nh1: x1\nh2: x2\nh3: x3\n", 6, "a type-1 generator has no part 'h3'"),
+        ("h3: x3\ntype: 1\nh1: x1\nh2: x2\n", 3, "a type-1 generator has no part 'h3'"),
+        ("poly: x1*x2 - x2*x1\nh1: x1\n", 4, "generator part 'h1' given without a 'type:' line"),
+        ("h2: x2\nh3: x3\n", 3, "generator part 'h2' given without a 'type:' line"),
+    ])
+    def test_part_the_type_does_not_read(self, body, line, msg):
+        """A part line the generator's type does not read is refused at its
+        own line, where it used to be dropped."""
+        with pytest.raises(ParseError, match=rf"^line {line}, column 1: {msg}$"):
+            parse_text("group: Z3\nvars: x1:0 x2:0 x3:0\n" + body)
+
+    def test_missing_part_is_named_before_a_stray_one(self):
+        with pytest.raises(ParseError, match=r"^line 1, column 1: generator is missing parts: h2$"):
+            parse_text("group: Z3\nvars: x1:0 x2:0 x3:0\ntype: 1\nh1: x1\nh3: x3\n")
 
     def test_duplicate_variable(self):
         with pytest.raises(ParseError, match=r"^line 2, column 1: x1 declared twice$"):

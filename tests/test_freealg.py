@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from gpi.dsl import parse_expr
 from gpi.freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
                          WeakSubstitution, bracket, is_multilinear_word,
-                         lie_degree, lie_expand, multidegree,
+                         lie_degree, lie_expand, linear_combination, multidegree,
                          multihomogeneous_components, word_degree)
 from gpi.groups import cyclic_group, default_grading
 
@@ -62,6 +62,19 @@ class TestArithmetic:
     def test_zero_coefficients_dropped(self):
         p = FreePoly(self.c, {(1,): 1}) - FreePoly(self.c, {(1,): 1})
         assert p.is_zero() and p.terms == {}
+
+    def test_integer_factor(self):
+        p = FreePoly(self.c, {(1,): 2, (2, 3): -1})
+        assert 3 * p == p * 3 == FreePoly(self.c, {(1,): 6, (2, 3): -3})
+        assert -p == -1 * p == FreePoly(self.c, {(1,): -2, (2, 3): 1})
+        assert (0 * p).terms == {}
+
+    @pytest.mark.parametrize("factor", ["a", 1.0, None])
+    def test_other_factor_is_a_type_error(self, factor):
+        """Python's own TypeError: __rmul__ declines what is not an int."""
+        p = FreePoly.var(self.c, 1)
+        with pytest.raises(TypeError):
+            factor * p
 
     def test_undeclared_letter_named_in_term_order(self):
         """The first undeclared letter, word by word, is the one named; a
@@ -124,6 +137,17 @@ class TestRingLaws:
         assert lhs.is_zero()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), polys()), max_size=4))
+def test_linear_combination(pairs):
+    """Each word's coefficient is the sum of coeff * its coefficient in each
+    term dict; a word whose sum is zero is left out."""
+    words = {w for _, p in pairs for w in p.terms}
+    want = {w: sum(k * p.terms.get(w, 0) for k, p in pairs) for w in words}
+    assert linear_combination((k, p.terms) for k, p in pairs) == \
+        {w: c for w, c in want.items() if c}
+
+
 @settings(max_examples=200, deadline=None)
 @given(polys())
 def test_repr_parses_back(p):
@@ -144,12 +168,12 @@ class TestMultihomogeneous:
 
     def test_zero(self):
         c = ctx3(x1=0)
-        assert multihomogeneous_components(FreePoly.zero(c)) == []
+        assert multihomogeneous_components(FreePoly(c)) == []
 
     @settings(max_examples=60, deadline=None)
     @given(polys())
     def test_components_sum_to_input(self, p):
-        total = FreePoly.zero(p.ctx)
+        total = FreePoly(p.ctx)
         for comp in multihomogeneous_components(p):
             assert len({multidegree(w) for w in comp.terms}) == 1
             total = total + comp
@@ -160,8 +184,6 @@ class TestMultilinear:
     def test_examples(self):
         assert is_multilinear_word((1, 2, 3))
         assert not is_multilinear_word((1, 2, 1))
-        c = ctx3(x1=0, x2=0)
-        assert FreePoly(c, {(1, 2): 1, (2, 1): -1}).is_multilinear()
 
 
 class TestSubstitution:

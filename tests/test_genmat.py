@@ -1,7 +1,8 @@
+import pytest
 import support
 from support import GenericMatrix, OraclePoly, eval_word_direct, generic, keyed_matrix, word_matrix
 
-from gpi.freealg import Context, FreePoly, bracket
+from gpi.freealg import Context, DeclarationError, FreePoly, bracket
 from gpi.genmat import eval_poly, eval_word_closed, mono_exponents, path_entry, word_path
 from gpi.groups import cyclic_group, default_grading
 
@@ -107,7 +108,7 @@ class TestEvalWord:
 class TestEvalPoly:
     def test_zero(self):
         c = Context(Z3, {1: 0})
-        assert eval_poly(FreePoly.zero(c)) == {}
+        assert eval_poly(FreePoly(c)) == {}
 
     def test_trivial_degree_commutator_vanishes(self):
         c = Context(Z3, {1: 0, 2: 0})
@@ -152,6 +153,12 @@ class TestKeyMonomial:
                         pairs += 1
                         equal += same
         assert 100 < equal < pairs - 100
+
+    def test_undeclared_letter_is_named(self):
+        c = Context(Z3, {1: 1, 2: 2})
+        for row in range(3):
+            with pytest.raises(DeclarationError, match="^variable x9 is not declared$"):
+                word_path(c, (1, 9, 2), row)
 
     def test_repeats_counted_in_order(self):
         mono = ((1, 0, 0), (1, 0, 0), (1, 0, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1))

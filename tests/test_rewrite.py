@@ -504,7 +504,7 @@ class TestExpressInJ:
         assume(not p.is_zero())
         x = FreePoly.var(c, rand.choice(base))
         q = _walks(rand, c, [rand.choice(base) for _ in range(len(base) + rand.randint(2, 4))])
-        f = p + lam * (x * p) + (p * x * x if square else FreePoly.zero(c)) + q
+        f = p + lam * (x * p) + (p * x * x if square else FreePoly(c)) + q
         assert len(multihomogeneous_components(f)) >= 2
         comb = express_in_J(f)
         for t in comb.terms:

@@ -89,6 +89,15 @@ class TestPullZeroFactor:
             pull_zero_factor(c, (1,), (2,), (3,), (4,), Side.LEFT,
                              *support.leaf_makers(c))
 
+    @pytest.mark.parametrize("degrees, h3, msg", [
+        ({1: 1, 2: 2, 3: 0, 4: 1}, (1,), "the concatenated word must be multilinear"),
+        ({1: 1, 2: 1, 3: 0, 4: 1}, (3,), "outer parts must have degree inverse to the middle"),
+    ])
+    def test_input_refused(self, degrees, h3, msg):
+        c = ctx3(degrees)
+        with pytest.raises(ReductionError, match=f"^{msg}$"):
+            pull_zero_factor(c, (1,), (2,), h3, (4,), Side.LEFT, *support.leaf_makers(c))
+
     def test_random_words(self):
         rand = support.rng(402)
         for _ in range(40):
@@ -134,6 +143,15 @@ class TestTelescope:
         type1, _ = support.leaf_makers(c)
         with pytest.raises(ReductionError):
             telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: type1(w, (4,)))
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_no_letter_to_move_past(self, side):
+        """LEFT moves z past u, RIGHT past v; an empty one is refused."""
+        c = ctx3({1: 0, 2: 0, 3: 0})
+        type1, _ = support.leaf_makers(c)
+        u, v = ((), (1,)) if side is Side.LEFT else ((1,), ())
+        with pytest.raises(ReductionError, match="^the telescoped letter must move past a letter$"):
+            telescope(c, u, 2, v, side, lambda w: type1(w, (3,)))
 
     def test_random_r_up_to_5(self):
         rand = support.rng(403)
@@ -220,6 +238,12 @@ class TestReduceType1:
         c = Context(g2, {1: 0, 2: 0})
         g = make_generator(GeneratorKind.TYPE1, c, ((1,), (2,)))
         with pytest.raises(ReductionError):
+            reduce_type1(g)
+
+    def test_type2_generator_refused(self):
+        c = ctx3({1: 1, 2: 2, 3: 1})
+        g = make_generator(GeneratorKind.TYPE2, c, ((1,), (2,), (3,)))
+        with pytest.raises(ReductionError, match="^reduce_type1 expects a type-1 generator$"):
             reduce_type1(g)
 
     def test_reducing_twice_writes_one_certificate(self):
@@ -314,6 +338,10 @@ class TestEnumerateReduced:
         t1 = sum(1 for g in gens if g.kind is GeneratorKind.TYPE1)
         assert (t1, len(gens) - t1) == (169, 6591)
 
+    def test_part_length_bound_below_1(self):
+        with pytest.raises(ReductionError, match="^part length bound must be at least 1$"):
+            enumerate_reduced(Z3, 0)
+
     def test_all_shapes_valid_and_reduced(self):
         for g in enumerate_reduced(Z3, max_part_len=2):
             assert max(g.part_lengths()) <= 2
@@ -338,4 +366,4 @@ def test_cert_value_of_sum_is_linear():
     b = CertLeaf(make_generator(GeneratorKind.TYPE1, c, ((3,), (4,))))
     node = CertSum(((2, a), (-1, b)))
     assert cert_value(c, node) == \
-        cert_value(c, a).scale(2) - cert_value(c, b)
+        2 * cert_value(c, a) - cert_value(c, b)
