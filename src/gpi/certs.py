@@ -108,10 +108,10 @@ def _reversed_blocks(seq, a: int, b: int, c: int, d: int | None = None):
     return seq[:a] + seq[c:d] + seq[b:c] + seq[a:b] + seq[d:]
 
 
-def path_rule_holds(kind: str, row: int, ends) -> bool:
+def path_rule_holds(kind: str, row: int, ends: tuple[int, ...]) -> bool:
     """The degree rule of a move of this kind, read from its path: row is the
-    row its first block starts on and ends the rows its blocks end on (see
-    move_path)."""
+    row its first block starts on and ends the rows its blocks end on, in
+    block order (see move_path)."""
     if kind == "swap0":
         return ends[0] == ends[1] == row
     return ends[1] == row and ends[2] == ends[0]
@@ -121,7 +121,8 @@ def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
     """The path of a word after mv, from the path of the word: path is the
     word's path from some row, and the result is the moved word's path from
     the same row.  Raises MoveError unless the move fits the path and its
-    blocks obey the degree rule of its family.
+    blocks obey the degree rule of its family; the fit is checked first, so
+    the rule reads no row past the path.
 
     The rule is read from the rows of the path.  On a path from row r0, a
     block of degree d that follows a prefix of degree h starts on phi(h, r0)
@@ -147,13 +148,21 @@ def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
     and the action through phi, so it holds for any group and any bijective
     tuple.
     """
-    kind, offset, lengths = mv
-    bounds = _bounds(offset, lengths)
-    if bounds[-1] > len(path):
+    kind, a, lengths = mv
+    b = a + lengths[0]
+    c = b + lengths[1]
+    if kind == "swap0":
+        if c > len(path):
+            raise MoveError(f"move does not fit a word of length {len(path)}")
+        if not path_rule_holds(kind, path[a][1], (path[b - 1][2], path[c - 1][2])):
+            raise MoveError("move violates its degree side-conditions")
+        return path[:a] + path[b:c] + path[a:b] + path[c:]
+    d = c + lengths[2]
+    if d > len(path):
         raise MoveError(f"move does not fit a word of length {len(path)}")
-    if not path_rule_holds(kind, path[offset][1], [path[end - 1][2] for end in bounds[1:]]):
+    if not path_rule_holds(kind, path[a][1], (path[b - 1][2], path[c - 1][2], path[d - 1][2])):
         raise MoveError("move violates its degree side-conditions")
-    return _reversed_blocks(path, *bounds)
+    return path[:a] + path[c:d] + path[b:c] + path[a:b] + path[d:]
 
 
 def _letters(path: list[ScalarVar]) -> Word:
@@ -177,8 +186,7 @@ class RewriteChain:
     end: Word
 
 
-@dataclass(frozen=True)
-class JTerm:
+class JTerm(NamedTuple):
     """One certified difference coeff * (source - target): applying the
     moves transforms source into target."""
 
@@ -218,16 +226,16 @@ def verify_combination(comb: JCombination) -> bool:
     one.
     """
     ends: dict[Word, list[ScalarVar]] = {}  # a checked target -> its row-0 path
-    for t in comb.terms:
-        path = ends.get(t.source)
+    for _, source, target, moves in comb.terms:
+        path = ends.get(source)
         if path is None:
-            path = word_path(comb.ctx, t.source, 0)
+            path = word_path(comb.ctx, source, 0)
         try:
-            for mv in t.moves:
+            for mv in moves:
                 path = move_path(path, mv)
         except MoveError:
             return False
-        target = tuple(t.target)
+        target = tuple(target)
         if _letters(path) != target:
             return False
         ends[target] = path
@@ -401,26 +409,33 @@ def verify_certificate(cert: ReductionCertificate) -> bool:
 
 # --- wire format: contexts ----------------------------------------------------
 
+# Every writer builds its dicts with their keys in sorted order, so that dumps
+# writes them in that order without sorting them.
+
 def _document(kind: str, version: int, ctx: Context, payload: dict) -> dict:
     """A certificate document: its kind and version, its context, its payload."""
-    return {"version": version, "kind": kind, **context_to_json(ctx), "payload": payload}
+    context = context_to_json(ctx)
+    return {"grading": context["grading"], "group": context["group"], "kind": kind,
+            "payload": payload, "vars": context["vars"], "version": version}
 
 
 def context_to_json(ctx: Context) -> dict:
+    group = ctx.grading.group
     return {
-        "group": {
-            "order": ctx.grading.group.order,
-            "table": [list(row) for row in ctx.grading.group.table],
-            "names": list(ctx.grading.group.names),
-        },
         "grading": list(ctx.grading.tuple_),
+        "group": {
+            "names": list(group.names),
+            "order": group.order,
+            "table": [list(row) for row in group.table],
+        },
         "vars": vars_to_json(ctx),
     }
 
 
 def vars_to_json(ctx: Context) -> dict:
-    """The variable degrees, keyed by decimal id (see _var_id)."""
-    return {str(k): d for k, d in sorted(ctx.degrees.items())}
+    """The variable degrees, keyed by decimal id (see _var_id), in the
+    order of the keys as strings ("1", "10", "2")."""
+    return dict(sorted((str(k), d) for k, d in ctx.degrees.items()))
 
 
 def context_from_json(doc: dict) -> Context:
@@ -465,9 +480,9 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
     for (row, col, mono), c in sorted(entries.items()):
         if c:
             cells.setdefault((row, col), {})[mono_exponents(mono)] = c
-    return {"n": n, "entries": [{"row": i + 1, "col": j + 1,
-                                 "terms": scalar_poly_to_json(ScalarPoly(terms))}
-                                for (i, j), terms in cells.items()]}
+    return {"entries": [{"col": j + 1, "row": i + 1,
+                         "terms": scalar_poly_to_json(ScalarPoly(terms))}
+                        for (i, j), terms in cells.items()], "n": n}
 
 
 # --- wire format: rewrite chains and combinations -----------------------------
@@ -484,15 +499,15 @@ def move_to_json(mv: Move) -> list:
 
 def chain_to_json(chain: RewriteChain) -> dict:
     return _document("chain", CHAIN_VERSION, chain.ctx, {
-        "start": list(chain.start), "end": list(chain.end),
-        "moves": [move_to_json(m) for m in chain.moves]})
+        "end": list(chain.end), "moves": [move_to_json(m) for m in chain.moves],
+        "start": list(chain.start)})
 
 
 def jcomb_to_json(comb: JCombination) -> dict:
     return _document("jcomb", CHAIN_VERSION, comb.ctx, {"terms": [
-        {"coeff": t.coeff, "source": list(t.source), "target": list(t.target),
-         "chain": {"moves": [move_to_json(m) for m in t.moves]}}
-        for t in comb.terms]})
+        {"chain": {"moves": [move_to_json(m) for m in moves]}, "coeff": coeff,
+         "source": list(source), "target": list(target)}
+        for coeff, source, target, moves in comb.terms]})
 
 
 def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
@@ -645,17 +660,17 @@ def _declared_word(ctx: Context, doc, what: str) -> Word:
 def _node_entry(node: CertNode, index: dict[int, int]) -> dict:
     """One row of the node table; children are indices of earlier rows."""
     if isinstance(node, CertLeaf):
-        return {"op": "leaf", "generator": generator_to_json(node.generator)}
+        return {"generator": generator_to_json(node.generator), "op": "leaf"}
     if isinstance(node, CertSum):
-        return {"op": "sum",
-                "children": [[c, index[id(ch)]] for c, ch in node.children]}
+        return {"children": [[c, index[id(ch)]] for c, ch in node.children],
+                "op": "sum"}
     if isinstance(node, CertContext):
-        return {"op": "context", "left": list(node.left), "right": list(node.right),
-                "child": index[id(node.child)]}
+        return {"child": index[id(node.child)], "left": list(node.left), "op": "context",
+                "right": list(node.right)}
     if isinstance(node, CertSubst):
-        return {"op": "subst",
+        return {"child": index[id(node.child)],
                 "images": [[v, _lieword_to_json(lw)] for v, lw in node.images],
-                "child": index[id(node.child)]}
+                "op": "subst"}
     raise CertificateFormatError(f"unknown node {type(node).__name__}")
 
 
@@ -696,9 +711,9 @@ def reduction_to_json(cert: ReductionCertificate) -> dict:
     nodes = cert_nodes(cert.root)
     index = {id(node): i for i, node in enumerate(nodes)}
     return _document("reduction", REDUCTION_VERSION, cert.ctx, {
-        "target": generator_to_json(cert.target),
         "nodes": [_node_entry(node, index) for node in nodes],
-        "root": index[id(cert.root)]})
+        "root": index[id(cert.root)],
+        "target": generator_to_json(cert.target)})
 
 
 def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
@@ -741,12 +756,16 @@ def certificate_from_json(doc: dict):
 def claim(doc: dict) -> str:
     """What a certificate document of any version asserts, as JSON text: its
     kind, context and endpoints (a chain's start and end, each jcomb term's
-    coeff, source and target, a reduction's target)."""
+    coeff, source and target, a reduction's target).  Its keys are sorted,
+    since either document may have been built by hand."""
     p = doc["payload"]
-    return dumps([doc.get(k) for k in ("kind", "group", "grading", "vars")]
-                 + [p.get(k) for k in ("start", "end", "target")]
-                 + [[t["coeff"], t["source"], t["target"]] for t in p.get("terms", ())])
+    return json.dumps([doc.get(k) for k in ("kind", "group", "grading", "vars")]
+                      + [p.get(k) for k in ("start", "end", "target")]
+                      + [[t["coeff"], t["source"], t["target"]] for t in p.get("terms", ())],
+                      sort_keys=True, separators=(",", ":"))
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def dumps(doc) -> str:
+    """doc as compact JSON text and a newline, each object's keys in the
+    order they were built (the writers here build them sorted)."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"

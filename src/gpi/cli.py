@@ -46,7 +46,7 @@ def _diag(msg: str) -> None:
 
 
 def _witness_json(w) -> dict:
-    return {"row": w.row + 1, "col": w.col + 1,
+    return {"col": w.col + 1, "row": w.row + 1,
             "value": certs.scalar_poly_to_json(w.value)}
 
 
@@ -85,7 +85,8 @@ def _need_poly(parsed, path: str) -> FreePoly:
 # --- subcommands --------------------------------------------------------------
 #
 # Each answers with (exit code, JSON document), which `main` prints, and
-# raises _CliInputError on bad input.
+# raises _CliInputError on bad input.  Each builds its dicts with their keys
+# in sorted order, as the writers in certs do (see certs.dumps).
 
 def cmd_check(args):
     w = identity_witness(_need_poly(_load(args.file), args.file))
@@ -175,9 +176,9 @@ def cmd_enum_reduced(args):
     if args.json:
         return EXIT_OK, [{**certs.generator_to_json(g), "vars": certs.vars_to_json(g.ctx)}
                          for g in gens]
-    return EXIT_OK, {"count": len(gens),
-                     "by_kind": {str(k.value): sum(1 for g in gens if g.kind is k)
-                                 for k in GeneratorKind}}
+    return EXIT_OK, {"by_kind": {str(k.value): sum(1 for g in gens if g.kind is k)
+                                 for k in GeneratorKind},
+                     "count": len(gens)}
 
 
 def _verify(doc, path: str):
@@ -192,7 +193,7 @@ def _verify(doc, path: str):
             from .upgrade import upgrade
             new = upgrade(doc)
             if new is None or certs.claim(new) != certs.claim(doc):
-                return EXIT_NEGATIVE, {"valid": False, "kind": kind}
+                return EXIT_NEGATIVE, {"kind": kind, "valid": False}
             doc = new
         cert = certs.certificate_from_json(doc)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # claim on deep JSON
@@ -208,7 +209,7 @@ def _verify(doc, path: str):
         # a move or word names an undeclared variable, or the replay would
         # build more than MAX_REPLAY_LETTERS letters
         raise _CliInputError(f"{path}: {exc}") from exc
-    return (EXIT_OK if ok else EXIT_NEGATIVE), {"valid": ok, "kind": kind}
+    return (EXIT_OK if ok else EXIT_NEGATIVE), {"kind": kind, "valid": ok}
 
 
 def cmd_verify(args):
@@ -281,12 +282,13 @@ def cmd_corpus(args):
             entry["file"] = os.path.join(base, entry["file"])
         entries.append(entry)
     written: set[str] = set()
-    reports = [_run_entry(e, written) for e in entries]
+    # a report gains its keys as the entry runs; it is written with them sorted
+    reports = [dict(sorted(_run_entry(e, written).items())) for e in entries]
     failures = sum(1 for r in reports if r["status"] != "pass")
     for r in reports:
         _diag(f"{r['status'].upper()}: {r['file']} ({r['expected']})")
     return (EXIT_OK if failures == 0 else EXIT_NEGATIVE,
-            {"entries": reports, "total": len(reports), "failures": failures})
+            {"entries": reports, "failures": failures, "total": len(reports)})
 
 
 # --- entry point --------------------------------------------------------------

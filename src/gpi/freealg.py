@@ -127,10 +127,14 @@ class FreePoly:
             raise DeclarationError("operands declared over different contexts")
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
+        if not isinstance(other, FreePoly):
+            return NotImplemented
         self._check(other)
         return FreePoly._make(self.ctx, linear_combination(((1, self.terms), (1, other.terms))))
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
+        if not isinstance(other, FreePoly):
+            return NotImplemented
         self._check(other)
         return FreePoly._make(self.ctx, linear_combination(((1, self.terms), (-1, other.terms))))
 
@@ -140,6 +144,8 @@ class FreePoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return FreePoly._make(self.ctx, linear_combination(((other, self.terms),)))
+        if not isinstance(other, FreePoly):
+            return NotImplemented
         self._check(other)
         return FreePoly._make(self.ctx, terms_product(self.terms, other.terms))
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .certs import (JCombination, JTerm, Move, MoveError, RewriteChain, _reversed_blocks,
-                    path_rule_holds)
+from .certs import JCombination, JTerm, Move, MoveError, RewriteChain, path_rule_holds
 from .freealg import Context, FreePoly, Word, word_key
 from .genmat import ScalarVar, path_entry, word_entry, word_path
 from .identity import Witness, keyed_witness
@@ -112,16 +111,16 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     n's path is path_m read through seq.  Each move's degree rule is checked
     from those rows (path_rule_holds).  The move's bounds k < (p0 <) r0 < e
     <= L are nonnegative and increasing, so each move is built unchecked
-    (tuple.__new__, as the loader builds it) and applied to seq by slices.
+    (tuple.__new__, as the loader builds it) and applied to seq in place, by
+    one slice assignment to seq[k:e].
     A scalar variable that occurs more than once in m is then paired again
     in position order, as _by_variable pairs it, one run of ties at a time;
     multilinear words have none.  Each move costs O(L) at C speed for words
     of length L, and sorts no path.
     """
-    seq = [0] * len(order_n)
-    for h, s in zip(order_n, order_m):
-        seq[h] = s
-    length = len(seq)
+    length = len(order_n)
+    # order_n's inverse takes n's position h to its rank in variable order
+    seq = list(map(order_m.__getitem__, sorted(range(length), key=order_n.__getitem__)))
     moves: list[Move] = []
     k = 0
     while True:
@@ -134,19 +133,18 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         p0 = seq.index(t, k)
         e = seq.index(t - 1, k) + 1
         if p0 > k:
-            bounds = (k, p0, r0, e)
-            mv = tuple.__new__(Move, ("reverse3", k, (p0 - k, r0 - p0, e - r0)))
+            kind, lengths = "reverse3", (p0 - k, r0 - p0, e - r0)
+            ends = (path_m[seq[p0 - 1]][2], path_m[seq[r0 - 1]][2], path_m[seq[e - 1]][2])
         else:
-            bounds = (k, r0, e)
-            mv = tuple.__new__(Move, ("swap0", k, (r0 - k, e - r0)))
-        ends = [path_m[seq[c - 1]][2] for c in bounds[1:]]
-        if not path_rule_holds(mv.kind, path_m[seq[k]][1], ends):
+            kind, lengths = "swap0", (r0 - k, e - r0)
+            ends = (path_m[seq[r0 - 1]][2], path_m[seq[e - 1]][2])
+        if not path_rule_holds(kind, path_m[seq[k]][1], ends):
             raise MoveError("move violates its degree side-conditions")
-        seq = _reversed_blocks(seq, *bounds)
+        seq[k:e] = seq[r0:e] + seq[p0:r0] + seq[k:p0]  # a swap0 has p0 == k
         for run in ties:
             for i, j in zip(sorted(map(seq.index, run)), run):
                 seq[i] = j
-        moves.append(mv)
+        moves.append(tuple.__new__(Move, (kind, k, lengths)))
 
 
 # --- expressing identities in the generator ideal ------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -28,6 +29,13 @@ def seed() -> int:
 
 def rng(salt: int = 0) -> random.Random:
     return random.Random(seed() + salt)
+
+
+def canonical(doc) -> str:
+    """doc as gpi writes JSON, its keys sorted: the bytes a hand-built
+    document would have if gpi's writers had built it (certs.dumps writes
+    keys in the order they were built, and the writers build them sorted)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # S3 as permutations of {0,1,2}: elements e, (01), (02), (12), (012), (021)

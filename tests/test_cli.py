@@ -212,7 +212,7 @@ class TestEvalOracle:
                 for flags, dense in cases:
                     code, out, err = run(capsys, "eval", f, *flags)
                     assert (code, err) == (0, "")
-                    assert out == certs.dumps(support.dense_matrix_json(dense))
+                    assert out == support.canonical(support.dense_matrix_json(dense))
                     runs += 1
                 constants += () in p.terms
                 # each word puts one monomial in every row; fewer in the sum cancelled
@@ -1758,6 +1758,52 @@ class TestCorpus:
         assert doc["entries"][0]["status"] == "fail"
         assert doc["entries"][0]["detail"] == "certificate does not verify"
         assert not (tmp_path / "id.cert.json").exists()
+
+
+def test_every_stdout_is_canonical_json(tmp_path, capsys):
+    """Each subcommand's stdout is its document with sorted keys, as compact
+    JSON and a newline: the writers build every dict with its keys in order,
+    and certs.dumps does not sort them.  The answers cover each document
+    shape, variable ids whose decimal order is not their string order
+    (x1, x10, x2), and a corpus report of every status."""
+    ids = write(tmp_path, "ids.gpi", "group: Z3\nvars: x2:1 x10:2 x1:1\n"
+                                     "poly: x2*x10*x1 - x1*x10*x2\n")
+    apart = write(tmp_path, "apart.gpi", "group: Z2\nvars: x1:1 x2:1\nm: x1*x2\nn: x2*x1\n")
+    chain = tmp_path / "chain.json"
+    chain.write_text(run(capsys, "congruent", write(tmp_path, "cong.gpi", CONG_FILE))[1])
+    broken = json.loads(chain.read_text())
+    broken["payload"]["end"] = broken["payload"]["start"]
+    (tmp_path / "broken.json").write_text(json.dumps(broken))
+    write(tmp_path, "id.gpi", ID_FILE)
+    non = write(tmp_path, "non.gpi", NONID_FILE)
+    gen = write(tmp_path, "gen.gpi", GEN_FILE)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"file": "id.gpi", "expected": "identity"},
+        {"file": "non.gpi", "expected": "identity"},
+        {"file": "absent.gpi", "expected": "identity"},
+        {"file": "non.gpi", "expected": "non-identity"},
+        {"file": "gen.gpi", "expected": "reducible"},
+        {"expected": "mystery"}]))
+    cases = [
+        (0, "check", ids), (1, "check", non),
+        (0, "eval", write(tmp_path, "square.gpi", SQUARE_FILE)),
+        (0, "eval", ids, "--word", "x10*x1"),
+        (0, "congruent", str(tmp_path / "cong.gpi")), (1, "congruent", apart),
+        (0, "express", ids), (0, "express", write(tmp_path, "mixed.gpi", MIXED_ID_FILE)),
+        (1, "express", non),
+        (0, "z3reduce", write(tmp_path, "gen1.gpi", GEN1_FILE)),
+        (0, "z3reduce", gen),
+        (0, "enum-reduced", "--max-len", "1"), (0, "enum-reduced", "--max-len", "1", "--json"),
+        (0, "verify", str(chain)), (1, "verify", str(tmp_path / "broken.json")),
+        (1, "corpus", str(manifest)),
+    ]
+    for want, *argv in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == want, argv
+        assert out == support.canonical(json.loads(out)), argv
+    report = json.loads(out)["entries"]
+    assert [r["status"] for r in report] == ["pass", "fail", "error", "pass", "pass", "error"]
 
 
 def test_traced_names_stay_bound(monkeypatch):

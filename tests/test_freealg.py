@@ -76,6 +76,16 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             factor * p
 
+    @pytest.mark.parametrize("expr", [lambda p: p + 3, lambda p: p - 1, lambda p: p * "a",
+                                      lambda p: p * 2.0],
+                             ids=["p + 3", "p - 1", "p * 'a'", "p * 2.0"])
+    def test_other_operand_is_a_type_error(self, expr):
+        """Python's own TypeError: +, - and * decline an operand that is
+        neither a FreePoly nor (for *) an int, before reading its context."""
+        p = FreePoly.var(self.c, 1)
+        with pytest.raises(TypeError):
+            expr(p)
+
     def test_undeclared_letter_named_in_term_order(self):
         """The first undeclared letter, word by word, is the one named; a
         word whose coefficient is zero is dropped before the check."""

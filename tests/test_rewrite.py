@@ -219,14 +219,18 @@ class TestChainBuilder:
         """Every move on every word of length up to 6, and every move that
         runs one letter past it: move_path raises MoveError exactly when the
         move does not fit or its blocks break degree_rule_holds, and
-        otherwise returns the moved word's path.  The words run over one
-        letter per degree of _letter_degrees, each walked from one row, the
-        rows in turn."""
+        otherwise returns the moved word's path.  The fit is checked first,
+        so a move that runs past the word is refused for that, and the rule
+        is never read past the path.  The words run over one letter per
+        degree of _letter_degrees, each walked from one row, the rows in
+        turn."""
         seen = {"moved": 0, "too long": 0, "degree": 0}
         for grading in _chain_gradings():
             c = Context(grading, dict(enumerate(_letter_degrees(grading.group), 1)))
             row = 0
             for length in range(1, 7):
+                refusals = {"too long": f"move does not fit a word of length {length}",
+                            "degree": "move violates its degree side-conditions"}
                 moves = [Move(kind, cuts[0], tuple(b - a for a, b in zip(cuts, cuts[1:])))
                          for kind, (_, arity) in MOVE_FAMILIES.items()
                          for cuts in combinations(range(length + 2), arity + 1)]
@@ -242,8 +246,8 @@ class TestChainBuilder:
                             why = "degree"
                         try:
                             got = move_path(path, mv)
-                        except MoveError:
-                            assert why != "moved", (w, mv)
+                        except MoveError as exc:
+                            assert str(exc) == refusals.get(why), (w, mv)
                         else:
                             assert why == "moved", (w, mv)
                             assert got == word_path(c, mv.apply(w), row)
