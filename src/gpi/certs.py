@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
@@ -83,8 +84,8 @@ class Move(_MoveFields):
 
     def blocks(self, seq) -> list:
         """The blocks cut from seq: a word, or the path walked along it."""
-        bounds = _bounds(self.offset, self.lengths)
-        return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
+        cuts = list(accumulate(self.lengths, initial=self.offset))
+        return [seq[a:b] for a, b in pairwise(cuts)]
 
     def apply(self, seq):
         """seq with the blocks in reverse order: a word, or the path walked
@@ -92,28 +93,25 @@ class Move(_MoveFields):
         return _reversed_blocks(seq, *_bounds(self.offset, self.lengths))
 
 
-def _bounds(offset: int, lengths: tuple[int, ...]) -> tuple[int, ...]:
-    """The offset of a move with two or three blocks of these lengths, then
-    the position after each block."""
-    b = offset + lengths[0]
-    c = b + lengths[1]
-    return (offset, b, c) if len(lengths) == 2 else (offset, b, c, c + lengths[2])
+def _bounds(offset: int, lengths: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The cuts a <= b <= c <= d of a move's three blocks seq[a:b],
+    seq[b:c], seq[c:d]: a swap0 is a reverse3 whose middle block is empty,
+    c == b."""
+    d = offset + sum(lengths)
+    return offset, offset + lengths[0], d - lengths[-1], d
 
 
-def _reversed_blocks(seq, a: int, b: int, c: int, d: int | None = None):
-    """seq with its blocks seq[a:b], seq[b:c](, seq[c:d]) in reverse order,
-    in slices of seq: a word, a path, or a list of positions."""
-    if d is None:
-        return seq[:a] + seq[b:c] + seq[a:b] + seq[c:]
+def _reversed_blocks(seq, a: int, b: int, c: int, d: int):
+    """seq with its blocks seq[a:b], seq[b:c], seq[c:d] in reverse order, in
+    slices of seq: a word, a path, or a list of positions."""
     return seq[:a] + seq[c:d] + seq[b:c] + seq[a:b] + seq[d:]
 
 
-def path_rule_holds(kind: str, row: int, ends: tuple[int, ...]) -> bool:
-    """The degree rule of a move of this kind, read from its path: row is the
-    row its first block starts on and ends the rows its blocks end on, in
-    block order (see move_path)."""
-    if kind == "swap0":
-        return ends[0] == ends[1] == row
+def path_rule_holds(row: int, ends: tuple[int, int, int]) -> bool:
+    """The degree rule of a move, read from its path: row is the row its
+    first block starts on and ends the rows its three blocks end on, in
+    block order, a swap0's empty middle block ending where its first block
+    ends (see move_path)."""
     return ends[1] == row and ends[2] == ends[0]
 
 
@@ -129,38 +127,29 @@ def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
     and ends on phi(hd, r0), since phi_b(phi_a(i)) = phi_{ab}(i).  phi(g, r0)
     is the position of tuple[r0] * g, and under a bijective tuple that is
     injective in g, so two points of the path are on one row exactly when
-    their prefixes have one degree.  With r the row the first block starts
-    on, and d1, d2(, d3) the degrees of the blocks b1, b2(, b3):
-
-      swap0:    b1 ends on r exactly when d1 is trivial, and then b2 ends
-                on r exactly when d2 is trivial;
-      reverse3: b2 ends on r exactly when d1 d2 is trivial, and then b3
-                ends on the row where b1 ended exactly when d3 = d1;
-                together, d1 = d3 = d2^-1, the type-2 rule.
+    their prefixes have one degree.  A move has three blocks b1, b2, b3 of
+    degrees d1, d2, d3, a swap0 being the case of an empty b2 (d2 = e).
+    With r the row b1 starts on, b2 ends on r exactly when d1 d2 is
+    trivial, and then b3 ends on the row where b1 ended exactly when
+    d3 = d1: together, d1 = d3 = d2^-1, the type-2 rule, which at a trivial
+    d2 is the type-1 rule d1 = d3 = e.
 
     A move that obeys the rule only reorders the segments of the path: a
     block's path depends only on its letters and the row it starts on, and
-    every block starts on the same row before and after the move.  A swap0
-    block runs r -> r in either order; reverse3's blocks b1, b2, b3 run
-    r -> s -> r -> s, and after the move b3, b2, b1 run the same
-    r -> s -> r -> s, each block from the row it left.  The right context
-    then starts on the row it started on.  This uses only the group axioms
-    and the action through phi, so it holds for any group and any bijective
-    tuple.
+    every block starts on the same row before and after the move.  b1, b2,
+    b3 run r -> s -> r -> s (s = r for a swap0), and after the move b3, b2,
+    b1 run the same r -> s -> r -> s, each block from the row it left.  The
+    right context then starts on the row it started on.  This uses only the
+    group axioms and the action through phi, so it holds for any group and
+    any bijective tuple.
     """
-    kind, a, lengths = mv
-    b = a + lengths[0]
-    c = b + lengths[1]
-    if kind == "swap0":
-        if c > len(path):
-            raise MoveError(f"move does not fit a word of length {len(path)}")
-        if not path_rule_holds(kind, path[a][1], (path[b - 1][2], path[c - 1][2])):
-            raise MoveError("move violates its degree side-conditions")
-        return path[:a] + path[b:c] + path[a:b] + path[c:]
-    d = c + lengths[2]
+    _, a, lengths = mv
+    d = a + sum(lengths)
     if d > len(path):
         raise MoveError(f"move does not fit a word of length {len(path)}")
-    if not path_rule_holds(kind, path[a][1], (path[b - 1][2], path[c - 1][2], path[d - 1][2])):
+    b = a + lengths[0]
+    c = d - lengths[-1]
+    if not path_rule_holds(path[a][1], (path[b - 1][2], path[c - 1][2], path[d - 1][2])):
         raise MoveError("move violates its degree side-conditions")
     return path[:a] + path[c:d] + path[b:c] + path[a:b] + path[d:]
 

@@ -128,8 +128,8 @@ def _word_arg(ctx, text: str, flag: str):
 def cmd_congruent(args):
     parsed = _load(args.file)
     ctx = parsed.ctx
-    m = _word_arg(ctx, args.m, "--m") if args.m else parsed.word_m
-    n = _word_arg(ctx, args.n, "--n") if args.n else parsed.word_n
+    m = parsed.word_m if args.m is None else _word_arg(ctx, args.m, "--m")
+    n = parsed.word_n if args.n is None else _word_arg(ctx, args.n, "--n")
     if m is None or n is None:
         raise _CliInputError("both monomials are required (--m/--n or m:/n: lines)")
     try:

@@ -104,12 +104,14 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     where the two words agree; r0 is the position in n paired with m's k,
     t the least position in m paired with one of n's positions k..r0-1, at
     p0, and the move brings n's r0..e-1 forward, where e - 1 is paired with
-    t - 1.  It is a reverse3 when p0 > k, and a swap0 otherwise.
+    t - 1.  Its blocks are k..b-1, b..r0-1 and r0..e-1, with b = p0 when
+    p0 > k, a reverse3, and otherwise b = r0 and an empty middle block, a
+    swap0.
 
     Neither word is walked: by move_path, a move that obeys its degree rule
     permutes n's path as it permutes n, so each move permutes seq alike, and
     n's path is path_m read through seq.  Each move's degree rule is checked
-    from those rows (path_rule_holds).  The move's bounds k < (p0 <) r0 < e
+    from those rows (path_rule_holds).  The move's bounds k < b <= r0 < e
     <= L are nonnegative and increasing, so each move is built unchecked
     (tuple.__new__, as the loader builds it) and applied to seq in place, by
     one slice assignment to seq[k:e].
@@ -132,19 +134,16 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         t = min(seq[k:r0])
         p0 = seq.index(t, k)
         e = seq.index(t - 1, k) + 1
-        if p0 > k:
-            kind, lengths = "reverse3", (p0 - k, r0 - p0, e - r0)
-            ends = (path_m[seq[p0 - 1]][2], path_m[seq[r0 - 1]][2], path_m[seq[e - 1]][2])
-        else:
-            kind, lengths = "swap0", (r0 - k, e - r0)
-            ends = (path_m[seq[r0 - 1]][2], path_m[seq[e - 1]][2])
-        if not path_rule_holds(kind, path_m[seq[k]][1], ends):
+        b = p0 if p0 > k else r0  # the first block's end; a swap0's middle block is empty
+        ends = (path_m[seq[b - 1]][2], path_m[seq[r0 - 1]][2], path_m[seq[e - 1]][2])
+        if not path_rule_holds(path_m[seq[k]][1], ends):
             raise MoveError("move violates its degree side-conditions")
-        seq[k:e] = seq[r0:e] + seq[p0:r0] + seq[k:p0]  # a swap0 has p0 == k
+        seq[k:e] = seq[r0:e] + seq[b:r0] + seq[k:b]
         for run in ties:
             for i, j in zip(sorted(map(seq.index, run)), run):
                 seq[i] = j
-        moves.append(tuple.__new__(Move, (kind, k, lengths)))
+        moves.append(tuple.__new__(Move, ("reverse3", k, (b - k, r0 - b, e - r0)) if b < r0
+                                   else ("swap0", k, (b - k, e - r0))))
 
 
 # --- expressing identities in the generator ideal ------------------------------

@@ -266,12 +266,19 @@ def _reduce(H: GeneratorInstance, kind: GeneratorKind, step) -> ReductionCertifi
     """The certificate of H by the recursion step, built on a copy of H's
     context: the copy gains the fresh variables that decompose declares, and
     the caller's context stays as it was, so every reduction of one
-    generator writes the same certificate."""
+    generator writes the same certificate.  The recursion takes a few
+    frames per letter of a long part, so parts that run it past Python's
+    recursion limit raise ReductionError; the limit is not raised."""
     if H.kind is not kind:
         raise ReductionError(f"reduce_type{kind.value} expects a type-{kind.value} generator")
     _require_z3(H.ctx)
     ctx = Context(H.ctx.grading, dict(H.ctx.degrees))
-    return ReductionCertificate(ctx, H, step(ctx, {}, *H.parts))
+    try:
+        root = step(ctx, {}, *H.parts)
+    except RecursionError:
+        raise ReductionError("the generator's parts are too long to reduce "
+                             f"(longest part: {max(H.part_lengths())} letters)") from None
+    return ReductionCertificate(ctx, H, root)
 
 
 def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:

@@ -249,6 +249,28 @@ class TestReductionFormat:
         assert verify_certificate(certs.certificate_from_json(
             json.loads(certs.dumps(certs.reduction_to_json(cert)))))
 
+    @pytest.mark.parametrize("row, code", [
+        pytest.param({"generator": {"kind": 1, "parts": [[1, 2, 3, 4], [5]]}, "op": "leaf"}, 0,
+                     id="leaf with a 4-letter part"),
+        pytest.param({"child": 0, "images": [[1, 3]], "op": "subst"}, 0,
+                     id="image of the wrong degree"),
+        pytest.param({"child": 0, "left": [99], "op": "context", "right": []}, 2,
+                     id="undeclared letter"),
+    ])
+    def test_rows_the_root_does_not_reach_are_loaded_not_replayed(self, row, code):
+        """A row appended after the root of a `gpi z3reduce` document is
+        loaded, so its letters must be declared (exit 2), but only what the
+        root reaches is replayed: a row that fails the proof as the root
+        (exit 1) leaves it valid (exit 0) as a row the root does not reach."""
+        ctx = Context(Z3, {1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
+        doc = certs.reduction_to_json(reduce_type1(
+            make_generator(GeneratorKind.TYPE1, ctx, ((1, 2, 3, 4), (5,)))))
+        assert _verify_exit(doc) == 0
+        doc["payload"]["nodes"].append(row)
+        assert _verify_exit(doc) == code
+        doc["payload"]["root"] = len(doc["payload"]["nodes"]) - 1
+        assert _verify_exit(doc) == (code or 1)
+
 
 _VARS = tuple(range(1, 7))  # x1..x6, all of trivial degree, so every image is weak
 _LIE_WORDS = st.recursive(st.sampled_from(_VARS), lambda inner: st.tuples(inner, inner),

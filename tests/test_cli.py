@@ -239,6 +239,15 @@ class TestCongruentVerify:
         assert code == 0
         assert json.loads(out)["payload"]["moves"] == []
 
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_empty_flag_is_an_empty_expression(self, tmp_path, capsys, flag):
+        """An empty --m or --n is read, as an empty --word is, and not
+        replaced by the file's m: or n: line."""
+        f = write(tmp_path, "f.gpi", CONG_FILE)
+        code, out, err = run(capsys, "congruent", f, flag, "")
+        assert (code, out) == (2, "")
+        assert err == f"gpi: {flag}: line 1, column 1: empty expression\n"
+
     def test_not_congruent_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "f.gpi",
                   "group: Z3\nvars: x1:1 x2:2\nm: x1*x2\nn: x2*x1\n")
@@ -1504,7 +1513,35 @@ def test_fuzz_problem_text(tmp_path_factory, base, edits):
         assert code == 2, text
 
 
+def _long_part_file(kind: int, length: int) -> str:
+    """A Z3 generator whose first part (type 1) or middle part (type 2) has
+    length letters, none of trivial degree; length is even for type 1 and
+    2 mod 3 for type 2."""
+    if kind == 1:
+        degrees = " ".join(f"x{i}:{2 - i % 2}" for i in range(1, length + 1))
+        part = "*".join(f"x{i}" for i in range(1, length + 1))
+        return (f"group: Z3\nvars: {degrees} x{length + 1}:0\ntype: 1\n"
+                f"h1: {part}\nh2: x{length + 1}\n")
+    degrees = " ".join(f"x{i}:1" for i in range(1, length + 3))
+    part = "*".join(f"x{i}" for i in range(2, length + 2))
+    return f"group: Z3\nvars: {degrees}\ntype: 2\nh1: x1\nh2: {part}\nh3: x{length + 2}\n"
+
+
 class TestZ3Reduce:
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_part_too_long_to_reduce(self, tmp_path, capsys, kind):
+        """A part of 2,000 letters runs the recursion past Python's limit:
+        exit 2 with one gpi: line, and in a corpus an error entry."""
+        f = write(tmp_path, "long.gpi", _long_part_file(kind, 2000))
+        refusal = "the generator's parts are too long to reduce (longest part: 2000 letters)"
+        assert run(capsys, "z3reduce", f) == (2, "", f"gpi: {refusal}\n")
+        manifest = write(tmp_path, "manifest.json",
+                         json.dumps([{"file": "long.gpi", "expected": "reducible"}]))
+        code, out, err = run(capsys, "corpus", manifest)
+        assert (code, err) == (1, f"gpi: ERROR: {f} (reducible)\n")
+        assert json.loads(out)["entries"] == [
+            {"detail": refusal, "expected": "reducible", "file": f, "status": "error"}]
+
     def test_reduce_and_verify(self, tmp_path, capsys):
         f = write(tmp_path, "g.gpi", GEN_FILE)
         code, out, _ = run(capsys, "z3reduce", f, "--type", "2")

@@ -370,13 +370,13 @@ def _block_interchange_distance(seq: list[int]) -> int:
 
 def test_block_interchange_distance_is_the_least_number_of_moves():
     """The formula against a breadth-first search over every block
-    interchange, adjacent (swap0's shape) or not (reverse3's), on every
-    permutation of length up to 6."""
+    interchange, adjacent (swap0's shape, an empty middle block) or not
+    (reverse3's), on every permutation of length up to 6."""
     for length in range(7):
         start = tuple(range(length))
         dist, todo = {start: 0}, [start]
         for p in todo:
-            for cuts in chain(combinations(range(length + 1), 3),
+            for cuts in chain(((a, b, b, c) for a, b, c in combinations(range(length + 1), 3)),
                               combinations(range(length + 1), 4)):
                 q = tuple(certs._reversed_blocks(list(p), *cuts))
                 if q not in dist:
