@@ -9,6 +9,7 @@ integer combination of such certified differences.
 from gpi import (Context, FreePoly, congruence_chain, cyclic_group,
                  default_grading, express_in_J, shared_entry,
                  verify_chain, verify_combination)
+from gpi.certs import move_to_json
 
 grading = default_grading(cyclic_group(3))
 ctx = Context(grading, {1: 1, 2: 2, 3: 1})
@@ -22,8 +23,7 @@ chain = congruence_chain(ctx, m, n)
 print("chain from", chain.start, "to", chain.end)
 w = chain.start
 for mv in chain.moves:  # each move cuts its blocks from the running word
-    print("  move:", mv.kind, "offset", mv.offset, "block lengths", mv.lengths,
-          "blocks", mv.blocks(w))
+    print("  move (as written):", move_to_json(mv), "blocks", mv.blocks(w))
     w = mv.apply(w)
 print("chain verifies:", verify_chain(chain))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
@@ -46,65 +45,41 @@ class MoveError(ValueError):
 
 # --- moves, chains and combinations ---------------------------------------------
 
-# Each move kind is a context multiple of one generator family, whose parts
-# are the move's blocks: the family and the number of blocks.
-MOVE_FAMILIES = {"swap0": (GeneratorKind.TYPE1, 2), "reverse3": (GeneratorKind.TYPE2, 3)}
+class _Cuts(NamedTuple):
+    a: int
+    b: int
+    c: int
+    d: int
 
 
-class _MoveFields(NamedTuple):
-    kind: str  # "swap0" | "reverse3"
-    offset: int
-    lengths: tuple[int, ...]
+class Move(_Cuts):
+    """A context move, a block interchange: its blocks are seq[a:b],
+    seq[b:c] and seq[c:d] of a word, or of the path walked along it, and the
+    move reverses their order.  It is a context multiple of one generator
+    family, whose parts are its nonempty blocks: a swap0 (type 1) is the
+    case b == c of an empty middle block, a reverse3 (type 2) has three.
 
-
-class Move(_MoveFields):
-    """A context move as it is written: its blocks are the lengths[i]
-    letters that follow the first offset letters, and the move reverses
-    their order.
-
-    Move(...) checks its fields.  tuple.__new__(Move, fields) builds one
+    Move(...) checks its cuts.  tuple.__new__(Move, cuts) builds one
     unchecked, for a caller that has checked them itself."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, offset: int, lengths: tuple[int, ...]):
-        if not (isinstance(kind, str) and kind in MOVE_FAMILIES):
-            raise MoveError(f"unknown move kind {kind!r}")
-        arity = MOVE_FAMILIES[kind][1]
-        if len(lengths) != arity:
-            raise MoveError(f"{kind} takes {arity} blocks")
-        if offset < 0 or min(lengths) < 1:
-            raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
-        return super().__new__(cls, kind, offset, lengths)
-
-    @property
-    def end(self) -> int:
-        """The position after the last block."""
-        return self.offset + sum(self.lengths)
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if not type(a) is type(b) is type(c) is type(d) is int:  # bool is not int here
+            raise MoveError("a move's cuts must be integers")
+        if not 0 <= a < b <= c < d:
+            raise MoveError("a move's cuts must satisfy 0 <= a < b <= c < d")
+        return tuple.__new__(cls, (a, b, c, d))
 
     def blocks(self, seq) -> list:
-        """The blocks cut from seq: a word, or the path walked along it."""
-        cuts = list(accumulate(self.lengths, initial=self.offset))
-        return [seq[a:b] for a, b in pairwise(cuts)]
+        """The nonempty blocks cut from seq: a word, or the path walked along it."""
+        a, b, c, d = self
+        return [seq[a:b], seq[c:d]] if b == c else [seq[a:b], seq[b:c], seq[c:d]]
 
     def apply(self, seq):
-        """seq with the blocks in reverse order: a word, or the path walked
-        along it (see move_path)."""
-        return _reversed_blocks(seq, *_bounds(self.offset, self.lengths))
-
-
-def _bounds(offset: int, lengths: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """The cuts a <= b <= c <= d of a move's three blocks seq[a:b],
-    seq[b:c], seq[c:d]: a swap0 is a reverse3 whose middle block is empty,
-    c == b."""
-    d = offset + sum(lengths)
-    return offset, offset + lengths[0], d - lengths[-1], d
-
-
-def _reversed_blocks(seq, a: int, b: int, c: int, d: int):
-    """seq with its blocks seq[a:b], seq[b:c], seq[c:d] in reverse order, in
-    slices of seq: a word, a path, or a list of positions."""
-    return seq[:a] + seq[c:d] + seq[b:c] + seq[a:b] + seq[d:]
+        """seq with the blocks in reverse order: a word, path or position list."""
+        a, b, c, d = self
+        return seq[:a] + seq[c:d] + seq[b:c] + seq[a:b] + seq[d:]
 
 
 def path_rule_holds(row: int, ends: tuple[int, int, int]) -> bool:
@@ -143,15 +118,12 @@ def move_path(path: list[ScalarVar], mv: Move) -> list[ScalarVar]:
     group axioms and the action through phi, so it holds for any group and
     any bijective tuple.
     """
-    _, a, lengths = mv
-    d = a + sum(lengths)
+    a, b, c, d = mv
     if d > len(path):
         raise MoveError(f"move does not fit a word of length {len(path)}")
-    b = a + lengths[0]
-    c = d - lengths[-1]
     if not path_rule_holds(path[a][1], (path[b - 1][2], path[c - 1][2], path[d - 1][2])):
         raise MoveError("move violates its degree side-conditions")
-    return path[:a] + path[c:d] + path[b:c] + path[a:b] + path[d:]
+    return path[:a] + path[c:d] + path[b:c] + path[a:b] + path[d:]  # mv.apply(path), one frame
 
 
 def _letters(path: list[ScalarVar]) -> Word:
@@ -476,14 +448,16 @@ def matrix_to_json(n: int, entries: dict[tuple[int, int, Mono], int]) -> dict:
 
 # --- wire format: rewrite chains and combinations -----------------------------
 #
-# Version 3 writes a move as [kind, offset, len1, len2(, len3)], the fields of
-# a Move: the blocks are the len_i letters of the running word that follow its
-# first offset letters, and the running word starts at the chain's start (a
-# jcomb term's source).  A jcomb term writes its endpoints once, as source and
-# target.
+# Version 3 writes a move as [kind, offset, len1, len2(, len3)]: the blocks
+# are the len_i letters of the running word that follow its first offset
+# letters, and the running word starts at the chain's start (a jcomb term's
+# source).  The kind, "swap0" or "reverse3", is its number of blocks, and a
+# Move's empty middle block is not written.  A jcomb term writes its
+# endpoints once, as source and target.
 
 def move_to_json(mv: Move) -> list:
-    return [mv.kind, mv.offset, *mv.lengths]
+    a, b, c, d = mv
+    return ["swap0", a, b - a, d - c] if b == c else ["reverse3", a, b - a, c - b, d - c]
 
 
 def chain_to_json(chain: RewriteChain) -> dict:
@@ -505,37 +479,52 @@ def _positional_moves(size: int, docs: list) -> tuple[Move, ...]:
 
     One expression per kind checks a move's shape, its integer fields (bool
     is not int here), offset >= 0, blocks nonempty and the fit, so the move
-    is built unchecked; only a bad move reaches _bad_move, to name what is
-    wrong."""
+    is built unchecked from its cuts; only a bad move reaches _bad_move, to
+    name what is wrong."""
     moves = []
     for i, doc in enumerate(docs):
         if type(doc) is list and len(doc) == 4 and doc[0] == "swap0":
-            _, o, a, b = doc
-            if (type(o) is type(a) is type(b) is int
-                    and o >= 0 and a >= 1 and b >= 1 and o + a + b <= size):
-                moves.append(tuple.__new__(Move, ("swap0", o, (a, b))))
+            _, a, p, q = doc
+            if (type(a) is type(p) is type(q) is int
+                    and a >= 0 and p >= 1 and q >= 1 and a + p + q <= size):
+                moves.append(tuple.__new__(Move, (a, a + p, a + p, a + p + q)))
                 continue
         elif type(doc) is list and len(doc) == 5 and doc[0] == "reverse3":
-            _, o, a, b, c = doc
-            if (type(o) is type(a) is type(b) is type(c) is int
-                    and o >= 0 and a >= 1 and b >= 1 and c >= 1 and o + a + b + c <= size):
-                moves.append(tuple.__new__(Move, ("reverse3", o, (a, b, c))))
+            _, a, p, q, r = doc
+            if (type(a) is type(p) is type(q) is type(r) is int
+                    and a >= 0 and p >= 1 and q >= 1 and r >= 1 and a + p + q + r <= size):
+                moves.append(tuple.__new__(Move, (a, a + p, a + p + q, a + p + q + r)))
                 continue
         raise _bad_move(i, doc, size)
     return tuple(moves)
 
 
+_ARITY = {"swap0": 2, "reverse3": 3}  # a written move kind: its number of blocks
+
+
+def _written_move(kind, offset: int, lengths: tuple[int, ...]) -> Move:
+    """The move written as kind, offset and block lengths (versions 1 to 3):
+    its blocks are the lengths[i] letters after the first offset letters."""
+    if not (isinstance(kind, str) and kind in _ARITY):
+        raise MoveError(f"unknown move kind {kind!r}")
+    if len(lengths) != _ARITY[kind]:
+        raise MoveError(f"{kind} takes {_ARITY[kind]} blocks")
+    if offset < 0 or min(lengths) < 1:
+        raise MoveError("a move's offset must be nonnegative and its blocks nonempty")
+    b, d = offset + lengths[0], offset + sum(lengths)
+    return tuple.__new__(Move, (offset, b, d - lengths[-1], d))
+
+
 def _bad_move(i: int, doc, size: int) -> CertificateFormatError:
     """The error naming what is wrong with move i, doc, which _positional_moves
-    refused: its types, else the checked Move constructor's message, else the
-    fit."""
+    refused: its types, else _written_move's message, else the fit."""
     if not (type(doc) is list and len(doc) > 1 and type(doc[0]) is str
             and all(type(v) is int for v in doc[1:])):
         return CertificateFormatError(
             f"move {i} is not [kind, offset, len, ...] with integer offset and lengths")
     kind, offset, lengths = doc[0], doc[1], tuple(doc[2:])
     try:
-        Move(kind, offset, lengths)
+        _written_move(kind, offset, lengths)
     except MoveError as exc:
         return CertificateFormatError(f"move {i}: {exc}")
     return CertificateFormatError(f"move {i}: offset {offset} and block lengths "

@@ -111,8 +111,8 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
     Neither word is walked: by move_path, a move that obeys its degree rule
     permutes n's path as it permutes n, so each move permutes seq alike, and
     n's path is path_m read through seq.  Each move's degree rule is checked
-    from those rows (path_rule_holds).  The move's bounds k < b <= r0 < e
-    <= L are nonnegative and increasing, so each move is built unchecked
+    from those rows (path_rule_holds).  The move's cuts k < b <= r0 < e
+    are what the checked constructor requires, so each move is built unchecked
     (tuple.__new__, as the loader builds it) and applied to seq in place, by
     one slice assignment to seq[k:e].
     A scalar variable that occurs more than once in m is then paired again
@@ -142,8 +142,7 @@ def _chain_moves(path_m: list[ScalarVar], order_m: list[int], order_n: list[int]
         for run in ties:
             for i, j in zip(sorted(map(seq.index, run)), run):
                 seq[i] = j
-        moves.append(tuple.__new__(Move, ("reverse3", k, (b - k, r0 - b, e - r0)) if b < r0
-                                   else ("swap0", k, (b - k, e - r0))))
+        moves.append(tuple.__new__(Move, (k, b, r0, e)))
 
 
 # --- expressing identities in the generator ideal ------------------------------

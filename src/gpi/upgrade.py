@@ -8,8 +8,8 @@ original's claim, then loads and replays it with gpi.certs.
 
 from __future__ import annotations
 
-from .certs import (READ_VERSIONS, CertificateFormatError, Move, _declared_word, _entries,
-                    _integer, _object, _pair, _post_order, context_from_json, move_to_json)
+from .certs import (READ_VERSIONS, CertificateFormatError, _declared_word, _entries, _integer,
+                    _object, _pair, _post_order, _written_move, context_from_json, move_to_json)
 
 
 def upgrade(doc: dict) -> dict | None:
@@ -52,7 +52,7 @@ def _moves(ctx, chain: dict, ends=None) -> list | None:
         doc = _object(doc, "a move")
         left, right = _entries(doc["left"], "left"), _entries(doc["right"], "right")
         blocks = tuple(_entries(b, "a block") for b in _entries(doc["blocks"], "blocks"))
-        mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
+        mv = _written_move(doc["kind"], len(left), tuple(map(len, blocks)))
         letters = _declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move")
         spelled = spelled and letters == word
         if spelled:  # each word built is paid for by the letters of its move

@@ -16,8 +16,8 @@ from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, w
                         word_path)
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, degree_rule_holds, make_generator
-from gpi.certs import (MOVE_FAMILIES, CertLeaf, JCombination, JTerm, Move, MoveError,
-                       ReductionCertificate, RewriteChain, apply_move)
+from gpi.certs import (CertLeaf, JCombination, JTerm, Move, MoveError, ReductionCertificate,
+                       RewriteChain, apply_move)
 from gpi.z3reduce import Side, telescope
 
 DEFAULT_SEED = 20260823
@@ -492,10 +492,11 @@ def old_chain_moves(ctx: Context, m, n, row: int = 0) -> list:
         t = next(k for k in range(1, len(inv)) if inv[k] < r0)
         p0, s0 = inv[t], inv[t - 1]
         b1, b2, b3, b4 = n[:p0], n[p0:r0], n[r0:s0 + 1], n[s0 + 1:]
-        if b1:
-            moves.append(Move("reverse3", len(prefix), (len(b1), len(b2), len(b3))))
-        else:
-            moves.append(Move("swap0", len(prefix), (len(b2), len(b3))))
+        o = len(prefix)
+        if b1:  # a reverse3: blocks b1, b2, b3
+            moves.append(Move(o, o + p0, o + r0, o + s0 + 1))
+        else:  # a swap0: blocks b2, b3
+            moves.append(Move(o, o + r0, o + r0, o + s0 + 1))
         n = b3 + b2 + b1 + b4
 
 
@@ -505,9 +506,10 @@ def old_apply_move(ctx: Context, w, mv: Move):
     """w after mv, checked on its letters: the move must fit w, and the
     degrees of its blocks, each walked letter by letter, must obey
     degree_rule_holds."""
-    if mv.end > len(w):
+    if mv.d > len(w):
         raise MoveError(f"move does not fit a word of length {len(w)}")
-    if not degree_rule_holds(MOVE_FAMILIES[mv.kind][0], ctx, mv.blocks(w)):
+    family = GeneratorKind.TYPE1 if mv.b == mv.c else GeneratorKind.TYPE2
+    if not degree_rule_holds(family, ctx, mv.blocks(w)):
         raise MoveError("move violates its degree side-conditions")
     return mv.apply(w)
 
@@ -602,6 +604,9 @@ def as_v2(doc: dict) -> dict:
 
 # --- the version-1 and -2 loader that gpi.upgrade replaced, as an oracle -------
 
+_OLD_ARITY = {"swap0": 2, "reverse3": 3}
+
+
 def _old_explicit_moves(ctx: Context, source, target, chain: dict) -> tuple:
     """Version-1 or -2 moves, {kind, left, blocks, right}, on the running
     word from the chain's own start, every letter checked.  A move whose
@@ -616,14 +621,17 @@ def _old_explicit_moves(ctx: Context, source, target, chain: dict) -> tuple:
         left, right = certs._entries(doc["left"], "left"), certs._entries(doc["right"], "right")
         blocks = tuple(certs._entries(b, "a block")
                        for b in certs._entries(doc["blocks"], "blocks"))
-        mv = Move(doc["kind"], len(left), tuple(map(len, blocks)))
+        if _OLD_ARITY.get(doc["kind"]) != len(blocks) or () in blocks:
+            raise MoveError("a move's kind does not match its nonempty blocks")
+        a, d = len(left), len(left) + len(sum(blocks, ()))
+        mv = Move(a, a + len(blocks[0]), d - len(blocks[-1]), d)
         if certs._declared_word(ctx, [*left, *sum(blocks, ()), *right], "a move") == word:
             word = mv.apply(word)
         else:
-            mv = Move(mv.kind, len(word), mv.lengths)
+            mv = Move(*(cut - a + len(word) for cut in mv))
         moves.append(mv)
     if (start, end) != (source, target):
-        moves.append(Move("swap0", len(source), (1, 1)))
+        moves.append(Move(len(source), len(source) + 1, len(source) + 1, len(source) + 2))
     return tuple(moves)
 
 
@@ -755,10 +763,10 @@ def enumerate_moves(ctx: Context, w):
             for c in range(b + 1, l + 1):
                 b1, b2 = w[a:b], w[b:c]
                 if word_degree(ctx, b1) == one and word_degree(ctx, b2) == one:
-                    out.append(Move("swap0", a, (b - a, c - b)))
+                    out.append(Move(a, b, b, c))
                 for d in range(c + 1, l + 1):
                     if degree_rule_holds(GeneratorKind.TYPE2, ctx, (b1, b2, w[c:d])):
-                        out.append(Move("reverse3", a, (b - a, c - b, d - c)))
+                        out.append(Move(a, b, c, d))
     return out
 
 

@@ -208,7 +208,7 @@ def test_criterion_5(report, crit4_data):
                 ok = False
             w = chain.start
             for mv in chain.moves:
-                kind = GeneratorKind.TYPE1 if mv.kind == "swap0" else GeneratorKind.TYPE2
+                kind = GeneratorKind.TYPE1 if mv.b == mv.c else GeneratorKind.TYPE2
                 if not degree_rule_holds(kind, ctx, mv.blocks(w)):
                     ok = False
                 w = mv.apply(w)

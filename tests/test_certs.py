@@ -639,6 +639,27 @@ def test_upgrade_of_moves_that_miss_a_long_word_stays_linear():
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    (dict(kind="rotate"), "unknown move kind 'rotate'"),
+    (dict(kind=3), "unknown move kind 3"),
+    (dict(kind="reverse3", blocks=[[3], [2]]), "reverse3 takes 3 blocks"),
+    (dict(kind="swap0", blocks=[[3], [2], [1]]), "swap0 takes 2 blocks"),
+    (dict(kind="swap0", blocks=[[], [3]]),
+     "a move's offset must be nonnegative and its blocks nonempty"),
+])
+def test_upgrader_names_a_bad_move(tmp_path, capsys, edit, message):
+    """A version-2 chain with every move edited so that it is no written
+    move: `gpi verify` exits 2 with one line naming what is wrong, as the
+    upgrader reads the move's kind and block lengths."""
+    doc = documents_of_every_version()["chain", 2]
+    doc["payload"]["moves"] = [dict(mv, **edit) for mv in doc["payload"]["moves"]]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"gpi: {path}: {message}\n")
+
+
 def test_claim_nested_too_deeply_is_bad_input():
     """An older document whose claim holds JSON nested too deeply to write
     back, here under a key of the group that the loader does not read, is

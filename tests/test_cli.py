@@ -1542,6 +1542,23 @@ class TestZ3Reduce:
         assert json.loads(out)["entries"] == [
             {"detail": refusal, "expected": "reducible", "file": f, "status": "error"}]
 
+    def test_part_of_300_letters_reduces_in_a_fresh_process(self, tmp_path, capsys):
+        """The recursion takes a few frames per letter, so the longest part
+        that reduces is set by Python's recursion limit (390 letters reduce
+        and 400 are refused on this type-1 shape at the time of writing).
+        A 300-letter part, in a process of its own as a user runs it,
+        reduces with exit 0 and verifies, so a change that adds frames per
+        letter cannot lower the limit below it unnoticed."""
+        f = write(tmp_path, "long.gpi", _long_part_file(1, 300))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certs.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "gpi.cli", "z3reduce", f], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        cert = tmp_path / "red.json"
+        cert.write_text(proc.stdout)
+        assert run(capsys, "verify", str(cert)) == (
+            0, '{"kind":"reduction","valid":true}\n', "")
+
     def test_reduce_and_verify(self, tmp_path, capsys):
         f = write(tmp_path, "g.gpi", GEN_FILE)
         code, out, _ = run(capsys, "z3reduce", f, "--type", "2")

@@ -13,7 +13,7 @@ from gpi.freealg import Context, FreePoly, multihomogeneous_components, word_key
 from gpi.genmat import eval_word_closed, word_path
 from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_witness,
                           make_generator)
-from gpi.certs import (MOVE_FAMILIES, JCombination, Move, MoveError, RewriteChain, apply_move,
+from gpi.certs import (JCombination, Move, MoveError, RewriteChain, _written_move, apply_move,
                        move_path, verify_chain, verify_combination)
 from gpi.rewrite import (NoExpressionError, NotCongruentError, congruence_chain, express_in_J,
                          shared_entry)
@@ -46,50 +46,83 @@ class TestSharedEntry:
 class TestMoves:
     def test_swap0(self):
         c = Context(Z3, {1: 0, 2: 0})
-        mv = Move("swap0", 0, (1, 1))
+        mv = Move(0, 1, 1, 2)
         assert apply_move(c, (1, 2), mv) == (2, 1)
 
     def test_reverse3(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})
-        mv = Move("reverse3", 0, (1, 1, 1))
+        mv = Move(0, 1, 2, 3)
         assert apply_move(c, (1, 2, 3), mv) == (3, 2, 1)
 
     def test_contexts_and_paths(self):
-        """The blocks follow the first offset letters; a path is cut alike."""
+        """The blocks lie between the cuts; a path is cut alike."""
         c = Context(Z3, {1: 0, 2: 0, 3: 0, 4: 0, 5: 0})
-        mv = Move("swap0", 1, (2, 1))
+        mv = Move(1, 3, 3, 4)
         assert apply_move(c, (1, 2, 3, 4, 5), mv) == (1, 4, 2, 3, 5)
         assert mv.apply(["a", "b", "c", "d", "e"]) == ["a", "d", "b", "c", "e"]
 
     def test_does_not_fit(self):
         """A move that runs past its word is refused, not cut short."""
         c = Context(Z3, {1: 0, 2: 0})
-        for mv in (Move("swap0", 1, (1, 1)), Move("swap0", 0, (2, 1)),
-                   Move("swap0", 2, (1, 1)), Move("reverse3", 0, (1, 1, 1))):
+        for mv in (Move(1, 2, 2, 3), Move(0, 2, 2, 3), Move(2, 3, 3, 4), Move(0, 1, 2, 3)):
             with pytest.raises(MoveError, match="does not fit"):
                 apply_move(c, (2, 1), mv)
 
     def test_degree_condition_violation(self):
         c = Context(Z3, {1: 1, 2: 0})
-        mv = Move("swap0", 0, (1, 1))
+        mv = Move(0, 1, 1, 2)
         with pytest.raises(MoveError):
             apply_move(c, (1, 2), mv)
 
     def test_bad_chain_fails_verification(self):
         c = Context(Z3, {1: 1, 2: 0})
-        mv = Move("swap0", 0, (1, 1))
+        mv = Move(0, 1, 1, 2)
         chain = RewriteChain(c, (1, 2), (mv,), (2, 1))
         assert not verify_chain(chain)
 
     def test_unknown_kind(self):
-        with pytest.raises(MoveError):
-            Move("rotate", 0, (1, 1))
+        with pytest.raises(MoveError, match="^unknown move kind 'rotate'$"):
+            _written_move("rotate", 0, (1, 1))
 
     @pytest.mark.parametrize("offset, lengths", [
         (-1, (1, 1)), (0, (0, 1)), (0, (1,)), (0, (1, 1, 1))])
     def test_bad_fields(self, offset, lengths):
-        with pytest.raises(MoveError):
-            Move("swap0", offset, lengths)
+        """A written move's offset, lengths and their number, as versions 1
+        to 3 write them; the messages are the ones `gpi verify` prints."""
+        want = "swap0 takes 2 blocks" if len(lengths) != 2 else \
+            "a move's offset must be nonnegative and its blocks nonempty"
+        with pytest.raises(MoveError, match=f"^{want}$"):
+            _written_move("swap0", offset, lengths)
+
+    @pytest.mark.parametrize("kind, offset, lengths, cuts", [
+        ("swap0", 0, (1, 1), (0, 1, 1, 2)), ("swap0", 2, (3, 1), (2, 5, 5, 6)),
+        ("reverse3", 0, (1, 1, 1), (0, 1, 2, 3)), ("reverse3", 1, (2, 3, 1), (1, 3, 6, 7))])
+    def test_written_move_is_its_cuts(self, kind, offset, lengths, cuts):
+        """A written move is the move of its cuts, and is written back as it
+        was: a swap0's middle block is empty."""
+        mv = _written_move(kind, offset, lengths)
+        assert type(mv) is Move and mv == Move(*cuts) == cuts
+        assert certs.move_to_json(mv) == [kind, offset, *lengths]
+
+    @pytest.mark.parametrize("cuts", [
+        (True, 1, 1, 2), (0, 1, 1, False), (0.0, 1, 1, 2), (0, "1", 1, 2), (0, 1, None, 2)])
+    def test_cuts_not_integers(self, cuts):
+        """The checked constructor takes ints alone, and a bool is not one."""
+        with pytest.raises(MoveError, match="^a move's cuts must be integers$"):
+            Move(*cuts)
+
+    @pytest.mark.parametrize("cuts", [
+        (-1, 0, 0, 1), (0, 0, 1, 2), (2, 1, 1, 3), (0, 2, 1, 3), (0, 1, 2, 2), (0, 1, 3, 2)])
+    def test_cuts_out_of_order(self, cuts):
+        """The checked constructor requires 0 <= a < b <= c < d: a nonnegative
+        first cut and nonempty outer blocks, the middle one maybe empty."""
+        with pytest.raises(MoveError, match=r"^a move's cuts must satisfy 0 <= a < b <= c < d$"):
+            Move(*cuts)
+
+    def test_blocks_are_the_nonempty_ones(self):
+        """A swap0 has two blocks, its empty middle block left out."""
+        assert Move(1, 2, 2, 4).blocks("abcde") == ["b", "cd"]
+        assert Move(0, 1, 3, 4).blocks("abcde") == ["a", "bc", "d"]
 
 
 def test_equal_keys_iff_equal_matrices():
@@ -123,13 +156,13 @@ class TestCongruenceChain:
     def test_single_swap0(self):
         c = Context(Z3, {1: 0, 2: 0})
         chain = congruence_chain(c, (1, 2), (2, 1))
-        assert len(chain.moves) == 1 and chain.moves[0].kind == "swap0"
+        assert chain.moves == (Move(0, 1, 1, 2),)
         assert verify_chain(chain)
 
     def test_single_reverse3(self):
         c = Context(Z3, {1: 1, 2: 2, 3: 1})
         chain = congruence_chain(c, (1, 2, 3), (3, 2, 1))
-        assert len(chain.moves) == 1 and chain.moves[0].kind == "reverse3"
+        assert chain.moves == (Move(0, 1, 2, 3),)
         assert verify_chain(chain)
 
     def test_not_congruent(self):
@@ -203,14 +236,11 @@ class TestChainBuilder:
                 c = support.random_context(rand, grading, 4)
                 w = support.random_word(rand, c, rand.randint(3, 6))
                 for mv in support.enumerate_moves(c, w):
-                    cuts = [mv.offset]
-                    for n in mv.lengths:
-                        cuts.append(cuts[-1] + n)
                     target = apply_move(c, w, mv)
                     for row in range(grading.n):
                         path = word_path(c, w, row)
-                        segs = [path[a:b] for a, b in zip(cuts, cuts[1:])]
-                        want = path[:cuts[0]] + sum(reversed(segs), []) + path[cuts[-1]:]
+                        segs = [path[a:b] for a, b in zip(mv, mv[1:])]
+                        want = path[:mv.a] + sum(reversed(segs), []) + path[mv.d:]
                         assert word_path(c, target, row) == want == mv.apply(path)
                         checked += 1
         assert checked > 300
@@ -231,16 +261,16 @@ class TestChainBuilder:
             for length in range(1, 7):
                 refusals = {"too long": f"move does not fit a word of length {length}",
                             "degree": "move violates its degree side-conditions"}
-                moves = [Move(kind, cuts[0], tuple(b - a for a, b in zip(cuts, cuts[1:])))
-                         for kind, (_, arity) in MOVE_FAMILIES.items()
-                         for cuts in combinations(range(length + 2), arity + 1)]
+                moves = [*(Move(a, b, b, d) for a, b, d in combinations(range(length + 2), 3)),
+                         *(Move(*cuts) for cuts in combinations(range(length + 2), 4))]
                 for w in product(c.degrees, repeat=length):
                     row = (row + 1) % grading.n
                     path = word_path(c, w, row)
                     for mv in moves:
-                        if mv.end > length:
+                        family = GeneratorKind.TYPE1 if mv.b == mv.c else GeneratorKind.TYPE2
+                        if mv.d > length:
                             why = "too long"
-                        elif degree_rule_holds(MOVE_FAMILIES[mv.kind][0], c, mv.blocks(w)):
+                        elif degree_rule_holds(family, c, mv.blocks(w)):
                             why = "moved"
                         else:
                             why = "degree"
@@ -289,7 +319,7 @@ class TestChainBuilder:
                         support.old_chain_moves(c, t.target, t.source))
                     for mv in t.moves:
                         assert type(mv) is Move and Move(*mv) == mv
-                        assert mv.end <= len(t.source)
+                        assert mv.d <= len(t.source)
                     terms += 1
                     repeated += bool(t.moves) and len(set(t.source)) < len(t.source)
                 assert verify_combination(comb) and comb.expansion() == f
@@ -378,7 +408,7 @@ def test_block_interchange_distance_is_the_least_number_of_moves():
         for p in todo:
             for cuts in chain(((a, b, b, c) for a, b, c in combinations(range(length + 1), 3)),
                               combinations(range(length + 1), 4)):
-                q = tuple(certs._reversed_blocks(list(p), *cuts))
+                q = tuple(Move(*cuts).apply(list(p)))
                 if q not in dist:
                     dist[q] = dist[p] + 1
                     todo.append(q)
@@ -432,7 +462,7 @@ class TestExpressInJ:
         comb = express_in_J(f)
         assert len(comb.terms) == 1
         # the blocks x1, x2 end before x3, the right context
-        assert comb.terms[0].moves == (Move("swap0", 0, (1, 1)),)
+        assert comb.terms[0].moves == (Move(0, 1, 1, 2),)
         assert verify_combination(comb) and comb.expansion() == f
 
     def test_scaled_pair(self):
