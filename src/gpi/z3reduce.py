@@ -10,10 +10,10 @@ types and verifies a certificate by symbolic replay in the free algebra,
 each distinct node once.
 
 Every step of the recursion is a node built by the helper of its lemma,
-with the recursion itself as the children (tests pass leaf makers).  A
-long part is shortened at one end, its Side: LEFT is the head of a first
-part, RIGHT the tail of a type-2 middle part.  One shortening step tries,
-in order,
+whose children come from one memoised builder over a generator's parts
+(tests pass a leaf maker instead).  A long part is shortened at one end,
+its Side: LEFT is the head of a first part, RIGHT the tail of a type-2
+middle part.  One shortening step tries, in order,
 
   * the shortest trivial-degree piece at that end, peeled off by the
     caller's split builder: split_commutator, [h1 h2, h3] = h1 [h2, h3]
@@ -30,7 +30,6 @@ in order,
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 from itertools import accumulate, chain, pairwise, product
 from typing import Callable
@@ -56,10 +55,10 @@ def _require_z3(ctx: Context):
 
 # --- node builders, one per lemma ---------------------------------------------
 #
-# Each builder returns the certificate node of one recursion step.  It takes
-# the lemma's parts and callables that build the child nodes: the memoised
-# recursion on the proof path, leaf makers in the tests.  It raises
-# ReductionError when the lemma's hypotheses fail.
+# Each builder returns the certificate node of one recursion step, or raises
+# ReductionError when the lemma's hypotheses fail.  A callable builds its
+# children (the memoised recursion, or a test's leaf maker): reduce(*parts) in
+# the split builders, child(w) of the word replacing the long part elsewhere.
 
 Child = Callable[..., CertNode]
 
@@ -71,17 +70,17 @@ class Side(Enum):
 
 
 def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word,
-                     type1: Child) -> CertNode:
+                     reduce: Child) -> CertNode:
     """[h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for trivial-degree parts."""
     one = ctx.grading.group.identity_index
     if any(word_degree(ctx, h) != one for h in (h1, h2, h3)):
         raise ReductionError("all three parts must have trivial degree")
-    return CertSum(((1, CertContext(h1, (), type1(h2, h3))),
-                    (1, CertContext((), h2, type1(h1, h3)))))
+    return CertSum(((1, CertContext(h1, (), reduce(h2, h3))),
+                    (1, CertContext((), h2, reduce(h1, h3)))))
 
 
 def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
-                     side: Side, type1: Child, type2: Child) -> CertNode:
+                     side: Side, reduce: Child) -> CertNode:
     """Peel a trivial-degree factor h3 out of a type-2 generator.
 
     LEFT:  h3 h4 h2 h1 - h1 h2 h3 h4 = h3 (h4 h2 h1 - h1 h2 h4) + [h3, h1 h2] h4
@@ -95,17 +94,17 @@ def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
     if word_degree(ctx, h3) != ctx.grading.group.identity_index:
         raise ReductionError("the peeled factor must have trivial degree")
     if side is Side.LEFT:
-        core = type2(h4, h2, h1)
+        core = reduce(h4, h2, h1)
         if not h3:
             return core
         return CertSum(((1, CertContext(h3, (), core)),
-                        (1, CertContext((), h4, type1(h3, h1 + h2)))))
-    core = type2(h1, h2, h4)
+                        (1, CertContext((), h4, reduce(h3, h1 + h2)))))
+    core = reduce(h1, h2, h4)
     if not h3:
         return core
     return CertSum(((1, CertContext(h3, (), core)),
-                    (1, CertContext((), h4, type1(h1 + h2, h3))),
-                    (-1, CertContext((), h1, type1(h4 + h2, h3)))))
+                    (1, CertContext((), h4, reduce(h1 + h2, h3))),
+                    (-1, CertContext((), h1, reduce(h4 + h2, h3)))))
 
 
 def telescope(ctx: Context, u: Word, z: int, v: Word, side: Side,
@@ -214,67 +213,66 @@ def _shorten(ctx: Context, h: Word, side: Side, child: Child,
     return decompose(ctx, side, h, child)
 
 
-def _memoised(build):
-    """Memoise a recursion step by its parts, in the dict of one reduction.
+class _Reduction:
+    """One reduction: its copied context and one memo keyed by the parts.
 
-    A subproblem reached again (the telescoped `hat`, or the same parts
-    along another branch) returns the node already built, so the
-    certificate is a DAG that shares it.
+    node(*parts) builds the node of the generator with these parts, each
+    distinct one once: a subproblem reached again (the telescoped `hat`, or
+    the same parts along another branch) returns the node already built, so
+    the certificate is a DAG that shares it.  Two parts are a type-1
+    generator and three a type-2 one, so the parts name the family.
+
+    A class, not a closure: a closure that calls itself through its own cell
+    is a reference cycle, which only the cyclic collector frees, and
+    gpi.cli.main runs with that collector off.
     """
-    @functools.wraps(build)
-    def step(ctx: Context, memo: dict, *parts: Word) -> CertNode:
-        key = (build, parts)
-        node = memo.get(key)
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self.memo: dict[tuple[Word, ...], CertNode] = {}
+
+    def node(self, *parts: Word) -> CertNode:
+        node = self.memo.get(parts)
         if node is None:
-            node = memo[key] = build(ctx, memo, *parts)
+            node = self.memo[parts] = self._build(parts)
         return node
-    return step
+
+    def _build(self, parts: tuple[Word, ...]) -> CertNode:
+        ctx, node, L = self.ctx, self.node, MAX_REDUCED_PART_LEN
+        if len(parts) == 2:
+            kind = GeneratorKind.TYPE1
+            h1, h2 = parts
+            if len(h1) > L:
+                return _shorten(ctx, h1, Side.LEFT, lambda w: node(w, h2),
+                                lambda a, b: split_commutator(ctx, a, b, h2, node))
+        else:
+            kind = GeneratorKind.TYPE2
+            h1, h2, h3 = parts
+            if len(h1) > L:
+                return _shorten(ctx, h1, Side.LEFT, lambda w: node(w, h2, h3),
+                                lambda a, b: pull_zero_factor(ctx, h3, h2, a, b, Side.LEFT, node))
+            if len(h2) > L:
+                return _shorten(ctx, h2, Side.RIGHT, lambda w: node(h1, w, h3),
+                                lambda a, b: pull_zero_factor(ctx, h1, a, b, h3, Side.RIGHT, node))
+        if len(parts[-1]) > L:
+            # the antisymmetry of generator_terms: the parts minus the parts reversed
+            return CertSum(((-1, node(*reversed(parts))),))
+        return CertLeaf(make_generator(kind, ctx, parts))
 
 
-@_memoised
-def _reduce1(ctx: Context, memo: dict, h1: Word, h2: Word) -> CertNode:
-    if len(h1) <= MAX_REDUCED_PART_LEN and len(h2) <= MAX_REDUCED_PART_LEN:
-        return CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, (h1, h2)))
-    if len(h1) <= MAX_REDUCED_PART_LEN:
-        # [h1, h2] = -[h2, h1]
-        return CertSum(((-1, _reduce1(ctx, memo, h2, h1)),))
-    type1 = functools.partial(_reduce1, ctx, memo)
-    return _shorten(ctx, h1, Side.LEFT, lambda w: type1(w, h2),
-                    lambda a, b: split_commutator(ctx, a, b, h2, type1))
-
-
-@_memoised
-def _reduce2(ctx: Context, memo: dict, h1: Word, h2: Word, h3: Word) -> CertNode:
-    L = MAX_REDUCED_PART_LEN
-    type1 = functools.partial(_reduce1, ctx, memo)
-    type2 = functools.partial(_reduce2, ctx, memo)
-    if len(h1) > L:
-        return _shorten(ctx, h1, Side.LEFT, lambda w: type2(w, h2, h3),
-                        lambda a, b: pull_zero_factor(ctx, h3, h2, a, b, Side.LEFT,
-                                                      type1, type2))
-    if len(h2) > L:
-        return _shorten(ctx, h2, Side.RIGHT, lambda w: type2(h1, w, h3),
-                        lambda a, b: pull_zero_factor(ctx, h1, a, b, h3, Side.RIGHT,
-                                                      type1, type2))
-    if len(h3) > L:
-        # H(h1,h2,h3) = -H(h3,h2,h1)
-        return CertSum(((-1, _reduce2(ctx, memo, h3, h2, h1)),))
-    return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, (h1, h2, h3)))
-
-
-def _reduce(H: GeneratorInstance, kind: GeneratorKind, step) -> ReductionCertificate:
-    """The certificate of H by the recursion step, built on a copy of H's
-    context: the copy gains the fresh variables that decompose declares, and
-    the caller's context stays as it was, so every reduction of one
-    generator writes the same certificate.  The recursion takes a few
-    frames per letter of a long part, so parts that run it past Python's
-    recursion limit raise ReductionError; the limit is not raised."""
+def _reduce(H: GeneratorInstance, kind: GeneratorKind) -> ReductionCertificate:
+    """The certificate of H, built on a copy of H's context: the copy gains
+    the fresh variables that decompose declares, and the caller's context
+    stays as it was, so every reduction of one generator writes the same
+    certificate.  The recursion takes a few frames per letter of a long
+    part, so parts that run it past Python's recursion limit raise
+    ReductionError; the limit is not raised."""
     if H.kind is not kind:
         raise ReductionError(f"reduce_type{kind.value} expects a type-{kind.value} generator")
     _require_z3(H.ctx)
     ctx = Context(H.ctx.grading, dict(H.ctx.degrees))
     try:
-        root = step(ctx, {}, *H.parts)
+        root = _Reduction(ctx).node(*H.parts)
     except RecursionError:
         raise ReductionError("the generator's parts are too long to reduce "
                              f"(longest part: {max(H.part_lengths())} letters)") from None
@@ -282,11 +280,11 @@ def _reduce(H: GeneratorInstance, kind: GeneratorKind, step) -> ReductionCertifi
 
 
 def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:
-    return _reduce(H, GeneratorKind.TYPE1, _reduce1)
+    return _reduce(H, GeneratorKind.TYPE1)
 
 
 def reduce_type2(H: GeneratorInstance) -> ReductionCertificate:
-    return _reduce(H, GeneratorKind.TYPE2, _reduce2)
+    return _reduce(H, GeneratorKind.TYPE2)
 
 
 # --- enumeration of the reduced shapes ----------------------------------------

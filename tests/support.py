@@ -868,14 +868,12 @@ def bracket_expand(ctx: Context, h1, h2, h3, h4):
 
 # --- children for the z3reduce node builders ----------------------------------
 
-def leaf_makers(ctx: Context):
-    """Type-1 and type-2 child callables that make each child a leaf."""
-    def type1(*parts):
-        return CertLeaf(make_generator(GeneratorKind.TYPE1, ctx, parts))
-
-    def type2(*parts):
-        return CertLeaf(make_generator(GeneratorKind.TYPE2, ctx, parts))
-    return type1, type2
+def leaf_maker(ctx: Context):
+    """A child callable that makes each child a leaf: two parts are a type-1
+    generator, three a type-2 one."""
+    def leaf(*parts):
+        return CertLeaf(make_generator(GeneratorKind(len(parts) - 1), ctx, parts))
+    return leaf
 
 
 def random_telescope(rand: random.Random, grading, r: int):

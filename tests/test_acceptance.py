@@ -245,11 +245,11 @@ def test_criterion_6(report):
         d = word_degree(ctx, h)
         y = ctx.declare(length + 1, Z3.group.inv(d))
         w = ctx.declare(length + 2, d if side is Side.LEFT else Z3.group.inv(d))
-        _, type2 = support.leaf_makers(ctx)
+        leaf = support.leaf_maker(ctx)
         if side is Side.LEFT:
-            parts, child = (h, (y,), (w,)), lambda word: type2(word, (y,), (w,))
+            parts, child = (h, (y,), (w,)), lambda word: leaf(word, (y,), (w,))
         else:
-            parts, child = ((y,), h, (w,)), lambda word: type2((y,), word, (w,))
+            parts, child = ((y,), h, (w,)), lambda word: leaf((y,), word, (w,))
         try:
             node = decompose(ctx, side, h, child)
         except ReductionError:
@@ -268,7 +268,7 @@ def test_criterion_6(report):
         h1, h2, h4 = g.parts
         for side in Side:
             node = pull_zero_factor(ctx, h1, h2, h3, h4, side,
-                                    *support.leaf_makers(ctx))
+                                    support.leaf_maker(ctx))
             parts = (h3 + h4, h2, h1) if side is Side.LEFT else (h1, h2 + h3, h4)
             if cert_value(ctx, node) != expand(make_generator(
                     GeneratorKind.TYPE2, ctx, parts)):
@@ -277,8 +277,8 @@ def test_criterion_6(report):
         ctx = Context(Z3, {k: 0 for k in range(1, 7)})
         cut1, cut2 = sorted(rand.sample(range(1, 6), 2))
         ids = tuple(range(1, 7))
-        type1, _ = support.leaf_makers(ctx)
-        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], type1)
+        leaf = support.leaf_maker(ctx)
+        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], leaf)
         if cert_value(ctx, node) != expand(make_generator(
                 GeneratorKind.TYPE1, ctx, (ids[:cut2], ids[cut2:]))):
             ok = False

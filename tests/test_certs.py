@@ -406,7 +406,12 @@ def test_reduction_bytes_pinned():
     digest = hashlib.sha256()
     for g in gens:
         reduce = reduce_type1 if g.kind is GeneratorKind.TYPE1 else reduce_type2
-        digest.update(certs.dumps(certs.reduction_to_json(reduce(g))).encode())
+        doc = certs.reduction_to_json(reduce(g))
+        digest.update(certs.dumps(doc).encode())
+        # a subproblem reached twice is one node, so no two leaf rows agree
+        leaves = [certs.dumps(row["generator"]) for row in doc["payload"]["nodes"]
+                  if row["op"] == "leaf"]
+        assert len(set(leaves)) == len(leaves)
     assert max(max(g.part_lengths()) for g in gens[400:]) == 8
     assert digest.hexdigest() == PINNED_REDUCTION_DIGEST
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gpi import certs, cli, freealg
 from gpi.cli import main
-from gpi.dsl import ParsedFile, format_file
+from gpi.dsl import ParsedFile, _lines, format_file
 from gpi.freealg import Context, FreePoly
 from gpi.groups import MAX_GROUP_ORDER, GradingTuple, cyclic_group, default_grading
 from gpi.rewrite import express_in_J
@@ -1345,6 +1345,64 @@ class TestNotUtf8:
         assert code == 2 and out == "" and err == f"gpi: {cert}: not UTF-8 text\n"
 
 
+_LF_FILE = b"group: Z3\nvars: x1:1 x2:2\npoly: x1*x2 - x2*x1\n"
+
+
+class TestLineEnds:
+    """A problem file's lines end at \\n, \\r\\n or \\r only; any other
+    separator that str.splitlines knows stays inside its line."""
+
+    def answer(self, capsys, tmp_path, data: bytes):
+        f = tmp_path / "f.gpi"
+        f.write_bytes(data)
+        return run(capsys, "check", str(f))
+
+    def test_separator_inside_a_comment_hides_no_directive(self, tmp_path, capsys):
+        data = "group: Z3\nvars: x1:1 x2:2\n# poly: comment only\u2028poly: x1*x2\n".encode()
+        assert self.answer(capsys, tmp_path, data) == (
+            2, "", f"gpi: {tmp_path / 'f.gpi'}: no 'poly:' line\n")
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_separator_reads_as_a_space(self, tmp_path, capsys, sep):
+        spaced = self.answer(capsys, tmp_path, _LF_FILE)
+        assert spaced[0] == 1
+        data = _LF_FILE.replace(b"x2 - ", f"x2{sep}- ".encode())
+        assert self.answer(capsys, tmp_path, data) == spaced
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_files_read(self, tmp_path, capsys, end):
+        assert self.answer(capsys, tmp_path, _LF_FILE.replace(b"\n", end)) == \
+            self.answer(capsys, tmp_path, _LF_FILE)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_decoding_error_line_by_the_same_rule(self, tmp_path, capsys, end):
+        data = end.join([b"group: Z3", "vars: x1:1\u2028".encode(), b"poly: x1 \xff", b""])
+        code, _, err = self.answer(capsys, tmp_path, data)
+        assert code == 2 and err.endswith(": line 3, column 1: not UTF-8 text\n")
+
+
+class TestByteOrderMark:
+    def test_leading_mark_is_read_past(self, tmp_path, capsys):
+        f = tmp_path / "f.gpi"
+        f.write_bytes(_LF_FILE)
+        plain = run(capsys, "check", str(f))
+        f.write_bytes(b"\xef\xbb\xbf" + _LF_FILE)
+        assert run(capsys, "check", str(f)) == plain
+
+    def test_decoding_error_after_a_mark(self, tmp_path, capsys):
+        f = tmp_path / "f.gpi"
+        f.write_bytes(b"\xef\xbb\xbfgroup: Z3\nvars: x1:1\npoly: x1 \xff\n")
+        code, _, err = run(capsys, "check", str(f))
+        assert code == 2 and err.endswith(": line 3, column 1: not UTF-8 text\n")
+
+    def test_mark_elsewhere_is_an_unexpected_character(self, tmp_path, capsys):
+        f = tmp_path / "f.gpi"
+        f.write_bytes(_LF_FILE.replace(b"x1*x2", b"x1*\xef\xbb\xbfx2"))
+        assert run(capsys, "check", str(f)) == (
+            2, "", f"gpi: {f}: line 3, column 4: unexpected character '\\ufeff'\n")
+
+
 def _edited_answer(capsys, tmp_path, command, text, edit) -> str:
     """The JSON text of `gpi command` on a file holding text, after edit(doc)."""
     _, out, _ = run(capsys, command, write(tmp_path, "source.gpi", text))
@@ -1474,10 +1532,10 @@ _DIGIT_ZEROS = "\u0660\u0966\uff10"
 
 
 def _non_ascii_digit_line(text: str) -> bool:
-    """A line that parse_text reads (not blank, not a comment) holds a
-    digit outside ASCII."""
+    """A line that parse_text reads (not blank, not a comment, split at
+    the parser's line ends) holds a digit outside ASCII."""
     return any(any(c.isdigit() and not c.isascii() for c in line)
-               for line in (raw.strip() for raw in text.splitlines())
+               for line in (raw.strip() for raw in _lines(text))
                if line and not line.startswith("#"))
 
 
