@@ -10,7 +10,7 @@ once.
 from gpi import (Context, GeneratorKind, cyclic_group, default_grading,
                  enumerate_reduced, expand, make_generator, reduce_type2,
                  verify_certificate)
-from gpi.certs import CertContext, CertLeaf, CertSubst, CertSum, cert_leaves, cert_nodes
+from gpi.certs import CertContext, CertLeaf, CertSubst, CertSum, cert_leaves
 
 grading = default_grading(cyclic_group(3))
 
@@ -22,9 +22,10 @@ print()
 
 cert = reduce_type2(gen)
 
-# The certificate is a DAG: a subproof reached twice is one node.  List each
-# distinct node once, children first, naming children by their row number.
-nodes = cert_nodes(cert.root)
+# The certificate is a DAG: a subproof reached twice is one node.  Its node
+# table lists each distinct node once, children first and the root last;
+# print it, naming children by their row number.
+nodes = cert.nodes
 row = {id(node): i for i, node in enumerate(nodes)}
 for i, node in enumerate(nodes):
     if isinstance(node, CertLeaf):

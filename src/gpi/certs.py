@@ -19,7 +19,9 @@ element indices into the embedded table.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
@@ -314,8 +316,9 @@ def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]]
     raise CertificateFormatError(f"unknown certificate node {type(node).__name__}")
 
 
-def _replay(ctx: Context, nodes: list[CertNode]) -> dict[Word, int]:
-    """Evaluate nodes in walk order, each once; the terms of the last, the root.
+def _replay(ctx: Context, nodes: Sequence[CertNode]) -> dict[Word, int]:
+    """Evaluate nodes in their order, each once, children first; the terms
+    of the last, the root.
 
     The whole replay shares one ReplayBudget, so it raises
     ReplayBudgetError rather than build more than MAX_REPLAY_LETTERS.
@@ -341,23 +344,30 @@ def cert_leaves(node: CertNode):
 
 @dataclass(frozen=True)
 class ReductionCertificate:
+    """A reduction of target, as its node table: nodes lists each distinct
+    node of the DAG once, children first, and the root last."""
+
     ctx: Context
     target: GeneratorInstance
-    root: CertNode
+    nodes: tuple[CertNode, ...]
+
+    @property
+    def root(self) -> CertNode:
+        return self.nodes[-1]
 
 
 def verify_certificate(cert: ReductionCertificate) -> bool:
     """Every leaf is reduced (parts of length at most MAX_REDUCED_PART_LEN),
-    and the replayed root's terms equal the target's.  Every node has
-    checked the letters it brings in and dropped its zero coefficients, so
-    the root is compared as it is, a term dict.
+    and the nodes, replayed in table order, give the root the target's
+    terms.  Every node has checked the letters it brings in and dropped its
+    zero coefficients, so the root is compared as it is, a term dict.
 
     A DeclarationError (a node names an undeclared variable) and a
     ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
     letters) are bad input, not a failed step, and propagate.
     """
-    nodes = cert_nodes(cert.root)
-    if not all(n.generator.is_reduced() for n in nodes if isinstance(n, CertLeaf)):
+    nodes = cert.nodes
+    if not all(n.generator.is_reduced() for n in nodes if type(n) is CertLeaf):
         return False
     try:
         value = _replay(cert.ctx, nodes)
@@ -685,12 +695,12 @@ def _node_from_entry(ctx: Context, entry, nodes: list[CertNode]) -> CertNode:
 
 
 def reduction_to_json(cert: ReductionCertificate) -> dict:
-    """The certificate as a node table: each distinct node once, children first."""
-    nodes = cert_nodes(cert.root)
+    """The certificate as its node table, the root the last row."""
+    nodes = cert.nodes
     index = {id(node): i for i, node in enumerate(nodes)}
     return _document("reduction", REDUCTION_VERSION, cert.ctx, {
         "nodes": [_node_entry(node, index) for node in nodes],
-        "root": index[id(cert.root)],
+        "root": len(nodes) - 1,
         "target": generator_to_json(cert.target)})
 
 
@@ -698,7 +708,11 @@ def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
     """Build the DAG from its node table.
 
     Every child reference and the root must be an int naming an earlier row,
-    so the rows load in one pass and no cycle can be written.
+    so the rows load in one pass and no cycle can be written.  Every row is
+    loaded, and the certificate keeps, in table order, the rows the root
+    reaches.  One backward pass from the root finds them: it marks the
+    children of each marked row, which are earlier rows, so it passes them
+    after marking them.
     """
     table, root = _entries(doc["nodes"], "reduction nodes"), doc["root"]
     nodes: list[CertNode] = []
@@ -706,7 +720,18 @@ def reduction_from_payload(ctx: Context, doc: dict) -> ReductionCertificate:
         nodes.append(_node_from_entry(ctx, entry, nodes))
     if type(root) is not int or not 0 <= root < len(nodes):
         raise CertificateFormatError(f"root {root!r} does not name a node")
-    return ReductionCertificate(ctx, generator_from_json(ctx, doc["target"]), nodes[root])
+    target = generator_from_json(ctx, doc["target"])
+    reached = [False] * root + [True]
+    for i in range(root, -1, -1):
+        if reached[i]:
+            entry = table[i]  # loaded above, so its child references are valid
+            op = entry["op"]
+            if op == "sum":
+                for _, child in entry["children"]:
+                    reached[child] = True
+            elif op != "leaf":
+                reached[entry["child"]] = True
+    return ReductionCertificate(ctx, target, tuple(compress(nodes, reached)))
 
 
 # --- wire format: loading a certificate ---------------------------------------
@@ -745,5 +770,6 @@ def claim(doc: dict) -> str:
 
 def dumps(doc) -> str:
     """doc as compact JSON text and a newline, each object's keys in the
-    order they were built (the writers here build them sorted)."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    order they were built (the writers here build them sorted).  Every
+    writer builds a fresh tree, so no cycle is looked for."""
+    return json.dumps(doc, check_circular=False, separators=(",", ":")) + "\n"

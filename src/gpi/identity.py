@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .freealg import Context, FreePoly, Word, is_multilinear_word, word_degree
+from .freealg import Context, FreePoly, Word
 from .genmat import Mono, ScalarPoly, mono_exponents, row0_entries
 from .genmat import eval_poly  # noqa: F401  unused here: bench/spans.py rebinds this name
 
@@ -46,8 +46,10 @@ class GeneratorInstance:
     parts: tuple[Word, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
-        validate_generator(self.kind, self.ctx, self.parts)
+        parts = self.parts
+        if not (type(parts) is tuple and all(type(p) is tuple for p in parts)):
+            object.__setattr__(self, "parts", parts := tuple(map(tuple, parts)))
+        validate_generator(self.kind, self.ctx, parts)
 
     def part_lengths(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
@@ -56,20 +58,42 @@ class GeneratorInstance:
         return all(len(p) <= MAX_REDUCED_PART_LEN for p in self.parts)
 
 
+def _end_degrees(ctx: Context, parts) -> list[int]:
+    """The degree of each prefix of the concatenated parts that ends a part,
+    in one pass over the letters; an undeclared letter raises
+    DeclarationError, as in word_degree."""
+    group, declared, ends = ctx.grading.group, ctx.degrees, []
+    table, g = group.table, group.identity_index
+    try:
+        for p in parts:
+            for v in p:
+                g = table[g][declared[v]]
+            ends.append(g)
+    except KeyError:
+        ctx.degree(v)  # raises DeclarationError naming the undeclared id
+    return ends
+
+
 def degree_rule_holds(kind: GeneratorKind, ctx: Context, parts) -> bool:
     """The family's degree rule: two parts, both of trivial degree (type 1),
-    or three, the outer ones of degree inverse to the middle (type 2)."""
-    group = ctx.grading.group
-    degs = [word_degree(ctx, p) for p in parts]
+    or three, the outer ones of degree inverse to the middle (type 2).
+
+    It is read from the degrees e1, e2(, e3) of the prefixes that end the
+    parts, of degrees d1, d2(, d3).  Type 1, d1 = d2 = e, is e1 = e2 = e.
+    For type 2, d1 d2 = e is e2 = e, and then d3 = d1 is e3 = e1."""
+    ends, one = _end_degrees(ctx, parts), ctx.grading.group.identity_index
     if kind is GeneratorKind.TYPE1:
-        return degs == [group.identity_index] * 2
-    return len(degs) == 3 and degs[0] == degs[2] == group.inv(degs[1])
+        return len(ends) == 2 and ends[0] == ends[1] == one
+    return len(ends) == 3 and ends[1] == one and ends[2] == ends[0]
 
 
 def validate_generator(kind: GeneratorKind, ctx: Context, parts):
-    if any(len(p) == 0 for p in parts):
+    """Raise GeneratorError unless the parts are nonempty, their
+    concatenation is multilinear, and they meet the family's degree rule,
+    checked in this order."""
+    if not all(parts):
         raise GeneratorError("generator parts must be nonempty monomials")
-    if not is_multilinear_word(tuple(v for p in parts for v in p)):
+    if len(set().union(*parts)) != sum(map(len, parts)):
         raise GeneratorError("the concatenation of the parts must be multilinear")
     if degree_rule_holds(kind, ctx, parts):
         return

@@ -34,7 +34,8 @@ from enum import Enum
 from itertools import accumulate, chain, pairwise, product
 from typing import Callable
 
-from .certs import CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate
+from .certs import (CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate,
+                    cert_nodes)
 from .freealg import Context, Word, is_multilinear_word, word_degree
 from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind,
                        degree_rule_holds, make_generator)
@@ -276,7 +277,7 @@ def _reduce(H: GeneratorInstance, kind: GeneratorKind) -> ReductionCertificate:
     except RecursionError:
         raise ReductionError("the generator's parts are too long to reduce "
                              f"(longest part: {max(H.part_lengths())} letters)") from None
-    return ReductionCertificate(ctx, H, root)
+    return ReductionCertificate(ctx, H, tuple(cert_nodes(root)))
 
 
 def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:

@@ -672,7 +672,7 @@ def _old_payload(ctx: Context, kind: str, payload: dict):
     for entry in table:
         nodes.append(certs._node_from_entry(ctx, _old_tree_row(entry, rows), nodes))
     return ReductionCertificate(ctx, certs.generator_from_json(ctx, payload["target"]),
-                                nodes[-1])
+                                tuple(nodes))
 
 
 OLD_READ_VERSIONS = {"chain": (1, 2), "jcomb": (1, 2), "reduction": (1,)}

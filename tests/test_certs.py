@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import support
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gpi import certs, dsl, freealg, genmat, rewrite, upgrade, z3reduce
@@ -271,6 +271,28 @@ class TestReductionFormat:
         doc["payload"]["root"] = len(doc["payload"]["nodes"]) - 1
         assert _verify_exit(doc) == (code or 1)
 
+    def test_the_earliest_faulty_row_decides(self):
+        """Two rows the root reaches fail on replay: x2 -> x3 breaks the
+        degree rule (exit 1), and x2 -> [x4, [x5, ... [x25, x26]]] expands
+        past MAX_REPLAY_LETTERS (exit 2).  The rows replay in table order,
+        so the earlier one decides; the root lists the later one first, so a
+        walk from the root would meet the other one first."""
+        ctx = Context(Z3, {1: 0, 2: 0, 3: 1, **dict.fromkeys(range(4, 27), 0)})
+        deep = 26
+        for v in range(25, 3, -1):
+            deep = [v, deep]
+        bad_degree = {"child": 0, "images": [[2, 3]], "op": "subst"}
+        too_long = {"child": 0, "images": [[2, deep]], "op": "subst"}
+        for rows, code, walk_meets in (((bad_degree, too_long), 1, ReplayBudgetError),
+                                       ((too_long, bad_degree), 2, freealg.SubstitutionError)):
+            doc = {**certs.context_to_json(ctx), "kind": "reduction", "version": 2, "payload": {
+                "nodes": [LEAF, *rows, {"children": [[1, 2], [1, 1]], "op": "sum"}],
+                "root": 3, "target": LEAF["generator"]}}
+            assert _verify_exit(doc) == code
+            cert = certs.certificate_from_json(doc)
+            with pytest.raises(walk_meets):
+                certs._replay(ctx, cert_nodes(cert.root))
+
 
 _VARS = tuple(range(1, 7))  # x1..x6, all of trivial degree, so every image is weak
 _LIE_WORDS = st.recursive(st.sampled_from(_VARS), lambda inner: st.tuples(inner, inner),
@@ -323,6 +345,73 @@ def _terms_or_refusal(build):
         return None
 
 
+_UNREDUCED_LEAF = {"generator": {"kind": 1, "parts": [[1, 2, 3, 4], [5]]}, "op": "leaf"}
+_WITH_X7 = Context(Z3, {**_TRIVIAL.degrees, 7: 1})  # x1 -> x7 breaks the degree rule
+
+
+def _row_children(row: dict) -> list[int]:
+    return [ch for _, ch in row.get("children", ())] + ([row["child"]] if "child" in row else [])
+
+
+@st.composite
+def _reordered_documents(draw):
+    """(document, root, target): a reduction document whose root sums the
+    target's leaf and two multiples of a DAG from _dags, sometimes with an
+    unreduced leaf at coefficient 0.  Its rows are in another order in
+    which children come first, with rows the root does not reach
+    interleaved: unreduced leaves, and substitutions x1 -> x7 of the wrong
+    degree over earlier rows."""
+    perm, a, b = draw(st.permutations(_VARS)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    target = make_generator(GeneratorKind.TYPE1, _TRIVIAL, (perm[:a], perm[a:a + b]))
+    dag = draw(_dags())
+    children = ((1, CertLeaf(target)), (1, dag), (draw(st.integers(-2, 2)), dag))
+    if draw(st.booleans()):
+        children += ((0, CertLeaf(make_generator(GeneratorKind.TYPE1, _TRIVIAL,
+                                                 ((1, 2, 3, 4), (5,))))),)
+    root = CertSum(children)
+    doc = certs.reduction_to_json(ReductionCertificate(_WITH_X7, target, tuple(cert_nodes(root))))
+    rows, moved = doc["payload"]["nodes"], {}  # written row -> its row in the new table
+    extras = draw(st.lists(st.sampled_from(("leaf", "subst")), max_size=3))
+    table = []
+    while len(moved) < len(rows) or extras:
+        ready = [i for i in range(len(rows))
+                 if i not in moved and all(ch in moved for ch in _row_children(rows[i]))]
+        if extras and (not ready or draw(st.booleans())):
+            if extras.pop() == "subst" and table:
+                table.append({"child": draw(st.integers(0, len(table) - 1)),
+                              "images": [[1, 7]], "op": "subst"})
+            else:
+                table.append(_UNREDUCED_LEAF)
+            continue
+        i = draw(st.sampled_from(ready))
+        row = dict(rows[i])
+        if "children" in row:
+            row["children"] = [[c, moved[ch]] for c, ch in row["children"]]
+        if "child" in row:
+            row["child"] = moved[row["child"]]
+        moved[i] = len(table)
+        table.append(row)
+    doc["payload"].update(nodes=table, root=moved[len(rows) - 1])
+    return doc, root, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reordered_documents())
+def test_any_children_first_order_answers_as_the_walk(case):
+    """A document verifies exactly when the leaves its root reaches are
+    reduced and cert_value of its root is the target, whatever order of
+    its rows lists children first, and whatever rows the root does not
+    reach are interleaved."""
+    doc, root, target = case
+    if not all(n.generator.is_reduced() for n in cert_nodes(root) if isinstance(n, CertLeaf)):
+        expected = 1
+    else:
+        value = _terms_or_refusal(lambda: cert_value(_WITH_X7, root).terms)
+        expected = 2 if value is None else int(value != generator_terms(target))
+    event(f"exit {expected}")
+    assert _verify_exit(doc) == expected
+
+
 class TestReplayOracles:
     @settings(max_examples=150, deadline=None)
     @given(_dags())
@@ -364,7 +453,7 @@ class TestReplayOracles:
         stray = CertContext((9,), (), leaf)
         root = CertSum(((1, leaf), (1, CertSum(((1, stray), (-1, stray))))))
         with pytest.raises(DeclarationError, match="x9 is not declared"):
-            verify_certificate(ReductionCertificate(c, leaf.generator, root))
+            verify_certificate(ReductionCertificate(c, leaf.generator, tuple(cert_nodes(root))))
 
     def test_foreign_leaf_meets_the_degree_rule_of_the_certificate(self):
         """x1·[x2, x3] + [x1, x3]·x2 = [x1x2, x3].  Leaves built where every
@@ -380,7 +469,8 @@ class TestReplayOracles:
 
         flat = Context(Z3, {1: 0, 2: 0, 3: 0})
         assert cert_value(flat, root(flat)).terms == generator_terms(target)
-        assert not verify_certificate(ReductionCertificate(c, target, root(flat)))
+        nodes = tuple(cert_nodes(root(flat)))
+        assert not verify_certificate(ReductionCertificate(c, target, nodes))
         with pytest.raises(GeneratorError, match="type-1 parts must both have trivial degree"):
             make_generator(GeneratorKind.TYPE1, c, ((2,), (3,)))
 
@@ -391,22 +481,32 @@ PINNED_CHAIN_JCOMB_V3_DIGEST = "bb27dc52eea754ffc9100d3e55cbe60a025f5b2513f11e34
 PINNED_REDUCTION_DIGEST = "16dab9802c467c80d9e95994cb072bcc4b105b8a3bb5dbc8a41faa18e9e13266"
 
 
-def test_reduction_bytes_pinned():
-    """The v2 reduction documents of criterion 7's instances, and of a few
-    with parts up to length 8, hash to the digest recorded when this test
-    was written.  A change to the recursion or the encoder that changes one
-    byte of a certificate fails here; a deliberate one records a new digest.
-    The seeds are fixed, not taken from GPI_SEED."""
+def pinned_reduction_generators() -> list:
+    """Criterion 7's instances, then a few with parts up to length 8; the
+    seeds are fixed, not taken from GPI_SEED."""
     rand = random.Random(support.DEFAULT_SEED + 7)  # criterion 7's instances
     gens = [support.random_generator(rand, Z3, GeneratorKind.TYPE1, 5) for _ in range(200)]
     gens += [support.random_generator(rand, Z3, GeneratorKind.TYPE2, 4) for _ in range(200)]
     rand = random.Random(support.DEFAULT_SEED + 8)
     for kind in (GeneratorKind.TYPE1, GeneratorKind.TYPE2) * 4:
         gens.append(support.random_generator(rand, Z3, kind, 8))
+    return gens
+
+
+def _reduction_document(g) -> dict:
+    return certs.reduction_to_json((reduce_type1 if g.kind is GeneratorKind.TYPE1
+                                    else reduce_type2)(g))
+
+
+def test_reduction_bytes_pinned():
+    """The v2 reduction documents of pinned_reduction_generators() hash to
+    the digest recorded when this test was written.  A change to the
+    recursion or the encoder that changes one byte of a certificate fails
+    here; a deliberate one records a new digest."""
+    gens = pinned_reduction_generators()
     digest = hashlib.sha256()
     for g in gens:
-        reduce = reduce_type1 if g.kind is GeneratorKind.TYPE1 else reduce_type2
-        doc = certs.reduction_to_json(reduce(g))
+        doc = _reduction_document(g)
         digest.update(certs.dumps(doc).encode())
         # a subproblem reached twice is one node, so no two leaf rows agree
         leaves = [certs.dumps(row["generator"]) for row in doc["payload"]["nodes"]
@@ -414,6 +514,20 @@ def test_reduction_bytes_pinned():
         assert len(set(leaves)) == len(leaves)
     assert max(max(g.part_lengths()) for g in gens[400:]) == 8
     assert digest.hexdigest() == PINNED_REDUCTION_DIGEST
+
+
+def test_written_tables_replay_in_walk_order():
+    """The root of every table `gpi z3reduce` writes reaches each of its
+    rows, so the loaded certificate keeps every row, in the order of
+    cert_nodes(root), node for node: a written document is replayed in the
+    order of a walk from its root."""
+    for g in pinned_reduction_generators():
+        doc = json.loads(certs.dumps(_reduction_document(g)))
+        loaded = certs.certificate_from_json(doc)
+        assert len(loaded.nodes) == len(doc["payload"]["nodes"])
+        walked = cert_nodes(loaded.root)
+        assert len(walked) == len(loaded.nodes)
+        assert all(a is b for a, b in zip(loaded.nodes, walked))
 
 
 def pinned_chain_jcomb_eval_documents():

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 import support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpi import certs
+from gpi.cli import main
 from gpi.freealg import Context, FreePoly
 from gpi.genmat import eval_poly, eval_word_closed, word_entry
 from gpi.identity import (GeneratorError, GeneratorKind, expand, identity_witness,
@@ -12,6 +16,24 @@ from gpi.groups import GradingTuple, cyclic_group, default_grading
 Z3 = default_grading(cyclic_group(3))
 WITNESS_GRADINGS = [default_grading(cyclic_group(k)) for k in range(2, 7)] + \
     [default_grading(support.s3())]
+
+
+# Each generator also breaks every check after the one whose message it
+# gets, so the message shows which check runs first.
+_BROKEN = [
+    pytest.param(1, {1: 1, 2: 0}, ((), (1, 1), (2,)),
+                 "generator parts must be nonempty monomials", id="empty part"),
+    pytest.param(1, {1: 1, 2: 0}, ((1,), (1,), (2,)),
+                 "the concatenation of the parts must be multilinear", id="repeated letter"),
+    pytest.param(1, {1: 1, 2: 0, 3: 0}, ((1,), (2,), (3,)),
+                 "type-1 generators take two parts", id="type-1 arity"),
+    pytest.param(1, {1: 1, 2: 0}, ((1,), (2,)),
+                 "type-1 parts must both have trivial degree", id="type-1 degree"),
+    pytest.param(2, {1: 1, 2: 1}, ((1,), (2,)),
+                 "type-2 generators take three parts", id="type-2 arity"),
+    pytest.param(2, {1: 1, 2: 2, 3: 2}, ((1,), (2,), (3,)),
+                 "type-2 outer parts must have degree inverse to the middle", id="type-2 degree"),
+]
 
 
 class TestIsGradedIdentity:
@@ -72,6 +94,24 @@ class TestGenerators:
         c = Context(Z3, {1: 0, 2: 0})
         with pytest.raises(GeneratorError):
             make_generator(GeneratorKind.TYPE1, c, ((), (1,)))
+
+    @pytest.mark.parametrize("kind, degrees, parts, message", _BROKEN)
+    def test_first_broken_check_names_the_fault(self, kind, degrees, parts, message):
+        with pytest.raises(GeneratorError, match=f"^{re.escape(message)}$"):
+            make_generator(GeneratorKind(kind), Context(Z3, degrees), parts)
+
+    @pytest.mark.parametrize("kind, degrees, parts, message", _BROKEN)
+    def test_verify_names_the_fault_of_a_leaf_row(self, tmp_path, capsys,
+                                                   kind, degrees, parts, message):
+        ctx = Context(Z3, {**degrees, 8: 0, 9: 0})
+        leaf = {"generator": {"kind": kind, "parts": [list(p) for p in parts]}, "op": "leaf"}
+        doc = {**certs.context_to_json(ctx), "kind": "reduction", "version": 2, "payload": {
+            "nodes": [leaf], "root": 0, "target": {"kind": 1, "parts": [[8], [9]]}}}
+        path = tmp_path / "leaf.json"
+        path.write_text(certs.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"gpi: {path}: {message}\n")
 
     def test_random_generators_are_identities(self):
         rand = support.rng(202)

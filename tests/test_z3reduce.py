@@ -4,8 +4,8 @@ import support
 from gpi import z3reduce
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
-from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_value,
-                       dumps, reduction_to_json, verify_certificate)
+from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_nodes,
+                       cert_value, dumps, reduction_to_json, verify_certificate)
 from gpi.z3reduce import (ReductionError, Side, decompose, enumerate_reduced,
                           nonzero_triple_forced, pull_zero_factor, reduce_type1,
                           reduce_type2, split_commutator, telescope)
@@ -310,13 +310,13 @@ class TestVerifyCertificate:
             root = CertSum(((1, root),))
         bad_children = ((root.children[0][0] + 1,) + root.children[0][1:],) \
             + root.children[1:]
-        bad = ReductionCertificate(cert.ctx, cert.target, CertSum(bad_children))
+        bad = ReductionCertificate(cert.ctx, cert.target, tuple(cert_nodes(CertSum(bad_children))))
         assert not verify_certificate(bad)
 
     def test_oversized_leaf(self):
         c = ctx3({1: 0, 2: 0, 3: 0, 4: 0, 5: 0})
         g = make_generator(GeneratorKind.TYPE1, c, ((1, 2, 3, 4), (5,)))
-        bad = ReductionCertificate(c, g, CertLeaf(g))
+        bad = ReductionCertificate(c, g, (CertLeaf(g),))
         assert not verify_certificate(bad)
 
 
