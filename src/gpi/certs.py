@@ -212,26 +212,25 @@ def verify_chain(chain: RewriteChain) -> bool:
 
 
 # --- reduction DAGs -------------------------------------------------------------
+#
+# The four node types are NamedTuples, as Move and JTerm are: a node is the
+# tuple of its fields.  The walk and the replay tell nodes apart by identity.
 
-@dataclass(frozen=True)
-class CertLeaf:
+class CertLeaf(NamedTuple):
     generator: GeneratorInstance
 
 
-@dataclass(frozen=True)
-class CertSum:
+class CertSum(NamedTuple):
     children: tuple[tuple[int, "CertNode"], ...]
 
 
-@dataclass(frozen=True)
-class CertContext:
+class CertContext(NamedTuple):
     left: Word
     right: Word
     child: "CertNode"
 
 
-@dataclass(frozen=True)
-class CertSubst:
+class CertSubst(NamedTuple):
     images: tuple[tuple[int, object], ...]  # (variable id, LieWord) pairs
     child: "CertNode"
 
@@ -647,15 +646,16 @@ def _declared_word(ctx: Context, doc, what: str) -> Word:
 
 def _node_entry(node: CertNode, index: dict[int, int]) -> dict:
     """One row of the node table; children are indices of earlier rows."""
-    if isinstance(node, CertLeaf):
-        return {"generator": generator_to_json(node.generator), "op": "leaf"}
-    if isinstance(node, CertSum):
-        return {"children": [[c, index[id(ch)]] for c, ch in node.children],
-                "op": "sum"}
-    if isinstance(node, CertContext):
+    kind = type(node)
+    if kind is CertContext:
         return {"child": index[id(node.child)], "left": list(node.left), "op": "context",
                 "right": list(node.right)}
-    if isinstance(node, CertSubst):
+    if kind is CertSum:
+        return {"children": [[c, index[id(ch)]] for c, ch in node.children],
+                "op": "sum"}
+    if kind is CertLeaf:
+        return {"generator": generator_to_json(node.generator), "op": "leaf"}
+    if kind is CertSubst:
         return {"child": index[id(node.child)],
                 "images": [[v, _lieword_to_json(lw)] for v, lw in node.images],
                 "op": "subst"}
@@ -671,19 +671,45 @@ def _earlier(nodes: list[CertNode], i) -> CertNode:
 
 
 def _node_from_entry(ctx: Context, entry, nodes: list[CertNode]) -> CertNode:
-    """Row len(nodes) of a node table, whose children are among nodes."""
+    """Row len(nodes) of a node table, whose children are among nodes.
+
+    A context or sum row is checked whole in one pass, as it is read: its
+    fields' types (bool is not int here), every letter declared, every child
+    reference an earlier row.  Only a row that this check refuses is read
+    again, field by field, to name what is wrong.  A checked row is built
+    with tuple.__new__, which skips the NamedTuple's Python-level __new__."""
     if not isinstance(entry, dict):
         raise CertificateFormatError("a certificate node is a JSON object")
     op = entry.get("op")
-    if op == "leaf":
-        return CertLeaf(generator_from_json(ctx, entry["generator"]))
-    if op == "sum":
-        children = (_pair(p, "a sum child") for p in _entries(entry["children"], "children"))
-        return CertSum(tuple((_integer(c), _earlier(nodes, ch)) for c, ch in children))
     if op == "context":
+        left, right, child = entry.get("left"), entry.get("right"), entry.get("child")
+        if type(left) is type(right) is list and type(child) is int and 0 <= child < len(nodes):
+            degrees = ctx.degrees
+            for v in left + right:
+                if type(v) is not int or v not in degrees:
+                    break
+            else:
+                return tuple.__new__(CertContext, (tuple(left), tuple(right), nodes[child]))
         return CertContext(_declared_word(ctx, entry["left"], "left"),
                            _declared_word(ctx, entry["right"], "right"),
                            _earlier(nodes, entry["child"]))
+    if op == "sum":
+        children, n = entry.get("children"), len(nodes)
+        if type(children) is list:
+            pairs = []
+            for pair in children:
+                if type(pair) is not list or len(pair) != 2:
+                    break
+                c, i = pair
+                if type(c) is not int or type(i) is not int or not 0 <= i < n:
+                    break
+                pairs.append((c, nodes[i]))
+            else:
+                return tuple.__new__(CertSum, (tuple(pairs),))
+        children = (_pair(p, "a sum child") for p in _entries(entry["children"], "children"))
+        return CertSum(tuple((_integer(c), _earlier(nodes, ch)) for c, ch in children))
+    if op == "leaf":
+        return CertLeaf(generator_from_json(ctx, entry["generator"]))
     if op == "subst":
         images: dict[int, object] = {}
         for v, lw in (_pair(p, "an image") for p in _entries(entry["images"], "images")):

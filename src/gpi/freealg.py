@@ -191,7 +191,8 @@ def terms_product(a: dict[Word, int], b: dict[Word, int]) -> dict[Word, int]:
 
 def linear_combination(pairs) -> dict[Word, int]:
     """The sum of coeff * terms over the (coeff, term dict) pairs, without
-    zero coefficients: the one place term dicts are added."""
+    zero coefficients: the one place term dicts are added, but for
+    bracket_terms, which builds lr - rl in one dict."""
     acc: dict[Word, int] = {}
     for k, terms in pairs:
         for w, c in terms.items():
@@ -277,9 +278,20 @@ def _lie_terms(lw, budget: ReplayBudget) -> dict[Word, int]:
 
 def bracket_terms(l: dict[Word, int], r: dict[Word, int],
                   budget: ReplayBudget) -> dict[Word, int]:
-    """[l, r] = lr - rl on term dicts, each product charged to budget."""
-    return linear_combination(((1, _charged_product(l, r, budget)),
-                               (-1, _charged_product(r, l, budget))))
+    """[l, r] = lr - rl on term dicts, without zero coefficients.  Both
+    products are charged to budget before either is built, what
+    _charged_product would charge for each, and built into one dict."""
+    budget.spend(2 * (len(r) * sum(map(len, l)) + len(l) * sum(map(len, r))))
+    acc: dict[Word, int] = {}
+    for w1, c1 in l.items():
+        for w2, c2 in r.items():
+            w = w1 + w2
+            acc[w] = acc.get(w, 0) + c1 * c2
+    for w2, c2 in r.items():
+        for w1, c1 in l.items():
+            w = w2 + w1
+            acc[w] = acc.get(w, 0) - c2 * c1
+    return {w: c for w, c in acc.items() if c}
 
 
 @dataclass(frozen=True)

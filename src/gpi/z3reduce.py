@@ -34,8 +34,7 @@ from enum import Enum
 from itertools import accumulate, chain, pairwise, product
 from typing import Callable
 
-from .certs import (CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate,
-                    cert_nodes)
+from .certs import CertContext, CertLeaf, CertNode, CertSubst, CertSum, ReductionCertificate
 from .freealg import Context, Word, is_multilinear_word, word_degree
 from .identity import (MAX_REDUCED_PART_LEN, GeneratorInstance, GeneratorKind,
                        degree_rule_holds, make_generator)
@@ -60,8 +59,11 @@ def _require_z3(ctx: Context):
 # ReductionError when the lemma's hypotheses fail.  A callable builds its
 # children (the memoised recursion, or a test's leaf maker): reduce(*parts) in
 # the split builders, child(w) of the word replacing the long part elsewhere.
+# add(node) is handed each node the builder makes, once its children are
+# made, and returns it: the reduction records its node table with it.
 
 Child = Callable[..., CertNode]
+Add = Callable[[CertNode], CertNode]
 
 
 class Side(Enum):
@@ -71,17 +73,17 @@ class Side(Enum):
 
 
 def split_commutator(ctx: Context, h1: Word, h2: Word, h3: Word,
-                     reduce: Child) -> CertNode:
+                     reduce: Child, add: Add) -> CertNode:
     """[h1 h2, h3] = h1 [h2, h3] + [h1, h3] h2 for trivial-degree parts."""
     one = ctx.grading.group.identity_index
     if any(word_degree(ctx, h) != one for h in (h1, h2, h3)):
         raise ReductionError("all three parts must have trivial degree")
-    return CertSum(((1, CertContext(h1, (), reduce(h2, h3))),
-                    (1, CertContext((), h2, reduce(h1, h3)))))
+    return add(CertSum(((1, add(CertContext(h1, (), reduce(h2, h3)))),
+                        (1, add(CertContext((), h2, reduce(h1, h3)))))))
 
 
 def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
-                     side: Side, reduce: Child) -> CertNode:
+                     side: Side, reduce: Child, add: Add) -> CertNode:
     """Peel a trivial-degree factor h3 out of a type-2 generator.
 
     LEFT:  h3 h4 h2 h1 - h1 h2 h3 h4 = h3 (h4 h2 h1 - h1 h2 h4) + [h3, h1 h2] h4
@@ -98,18 +100,18 @@ def pull_zero_factor(ctx: Context, h1: Word, h2: Word, h3: Word, h4: Word,
         core = reduce(h4, h2, h1)
         if not h3:
             return core
-        return CertSum(((1, CertContext(h3, (), core)),
-                        (1, CertContext((), h4, reduce(h3, h1 + h2)))))
+        return add(CertSum(((1, add(CertContext(h3, (), core))),
+                            (1, add(CertContext((), h4, reduce(h3, h1 + h2)))))))
     core = reduce(h1, h2, h4)
     if not h3:
         return core
-    return CertSum(((1, CertContext(h3, (), core)),
-                    (1, CertContext((), h4, reduce(h1 + h2, h3))),
-                    (-1, CertContext((), h1, reduce(h4 + h2, h3)))))
+    return add(CertSum(((1, add(CertContext(h3, (), core))),
+                        (1, add(CertContext((), h4, reduce(h1 + h2, h3)))),
+                        (-1, add(CertContext((), h1, reduce(h4 + h2, h3)))))))
 
 
 def telescope(ctx: Context, u: Word, z: int, v: Word, side: Side,
-              child: Child) -> CertNode:
+              child: Child, add: Add) -> CertNode:
     """Move the trivial-degree letter z of a part u z v to one end of it.
 
     child(w) builds the node of the generator G whose part u z v is replaced
@@ -126,10 +128,10 @@ def telescope(ctx: Context, u: Word, z: int, v: Word, side: Side,
         raise ReductionError("the telescoped letter must move past a letter")
     hat = child(u + v)
     if side is Side.LEFT:
-        mus = tuple((1, CertSubst(((x, (x, z)),), hat)) for x in reversed(u))
-        return CertSum(mus + ((1, child((z,) + u + v)),))
-    return CertSum(((1, child(u + v + (z,))),)
-                   + tuple((-1, CertSubst(((x, (x, z)),), hat)) for x in v))
+        mus = tuple((1, add(CertSubst(((x, (x, z)),), hat))) for x in reversed(u))
+        return add(CertSum(mus + ((1, child((z,) + u + v)),)))
+    return add(CertSum(((1, child(u + v + (z,))),)
+                       + tuple((-1, add(CertSubst(((x, (x, z)),), hat))) for x in v)))
 
 
 def nonzero_triple_forced(group, a1: int, a2: int, a3: int, side: Side) -> bool:
@@ -148,7 +150,7 @@ def nonzero_triple_forced(group, a1: int, a2: int, a3: int, side: Side) -> bool:
     return group.mul(a1, a3) == one and group.mul(a2, a3) == one
 
 
-def decompose(ctx: Context, side: Side, h: Word, child: Child) -> CertNode:
+def decompose(ctx: Context, side: Side, h: Word, child: Child, add: Add) -> CertNode:
     """Split a part h with no trivial-degree letter near one end.
 
     child(w) builds the node of the generator whose part h is replaced by
@@ -178,7 +180,7 @@ def decompose(ctx: Context, side: Side, h: Word, child: Child) -> CertNode:
         image, lw, swapped = (a, z) + h[3:], (b, c), (a, c, b) + h[3:]
     else:
         image, lw, swapped = h[:-3] + (z, c), (a, b), h[:-3] + (b, a, c)
-    return CertSum(((1, CertSubst(((z, lw),), child(image))), (1, child(swapped))))
+    return add(CertSum(((1, add(CertSubst(((z, lw),), child(image)))), (1, child(swapped)))))
 
 
 # --- the reduction recursion --------------------------------------------------
@@ -199,7 +201,7 @@ def _zero_split(ctx: Context, h: Word, side: Side) -> int | None:
 
 
 def _shorten(ctx: Context, h: Word, side: Side, child: Child,
-             split: Callable[[Word, Word], CertNode]) -> CertNode:
+             split: Callable[[Word, Word], CertNode], add: Add) -> CertNode:
     """One step on a long part h at its side end.
 
     child(w) builds the node of the generator with h replaced by w, and
@@ -210,18 +212,26 @@ def _shorten(ctx: Context, h: Word, side: Side, child: Child,
         return split(h[:cut], h[cut:])
     for i, v in enumerate(h):
         if ctx.degree(v) == ctx.grading.group.identity_index:
-            return telescope(ctx, h[:i], v, h[i + 1:], side, child)
-    return decompose(ctx, side, h, child)
+            return telescope(ctx, h[:i], v, h[i + 1:], side, child, add)
+    return decompose(ctx, side, h, child, add)
 
 
 class _Reduction:
-    """One reduction: its copied context and one memo keyed by the parts.
+    """One reduction: its copied context, one memo keyed by the parts, and
+    the node table.
 
     node(*parts) builds the node of the generator with these parts, each
     distinct one once: a subproblem reached again (the telescoped `hat`, or
     the same parts along another branch) returns the node already built, so
     the certificate is a DAG that shares it.  Two parts are a type-1
     generator and three a type-2 one, so the parts name the family.
+
+    add(node) appends each node to `nodes` as it is made, so the table lists
+    each node once, children first and the root last.  Every builder makes
+    a node's children before the node, left to right but for telescope's
+    `hat`, which it makes first; on the RIGHT, where `hat` is not the first
+    child, the first child's own first step reaches `hat` first.  So the
+    table is cert_nodes(root), node for node, which the tests check.
 
     A class, not a closure: a closure that calls itself through its own cell
     is a reference cycle, which only the cyclic collector frees, and
@@ -231,6 +241,11 @@ class _Reduction:
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.memo: dict[tuple[Word, ...], CertNode] = {}
+        self.nodes: list[CertNode] = []
+
+    def add(self, node: CertNode) -> CertNode:
+        self.nodes.append(node)
+        return node
 
     def node(self, *parts: Word) -> CertNode:
         node = self.memo.get(parts)
@@ -239,26 +254,28 @@ class _Reduction:
         return node
 
     def _build(self, parts: tuple[Word, ...]) -> CertNode:
-        ctx, node, L = self.ctx, self.node, MAX_REDUCED_PART_LEN
+        ctx, node, add, L = self.ctx, self.node, self.add, MAX_REDUCED_PART_LEN
         if len(parts) == 2:
             kind = GeneratorKind.TYPE1
             h1, h2 = parts
             if len(h1) > L:
                 return _shorten(ctx, h1, Side.LEFT, lambda w: node(w, h2),
-                                lambda a, b: split_commutator(ctx, a, b, h2, node))
+                                lambda a, b: split_commutator(ctx, a, b, h2, node, add), add)
         else:
             kind = GeneratorKind.TYPE2
             h1, h2, h3 = parts
             if len(h1) > L:
                 return _shorten(ctx, h1, Side.LEFT, lambda w: node(w, h2, h3),
-                                lambda a, b: pull_zero_factor(ctx, h3, h2, a, b, Side.LEFT, node))
+                                lambda a, b: pull_zero_factor(ctx, h3, h2, a, b, Side.LEFT,
+                                                              node, add), add)
             if len(h2) > L:
                 return _shorten(ctx, h2, Side.RIGHT, lambda w: node(h1, w, h3),
-                                lambda a, b: pull_zero_factor(ctx, h1, a, b, h3, Side.RIGHT, node))
+                                lambda a, b: pull_zero_factor(ctx, h1, a, b, h3, Side.RIGHT,
+                                                              node, add), add)
         if len(parts[-1]) > L:
             # the antisymmetry of generator_terms: the parts minus the parts reversed
-            return CertSum(((-1, node(*reversed(parts))),))
-        return CertLeaf(make_generator(kind, ctx, parts))
+            return add(CertSum(((-1, node(*reversed(parts))),)))
+        return add(CertLeaf(make_generator(kind, ctx, parts)))
 
 
 def _reduce(H: GeneratorInstance, kind: GeneratorKind) -> ReductionCertificate:
@@ -272,12 +289,13 @@ def _reduce(H: GeneratorInstance, kind: GeneratorKind) -> ReductionCertificate:
         raise ReductionError(f"reduce_type{kind.value} expects a type-{kind.value} generator")
     _require_z3(H.ctx)
     ctx = Context(H.ctx.grading, dict(H.ctx.degrees))
+    reduction = _Reduction(ctx)
     try:
-        root = _Reduction(ctx).node(*H.parts)
+        reduction.node(*H.parts)
     except RecursionError:
         raise ReductionError("the generator's parts are too long to reduce "
                              f"(longest part: {max(H.part_lengths())} letters)") from None
-    return ReductionCertificate(ctx, H, tuple(cert_nodes(root)))
+    return ReductionCertificate(ctx, H, tuple(reduction.nodes))
 
 
 def reduce_type1(H: GeneratorInstance) -> ReductionCertificate:

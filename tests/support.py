@@ -868,6 +868,11 @@ def bracket_expand(ctx: Context, h1, h2, h3, h4):
 
 # --- children for the z3reduce node builders ----------------------------------
 
+def unrecorded(node):
+    """An add callable for the z3reduce node builders that records nothing."""
+    return node
+
+
 def leaf_maker(ctx: Context):
     """A child callable that makes each child a leaf: two parts are a type-1
     generator, three a type-2 one."""
@@ -900,5 +905,5 @@ def random_telescope(rand: random.Random, grading, r: int):
         u, v, side = parts[1], passed, Side.RIGHT
     else:
         u, v, side = passed, parts[0], Side.LEFT
-    node = telescope(ctx, u, z, v, side, lambda w: CertLeaf(with_part(w)))
+    node = telescope(ctx, u, z, v, side, lambda w: CertLeaf(with_part(w)), unrecorded)
     return node, with_part(u + (z,) + v)

@@ -251,7 +251,7 @@ def test_criterion_6(report):
         else:
             parts, child = ((y,), h, (w,)), lambda word: leaf((y,), word, (w,))
         try:
-            node = decompose(ctx, side, h, child)
+            node = decompose(ctx, side, h, child, support.unrecorded)
         except ReductionError:
             continue
         if cert_value(ctx, node) != expand(make_generator(
@@ -268,7 +268,7 @@ def test_criterion_6(report):
         h1, h2, h4 = g.parts
         for side in Side:
             node = pull_zero_factor(ctx, h1, h2, h3, h4, side,
-                                    support.leaf_maker(ctx))
+                                    support.leaf_maker(ctx), support.unrecorded)
             parts = (h3 + h4, h2, h1) if side is Side.LEFT else (h1, h2 + h3, h4)
             if cert_value(ctx, node) != expand(make_generator(
                     GeneratorKind.TYPE2, ctx, parts)):
@@ -278,7 +278,8 @@ def test_criterion_6(report):
         cut1, cut2 = sorted(rand.sample(range(1, 6), 2))
         ids = tuple(range(1, 7))
         leaf = support.leaf_maker(ctx)
-        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], leaf)
+        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], leaf,
+                                support.unrecorded)
         if cert_value(ctx, node) != expand(make_generator(
                 GeneratorKind.TYPE1, ctx, (ids[:cut2], ids[cut2:]))):
             ok = False

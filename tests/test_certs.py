@@ -493,9 +493,12 @@ def pinned_reduction_generators() -> list:
     return gens
 
 
+def _reduction(g) -> ReductionCertificate:
+    return (reduce_type1 if g.kind is GeneratorKind.TYPE1 else reduce_type2)(g)
+
+
 def _reduction_document(g) -> dict:
-    return certs.reduction_to_json((reduce_type1 if g.kind is GeneratorKind.TYPE1
-                                    else reduce_type2)(g))
+    return certs.reduction_to_json(_reduction(g))
 
 
 def test_reduction_bytes_pinned():
@@ -516,18 +519,98 @@ def test_reduction_bytes_pinned():
     assert digest.hexdigest() == PINNED_REDUCTION_DIGEST
 
 
+def _assert_walk_order(nodes):
+    """nodes is cert_nodes of its last node, node for node, with no extra row."""
+    walked = cert_nodes(nodes[-1])
+    assert len(walked) == len(nodes)
+    assert all(a is b for a, b in zip(nodes, walked))
+
+
 def test_written_tables_replay_in_walk_order():
-    """The root of every table `gpi z3reduce` writes reaches each of its
-    rows, so the loaded certificate keeps every row, in the order of
-    cert_nodes(root), node for node: a written document is replayed in the
-    order of a walk from its root."""
+    """The reduction records its table as it builds the nodes, and that
+    table is cert_nodes(root), node for node, with no extra row; so the
+    written root reaches each row, and the loaded certificate keeps every
+    row in the same order: a written document is replayed in the order of
+    a walk from its root."""
     for g in pinned_reduction_generators():
-        doc = json.loads(certs.dumps(_reduction_document(g)))
+        cert = _reduction(g)
+        _assert_walk_order(cert.nodes)
+        doc = json.loads(certs.dumps(certs.reduction_to_json(cert)))
         loaded = certs.certificate_from_json(doc)
         assert len(loaded.nodes) == len(doc["payload"]["nodes"])
-        walked = cert_nodes(loaded.root)
-        assert len(walked) == len(loaded.nodes)
-        assert all(a is b for a, b in zip(loaded.nodes, walked))
+        _assert_walk_order(loaded.nodes)
+
+
+@st.composite
+def _z3_generators(draw):
+    """A Z3 generator of either type with parts of 1 to 8 letters, its
+    letters of every degree or of nontrivial degrees only (but the last of
+    each part, which gives the part its degree)."""
+    group = Z3.group
+    kind = draw(st.sampled_from(GeneratorKind))
+    letters = st.sampled_from(range(group.order) if draw(st.booleans())
+                              else [e for e in range(group.order) if e != group.identity_index])
+    mid = draw(st.sampled_from(range(group.order)))
+    targets = ((group.identity_index,) * 2 if kind is GeneratorKind.TYPE1
+               else (group.inv(mid), mid, group.inv(mid)))
+    degrees: dict[int, int] = {}
+    parts = []
+    for target in targets:
+        head = draw(st.lists(letters, max_size=7))
+        last = next(e for e in range(group.order) if group.product(head + [e]) == target)
+        ids = tuple(range(len(degrees) + 1, len(degrees) + len(head) + 2))
+        degrees.update(zip(ids, head + [last]))
+        parts.append(ids)
+    return make_generator(kind, Context(Z3, degrees), tuple(parts))
+
+
+def _generator(kind: GeneratorKind, *parts: list[int]):
+    """The Z3 generator whose parts have these letter degrees, ids 1, 2, ..."""
+    flat = [d for part in parts for d in part]
+    ids = iter(range(1, len(flat) + 1))
+    return make_generator(kind, Context(Z3, dict(enumerate(flat, start=1))),
+                          tuple(tuple(next(ids) for _ in part) for part in parts))
+
+
+_T1, _T2 = GeneratorKind.TYPE1, GeneratorKind.TYPE2
+# generators on whose reductions each lemma runs, on each side it has
+_LEMMA_EXAMPLES = [
+    _generator(_T1, [1, 2, 1, 2], [0]),            # a trivial head [1, 2]: split_commutator
+    _generator(_T1, [0], [1, 1, 0, 1]),            # antisymmetry, then telescope LEFT
+    _generator(_T1, [1, 1, 2, 2], [0]),            # no trivial letter: decompose LEFT
+    _generator(_T2, [1, 2, 1, 1], [1], [2]),       # a trivial head [1, 2]: pull_zero_factor LEFT
+    _generator(_T2, [2], [1, 1, 2, 2, 1], [2]),    # a trivial tail [2, 1]: pull_zero_factor RIGHT
+    _generator(_T2, [0], [1, 1, 0, 1], [0]),       # telescope RIGHT
+    _generator(_T2, [0], [2, 2, 1, 1], [0]),       # decompose RIGHT
+]
+
+
+def test_lemma_examples_build_the_walk(monkeypatch):
+    """On _LEMMA_EXAMPLES the reduction runs split_commutator, and
+    pull_zero_factor, telescope and decompose on both sides, and each
+    recorded table is the walk from its root."""
+    ran = set()
+    for name in ("split_commutator", "pull_zero_factor", "telescope", "decompose"):
+        def spy(*args, _name=name, _lemma=getattr(z3reduce, name)):
+            ran.add((_name, next((a for a in args if isinstance(a, z3reduce.Side)), None)))
+            return _lemma(*args)
+        monkeypatch.setattr(z3reduce, name, spy)
+    for g in _LEMMA_EXAMPLES:
+        _assert_walk_order(_reduction(g).nodes)
+    assert ran == {("split_commutator", None)} | {
+        (name, side) for name in ("pull_zero_factor", "telescope", "decompose")
+        for side in z3reduce.Side}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_z3_generators())
+def test_built_tables_are_the_walk(g):
+    """The table a reduction records as it builds its nodes is
+    cert_nodes(root), node for node, with no extra row, over random Z3
+    generators with and without trivial-degree letters."""
+    nodes = _reduction(g).nodes
+    event(f"type {g.kind.value}, {'a leaf' if len(nodes) == 1 else 'reduced'}")
+    _assert_walk_order(nodes)
 
 
 def pinned_chain_jcomb_eval_documents():

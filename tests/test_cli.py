@@ -391,12 +391,21 @@ class TestHostileCertificates:
         # a subst row that maps x7 twice, where the last image used to win
         ("reduction", 2, ["nodes", 1, "images"], [[7, 6], [7, [2, 3]]],
          "node 1: x7 is mapped twice"),
+        # context and sum rows that the loader's one-pass check refuses
+        ("reduction", 2, ["nodes", 3, "child"], True,
+         "node 3: reference True does not name an earlier node"),
+        ("reduction", 2, ["nodes", 3, "child"], 3,
+         "node 3: reference 3 does not name an earlier node"),
+        ("reduction", 2, ["nodes", 6, "children", 0], [1.0, 0], "expected an integer, got 1.0"),
+        ("reduction", 2, ["nodes", 5, "right", 0], True, "expected an integer, got True"),
+        ("reduction", 2, ["nodes", 3, "left", 1], 9, "variable x9 is not declared"),
     ])
     def test_mistyped_field_is_named(self, tmp_path, capsys, kind, version, path, value,
                                      message):
         """A JSON value of the wrong type where an object, a list or a pair
-        belongs, or a subst row that maps one variable twice, exits 2 with
-        one line that names the field, not with Python's message about
+        belongs, a subst row that maps one variable twice, a child reference
+        that names no earlier row or a letter that is not declared exits 2
+        with one line that names the fault, not with Python's message about
         indexing or unpacking it."""
         doc = documents_of_every_version()[kind, version]
         owner = doc if path[0] == ".." else doc["payload"]
@@ -1271,7 +1280,9 @@ class TestHostileProblems:
         degrees = " ".join(f"x{k}:0" for k in range(1, 26))
         poly = "".join(f"[x{k}," for k in range(1, 25)) + "x25" + "]" * 24
         f = write(tmp_path, "wide.gpi", f"group: Z3\nvars: {degrees}\npoly: {poly}\n")
-        self.assert_rejected(capsys, "check", f, where="MAX_REPLAY_LETTERS")
+        self.assert_rejected(capsys, "check", f, where=(
+            f"gpi: {f}: line 3, column 1: expression expands too far: replay needs more than "
+            "2,000,000 letters (MAX_REPLAY_LETTERS)\n"))
 
     @pytest.mark.parametrize("command", ["check", "eval", "express"])
     @pytest.mark.parametrize("factor", ["x1", "[x1,x2]"])

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpi.dsl import parse_expr
-from gpi.freealg import (Context, DeclarationError, FreePoly, SubstitutionError,
-                         WeakSubstitution, bracket, is_multilinear_word,
-                         lie_degree, lie_expand, linear_combination, multidegree,
-                         multihomogeneous_components, word_degree)
+from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
+                         SubstitutionError, WeakSubstitution, bracket, bracket_terms,
+                         is_multilinear_word, lie_degree, lie_expand, linear_combination,
+                         multidegree, multihomogeneous_components, terms_product, word_degree)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -145,6 +145,27 @@ class TestRingLaws:
         lhs = (bracket(p, bracket(q, r)) + bracket(q, bracket(r, p))
                + bracket(r, bracket(p, q)))
         assert lhs.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), st.integers(0, 300))
+@example(FreePoly.var(ctx3(x1=0), 1), FreePoly.var(ctx3(x1=0), 1), 4)  # [x1, x1] = 0
+@example(FreePoly.var(ctx3(x1=0), 1), FreePoly.var(ctx3(x1=0), 1), 3)
+def test_bracket_terms(p, q, left):
+    """[l, r] is lr - rl, without zero coefficients, and spends what
+    building both products costs, 2 (len(r) letters(l) + len(l) letters(r));
+    it raises ReplayBudgetError exactly when that passes budget.left."""
+    l, r = p.terms, q.terms
+    cost = 2 * (len(r) * sum(map(len, l)) + len(l) * sum(map(len, r)))
+    budget = ReplayBudget()
+    budget.left = left
+    if cost > left:
+        with pytest.raises(ReplayBudgetError):
+            bracket_terms(l, r, budget)
+    else:
+        assert bracket_terms(l, r, budget) == linear_combination(
+            ((1, terms_product(l, r)), (-1, terms_product(r, l))))
+        assert budget.left == left - cost
 
 
 @settings(max_examples=100, deadline=None)

@@ -43,7 +43,7 @@ class TestSplitCommutator:
     def test_single_variables(self):
         c = ctx3({1: 0, 2: 0, 3: 0})
         leaf = support.leaf_maker(c)
-        value = cert_value(c, split_commutator(c, (1,), (2,), (3,), leaf))
+        value = cert_value(c, split_commutator(c, (1,), (2,), (3,), leaf, support.unrecorded))
         x1, x2, x3 = (FreePoly.var(c, k) for k in (1, 2, 3))
         assert value == x1 * bracket(x2, x3) + bracket(x1, x3) * x2
         assert value == bracket(x1 * x2, x3)
@@ -52,14 +52,14 @@ class TestSplitCommutator:
         c = ctx3({1: 0, 3: 0})
         leaf = support.leaf_maker(c)
         x1, x3 = FreePoly.var(c, 1), FreePoly.var(c, 3)
-        node = split_commutator(c, (1,), (1,), (3,), leaf)
+        node = split_commutator(c, (1,), (1,), (3,), leaf, support.unrecorded)
         assert cert_value(c, node) == bracket(x1 * x1, x3)
 
     def test_nontrivial_degree_rejected(self):
         c = ctx3({1: 0, 2: 0, 3: 1})
         leaf = support.leaf_maker(c)
         with pytest.raises(ReductionError):
-            split_commutator(c, (1,), (2,), (3,), leaf)
+            split_commutator(c, (1,), (2,), (3,), leaf, support.unrecorded)
 
 
 def peeled(c, h1, h2, h3, h4, side):
@@ -73,13 +73,13 @@ class TestPullZeroFactor:
         c = ctx3({1: 1, 2: 2, 3: 0, 4: 1})
         for side in Side:
             node = pull_zero_factor(c, (1,), (2,), (3,), (4,), side,
-                                    support.leaf_maker(c))
+                                    support.leaf_maker(c), support.unrecorded)
             assert cert_value(c, node) == peeled(c, (1,), (2,), (3,), (4,), side)
 
     def test_empty_factor_passthrough(self):
         c = ctx3({1: 1, 2: 2, 4: 1})
         node = pull_zero_factor(c, (1,), (2,), (), (4,), Side.RIGHT,
-                                support.leaf_maker(c))
+                                support.leaf_maker(c), support.unrecorded)
         assert isinstance(node, CertLeaf)
         assert cert_value(c, node) == peeled(c, (1,), (2,), (), (4,), Side.RIGHT)
 
@@ -87,7 +87,7 @@ class TestPullZeroFactor:
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
             pull_zero_factor(c, (1,), (2,), (3,), (4,), Side.LEFT,
-                             support.leaf_maker(c))
+                             support.leaf_maker(c), support.unrecorded)
 
     @pytest.mark.parametrize("degrees, h3, msg", [
         ({1: 1, 2: 2, 3: 0, 4: 1}, (1,), "the concatenated word must be multilinear"),
@@ -96,7 +96,8 @@ class TestPullZeroFactor:
     def test_input_refused(self, degrees, h3, msg):
         c = ctx3(degrees)
         with pytest.raises(ReductionError, match=f"^{msg}$"):
-            pull_zero_factor(c, (1,), (2,), h3, (4,), Side.LEFT, support.leaf_maker(c))
+            pull_zero_factor(c, (1,), (2,), h3, (4,), Side.LEFT, support.leaf_maker(c),
+                             support.unrecorded)
 
     def test_random_words(self):
         rand = support.rng(402)
@@ -109,7 +110,7 @@ class TestPullZeroFactor:
             h3 = (spare[0],) if spare else ()
             for side in Side:
                 node = pull_zero_factor(c, h1, h2, h3, h4, side,
-                                        support.leaf_maker(c))
+                                        support.leaf_maker(c), support.unrecorded)
                 assert cert_value(c, node) == peeled(c, h1, h2, h3, h4, side)
 
 
@@ -118,20 +119,23 @@ class TestTelescope:
         # [x1 x2 x3 x4, x5] with x2 moved to the front
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 0})
         leaf = support.leaf_maker(c)
-        node = telescope(c, (1,), 2, (3, 4), Side.LEFT, lambda w: leaf(w, (5,)))
+        node = telescope(c, (1,), 2, (3, 4), Side.LEFT, lambda w: leaf(w, (5,)),
+                         support.unrecorded)
         assert cert_value(c, node) == expand(leaf((1, 2, 3, 4), (5,)).generator)
 
     def test_v_r2(self):
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
         leaf = support.leaf_maker(c)
-        node = telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,), (5,)))
+        node = telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,), (5,)),
+                         support.unrecorded)
         assert cert_value(c, node) == expand(leaf((1, 2, 3), (4,), (5,)).generator)
 
     def test_w_r2_sign(self):
         # the middle word is h1 followed by x_r .. x_1; x_r moves to the back
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
         leaf = support.leaf_maker(c)
-        node = telescope(c, (3,), 2, (1,), Side.RIGHT, lambda w: leaf((4,), w, (5,)))
+        node = telescope(c, (3,), 2, (1,), Side.RIGHT, lambda w: leaf((4,), w, (5,)),
+                         support.unrecorded)
         assert cert_value(c, node) == \
             FreePoly(c, {(4, 3, 2, 1, 5): 1, (5, 3, 2, 1, 4): -1})
         # the substituted summand carries a minus sign
@@ -142,7 +146,7 @@ class TestTelescope:
         c = ctx3({1: 0, 2: 1, 3: 2, 4: 0})
         leaf = support.leaf_maker(c)
         with pytest.raises(ReductionError):
-            telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,)))
+            telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,)), support.unrecorded)
 
     @pytest.mark.parametrize("side", list(Side))
     def test_no_letter_to_move_past(self, side):
@@ -151,7 +155,7 @@ class TestTelescope:
         leaf = support.leaf_maker(c)
         u, v = ((), (1,)) if side is Side.LEFT else ((1,), ())
         with pytest.raises(ReductionError, match="^the telescoped letter must move past a letter$"):
-            telescope(c, u, 2, v, side, lambda w: leaf(w, (3,)))
+            telescope(c, u, 2, v, side, lambda w: leaf(w, (3,)), support.unrecorded)
 
     def test_random_r_up_to_5(self):
         rand = support.rng(403)
@@ -179,7 +183,8 @@ class TestDecompose:
         # the middle part (1, 2, 3, 4) of a type-2 generator
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1})
         leaf = support.leaf_maker(c)
-        node = decompose(c, Side.RIGHT, (1, 2, 3, 4), lambda w: leaf((5,), w, (6,)))
+        node = decompose(c, Side.RIGHT, (1, 2, 3, 4), lambda w: leaf((5,), w, (6,)),
+                         support.unrecorded)
         assert cert_value(c, node) == expand(leaf((5,), (1, 2, 3, 4), (6,)).generator)
         (z, (a, b)), = node.children[0][1].images
         assert c.degree(z) == 0 and (a, b) == (2, 3)
@@ -188,7 +193,7 @@ class TestDecompose:
     def test_head(self):
         c = ctx3({1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
         leaf = support.leaf_maker(c)
-        node = decompose(c, Side.LEFT, (1, 2, 3, 4), lambda w: leaf(w, (5,)))
+        node = decompose(c, Side.LEFT, (1, 2, 3, 4), lambda w: leaf(w, (5,)), support.unrecorded)
         assert cert_value(c, node) == expand(leaf((1, 2, 3, 4), (5,)).generator)
         # the image word contains the fresh trivial-degree variable
         z = node.children[0][1].child.generator.parts[0][1]
@@ -197,12 +202,12 @@ class TestDecompose:
     def test_trivial_degree_present_rejected(self):
         c = ctx3({1: 1, 2: 0, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            decompose(c, Side.RIGHT, (1, 2, 3, 4), support.leaf_maker(c))
+            decompose(c, Side.RIGHT, (1, 2, 3, 4), support.leaf_maker(c), support.unrecorded)
 
     def test_too_short(self):
         c = ctx3({1: 1, 2: 2, 3: 1})
         with pytest.raises(ReductionError):
-            decompose(c, Side.LEFT, (1, 2, 3), support.leaf_maker(c))
+            decompose(c, Side.LEFT, (1, 2, 3), support.leaf_maker(c), support.unrecorded)
 
 
 class TestReduceType1:
