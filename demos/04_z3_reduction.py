@@ -38,7 +38,7 @@ for i, node in enumerate(nodes):
     elif isinstance(node, CertSubst):
         print(f"#{i} substitution {dict(node.images)} of #{row[id(node.child)]}")
 print()
-leaves = list(cert_leaves(cert.root))
+leaves = list(cert_leaves(nodes))
 print("distinct nodes:", len(nodes), "- distinct leaves:", len(leaves),
       "- all parts of length <= 3:", all(leaf.is_reduced() for leaf in leaves))
 print("certificate verifies by symbolic replay:", verify_certificate(cert))

@@ -214,7 +214,8 @@ def verify_chain(chain: RewriteChain) -> bool:
 # --- reduction DAGs -------------------------------------------------------------
 #
 # The four node types are NamedTuples, as Move and JTerm are: a node is the
-# tuple of its fields.  The walk and the replay tell nodes apart by identity.
+# tuple of its fields.  A reduction is its node table, children first and
+# the root last; the replay tells nodes apart by identity.
 
 class CertLeaf(NamedTuple):
     generator: GeneratorInstance
@@ -236,47 +237,6 @@ class CertSubst(NamedTuple):
 
 
 CertNode = CertLeaf | CertSum | CertContext | CertSubst
-
-
-def _children(node: CertNode) -> list[CertNode]:
-    kind = type(node)
-    if kind is CertSum:
-        return [child for _, child in node.children]
-    if kind is CertContext or kind is CertSubst:
-        return [node.child]
-    return []
-
-
-_VISITED = object()  # on the walk's stack: the node below it has its children done
-
-
-def _post_order(root, children) -> list:
-    """The distinct nodes reachable from root, each once, children first.
-
-    Nodes are told apart by identity, so a subproof shared by several
-    parents appears once.  The order is the post-order of a depth-first
-    walk that takes children(node) left to right; it is deterministic, and
-    it is iterative, so depth costs no stack.  A node is pushed with a
-    sentinel above it and its children above that, so the node is popped
-    into the order once its children are.
-    """
-    order: list = []
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is _VISITED:
-            order.append(stack.pop())
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack += (node, _VISITED)
-            stack += reversed(children(node))
-    return order
-
-
-def cert_nodes(root: CertNode) -> list[CertNode]:
-    """The distinct nodes of a certificate DAG, each once, children first."""
-    return _post_order(root, _children)
 
 
 def _node_terms(ctx: Context, node: CertNode, values: dict[int, dict[Word, int]],
@@ -329,15 +289,16 @@ def _replay(ctx: Context, nodes: Sequence[CertNode]) -> dict[Word, int]:
     return values[id(nodes[-1])]
 
 
-def cert_value(ctx: Context, node: CertNode) -> FreePoly:
-    """Symbolic replay: the polynomial a certificate node proves membership for."""
-    return FreePoly(ctx, _replay(ctx, cert_nodes(node)))
+def cert_value(ctx: Context, nodes: Sequence[CertNode]) -> FreePoly:
+    """Symbolic replay of a node table: the polynomial its last node proves
+    membership for."""
+    return FreePoly(ctx, _replay(ctx, nodes))
 
 
-def cert_leaves(node: CertNode):
-    """The generators at the distinct leaves of a certificate, each once."""
-    for n in cert_nodes(node):
-        if isinstance(n, CertLeaf):
+def cert_leaves(nodes: Sequence[CertNode]):
+    """The generators at the leaves of a node table, in its order."""
+    for n in nodes:
+        if type(n) is CertLeaf:
             yield n.generator
 
 
@@ -365,11 +326,10 @@ def verify_certificate(cert: ReductionCertificate) -> bool:
     ReplayBudgetError (the replay would build more than MAX_REPLAY_LETTERS
     letters) are bad input, not a failed step, and propagate.
     """
-    nodes = cert.nodes
-    if not all(n.generator.is_reduced() for n in nodes if type(n) is CertLeaf):
+    if not all(g.is_reduced() for g in cert_leaves(cert.nodes)):
         return False
     try:
-        value = _replay(cert.ctx, nodes)
+        value = _replay(cert.ctx, cert.nodes)
     except (DeclarationError, ReplayBudgetError):
         raise
     except ValueError:  # a substitution that breaks its degree rule, say

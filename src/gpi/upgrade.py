@@ -9,7 +9,7 @@ original's claim, then loads and replays it with gpi.certs.
 from __future__ import annotations
 
 from .certs import (READ_VERSIONS, CertificateFormatError, _declared_word, _entries, _integer,
-                    _object, _pair, _post_order, _written_move, context_from_json, move_to_json)
+                    _object, _pair, _written_move, context_from_json, move_to_json)
 
 
 def upgrade(doc: dict) -> dict | None:
@@ -59,6 +59,33 @@ def _moves(ctx, chain: dict, ends=None) -> list | None:
             word = mv.apply(word)
         moves.append(move_to_json(mv))
     return moves if spelled else None
+
+
+_VISITED = object()  # on the walk's stack: the node below it has its children done
+
+
+def _post_order(root, children) -> list:
+    """The distinct nodes reachable from root, each once, children first.
+
+    Nodes are told apart by identity, so a subproof shared by several
+    parents appears once.  The order is the post-order of a depth-first
+    walk that takes children(node) left to right; it is deterministic, and
+    it is iterative, so depth costs no stack.  A node is pushed with a
+    sentinel above it and its children above that, so the node is popped
+    into the order once its children are.
+    """
+    order: list = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _VISITED:
+            order.append(stack.pop())
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += (node, _VISITED)
+            stack += reversed(children(node))
+    return order
 
 
 def _tree_children(entry) -> list:

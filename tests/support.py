@@ -7,7 +7,7 @@ import os
 import random
 import re
 
-from gpi import certs
+from gpi import certs, upgrade, z3reduce
 from gpi.dsl import ParseError
 from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
                          WeakSubstitution, _charged_product, _lie_terms, bracket, terms_product,
@@ -16,9 +16,9 @@ from gpi.genmat import (ExpMono, ScalarPoly, eval_word_closed, mono_exponents, w
                         word_path)
 from gpi.groups import FiniteGroup, GroupError, cyclic_group, default_grading
 from gpi.identity import GeneratorInstance, GeneratorKind, degree_rule_holds, make_generator
-from gpi.certs import (CertLeaf, JCombination, JTerm, Move, MoveError, ReductionCertificate,
-                       RewriteChain, apply_move)
-from gpi.z3reduce import Side, telescope
+from gpi.certs import (CertContext, CertLeaf, CertSubst, CertSum, JCombination, JTerm, Move,
+                       MoveError, ReductionCertificate, RewriteChain, apply_move)
+from gpi.z3reduce import Side
 
 DEFAULT_SEED = 20260823
 
@@ -548,9 +548,17 @@ def old_substitute(mu: WeakSubstitution, p: FreePoly, budget: ReplayBudget) -> F
     return FreePoly(mu.ctx, terms)
 
 
-def old_post_order(root, children) -> list:
-    """The walk certs._post_order must give: a stack of (node, expanded)
-    pairs, a node appended when it is popped the second time."""
+def cert_children(node) -> list:
+    """The children of a certificate node, in order."""
+    if isinstance(node, CertSum):
+        return [child for _, child in node.children]
+    return [node.child] if isinstance(node, (CertContext, CertSubst)) else []
+
+
+def old_post_order(root, children=cert_children) -> list:
+    """The walk upgrade._post_order must give: a stack of (node, expanded)
+    pairs, a node appended when it is popped the second time.  By default
+    it walks a certificate DAG, whose node table it gives."""
     order: list = []
     seen: set[int] = set()
     stack = [(root, False)]
@@ -667,7 +675,7 @@ def _old_payload(ctx: Context, kind: str, payload: dict):
                    certs._object(t["chain"], "a term's chain")) for t in terms)
         return JCombination(ctx, tuple(JTerm(c, s, e, _old_explicit_moves(ctx, s, e, chain))
                                        for c, s, e, chain in fields))
-    table = certs._post_order(payload["root"], _old_tree_children)
+    table = upgrade._post_order(payload["root"], _old_tree_children)
     rows, nodes = {id(entry): i for i, entry in enumerate(table)}, []
     for entry in table:
         nodes.append(certs._node_from_entry(ctx, _old_tree_row(entry, rows), nodes))
@@ -866,23 +874,21 @@ def bracket_expand(ctx: Context, h1, h2, h3, h4):
     return lhs, rhs
 
 
-# --- children for the z3reduce node builders ----------------------------------
+# --- children for the z3reduce lemmas -----------------------------------------
 
-def unrecorded(node):
-    """An add callable for the z3reduce node builders that records nothing."""
-    return node
+class LeafReduction(z3reduce._Reduction):
+    """A reduction whose lemmas make leaf children: node(*parts) adds the
+    leaf of the generator with these parts to the table, two parts a type-1
+    generator and three a type-2 one.  A lemma's node is then the last of
+    the table it recorded."""
 
-
-def leaf_maker(ctx: Context):
-    """A child callable that makes each child a leaf: two parts are a type-1
-    generator, three a type-2 one."""
-    def leaf(*parts):
-        return CertLeaf(make_generator(GeneratorKind(len(parts) - 1), ctx, parts))
-    return leaf
+    def node(self, *parts):
+        return self.add(CertLeaf(make_generator(GeneratorKind(len(parts) - 1), self.ctx, parts)))
 
 
 def random_telescope(rand: random.Random, grading, r: int):
-    """A telescope node with leaf children and the generator it rewrites.
+    """The table a telescope with leaf children records, and the generator
+    it rewrites.
 
     A random generator gets r fresh trivial-degree letters, the last of them
     the telescoped letter z, in one part: Y puts them in front of a type-1
@@ -897,13 +903,11 @@ def random_telescope(rand: random.Random, grading, r: int):
     *passed, z = [ctx.declare(ctx.fresh_id(), grading.group.identity_index)
                   for _ in range(r)]
     passed = tuple(passed)
-
-    def with_part(w):
-        return make_generator(kind, ctx, parts[:i] + [w] + parts[i + 1:])
-
     if family == "W":
         u, v, side = parts[1], passed, Side.RIGHT
     else:
         u, v, side = passed, parts[0], Side.LEFT
-    node = telescope(ctx, u, z, v, side, lambda w: CertLeaf(with_part(w)), unrecorded)
-    return node, with_part(u + (z,) + v)
+    g = make_generator(kind, ctx, parts[:i] + [u + (z,) + v] + parts[i + 1:])
+    reduction = LeafReduction(ctx)
+    reduction.telescope(g.parts, i, len(u), side)
+    return reduction.nodes, g

@@ -19,8 +19,7 @@ from gpi.identity import (GeneratorKind, degree_rule_holds, expand, identity_wit
 from gpi.certs import (RewriteChain, cert_leaves, cert_value, verify_certificate,
                        verify_chain, verify_combination)
 from gpi.rewrite import NoExpressionError, express_in_J, shared_entry
-from gpi.z3reduce import (ReductionError, Side, decompose, nonzero_triple_forced,
-                          pull_zero_factor, reduce_type1, reduce_type2, split_commutator)
+from gpi.z3reduce import ReductionError, Side, nonzero_triple_forced, reduce_type1, reduce_type2
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -230,8 +229,8 @@ def test_criterion_6(report):
             ok = False
     # telescopes, r <= 5
     for _ in range(100):
-        node, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
-        if cert_value(g.ctx, node) != expand(g):
+        nodes, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
+        if cert_value(g.ctx, nodes) != expand(g):
             ok = False
     # decomposition lemmas (both), via random nontrivial-degree words: LEFT
     # on the first part, RIGHT on the middle part of a type-2 generator
@@ -245,16 +244,13 @@ def test_criterion_6(report):
         d = word_degree(ctx, h)
         y = ctx.declare(length + 1, Z3.group.inv(d))
         w = ctx.declare(length + 2, d if side is Side.LEFT else Z3.group.inv(d))
-        leaf = support.leaf_maker(ctx)
-        if side is Side.LEFT:
-            parts, child = (h, (y,), (w,)), lambda word: leaf(word, (y,), (w,))
-        else:
-            parts, child = ((y,), h, (w,)), lambda word: leaf((y,), word, (w,))
+        parts, i = ((h, (y,), (w,)), 0) if side is Side.LEFT else (((y,), h, (w,)), 1)
+        reduction = support.LeafReduction(ctx)
         try:
-            node = decompose(ctx, side, h, child, support.unrecorded)
+            reduction.decompose(parts, i, side)
         except ReductionError:
             continue
-        if cert_value(ctx, node) != expand(make_generator(
+        if cert_value(ctx, reduction.nodes) != expand(make_generator(
                 GeneratorKind.TYPE2, ctx, parts)):
             ok = False
         done += 1
@@ -267,20 +263,19 @@ def test_criterion_6(report):
         h3 = tuple(k for k in spare if ctx.degree(k) == 0)[:1]
         h1, h2, h4 = g.parts
         for side in Side:
-            node = pull_zero_factor(ctx, h1, h2, h3, h4, side,
-                                    support.leaf_maker(ctx), support.unrecorded)
+            reduction = support.LeafReduction(ctx)
+            reduction.pull_zero_factor(h1, h2, h3, h4, side)
             parts = (h3 + h4, h2, h1) if side is Side.LEFT else (h1, h2 + h3, h4)
-            if cert_value(ctx, node) != expand(make_generator(
+            if cert_value(ctx, reduction.nodes) != expand(make_generator(
                     GeneratorKind.TYPE2, ctx, parts)):
                 ok = False
     for _ in range(50):
         ctx = Context(Z3, {k: 0 for k in range(1, 7)})
         cut1, cut2 = sorted(rand.sample(range(1, 6), 2))
         ids = tuple(range(1, 7))
-        leaf = support.leaf_maker(ctx)
-        node = split_commutator(ctx, ids[:cut1], ids[cut1:cut2], ids[cut2:], leaf,
-                                support.unrecorded)
-        if cert_value(ctx, node) != expand(make_generator(
+        reduction = support.LeafReduction(ctx)
+        reduction.split_commutator(ids[:cut1], ids[cut1:cut2], ids[cut2:])
+        if cert_value(ctx, reduction.nodes) != expand(make_generator(
                 GeneratorKind.TYPE1, ctx, (ids[:cut2], ids[cut2:]))):
             ok = False
     # the nonzero-triple lemma, exhaustively, both directions
@@ -302,7 +297,7 @@ def test_criterion_7(report, crit7_certs):
     for cert in crit7_certs:
         if not verify_certificate(cert):
             ok = False
-        if not all(leaf.is_reduced() for leaf in cert_leaves(cert.root)):
+        if not all(leaf.is_reduced() for leaf in cert_leaves(cert.nodes)):
             ok = False
     elapsed = time.monotonic() - start
     ok = ok and elapsed <= 180

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gpi import certs, dsl, freealg, genmat, rewrite, upgrade, z3reduce
 from gpi.certs import (CertContext, CertLeaf, CertSubst, CertSum, JCombination, JTerm,
-                       ReductionCertificate, RewriteChain, cert_nodes, cert_value,
+                       ReductionCertificate, RewriteChain, cert_value,
                        verify_certificate, verify_chain, verify_combination)
 from gpi.cli import _CliInputError, _verify, _witness_json, main
 from gpi.freealg import (Context, DeclarationError, FreePoly, ReplayBudget, ReplayBudgetError,
@@ -158,7 +158,7 @@ LEAF = {"op": "leaf", "generator": {"kind": 1, "parts": [[1], [2]]}}
 def tree_size(root) -> int:
     """Nodes of the certificate expanded as a tree, counted over its DAG."""
     size = {}
-    for node in cert_nodes(root):
+    for node in support.old_post_order(root):
         if isinstance(node, CertSum):
             size[id(node)] = 1 + sum(size[id(ch)] for _, ch in node.children)
         elif isinstance(node, (CertContext, CertSubst)):
@@ -178,6 +178,13 @@ class TestReductionFormat:
         assert isinstance(again["payload"]["root"], int)
         assert len(again["payload"]["nodes"]) == 8
         assert verify_certificate(certs.certificate_from_json(again))
+        # a tree built in memory may nest one dict twice: it is one row
+        doc = json.loads(V1_REDUCTION)
+        children = doc["payload"]["root"]["children"]
+        children[1][1] = children[0][1]
+        payload = upgrade.upgrade(doc)["payload"]
+        assert [row["op"] for row in payload["nodes"]] == ["leaf", "subst", "sum"]
+        assert payload["nodes"][2]["children"] == [[1, 1], [1, 1]] and payload["root"] == 2
 
     def test_tampered_version_1_tree_fails(self):
         doc = json.loads(V1_REDUCTION)
@@ -189,6 +196,14 @@ class TestReductionFormat:
         doc["payload"]["root"]["children"][0][1] = 0
         with pytest.raises(certs.CertificateFormatError):
             upgrade.upgrade(doc)
+        # a root built in memory that lists itself: the walk ends, and its row
+        # names itself, which the loader refuses
+        doc = json.loads(V1_REDUCTION)
+        root = doc["payload"]["root"]
+        root["children"][0][1] = root
+        with pytest.raises(certs.CertificateFormatError,
+                           match="^node 5: reference 5 does not name an earlier node$"):
+            certs.certificate_from_json(upgrade.upgrade(doc))
 
     def test_only_the_current_version_loads(self):
         """The checker reads one version per kind; older ones go through
@@ -291,7 +306,7 @@ class TestReductionFormat:
             assert _verify_exit(doc) == code
             cert = certs.certificate_from_json(doc)
             with pytest.raises(walk_meets):
-                certs._replay(ctx, cert_nodes(cert.root))
+                certs._replay(ctx, support.old_post_order(cert.root))
 
 
 _VARS = tuple(range(1, 7))  # x1..x6, all of trivial degree, so every image is weak
@@ -369,7 +384,8 @@ def _reordered_documents(draw):
         children += ((0, CertLeaf(make_generator(GeneratorKind.TYPE1, _TRIVIAL,
                                                  ((1, 2, 3, 4), (5,))))),)
     root = CertSum(children)
-    doc = certs.reduction_to_json(ReductionCertificate(_WITH_X7, target, tuple(cert_nodes(root))))
+    doc = certs.reduction_to_json(
+        ReductionCertificate(_WITH_X7, target, tuple(support.old_post_order(root))))
     rows, moved = doc["payload"]["nodes"], {}  # written row -> its row in the new table
     extras = draw(st.lists(st.sampled_from(("leaf", "subst")), max_size=3))
     table = []
@@ -399,14 +415,15 @@ def _reordered_documents(draw):
 @given(_reordered_documents())
 def test_any_children_first_order_answers_as_the_walk(case):
     """A document verifies exactly when the leaves its root reaches are
-    reduced and cert_value of its root is the target, whatever order of
-    its rows lists children first, and whatever rows the root does not
-    reach are interleaved."""
+    reduced and the walk from its root replays to the target, whatever
+    order of its rows lists children first, and whatever rows the root
+    does not reach are interleaved."""
     doc, root, target = case
-    if not all(n.generator.is_reduced() for n in cert_nodes(root) if isinstance(n, CertLeaf)):
+    walk = support.old_post_order(root)
+    if not all(n.generator.is_reduced() for n in walk if isinstance(n, CertLeaf)):
         expected = 1
     else:
-        value = _terms_or_refusal(lambda: cert_value(_WITH_X7, root).terms)
+        value = _terms_or_refusal(lambda: cert_value(_WITH_X7, walk).terms)
         expected = 2 if value is None else int(value != generator_terms(target))
     event(f"exit {expected}")
     assert _verify_exit(doc) == expected
@@ -419,12 +436,11 @@ class TestReplayOracles:
     @example(CertSubst(((1, 2),), CertLeaf(make_generator(  # x1 -> x2 cancels every word
         GeneratorKind.TYPE1, _TRIVIAL, ((1,), (2,))))))
     def test_walk_and_substitution_match_the_old_ones(self, root):
-        """cert_nodes gives the tuple-stack walk's order, and every subst
-        node's replayed terms (no FreePoly around them, so no zero
-        coefficient) and charge are the letter-by-letter product's (an
-        image over budget is refused by both)."""
-        nodes = cert_nodes(root)
-        assert list(map(id, nodes)) == list(map(id, support.old_post_order(root, certs._children)))
+        """Replayed in the order of the tuple-stack walk, every subst node's
+        terms (no FreePoly around them, so no zero coefficient) and charge
+        are the letter-by-letter product's (an image over budget is refused
+        by both)."""
+        nodes = support.old_post_order(root)
         values, budget = {}, ReplayBudget()
         budget.left = 20_000  # so that a blow-up is refused fast
         for node in nodes:
@@ -453,7 +469,8 @@ class TestReplayOracles:
         stray = CertContext((9,), (), leaf)
         root = CertSum(((1, leaf), (1, CertSum(((1, stray), (-1, stray))))))
         with pytest.raises(DeclarationError, match="x9 is not declared"):
-            verify_certificate(ReductionCertificate(c, leaf.generator, tuple(cert_nodes(root))))
+            verify_certificate(ReductionCertificate(c, leaf.generator,
+                                                    tuple(support.old_post_order(root))))
 
     def test_foreign_leaf_meets_the_degree_rule_of_the_certificate(self):
         """x1·[x2, x3] + [x1, x3]·x2 = [x1x2, x3].  Leaves built where every
@@ -468,8 +485,8 @@ class TestReplayOracles:
             return CertSum(((1, CertContext((1,), (), a)), (1, CertContext((), (2,), b))))
 
         flat = Context(Z3, {1: 0, 2: 0, 3: 0})
-        assert cert_value(flat, root(flat)).terms == generator_terms(target)
-        nodes = tuple(cert_nodes(root(flat)))
+        nodes = tuple(support.old_post_order(root(flat)))
+        assert cert_value(flat, nodes).terms == generator_terms(target)
         assert not verify_certificate(ReductionCertificate(c, target, nodes))
         with pytest.raises(GeneratorError, match="type-1 parts must both have trivial degree"):
             make_generator(GeneratorKind.TYPE1, c, ((2,), (3,)))
@@ -520,15 +537,15 @@ def test_reduction_bytes_pinned():
 
 
 def _assert_walk_order(nodes):
-    """nodes is cert_nodes of its last node, node for node, with no extra row."""
-    walked = cert_nodes(nodes[-1])
+    """nodes is the walk from its last node, node for node, with no extra row."""
+    walked = support.old_post_order(nodes[-1])
     assert len(walked) == len(nodes)
     assert all(a is b for a, b in zip(nodes, walked))
 
 
 def test_written_tables_replay_in_walk_order():
     """The reduction records its table as it builds the nodes, and that
-    table is cert_nodes(root), node for node, with no extra row; so the
+    table is the walk from its root, node for node, with no extra row; so the
     written root reaches each row, and the loaded certificate keeps every
     row in the same order: a written document is replayed in the order of
     a walk from its root."""
@@ -586,15 +603,15 @@ _LEMMA_EXAMPLES = [
 
 
 def test_lemma_examples_build_the_walk(monkeypatch):
-    """On _LEMMA_EXAMPLES the reduction runs split_commutator, and
-    pull_zero_factor, telescope and decompose on both sides, and each
+    """On _LEMMA_EXAMPLES the reduction runs its methods split_commutator,
+    and pull_zero_factor, telescope and decompose on both sides, and each
     recorded table is the walk from its root."""
     ran = set()
     for name in ("split_commutator", "pull_zero_factor", "telescope", "decompose"):
-        def spy(*args, _name=name, _lemma=getattr(z3reduce, name)):
+        def spy(*args, _name=name, _lemma=getattr(z3reduce._Reduction, name)):
             ran.add((_name, next((a for a in args if isinstance(a, z3reduce.Side)), None)))
             return _lemma(*args)
-        monkeypatch.setattr(z3reduce, name, spy)
+        monkeypatch.setattr(z3reduce._Reduction, name, spy)
     for g in _LEMMA_EXAMPLES:
         _assert_walk_order(_reduction(g).nodes)
     assert ran == {("split_commutator", None)} | {
@@ -606,7 +623,7 @@ def test_lemma_examples_build_the_walk(monkeypatch):
 @given(_z3_generators())
 def test_built_tables_are_the_walk(g):
     """The table a reduction records as it builds its nodes is
-    cert_nodes(root), node for node, with no extra row, over random Z3
+    the walk from its root, node for node, with no extra row, over random Z3
     generators with and without trivial-degree letters."""
     nodes = _reduction(g).nodes
     event(f"type {g.kind.value}, {'a leaf' if len(nodes) == 1 else 'reduced'}")

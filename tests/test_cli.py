@@ -1612,21 +1612,29 @@ class TestZ3Reduce:
             {"detail": refusal, "expected": "reducible", "file": f, "status": "error"}]
 
     def test_part_of_300_letters_reduces_in_a_fresh_process(self, tmp_path, capsys):
-        """The recursion takes a few frames per letter, so the longest part
-        that reduces is set by Python's recursion limit (390 letters reduce
-        and 400 are refused on this type-1 shape at the time of writing).
-        A 300-letter part, in a process of its own as a user runs it,
-        reduces with exit 0 and verifies, so a change that adds frames per
-        letter cannot lower the limit below it unnoticed."""
-        f = write(tmp_path, "long.gpi", _long_part_file(1, 300))
+        """The recursion takes five frames per shortening step, so the
+        longest part that reduces is set by Python's recursion limit (390
+        letters reduce and 400 are refused on this type-1 shape at the time
+        of writing).  In a process of its own, as a user runs it, a
+        300-letter part reduces with exit 0 and verifies, and a 400-letter
+        one is refused with exit 2 and one gpi: line: a change of the frames
+        per step cannot move the limit past either unnoticed."""
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certs.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "gpi.cli", "z3reduce", f], env=env,
-                              capture_output=True, text=True)
+
+        def reduce_in_a_process(length: int) -> subprocess.CompletedProcess:
+            f = write(tmp_path, f"long{length}.gpi", _long_part_file(1, length))
+            return subprocess.run([sys.executable, "-m", "gpi.cli", "z3reduce", f], env=env,
+                                  capture_output=True, text=True)
+
+        proc = reduce_in_a_process(300)
         assert (proc.returncode, proc.stderr) == (0, "")
         cert = tmp_path / "red.json"
         cert.write_text(proc.stdout)
         assert run(capsys, "verify", str(cert)) == (
             0, '{"kind":"reduction","valid":true}\n', "")
+        proc = reduce_in_a_process(400)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "gpi: the generator's parts are too long to reduce (longest part: 400 letters)\n")
 
     def test_reduce_and_verify(self, tmp_path, capsys):
         f = write(tmp_path, "g.gpi", GEN_FILE)
@@ -1950,3 +1958,16 @@ def test_traced_names_stay_bound(monkeypatch):
     assert len(originals) > 20
     for owner, attr, original in originals.values():
         assert getattr(owner, attr) is original, attr
+
+
+def test_catalogue_builder_imports_resolve(monkeypatch):
+    """bench/make_catalogue.py imports the node types and the reductions
+    from gpi.z3reduce and walks cert.root: both still hold, and it sizes
+    two small generators as it did when this test was written."""
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    make_catalogue = importlib.import_module("make_catalogue")
+    assert make_catalogue.size(1, [[1, 2, 1, 2], [0]]) == 5
+    assert make_catalogue.size(2, [[2], [1, 1, 2, 2, 1], [2]]) == 15

@@ -4,11 +4,10 @@ import support
 from gpi import z3reduce
 from gpi.freealg import Context, FreePoly, bracket
 from gpi.identity import GeneratorKind, expand, is_graded_identity, make_generator
-from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_nodes,
-                       cert_value, dumps, reduction_to_json, verify_certificate)
-from gpi.z3reduce import (ReductionError, Side, decompose, enumerate_reduced,
-                          nonzero_triple_forced, pull_zero_factor, reduce_type1,
-                          reduce_type2, split_commutator, telescope)
+from gpi.certs import (CertLeaf, CertSum, ReductionCertificate, cert_leaves, cert_value, dumps,
+                       reduction_to_json, verify_certificate)
+from gpi.z3reduce import (ReductionError, Side, enumerate_reduced, nonzero_triple_forced,
+                          reduce_type1, reduce_type2)
 from gpi.groups import cyclic_group, default_grading
 
 Z3 = default_grading(cyclic_group(3))
@@ -16,6 +15,11 @@ Z3 = default_grading(cyclic_group(3))
 
 def ctx3(degs: dict) -> Context:
     return Context(Z3, degs)
+
+
+def expanded(c: Context, *parts) -> FreePoly:
+    """The generator with these parts expanded: two parts are type 1, three type 2."""
+    return expand(make_generator(GeneratorKind(len(parts) - 1), c, parts))
 
 
 class TestBracketExpand:
@@ -42,24 +46,24 @@ class TestBracketExpand:
 class TestSplitCommutator:
     def test_single_variables(self):
         c = ctx3({1: 0, 2: 0, 3: 0})
-        leaf = support.leaf_maker(c)
-        value = cert_value(c, split_commutator(c, (1,), (2,), (3,), leaf, support.unrecorded))
+        r = support.LeafReduction(c)
+        r.split_commutator((1,), (2,), (3,))
+        value = cert_value(c, r.nodes)
         x1, x2, x3 = (FreePoly.var(c, k) for k in (1, 2, 3))
         assert value == x1 * bracket(x2, x3) + bracket(x1, x3) * x2
         assert value == bracket(x1 * x2, x3)
 
     def test_symmetric_parts(self):
         c = ctx3({1: 0, 3: 0})
-        leaf = support.leaf_maker(c)
+        r = support.LeafReduction(c)
         x1, x3 = FreePoly.var(c, 1), FreePoly.var(c, 3)
-        node = split_commutator(c, (1,), (1,), (3,), leaf, support.unrecorded)
-        assert cert_value(c, node) == bracket(x1 * x1, x3)
+        r.split_commutator((1,), (1,), (3,))
+        assert cert_value(c, r.nodes) == bracket(x1 * x1, x3)
 
     def test_nontrivial_degree_rejected(self):
         c = ctx3({1: 0, 2: 0, 3: 1})
-        leaf = support.leaf_maker(c)
         with pytest.raises(ReductionError):
-            split_commutator(c, (1,), (2,), (3,), leaf, support.unrecorded)
+            support.LeafReduction(c).split_commutator((1,), (2,), (3,))
 
 
 def peeled(c, h1, h2, h3, h4, side):
@@ -72,22 +76,21 @@ class TestPullZeroFactor:
     def test_single_variables(self):
         c = ctx3({1: 1, 2: 2, 3: 0, 4: 1})
         for side in Side:
-            node = pull_zero_factor(c, (1,), (2,), (3,), (4,), side,
-                                    support.leaf_maker(c), support.unrecorded)
-            assert cert_value(c, node) == peeled(c, (1,), (2,), (3,), (4,), side)
+            r = support.LeafReduction(c)
+            r.pull_zero_factor((1,), (2,), (3,), (4,), side)
+            assert cert_value(c, r.nodes) == peeled(c, (1,), (2,), (3,), (4,), side)
 
     def test_empty_factor_passthrough(self):
         c = ctx3({1: 1, 2: 2, 4: 1})
-        node = pull_zero_factor(c, (1,), (2,), (), (4,), Side.RIGHT,
-                                support.leaf_maker(c), support.unrecorded)
-        assert isinstance(node, CertLeaf)
-        assert cert_value(c, node) == peeled(c, (1,), (2,), (), (4,), Side.RIGHT)
+        r = support.LeafReduction(c)
+        node = r.pull_zero_factor((1,), (2,), (), (4,), Side.RIGHT)
+        assert isinstance(node, CertLeaf) and r.nodes == [node]
+        assert cert_value(c, r.nodes) == peeled(c, (1,), (2,), (), (4,), Side.RIGHT)
 
     def test_wrong_degree_rejected(self):
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            pull_zero_factor(c, (1,), (2,), (3,), (4,), Side.LEFT,
-                             support.leaf_maker(c), support.unrecorded)
+            support.LeafReduction(c).pull_zero_factor((1,), (2,), (3,), (4,), Side.LEFT)
 
     @pytest.mark.parametrize("degrees, h3, msg", [
         ({1: 1, 2: 2, 3: 0, 4: 1}, (1,), "the concatenated word must be multilinear"),
@@ -96,8 +99,7 @@ class TestPullZeroFactor:
     def test_input_refused(self, degrees, h3, msg):
         c = ctx3(degrees)
         with pytest.raises(ReductionError, match=f"^{msg}$"):
-            pull_zero_factor(c, (1,), (2,), h3, (4,), Side.LEFT, support.leaf_maker(c),
-                             support.unrecorded)
+            support.LeafReduction(c).pull_zero_factor((1,), (2,), h3, (4,), Side.LEFT)
 
     def test_random_words(self):
         rand = support.rng(402)
@@ -109,34 +111,31 @@ class TestPullZeroFactor:
                      and all(k not in p for p in g.parts)]
             h3 = (spare[0],) if spare else ()
             for side in Side:
-                node = pull_zero_factor(c, h1, h2, h3, h4, side,
-                                        support.leaf_maker(c), support.unrecorded)
-                assert cert_value(c, node) == peeled(c, h1, h2, h3, h4, side)
+                r = support.LeafReduction(c)
+                r.pull_zero_factor(h1, h2, h3, h4, side)
+                assert cert_value(c, r.nodes) == peeled(c, h1, h2, h3, h4, side)
 
 
 class TestTelescope:
     def test_y_r2(self):
         # [x1 x2 x3 x4, x5] with x2 moved to the front
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 0})
-        leaf = support.leaf_maker(c)
-        node = telescope(c, (1,), 2, (3, 4), Side.LEFT, lambda w: leaf(w, (5,)),
-                         support.unrecorded)
-        assert cert_value(c, node) == expand(leaf((1, 2, 3, 4), (5,)).generator)
+        r = support.LeafReduction(c)
+        r.telescope(((1, 2, 3, 4), (5,)), 0, 1, Side.LEFT)
+        assert cert_value(c, r.nodes) == expanded(c, (1, 2, 3, 4), (5,))
 
     def test_v_r2(self):
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
-        leaf = support.leaf_maker(c)
-        node = telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,), (5,)),
-                         support.unrecorded)
-        assert cert_value(c, node) == expand(leaf((1, 2, 3), (4,), (5,)).generator)
+        r = support.LeafReduction(c)
+        r.telescope(((1, 2, 3), (4,), (5,)), 0, 1, Side.LEFT)
+        assert cert_value(c, r.nodes) == expanded(c, (1, 2, 3), (4,), (5,))
 
     def test_w_r2_sign(self):
         # the middle word is h1 followed by x_r .. x_1; x_r moves to the back
         c = ctx3({1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
-        leaf = support.leaf_maker(c)
-        node = telescope(c, (3,), 2, (1,), Side.RIGHT, lambda w: leaf((4,), w, (5,)),
-                         support.unrecorded)
-        assert cert_value(c, node) == \
+        r = support.LeafReduction(c)
+        node = r.telescope(((4,), (3, 2, 1), (5,)), 1, 1, Side.RIGHT)
+        assert cert_value(c, r.nodes) == \
             FreePoly(c, {(4, 3, 2, 1, 5): 1, (5, 3, 2, 1, 4): -1})
         # the substituted summand carries a minus sign
         coeff, child = node.children[1]
@@ -144,24 +143,22 @@ class TestTelescope:
 
     def test_nontrivial_letter_rejected(self):
         c = ctx3({1: 0, 2: 1, 3: 2, 4: 0})
-        leaf = support.leaf_maker(c)
         with pytest.raises(ReductionError):
-            telescope(c, (1,), 2, (3,), Side.LEFT, lambda w: leaf(w, (4,)), support.unrecorded)
+            support.LeafReduction(c).telescope(((1, 2, 3), (4,)), 0, 1, Side.LEFT)
 
     @pytest.mark.parametrize("side", list(Side))
     def test_no_letter_to_move_past(self, side):
         """LEFT moves z past u, RIGHT past v; an empty one is refused."""
         c = ctx3({1: 0, 2: 0, 3: 0})
-        leaf = support.leaf_maker(c)
-        u, v = ((), (1,)) if side is Side.LEFT else ((1,), ())
+        h, k = ((2, 1), 0) if side is Side.LEFT else ((1, 2), 1)
         with pytest.raises(ReductionError, match="^the telescoped letter must move past a letter$"):
-            telescope(c, u, 2, v, side, lambda w: leaf(w, (3,)), support.unrecorded)
+            support.LeafReduction(c).telescope((h, (3,)), 0, k, side)
 
     def test_random_r_up_to_5(self):
         rand = support.rng(403)
         for _ in range(30):
-            node, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
-            assert cert_value(g.ctx, node) == expand(g)
+            nodes, g = support.random_telescope(rand, Z3, rand.randint(2, 5))
+            assert cert_value(g.ctx, nodes) == expand(g)
 
 
 class TestNonzeroTripleLemma:
@@ -182,19 +179,18 @@ class TestDecompose:
     def test_tail(self):
         # the middle part (1, 2, 3, 4) of a type-2 generator
         c = ctx3({1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1})
-        leaf = support.leaf_maker(c)
-        node = decompose(c, Side.RIGHT, (1, 2, 3, 4), lambda w: leaf((5,), w, (6,)),
-                         support.unrecorded)
-        assert cert_value(c, node) == expand(leaf((5,), (1, 2, 3, 4), (6,)).generator)
+        r = support.LeafReduction(c)
+        node = r.decompose(((5,), (1, 2, 3, 4), (6,)), 1, Side.RIGHT)
+        assert cert_value(c, r.nodes) == expanded(c, (5,), (1, 2, 3, 4), (6,))
         (z, (a, b)), = node.children[0][1].images
         assert c.degree(z) == 0 and (a, b) == (2, 3)
         assert Z3.group.mul(c.degree(a), c.degree(b)) == 0
 
     def test_head(self):
         c = ctx3({1: 1, 2: 1, 3: 2, 4: 2, 5: 0})
-        leaf = support.leaf_maker(c)
-        node = decompose(c, Side.LEFT, (1, 2, 3, 4), lambda w: leaf(w, (5,)), support.unrecorded)
-        assert cert_value(c, node) == expand(leaf((1, 2, 3, 4), (5,)).generator)
+        r = support.LeafReduction(c)
+        node = r.decompose(((1, 2, 3, 4), (5,)), 0, Side.LEFT)
+        assert cert_value(c, r.nodes) == expanded(c, (1, 2, 3, 4), (5,))
         # the image word contains the fresh trivial-degree variable
         z = node.children[0][1].child.generator.parts[0][1]
         assert c.degree(z) == 0
@@ -202,12 +198,12 @@ class TestDecompose:
     def test_trivial_degree_present_rejected(self):
         c = ctx3({1: 1, 2: 0, 3: 1, 4: 1})
         with pytest.raises(ReductionError):
-            decompose(c, Side.RIGHT, (1, 2, 3, 4), support.leaf_maker(c), support.unrecorded)
+            support.LeafReduction(c).decompose(((5,), (1, 2, 3, 4), (6,)), 1, Side.RIGHT)
 
     def test_too_short(self):
         c = ctx3({1: 1, 2: 2, 3: 1})
         with pytest.raises(ReductionError):
-            decompose(c, Side.LEFT, (1, 2, 3), support.leaf_maker(c), support.unrecorded)
+            support.LeafReduction(c).decompose(((1, 2, 3), (4,)), 0, Side.LEFT)
 
 
 class TestReduceType1:
@@ -236,7 +232,7 @@ class TestReduceType1:
             g = support.random_generator(rand, Z3, GeneratorKind.TYPE1, 5)
             cert = reduce_type1(g)
             assert verify_certificate(cert)
-            assert all(leaf.is_reduced() for leaf in cert_leaves(cert.root))
+            assert all(leaf.is_reduced() for leaf in cert_leaves(cert.nodes))
 
     def test_rejected_outside_order_3(self):
         g2 = default_grading(cyclic_group(2))
@@ -291,14 +287,14 @@ class TestReduceType2:
             g = support.random_generator(rand, Z3, GeneratorKind.TYPE2, 4)
             cert = reduce_type2(g)
             assert verify_certificate(cert)
-            assert all(leaf.is_reduced() for leaf in cert_leaves(cert.root))
+            assert all(leaf.is_reduced() for leaf in cert_leaves(cert.nodes))
 
     def test_leaves_are_identities(self):
         rand = support.rng(406)
         for _ in range(10):
             g = support.random_generator(rand, Z3, GeneratorKind.TYPE2, 4)
             cert = reduce_type2(g)
-            for leaf in cert_leaves(cert.root):
+            for leaf in cert_leaves(cert.nodes):
                 assert is_graded_identity(expand(leaf))
 
 
@@ -315,7 +311,8 @@ class TestVerifyCertificate:
             root = CertSum(((1, root),))
         bad_children = ((root.children[0][0] + 1,) + root.children[0][1:],) \
             + root.children[1:]
-        bad = ReductionCertificate(cert.ctx, cert.target, tuple(cert_nodes(CertSum(bad_children))))
+        bad = ReductionCertificate(cert.ctx, cert.target,
+                                   tuple(support.old_post_order(CertSum(bad_children))))
         assert not verify_certificate(bad)
 
     def test_oversized_leaf(self):
@@ -370,5 +367,5 @@ def test_cert_value_of_sum_is_linear():
     a = CertLeaf(make_generator(GeneratorKind.TYPE1, c, ((1,), (2,))))
     b = CertLeaf(make_generator(GeneratorKind.TYPE1, c, ((3,), (4,))))
     node = CertSum(((2, a), (-1, b)))
-    assert cert_value(c, node) == \
-        2 * cert_value(c, a) - cert_value(c, b)
+    assert cert_value(c, (a, b, node)) == \
+        2 * cert_value(c, (a,)) - cert_value(c, (b,))
